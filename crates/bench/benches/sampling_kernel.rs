@@ -1,4 +1,4 @@
-//! Micro-benchmark: the batched sampling kernel on the perf R-MAT instance,
+//! Micro-benchmark: the sampling kernel on the perf R-MAT instance,
 //! in both CSR labelings. Interactive companion to `bench_kernel` (which
 //! feeds the `cargo xtask bench --kernel --check` regression gate): use this
 //! to A/B kernel changes locally with criterion's statistics before
@@ -21,7 +21,7 @@ fn bench_sampling_kernel(c: &mut Criterion) {
     group.throughput(Throughput::Elements(BATCH));
     for (name, g) in [("relabeled", &relabeled), ("raw", &raw)] {
         let mut sampler = ThreadSampler::new(g.num_nodes(), 7, 0, 0);
-        // Warm the scratch buffers so steady-state cost is what's measured.
+        // Warm the caches so steady-state cost is what's measured.
         sampler.sample_batch(g, 2_000, |_| {});
         group.bench_with_input(BenchmarkId::from_parameter(name), g, |b, g| {
             b.iter(|| {

@@ -6,23 +6,15 @@
 //!
 //! Rows produced:
 //!
-//! * `kernel` — degree-descending relabeled CSR through the *default*
-//!   kernel configuration (batched, B = 8; DESIGN.md §16), the exact
-//!   layout + kernel every driver actually samples with (DESIGN.md §11).
-//!   This row is the regression gate: `cargo xtask bench --kernel --check`
-//!   fails CI when its `samples_per_sec` drops more than 15% below the
-//!   committed baseline, or when `allocs_per_sample` is nonzero.
-//! * `kernel-b1` / `kernel-b4` / `kernel-b64` — the batch-width sweep on the
-//!   same relabeled CSR (B = 1 is the scalar kernel). Diagnostic columns:
-//!   they separate batching wins from layout or algorithmic changes. Every
-//!   batched row also reports the measured *row-share factor* — logical
-//!   edges scanned over physical CSR entries decoded — which is exactly the
-//!   decode amortization batching achieves (DESIGN.md §16 discusses why it
-//!   is ≈ 1 on this cache-resident instance).
-//! * `kernel-raw` — the default kernel on the same graph in generator-order
-//!   labeling, so layout regressions are distinguishable from algorithmic
-//!   ones. Its sampler (and batch scratch) is sized from the *raw* graph —
-//!   [`ThreadSampler`] asserts the scratch matches the graph it runs on.
+//! * `kernel` — degree-descending relabeled CSR, the exact layout every
+//!   driver actually samples on (DESIGN.md §11). This row is the regression
+//!   gate: `cargo xtask bench --kernel --check` fails CI when its
+//!   `samples_per_sec` drops more than 15% below the committed baseline, or
+//!   when `allocs_per_sample` is nonzero.
+//! * `kernel-raw` — the same graph in generator-order labeling, so layout
+//!   regressions are distinguishable from algorithmic ones. Its sampler is
+//!   sized from the *raw* graph — [`ThreadSampler`] asserts the scratch
+//!   matches the graph it runs on.
 //!
 //! The binary registers [`kadabra_alloctrack::CountingAlloc`] as its global
 //! allocator; after the warm-up batch the measured batch must not allocate.
@@ -33,7 +25,7 @@
 
 use kadabra_alloctrack::CountingAlloc;
 use kadabra_bench::{emit, seed, BenchArtifact, BenchRun};
-use kadabra_core::{KernelOptions, ThreadSampler};
+use kadabra_core::ThreadSampler;
 use kadabra_graph::components::largest_component;
 use kadabra_graph::generators::{rmat, RmatConfig};
 use kadabra_graph::Graph;
@@ -43,9 +35,9 @@ use std::time::Instant;
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Extra samples taken before measurement starts. The warm-up also runs one
-/// full batch of the measured size, so every scratch buffer — frontiers,
-/// meeting cut, path, and the per-batch pair buffer (which grows with the
-/// batch size) — reaches steady-state capacity before counting begins.
+/// full batch of the measured size, so the per-batch pair buffer (the one
+/// buffer that grows with the batch size rather than being sized at
+/// construction) reaches steady-state capacity before counting begins.
 const WARMUP: u64 = 2_000;
 
 fn iters() -> u64 {
@@ -61,37 +53,21 @@ fn iters() -> u64 {
     }
 }
 
-fn measure(
-    instance: &str,
-    mode: &str,
-    g: &Graph,
-    iters: u64,
-    seed: u64,
-    kernel: KernelOptions,
-) -> BenchRun {
+fn measure(instance: &str, mode: &str, g: &Graph, iters: u64, seed: u64) -> BenchRun {
     // Scratch is sized from the graph actually measured — `sample_batch`
     // asserts this, so a row can never silently run with foreign scratch.
-    let mut sampler = ThreadSampler::with_kernel(g.num_nodes(), seed, 0, 0, kernel);
+    let mut sampler = ThreadSampler::new(g.num_nodes(), seed, 0, 0);
     let mut interior_visits = 0u64;
     sampler.sample_batch(g, WARMUP, |interior| interior_visits += interior.len() as u64);
     sampler.sample_batch(g, iters, |interior| interior_visits += interior.len() as u64);
 
     let before = ALLOC.counts();
-    let occ_before = sampler.kernel_occupancy();
-    let phys_before = sampler.kernel_physical_edges();
     let edges_before = sampler.stats.edges_scanned;
     let start = Instant::now();
     sampler.sample_batch(g, iters, |interior| interior_visits += interior.len() as u64);
     let wall_ns = start.elapsed().as_nanos() as u64;
     let allocs = ALLOC.counts().since(&before).allocs;
-    let occ_after = sampler.kernel_occupancy();
-    let rounds = occ_after.0 - occ_before.0;
-    let lane_rounds = occ_after.1 - occ_before.1;
-    let occupancy = if rounds > 0 { lane_rounds as f64 / rounds as f64 } else { 0.0 };
-    let edges_delta = sampler.stats.edges_scanned - edges_before;
-    let edges_per_sample = edges_delta as f64 / iters as f64;
-    let phys_delta = sampler.kernel_physical_edges() - phys_before;
-    let row_share = if phys_delta > 0 { edges_delta as f64 / phys_delta as f64 } else { 0.0 };
+    let edges_per_sample = (sampler.stats.edges_scanned - edges_before) as f64 / iters as f64;
 
     let ns_per_sample = wall_ns as f64 / iters as f64;
     let samples_per_sec = if wall_ns > 0 { iters as f64 / (wall_ns as f64 / 1e9) } else { 0.0 };
@@ -99,9 +75,7 @@ fn measure(
     println!(
         "  {instance} {mode}: {iters} samples, {ns_per_sample:.0} ns/sample, \
          {samples_per_sec:.0} samples/s, {allocs} allocs ({allocs_per_sample:.4}/sample, \
-         {interior_visits} interior visits, {edges_per_sample:.0} edges/sample, \
-         B={} occ={occupancy:.2} share={row_share:.2})",
-        kernel.batch_width
+         {interior_visits} interior visits, {edges_per_sample:.0} edges/sample)"
     );
     BenchRun {
         instance: instance.to_string(),
@@ -117,9 +91,6 @@ fn measure(
         extras: vec![
             ("ns_per_sample".to_string(), ns_per_sample),
             ("allocs_per_sample".to_string(), allocs_per_sample),
-            ("batch_width".to_string(), kernel.batch_width as f64),
-            ("batch_occupancy".to_string(), occupancy),
-            ("row_share_factor".to_string(), row_share),
         ],
     }
 }
@@ -136,13 +107,8 @@ fn main() {
 
     let mut bench = BenchArtifact::new("kernel", 1.0, 0.0, seed);
     let (rg, _perm) = g.relabel_by_degree();
-    // Gate row: default kernel (batched, B = 8) on the production layout.
-    bench.push(measure("rmat-s14-lcc", "kernel", &rg, iters, seed, KernelOptions::default()));
-    // Batch-width sweep (diagnostic; B = 1 is the scalar kernel).
-    for width in [1usize, 4, 64] {
-        let mode = format!("kernel-b{width}");
-        bench.push(measure("rmat-s14-lcc", &mode, &rg, iters, seed, KernelOptions::batched(width)));
-    }
-    bench.push(measure("rmat-s14-lcc", "kernel-raw", &g, iters, seed, KernelOptions::default()));
+    // Gate row: the production layout.
+    bench.push(measure("rmat-s14-lcc", "kernel", &rg, iters, seed));
+    bench.push(measure("rmat-s14-lcc", "kernel-raw", &g, iters, seed));
     emit(&bench);
 }

@@ -37,47 +37,30 @@ pub struct KadabraConfig {
     /// Fraction of the failure budget spread uniformly over all vertices
     /// during calibration (keeps δ_L(v), δ_U(v) > 0 everywhere).
     pub calibration_floor: f64,
-    /// Sampling-kernel execution options (batched traversal width, thread
-    /// pinning, first-touch placement). Every driver threads this through to
-    /// its [`crate::ThreadSampler`]s and worker spawn points.
+    /// Carries nothing and is read by nothing; frozen for `benchmark/` (see
+    /// [`KernelOptions`]).
+    #[doc(hidden)]
     pub kernel: KernelOptions,
 }
 
-/// How the per-thread sampling kernel executes and where its threads and
-/// pages live. The paper's one-rank-per-NUMA-socket design (Section IV-E)
-/// assumes the kernel is near hardware limits; these knobs control the two
-/// levers this reproduction implements for that: multi-source batching
-/// (DESIGN.md §16) and NUMA-aware placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelOptions {
-    /// Lanes per batched-kernel invocation (1..=64). Width 1 keeps batches
-    /// on the scalar kernel. Path selection is bit-identical at every width,
-    /// so this only trades scratch memory against shared row decodes.
-    pub batch_width: usize,
-    /// Pin each sampling worker to a core derived from its (rank, thread)
-    /// coordinates (best-effort; a no-op where unsupported).
-    pub pin_threads: bool,
-    /// Sweep the CSR pages from each worker after pinning, so a first-touch
-    /// NUMA policy places (or at least warms) them near the thread pool that
-    /// samples from them.
-    pub first_touch: bool,
-}
-
-impl Default for KernelOptions {
-    fn default() -> Self {
-        KernelOptions { batch_width: 8, pin_threads: false, first_touch: false }
-    }
-}
+/// What is left of the kernel-selection options of the deleted batched
+/// BiBFS (DESIGN.md §16): no field, no behaviour. `benchmark/`, which this
+/// workspace may not edit, still compiles against this name,
+/// [`KernelOptions::scalar`], [`KadabraConfig::kernel`],
+/// `ThreadSampler::with_kernel` and `ThreadSampler::kernel_physical_edges`;
+/// nothing in the workspace calls them. A later `benchmark`-archetype PR
+/// drops the harness's duplicate `graph.kernel_scalar_*` probe, re-fits its
+/// `memory_share` weights (fitted to the batched kernel's working set) and
+/// removes these five names with it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KernelOptions;
 
 impl KernelOptions {
-    /// The scalar configuration: no batching, no placement.
+    /// The only kernel there is. Frozen for `benchmark/`; see the type.
+    #[doc(hidden)]
     pub fn scalar() -> Self {
-        KernelOptions { batch_width: 1, pin_threads: false, first_touch: false }
-    }
-
-    /// Batched at `width` lanes, no placement.
-    pub fn batched(width: usize) -> Self {
-        KernelOptions { batch_width: width, ..Default::default() }
+        KernelOptions
     }
 }
 
@@ -93,7 +76,7 @@ impl Default for KadabraConfig {
             calibration_samples: None,
             diameter_bfs_budget: 16,
             calibration_floor: 0.25,
-            kernel: KernelOptions::default(),
+            kernel: KernelOptions,
         }
     }
 }
@@ -121,11 +104,6 @@ impl KadabraConfig {
         assert!(
             (0.0..1.0).contains(&self.calibration_floor),
             "calibration_floor must lie in [0, 1)"
-        );
-        assert!(
-            (1..=64).contains(&self.kernel.batch_width),
-            "kernel.batch_width must lie in 1..=64, got {}",
-            self.kernel.batch_width
         );
     }
 
@@ -199,29 +177,6 @@ mod tests {
             assert!(v <= prev);
             prev = v;
         }
-    }
-
-    #[test]
-    fn kernel_options_defaults_and_presets() {
-        let d = KernelOptions::default();
-        assert_eq!(d.batch_width, 8);
-        assert!(!d.pin_threads && !d.first_touch);
-        assert_eq!(KernelOptions::scalar().batch_width, 1);
-        assert_eq!(KernelOptions::batched(64).batch_width, 64);
-        let cfg = KadabraConfig { kernel: KernelOptions::batched(64), ..Default::default() };
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "batch_width")]
-    fn rejects_zero_batch_width() {
-        KadabraConfig { kernel: KernelOptions::batched(0), ..Default::default() }.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "batch_width")]
-    fn rejects_oversized_batch_width() {
-        KadabraConfig { kernel: KernelOptions::batched(65), ..Default::default() }.validate();
     }
 
     #[test]

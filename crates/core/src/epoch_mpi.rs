@@ -176,14 +176,7 @@ fn rank_main(
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 s.spawn(move |_| {
-                    if cfg.kernel.pin_threads {
-                        let _ = crate::affinity::pin_worker(my_world, t, threads);
-                    }
-                    if cfg.kernel.first_touch {
-                        let _ = g.touch_pages();
-                    }
-                    let mut sampler =
-                        ThreadSampler::with_kernel(n, cfg.seed, my_world, t, cfg.kernel);
+                    let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, t);
                     let mut counts = vec![0u64; n];
                     let taken = calibration_samples_for_thread(
                         g,
@@ -242,16 +235,7 @@ fn rank_main(
             let fw = &fw;
             let tw = tel.writer(my_world as u32, t as u32);
             s.spawn(move |_| {
-                if cfg.kernel.pin_threads {
-                    let _ = crate::affinity::pin_worker(my_world, t, threads);
-                }
-                let mut sampler = ThreadSampler::with_kernel(
-                    n,
-                    cfg.seed,
-                    my_world,
-                    ADS_STREAM_OFFSET + t,
-                    cfg.kernel,
-                );
+                let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET + t);
                 let mut h = fw.handle(t);
                 let mut drawn = 0u64;
                 // Small batches amortize pair drawing while still polling
@@ -265,18 +249,11 @@ fn rank_main(
                 }
                 // One flush at exit keeps the hot loop free of stores.
                 tw.count(CounterId::Samples, drawn);
-                let (rounds, lane_rounds) = sampler.kernel_occupancy();
-                tw.count(CounterId::KernelRounds, rounds);
-                tw.count(CounterId::KernelLaneRounds, lane_rounds);
             });
         }
 
         // Thread 0 (Algorithm 2, lines 10-31).
-        if cfg.kernel.pin_threads {
-            let _ = crate::affinity::pin_worker(my_world, 0, threads);
-        }
-        let mut sampler =
-            ThreadSampler::with_kernel(n, cfg.seed, my_world, ADS_STREAM_OFFSET, cfg.kernel);
+        let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET);
         let mut h = fw.handle(0);
         let mut epoch = 0u32;
         loop {
@@ -439,9 +416,6 @@ fn rank_main(
                 Err(e) => panic!("unrecoverable communicator failure: {e}"),
             }
         }
-        let (rounds, lane_rounds) = sampler.kernel_occupancy();
-        w.count(CounterId::KernelRounds, rounds);
-        w.count(CounterId::KernelLaneRounds, lane_rounds);
     })
     // xtask: allow(unwrap) — children are joined above; see worker waiver.
     .expect("adaptive sampling scope");

@@ -24,7 +24,6 @@
 //! computation → calibration of the per-vertex failure probabilities
 //! δ_L/δ_U → adaptive sampling; see [`phases`].
 
-pub mod affinity;
 pub mod bounds;
 pub mod calibration;
 pub mod chaos;

@@ -109,17 +109,8 @@ fn rank_main(
     // Phase 2: calibration — parallel sampling, blocking aggregation
     // (MPI_Reduce in the paper; we all-reduce so every rank derives the
     // same δ budgets deterministically).
-    // Each simulated rank is a single sampling thread; pin it to the core
-    // its world rank maps to and first-touch the shared CSR if configured.
-    if cfg.kernel.pin_threads {
-        let _ = crate::affinity::pin_worker(my_world, 0, 1);
-    }
-    if cfg.kernel.first_touch {
-        let _ = g.touch_pages();
-    }
-
     let sp = w.begin(SpanId::Calibration);
-    let mut sampler = ThreadSampler::with_kernel(n, cfg.seed, my_world, 0, cfg.kernel);
+    let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, 0);
     let mut counts = vec![0u64; n + 1];
     let taken =
         calibration_samples_for_thread(g, &mut sampler, &mut counts[..n], cfg, omega, ranks);
@@ -138,8 +129,7 @@ fn rank_main(
     let sp_ads = w.begin(SpanId::AdaptiveSampling);
     let mut comm = comm;
     let mut n0 = cfg.n0(ranks);
-    let mut sampler =
-        ThreadSampler::with_kernel(n, cfg.seed, my_world, ADS_STREAM_OFFSET, cfg.kernel);
+    let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET);
     // S_loc: local state frame; S: aggregated frame at the root (line 1).
     let mut s_loc = vec![0u64; n + 1];
     let mut s_global = vec![0u64; n + 1];
@@ -249,9 +239,6 @@ fn rank_main(
             Err(e) => panic!("unrecoverable communicator failure: {e}"),
         }
     }
-    let (rounds, lane_rounds) = sampler.kernel_occupancy();
-    w.count(CounterId::KernelRounds, rounds);
-    w.count(CounterId::KernelLaneRounds, lane_rounds);
     w.end(sp_ads);
     if dead {
         return None;

@@ -7,11 +7,11 @@
 //! [`ThreadSampler::sample_batch`] amortizes the per-sample bookkeeping over
 //! a whole batch (DESIGN.md §11): pairs are pre-drawn in one sweep from the
 //! xoshiro stream and every sample writes its interior into the same reused
-//! scratch buffer, so at steady state a sample allocates nothing.
+//! scratch buffer, so from the second batch on a sample allocates nothing.
 
 use crate::config::KernelOptions;
 use kadabra_graph::bibfs::{sample_shortest_path_into, SearchStats};
-use kadabra_graph::{BatchedBiBfs, GraphView, NodeId, TraversalScratch};
+use kadabra_graph::{GraphView, NodeId, TraversalScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,13 +39,6 @@ pub struct ThreadSampler {
     n: usize,
     /// Pre-drawn endpoint pairs for the current batch.
     pairs: Vec<(NodeId, NodeId)>,
-    /// Lanes per batched-kernel invocation; ≤ 1 keeps batches on the scalar
-    /// kernel. Either way the sampled paths are bit-identical (DESIGN.md
-    /// §16), so this knob trades only memory against row-scan sharing.
-    batch_width: usize,
-    /// Batched kernel scratch, allocated lazily on the first routed batch so
-    /// scalar-only samplers never pay the `O(n·W)` arena.
-    batch: Option<BatchedBiBfs>,
     /// Cumulative search statistics over every sample taken.
     pub stats: SearchStats,
     /// Total samples produced by this sampler.
@@ -53,51 +46,33 @@ pub struct ThreadSampler {
 }
 
 impl ThreadSampler {
-    /// Creates the sampler for `(rank, thread)` on an `n`-vertex graph, with
-    /// the default kernel options ([`KernelOptions::default`]: batched at
-    /// width 8).
+    /// Creates the sampler for `(rank, thread)` on an `n`-vertex graph.
     pub fn new(n: usize, seed: u64, rank: usize, thread: usize) -> Self {
-        Self::with_kernel(n, seed, rank, thread, KernelOptions::default())
-    }
-
-    /// Creates the sampler with explicit kernel options (the drivers pass
-    /// `cfg.kernel` through here). Only `batch_width` matters to the
-    /// sampler itself; placement options are applied by the caller.
-    pub fn with_kernel(
-        n: usize,
-        seed: u64,
-        rank: usize,
-        thread: usize,
-        kernel: KernelOptions,
-    ) -> Self {
         assert!(n >= 2, "sampling requires at least two vertices");
-        assert!(kernel.batch_width >= 1 && kernel.batch_width <= 64, "batch width in 1..=64");
         ThreadSampler {
             rng: StdRng::seed_from_u64(mix_seed(seed, rank as u64, thread as u64)),
             scratch: TraversalScratch::new(n),
             n,
             pairs: Vec::new(),
-            batch_width: kernel.batch_width,
-            batch: None,
             stats: SearchStats::default(),
             samples_taken: 0,
         }
     }
 
-    /// Cumulative batched-kernel occupancy: `(rounds, lane_rounds)` — the
-    /// telemetry counters `kernel_rounds` / `kernel_lane_rounds`. Both zero
-    /// until a batch has routed through the batched kernel.
-    pub fn kernel_occupancy(&self) -> (u64, u64) {
-        self.batch.as_ref().map_or((0, 0), |k| (k.rounds, k.lane_rounds))
+    /// [`ThreadSampler::new`]. One of the five names frozen for `benchmark/`
+    /// and uncalled inside the workspace; [`KernelOptions`] says why they
+    /// exist and which later PR removes them.
+    #[doc(hidden)]
+    pub fn with_kernel(n: usize, seed: u64, rank: usize, thread: usize, _: KernelOptions) -> Self {
+        Self::new(n, seed, rank, thread)
     }
 
-    /// Cumulative physical adjacency entries decoded by the batched kernel
-    /// (each CSR row read counted once regardless of how many lanes share
-    /// it); `stats.edges_scanned / kernel_physical_edges()` is the
-    /// row-share factor batching achieves. Zero until a batch has routed
-    /// through the batched kernel.
+    /// Always 0, which makes the harness's probe fall back to
+    /// `stats.edges_scanned`. Frozen for `benchmark/` and removed with
+    /// [`ThreadSampler::with_kernel`].
+    #[doc(hidden)]
     pub fn kernel_physical_edges(&self) -> u64 {
-        self.batch.as_ref().map_or(0, |k| k.physical_edges)
+        0
     }
 
     /// Draws a uniform ordered pair `(s, t)` with `s ≠ t`.
@@ -140,70 +115,19 @@ impl ThreadSampler {
     /// distribution is identical to `k` calls of `sample` (every draw is
     /// independent), only the order in which the stream is consumed differs,
     /// which the `(ε, δ)` guarantee is insensitive to (DESIGN.md §11).
-    ///
-    /// With `batch_width > 1` the pre-drawn pairs route through the batched
-    /// multi-source kernel in chunks of `batch_width` lanes; selection is
-    /// bit-identical to the scalar loop for the same stream (DESIGN.md §16),
-    /// so routing is purely a throughput decision.
     pub fn sample_batch<G: GraphView, F: FnMut(&[NodeId])>(
         &mut self,
         g: &G,
         k: u64,
         mut consume: F,
     ) {
-        assert_eq!(
-            g.num_nodes(),
-            self.n,
-            "sampler scratch sized for {} vertices, graph has {}",
-            self.n,
-            g.num_nodes()
-        );
-        self.pairs.clear();
-        self.pairs.reserve(k as usize);
-        for _ in 0..k {
-            let p = self.draw_pair();
-            self.pairs.push(p);
-        }
-        // Move the pair buffer out so the sweep can borrow `self` mutably;
-        // moved back below, so no allocation happens either way.
-        let pairs = std::mem::take(&mut self.pairs);
-        if self.batch_width > 1 {
-            if self.batch.is_none() {
-                self.batch = Some(BatchedBiBfs::new(self.n, self.batch_width));
-            }
-            if let Some(kernel) = self.batch.as_mut() {
-                for chunk in pairs.chunks(self.batch_width) {
-                    kernel.sample_batch_into(
-                        g,
-                        chunk,
-                        &mut self.rng,
-                        &mut self.stats,
-                        |_, _, p| consume(p),
-                    );
-                }
-            }
-        } else {
-            for &(s, t) in &pairs {
-                let _ = sample_shortest_path_into(
-                    g,
-                    s,
-                    t,
-                    &mut self.scratch,
-                    &mut self.rng,
-                    &mut self.stats,
-                );
-                consume(&self.scratch.path);
-            }
-        }
-        self.pairs = pairs;
-        self.samples_taken += k;
+        self.sample_batch_records(g, k, |_, _, _, interior| consume(interior));
     }
 
     /// Like [`ThreadSampler::sample_batch`], but hands the consumer the full
     /// sample record — endpoints, shortest distance (`u32::MAX` for a
     /// disconnected pair), and the interior — so callers that *retain*
     /// samples (the dynamic-update path store) can later re-validate them.
-    /// Consumes the RNG stream identically to `sample_batch`.
     pub fn sample_batch_records<G: GraphView, F: FnMut(NodeId, NodeId, u32, &[NodeId])>(
         &mut self,
         g: &G,
@@ -223,40 +147,18 @@ impl ThreadSampler {
             let p = self.draw_pair();
             self.pairs.push(p);
         }
-        let pairs = std::mem::take(&mut self.pairs);
-        if self.batch_width > 1 {
-            if self.batch.is_none() {
-                self.batch = Some(BatchedBiBfs::new(self.n, self.batch_width));
-            }
-            if let Some(kernel) = self.batch.as_mut() {
-                for chunk in pairs.chunks(self.batch_width) {
-                    kernel.sample_batch_into(
-                        g,
-                        chunk,
-                        &mut self.rng,
-                        &mut self.stats,
-                        |lane, info, path| {
-                            let (s, t) = chunk[lane];
-                            consume(s, t, info.map_or(u32::MAX, |i| i.distance), path);
-                        },
-                    );
-                }
-            }
-        } else {
-            for &(s, t) in &pairs {
-                let info = sample_shortest_path_into(
-                    g,
-                    s,
-                    t,
-                    &mut self.scratch,
-                    &mut self.rng,
-                    &mut self.stats,
-                );
-                let dist = info.map_or(u32::MAX, |i| i.distance);
-                consume(s, t, dist, &self.scratch.path);
-            }
+        for &(s, t) in &self.pairs {
+            let info = sample_shortest_path_into(
+                g,
+                s,
+                t,
+                &mut self.scratch,
+                &mut self.rng,
+                &mut self.stats,
+            );
+            let dist = info.map_or(u32::MAX, |i| i.distance);
+            consume(s, t, dist, &self.scratch.path);
         }
-        self.pairs = pairs;
         self.samples_taken += k;
     }
 }

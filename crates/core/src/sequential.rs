@@ -43,22 +43,15 @@ pub fn kadabra_sequential_traced(
     w.end(sp);
     let omega = bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
 
-    if cfg.kernel.pin_threads {
-        let _ = crate::affinity::pin_worker(0, 0, 1);
-    }
-    if cfg.kernel.first_touch {
-        let _ = g.touch_pages();
-    }
-
     let sp = w.begin(SpanId::Calibration);
-    let mut sampler = ThreadSampler::with_kernel(n, cfg.seed, 0, 0, cfg.kernel);
+    let mut sampler = ThreadSampler::new(n, cfg.seed, 0, 0);
     let mut calib_counts = vec![0u64; n];
     let tau0 = calibration_samples_for_thread(g, &mut sampler, &mut calib_counts, cfg, omega, 1);
     let calibration = Calibration::from_counts(&calib_counts, tau0, cfg);
     w.end(sp);
 
     let sp_ads = w.begin(SpanId::AdaptiveSampling);
-    let mut sampler = ThreadSampler::with_kernel(n, cfg.seed, 0, 1, cfg.kernel);
+    let mut sampler = ThreadSampler::new(n, cfg.seed, 0, 1);
     let mut counts = vec![0u64; n];
     let mut tau: u64 = 0;
     let n0 = cfg.n0(1);
@@ -90,9 +83,6 @@ pub fn kadabra_sequential_traced(
         }
         epoch += 1;
     }
-    let (rounds, lane_rounds) = sampler.kernel_occupancy();
-    w.count(CounterId::KernelRounds, rounds);
-    w.count(CounterId::KernelLaneRounds, lane_rounds);
     w.end(sp_ads);
 
     let rec = w.recorder();

@@ -85,13 +85,7 @@ pub fn kadabra_shared_traced(
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 s.spawn(move |_| {
-                    if cfg.kernel.pin_threads {
-                        let _ = crate::affinity::pin_worker(0, t, threads);
-                    }
-                    if cfg.kernel.first_touch {
-                        let _ = g.touch_pages();
-                    }
-                    let mut sampler = ThreadSampler::with_kernel(n, cfg.seed, 0, t, cfg.kernel);
+                    let mut sampler = ThreadSampler::new(n, cfg.seed, 0, t);
                     let mut counts = vec![0u64; n];
                     let taken = calibration_samples_for_thread(
                         g,
@@ -136,11 +130,7 @@ pub fn kadabra_shared_traced(
             let fw = &fw;
             let tw = tel.writer(0, t as u32);
             s.spawn(move |_| {
-                if cfg.kernel.pin_threads {
-                    let _ = crate::affinity::pin_worker(0, t, threads);
-                }
-                let mut sampler =
-                    ThreadSampler::with_kernel(n, cfg.seed, 0, ADS_STREAM_OFFSET + t, cfg.kernel);
+                let mut sampler = ThreadSampler::new(n, cfg.seed, 0, ADS_STREAM_OFFSET + t);
                 let mut h = fw.handle(t);
                 let mut drawn = 0u64;
                 // Small batches amortize pair drawing while still polling
@@ -154,17 +144,11 @@ pub fn kadabra_shared_traced(
                 }
                 // One flush at exit keeps the hot loop free of stores.
                 tw.count(CounterId::Samples, drawn);
-                let (rounds, lane_rounds) = sampler.kernel_occupancy();
-                tw.count(CounterId::KernelRounds, rounds);
-                tw.count(CounterId::KernelLaneRounds, lane_rounds);
             });
         }
 
         // Thread 0: sampling + coordination (Algorithm 2, lines 10-31).
-        if cfg.kernel.pin_threads {
-            let _ = crate::affinity::pin_worker(0, 0, threads);
-        }
-        let mut sampler = ThreadSampler::with_kernel(n, cfg.seed, 0, ADS_STREAM_OFFSET, cfg.kernel);
+        let mut sampler = ThreadSampler::new(n, cfg.seed, 0, ADS_STREAM_OFFSET);
         let mut h = fw.handle(0);
         let mut epoch = 0u32;
         loop {
@@ -207,9 +191,6 @@ pub fn kadabra_shared_traced(
             }
             epoch += 1;
         }
-        let (rounds, lane_rounds) = sampler.kernel_occupancy();
-        w.count(CounterId::KernelRounds, rounds);
-        w.count(CounterId::KernelLaneRounds, lane_rounds);
     })
     // xtask: allow(unwrap) — children are joined above; see worker waiver.
     .expect("adaptive sampling scope");

@@ -173,13 +173,7 @@ impl DynamicEngine {
                 state: Mutex::new(Some(DynRankState {
                     threads: (0..threads)
                         .map(|t| DynThread {
-                            sampler: ThreadSampler::with_kernel(
-                                n,
-                                kcfg.seed,
-                                id,
-                                ADS_STREAM_OFFSET + t,
-                                kcfg.kernel,
-                            ),
+                            sampler: ThreadSampler::new(n, kcfg.seed, id, ADS_STREAM_OFFSET + t),
                             store: PathStore::new(n),
                         })
                         .collect(),

@@ -109,9 +109,9 @@ pub fn sample_shortest_path_with_stats<G: GraphView, R: Rng + ?Sized>(
 /// `scratch.path` (cleared on `None`) instead of being cloned into a fresh
 /// [`PathSample`], and search statistics are *accumulated* into `stats`.
 ///
-/// Every buffer the search needs lives in `scratch`, so after the first few
-/// samples have grown the buffers to the working-set size, a call performs no
-/// heap allocation at all — the property the allocation-regression test in
+/// Every buffer the search needs lives in `scratch`, allocated at its
+/// one-entry-per-vertex bound by [`TraversalScratch::new`], so a call performs
+/// no heap allocation at all — the property the allocation-regression test in
 /// `kadabra-core` pins down.
 pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
     g: &G,
@@ -232,83 +232,22 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
     }
 }
 
-/// σ/distance view of one completed search direction. Implemented by the
-/// scalar per-direction [`StampedBfsState`] and by one lane of the batched
-/// kernel's lane-strided arena ([`crate::bibfs_batch`]), so both kernels
-/// drive the **same** selection/backtrack code — which is what makes the
-/// batched kernel's path choices bit-identical to the scalar kernel's for an
-/// identical RNG stream.
-pub trait SigmaDistView {
-    /// Distance of `v` from this direction's root, or [`crate::scratch::UNREACHED`].
-    fn view_dist(&self, v: NodeId) -> u32;
-    /// σ(v): shortest-path count from this direction's root.
-    fn view_sigma(&self, v: NodeId) -> u64;
-    /// Whether `v` was settled by this direction.
-    fn view_reached(&self, v: NodeId) -> bool;
-    /// Single-probe record read: `Some((dist, σ))` if settled, else `None`.
-    /// Implementors back this with one slot load — the backtrack walk probes
-    /// every neighbor of every path vertex, so the probe count dominates its
-    /// cost.
-    #[inline]
-    fn view_record(&self, v: NodeId) -> Option<(u32, u64)> {
-        if self.view_reached(v) {
-            Some((self.view_dist(v), self.view_sigma(v)))
-        } else {
-            None
-        }
-    }
-    /// Hints the CPU to pull `v`'s record toward cache ahead of a probe.
-    #[inline]
-    fn view_prefetch(&self, v: NodeId) {
-        let _ = v;
-    }
-}
-
-impl SigmaDistView for StampedBfsState {
-    #[inline]
-    fn view_dist(&self, v: NodeId) -> u32 {
-        self.dist(v)
-    }
-    #[inline]
-    fn view_sigma(&self, v: NodeId) -> u64 {
-        self.sigma(v)
-    }
-    #[inline]
-    fn view_reached(&self, v: NodeId) -> bool {
-        self.reached(v)
-    }
-    #[inline]
-    fn view_record(&self, v: NodeId) -> Option<(u32, u64)> {
-        self.record(v)
-    }
-    #[inline]
-    fn view_prefetch(&self, v: NodeId) {
-        self.prefetch(v);
-    }
-}
-
-/// Shared tail of both kernels: draws one cut vertex ∝ σ_near·σ_far and
-/// walks back to both roots, leaving the interior in `path`.
+/// Tail of a sample: draws one cut vertex ∝ σ_near·σ_far and walks back to
+/// both roots, leaving the interior in `path`.
 ///
 /// The cut is first sorted by vertex id. The level sets of a BFS are
-/// order-independent, but the *discovery order* within the final level is
-/// not — the scalar kernel visits the frontier in insertion order while the
-/// batched kernel scans a compacted active list — so the cut is put into a
+/// order-independent, but the *discovery order* within the final level
+/// follows the frontier's insertion order, so the cut is put into a
 /// canonical order before any RNG is consumed. Selection then depends only
 /// on the level sets and the RNG stream, never on traversal schedule.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn select_and_backtrack<
-    G: GraphView,
-    R: Rng + ?Sized,
-    N: SigmaDistView,
-    F: SigmaDistView,
->(
+fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     cut: &mut Vec<(NodeId, u128)>,
     num_paths: u128,
-    near: &N,
+    near: &StampedBfsState,
     near_root: NodeId,
-    far: &F,
+    far: &StampedBfsState,
     far_root: NodeId,
     path: &mut Vec<NodeId>,
     rng: &mut R,
@@ -356,9 +295,9 @@ const BACKTRACK_PREFETCH_DIST: usize = 6;
 /// state arena that may be cache-cold, so not re-scanning for the draw
 /// halves the expensive loads. The drawn predecessor — and the RNG stream —
 /// are exactly those of a scan-twice implementation.
-pub(crate) fn backtrack<G: GraphView, R: Rng + ?Sized, V: SigmaDistView>(
+fn backtrack<G: GraphView, R: Rng + ?Sized>(
     g: &G,
-    state: &V,
+    state: &StampedBfsState,
     from: NodeId,
     root: NodeId,
     out: &mut Vec<NodeId>,
@@ -366,11 +305,11 @@ pub(crate) fn backtrack<G: GraphView, R: Rng + ?Sized, V: SigmaDistView>(
     rng: &mut R,
 ) {
     let mut cur = from;
-    let mut d = state.view_dist(cur);
+    let mut d = state.dist(cur);
     while d > 1 {
         let adj = g.neighbors(cur);
         for &u in adj.iter().take(BACKTRACK_PREFETCH_DIST) {
-            state.view_prefetch(u);
+            state.prefetch(u);
         }
         // Total σ over predecessors equals σ(cur) by construction, except for
         // cut vertices whose σ may also have received contributions from
@@ -379,9 +318,9 @@ pub(crate) fn backtrack<G: GraphView, R: Rng + ?Sized, V: SigmaDistView>(
         let mut total: u64 = 0;
         for (j, &u) in adj.iter().enumerate() {
             if let Some(&nu) = adj.get(j + BACKTRACK_PREFETCH_DIST) {
-                state.view_prefetch(nu);
+                state.prefetch(nu);
             }
-            if let Some((du, su)) = state.view_record(u) {
+            if let Some((du, su)) = state.record(u) {
                 if du == d - 1 {
                     total += su;
                     preds.push((u, su as u128));

@@ -27,6 +27,27 @@ pub struct Graph {
     targets: Vec<NodeId>,
 }
 
+/// The offset-array half of the CSR invariants. It runs before anything
+/// slices `targets` by `offsets`, [`Graph::check_canonical`] included.
+fn check_offsets(offsets: &[u64], num_targets: usize) -> std::result::Result<(), String> {
+    if offsets.is_empty() {
+        return Err("offsets must have length n + 1".into());
+    }
+    if offsets[0] != 0 {
+        return Err("offsets must start at 0".into());
+    }
+    if offsets[offsets.len() - 1] != num_targets as u64 {
+        return Err("offsets must end at targets.len()".into());
+    }
+    if offsets.len() - 1 > NodeId::MAX as usize {
+        return Err("too many vertices for u32 ids".into());
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err("offsets must be non-decreasing".into());
+    }
+    Ok(())
+}
+
 impl Graph {
     /// Builds a graph directly from canonical CSR arrays.
     ///
@@ -39,26 +60,65 @@ impl Graph {
     /// Panics if any invariant is violated; generators are expected to produce
     /// canonical data, so a violation is a programming error.
     pub fn from_sorted_csr(offsets: Vec<u64>, targets: Vec<NodeId>) -> Self {
-        assert!(!offsets.is_empty(), "offsets must have length n + 1");
-        assert_eq!(offsets[0], 0, "offsets must start at 0");
-        assert_eq!(
-            // xtask: allow(unwrap) — non-empty asserted two lines up.
-            *offsets.last().unwrap(),
-            targets.len() as u64,
-            "offsets must end at targets.len()"
-        );
-        let n = offsets.len() - 1;
-        assert!(n <= NodeId::MAX as usize, "too many vertices for u32 ids");
-        for w in offsets.windows(2) {
-            assert!(w[0] <= w[1], "offsets must be non-decreasing");
+        if let Err(msg) = check_offsets(&offsets, targets.len()) {
+            panic!("{msg}");
         }
         let g = Graph { offsets, targets };
         debug_assert!(g.check_canonical().is_ok(), "non-canonical CSR input");
         g
     }
 
-    /// Verifies full canonical form; used by `debug_assert` and tests.
+    /// Builds a graph from CSR arrays that came from outside the program
+    /// (a cached binary file): the same invariants as
+    /// [`Graph::from_sorted_csr`], all of them checked in every build and
+    /// reported as an error instead of a panic.
+    pub(crate) fn from_untrusted_csr(
+        offsets: Vec<u64>,
+        targets: Vec<NodeId>,
+    ) -> std::result::Result<Self, String> {
+        check_offsets(&offsets, targets.len())?;
+        let g = Graph { offsets, targets };
+        g.check_canonical()?;
+        Ok(g)
+    }
+
+    /// Verifies full canonical form — every target in range, no self-loop,
+    /// every adjacency list strictly sorted, every arc matched by its
+    /// reverse — in one pass over the arcs.
+    ///
+    /// Rows are visited in ascending `v`, so in a symmetric, strictly sorted
+    /// CSR the reverse of arc `v → t` is exactly the next unread entry of
+    /// row `t`: the entries of row `t` read so far are its neighbours below
+    /// `v`. One cursor per row replaces a binary search per arc.
     pub fn check_canonical(&self) -> std::result::Result<(), String> {
+        let n = self.num_nodes();
+        let mut cursor: Vec<u64> = self.offsets[..n].to_vec();
+        for v in 0..n {
+            let adj = self.neighbors(v as NodeId);
+            for (i, &t) in adj.iter().enumerate() {
+                if t as usize >= n {
+                    return Err(format!("target {t} of vertex {v} out of range"));
+                }
+                if t == v as NodeId {
+                    return Err(format!("self-loop at vertex {v}"));
+                }
+                if i > 0 && adj[i - 1] >= t {
+                    return Err(format!("adjacency of vertex {v} not strictly sorted"));
+                }
+                let c = cursor[t as usize];
+                if c >= self.offsets[t as usize + 1] || self.targets[c as usize] != v as NodeId {
+                    return Err(format!("edge {v}->{t} has no reverse edge"));
+                }
+                cursor[t as usize] = c + 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// The search-per-arc formulation [`Graph::check_canonical`] replaced,
+    /// kept as its test oracle.
+    #[cfg(test)]
+    fn check_canonical_by_search(&self) -> std::result::Result<(), String> {
         let n = self.num_nodes();
         for v in 0..n {
             let adj = self.neighbors(v as NodeId);
@@ -90,27 +150,6 @@ impl Graph {
     #[inline]
     pub fn num_edges(&self) -> usize {
         self.targets.len() / 2
-    }
-
-    /// Best-effort first-touch page sweep: reads one element per 4 KiB page
-    /// of the CSR arrays from the **calling** thread, so a pinned sampling
-    /// worker pulls the graph's page table entries (and, under a first-touch
-    /// NUMA policy, any not-yet-faulted pages) onto its own node before the
-    /// hot loop starts (DESIGN.md §16). Returns a checksum of the touched
-    /// elements so the sweep cannot be optimized away; the value itself is
-    /// meaningless.
-    pub fn touch_pages(&self) -> u64 {
-        const PAGE: usize = 4096;
-        let mut acc = 0u64;
-        let off_stride = (PAGE / std::mem::size_of::<u64>()).max(1);
-        for i in (0..self.offsets.len()).step_by(off_stride) {
-            acc = acc.wrapping_add(self.offsets[i]);
-        }
-        let tgt_stride = (PAGE / std::mem::size_of::<NodeId>()).max(1);
-        for i in (0..self.targets.len()).step_by(tgt_stride) {
-            acc = acc.wrapping_add(u64::from(self.targets[i]));
-        }
-        acc
     }
 
     /// Degree of `v`.
@@ -469,6 +508,46 @@ pub fn graph_from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The cursor check and the search-per-arc check it replaced accept
+        /// exactly the same arrays: random valid graphs, and the same graphs
+        /// with one word of either array overwritten.
+        #[test]
+        fn cursor_check_agrees_with_the_search_oracle(
+            n in 2usize..24,
+            edges in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
+            (array, at, word) in (0u8..3, 0usize..4096, 0u64..26),
+        ) {
+            let edges: Vec<_> =
+                edges.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)).collect();
+            let g = graph_from_edges(n, &edges);
+            let (mut offsets, mut targets) = (g.offsets.clone(), g.targets.clone());
+            // array 0 leaves the graph valid; 1 and 2 overwrite one word.
+            match array {
+                1 => offsets[at % (n + 1)] = word,
+                2 if !targets.is_empty() => {
+                    let at = at % targets.len();
+                    targets[at] = word as NodeId;
+                }
+                _ => {}
+            }
+            let sliceable = check_offsets(&offsets, targets.len()).is_ok();
+            let loaded = Graph::from_untrusted_csr(offsets.clone(), targets.clone());
+            if sliceable {
+                let oracle = Graph { offsets, targets }.check_canonical_by_search();
+                prop_assert_eq!(loaded.is_ok(), oracle.is_ok(), "{:?} vs {:?}", loaded, oracle);
+            } else {
+                prop_assert!(loaded.is_err(), "unsliceable offsets accepted");
+            }
+            if array == 0 {
+                prop_assert!(loaded.is_ok(), "valid graph rejected: {:?}", loaded);
+            }
+        }
+    }
 
     #[test]
     fn empty_graph() {

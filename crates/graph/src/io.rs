@@ -107,11 +107,44 @@ pub fn write_binary<W: Write>(g: &Graph, mut writer: W) -> Result<()> {
     Ok(())
 }
 
+/// `read_exact` for a file whose declared sizes are not trusted: running out
+/// of bytes is corruption (a truncated cache file), not an IO failure.
+fn read_exact_or_corrupt<R: Read>(reader: &mut R, buf: &mut [u8], what: &str) -> Result<()> {
+    reader.read_exact(buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => {
+            GraphError::Corrupt(format!("file ends inside the {what}"))
+        }
+        _ => GraphError::Io(e),
+    })
+}
+
+/// Reads `len` little-endian `W`-byte words into a vector in one pass,
+/// through a fixed staging block. `len` comes from the file header, so the
+/// reservation is fallible rather than trusted.
+fn read_le_words<R: Read, T, const W: usize>(
+    reader: &mut R,
+    len: usize,
+    what: &str,
+    decode: fn([u8; W]) -> T,
+) -> Result<Vec<T>> {
+    let mut out = Vec::new();
+    out.try_reserve_exact(len)
+        .map_err(|_| GraphError::Corrupt(format!("cannot hold a {what} of {len} entries")))?;
+    let mut block = [0u8; 1 << 16];
+    while out.len() < len {
+        let words = (len - out.len()).min(block.len() / W);
+        let bytes = &mut block[..words * W];
+        read_exact_or_corrupt(reader, bytes, what)?;
+        out.extend(bytes.as_chunks::<W>().0.iter().map(|&w| decode(w)));
+    }
+    Ok(out)
+}
+
 /// Deserializes a graph from the binary CSR format, re-validating all
 /// invariants (the file may come from an untrusted cache).
 pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph> {
     let mut header = [0u8; 24];
-    reader.read_exact(&mut header)?;
+    read_exact_or_corrupt(&mut reader, &mut header, "header")?;
     let mut h = &header[..];
     let mut magic = [0u8; 4];
     h.copy_to_slice(&mut magic);
@@ -122,44 +155,15 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph> {
     if version != VERSION {
         return Err(GraphError::Corrupt(format!("unsupported version {version}")));
     }
-    let n = h.get_u64_le() as usize;
-    let m2 = h.get_u64_le() as usize;
-    if n > NodeId::MAX as usize {
-        return Err(GraphError::TooManyVertices(n as u64));
+    let (n, m2) = (h.get_u64_le(), h.get_u64_le());
+    if n > NodeId::MAX as u64 {
+        return Err(GraphError::TooManyVertices(n));
     }
-    let mut offsets = vec![0u64; n + 1];
-    let mut raw = vec![0u8; (n + 1) * 8];
-    reader.read_exact(&mut raw)?;
-    let mut cur = &raw[..];
-    for o in offsets.iter_mut() {
-        *o = cur.get_u64_le();
-    }
-    let mut targets = vec![0 as NodeId; m2];
-    let mut raw = vec![0u8; m2 * 4];
-    reader.read_exact(&mut raw)?;
-    let mut cur = &raw[..];
-    for t in targets.iter_mut() {
-        *t = cur.get_u32_le();
-    }
-    // Validate before trusting.
-    if offsets.first() != Some(&0) || offsets.last() != Some(&(m2 as u64)) {
-        return Err(GraphError::Corrupt("offset bounds".into()));
-    }
-    for w in offsets.windows(2) {
-        if w[0] > w[1] {
-            return Err(GraphError::Corrupt("offsets not monotone".into()));
-        }
-    }
-    for &t in &targets {
-        if t as usize >= n {
-            return Err(GraphError::Corrupt(format!("target {t} out of range")));
-        }
-    }
-    let g = Graph::from_sorted_csr(offsets, targets);
-    if let Err(msg) = g.check_canonical() {
-        return Err(GraphError::Corrupt(msg));
-    }
-    Ok(g)
+    let m2 = usize::try_from(m2)
+        .map_err(|_| GraphError::Corrupt(format!("target count {m2} exceeds the address space")))?;
+    let offsets = read_le_words(&mut reader, n as usize + 1, "offset array", u64::from_le_bytes)?;
+    let targets = read_le_words(&mut reader, m2, "target array", u32::from_le_bytes)?;
+    Graph::from_untrusted_csr(offsets, targets).map_err(GraphError::Corrupt)
 }
 
 /// Reads a graph from a path, dispatching on the `.bin` extension.
@@ -263,8 +267,42 @@ mod tests {
     fn binary_rejects_truncation() {
         let mut buf = Vec::new();
         write_binary(&graph_from_edges(3, &[(0, 1), (1, 2)]), &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(read_binary(&buf[..]).is_err());
+        // Inside the target array, inside the offset array, inside the header.
+        for keep in [buf.len() - 3, 24 + 8 + 1, 10] {
+            let cut = &buf[..keep];
+            assert!(matches!(read_binary(cut), Err(GraphError::Corrupt(_))), "kept {keep} bytes");
+        }
+    }
+
+    /// The path 0-1-2 as a binary file with one target word overwritten:
+    /// `targets` is `[1, 0, 2, 1]`, word `i` sits at byte `24 + 4·8 + 4·i`.
+    fn path_file_with_target(i: usize, word: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_binary(&graph_from_edges(3, &[(0, 1), (1, 2)]), &mut buf).unwrap();
+        let at = 24 + 4 * 8 + 4 * i;
+        buf[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn binary_rejects_non_canonical_adjacency() {
+        let cases = [
+            ("asymmetric", path_file_with_target(0, 2)), // 0→2 without 2→0
+            ("unsorted", path_file_with_target(1, 2)),   // row 1 = [2, 2]
+            ("self-loop", path_file_with_target(3, 2)),  // 2→2
+        ];
+        for (what, buf) in cases {
+            assert!(matches!(read_binary(&buf[..]), Err(GraphError::Corrupt(_))), "{what}");
+        }
+        assert!(read_binary(&path_file_with_target(0, 1)[..]).is_ok(), "fixture is sound");
+    }
+
+    #[test]
+    fn binary_rejects_a_header_that_promises_more_than_memory() {
+        let mut buf = Vec::new();
+        write_binary(&graph_from_edges(2, &[(0, 1)]), &mut buf).unwrap();
+        buf[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(read_binary(&buf[..]), Err(GraphError::Corrupt(_))));
     }
 
     #[test]

@@ -15,11 +15,6 @@
 //!   shortest-path counting (the σ values of Brandes' algorithm).
 //! * [`bibfs`] — the balanced **bidirectional BFS** used by KADABRA to sample a
 //!   uniformly random shortest path between a random vertex pair.
-//! * [`bibfs_batch`] — the multi-source **batched** variant: up to 64
-//!   interleaved bidirectional searches share each CSR row scan, with
-//!   bit-identical path selection (DESIGN.md §16).
-//! * [`lanes`] — the bitset lane matrices (one `u64` bit per in-flight
-//!   search) backing the batched kernel's visited/frontier sets.
 //! * [`diameter`] — two-sweep lower bound and the iFUB exact-diameter
 //!   algorithm (the technique behind the sequential diameter phase, Ref. [6]
 //!   of the paper).
@@ -39,14 +34,12 @@
 
 pub mod bfs;
 pub mod bibfs;
-pub mod bibfs_batch;
 pub mod components;
 pub mod csr;
 pub mod diameter;
 pub mod digraph;
 pub mod generators;
 pub mod io;
-pub mod lanes;
 pub mod prefetch;
 pub mod scratch;
 pub mod stats;
@@ -54,9 +47,7 @@ pub mod sumsweep;
 pub mod view;
 pub mod weighted;
 
-pub use bibfs_batch::BatchedBiBfs;
 pub use csr::{CsrArena, Graph, GraphBuilder, NodeId, Permutation};
-pub use lanes::LaneMatrix;
 pub use scratch::TraversalScratch;
 pub use view::GraphView;
 

@@ -108,39 +108,7 @@ impl<S: Stamp> StampedState<S> {
     /// Distance of `v` in the current round, or [`UNREACHED`].
     #[inline]
     pub fn dist(&self, v: NodeId) -> u32 {
-        self.dist_at(v as usize)
-    }
-
-    /// σ(v): number of shortest source→v paths found this round (0 if unreached).
-    #[inline]
-    pub fn sigma(&self, v: NodeId) -> u64 {
-        self.sigma_at(v as usize)
-    }
-
-    /// Marks `v` visited at `dist` with initial path count `sigma`.
-    #[inline]
-    pub fn visit(&mut self, v: NodeId, dist: u32, sigma: u64) {
-        self.visit_at(v as usize, dist, sigma);
-    }
-
-    /// Adds `extra` shortest paths to `v`'s count. `v` must be visited.
-    #[inline]
-    pub fn add_sigma(&mut self, v: NodeId, extra: u64) {
-        self.add_sigma_at(v as usize, extra);
-    }
-
-    /// Whether `v` was reached this round.
-    #[inline]
-    pub fn reached(&self, v: NodeId) -> bool {
-        self.reached_at(v as usize)
-    }
-
-    /// [`StampedState::dist`] on a raw slot index. The batched kernel stores
-    /// a lane-strided arena (slot `v·W + lane`) in one state, so the arena
-    /// accessors take a `usize` computed by the caller instead of a `NodeId`.
-    #[inline]
-    pub fn dist_at(&self, idx: usize) -> u32 {
-        let slot = &self.slots[idx];
+        let slot = &self.slots[v as usize];
         if slot.stamp == self.round {
             slot.dist
         } else {
@@ -148,10 +116,10 @@ impl<S: Stamp> StampedState<S> {
         }
     }
 
-    /// [`StampedState::sigma`] on a raw slot index.
+    /// σ(v): number of shortest source→v paths found this round (0 if unreached).
     #[inline]
-    pub fn sigma_at(&self, idx: usize) -> u64 {
-        let slot = &self.slots[idx];
+    pub fn sigma(&self, v: NodeId) -> u64 {
+        let slot = &self.slots[v as usize];
         if slot.stamp == self.round {
             slot.sigma
         } else {
@@ -159,24 +127,24 @@ impl<S: Stamp> StampedState<S> {
         }
     }
 
-    /// [`StampedState::visit`] on a raw slot index.
+    /// Marks `v` visited at `dist` with initial path count `sigma`.
     #[inline]
-    pub fn visit_at(&mut self, idx: usize, dist: u32, sigma: u64) {
-        self.slots[idx] = Slot { stamp: self.round, dist, sigma };
+    pub fn visit(&mut self, v: NodeId, dist: u32, sigma: u64) {
+        self.slots[v as usize] = Slot { stamp: self.round, dist, sigma };
     }
 
-    /// [`StampedState::add_sigma`] on a raw slot index.
+    /// Adds `extra` shortest paths to `v`'s count. `v` must be visited.
     #[inline]
-    pub fn add_sigma_at(&mut self, idx: usize, extra: u64) {
-        let slot = &mut self.slots[idx];
+    pub fn add_sigma(&mut self, v: NodeId, extra: u64) {
+        let slot = &mut self.slots[v as usize];
         debug_assert!(slot.stamp == self.round);
         slot.sigma = slot.sigma.saturating_add(extra);
     }
 
-    /// [`StampedState::reached`] on a raw slot index.
+    /// Whether `v` was reached this round.
     #[inline]
-    pub fn reached_at(&self, idx: usize) -> bool {
-        self.slots[idx].stamp == self.round
+    pub fn reached(&self, v: NodeId) -> bool {
+        self.slots[v as usize].stamp == self.round
     }
 
     /// Single-probe record read: `Some((dist, σ))` if `v` was reached this
@@ -185,13 +153,7 @@ impl<S: Stamp> StampedState<S> {
     /// backtrack walk's predecessor scan is built on this.
     #[inline]
     pub fn record(&self, v: NodeId) -> Option<(u32, u64)> {
-        self.record_at(v as usize)
-    }
-
-    /// [`StampedState::record`] on a raw slot index.
-    #[inline]
-    pub fn record_at(&self, idx: usize) -> Option<(u32, u64)> {
-        let slot = &self.slots[idx];
+        let slot = &self.slots[v as usize];
         if slot.stamp == self.round {
             Some((slot.dist, slot.sigma))
         } else {
@@ -224,12 +186,6 @@ impl<S: Stamp> StampedState<S> {
         prefetch_read(&self.slots, v as usize);
     }
 
-    /// [`StampedState::prefetch`] on a raw slot index.
-    #[inline]
-    pub fn prefetch_at(&self, idx: usize) {
-        prefetch_read(&self.slots, idx);
-    }
-
     /// Number of vertices this state was sized for.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -243,8 +199,9 @@ impl<S: Stamp> StampedState<S> {
 
 /// Scratch space for one sampling thread: two stamped BFS states (forward
 /// from `s`, backward from `t`), frontier buffers, and result buffers for the
-/// sampled shortest path. All buffers are reused across samples, so at steady
-/// state a sample performs no heap allocation.
+/// sampled shortest path. Every buffer holds at most one entry per vertex and
+/// is allocated at that capacity up front, so no sample — not even the first
+/// — performs a heap allocation.
 pub struct TraversalScratch {
     /// Forward BFS state (from the sample's source `s`).
     pub fwd: StampedBfsState,
@@ -252,8 +209,6 @@ pub struct TraversalScratch {
     pub bwd: StampedBfsState,
     /// The most recently sampled path, as interior vertices only.
     pub path: Vec<NodeId>,
-    /// Bridge-edge buffer reused by the bidirectional sampler.
-    pub bridges: Vec<(NodeId, NodeId, u64)>,
     /// Forward frontier (most recently completed level around `s`).
     pub frontier_fwd: Vec<NodeId>,
     /// Backward frontier (most recently completed level around `t`).
@@ -272,13 +227,12 @@ impl TraversalScratch {
         TraversalScratch {
             fwd: StampedBfsState::new(n),
             bwd: StampedBfsState::new(n),
-            path: Vec::new(),
-            bridges: Vec::new(),
-            frontier_fwd: Vec::new(),
-            frontier_bwd: Vec::new(),
-            next_frontier: Vec::new(),
-            meets: Vec::new(),
-            cut: Vec::new(),
+            path: Vec::with_capacity(n),
+            frontier_fwd: Vec::with_capacity(n),
+            frontier_bwd: Vec::with_capacity(n),
+            next_frontier: Vec::with_capacity(n),
+            meets: Vec::with_capacity(n),
+            cut: Vec::with_capacity(n),
         }
     }
 
@@ -287,7 +241,6 @@ impl TraversalScratch {
         self.fwd.reset();
         self.bwd.reset();
         self.path.clear();
-        self.bridges.clear();
         self.frontier_fwd.clear();
         self.frontier_bwd.clear();
         self.next_frontier.clear();
@@ -399,7 +352,6 @@ mod tests {
         sc.fwd.visit(0, 0, 1);
         sc.bwd.visit(2, 0, 1);
         sc.path.push(1);
-        sc.bridges.push((0, 2, 1));
         sc.frontier_fwd.push(0);
         sc.frontier_bwd.push(2);
         sc.next_frontier.push(1);
@@ -409,7 +361,6 @@ mod tests {
         assert!(!sc.fwd.reached(0));
         assert!(!sc.bwd.reached(2));
         assert!(sc.path.is_empty());
-        assert!(sc.bridges.is_empty());
         assert!(sc.frontier_fwd.is_empty());
         assert!(sc.frontier_bwd.is_empty());
         assert!(sc.next_frontier.is_empty());

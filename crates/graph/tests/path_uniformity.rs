@@ -14,11 +14,11 @@
 //! means the sampler's distribution moved, not bad luck.
 
 use kadabra_baselines::brute_force_betweenness;
-use kadabra_graph::bibfs::{enumerate_shortest_paths, sample_shortest_path, SearchStats};
+use kadabra_graph::bibfs::{enumerate_shortest_paths, sample_shortest_path};
 use kadabra_graph::csr::graph_from_edges;
 use kadabra_graph::generators::{grid, GridConfig};
 use kadabra_graph::scratch::TraversalScratch;
-use kadabra_graph::{BatchedBiBfs, Graph, NodeId};
+use kadabra_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -90,63 +90,6 @@ fn assert_uniform_over_paths(g: &Graph, s: NodeId, t: NodeId, seed: u64) {
     );
 }
 
-/// The batched-kernel counterpart of [`assert_uniform_over_paths`]: draws
-/// `SAMPLES` paths for `(s, t)` through [`BatchedBiBfs`] with every lane of
-/// every invocation carrying the same pair (so one chi-square test covers
-/// the multi-lane expansion, meet detection, and per-lane selection paths),
-/// and tests the empirical path distribution against uniform.
-fn assert_uniform_over_paths_batched(g: &Graph, s: NodeId, t: NodeId, width: usize, seed: u64) {
-    let oracle = enumerate_shortest_paths(g, s, t);
-    assert!(!oracle.is_empty(), "pair ({s},{t}) must be connected for this helper");
-    let expected_len = oracle[0].len() as u32 + 1;
-    let mut counts: HashMap<Vec<NodeId>, u64> = oracle
-        .iter()
-        .map(|p| {
-            let mut key = p.clone();
-            key.sort_unstable();
-            (key, 0)
-        })
-        .collect();
-
-    let mut kernel = BatchedBiBfs::new(g.num_nodes(), width);
-    let mut stats = SearchStats::default();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pairs: Vec<(NodeId, NodeId)> = vec![(s, t); width];
-    let mut drawn = 0u64;
-    let mut key = Vec::new();
-    while drawn < SAMPLES {
-        let lanes = (SAMPLES - drawn).min(width as u64) as usize;
-        kernel.sample_batch_into(g, &pairs[..lanes], &mut rng, &mut stats, |_, info, interior| {
-            let info = info.expect("oracle found paths; the batched kernel must too");
-            assert_eq!(info.distance, expected_len, "distance must match the oracle");
-            assert_eq!(
-                info.num_paths,
-                oracle.len() as u128,
-                "σ bookkeeping must count exactly the enumerated paths"
-            );
-            key.clear();
-            key.extend_from_slice(interior);
-            key.sort_unstable();
-            let slot = counts
-                .get_mut(&key)
-                .unwrap_or_else(|| panic!("sampled a non-shortest path: {interior:?}"));
-            *slot += 1;
-        });
-        drawn += lanes as u64;
-    }
-
-    let k = oracle.len() as f64;
-    let expected = SAMPLES as f64 / k;
-    let stat: f64 = counts.values().map(|&c| (c as f64 - expected).powi(2) / expected).sum();
-    let critical = chi2_critical(k - 1.0);
-    assert!(
-        stat <= critical,
-        "batched (B={width}) path distribution not uniform over ({s},{t}): \
-         chi2 = {stat:.2} > {critical:.2} (k = {k}, counts = {:?})",
-        counts.values().collect::<Vec<_>>()
-    );
-}
-
 #[test]
 fn uniform_over_grid_corner_paths() {
     // 4x4 grid, opposite corners: C(6,3) = 20 monotone shortest paths.
@@ -176,29 +119,6 @@ fn uniform_over_multi_vertex_meeting_cut() {
     let g = graph_from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 5), (4, 5)]);
     assert_eq!(enumerate_shortest_paths(&g, 0, 5).len(), 4);
     assert_uniform_over_paths(&g, 0, 5, 0xABAD1DEA);
-}
-
-#[test]
-fn batched_uniform_over_grid_corner_paths() {
-    // Same 20-path corner pair as the scalar test, through the batched
-    // kernel at the default width and at full width.
-    let g = grid(GridConfig { rows: 4, cols: 4, diagonal_prob: 0.0, seed: 0 });
-    assert_uniform_over_paths_batched(&g, 0, 15, 8, 0x0DDB1A5);
-    assert_uniform_over_paths_batched(&g, 0, 15, 64, 0x0DDB1A5 ^ 1);
-}
-
-#[test]
-fn batched_uniform_when_cut_vertices_have_unequal_multiplicity() {
-    let g = graph_from_edges(7, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 6), (0, 4), (4, 5), (5, 6)]);
-    assert_uniform_over_paths_batched(&g, 0, 6, 8, 0xB007);
-    assert_uniform_over_paths_batched(&g, 6, 0, 8, 0x700B);
-}
-
-#[test]
-fn batched_uniform_over_multi_vertex_meeting_cut() {
-    let g = graph_from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 5), (4, 5)]);
-    assert_uniform_over_paths_batched(&g, 0, 5, 8, 0x5EED);
-    assert_uniform_over_paths_batched(&g, 0, 5, 64, 0x5EED ^ 1);
 }
 
 #[test]

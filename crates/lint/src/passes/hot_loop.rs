@@ -8,10 +8,10 @@
 //! 1. every closure passed to a `.sample_batch(…)` call (the per-sample
 //!    consume callback runs once per drawn pair — an allocation there
 //!    multiplies by the sample count);
-//! 2. the bodies of the hot-path functions themselves —
-//!    `sample_batch`, `sample_shortest_path_into`, `sample`, and the
-//!    batched-kernel entry points `sample_batch_into` / `expand_direction`
-//!    (DESIGN.md §16) in `crates/core/src` / `crates/graph/src`;
+//! 2. the bodies of the hot-path functions themselves — `sample_batch`,
+//!    `sample_batch_records` (which holds the per-pair loop),
+//!    `sample_shortest_path_into` and `sample` in `crates/core/src` /
+//!    `crates/graph/src`;
 //! 3. the estimate-cache read path in `crates/server/src` —
 //!    `read_frontier_into`, `read_vertex`, and `read_stage_into` run on
 //!    every query against the resident service, concurrently with the
@@ -42,13 +42,8 @@ use crate::{Pass, Sink, SourceFile, Workspace};
 pub struct HotLoopHygiene;
 
 /// Function names whose bodies are hot-path scope in core/graph.
-const HOT_FNS: [&str; 5] = [
-    "sample_batch",
-    "sample_shortest_path_into",
-    "sample",
-    "sample_batch_into",
-    "expand_direction",
-];
+const HOT_FNS: [&str; 4] =
+    ["sample_batch", "sample_batch_records", "sample_shortest_path_into", "sample"];
 
 /// Function names whose bodies are the service's cache read path.
 const SERVER_READ_FNS: [&str; 3] = ["read_frontier_into", "read_vertex", "read_stage_into"];

@@ -22,16 +22,10 @@ pub fn sample_batch(buf: &mut Vec<u32>, extra: &[u32]) {
     }
 }
 
-/// Batched-kernel entry point scanned by name (DESIGN.md §16).
-pub fn sample_batch_into(pairs: &[(u32, u32)], out: &mut Vec<u32>) {
+/// The function that holds the per-pair loop, scanned by name.
+pub fn sample_batch_records(pairs: &[(u32, u32)], out: &mut Vec<u32>) {
     let staged = pairs.to_vec(); //~ hot-loop-hygiene
     for (s, _) in staged {
         out.push(s);
     }
-}
-
-/// Per-round row sweep scanned by name.
-pub fn expand_direction(frontier: &[u32], out: &mut Vec<u32>) {
-    let tag = frontier.len().to_string(); //~ hot-loop-hygiene
-    out.push(tag.len() as u32);
 }

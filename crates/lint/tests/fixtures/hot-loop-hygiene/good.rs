@@ -17,21 +17,10 @@ pub fn sample_batch(buf: &mut Vec<u32>, extra: &[u32]) {
     }
 }
 
-/// Batched-kernel entry point: reuses caller scratch, pushes only.
-pub fn sample_batch_into(pairs: &[(u32, u32)], out: &mut Vec<u32>) {
+/// The function that holds the per-pair loop: reuses caller scratch, pushes only.
+pub fn sample_batch_records(pairs: &[(u32, u32)], out: &mut Vec<u32>) {
     out.clear();
     for &(s, t) in pairs {
         out.push(s ^ t);
-    }
-}
-
-/// Per-round row sweep: word-at-a-time bit tricks, zero allocation.
-pub fn expand_direction(frontier: &[u64], meets: &mut Vec<u32>) {
-    for (v, &word) in frontier.iter().enumerate() {
-        let mut m = word;
-        while m != 0 {
-            meets.push((v as u32) << 6 | m.trailing_zeros());
-            m &= m - 1;
-        }
     }
 }

@@ -20,15 +20,21 @@
 //!
 //! A dynamic tenant's graph changes under the cache. Every answer frozen
 //! before an update batch describes the *old* graph, so the batch must
-//! fence them off: [`EstimateCache::bump_generation`] clears every stage's
-//! readiness word and retires the frontier **before** incrementing the
-//! generation counter, and each stage freeze records the generation it
-//! froze under (`ready_gen = generation + 1`). A stage read loads the
-//! readiness word on both sides of the data copy and retries on mismatch,
-//! so a reader racing a bump-and-refreeze either gets one generation's
-//! complete frozen contents or `false` — never a blend of the pre- and
-//! post-update graphs. (The generation counter is monotone, so the ABA
-//! pattern — clear, refreeze, same word value — cannot occur.)
+//! fence them off, and it must do so without ever leaving the frontier
+//! unreadable. [`EstimateCache::advance_generation`] is the one call that
+//! does both: it clears every stage's readiness word, writes the new
+//! generation's frame into the *inactive* frontier slot (tagged with the
+//! generation it belongs to), flips `active` once, advances the generation
+//! counter, and only then re-freezes the eligible stages under the new word
+//! (`ready_gen = generation + 1`). A frontier reader therefore sees the old
+//! generation's last publication right up to the flip and the new
+//! generation's first one after it — "nothing published" exists only
+//! before the very first publication. A stage read loads the readiness word
+//! on both sides of the data copy and retries on mismatch, so a reader
+//! racing a clear-and-refreeze either gets one generation's complete frozen
+//! contents or `false` — never a blend of the pre- and post-update graphs.
+//! (The generation counter is monotone, so the ABA pattern — clear,
+//! refreeze, same word value — cannot occur.)
 //!
 //! # Coherence protocol
 //!
@@ -68,6 +74,8 @@ struct Slot {
     eps_bits: AtomicU64,
     /// Refinement round that produced this publication.
     round: AtomicU64,
+    /// Graph generation this publication describes.
+    generation: AtomicU64,
 }
 
 impl Slot {
@@ -78,6 +86,7 @@ impl Slot {
             tau: AtomicU64::new(0),
             eps_bits: AtomicU64::new(0),
             round: AtomicU64::new(0),
+            generation: AtomicU64::new(0),
         }
     }
 }
@@ -88,7 +97,7 @@ struct Stage {
     eps: f64,
     /// 0 while unfrozen; `g + 1` (Release, after the data words) once
     /// frozen under cache generation `g`. Cleared back to 0 only by
-    /// [`EstimateCache::bump_generation`].
+    /// [`EstimateCache::advance_generation`].
     ready_gen: AtomicU64,
     /// Frozen per-vertex counts.
     counts: Box<[AtomicU64]>,
@@ -110,12 +119,14 @@ pub struct FrontierSnapshot {
     pub eps: f64,
     /// Refinement round of the snapshot.
     pub round: u64,
+    /// Graph generation the snapshot describes.
+    pub generation: u64,
 }
 
 impl FrontierSnapshot {
     /// An empty snapshot sized for an `n`-vertex tenant.
     pub fn new(n: usize) -> Self {
-        FrontierSnapshot { counts: vec![0; n], tau: 0, eps: 1.0, round: 0 }
+        FrontierSnapshot { counts: vec![0; n], tau: 0, eps: 1.0, round: 0, generation: 0 }
     }
 }
 
@@ -149,9 +160,11 @@ pub struct VertexRead {
     pub eps: f64,
     /// Refinement round of that publication.
     pub round: u64,
+    /// Graph generation that publication describes.
+    pub generation: u64,
 }
 
-/// Sentinel for "no publication yet".
+/// Sentinel for "no publication yet"; never stored again after the first.
 const NO_ACTIVE: usize = usize::MAX;
 
 /// The per-tenant estimate cache. See the module docs for the protocol.
@@ -221,24 +234,34 @@ impl EstimateCache {
     }
 
     /// The graph generation the cache is serving (0 until the first
-    /// [`EstimateCache::bump_generation`]).
+    /// [`EstimateCache::advance_generation`]).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Fences off every answer derived from the pre-update graph (single
-    /// writer: callers hold the tenant's engine mutex). Order matters:
-    /// stages are cleared *first*, then the frontier is retired, then the
-    /// generation advances — so by the time readers can observe the new
-    /// generation, no old-graph answer is reachable. Until the first
-    /// post-update publication, readers see "not ready" rather than stale
-    /// data. Returns the new generation.
-    pub fn bump_generation(&self) -> u64 {
+    /// Moves the cache to the next graph generation and publishes that
+    /// generation's first frame `(counts, τ, ε, round)` in the same step
+    /// (single writer: callers hold the tenant's engine mutex). Order
+    /// matters: stages are cleared *first*, so no old-graph stage answer is
+    /// reachable once the new frame is; the frame goes into the inactive
+    /// slot and one `active` flip retires the old generation's frontier, so
+    /// a frontier read never finds the cache empty; the generation advances;
+    /// the eligible stages re-freeze under the new word. With `None` (a
+    /// membership change before anything was sampled) the frontier keeps
+    /// whatever was active. Returns the new generation.
+    pub fn advance_generation(&self, frame: Option<(&[u64], u64, f64, u64)>) -> u64 {
         for stage in self.stages.iter() {
             stage.ready_gen.store(0, Ordering::Release);
         }
-        self.active.store(NO_ACTIVE, Ordering::Release);
-        self.generation.fetch_add(1, Ordering::AcqRel) + 1
+        let generation = self.generation.load(Ordering::Acquire) + 1;
+        if let Some((counts, tau, eps, round)) = frame {
+            self.write_inactive_slot_and_flip(counts, tau, eps, round, generation);
+        }
+        self.generation.store(generation, Ordering::Release);
+        if let Some((counts, tau, eps, round)) = frame {
+            self.freeze_eligible_stages(counts, tau, eps, round, generation);
+        }
+        generation
     }
 
     /// The scheduled ε of stage `i`.
@@ -255,6 +278,21 @@ impl EstimateCache {
     /// engine mutex). Also freezes every not-yet-ready stage whose
     /// scheduled ε is met by `eps`.
     pub fn publish_frontier(&self, counts: &[u64], tau: u64, eps: f64, round: u64) {
+        let generation = self.generation.load(Ordering::Acquire);
+        self.write_inactive_slot_and_flip(counts, tau, eps, round, generation);
+        self.freeze_eligible_stages(counts, tau, eps, round, generation);
+    }
+
+    /// One seqlock publication into the slot readers are not directed at,
+    /// then the `active` flip (writer only).
+    fn write_inactive_slot_and_flip(
+        &self,
+        counts: &[u64],
+        tau: u64,
+        eps: f64,
+        round: u64,
+        generation: u64,
+    ) {
         assert_eq!(counts.len(), self.n, "frontier frame length mismatch");
         let cur = self.active.load(Ordering::Acquire);
         let target = if cur == NO_ACTIVE { 0 } else { 1 - cur };
@@ -269,10 +307,23 @@ impl EstimateCache {
         slot.tau.store(tau, Ordering::Release);
         slot.eps_bits.store(eps.to_bits(), Ordering::Release);
         slot.round.store(round, Ordering::Release);
+        slot.generation.store(generation, Ordering::Release);
         slot.seq.store(s + 2, Ordering::Release);
         self.active.store(target, Ordering::Release);
         self.publishes.fetch_add(1, Ordering::Release);
-        let gen_word = self.generation.load(Ordering::Acquire) + 1;
+    }
+
+    /// Freezes every not-yet-ready stage whose scheduled ε is met by `eps`,
+    /// under `generation`'s word (writer only).
+    fn freeze_eligible_stages(
+        &self,
+        counts: &[u64],
+        tau: u64,
+        eps: f64,
+        round: u64,
+        generation: u64,
+    ) {
+        let gen_word = generation + 1;
         for stage in self.stages.iter() {
             if eps <= stage.eps && stage.ready_gen.load(Ordering::Acquire) == 0 {
                 for (a, &c) in stage.counts.iter().zip(counts) {
@@ -307,6 +358,7 @@ impl EstimateCache {
             out.tau = slot.tau.load(Ordering::Acquire);
             out.eps = f64::from_bits(slot.eps_bits.load(Ordering::Acquire));
             out.round = slot.round.load(Ordering::Acquire);
+            out.generation = slot.generation.load(Ordering::Acquire);
             let s2 = slot.seq.load(Ordering::Acquire);
             if s1 == s2 {
                 return true;
@@ -333,9 +385,10 @@ impl EstimateCache {
             let tau = slot.tau.load(Ordering::Acquire);
             let eps = f64::from_bits(slot.eps_bits.load(Ordering::Acquire));
             let round = slot.round.load(Ordering::Acquire);
+            let generation = slot.generation.load(Ordering::Acquire);
             let s2 = slot.seq.load(Ordering::Acquire);
             if s1 == s2 {
-                return Some(VertexRead { count, tau, eps, round });
+                return Some(VertexRead { count, tau, eps, round, generation });
             }
         }
     }
@@ -445,23 +498,30 @@ mod tests {
         assert!(c.stage_ready(0) && c.stage_ready(1));
         assert_eq!(c.generation(), 0);
 
-        assert_eq!(c.bump_generation(), 1);
-        // Every pre-update answer is now unreachable: frontier retired,
-        // stages unfrozen.
+        // The generation change carries the new graph's first frame: the
+        // frontier answers from it at once, the stage it meets re-freezes
+        // under generation 1 with new-graph data only, and the tighter
+        // stage — frozen on the old graph — is unreachable.
+        assert_eq!(c.advance_generation(Some((&[30, 40], 70, 0.3, 5))), 1);
+        assert_eq!(c.generation(), 1);
         let mut snap = FrontierSnapshot::new(2);
-        assert!(!c.read_frontier_into(&mut snap));
-        assert!(c.read_vertex(0).is_none());
-        let mut st = StageSnapshot::new(2);
-        assert!(!c.read_stage_into(0, &mut st) && !c.read_stage_into(1, &mut st));
-
-        // The first post-update publication re-freezes under generation 1
-        // with new-graph data only.
-        c.publish_frontier(&[30, 40], 70, 0.3, 5);
         assert!(c.read_frontier_into(&mut snap));
         assert_eq!((snap.counts.clone(), snap.tau, snap.round), (vec![30, 40], 70, 5));
+        assert_eq!(snap.generation, 1);
+        assert_eq!(c.read_vertex(1).map(|v| (v.count, v.generation)), Some((40, 1)));
+        let mut st = StageSnapshot::new(2);
         assert!(c.stage_ready(0) && !c.stage_ready(1));
-        assert!(c.read_stage_into(0, &mut st));
+        assert!(c.read_stage_into(0, &mut st) && !c.read_stage_into(1, &mut st));
         assert_eq!((st.counts.clone(), st.tau, st.round), (vec![30, 40], 70, 5));
-        assert_eq!(c.generation(), 1);
+
+        // A frameless change (nothing sampled yet on the new membership)
+        // still fences every stage but keeps the frontier that was active.
+        assert_eq!(c.advance_generation(None), 2);
+        assert!(!c.read_stage_into(0, &mut st) && !c.read_stage_into(1, &mut st));
+        assert!(c.read_frontier_into(&mut snap));
+        assert_eq!((snap.counts.clone(), snap.generation), (vec![30, 40], 1));
+        // Later publications carry the generation they were made under.
+        c.publish_frontier(&[31, 41], 72, 0.3, 6);
+        assert_eq!(c.read_vertex(0).map(|v| (v.count, v.generation)), Some((31, 2)));
     }
 }

@@ -115,13 +115,7 @@ impl RefineEngine {
             .map(|id| EngineSlot {
                 id,
                 state: Mutex::new(Some(RankState {
-                    sampler: ThreadSampler::with_kernel(
-                        n,
-                        kcfg.seed,
-                        id,
-                        ADS_STREAM_OFFSET,
-                        kcfg.kernel,
-                    ),
+                    sampler: ThreadSampler::new(n, kcfg.seed, id, ADS_STREAM_OFFSET),
                     ledger: SampleLedger::new(n),
                     s_loc: vec![0u64; n + 1],
                 })),
@@ -176,12 +170,11 @@ impl RefineEngine {
             self.slots.push(EngineSlot {
                 id,
                 state: Mutex::new(Some(RankState {
-                    sampler: ThreadSampler::with_kernel(
+                    sampler: ThreadSampler::new(
                         self.n,
                         self.kcfg.seed,
                         id,
                         ADS_STREAM_OFFSET + self.generation as usize,
-                        self.kcfg.kernel,
                     ),
                     ledger: SampleLedger::new(self.n),
                     s_loc: vec![0u64; self.n + 1],
@@ -309,12 +302,11 @@ impl RefineEngine {
             slots.push(EngineSlot {
                 id: *id,
                 state: Mutex::new(Some(RankState {
-                    sampler: ThreadSampler::with_kernel(
+                    sampler: ThreadSampler::new(
                         n,
                         kcfg.seed,
                         *id,
                         ADS_STREAM_OFFSET + generation as usize,
-                        kcfg.kernel,
                     ),
                     ledger,
                     s_loc: vec![0u64; n + 1],

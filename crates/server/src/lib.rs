@@ -3,7 +3,7 @@
 //!
 //! Instead of running the driver to completion per request, the server
 //! keeps each named graph *resident* as a [`Tenant`]: a sampler pool
-//! ([`engine::RefineEngine`], reusing Algorithm 1's batched kernel and the
+//! ([`engine::RefineEngine`], reusing Algorithm 1's `sample_batch` loop and the
 //! PR 4 ledger/recovery protocol) that tightens ε round by round, publishing
 //! every consistent frame into a lock-free [`cache::EstimateCache`] that
 //! queries read without ever blocking refinement.

@@ -467,10 +467,11 @@ impl Tenant {
     ///
     /// Under the engine lock: the pool grows with fresh-stream ranks or
     /// sheds its youngest ranks (folding their ledgers into a survivor —
-    /// `[Σc̃, τ]` is conserved either way), the cache generation is bumped,
-    /// and the current frame is re-published as the first frontier of the
-    /// new generation, so readers never see answers that straddle the
-    /// membership change. A no-op resize leaves the generation alone.
+    /// `[Σc̃, τ]` is conserved either way) and the cache moves to a new
+    /// generation whose first frontier is the current frame, in one cache
+    /// call, so readers never see answers that straddle the membership
+    /// change and never find the frontier missing. A no-op resize leaves
+    /// the generation alone.
     pub fn resize(
         &self,
         ranks: usize,
@@ -496,13 +497,11 @@ impl Tenant {
         if joined > 0 {
             w.count(CounterId::RanksJoined, joined as u64);
         }
-        let generation = self.cache.bump_generation();
         let global = e.current_frame();
         let n = self.g.num_nodes();
         let tau = global[n];
-        if tau > 0 {
-            self.cache.publish_frontier(&global[..n], tau, e.last_achieved(), e.round());
-        }
+        let frame = (tau > 0).then(|| (&global[..n], tau, e.last_achieved(), e.round()));
+        let generation = self.cache.advance_generation(frame);
         w.end(sp);
         Ok(ResizeOutcome { joined, shed, live: e.live(), generation, tau })
     }
@@ -564,10 +563,11 @@ impl Tenant {
 
     /// Applies one batch of edge updates to a dynamic tenant (original
     /// vertex ids). Under the engine lock: the batch enters the delta log,
-    /// exactly the invalidated samples are redrawn, the cache generation is
-    /// bumped — retiring every answer about the old graph — and the
-    /// maintained post-update frame is published under the new generation,
-    /// so readers never see a mixed-generation answer. Afterwards up to
+    /// exactly the invalidated samples are redrawn, and one cache call
+    /// retires every answer about the old graph while publishing the
+    /// maintained post-update frame as the new generation's first frontier,
+    /// so readers never see a mixed-generation answer and never find the
+    /// frontier missing. Afterwards up to
     /// `refine_rounds` rounds re-converge the invalidated mass toward the
     /// schedule floor.
     pub fn update(
@@ -602,8 +602,8 @@ impl Tenant {
             .apply_update(&batch, &self.calibration, tel)
             .map_err(|e| QueryError::BadUpdate(e.to_string()))?;
         self.omega.store(dyn_eng.omega(), Ordering::Relaxed);
-        let generation = self.cache.bump_generation();
-        self.cache.publish_frontier(&rep.global[..n], rep.tau, rep.achieved, dyn_eng.rounds());
+        let frame = (&rep.global[..n], rep.tau, rep.achieved, dyn_eng.rounds());
+        let generation = self.cache.advance_generation(Some(frame));
         w.end(sp);
         drop(eng);
 

@@ -162,18 +162,11 @@ id_enum! {
         /// Sample sub-ranges claimed from plan-marked stragglers by the
         /// cross-rank steal protocol.
         SamplesStolen = (13, "samples_stolen"),
-        /// Rounds executed by the batched sampling kernel (each round
-        /// advances every alive lane by one BFS level).
-        KernelRounds = (14, "kernel_rounds"),
-        /// Σ over batched-kernel rounds of alive lanes;
-        /// `kernel_lane_rounds / kernel_rounds` is the mean batch occupancy
-        /// (how many searches actually share each row sweep).
-        KernelLaneRounds = (15, "kernel_lane_rounds"),
     }
 }
 
 /// Number of distinct [`CounterId`]s.
-pub const N_COUNTERS: usize = 16;
+pub const N_COUNTERS: usize = 14;
 
 id_enum! {
     /// Instantaneous-marker identities (mpisim engine events).

@@ -5,18 +5,16 @@
 //!
 //! Workspace static analysis over `crates/` and the root `src/`, `tests/`,
 //! `examples/` trees, enforcing rules that clippy cannot express. The
-//! default engine is the `kadabra-lint` AST framework (DESIGN.md §12): a
+//! engine is the `kadabra-lint` AST framework (DESIGN.md §12): a
 //! hand-rolled lexer and item-level parser drive a registry of passes, each
-//! reporting precise `(line, col)` spans; `--legacy` runs the original
-//! line-lexer rules of this file instead as an independent cross-check
-//! (both engines honour the same waiver syntax). `--json PATH` writes the
+//! reporting precise `(line, col)` spans. `--json PATH` writes the
 //! machine-readable `kadabra-lint/v1` report (schema-validated before the
 //! command exits, and written even when findings fail the run so CI can
 //! upload it as an artifact). `--write-baseline` accepts all current
 //! findings into `lint-baseline.json`, which future runs subtract; the file
 //! being absent means an empty baseline.
 //!
-//! The token-level rules, identical across both engines:
+//! The token-level rules:
 //!
 //! * **seqcst** — `Ordering::SeqCst` is banned everywhere. Every atomic in
 //!   this workspace has an explicit pairing argument (Release publish /
@@ -47,7 +45,7 @@
 //!   (DESIGN.md §10). A panicking rank would take the whole simulated
 //!   cluster down instead of exercising recovery.
 //!
-//! The AST engine adds four semantic passes on top (see
+//! Four semantic passes sit on top (see
 //! `crates/lint/src/passes/` for the full rationale of each):
 //!
 //! * **comm-error-flow** — call sites of the communicator API (harvested
@@ -72,7 +70,7 @@
 //! `// xtask: allow(<rule>) — <why this occurrence is sound>`. Waivers are
 //! part of the diff and hence of code review.
 //!
-//! Both engines lex rather than grep: comments, string literals, and
+//! The engine lexes rather than greps: comments, string literals, and
 //! `#[cfg(test)]` modules are stripped or marked before matching, so prose
 //! *about* `SeqCst` or an error message containing ".unwrap()" never trips
 //! a rule. `shims/` is deliberately out of scope — those crates reproduce
@@ -155,8 +153,7 @@ fn main() -> ExitCode {
                  commands:\n  \
                  lint   AST-based semantic lint passes (stable)\n         \
                  [--json PATH] write + validate the kadabra-lint/v1 report\n         \
-                 [--write-baseline] accept current findings into lint-baseline.json\n         \
-                 [--legacy] run the original line-lexer rules instead\n  \
+                 [--write-baseline] accept current findings into lint-baseline.json\n  \
                  deny   supply-chain gate via cargo-deny, config in deny.toml (skips if absent)\n  \
                  loom   model-check the epoch protocol + telemetry recorder + server cache (stable)\n  \
                  tsan   run concurrency tests under ThreadSanitizer (nightly + rust-src)\n  \
@@ -174,60 +171,12 @@ fn main() -> ExitCode {
 // lint
 // ---------------------------------------------------------------------------
 
-/// One lint rule: an identifying slug plus a human-facing rationale shown
-/// with every diagnostic.
-struct Rule {
-    name: &'static str,
-    hint: &'static str,
-}
-
-const SEQCST: Rule = Rule {
-    name: "seqcst",
-    hint: "SeqCst is banned: state the actual pairing with Release/Acquire (or Relaxed + a lock), \
-           and let the loom tests prove it sufficient",
-};
-const DIRECT_ATOMICS: Rule = Rule {
-    name: "direct-atomics",
-    hint: "import atomics from the crate's sync.rs indirection module so the loom feature can \
-           model-check them",
-};
-const NONDETERMINISM: Rule = Rule {
-    name: "nondeterminism",
-    hint: "deterministic paths must not read entropy or the wall clock; thread seeded StdRngs / \
-           logical time through instead",
-};
-const UNWRAP: Rule = Rule {
-    name: "unwrap",
-    hint: "library code must not panic on Option/Result; recover, propagate, or document the \
-           invariant with `// xtask: allow(unwrap) — <why>`",
-};
-const WALLCLOCK: Rule = Rule {
-    name: "wallclock",
-    hint: "crates/core takes time through kadabra-telemetry (spans or Stopwatch) so there is \
-           exactly one timing code path; do not read Instant/SystemTime directly",
-};
-const COMM_PANIC: Rule = Rule {
-    name: "comm-panic",
-    hint: "communicator code must surface typed CommErrors (RankFailed/Timeout/Poisoned) so \
-           shrink-and-continue recovery can run; a panic here kills the whole simulated cluster",
-};
-
-struct Violation {
-    file: PathBuf,
-    line: usize,
-    rule: &'static str,
-    excerpt: String,
-    hint: &'static str,
-}
-
 fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut legacy = false;
     let mut write_baseline = false;
     let mut json_path: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--legacy" => legacy = true,
             "--write-baseline" => write_baseline = true,
             "--json" => match it.next() {
                 Some(p) => json_path = Some(PathBuf::from(p)),
@@ -241,13 +190,6 @@ fn cmd_lint(args: &[String]) -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-    if legacy {
-        if write_baseline || json_path.is_some() {
-            eprintln!("xtask lint: --legacy does not support --json / --write-baseline");
-            return ExitCode::from(2);
-        }
-        return cmd_lint_legacy();
     }
     cmd_lint_ast(json_path, write_baseline)
 }
@@ -339,415 +281,6 @@ fn cmd_lint_ast(json_path: Option<PathBuf>, write_baseline: bool) -> ExitCode {
         report.files_scanned
     );
     ExitCode::FAILURE
-}
-
-/// The original line-lexer rules, kept as a fallback engine
-/// (`cargo xtask lint --legacy`) and as a cross-check on the AST engine's
-/// token stream.
-fn cmd_lint_legacy() -> ExitCode {
-    let root = workspace_root();
-    let mut files = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
-        collect_rs_files(&root.join(dir), &mut files);
-    }
-    files.sort();
-
-    let mut violations = Vec::new();
-    for file in &files {
-        let Ok(raw) = std::fs::read_to_string(file) else {
-            eprintln!("warning: unreadable file {}", file.display());
-            continue;
-        };
-        let rel = file.strip_prefix(&root).unwrap_or(file);
-        lint_file(rel, &raw, &mut violations);
-    }
-
-    if violations.is_empty() {
-        println!("xtask lint: {} files clean", files.len());
-        return ExitCode::SUCCESS;
-    }
-    for v in &violations {
-        println!(
-            "{}:{}: [{}] `{}`\n    hint: {}",
-            v.file.display(),
-            v.line,
-            v.rule,
-            v.excerpt,
-            v.hint
-        );
-    }
-    println!(
-        "\nxtask lint: {} violation(s) in {} file(s) scanned; waive a line with \
-         `// xtask: allow(<rule>) — <reason>` if the occurrence is deliberate",
-        violations.len(),
-        files.len()
-    );
-    ExitCode::FAILURE
-}
-
-/// True for paths whose code is test-/binary-only and therefore exempt from
-/// the library-hygiene rules (`unwrap`, `direct-atomics`).
-fn is_test_or_bin_path(rel: &Path) -> bool {
-    let s = rel.to_string_lossy();
-    let parts: Vec<&str> = s.split('/').collect();
-    // `tests/`, `benches/`, `examples/` as any path segment (crate-level or
-    // workspace-level), plus bin targets.
-    parts.iter().any(|p| matches!(*p, "tests" | "benches" | "examples" | "bin"))
-        || s.ends_with("main.rs")
-        || s.ends_with("tests.rs")
-        || s.ends_with("build.rs")
-}
-
-/// True for files inside the deterministic-simulation subtrees where wall
-/// clock reads are banned.
-fn is_deterministic_path(rel: &Path) -> bool {
-    let s = rel.to_string_lossy();
-    (s.starts_with("crates/mpisim/src") || s.starts_with("crates/cluster/src"))
-        && !s.ends_with("calibrate.rs")
-}
-
-/// True for files under `crates/core/src` and `crates/graph/src`, where the
-/// `wallclock` rule funnels all timing through the telemetry crate. The
-/// graph crate joined the scope with the sampling hot-path overhaul
-/// (DESIGN.md §11): the traversal kernel is the innermost code in the
-/// workspace, and an ad-hoc `Instant::now` there would both perturb the
-/// perf-regression gate and bypass the deterministic clock.
-fn is_core_library_path(rel: &Path) -> bool {
-    let s = rel.to_string_lossy();
-    s.starts_with("crates/core/src") || s.starts_with("crates/graph/src")
-}
-
-/// True for files under `crates/mpisim/src`, where the `comm-panic` rule
-/// bans panicking macros on communicator error paths.
-fn is_comm_path(rel: &Path) -> bool {
-    rel.to_string_lossy().starts_with("crates/mpisim/src")
-}
-
-fn lint_file(rel: &Path, raw: &str, out: &mut Vec<Violation>) {
-    let sf = ScannedFile::new(raw);
-    let test_path = is_test_or_bin_path(rel);
-    let is_sync_module = rel.file_name().is_some_and(|f| f == "sync.rs");
-    let deterministic = is_deterministic_path(rel);
-    let core_library = is_core_library_path(rel);
-    let comm_library = is_comm_path(rel) && !test_path;
-    // xtask lints itself; its own source names the banned tokens only in
-    // strings and comments, which the scanner strips.
-
-    for (idx, code) in sf.code_lines.iter().enumerate() {
-        let lineno = idx + 1;
-        let in_test_mod = sf.test_mask[idx];
-        let mut report = |rule: &Rule, excerpt: &str| {
-            if !sf.waived(idx, rule.name) {
-                out.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: lineno,
-                    rule: rule.name,
-                    excerpt: excerpt.trim().to_string(),
-                    hint: rule.hint,
-                });
-            }
-        };
-
-        if code.contains("SeqCst") {
-            report(&SEQCST, code);
-        }
-        if !test_path
-            && !in_test_mod
-            && !is_sync_module
-            && (code.contains("std::sync::atomic") || code.contains("core::sync::atomic"))
-        {
-            report(&DIRECT_ATOMICS, code);
-        }
-        if code.contains("thread_rng") {
-            report(&NONDETERMINISM, code);
-        }
-        if deterministic && (code.contains("Instant::now") || code.contains("SystemTime::now")) {
-            report(&NONDETERMINISM, code);
-        }
-        if core_library && (code.contains("Instant::now") || code.contains("SystemTime::now")) {
-            report(&WALLCLOCK, code);
-        }
-        if !test_path && !in_test_mod && (code.contains(".unwrap()") || code.contains(".expect(")) {
-            report(&UNWRAP, code);
-        }
-        if comm_library
-            && !in_test_mod
-            && (code.contains("panic!(")
-                || code.contains("todo!(")
-                || code.contains("unimplemented!("))
-        {
-            report(&COMM_PANIC, code);
-        }
-    }
-}
-
-/// A source file with comments/strings blanked out of `code_lines`, raw
-/// lines retained for waiver comments, and `#[cfg(test)] mod` bodies marked
-/// in `test_mask`.
-struct ScannedFile {
-    code_lines: Vec<String>,
-    raw_lines: Vec<String>,
-    test_mask: Vec<bool>,
-}
-
-impl ScannedFile {
-    fn new(raw: &str) -> Self {
-        let code = blank_comments_and_strings(raw);
-        let code_lines: Vec<String> = code.split('\n').map(str::to_string).collect();
-        let raw_lines: Vec<String> = raw.split('\n').map(str::to_string).collect();
-        let test_mask = cfg_test_mask(&code_lines);
-        ScannedFile { code_lines, raw_lines, test_mask }
-    }
-
-    /// A rule is waived on a line if that line carries an
-    /// `xtask: allow(<rule>)` comment, or the contiguous block of
-    /// comment-only lines directly above it does (so multi-line
-    /// justifications work, but a trailing waiver never leaks onto the
-    /// statement below it).
-    fn waived(&self, idx: usize, rule: &str) -> bool {
-        let tag = format!("xtask: allow({rule})");
-        if self.raw_lines.get(idx).is_some_and(|l| l.contains(&tag)) {
-            return true;
-        }
-        let mut i = idx;
-        while i > 0 {
-            i -= 1;
-            let l = self.raw_lines[i].trim_start();
-            if !l.starts_with("//") {
-                return false;
-            }
-            if l.contains(&tag) {
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// Replaces the contents of comments, string literals, and char literals
-/// with spaces (newlines preserved), so pattern checks only see real code.
-fn blank_comments_and_strings(src: &str) -> String {
-    #[derive(PartialEq)]
-    enum St {
-        Code,
-        LineComment,
-        BlockComment(u32),
-        Str,
-        RawStr(u32),
-        Char,
-    }
-    let b: Vec<char> = src.chars().collect();
-    let mut out = String::with_capacity(src.len());
-    let mut st = St::Code;
-    let mut i = 0;
-    while i < b.len() {
-        let c = b[i];
-        let next = b.get(i + 1).copied();
-        match st {
-            St::Code => match c {
-                '/' if next == Some('/') => {
-                    st = St::LineComment;
-                    out.push_str("  ");
-                    i += 2;
-                    continue;
-                }
-                '/' if next == Some('*') => {
-                    st = St::BlockComment(1);
-                    out.push_str("  ");
-                    i += 2;
-                    continue;
-                }
-                '"' => {
-                    st = St::Str;
-                    out.push('"');
-                }
-                'r' if (next == Some('"') || next == Some('#'))
-                    && !(i > 0 && (b[i - 1].is_alphanumeric() || b[i - 1] == '_')) =>
-                {
-                    // Possible raw string: r"..." or r#"..."# (any # count).
-                    // The opener must be identifier-atomic: in `bar"x"` the
-                    // trailing `r` of `bar` is part of the identifier, not a
-                    // raw-string prefix — treating it as one used to truncate
-                    // the identifier and desynchronize the scan.
-                    let mut j = i + 1;
-                    let mut hashes = 0u32;
-                    while b.get(j) == Some(&'#') {
-                        hashes += 1;
-                        j += 1;
-                    }
-                    if b.get(j) == Some(&'"') {
-                        st = St::RawStr(hashes);
-                        for _ in i..=j {
-                            out.push(' ');
-                        }
-                        i = j + 1;
-                        continue;
-                    }
-                    out.push(c);
-                }
-                '\'' => {
-                    // Lifetime (`'a`) vs char literal (`'a'`, `'\n'`).
-                    let is_lifetime = next.is_some_and(|n| n.is_alphabetic() || n == '_')
-                        && b.get(i + 2) != Some(&'\'');
-                    if is_lifetime {
-                        out.push(c);
-                    } else {
-                        st = St::Char;
-                        out.push('\'');
-                    }
-                }
-                _ => out.push(c),
-            },
-            St::LineComment => {
-                if c == '\n' {
-                    st = St::Code;
-                    out.push('\n');
-                } else {
-                    out.push(' ');
-                }
-            }
-            St::BlockComment(d) => {
-                if c == '*' && next == Some('/') {
-                    st = if d == 1 { St::Code } else { St::BlockComment(d - 1) };
-                    out.push_str("  ");
-                    i += 2;
-                    continue;
-                } else if c == '/' && next == Some('*') {
-                    st = St::BlockComment(d + 1);
-                    out.push_str("  ");
-                    i += 2;
-                    continue;
-                } else if c == '\n' {
-                    out.push('\n');
-                } else {
-                    out.push(' ');
-                }
-            }
-            St::Str => match c {
-                '\\' => {
-                    // An escape consumes two characters, but `\<newline>`
-                    // (line continuation) must still emit the newline:
-                    // swallowing it used to shift every later line number,
-                    // misaligning waivers and the cfg(test) mask.
-                    out.push(' ');
-                    out.push(if next == Some('\n') { '\n' } else { ' ' });
-                    i += 2;
-                    continue;
-                }
-                '"' => {
-                    st = St::Code;
-                    out.push('"');
-                }
-                '\n' => out.push('\n'),
-                _ => out.push(' '),
-            },
-            St::RawStr(hashes) => {
-                if c == '"' {
-                    let mut j = i + 1;
-                    let mut seen = 0u32;
-                    while seen < hashes && b.get(j) == Some(&'#') {
-                        seen += 1;
-                        j += 1;
-                    }
-                    if seen == hashes {
-                        st = St::Code;
-                        for _ in i..j {
-                            out.push(' ');
-                        }
-                        i = j;
-                        continue;
-                    }
-                }
-                out.push(if c == '\n' { '\n' } else { ' ' });
-            }
-            St::Char => match c {
-                '\\' => {
-                    // Same newline-preservation as the string arm.
-                    out.push(' ');
-                    out.push(if next == Some('\n') { '\n' } else { ' ' });
-                    i += 2;
-                    continue;
-                }
-                '\'' => {
-                    st = St::Code;
-                    out.push('\'');
-                }
-                _ => out.push(' '),
-            },
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Marks every line inside a `#[cfg(test)] mod <name> { ... }` body, by
-/// brace matching on comment-free code.
-fn cfg_test_mask(code_lines: &[String]) -> Vec<bool> {
-    let mut mask = vec![false; code_lines.len()];
-    let mut i = 0;
-    while i < code_lines.len() {
-        if code_lines[i].contains("#[cfg(test)]") {
-            // Find the `mod` item this attribute is attached to (skip other
-            // attributes/blank lines in between), bounded to a few lines.
-            let mut j = i;
-            let mut found_mod = false;
-            while j < code_lines.len() && j <= i + 4 {
-                let l = code_lines[j].trim_start();
-                if l.starts_with("mod ") || l.starts_with("pub mod ") {
-                    found_mod = true;
-                    break;
-                }
-                j += 1;
-            }
-            if found_mod {
-                // Walk braces from the mod line until depth returns to zero.
-                let mut depth = 0i64;
-                let mut opened = false;
-                let mut k = j;
-                while k < code_lines.len() {
-                    for ch in code_lines[k].chars() {
-                        match ch {
-                            '{' => {
-                                depth += 1;
-                                opened = true;
-                            }
-                            '}' => depth -= 1,
-                            _ => {}
-                        }
-                    }
-                    mask[k] = true;
-                    if opened && depth <= 0 {
-                        break;
-                    }
-                    k += 1;
-                }
-                i = k + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    mask
-}
-
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            let name = entry.file_name();
-            // `fixtures/` holds the deliberately-violating lint corpus of
-            // crates/lint/tests — exercised by its own tests, never scanned.
-            if name == "target" || name == ".git" || name == "fixtures" {
-                continue;
-            }
-            collect_rs_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
 }
 
 fn workspace_root() -> PathBuf {
@@ -1264,199 +797,5 @@ fn run_stream(cmd: &mut Command) -> ExitCode {
             eprintln!("xtask: failed to spawn {cmd:?}: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn strips_line_comments_and_strings() {
-        let code = blank_comments_and_strings("let x = \"SeqCst\"; // mentions SeqCst\nlet y = 1;");
-        assert!(!code.contains("SeqCst"));
-        assert!(code.contains("let y = 1;"));
-    }
-
-    #[test]
-    fn keeps_code_tokens() {
-        let code = blank_comments_and_strings("a.store(true, Ordering::SeqCst);");
-        assert!(code.contains("SeqCst"));
-    }
-
-    #[test]
-    fn raw_strings_and_chars_are_blanked() {
-        let code = blank_comments_and_strings("let s = r#\"SeqCst\"#; let c = 'S'; let l: &'a u8;");
-        assert!(!code.contains("SeqCst"));
-        assert!(code.contains("&'a u8"));
-    }
-
-    #[test]
-    fn escaped_newline_in_string_keeps_line_numbers() {
-        // A `\`-continued string literal spans two physical lines; the
-        // scanner used to swallow the newline while consuming the escape
-        // pair, shifting every later line number (so waivers stopped
-        // matching and the cfg(test) mask drifted).
-        let src = "let s = \"first \\\n    second\";\nlet x = 1;\n";
-        let code = blank_comments_and_strings(src);
-        assert_eq!(
-            code.matches('\n').count(),
-            src.matches('\n').count(),
-            "blanked text must preserve the physical line structure"
-        );
-        // A violation after the continued string is reported on its true line.
-        let mut out = Vec::new();
-        lint_file(
-            Path::new("crates/demo/src/lib.rs"),
-            "let s = \"a \\\n   b\";\nlet t = a.load(Ordering::SeqCst);\n",
-            &mut out,
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].line, 3, "line numbers must survive string continuations");
-    }
-
-    #[test]
-    fn escaped_newline_in_char_scan_keeps_line_numbers() {
-        // Not valid Rust, but the scanner must stay line-accurate even on
-        // malformed char literals rather than desynchronize.
-        let src = "let c = '\\\n';\nlet x = 1;\n";
-        let code = blank_comments_and_strings(src);
-        assert_eq!(code.matches('\n').count(), src.matches('\n').count());
-    }
-
-    #[test]
-    fn raw_string_opener_is_identifier_atomic() {
-        // The trailing `r` of `bar` is part of the identifier; it used to be
-        // mis-scanned as a raw-string prefix, truncating the identifier in
-        // the blanked stream.
-        let code = blank_comments_and_strings("foo(bar\"baz\", r\"SeqCst\")");
-        assert!(code.contains("bar"), "identifier must survive intact: {code:?}");
-        assert!(!code.contains("SeqCst"), "the real raw string is still blanked: {code:?}");
-    }
-
-    #[test]
-    fn nested_block_comments() {
-        let code = blank_comments_and_strings("/* outer /* SeqCst */ still comment */ let z = 2;");
-        assert!(!code.contains("SeqCst"));
-        assert!(code.contains("let z = 2;"));
-    }
-
-    #[test]
-    fn cfg_test_mod_is_masked() {
-        let src =
-            "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn tail() {}\n";
-        let sf = ScannedFile::new(src);
-        assert!(!sf.test_mask[0]);
-        assert!(sf.test_mask[3], "unwrap line inside cfg(test) must be masked");
-        assert!(!sf.test_mask[5]);
-    }
-
-    #[test]
-    fn waiver_applies_to_same_and_next_line() {
-        let src = "// xtask: allow(unwrap) — invariant: non-empty by construction\nv.unwrap();\nw.unwrap(); // xtask: allow(unwrap) — ditto\nz.unwrap();\n";
-        let sf = ScannedFile::new(src);
-        assert!(sf.waived(1, "unwrap"));
-        assert!(sf.waived(2, "unwrap"));
-        assert!(!sf.waived(3, "unwrap"));
-    }
-
-    #[test]
-    fn violations_are_detected_and_waived() {
-        let mut out = Vec::new();
-        lint_file(
-            Path::new("crates/demo/src/lib.rs"),
-            "use std::sync::atomic::AtomicU32;\nfn f() { a.load(Ordering::SeqCst); }\n",
-            &mut out,
-        );
-        let rules: Vec<&str> = out.iter().map(|v| v.rule).collect();
-        assert!(rules.contains(&"seqcst"));
-        assert!(rules.contains(&"direct-atomics"));
-    }
-
-    #[test]
-    fn test_paths_are_exempt_from_library_rules() {
-        let mut out = Vec::new();
-        lint_file(
-            Path::new("crates/demo/tests/it.rs"),
-            "fn f() { v.unwrap(); use std::sync::atomic::AtomicU32; }\n",
-            &mut out,
-        );
-        assert!(out.is_empty(), "{:?}", out.iter().map(|v| v.rule).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn wall_clock_banned_only_in_deterministic_paths() {
-        let mut out = Vec::new();
-        lint_file(Path::new("crates/mpisim/src/engine.rs"), "let t = Instant::now();\n", &mut out);
-        assert_eq!(out.len(), 1);
-        out.clear();
-        lint_file(
-            Path::new("crates/cluster/src/calibrate.rs"),
-            "let t = Instant::now();\n",
-            &mut out,
-        );
-        assert!(out.is_empty());
-        // The graph crate is in wallclock scope (sampling hot path), not in
-        // the deterministic-simulation nondeterminism scope.
-        lint_file(Path::new("crates/graph/src/diameter.rs"), "let t = Instant::now();\n", &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "wallclock");
-        out.clear();
-        // Graph test/bench code may still time things directly.
-        lint_file(
-            Path::new("crates/graph/tests/path_uniformity.rs"),
-            "let t = Instant::now();\n",
-            &mut out,
-        );
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn comm_panic_rule_guards_mpisim_only() {
-        let src = "fn f() { panic!(\"boom\"); }\nfn g() { todo!() }\n";
-        let mut out = Vec::new();
-        // `todo!()` without arguments still matches on the `todo!(` token.
-        lint_file(Path::new("crates/mpisim/src/comm.rs"), src, &mut out);
-        assert_eq!(out.len(), 2, "{:?}", out.iter().map(|v| v.rule).collect::<Vec<_>>());
-        assert!(out.iter().all(|v| v.rule == "comm-panic"));
-        // Test files within the crate and other crates' libraries are out of
-        // scope.
-        out.clear();
-        lint_file(Path::new("crates/mpisim/src/tests.rs"), src, &mut out);
-        assert!(out.is_empty());
-        lint_file(Path::new("crates/core/src/mpi.rs"), src, &mut out);
-        assert!(out.is_empty());
-        // Waivers are honored like every other rule.
-        lint_file(
-            Path::new("crates/mpisim/src/engine.rs"),
-            "// xtask: allow(comm-panic) — unreachable: seq is validated above\n\
-             fn f() { panic!(\"boom\"); }\n",
-            &mut out,
-        );
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn wallclock_rule_guards_core_and_accepts_waivers() {
-        let mut out = Vec::new();
-        lint_file(Path::new("crates/core/src/naive.rs"), "let t = Instant::now();\n", &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "wallclock");
-        out.clear();
-        lint_file(
-            Path::new("crates/core/src/naive.rs"),
-            "// xtask: allow(wallclock) — calibration measures real time by design\n\
-             let t = Instant::now();\n",
-            &mut out,
-        );
-        assert!(out.is_empty());
-        // The telemetry crate itself is the one place allowed to read the
-        // clock — it is outside crates/core and thus out of rule scope.
-        lint_file(
-            Path::new("crates/telemetry/src/clock.rs"),
-            "let t = Instant::now();\n",
-            &mut out,
-        );
-        assert!(out.is_empty());
     }
 }

@@ -10,8 +10,9 @@
 //! broke.
 
 use kadabra_mpi::core::{
-    kadabra_epoch_mpi_observed, kadabra_mpi_flat_elastic, kadabra_mpi_flat_observed, ChaosOptions,
-    ClusterShape, ElasticOptions, KadabraConfig,
+    kadabra_epoch_mpi_observed, kadabra_mpi_flat_elastic, kadabra_mpi_flat_observed,
+    kadabra_naive_parallel, kadabra_sequential, BetweennessResult, ChaosOptions, ClusterShape,
+    ElasticOptions, KadabraConfig,
 };
 use kadabra_mpi::graph::components::largest_component;
 use kadabra_mpi::graph::generators::{gnm, GnmConfig};
@@ -167,4 +168,36 @@ fn flat_mpi_is_bit_identical_across_runs_over_the_seed_matrix() {
             );
         }
     }
+}
+
+/// FNV-1a (64-bit) over the sample count and the `f64::to_bits` image of
+/// every score, little-endian: one word that changes if any bit of a
+/// driver's answer does.
+fn transcript_digest(r: &BetweennessResult) -> u64 {
+    let words = std::iter::once(r.samples).chain(r.scores.iter().map(|s| s.to_bits()));
+    words
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+#[test]
+fn golden_transcripts_hold_across_commits() {
+    // Every other test in this file compares a build with itself. These
+    // constants were recorded at the commit before the batched BiBFS was
+    // deleted (through its width-8 default) and pin the per-seed
+    // deterministic drivers across commits: a change to the traversal, the
+    // cut order, the backtrack or the RNG stream consumption moves them.
+    let (g, _) = largest_component(&gnm(GnmConfig { n: 200, m: 520, seed: 3 }));
+    let cfg = KadabraConfig { epsilon: 0.04, delta: 0.1, seed: 9, ..Default::default() };
+
+    let seq = kadabra_sequential(&g, &cfg);
+    assert_eq!((seq.samples, transcript_digest(&seq)), (2000, 0xaa05_6878_8eec_88f3), "sequential");
+
+    let naive = kadabra_naive_parallel(&g, &cfg, 2);
+    assert_eq!((naive.samples, transcript_digest(&naive)), (1592, 0x10ee_88d4_d5f9_fb08), "naive");
+
+    let shape = ClusterShape { ranks: 2, ranks_per_node: 2, threads_per_rank: 2 };
+    let chaos = ChaosOptions::all(FaultPlan::from_seed(9));
+    let epoch = kadabra_epoch_mpi_observed(&g, &cfg, shape, &chaos).result;
+    assert_eq!((epoch.samples, transcript_digest(&epoch)), (1424, 0xce94_b657_9751_98db), "epoch");
 }
