@@ -10,9 +10,9 @@
 //! broke.
 
 use kadabra_mpi::core::{
-    kadabra_epoch_mpi_observed, kadabra_mpi_flat_elastic, kadabra_mpi_flat_observed,
-    kadabra_naive_parallel, kadabra_sequential, BetweennessResult, ChaosOptions, ClusterShape,
-    ElasticOptions, KadabraConfig,
+    kadabra_epoch_mpi, kadabra_epoch_mpi_observed, kadabra_mpi_flat, kadabra_mpi_flat_elastic,
+    kadabra_mpi_flat_observed, kadabra_naive_parallel, kadabra_sequential, BetweennessResult,
+    ChaosOptions, ClusterShape, ElasticOptions, KadabraConfig,
 };
 use kadabra_mpi::graph::components::largest_component;
 use kadabra_mpi::graph::generators::{gnm, GnmConfig};
@@ -200,4 +200,29 @@ fn golden_transcripts_hold_across_commits() {
     let chaos = ChaosOptions::all(FaultPlan::from_seed(9));
     let epoch = kadabra_epoch_mpi_observed(&g, &cfg, shape, &chaos).result;
     assert_eq!((epoch.samples, transcript_digest(&epoch)), (1424, 0xce94_b657_9751_98db), "epoch");
+
+    // A firing crash: rank 3 dies at its first adaptive collective, the
+    // survivors shrink, re-split and finish. The report counters are part
+    // of the transcript (`max_epoch_gap` is not: 0 or 1 by scheduling).
+    let shape = ClusterShape { ranks: 4, ranks_per_node: 2, threads_per_rank: 2 };
+    let chaos = ChaosOptions::all(FaultPlan::from_seed(33).with_crash_at_collective(3, 4));
+    let crash = kadabra_epoch_mpi_observed(&g, &cfg, shape, &chaos);
+    assert_eq!(
+        (crash.result.samples, transcript_digest(&crash.result)),
+        (1824, 0x9968_fb3d_a1c0_41b4),
+        "epoch crash"
+    );
+    assert_eq!((crash.ranks_lost, crash.recoveries, crash.conservation_rounds), (1, 1, 3));
+
+    // At P·T = 1 nothing is left to the scheduler or to the plan: every
+    // entry point of Algorithms 1 and 2 is the same program.
+    let one = (2000, 0x5d42_8946_b239_9055);
+    let shape = ClusterShape { ranks: 1, ranks_per_node: 1, threads_per_rank: 1 };
+    let ideal = ChaosOptions::all(FaultPlan::ideal(0));
+    let r = kadabra_epoch_mpi(&g, &cfg, shape);
+    assert_eq!((r.samples, transcript_digest(&r)), one, "epoch, 1 x 1");
+    let r = kadabra_epoch_mpi_observed(&g, &cfg, shape, &ideal).result;
+    assert_eq!((r.samples, transcript_digest(&r)), one, "epoch observed, 1 x 1");
+    let r = kadabra_mpi_flat(&g, &cfg, 1);
+    assert_eq!((r.samples, transcript_digest(&r)), one, "flat, 1 rank");
 }
