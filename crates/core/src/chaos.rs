@@ -287,8 +287,14 @@ fn flat_rank_main(
         }
         let round_result = (|| -> Result<bool, CommError> {
             let sp = w.begin(SpanId::SampleBatch);
-            for _ in 0..n0 {
-                sample_into(&mut s_loc, &mut sampler);
+            {
+                let frame = &mut s_loc;
+                sampler.sample_batch(g, n0, |interior| {
+                    for &v in interior {
+                        frame[v as usize] += 1;
+                    }
+                    frame[n] += 1;
+                });
             }
             w.end(sp);
             let snapshot = std::mem::replace(&mut s_loc, vec![0u64; n + 1]);

@@ -498,8 +498,14 @@ fn elastic_adaptive_loop(
 
         let round_result = (|| -> Result<bool, CommError> {
             let sp = w.begin(SpanId::SampleBatch);
-            for _ in 0..my_quota {
-                sample_into(&mut s_loc, &mut sampler);
+            {
+                let frame = &mut s_loc;
+                sampler.sample_batch(g, my_quota, |interior| {
+                    for &v in interior {
+                        frame[v as usize] += 1;
+                    }
+                    frame[n] += 1;
+                });
             }
             // Steal handshake: stragglers grant their pre-partitioned
             // deficit in helper order; helpers claim in straggler order and
@@ -531,9 +537,13 @@ fn elastic_adaptive_loop(
                         let s_world = comm.members()[s];
                         let stream = STEAL_STREAM_BASE + round as usize * STEAL_ROUND_STRIDE + hi;
                         let mut stolen = ThreadSampler::new(n, cfg.seed, s_world, stream);
-                        for _ in 0..c {
-                            sample_into(&mut s_loc, &mut stolen);
-                        }
+                        let frame = &mut s_loc;
+                        stolen.sample_batch(g, c, |interior| {
+                            for &v in interior {
+                                frame[v as usize] += 1;
+                            }
+                            frame[n] += 1;
+                        });
                         w.count(CounterId::SamplesStolen, c);
                         samples_stolen += c;
                     }

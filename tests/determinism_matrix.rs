@@ -225,4 +225,29 @@ fn golden_transcripts_hold_across_commits() {
     assert_eq!((r.samples, transcript_digest(&r)), one, "epoch observed, 1 x 1");
     let r = kadabra_mpi_flat(&g, &cfg, 1);
     assert_eq!((r.samples, transcript_digest(&r)), one, "flat, 1 rank");
+    let r = kadabra_mpi_flat_observed(&g, &cfg, 1, &ideal).result;
+    assert_eq!((r.samples, transcript_digest(&r)), one, "flat observed, 1 rank");
+    let r = kadabra_mpi_flat_elastic(&g, &cfg, 1, 0, &ElasticOptions::all(FaultPlan::ideal(0)));
+    assert_eq!((r.result.samples, transcript_digest(&r.result)), one, "flat elastic, 1 founder");
+
+    // Algorithm 1 under a firing crash, and growing by two ranks beside a
+    // straggler whose quota is stolen.
+    let chaos = ChaosOptions::all(FaultPlan::from_seed(21).with_crash_at_collective(1, 2));
+    let crash = kadabra_mpi_flat_observed(&g, &cfg, 3, &chaos);
+    assert_eq!(
+        (crash.result.samples, transcript_digest(&crash.result)),
+        (1656, 0x2305_5f0d_ffeb_cfee),
+        "flat crash"
+    );
+    assert_eq!((crash.ranks_lost, crash.recoveries, crash.conservation_rounds), (1, 1, 2));
+
+    let elastic =
+        ElasticOptions::all(FaultPlan::from_seed(17).with_join(1, 2).with_straggler(1, 4));
+    let grown = kadabra_mpi_flat_elastic(&g, &cfg, 2, 2, &elastic);
+    assert_eq!(
+        (grown.result.samples, transcript_digest(&grown.result)),
+        (1485, 0x4fe2_2a63_be3e_7c5a),
+        "flat grow + steal"
+    );
+    assert_eq!((grown.ranks_joined, grown.samples_stolen, grown.conservation_rounds), (2, 565, 2));
 }
