@@ -1,16 +1,18 @@
-//! Elastic scale-out variant of observed Algorithm 1: communicator grow,
-//! ledger rebalancing, and cross-rank work stealing under a deterministic
-//! [`FaultPlan`].
+//! Elastic scale-out of Algorithm 1: communicator grow, ledger
+//! rebalancing, and cross-rank work stealing under a deterministic
+//! [`FaultPlan`]. The round loop is [`crate::mpi::rank_main`]'s — the one
+//! Algorithm-1 body — and this module holds the two protocols it calls at a
+//! round boundary and inside a round's sample batch.
 //!
 //! # Grow and rebalance (DESIGN.md §15)
 //!
-//! The chaos drivers ([`crate::chaos`]) let capacity fall: a crash shrinks
-//! the communicator and survivors rebuild global state from their
-//! [`SampleLedger`]s. This module turns the dial the other way. A plan's
+//! A crash shrinks the communicator and survivors rebuild global state from
+//! their [`SampleLedger`]s; this turns the dial the other way. A plan's
 //! [`kadabra_mpisim::JoinPoint`]s schedule membership *growth*: at the start of the listed
 //! global round, every member calls [`Communicator::grow`], standby ranks
 //! parked by [`Universe::run_elastic`] are admitted, and the grown world
-//! runs a two-step rebalance in lockstep with the newcomers' bootstrap:
+//! runs a two-step rebalance ([`grow_and_rebalance`]) in lockstep with the
+//! newcomers' bootstrap ([`bootstrap_newcomer`]):
 //!
 //! 1. **round handoff** — the root broadcasts the current round, so
 //!    newcomers enter the adaptive loop exactly where the survivors are;
@@ -25,7 +27,7 @@
 //! post-grow schedule is a pure function of `(plan, seed)`. The
 //! [`CrossEpochProbe`] audits the epoch-gap invariant *across* the join:
 //! standbys start excluded ([`CrossEpochProbe::with_standbys`]) and are
-//! [`CrossEpochProbe::admit`]ed in-round.
+//! admitted in-round.
 //!
 //! # Work stealing
 //!
@@ -39,27 +41,21 @@
 //! slowest rank's straggler factor (the quota a straggler must produce
 //! before joining the round's reduction shrinks by its own factor).
 
+use crate::chaos::{deterministic_telemetry, finish_report, plan_summary, Audit, ChaosReport};
 use crate::config::KadabraConfig;
-use crate::phases::{
-    calibration_samples_for_thread, diameter_phase, fold_and_check, scores_from_counts,
-};
-use crate::recovery::{shrink_and_rebuild, SampleLedger};
-use crate::result::BetweennessResult;
-use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
-use crate::shared::{phase_timings_from, sampling_stats_from};
-use crate::{bounds, calibration::Calibration};
+use crate::mpi::{self, count_into};
+use crate::phases::{prepare_for_ranks, Prepared};
+use crate::recovery::SampleLedger;
+use crate::sampler::ThreadSampler;
 use kadabra_epoch::CrossEpochProbe;
 use kadabra_graph::Graph;
-use kadabra_mpisim::{CommError, Communicator, ElasticRank, FaultPlan, StandbyRank, Universe};
-use kadabra_telemetry::{CounterId, EventWriter, SpanId, Summary, Telemetry};
-use std::sync::Arc;
-
-/// Event capacity per `(rank, thread)` recorder when an elastic run traces.
-const ELASTIC_TRACE_CAPACITY: usize = 1 << 14;
+use kadabra_mpisim::{CommError, Communicator, FaultPlan, Universe};
+use kadabra_telemetry::{CounterId, EventWriter, SpanId};
 
 /// Base of the steal-stream thread coordinate space: disjoint from
-/// calibration threads (small), adaptive streams ([`ADS_STREAM_OFFSET`] +
-/// small), so stolen samples never collide with any rank's own streams.
+/// calibration threads (small), adaptive streams
+/// ([`crate::sampler::ADS_STREAM_OFFSET`] + small), so stolen samples never
+/// collide with any rank's own streams.
 const STEAL_STREAM_BASE: usize = 1 << 21;
 
 /// Steal-stream stride per round (bounds helpers per round at 1024).
@@ -102,72 +98,6 @@ impl ElasticOptions {
     }
 }
 
-fn telemetry_for(opts: &ElasticOptions) -> Telemetry {
-    if opts.telemetry {
-        Telemetry::deterministic(ELASTIC_TRACE_CAPACITY)
-    } else {
-        Telemetry::deterministic(0)
-    }
-}
-
-/// Outcome of an elastic run: the algorithm's result plus what the probes
-/// and the elastic machinery saw.
-#[derive(Debug)]
-pub struct ElasticReport {
-    /// The root's betweenness result, exactly as the plain driver returns
-    /// it.
-    pub result: BetweennessResult,
-    /// Largest cross-process round gap observed (0 when probing was off).
-    pub max_epoch_gap: u32,
-    /// Completion events the epoch probe audited.
-    pub probe_observations: u64,
-    /// Audits that violated the gap-≤-1 invariant (must be 0).
-    pub probe_violations: u64,
-    /// Rounds the conservation check covered.
-    pub conservation_rounds: u64,
-    /// Standby ranks admitted by grows, as seen by the root.
-    pub ranks_joined: u64,
-    /// Samples helpers drew on stragglers' behalf, summed over all ranks.
-    pub samples_stolen: u64,
-    /// The plan's one-line reproduction handle (print this on failure).
-    pub plan_summary: String,
-    /// Telemetry phase breakdown (logical clock only — bit-reproducible).
-    pub phases: Summary,
-}
-
-impl ElasticReport {
-    /// Panics unless every enabled probe came back clean.
-    pub fn assert_invariants(&self) {
-        assert_eq!(
-            self.probe_violations, 0,
-            "epoch-distance invariant violated (max gap {}) [{}]",
-            self.max_epoch_gap, self.plan_summary
-        );
-        assert!(
-            self.max_epoch_gap <= 1,
-            "cross-process epoch gap {} > 1 [{}]",
-            self.max_epoch_gap,
-            self.plan_summary
-        );
-    }
-}
-
-/// What one elastic rank hands back to the driver entry point.
-struct ElasticOutcome {
-    result: Option<BetweennessResult>,
-    rounds: u64,
-    ranks_joined: u64,
-    samples_stolen: u64,
-}
-
-impl ElasticOutcome {
-    /// The outcome of a crashed rank, or of a standby the world never grew
-    /// to admit.
-    fn dead() -> Self {
-        ElasticOutcome { result: None, rounds: 0, ranks_joined: 0, samples_stolen: 0 }
-    }
-}
-
 /// Runs **Algorithm 1** elastically: `founding` ranks start the run,
 /// `standby` more park until the plan's [`kadabra_mpisim::JoinPoint`]s grow them in.
 /// Bit-reproducible: identical `(g, cfg, founding, standby, opts)` give
@@ -179,210 +109,92 @@ pub fn kadabra_mpi_flat_elastic(
     founding: usize,
     standby: usize,
     opts: &ElasticOptions,
-) -> ElasticReport {
-    cfg.validate();
-    assert!(founding >= 1);
-    assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
-    let probe =
-        opts.probe.then(|| Arc::new(CrossEpochProbe::with_standbys(founding + standby, founding)));
-    let tel = telemetry_for(opts);
-    let outcomes = Universe::run_elastic(founding, standby, opts.plan.clone(), |role| match role {
-        ElasticRank::Founding(comm) => {
-            elastic_founder_main(g, cfg, comm, opts, probe.as_deref(), &tel)
-        }
-        ElasticRank::Standby(s) => {
-            elastic_newcomer_main(g, cfg, s, opts, probe.as_deref(), &tel, founding)
-        }
+) -> ChaosReport {
+    mpi::validate(g, cfg, founding);
+    let probe = opts.probe.then(|| CrossEpochProbe::with_standbys(founding + standby, founding));
+    let tel = deterministic_telemetry(opts.telemetry);
+    let outcomes = Universe::run_elastic(founding, standby, opts.plan.clone(), |rank| {
+        let audit = Audit::new(probe.as_ref(), opts.conservation);
+        mpi::rank_main(g, cfg, rank, founding, &tel, audit, opts.steal)
     });
-    let samples_stolen = outcomes.iter().map(|o| o.samples_stolen).sum();
-    let root = outcomes
-        .into_iter()
-        .find(|o| o.result.is_some())
-        // xtask: allow(unwrap) — exactly one rank (the root) returns Some.
-        .expect("the root produces the result");
-    let (max_epoch_gap, probe_observations, probe_violations) = match &probe {
-        Some(p) => (p.max_gap(), p.observations(), p.violations()),
-        None => (0, 0, 0),
-    };
-    ElasticReport {
-        // xtask: allow(unwrap) — selected for holding Some above.
-        result: root.result.expect("root outcome holds the result"),
-        max_epoch_gap,
-        probe_observations,
-        probe_violations,
-        conservation_rounds: root.rounds,
-        ranks_joined: root.ranks_joined,
-        samples_stolen,
-        plan_summary: opts.plan.summary(),
-        phases: tel.summary(),
-    }
+    finish_report(mpi::root_outcome(outcomes), probe.as_ref(), &opts.plan, &tel)
 }
 
-/// Loop context shared by founders and newcomers.
-struct LoopCtx<'a> {
-    g: &'a Graph,
-    cfg: &'a KadabraConfig,
-    opts: &'a ElasticOptions,
-    probe: Option<&'a CrossEpochProbe>,
-    omega: u64,
-    calibration: &'a Calibration,
-}
-
-/// Per-rank body of a founding member: the flat observed setup (diameter
-/// broadcast + calibration all-reduce over the founding world), then the
-/// elastic adaptive loop from round 0.
-fn elastic_founder_main(
-    g: &Graph,
-    cfg: &KadabraConfig,
-    comm: Communicator,
-    opts: &ElasticOptions,
-    probe: Option<&CrossEpochProbe>,
-    tel: &Telemetry,
-) -> ElasticOutcome {
-    let n = g.num_nodes();
-    let my_world = comm.world_rank();
-    let founding = comm.size();
-    let w = tel.writer(my_world as u32, 0);
-    comm.set_tracer(w.clone());
-
-    let sp = w.begin(SpanId::Diameter);
-    let vd_bcast = if comm.rank() == 0 {
-        let (vd, _) = diameter_phase(g, cfg);
-        comm.bcast_u64(0, Some(vd as u64))
-    } else {
-        comm.bcast_u64(0, None)
-    };
-    let vd = match vd_bcast {
-        Ok(v) => v as u32,
-        Err(e) if e.failed_rank() == Some(my_world) => return ElasticOutcome::dead(),
-        Err(e) => elastic_setup_panic(e),
-    };
-    w.end(sp);
-    let omega = bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
-
-    let sp = w.begin(SpanId::Calibration);
-    let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, 0);
-    let mut counts = vec![0u64; n + 1];
-    let taken =
-        calibration_samples_for_thread(g, &mut sampler, &mut counts[..n], cfg, omega, founding);
-    counts[n] = taken;
-    let total = match comm.allreduce_sum_u64(&counts) {
-        Ok(t) => t,
-        Err(e) if e.failed_rank() == Some(my_world) => return ElasticOutcome::dead(),
-        Err(e) => elastic_setup_panic(e),
-    };
-    let calibration = Calibration::from_counts(&total[..n], total[n], cfg);
-    w.end(sp);
-
-    let ctx = LoopCtx { g, cfg, opts, probe, omega, calibration: &calibration };
-    elastic_adaptive_loop(&ctx, comm, &w, 0, 0, vd, vec![0u64; n + 1], SampleLedger::new(n))
-}
-
-/// Per-rank body of a standby: park until admitted, then bootstrap — the
-/// deterministic local recomputations (diameter, calibration replay) plus
-/// the two lockstep rebalance collectives the survivors run inside their
-/// grow block — and enter the shared loop at the handed-off round.
-fn elastic_newcomer_main(
-    g: &Graph,
-    cfg: &KadabraConfig,
-    standby: StandbyRank,
-    opts: &ElasticOptions,
-    probe: Option<&CrossEpochProbe>,
-    tel: &Telemetry,
-    founding: usize,
-) -> ElasticOutcome {
-    let my_world = standby.world_rank();
-    // Never admitted (the plan scheduled no join, or the run stopped
-    // first): indistinguishable from a dead rank, by design.
-    let Ok(comm) = standby.wait_admission() else { return ElasticOutcome::dead() };
-    let n = g.num_nodes();
-    let w = tel.writer(my_world as u32, 0);
-    comm.set_tracer(w.clone());
-
-    // Diameter: deterministic, so the newcomer recomputes locally what the
-    // founders broadcast at launch — no collective needed.
-    let sp = w.begin(SpanId::Diameter);
-    let (vd, _) = diameter_phase(g, cfg);
-    w.end(sp);
-    let omega = bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
-
-    // Calibration: replay every founding rank's calibration stream. The
-    // streams are keyed by (seed, rank, thread 0), so the replay
-    // reconstructs the founding all-reduce total exactly.
-    let sp = w.begin(SpanId::Calibration);
-    let mut total = vec![0u64; n + 1];
-    for r in 0..founding {
-        let mut sampler = ThreadSampler::new(n, cfg.seed, r, 0);
-        let mut counts = vec![0u64; n];
-        let taken =
-            calibration_samples_for_thread(g, &mut sampler, &mut counts, cfg, omega, founding);
-        for (a, c) in total.iter_mut().zip(counts) {
-            *a += c;
-        }
-        total[n] += taken;
-    }
-    let calibration = Calibration::from_counts(&total[..n], total[n], cfg);
-    w.end(sp);
-
-    // Lockstep with the survivors' grow block: round handoff, then the
-    // ledger-rebuild all-reduce (a fresh ledger contributes zeros).
-    let ledger = SampleLedger::new(n);
+/// The incumbents' side of a grow by `joiners` ranks at the start of
+/// `round`: admit, then rebalance in lockstep with [`bootstrap_newcomer`] —
+/// round handoff, ledger rebuild. Returns the grown communicator and the
+/// rebuilt global state.
+pub(crate) fn grow_and_rebalance(
+    comm: &Communicator,
+    joiners: usize,
+    round: u32,
+    ledger: &SampleLedger,
+    s_global: &[u64],
+    audit: &mut Audit<'_>,
+    w: &EventWriter,
+) -> Result<(Communicator, Vec<u64>), CommError> {
     let sp = w.begin(SpanId::Rebalance);
-    let handoff = (|| -> Result<(u32, Vec<u64>), CommError> {
-        let round = comm.bcast_u64(0, None)? as u32;
-        let rebuilt = comm.allreduce_sum_u64(ledger.frame())?;
-        Ok((round, rebuilt))
-    })();
+    let grown = comm.grow(joiners)?;
+    grown.bcast_u64(0, (grown.rank() == 0).then_some(u64::from(round)))?;
+    let rebuilt = grown.allreduce_sum_u64(ledger.frame())?;
+    audit.conserve_grow(&grown, &rebuilt, s_global, round);
+    audit.membership_changed(comm.members(), grown.members(), round);
     w.end(sp);
-    let (round, s_global) = match handoff {
-        Ok(t) => t,
-        Err(e) if e.failed_rank() == Some(my_world) => return ElasticOutcome::dead(),
-        Err(e) => elastic_setup_panic(e),
-    };
-
-    let ctx = LoopCtx { g, cfg, opts, probe, omega, calibration: &calibration };
-    // join_eligible_from = round + 1: the grow that admitted this rank is
-    // already behind it; only *later* join points concern it.
-    elastic_adaptive_loop(&ctx, comm, &w, round, round + 1, vd, s_global, ledger)
+    Ok((grown, rebuilt))
 }
 
-/// Panic for setup/bootstrap-phase communicator failures that are not this
-/// rank's own crash (elastic corpora schedule joins past the setup
-/// collectives and are crash-free).
-fn elastic_setup_panic(e: CommError) -> ! {
-    panic!("rank failure during elastic setup/bootstrap phases: {e}")
+/// The newcomer's side of the grow that admitted it into `comm`: the
+/// deterministic local recomputation of what the `founding` ranks derived
+/// collectively at launch (no collective needed), then the two lockstep
+/// rebalance collectives — a fresh ledger contributes zeros. Returns the
+/// set-up, the round to enter the loop at and the global state.
+pub(crate) fn bootstrap_newcomer(
+    g: &Graph,
+    cfg: &KadabraConfig,
+    comm: &Communicator,
+    founding: usize,
+    w: &EventWriter,
+) -> Result<(Prepared, u32, Vec<u64>), CommError> {
+    let sp = w.begin(SpanId::Rebalance);
+    let prepared = prepare_for_ranks(g, cfg, founding);
+    let round = comm.bcast_u64(0, None)? as u32;
+    let rebuilt = comm.allreduce_sum_u64(SampleLedger::new(g.num_nodes()).frame())?;
+    w.end(sp);
+    Ok((prepared, round, rebuilt))
 }
 
 /// The deterministic per-round steal schedule, computed identically by
 /// every member from shared `(plan, n0, members)` state.
-struct StealRound {
+pub(crate) struct StealRound {
     /// Straggler communicator ranks, ascending.
     stragglers: Vec<usize>,
     /// Helper communicator ranks, ascending.
     helpers: Vec<usize>,
+    /// `keep[si]`: what straggler `si` draws of its own round quota.
+    keep: Vec<u64>,
     /// `chunks[si][hi]`: samples helper `hi` takes from straggler `si`.
     chunks: Vec<Vec<u64>>,
 }
 
-fn steal_schedule(plan: &FaultPlan, comm: &Communicator, n0: u64) -> Option<StealRound> {
+pub(crate) fn steal_schedule(plan: &FaultPlan, comm: &Communicator, n0: u64) -> Option<StealRound> {
     let members = comm.members();
-    let stragglers: Vec<usize> =
-        (0..comm.size()).filter(|&r| plan.rank_factor(members[r]) > 1).collect();
-    let helpers: Vec<usize> =
-        (0..comm.size()).filter(|&r| plan.rank_factor(members[r]) <= 1).collect();
+    let (stragglers, helpers): (Vec<usize>, Vec<usize>) =
+        (0..comm.size()).partition(|&r| plan.rank_factor(members[r]) > 1);
     if stragglers.is_empty() || helpers.is_empty() {
         return None;
     }
-    let chunks = stragglers
+    let keep: Vec<u64> =
+        stragglers.iter().map(|&s| straggler_keep(plan.rank_factor(members[s]), n0)).collect();
+    let chunks = keep
         .iter()
-        .map(|&s| {
-            let deficit = n0 - straggler_keep(plan.rank_factor(members[s]), n0);
+        .map(|&kept| {
+            let deficit = n0 - kept;
             let base = deficit / helpers.len() as u64;
             let rem = usize::try_from(deficit % helpers.len() as u64).unwrap_or(0);
             (0..helpers.len()).map(|i| base + u64::from(i < rem)).collect()
         })
         .collect();
-    Some(StealRound { stragglers, helpers, chunks })
+    Some(StealRound { stragglers, helpers, keep, chunks })
 }
 
 /// How much of its own round quota a straggler with latency `factor` keeps:
@@ -392,296 +204,59 @@ fn straggler_keep(factor: u64, n0: u64) -> u64 {
     (n0 / factor.max(1)).max(1).min(n0)
 }
 
-/// The elastic adaptive loop, shared by founders (entering at round 0) and
-/// newcomers (entering at the handed-off round with the admitting join
-/// behind them). Mirrors `chaos::flat_rank_main`'s loop; the elastic
-/// deviations (grow block, steal schedule) are commented.
-#[allow(clippy::too_many_arguments)]
-fn elastic_adaptive_loop(
-    ctx: &LoopCtx<'_>,
-    mut comm: Communicator,
-    w: &EventWriter,
-    entry_round: u32,
-    join_eligible_from: u32,
-    vd: u32,
-    mut s_global: Vec<u64>,
-    mut ledger: SampleLedger,
-) -> ElasticOutcome {
-    let g = ctx.g;
-    let cfg = ctx.cfg;
-    let plan = &ctx.opts.plan;
-    let n = g.num_nodes();
-    let my_world = comm.world_rank();
+impl StealRound {
+    /// The round quota communicator rank `rank` draws from its own stream.
+    pub(crate) fn own_quota(&self, rank: usize, n0: u64) -> u64 {
+        self.stragglers.iter().position(|&s| s == rank).map_or(n0, |si| self.keep[si])
+    }
 
-    let sp_ads = w.begin(SpanId::AdaptiveSampling);
-    let mut n0 = cfg.n0(comm.size());
-    let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET);
-    let mut s_loc = vec![0u64; n + 1];
-    let mut rounds = 0u64;
-    let mut ranks_joined = 0u64;
-    let mut samples_stolen = 0u64;
-    let mut dead = false;
-
-    let sample_into = |frame: &mut Vec<u64>, sampler: &mut ThreadSampler| {
-        for &v in sampler.sample(g) {
-            frame[v as usize] += 1;
-        }
-        frame[n] += 1;
-    };
-
-    let mut round = entry_round;
-    loop {
-        w.set_epoch(round);
-        if let Some(p) = ctx.probe {
-            p.begin_round(my_world, round);
-        }
-
-        // --- Elastic grow at the round boundary -------------------------
-        // Joins fire at the *start* of the scheduled round, before its
-        // sample batch; every member reads the same plan, so the grow is a
-        // collective everyone enters. Newcomers skip the join that admitted
-        // them (join_eligible_from) but participate in later ones.
-        if round >= join_eligible_from {
-            let k = plan.join_at_round(u64::from(round));
-            if k > 0 {
-                let grow_result = (|| -> Result<(), CommError> {
-                    let sp = w.begin(SpanId::Rebalance);
-                    let old_members = comm.members().to_vec();
-                    let grown = comm.grow(k)?;
-                    // Rebalance, in lockstep with the newcomers' bootstrap:
-                    // round handoff + ledger rebuild.
-                    grown.bcast_u64(0, (grown.rank() == 0).then_some(u64::from(round)))?;
-                    let rebuilt = grown.allreduce_sum_u64(ledger.frame())?;
-                    if grown.rank() == 0 && ctx.opts.conservation {
-                        // The cross-grow conservation audit: admitting ranks
-                        // must neither lose nor mint samples.
-                        assert_eq!(
-                            [rebuilt[..n].iter().sum::<u64>(), rebuilt[n]],
-                            [s_global[..n].iter().sum::<u64>(), s_global[n]],
-                            "[Σc̃, τ] not conserved across grow at round {round} [{}]",
-                            plan.summary()
-                        );
-                    }
-                    if let Some(p) = ctx.probe {
-                        for m in grown.members() {
-                            if !old_members.contains(m) {
-                                p.admit(*m, round);
-                            }
-                        }
-                    }
-                    ranks_joined += (grown.size() - old_members.len()) as u64;
-                    s_global = rebuilt;
-                    n0 = cfg.n0(grown.size());
-                    comm = grown;
-                    w.end(sp);
-                    Ok(())
-                })();
-                match grow_result {
-                    Ok(()) => {}
-                    Err(e) if e.failed_rank() == Some(my_world) => {
-                        dead = true;
-                        break;
-                    }
-                    Err(e) => panic!("rank failure during elastic grow: {e}"),
+    /// This rank's side of the round's steal handshake: stragglers grant
+    /// their pre-partitioned deficit in helper order; helpers claim in
+    /// straggler order and draw the stolen samples from the straggler's
+    /// dedicated steal streams into their own `frame`. Claim sends are
+    /// buffered, so no interleaving of the two loops can deadlock. Returns
+    /// the samples this rank drew on stragglers' behalf.
+    pub(crate) fn handshake(
+        &self,
+        g: &Graph,
+        cfg: &KadabraConfig,
+        comm: &Communicator,
+        round: u32,
+        frame: &mut [u64],
+        w: &EventWriter,
+    ) -> Result<u64, CommError> {
+        let mut stolen = 0u64;
+        if let Some(si) = self.stragglers.iter().position(|&s| s == comm.rank()) {
+            for (hi, &h) in self.helpers.iter().enumerate() {
+                let c = self.chunks[si][hi];
+                if c == 0 {
+                    continue;
                 }
-            }
-        }
-
-        // --- Deterministic steal schedule -------------------------------
-        let steal = ctx.opts.steal.then(|| steal_schedule(plan, &comm, n0)).flatten();
-        let my_quota = match &steal {
-            Some(st) if st.stragglers.contains(&comm.rank()) => {
-                straggler_keep(plan.rank_factor(my_world), n0)
-            }
-            _ => n0,
-        };
-
-        let round_result = (|| -> Result<bool, CommError> {
-            let sp = w.begin(SpanId::SampleBatch);
-            {
-                let frame = &mut s_loc;
-                sampler.sample_batch(g, my_quota, |interior| {
-                    for &v in interior {
-                        frame[v as usize] += 1;
-                    }
-                    frame[n] += 1;
-                });
-            }
-            // Steal handshake: stragglers grant their pre-partitioned
-            // deficit in helper order; helpers claim in straggler order and
-            // draw the stolen samples from the straggler's dedicated steal
-            // streams into their own frame. Claim sends are buffered, so no
-            // interleaving of the two loops can deadlock.
-            if let Some(st) = &steal {
-                if let Some(si) = st.stragglers.iter().position(|&s| s == comm.rank()) {
-                    for (hi, &h) in st.helpers.iter().enumerate() {
-                        let c = st.chunks[si][hi];
-                        if c == 0 {
-                            continue;
-                        }
-                        let granted = comm.steal_grant(h)?;
-                        assert_eq!(
-                            granted,
-                            (u64::from(round), hi as u64, c),
-                            "steal schedule divergence at straggler {si} [{}]",
-                            plan.summary()
-                        );
-                    }
-                } else if let Some(hi) = st.helpers.iter().position(|&h| h == comm.rank()) {
-                    for (si, &s) in st.stragglers.iter().enumerate() {
-                        let c = st.chunks[si][hi];
-                        if c == 0 {
-                            continue;
-                        }
-                        comm.steal_claim(s, u64::from(round), hi as u64, c)?;
-                        let s_world = comm.members()[s];
-                        let stream = STEAL_STREAM_BASE + round as usize * STEAL_ROUND_STRIDE + hi;
-                        let mut stolen = ThreadSampler::new(n, cfg.seed, s_world, stream);
-                        let frame = &mut s_loc;
-                        stolen.sample_batch(g, c, |interior| {
-                            for &v in interior {
-                                frame[v as usize] += 1;
-                            }
-                            frame[n] += 1;
-                        });
-                        w.count(CounterId::SamplesStolen, c);
-                        samples_stolen += c;
-                    }
-                }
-            }
-            w.end(sp);
-
-            let snapshot = std::mem::replace(&mut s_loc, vec![0u64; n + 1]);
-            let mut overlapped = 0u64;
-            let sp = w.begin(SpanId::IreduceWait);
-            let mut req = comm.ireduce_sum_u64(0, &snapshot)?;
-            while !req.test()? {
-                sample_into(&mut s_loc, &mut sampler);
-                overlapped += 1;
-            }
-            w.end(sp);
-            w.count(CounterId::BytesReduced, snapshot.len() as u64 * 8);
-            ledger.confirm(&snapshot);
-
-            let mut d = 0u64;
-            let mut folded = [0u64; 2]; // root: [Σc̃, τ] absorbed this round
-            if comm.rank() == 0 {
-                // xtask: allow(unwrap) — the request completed (test() was
-                // true) and this rank is the reduction root, so both layers
-                // are Some.
-                let reduced = req.into_result().unwrap().expect("root receives reduction");
-                folded = [reduced[..n].iter().sum(), reduced[n]];
-                let sp = w.begin(SpanId::Check);
-                let stop = fold_and_check(
-                    &mut s_global,
-                    &reduced,
-                    cfg.epsilon,
-                    ctx.omega,
-                    ctx.calibration,
+                let granted = comm.steal_grant(h)?;
+                assert_eq!(
+                    granted,
+                    (u64::from(round), hi as u64, c),
+                    "steal schedule divergence at straggler {si} [{}]",
+                    plan_summary(comm)
                 );
-                w.end(sp);
-                d = u64::from(stop);
             }
-
-            if ctx.opts.conservation {
-                let sent = [
-                    snapshot[..n].iter().sum::<u64>(),
-                    snapshot[n],
-                    ledger.frame()[..n].iter().sum::<u64>(),
-                    ledger.frame()[n],
-                ];
-                let totals = comm.allreduce_sum_u64(&sent)?;
-                if comm.rank() == 0 {
-                    assert_eq!(
-                        [totals[0], totals[1]],
-                        folded,
-                        "sample conservation violated at round {round} [{}]",
-                        plan.summary()
-                    );
-                    assert_eq!(
-                        [totals[2], totals[3]],
-                        [s_global[..n].iter().sum::<u64>(), s_global[n]],
-                        "ledger conservation violated at round {round} [{}]",
-                        plan.summary()
-                    );
+        } else if let Some(hi) = self.helpers.iter().position(|&h| h == comm.rank()) {
+            for (si, &s) in self.stragglers.iter().enumerate() {
+                let c = self.chunks[si][hi];
+                if c == 0 {
+                    continue;
                 }
-                rounds += 1;
+                comm.steal_claim(s, u64::from(round), hi as u64, c)?;
+                let stream = STEAL_STREAM_BASE + round as usize * STEAL_ROUND_STRIDE + hi;
+                let mut sampler =
+                    ThreadSampler::new(g.num_nodes(), cfg.seed, comm.members()[s], stream);
+                sampler.sample_batch(g, c, |interior| count_into(frame, interior));
+                w.count(CounterId::SamplesStolen, c);
+                stolen += c;
             }
-
-            let sp = w.begin(SpanId::BcastStop);
-            let mut breq = comm.ibcast_u64(0, (comm.rank() == 0).then_some(d))?;
-            while !breq.test()? {
-                sample_into(&mut s_loc, &mut sampler);
-                overlapped += 1;
-            }
-            w.end(sp);
-            w.count(CounterId::Samples, my_quota + overlapped);
-            w.count(CounterId::Epochs, 1);
-            // xtask: allow(unwrap) — test() returned true above.
-            Ok(breq.into_result().unwrap() != 0)
-        })();
-
-        match round_result {
-            Ok(stop) => {
-                if let Some(p) = ctx.probe {
-                    p.complete_round(my_world, round);
-                }
-                if stop {
-                    break;
-                }
-                round += 1;
-            }
-            Err(CommError::RankFailed { rank }) if rank == my_world => {
-                dead = true;
-                break;
-            }
-            Err(CommError::RankFailed { .. }) => {
-                // Crash recovery, exactly as in the chaos driver: shrink,
-                // rebuild the ledgers, rescale n0 downward.
-                let prev_members = comm.members().to_vec();
-                match shrink_and_rebuild(&comm, &ledger, w) {
-                    Ok((small, rebuilt)) => {
-                        if let Some(p) = ctx.probe {
-                            for m in prev_members.iter().filter(|m| !small.members().contains(m)) {
-                                p.retire(*m);
-                            }
-                        }
-                        comm = small;
-                        s_global = rebuilt;
-                        n0 = cfg.n0(comm.size());
-                        round += 1; // the failed round's frames are discarded
-                    }
-                    Err(e) if e.failed_rank() == Some(my_world) => {
-                        dead = true;
-                        break;
-                    }
-                    Err(e) => panic!("unrecoverable communicator failure during recovery: {e}"),
-                }
-            }
-            Err(e) => panic!("unrecoverable communicator failure: {e}"),
         }
+        Ok(stolen)
     }
-    w.end(sp_ads);
-    if dead {
-        return ElasticOutcome::dead();
-    }
-
-    let result = (comm.rank() == 0).then(|| {
-        let tau = s_global[n];
-        let rec = w.recorder();
-        let mut stats = sampling_stats_from(rec);
-        stats.samples = tau;
-        stats.comm_bytes = comm.bytes_transferred();
-        BetweennessResult {
-            scores: scores_from_counts(&s_global[..n], tau),
-            samples: tau,
-            omega: ctx.omega,
-            vertex_diameter: vd,
-            timings: phase_timings_from(rec),
-            stats,
-        }
-    });
-    ElasticOutcome { result, rounds, ranks_joined, samples_stolen }
 }
 
 /// The join schedule of a plan projected onto a standby pool: the number of
@@ -693,6 +268,7 @@ pub fn planned_admissions(plan: &FaultPlan, standby: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{kadabra_mpi_flat_observed, ChaosOptions};
     use kadabra_graph::generators::{grid, GridConfig};
 
     fn small_graph() -> Graph {
@@ -701,16 +277,39 @@ mod tests {
 
     #[test]
     fn elastic_without_joins_matches_structure_of_chaos_run() {
-        // A plan with no join points never grows: the elastic driver must
-        // behave like the plain observed one (standbys report dead).
+        // Without joins and without stealing the elastic entry point is the
+        // observed one — same body, same plan, same audit — so the two must
+        // agree to the bit, standbys or not (they report dead), through
+        // stragglers and through a crash that fires.
         let g = small_graph();
-        let cfg = KadabraConfig::new(0.1, 0.1);
-        let opts = ElasticOptions::all(FaultPlan::ideal(2));
-        let r = kadabra_mpi_flat_elastic(&g, &cfg, 2, 2, &opts);
-        r.assert_invariants();
-        assert_eq!(r.ranks_joined, 0);
-        assert_eq!(r.samples_stolen, 0);
-        assert!(r.result.samples > 0);
+        let cfg = KadabraConfig::new(0.05, 0.1);
+        let plans = [
+            (FaultPlan::ideal(2), 2),
+            (FaultPlan::from_seed(9), 3),
+            (FaultPlan::from_seed(4), 4),
+            (FaultPlan::ideal(29).with_straggler(1, 8), 3),
+            (FaultPlan::from_seed_with_crashes(2, 4), 4),
+            (FaultPlan::ideal(21).with_crash_at_collective(1, 2), 3),
+        ];
+        for (plan, ranks) in plans {
+            let observed =
+                kadabra_mpi_flat_observed(&g, &cfg, ranks, &ChaosOptions::all(plan.clone()));
+            let opts = ElasticOptions::all(plan).without_steal();
+            let elastic = kadabra_mpi_flat_elastic(&g, &cfg, ranks, 2, &opts);
+            elastic.assert_invariants();
+            let summary = &elastic.plan_summary;
+            assert_eq!(elastic.result.scores, observed.result.scores, "[{summary}]");
+            assert_eq!(elastic.result.samples, observed.result.samples, "[{summary}]");
+            assert_eq!(
+                (elastic.ranks_lost, elastic.recoveries, elastic.conservation_rounds),
+                (observed.ranks_lost, observed.recoveries, observed.conservation_rounds),
+                "[{summary}]"
+            );
+            assert_eq!((elastic.ranks_joined, elastic.samples_stolen), (0, 0), "[{summary}]");
+        }
+        let crashed = ElasticOptions::all(FaultPlan::ideal(21).with_crash_at_collective(1, 2));
+        let r = kadabra_mpi_flat_elastic(&g, &cfg, 3, 0, &crashed);
+        assert_eq!((r.ranks_lost, r.recoveries), (1, 1), "the crash never fired");
     }
 
     #[test]

@@ -11,6 +11,21 @@
 //! synchronized across ranks, yet stay within ±1 epoch because the global
 //! collective acts as a non-blocking barrier.
 //!
+//! [`rank_main`] is the only rank body of Algorithm 2 in this crate, and it
+//! has one schedule choice, taken from what it can observe —
+//! `world.fault_plan()`:
+//!
+//! * **no plan** (the plain entry points below, `Universe::run`): workers
+//!   free-run and thread 0 samples through every wait. This is the paper's
+//!   algorithm and the path the benchmark measures; how many samples land
+//!   in an epoch is up to the OS scheduler.
+//! * **a plan** ([`crate::kadabra_epoch_mpi_observed`]): each worker takes
+//!   an exact plan-derived quota per epoch and then spin-waits for the
+//!   transition command, and thread 0 overlaps each transition wait with a
+//!   plan-derived sample count. The content of every aggregated frame is
+//!   then a pure function of `(plan, seed)` — the deterministic reference
+//!   the chaos, determinism-matrix and golden tests compare against.
+//!
 //! Like the flat driver, the adaptive loop is **crash-fault tolerant**
 //! (DESIGN.md §10): when a collective fails with
 //! [`kadabra_mpisim::CommError::RankFailed`], thread 0 of every survivor
@@ -23,42 +38,28 @@
 //! always its node's leader and the leaders' root, so the stopping-condition
 //! bookkeeping fails over to it consistently.
 
+use crate::chaos::{Audit, RankOutcome};
 use crate::config::{ClusterShape, KadabraConfig};
-use crate::phases::{
-    calibration_samples_for_thread, diameter_phase, fold_and_check, scores_from_counts,
-};
-use crate::recovery::{shrink_and_rebuild, SampleLedger};
+use crate::phases::{fold_and_check, prepare_collective, root_result};
+use crate::recovery::{own_crash_or_fatal, shrink_and_rebuild, SampleLedger};
 use crate::result::BetweennessResult;
 use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
-use crate::shared::{phase_timings_from, sampling_stats_from};
-use crate::{bounds, calibration::Calibration};
 use kadabra_epoch::EpochFramework;
 use kadabra_graph::Graph;
-use kadabra_mpisim::{CommError, Communicator, Universe};
+use kadabra_mpisim::{CommError, Communicator, FaultPlan, Universe};
 use kadabra_telemetry::{CounterId, SpanId, Telemetry};
 
-/// Per-rank outcome, used by the driver to assemble global statistics.
-struct RankOutcome {
-    result: Option<BetweennessResult>,
+/// Per-rank outcome, used by the entry points to assemble global
+/// statistics. The default is that of a rank whose scheduled crash fired:
+/// no result, no byte accounting (its communicators' traffic is reported by
+/// the survivors that shared the engines).
+#[derive(Default)]
+pub(crate) struct EpochOutcome {
+    rank: RankOutcome,
     is_leader: bool,
     local_bytes: u64,
     leader_bytes: u64,
     world_bytes: u64,
-}
-
-impl RankOutcome {
-    /// The outcome of a rank whose scheduled crash fired: no result, no
-    /// byte accounting (its communicators' traffic is reported by the
-    /// survivors that shared the engines).
-    fn dead() -> Self {
-        RankOutcome {
-            result: None,
-            is_leader: false,
-            local_bytes: 0,
-            leader_bytes: 0,
-            world_bytes: 0,
-        }
-    }
 }
 
 /// Runs Algorithm 2 on a simulated cluster of the given shape. Returns the
@@ -76,29 +77,41 @@ pub fn kadabra_epoch_mpi_traced(
     shape: ClusterShape,
     tel: &Telemetry,
 ) -> BetweennessResult {
+    validate(g, cfg, shape);
+    let outcomes =
+        Universe::run(shape.ranks, |comm| rank_main(g, cfg, shape, comm, tel, Audit::off()));
+    // xtask: allow(unwrap) — root_outcome selected it for holding Some.
+    root_outcome(outcomes).result.expect("root outcome holds the result")
+}
+
+/// The argument checks every Algorithm-2 entry point makes.
+pub(crate) fn validate(g: &Graph, cfg: &KadabraConfig, shape: ClusterShape) {
     cfg.validate();
     shape.validate();
     assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
+}
 
-    let outcomes = Universe::run(shape.ranks, |comm| rank_main(g, cfg, shape, comm, tel));
-
-    // Total communication: node-local engines are shared per node (count
-    // each once, via its final leader), the leader and world engines are
-    // global — every member of a shared engine reports the same cumulative
-    // figure, so the maximum across outcomes is that engine's total even
-    // when some ranks died.
+/// The outcome of the rank that holds the result, with the cluster-wide
+/// communication total attached: node-local engines are shared per node
+/// (count each once, via its final leader), the leader and world engines
+/// are global — every member of a shared engine reports the same cumulative
+/// figure, so the maximum across outcomes is that engine's total even when
+/// some ranks died.
+pub(crate) fn root_outcome(outcomes: Vec<EpochOutcome>) -> RankOutcome {
     let local_total: u64 = outcomes.iter().filter(|o| o.is_leader).map(|o| o.local_bytes).sum();
     let leader_total = outcomes.iter().map(|o| o.leader_bytes).fold(0, u64::max);
     let world_total = outcomes.iter().map(|o| o.world_bytes).fold(0, u64::max);
-
-    let mut result = outcomes
+    let mut root = outcomes
         .into_iter()
-        .find_map(|o| o.result)
+        .map(|o| o.rank)
+        .find(|o| o.result.is_some())
         // xtask: allow(unwrap) — exactly one rank (the final root) returns
         // Some; without crash faults that is rank 0.
         .expect("the surviving root produces the result");
-    result.stats.comm_bytes = local_total + leader_total + world_total;
-    result
+    if let Some(r) = root.result.as_mut() {
+        r.stats.comm_bytes = local_total + leader_total + world_total;
+    }
+    root
 }
 
 /// Builds the Section IV-E communicator hierarchy for one rank: the
@@ -110,7 +123,7 @@ pub fn kadabra_epoch_mpi_traced(
 /// Node identity and split keys use the **world rank** (the rank in the
 /// original `MPI_COMM_WORLD`), so the hierarchy stays NUMA-consistent when
 /// rebuilt over a shrunk communicator after crash recovery.
-pub(crate) fn hierarchical_comms(
+fn hierarchical_comms(
     world: &Communicator,
     shape: ClusterShape,
 ) -> Result<(Communicator, bool, Communicator), CommError> {
@@ -122,14 +135,60 @@ pub(crate) fn hierarchical_comms(
     Ok((local, is_leader, leaders))
 }
 
+/// Worker thread `t` of rank `my_world` (Algorithm 2, lines 5-9): samples
+/// into the epoch framework until termination. Returns the samples drawn.
+fn worker_main(
+    g: &Graph,
+    cfg: &KadabraConfig,
+    fw: &EpochFramework,
+    my_world: usize,
+    t: usize,
+    plan: Option<&FaultPlan>,
+    launch_n0: u64,
+) -> u64 {
+    let mut sampler = ThreadSampler::new(g.num_nodes(), cfg.seed, my_world, ADS_STREAM_OFFSET + t);
+    let mut h = fw.handle(t);
+    let mut drawn = 0u64;
+    let Some(plan) = plan else {
+        // Small batches amortize pair drawing while still polling the epoch
+        // command often enough to stay within the framework's one-epoch lag
+        // bound.
+        const WORKER_CHUNK: u64 = 8;
+        while !fw.should_terminate() {
+            sampler.sample_batch(g, WORKER_CHUNK, |interior| h.record_sample(interior));
+            drawn += WORKER_CHUNK;
+            fw.check_transition(&mut h);
+        }
+        return drawn;
+    };
+    // Under a plan: an exact quota for the current epoch, then spin until
+    // the transition command. The quota includes the plan's "slow thread"
+    // knob: a slow thread contributes fewer samples per epoch, skewing
+    // frames the way a de-scheduled thread would.
+    let mut epoch = 0u32;
+    loop {
+        let quota = plan.worker_quota(my_world, t, epoch, launch_n0);
+        sampler.sample_batch(g, quota, |interior| h.record_sample(interior));
+        drawn += quota;
+        while !fw.check_transition(&mut h) {
+            if fw.should_terminate() {
+                return drawn;
+            }
+            std::hint::spin_loop();
+        }
+        epoch += 1;
+    }
+}
+
 /// Per-rank body of Algorithm 2.
-fn rank_main(
+pub(crate) fn rank_main(
     g: &Graph,
     cfg: &KadabraConfig,
     shape: ClusterShape,
-    world: Communicator,
+    mut world: Communicator,
     tel: &Telemetry,
-) -> RankOutcome {
+    mut audit: Audit<'_>,
+) -> EpochOutcome {
     let n = g.num_nodes();
     let my_world = world.world_rank();
     let threads = shape.threads_per_rank;
@@ -137,116 +196,47 @@ fn rank_main(
     // Attach before splitting so the derived communicators inherit it.
     world.set_tracer(w.clone());
 
-    // Section IV-E communicators: node-local + leaders. A setup-phase
-    // communicator failure is recoverable only as this rank's own death —
-    // crash schedules are constrained to the adaptive phase.
-    let (local, is_leader, leaders) = match hierarchical_comms(&world, shape) {
+    // Section IV-E communicators (node-local + leaders), then phases 1-2.
+    let setup = hierarchical_comms(&world, shape)
+        .and_then(|comms| Ok((comms, prepare_collective(g, cfg, &world, threads, &w)?)));
+    let ((mut local, mut is_leader, mut leaders), prepared) = match setup {
         Ok(t) => t,
-        Err(e) if e.failed_rank() == Some(my_world) => return RankOutcome::dead(),
         Err(e) => {
-            panic!("rank failure during setup phases (schedule crashes in the adaptive phase): {e}")
+            own_crash_or_fatal(&e, &world, cfg, "set-up", 0);
+            return EpochOutcome::default();
         }
     };
-
-    // Phase 1: sequential diameter at rank 0, broadcast.
-    let sp = w.begin(SpanId::Diameter);
-    let vd_bcast = if world.rank() == 0 {
-        let (vd, _) = diameter_phase(g, cfg);
-        world.bcast_u64(0, Some(vd as u64))
-    } else {
-        world.bcast_u64(0, None)
-    };
-    let vd = match vd_bcast {
-        Ok(v) => v as u32,
-        Err(e) if e.failed_rank() == Some(my_world) => return RankOutcome::dead(),
-        Err(e) => {
-            panic!("rank failure during setup phases (schedule crashes in the adaptive phase): {e}")
-        }
-    };
-    w.end(sp);
-    let omega = bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
-
-    // Phase 2: calibration — all P·T threads sample in parallel, blocking
-    // aggregation (Section IV-F: "Parallelizing the computation of the
-    // initial fixed number of samples is straightforward").
-    let sp_calib = w.begin(SpanId::Calibration);
-    let total_threads = shape.total_threads();
-    let mut calib = vec![0u64; n + 1];
-    crossbeam::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                s.spawn(move |_| {
-                    let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, t);
-                    let mut counts = vec![0u64; n];
-                    let taken = calibration_samples_for_thread(
-                        g,
-                        &mut sampler,
-                        &mut counts,
-                        cfg,
-                        omega,
-                        total_threads,
-                    );
-                    (counts, taken)
-                })
-            })
-            .collect();
-        for h in handles {
-            // xtask: allow(unwrap) — a sampler-thread panic is a bug; abort
-            // the computation with its message.
-            let (counts, taken) = h.join().expect("calibration worker");
-            for (a, c) in calib.iter_mut().zip(counts) {
-                *a += c;
-            }
-            calib[n] += taken;
-        }
-    })
-    // xtask: allow(unwrap) — children are joined above; see worker waiver.
-    .expect("calibration scope");
-    let total = match world.allreduce_sum_u64(&calib) {
-        Ok(t) => t,
-        Err(e) if e.failed_rank() == Some(my_world) => return RankOutcome::dead(),
-        Err(e) => {
-            panic!("rank failure during setup phases (schedule crashes in the adaptive phase): {e}")
-        }
-    };
-    let calibration = Calibration::from_counts(&total[..n], total[n], cfg);
-    w.end(sp_calib);
 
     // Phase 3: Algorithm 2, with shrink-and-continue recovery driven by
     // thread 0 (the only thread that communicates).
     let sp_ads = w.begin(SpanId::AdaptiveSampling);
     let fw = EpochFramework::new(n, threads);
-    let mut world = world;
-    let mut local = local;
-    let mut leaders = leaders;
-    let mut is_leader = is_leader;
-    let mut n0 = cfg.n0(total_threads);
+    // The schedule choice (module docs). Cloned because the workers read it
+    // for the whole phase while recovery replaces `world`.
+    let plan = world.fault_plan().cloned();
+    let plan = plan.as_ref();
+    let mut n0 = cfg.n0(shape.total_threads());
+    // Worker quotas are derived from the launch-time n0; thread 0's own
+    // batch rescales after a shrink, which is enough to keep the schedule a
+    // pure function of the plan.
+    let quota_n0 = n0;
     let mut s_global = vec![0u64; n + 1]; // aggregated frame at the root
     let mut ledger = SampleLedger::new(n);
     // Superseded communicators' traffic, accumulated across recoveries
     // (the world engine carries its byte counter through shrink itself).
     let mut local_bytes_acc = 0u64;
     let mut leader_bytes_acc = 0u64;
-    let mut dead = false;
+    let mut epoch = 0u32;
 
-    crossbeam::scope(|s| {
+    // Runs until the stop flag arrives (`None`) or a communicator failure
+    // ends this rank's part in the run (where, and the error).
+    let failure: Option<(&str, CommError)> = crossbeam::scope(|s| {
         // Worker threads t = 1..T (Algorithm 2, lines 5-9).
         for t in 1..threads {
             let fw = &fw;
             let tw = tel.writer(my_world as u32, t as u32);
             s.spawn(move |_| {
-                let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET + t);
-                let mut h = fw.handle(t);
-                let mut drawn = 0u64;
-                // Small batches amortize pair drawing while still polling
-                // the epoch command often enough to stay within the
-                // framework's one-epoch lag bound.
-                const WORKER_CHUNK: u64 = 8;
-                while !fw.should_terminate() {
-                    sampler.sample_batch(g, WORKER_CHUNK, |interior| h.record_sample(interior));
-                    drawn += WORKER_CHUNK;
-                    fw.check_transition(&mut h);
-                }
+                let drawn = worker_main(g, cfg, fw, my_world, t, plan, quota_n0);
                 // One flush at exit keeps the hot loop free of stores.
                 tw.count(CounterId::Samples, drawn);
             });
@@ -255,9 +245,9 @@ fn rank_main(
         // Thread 0 (Algorithm 2, lines 10-31).
         let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET);
         let mut h = fw.handle(0);
-        let mut epoch = 0u32;
-        loop {
+        let failure = loop {
             w.set_epoch(epoch);
+            audit.begin_round(my_world, epoch);
             // One epoch round; every communicator failure is typed.
             let round = (|| -> Result<bool, CommError> {
                 // Lines 12-13: n0 samples into the current epoch, one batch.
@@ -269,10 +259,25 @@ fn rank_main(
                 // overlapping with sampling into the next epoch's frame.
                 fw.force_transition(&mut h, epoch);
                 let sp = w.begin(SpanId::TransitionWait);
-                while !fw.transition_done(epoch) {
-                    let interior = sampler.sample(g);
-                    h.record_sample(interior);
-                    overlapped += 1;
+                match plan {
+                    None => {
+                        while !fw.transition_done(epoch) {
+                            let interior = sampler.sample(g);
+                            h.record_sample(interior);
+                            overlapped += 1;
+                        }
+                    }
+                    // The framework has no Request to meter polls on, so
+                    // the plan supplies the overlap sample count directly;
+                    // the residual wait samples nothing.
+                    Some(plan) => {
+                        let planned = plan.transition_overlap(my_world, epoch);
+                        sampler.sample_batch(g, planned, |interior| h.record_sample(interior));
+                        overlapped += planned;
+                        while !fw.transition_done(epoch) {
+                            std::hint::spin_loop();
+                        }
+                    }
                 }
                 w.end(sp);
 
@@ -331,18 +336,21 @@ fn rank_main(
                         // xtask: allow(unwrap) — the root is the leader
                         // root, so the reduction delivered Some to it.
                         let reduced = reduced.expect("leader root receives reduction");
+                        audit.absorb(&reduced);
                         let sp = w.begin(SpanId::Check);
                         let stop = fold_and_check(
                             &mut s_global,
                             &reduced,
                             cfg.epsilon,
-                            omega,
-                            &calibration,
+                            prepared.omega,
+                            &prepared.calibration,
                         );
                         w.end(sp);
                         d = u64::from(stop);
                     }
                 }
+                // Conservation across the two-level reduction.
+                audit.conserve(&world, &epoch_frame, &ledger, &s_global, epoch)?;
 
                 // Lines 25-27: broadcast the termination flag world-wide,
                 // overlapped with sampling.
@@ -363,23 +371,19 @@ fn rank_main(
             match round {
                 // Lines 28-30.
                 Ok(stop) => {
+                    audit.complete_round(my_world, epoch);
                     if stop {
-                        fw.signal_termination();
-                        break;
+                        break None;
                     }
                     epoch += 1;
                 }
-                Err(CommError::RankFailed { rank }) if rank == my_world => {
-                    dead = true; // own scheduled crash: leave the run
-                    fw.signal_termination();
-                    break;
-                }
-                Err(CommError::RankFailed { .. }) => {
-                    // A peer died (or entered recovery): shrink the world,
-                    // rebuild the global state from survivor ledgers, and
-                    // re-split the hierarchy. Loop because further members
-                    // can die while recovery itself is in flight.
-                    loop {
+                // A peer died (or entered recovery): shrink the world,
+                // rebuild the global state from survivor ledgers, and
+                // re-split the hierarchy. Loop because further members can
+                // die while recovery itself is in flight.
+                Err(CommError::RankFailed { rank }) if rank != my_world => {
+                    let prev_members = world.members().to_vec();
+                    let recovery = loop {
                         let recovered = (|| -> Result<(), CommError> {
                             let (new_world, rebuilt) = shrink_and_rebuild(&world, &ledger, &w)?;
                             local_bytes_acc += local.bytes_transferred();
@@ -394,54 +398,36 @@ fn rank_main(
                             Ok(())
                         })();
                         match recovered {
-                            Ok(()) => {
-                                epoch += 1;
-                                break;
-                            }
                             Err(CommError::RankFailed { rank }) if rank != my_world => continue,
-                            Err(e) if e.failed_rank() == Some(my_world) => {
-                                dead = true; // died mid-recovery
-                                fw.signal_termination();
-                                break;
-                            }
-                            Err(e) => {
-                                panic!("unrecoverable communicator failure during recovery: {e}")
-                            }
+                            done => break done,
                         }
-                    }
-                    if dead {
-                        break;
+                    };
+                    match recovery {
+                        Ok(()) => {
+                            audit.membership_changed(&prev_members, world.members(), epoch);
+                            epoch += 1; // the failed round is discarded
+                        }
+                        Err(e) => break Some(("recovery", e)),
                     }
                 }
-                Err(e) => panic!("unrecoverable communicator failure: {e}"),
+                Err(e) => break Some(("an epoch round", e)),
             }
-        }
+        };
+        fw.signal_termination();
+        failure
     })
     // xtask: allow(unwrap) — children are joined above; see worker waiver.
     .expect("adaptive sampling scope");
     w.end(sp_ads);
-    if dead {
-        return RankOutcome::dead();
+    if let Some((phase, e)) = failure {
+        // Its own scheduled crash: this rank leaves the run.
+        own_crash_or_fatal(&e, &world, cfg, phase, epoch);
+        return EpochOutcome::default();
     }
 
-    let result = if world.rank() == 0 {
-        let tau = s_global[n];
-        let rec = w.recorder();
-        let mut stats = sampling_stats_from(rec);
-        stats.samples = tau;
-        Some(BetweennessResult {
-            scores: scores_from_counts(&s_global[..n], tau),
-            samples: tau,
-            omega,
-            vertex_diameter: vd,
-            timings: phase_timings_from(rec),
-            stats,
-        })
-    } else {
-        None
-    };
-    RankOutcome {
-        result,
+    let result = (world.rank() == 0).then(|| root_result(&s_global, &prepared, w.recorder()));
+    EpochOutcome {
+        rank: RankOutcome { result, seen: audit.seen },
         is_leader,
         local_bytes: local_bytes_acc + local.bytes_transferred(),
         leader_bytes: leader_bytes_acc + leaders.bytes_transferred(),
@@ -518,11 +504,14 @@ mod tests {
         let shape = ClusterShape { ranks: 4, ranks_per_node: 2, threads_per_rank: 2 };
         let plan = FaultPlan::ideal(7).with_crash_at_collective(3, 4);
         let tel = Telemetry::stats_only();
-        let outcomes =
-            Universe::run_with_plan(4, plan, |comm| rank_main(&lcc, &cfg, shape, comm, &tel));
-        assert!(outcomes[3].result.is_none());
-        let r =
-            outcomes.into_iter().find_map(|o| o.result).expect("surviving root returns the result");
+        let outcomes = Universe::run_with_plan(4, plan, |comm| {
+            rank_main(&lcc, &cfg, shape, comm, &tel, Audit::off())
+        });
+        assert!(outcomes[3].rank.result.is_none());
+        let r = outcomes
+            .into_iter()
+            .find_map(|o| o.rank.result)
+            .expect("surviving root returns the result");
         let exact = brandes(&lcc);
         let worst = r.scores.iter().zip(&exact).map(|(a, e)| (a - e).abs()).fold(0.0f64, f64::max);
         assert!(worst <= cfg.epsilon, "max error {worst} after crash recovery");
@@ -544,10 +533,11 @@ mod tests {
         let shape = ClusterShape { ranks: 4, ranks_per_node: 2, threads_per_rank: 1 };
         let plan = FaultPlan::ideal(3).with_crash_at_collective(0, 10);
         let tel = Telemetry::stats_only();
-        let outcomes =
-            Universe::run_with_plan(4, plan, |comm| rank_main(&lcc, &cfg, shape, comm, &tel));
-        assert!(outcomes[0].result.is_none(), "the dead root cannot return a result");
-        let survivors: Vec<_> = outcomes.into_iter().filter_map(|o| o.result).collect();
+        let outcomes = Universe::run_with_plan(4, plan, |comm| {
+            rank_main(&lcc, &cfg, shape, comm, &tel, Audit::off())
+        });
+        assert!(outcomes[0].rank.result.is_none(), "the dead root cannot return a result");
+        let survivors: Vec<_> = outcomes.into_iter().filter_map(|o| o.rank.result).collect();
         assert_eq!(survivors.len(), 1, "exactly one surviving root");
         let exact = brandes(&lcc);
         let worst = survivors[0]

@@ -48,11 +48,11 @@ pub use bounds::{achieved_epsilon, f_bound, g_bound, omega};
 pub use calibration::Calibration;
 pub use chaos::{kadabra_epoch_mpi_observed, kadabra_mpi_flat_observed, ChaosOptions, ChaosReport};
 pub use config::{ClusterShape, KadabraConfig, KernelOptions};
-pub use elastic::{kadabra_mpi_flat_elastic, planned_admissions, ElasticOptions, ElasticReport};
+pub use elastic::{kadabra_mpi_flat_elastic, planned_admissions, ElasticOptions};
 pub use epoch_mpi::{kadabra_epoch_mpi, kadabra_epoch_mpi_traced};
 pub use mpi::{kadabra_mpi_flat, kadabra_mpi_flat_traced};
 pub use naive::kadabra_naive_parallel;
-pub use phases::{prepare, Prepared};
+pub use phases::{prepare, prepare_for_ranks, Prepared};
 pub use recovery::{shrink_and_rebuild, CheckpointError, SampleLedger};
 pub use result::{BetweennessResult, PhaseTimings, SamplingStats};
 pub use revalidate::{resample_invalidated, ResampleScratch, ValidityBitmap};

@@ -12,25 +12,33 @@
 //! counts plus τ in the last slot, so one reduction moves the entire
 //! sampling state exactly as in the paper.
 //!
+//! [`rank_main`] is the only rank body of Algorithm 1 in this crate. The
+//! plain entry points below run it free (`Universe::run`: no plan, requests
+//! poll on real progress, the overlap is the paper's);
+//! [`crate::kadabra_mpi_flat_observed`] and
+//! [`crate::kadabra_mpi_flat_elastic`] run the same body in a world
+//! launched under a [`kadabra_mpisim::FaultPlan`], which the body reads back
+//! from its communicator, with the [`Audit`] switched on.
+//!
 //! The adaptive loop is **crash-fault tolerant** (DESIGN.md §10): under a
 //! fault plan with scheduled rank crashes, survivors observe the typed
 //! [`CommError::RankFailed`], shrink the communicator, rebuild the global
 //! state from their [`SampleLedger`] checkpoints, and continue — the new
 //! rank 0 (smallest surviving world rank) takes over the stopping-condition
 //! bookkeeping, so the run terminates with the usual (ε, δ) guarantee even
-//! if the original root died.
+//! if the original root died. It is **elastic** (DESIGN.md §15) the same
+//! way: at a round the plan schedules a join for, every member grows the
+//! communicator and rebalances ([`crate::elastic`]).
 
+use crate::chaos::{Audit, RankOutcome};
 use crate::config::KadabraConfig;
-use crate::phases::{
-    calibration_samples_for_thread, diameter_phase, fold_and_check, scores_from_counts,
-};
-use crate::recovery::{shrink_and_rebuild, SampleLedger};
+use crate::elastic::{bootstrap_newcomer, grow_and_rebalance, steal_schedule};
+use crate::phases::{fold_and_check, prepare_collective, root_result};
+use crate::recovery::{own_crash_or_fatal, shrink_and_rebuild, SampleLedger};
 use crate::result::BetweennessResult;
 use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
-use crate::shared::{phase_timings_from, sampling_stats_from};
-use crate::{bounds, calibration::Calibration};
-use kadabra_graph::Graph;
-use kadabra_mpisim::{CommError, Communicator, Universe};
+use kadabra_graph::{Graph, NodeId};
+use kadabra_mpisim::{CommError, ElasticRank, Universe};
 use kadabra_telemetry::{CounterId, SpanId, Telemetry};
 
 /// Runs Algorithm 1 with `ranks` simulated MPI processes (one sampling
@@ -48,128 +56,151 @@ pub fn kadabra_mpi_flat_traced(
     ranks: usize,
     tel: &Telemetry,
 ) -> BetweennessResult {
+    validate(g, cfg, ranks);
+    let outcomes = Universe::run(ranks, |comm| {
+        rank_main(g, cfg, ElasticRank::Founding(comm), ranks, tel, Audit::off(), false)
+    });
+    // xtask: allow(unwrap) — root_outcome selected it for holding Some.
+    root_outcome(outcomes).result.expect("root outcome holds the result")
+}
+
+/// The argument checks every Algorithm-1 entry point makes.
+pub(crate) fn validate(g: &Graph, cfg: &KadabraConfig, ranks: usize) {
     cfg.validate();
     assert!(ranks >= 1);
     assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
-    let results = Universe::run(ranks, |comm| rank_main(g, cfg, comm, tel));
-    results
+}
+
+/// The outcome of the rank that holds the result, carrying the run-wide
+/// total of the per-rank steal counts.
+pub(crate) fn root_outcome(outcomes: Vec<RankOutcome>) -> RankOutcome {
+    let samples_stolen = outcomes.iter().map(|o| o.seen.samples_stolen).sum();
+    let mut root = outcomes
         .into_iter()
-        .find_map(|r| r)
+        .find(|o| o.result.is_some())
         // xtask: allow(unwrap) — exactly one rank (the final root) returns
         // Some; without crash faults that is rank 0.
-        .expect("the surviving root produces the result")
+        .expect("the surviving root produces the result");
+    root.seen.samples_stolen = samples_stolen;
+    root
 }
 
-/// A setup-phase (diameter/calibration) communicator failure. Crash
-/// schedules are constrained to the adaptive phase
-/// (`FaultPlan::from_seed_with_crashes` schedules past the setup
-/// collectives), so the only recoverable outcome here is this rank's own
-/// death; anything else is a misconfigured plan or an algorithm bug.
-fn setup_failure(rank: usize, e: CommError) -> Option<()> {
-    if e.failed_rank() == Some(rank) {
-        return None; // this rank's own scheduled crash
+/// Counts one sampled path into a state frame: its interior vertices, and
+/// τ in the last slot.
+#[inline]
+pub(crate) fn count_into(frame: &mut [u64], interior: &[NodeId]) {
+    for &v in interior {
+        frame[v as usize] += 1;
     }
-    panic!("rank failure during setup phases (schedule crashes in the adaptive phase): {e}");
+    let n = frame.len() - 1;
+    frame[n] += 1;
 }
 
-/// Per-rank body of Algorithm 1. Returns `Some` at the rank that holds the
-/// final global state (rank 0, or the recovered root after crashes); `None`
-/// at other ranks and at ranks that died.
-fn rank_main(
+/// Per-rank body of Algorithm 1, for a member of the `founding`-rank
+/// launch-time world (collective set-up, then the adaptive loop from round
+/// 0) and for a standby of that world (parks until a grow admits it, then
+/// enters the loop at the handed-off round). `steal` asks for the straggler
+/// quota of the plan's slow ranks to be redistributed (DESIGN.md §15.3);
+/// the join schedule and the straggler factors are read from
+/// `comm.fault_plan()`, so a world without a plan never grows and never
+/// steals.
+pub(crate) fn rank_main(
     g: &Graph,
     cfg: &KadabraConfig,
-    comm: Communicator,
+    rank: ElasticRank,
+    founding: usize,
     tel: &Telemetry,
-) -> Option<BetweennessResult> {
+    mut audit: Audit<'_>,
+    steal: bool,
+) -> RankOutcome {
     let n = g.num_nodes();
+    let (mut comm, newcomer) = match rank {
+        ElasticRank::Founding(comm) => (comm, false),
+        // Never admitted (the plan scheduled no join, or the run stopped
+        // first): indistinguishable from a dead rank, by design.
+        ElasticRank::Standby(standby) => match standby.wait_admission() {
+            Ok(comm) => (comm, true),
+            Err(_) => return RankOutcome::default(),
+        },
+    };
     let my_world = comm.world_rank();
-    let ranks = comm.size();
     let w = tel.writer(my_world as u32, 0);
     comm.set_tracer(w.clone());
 
-    // Phase 1: diameter on rank 0, broadcast (the paper computes it with a
-    // sequential algorithm; other ranks idle — the Amdahl term of Fig. 2b).
-    let sp = w.begin(SpanId::Diameter);
-    let vd_bcast = if comm.rank() == 0 {
-        let (vd, _) = diameter_phase(g, cfg);
-        comm.bcast_u64(0, Some(vd as u64))
+    // Phases 1-2. A newcomer replays them locally and receives the round
+    // and the global state from the world that admitted it.
+    let setup = if newcomer {
+        bootstrap_newcomer(g, cfg, &comm, founding, &w)
     } else {
-        comm.bcast_u64(0, None)
+        prepare_collective(g, cfg, &comm, 1, &w).map(|p| (p, 0, vec![0u64; n + 1]))
     };
-    let vd = match vd_bcast {
-        Ok(v) => v as u32,
-        Err(e) => {
-            setup_failure(my_world, e)?;
-            unreachable!()
-        }
-    };
-    w.end(sp);
-    let omega = bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
-
-    // Phase 2: calibration — parallel sampling, blocking aggregation
-    // (MPI_Reduce in the paper; we all-reduce so every rank derives the
-    // same δ budgets deterministically).
-    let sp = w.begin(SpanId::Calibration);
-    let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, 0);
-    let mut counts = vec![0u64; n + 1];
-    let taken =
-        calibration_samples_for_thread(g, &mut sampler, &mut counts[..n], cfg, omega, ranks);
-    counts[n] = taken;
-    let total = match comm.allreduce_sum_u64(&counts) {
+    let (prepared, entry_round, mut s_global) = match setup {
         Ok(t) => t,
         Err(e) => {
-            setup_failure(my_world, e)?;
-            unreachable!()
+            own_crash_or_fatal(&e, &comm, cfg, "set-up", 0);
+            return RankOutcome::default();
         }
     };
-    let calibration = Calibration::from_counts(&total[..n], total[n], cfg);
-    w.end(sp);
 
     // Phase 3: Algorithm 1, with shrink-and-continue recovery.
     let sp_ads = w.begin(SpanId::AdaptiveSampling);
-    let mut comm = comm;
-    let mut n0 = cfg.n0(ranks);
+    let mut n0 = cfg.n0(comm.size());
     let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET);
-    // S_loc: local state frame; S: aggregated frame at the root (line 1).
+    // S_loc: local state frame; s_global: aggregated frame S at the root
+    // (line 1).
     let mut s_loc = vec![0u64; n + 1];
-    let mut s_global = vec![0u64; n + 1];
     // Recovery checkpoint: every frame whose reduction this rank observed.
     let mut ledger = SampleLedger::new(n);
-    let mut epoch = 0u32;
-    let mut dead = false;
 
-    let sample_into = |frame: &mut Vec<u64>, sampler: &mut ThreadSampler| {
-        for &v in sampler.sample(g) {
-            frame[v as usize] += 1;
+    let mut round = entry_round;
+    // Runs until the stop flag arrives (`None`) or a communicator failure
+    // ends this rank's part in the run (where, and the error).
+    let failure: Option<(&str, CommError)> = loop {
+        w.set_epoch(round);
+        audit.begin_round(my_world, round);
+
+        // Joins fire at the *start* of the scheduled round, before its
+        // sample batch; every member reads the same plan, so the grow is a
+        // collective everyone enters. The grow that admitted a newcomer is
+        // already behind it; only later join points concern it.
+        let joiners = comm.fault_plan().map_or(0, |p| p.join_at_round(u64::from(round)));
+        if joiners > 0 && (!newcomer || round > entry_round) {
+            match grow_and_rebalance(&comm, joiners, round, &ledger, &s_global, &mut audit, &w) {
+                Ok((grown, rebuilt)) => {
+                    comm = grown;
+                    s_global = rebuilt;
+                    n0 = cfg.n0(comm.size());
+                }
+                Err(e) => break Some(("grow", e)),
+            }
         }
-        frame[n] += 1;
-    };
+        let steal_round = match comm.fault_plan() {
+            Some(plan) if steal => steal_schedule(plan, &comm, n0),
+            _ => None,
+        };
+        let quota = steal_round.as_ref().map_or(n0, |st| st.own_quota(comm.rank(), n0));
 
-    loop {
-        w.set_epoch(epoch);
         // One reduction round, all failure paths typed.
-        let round = (|| -> Result<bool, CommError> {
-            // Lines 5-6: n0 local samples, drawn as one batch.
+        let round_result = (|| -> Result<bool, CommError> {
+            // Lines 5-6: this rank's quota of local samples, drawn as one
+            // batch, then what it draws on the stragglers' behalf.
             let sp = w.begin(SpanId::SampleBatch);
-            {
-                let frame = &mut s_loc;
-                sampler.sample_batch(g, n0, |interior| {
-                    for &v in interior {
-                        frame[v as usize] += 1;
-                    }
-                    frame[n] += 1;
-                });
+            sampler.sample_batch(g, quota, |interior| count_into(&mut s_loc, interior));
+            if let Some(st) = &steal_round {
+                audit.seen.samples_stolen += st.handshake(g, cfg, &comm, round, &mut s_loc, &w)?;
             }
             w.end(sp);
             // Lines 7-8: snapshot, so overlapped samples don't corrupt the
             // communication buffer.
             let snapshot = std::mem::replace(&mut s_loc, vec![0u64; n + 1]);
             // Lines 10-11: non-blocking reduce, overlapped with sampling.
+            // Under a plan test() returns false a plan-derived number of
+            // times, then resolves (or fails — also at a plan-derived poll).
             let sp = w.begin(SpanId::IreduceWait);
             let mut req = comm.ireduce_sum_u64(0, &snapshot)?;
             let mut overlapped = 0u64;
             while !req.test()? {
-                sample_into(&mut s_loc, &mut sampler);
+                count_into(&mut s_loc, sampler.sample(g));
                 overlapped += 1;
             }
             w.end(sp);
@@ -186,81 +217,75 @@ fn rank_main(
                 // true) and this rank is the reduction root, so both layers
                 // are Some.
                 let reduced = req.into_result().unwrap().expect("root receives reduction");
+                audit.absorb(&reduced);
                 let sp = w.begin(SpanId::Check);
-                let stop =
-                    fold_and_check(&mut s_global, &reduced, cfg.epsilon, omega, &calibration);
+                let stop = fold_and_check(
+                    &mut s_global,
+                    &reduced,
+                    cfg.epsilon,
+                    prepared.omega,
+                    &prepared.calibration,
+                );
                 w.end(sp);
                 d = u64::from(stop);
             }
+            audit.conserve(&comm, &snapshot, &ledger, &s_global, round)?;
+
             // Lines 15-17: broadcast the termination flag, overlapped.
             let sp = w.begin(SpanId::BcastStop);
             let mut breq = comm.ibcast_u64(0, (comm.rank() == 0).then_some(d))?;
             while !breq.test()? {
-                sample_into(&mut s_loc, &mut sampler);
+                count_into(&mut s_loc, sampler.sample(g));
                 overlapped += 1;
             }
             w.end(sp);
-            w.count(CounterId::Samples, n0 + overlapped);
+            w.count(CounterId::Samples, quota + overlapped);
+            w.count(CounterId::Epochs, 1);
             // xtask: allow(unwrap) — test() returned true above.
             Ok(breq.into_result().unwrap() != 0)
         })();
 
-        match round {
+        match round_result {
             Ok(stop) => {
-                w.count(CounterId::Epochs, 1);
+                audit.complete_round(my_world, round);
                 if stop {
-                    break;
+                    break None;
                 }
-                epoch += 1;
+                round += 1;
             }
-            Err(CommError::RankFailed { rank }) if rank == my_world => {
-                dead = true; // own scheduled crash: this rank leaves the run
-                break;
-            }
-            Err(CommError::RankFailed { .. }) => {
-                // A peer died: shrink-and-continue. The rebuilt state is
-                // Σ survivor ledgers, identical at every survivor, so the
-                // (possibly new) root resumes the stopping condition from a
-                // consistent checkpoint.
+            // A peer died: shrink-and-continue. The rebuilt state is
+            // Σ survivor ledgers, identical at every survivor, so the
+            // (possibly new) root resumes the stopping condition from a
+            // consistent checkpoint; the failed round's frames are
+            // discarded.
+            Err(CommError::RankFailed { rank }) if rank != my_world => {
                 match shrink_and_rebuild(&comm, &ledger, &w) {
                     Ok((small, rebuilt)) => {
+                        audit.membership_changed(comm.members(), small.members(), round);
                         comm = small;
                         s_global = rebuilt;
                         n0 = cfg.n0(comm.size());
-                        epoch += 1;
+                        round += 1;
                     }
-                    Err(e) if e.failed_rank() == Some(my_world) => {
-                        dead = true; // died mid-recovery
-                        break;
-                    }
-                    Err(e) => panic!("unrecoverable communicator failure: {e}"),
+                    Err(e) => break Some(("recovery", e)),
                 }
             }
-            Err(e) => panic!("unrecoverable communicator failure: {e}"),
+            Err(e) => break Some(("a reduction round", e)),
         }
-    }
+    };
     w.end(sp_ads);
-    if dead {
-        return None;
+    if let Some((phase, e)) = failure {
+        // Its own scheduled crash: this rank leaves the run.
+        own_crash_or_fatal(&e, &comm, cfg, phase, round);
+        return RankOutcome::default();
     }
 
-    if comm.rank() == 0 {
-        let tau = s_global[n];
-        let rec = w.recorder();
-        let mut stats = sampling_stats_from(rec);
-        stats.samples = tau;
-        stats.comm_bytes = comm.bytes_transferred();
-        Some(BetweennessResult {
-            scores: scores_from_counts(&s_global[..n], tau),
-            samples: tau,
-            omega,
-            vertex_diameter: vd,
-            timings: phase_timings_from(rec),
-            stats,
-        })
-    } else {
-        None
-    }
+    let result = (comm.rank() == 0).then(|| {
+        let mut result = root_result(&s_global, &prepared, w.recorder());
+        result.stats.comm_bytes = comm.bytes_transferred();
+        result
+    });
+    RankOutcome { result, seen: audit.seen }
 }
 
 #[cfg(test)]
@@ -310,9 +335,9 @@ mod tests {
         assert!(r.samples <= r.omega + 4 * cfg.n0(2) * 2 + 10_000);
     }
 
-    /// Runs the flat driver under an explicit fault plan (test-only entry:
-    /// production runs go through [`kadabra_mpi_flat_traced`], which is
-    /// free-running).
+    /// Runs the rank body under an explicit fault plan with the audit off
+    /// (test-only entry: [`kadabra_mpi_flat_traced`] is free-running, the
+    /// observed entry points switch the audit on).
     fn flat_with_plan(
         g: &Graph,
         cfg: &KadabraConfig,
@@ -320,8 +345,10 @@ mod tests {
         plan: FaultPlan,
     ) -> BetweennessResult {
         let tel = Telemetry::stats_only();
-        let results = Universe::run_with_plan(ranks, plan, |comm| rank_main(g, cfg, comm, &tel));
-        results.into_iter().find_map(|r| r).expect("a surviving root")
+        let outcomes = Universe::run_with_plan(ranks, plan, |comm| {
+            rank_main(g, cfg, ElasticRank::Founding(comm), ranks, &tel, Audit::off(), false)
+        });
+        outcomes.into_iter().find_map(|o| o.result).expect("a surviving root")
     }
 
     #[test]
@@ -352,9 +379,11 @@ mod tests {
         let cfg = KadabraConfig { epsilon: 0.06, delta: 0.1, seed: 9, ..Default::default() };
         let plan = FaultPlan::ideal(13).with_crash_at_collective(0, 3);
         let tel = Telemetry::stats_only();
-        let results = Universe::run_with_plan(3, plan, |comm| rank_main(&lcc, &cfg, comm, &tel));
-        assert!(results[0].is_none(), "the dead root cannot return a result");
-        let survivors: Vec<_> = results.into_iter().flatten().collect();
+        let outcomes = Universe::run_with_plan(3, plan, |comm| {
+            rank_main(&lcc, &cfg, ElasticRank::Founding(comm), 3, &tel, Audit::off(), false)
+        });
+        assert!(outcomes[0].result.is_none(), "the dead root cannot return a result");
+        let survivors: Vec<_> = outcomes.into_iter().filter_map(|o| o.result).collect();
         assert_eq!(survivors.len(), 1, "exactly one surviving root");
         let r = &survivors[0];
         let exact = brandes(&lcc);

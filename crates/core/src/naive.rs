@@ -11,11 +11,10 @@
 
 use crate::bounds::stopping_condition;
 use crate::config::KadabraConfig;
-use crate::phases::{calibration_samples_for_thread, diameter_phase, scores_from_counts};
+use crate::phases::{prepare, scores_from_counts, Prepared};
 use crate::result::{BetweennessResult, PhaseTimings, SamplingStats};
 use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
 use crate::sync::{AtomicBool, Ordering};
-use crate::{bounds, calibration::Calibration};
 use kadabra_graph::Graph;
 use kadabra_telemetry::Stopwatch;
 use parking_lot::Mutex;
@@ -23,22 +22,12 @@ use std::sync::Barrier;
 
 /// Runs the naive fork-join parallelization with `threads` sampling threads.
 pub fn kadabra_naive_parallel(g: &Graph, cfg: &KadabraConfig, threads: usize) -> BetweennessResult {
-    cfg.validate();
     assert!(threads >= 1);
+    // Set-up identical to the sequential version (single-threaded here; the
+    // naive scheme is about the adaptive phase).
+    let Prepared { vertex_diameter: vd, omega, calibration, diameter_time, calibration_time } =
+        prepare(g, cfg);
     let n = g.num_nodes();
-    assert!(n >= 2, "KADABRA requires at least two vertices");
-
-    let (vd, diameter_time) = diameter_phase(g, cfg);
-    let omega = bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
-
-    // Calibration identical to the epoch-based version (single-threaded here;
-    // the naive scheme is about the adaptive phase).
-    let calib_start = Stopwatch::start();
-    let mut sampler0 = ThreadSampler::new(n, cfg.seed, 0, 0);
-    let mut calib_counts = vec![0u64; n];
-    let tau0 = calibration_samples_for_thread(g, &mut sampler0, &mut calib_counts, cfg, omega, 1);
-    let calibration = Calibration::from_counts(&calib_counts, tau0, cfg);
-    let calibration_time = calib_start.elapsed();
 
     let ads_start = Stopwatch::start();
     let n0 = cfg.n0(threads).max(8); // per-thread samples per round

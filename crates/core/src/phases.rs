@@ -8,10 +8,13 @@
 use crate::bounds;
 use crate::calibration::{calibration_sample_count, Calibration};
 use crate::config::KadabraConfig;
+use crate::result::BetweennessResult;
 use crate::sampler::ThreadSampler;
+use crate::shared::{phase_timings_from, sampling_stats_from};
 use kadabra_graph::diameter::diameter;
 use kadabra_graph::{Graph, NodeId};
-use kadabra_telemetry::Stopwatch;
+use kadabra_mpisim::{CommError, Communicator};
+use kadabra_telemetry::{EventWriter, SpanId, Stopwatch, ThreadRecorder};
 use std::time::Duration;
 
 /// Output of the preparatory phases, consumed by the adaptive-sampling
@@ -67,27 +70,139 @@ pub fn calibration_samples_for_thread(
 }
 
 /// Full sequential preparation: diameter, ω, calibration on one thread.
-/// Parallel modes replicate this structure with their own communication.
 pub fn prepare(g: &Graph, cfg: &KadabraConfig) -> Prepared {
+    prepare_for_ranks(g, cfg, 1)
+}
+
+/// The set-up a `ranks`-rank world of single-threaded ranks derives
+/// collectively ([`prepare_collective`]), computed on one thread: the
+/// diameter is deterministic and the calibration streams are keyed by
+/// `(seed, rank, thread 0)`, so replaying ranks `0..ranks` reconstructs the
+/// all-reduce total exactly. Resident pools and ranks admitted mid-run
+/// build their δ budgets this way.
+pub fn prepare_for_ranks(g: &Graph, cfg: &KadabraConfig, ranks: usize) -> Prepared {
     cfg.validate();
+    assert!(ranks >= 1);
     assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
     let (vd, diameter_time) = diameter_phase(g, cfg);
     let omega = bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
 
     let calib_start = Stopwatch::start();
-    let mut sampler = ThreadSampler::new(g.num_nodes(), cfg.seed, 0, 0);
-    let mut counts = vec![0u64; g.num_nodes()];
-    let tau0 = calibration_samples_for_thread(g, &mut sampler, &mut counts, cfg, omega, 1);
-    let calibration = Calibration::from_counts(&counts, tau0, cfg);
+    let n = g.num_nodes();
+    let mut counts = vec![0u64; n];
+    let mut taken = 0u64;
+    for r in 0..ranks {
+        let mut sampler = ThreadSampler::new(n, cfg.seed, r, 0);
+        taken += calibration_samples_for_thread(g, &mut sampler, &mut counts, cfg, omega, ranks);
+    }
+    let calibration = Calibration::from_counts(&counts, taken, cfg);
     let calibration_time = calib_start.elapsed();
 
     Prepared { vertex_diameter: vd, omega, calibration, diameter_time, calibration_time }
+}
+
+/// The set-up of Algorithms 1 and 2, run collectively over `world` by ranks
+/// of `threads` sampling threads each (the flat driver passes 1).
+///
+/// Phase 1: sequential diameter at rank 0, broadcast — the other ranks
+/// idle, the Amdahl term of Fig. 2b. Phase 2: all `P·T` threads take their
+/// share of the calibration samples in parallel, blocking aggregation
+/// (`MPI_Reduce` in the paper; we all-reduce so every rank derives the same
+/// δ budgets deterministically).
+///
+/// Crash schedules are constrained to the adaptive phase, so the only
+/// failure a caller can survive here is its own rank's scheduled death.
+pub(crate) fn prepare_collective(
+    g: &Graph,
+    cfg: &KadabraConfig,
+    world: &Communicator,
+    threads: usize,
+    w: &EventWriter,
+) -> Result<Prepared, CommError> {
+    let n = g.num_nodes();
+    let my_world = world.world_rank();
+
+    let sp = w.begin(SpanId::Diameter);
+    let diameter_start = Stopwatch::start();
+    let vd = if world.rank() == 0 {
+        let (vd, _) = diameter_phase(g, cfg);
+        world.bcast_u64(0, Some(vd as u64))?
+    } else {
+        world.bcast_u64(0, None)?
+    } as u32;
+    let diameter_time = diameter_start.elapsed();
+    w.end(sp);
+    let omega = bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
+
+    let sp = w.begin(SpanId::Calibration);
+    let calib_start = Stopwatch::start();
+    let total_threads = threads * world.size();
+    let mut calib = vec![0u64; n + 1];
+    crossbeam::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move |_| {
+                    let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, t);
+                    let mut counts = vec![0u64; n];
+                    let taken = calibration_samples_for_thread(
+                        g,
+                        &mut sampler,
+                        &mut counts,
+                        cfg,
+                        omega,
+                        total_threads,
+                    );
+                    (counts, taken)
+                })
+            })
+            .collect();
+        for h in handles {
+            // xtask: allow(unwrap) — a sampler-thread panic is a bug; abort
+            // the computation with its message.
+            let (counts, taken) = h.join().expect("calibration worker");
+            for (a, c) in calib.iter_mut().zip(counts) {
+                *a += c;
+            }
+            calib[n] += taken;
+        }
+    })
+    // xtask: allow(unwrap) — children are joined above; see worker waiver.
+    .expect("calibration scope");
+    let total = world.allreduce_sum_u64(&calib)?;
+    let calibration = Calibration::from_counts(&total[..n], total[n], cfg);
+    let calibration_time = calib_start.elapsed();
+    w.end(sp);
+
+    Ok(Prepared { vertex_diameter: vd, omega, calibration, diameter_time, calibration_time })
 }
 
 /// Converts aggregated counts into normalized betweenness scores.
 pub fn scores_from_counts(counts: &[u64], tau: u64) -> Vec<f64> {
     assert!(tau > 0, "no samples to normalize by");
     counts.iter().map(|&c| c as f64 / tau as f64).collect()
+}
+
+/// The result the final root of Algorithm 1 or 2 returns: scores from its
+/// aggregated frame, timings and statistics projected from its thread-0
+/// recorder. `stats.comm_bytes` is left for the caller, which knows which
+/// communicators to sum.
+pub(crate) fn root_result(
+    s_global: &[u64],
+    prepared: &Prepared,
+    rec: &ThreadRecorder,
+) -> BetweennessResult {
+    let n = s_global.len() - 1;
+    let tau = s_global[n];
+    let mut stats = sampling_stats_from(rec);
+    stats.samples = tau;
+    BetweennessResult {
+        scores: scores_from_counts(&s_global[..n], tau),
+        samples: tau,
+        omega: prepared.omega,
+        vertex_diameter: prepared.vertex_diameter,
+        timings: phase_timings_from(rec),
+        stats,
+    }
 }
 
 /// Rank 0's per-round step shared by Algorithms 1 and 2: folds a reduced
@@ -122,6 +237,8 @@ mod tests {
     use kadabra_graph::components::largest_component;
     use kadabra_graph::csr::graph_from_edges;
     use kadabra_graph::generators::{gnm, GnmConfig};
+    use kadabra_mpisim::Universe;
+    use kadabra_telemetry::Telemetry;
 
     #[test]
     fn prepare_on_path_graph() {
@@ -143,6 +260,32 @@ mod tests {
         let b = prepare(&lcc, &cfg);
         assert_eq!(a.omega, b.omega);
         assert_eq!(a.calibration.delta_l, b.calibration.delta_l);
+    }
+
+    #[test]
+    fn replayed_setup_equals_the_collective_one() {
+        // What a rank admitted mid-run and a resident pool rely on: the
+        // one-thread replay derives the very budgets a P-rank world
+        // all-reduces at launch.
+        let g = gnm(GnmConfig { n: 40, m: 120, seed: 2 });
+        let (lcc, _) = largest_component(&g);
+        let cfg = KadabraConfig::new(0.1, 0.1);
+        let tel = Telemetry::stats_only();
+        for ranks in [1, 3] {
+            let replayed = prepare_for_ranks(&lcc, &cfg, ranks);
+            let collective = Universe::run(ranks, |comm| {
+                let w = tel.writer(comm.rank() as u32, 0);
+                prepare_collective(&lcc, &cfg, &comm, 1, &w).expect("no faults without a plan")
+            });
+            for p in collective {
+                assert_eq!(
+                    (p.vertex_diameter, p.omega, p.calibration.samples),
+                    (replayed.vertex_diameter, replayed.omega, replayed.calibration.samples)
+                );
+                assert_eq!(p.calibration.delta_l, replayed.calibration.delta_l);
+                assert_eq!(p.calibration.delta_u, replayed.calibration.delta_u);
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,8 @@
 //! post-recovery scheduling matches what a fresh launch at that scale would
 //! do.
 
+use crate::chaos::plan_summary;
+use crate::config::KadabraConfig;
 use kadabra_mpisim::{CommError, Communicator};
 use kadabra_telemetry::{CounterId, EventWriter, SpanId};
 
@@ -217,6 +219,31 @@ pub fn shrink_and_rebuild(
             }
         }
     }
+}
+
+/// Sorts a communicator failure no recovery applies to: returns when it is
+/// this rank's own scheduled crash (the caller leaves the run as a dead
+/// rank), panics otherwise. A peer's death outside the recoverable part of
+/// a round — crash schedules are constrained to the adaptive phase — a
+/// timeout or a poisoned communicator is a misconfigured plan or a bug, so
+/// the message carries the whole replay tuple: where, the sampling seed and
+/// the plan.
+pub(crate) fn own_crash_or_fatal(
+    e: &CommError,
+    comm: &Communicator,
+    cfg: &KadabraConfig,
+    phase: &str,
+    round: u32,
+) {
+    if e.failed_rank() == Some(comm.world_rank()) {
+        return;
+    }
+    panic!(
+        "unrecoverable communicator failure during {phase}, round {round} \
+         [seed {}, plan {}]: {e}",
+        cfg.seed,
+        plan_summary(comm)
+    );
 }
 
 #[cfg(test)]

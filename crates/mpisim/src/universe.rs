@@ -5,7 +5,18 @@ use crate::engine::Engine;
 use crate::error::CommError;
 use crate::fault::FaultPlan;
 use crate::health::{RankCrashState, WorldHealth};
+use std::any::Any;
 use std::sync::Arc;
+
+/// The message a rank thread panicked with, so the panic the launcher
+/// re-raises names the cause (a payload's `Debug` is just `Any { .. }`).
+fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("a non-string payload")
+}
 
 /// Entry point of the simulated MPI runtime, analogous to
 /// `MPI_Init`/`mpirun`.
@@ -148,7 +159,7 @@ impl Universe {
             let mut panics = Vec::new();
             for (world_rank, h) in handles.into_iter().enumerate() {
                 if let Err(e) = h.join() {
-                    panics.push(format!("rank {world_rank} panicked: {e:?}"));
+                    panics.push(format!("rank {world_rank} panicked: {}", panic_text(&*e)));
                 }
                 if world_rank + 1 == founding {
                     engine.health.close_join_gate();
@@ -205,7 +216,10 @@ impl Universe {
                 .collect();
             for (rank, h) in handles.into_iter().enumerate() {
                 if let Err(e) = h.join() {
-                    std::panic::resume_unwind(Box::new(format!("rank {rank} panicked: {e:?}")));
+                    std::panic::resume_unwind(Box::new(format!(
+                        "rank {rank} panicked: {}",
+                        panic_text(&*e)
+                    )));
                 }
             }
         })
