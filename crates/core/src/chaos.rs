@@ -6,7 +6,7 @@
 //! Nothing in the algorithms: [`kadabra_mpi_flat_observed`] and
 //! [`kadabra_epoch_mpi_observed`] run the rank bodies of [`crate::mpi`] and
 //! [`crate::epoch_mpi`] — the same ones the plain drivers run — in a world
-//! launched with `Universe::run_with_plan`, and hand them an [`Audit`] that
+//! launched with `Universe::run_with_plan`, and hand them an `Audit` that
 //! is switched on. The plain drivers let every overlap loop run free: how
 //! many samples a rank squeezes in while a non-blocking collective
 //! progresses depends on OS scheduling, so two runs produce different (all
@@ -45,7 +45,7 @@
 //! failure.
 
 use crate::config::{ClusterShape, KadabraConfig};
-use crate::recovery::SampleLedger;
+use crate::recovery::{plan_summary, SampleLedger};
 use crate::result::BetweennessResult;
 use crate::{epoch_mpi, mpi};
 use kadabra_epoch::CrossEpochProbe;
@@ -173,10 +173,6 @@ fn mass(frame: &[u64]) -> [u64; 2] {
     [frame[..n].iter().sum(), frame[n]]
 }
 
-pub(crate) fn plan_summary(comm: &Communicator) -> String {
-    comm.fault_plan().map_or_else(|| "no plan".to_owned(), FaultPlan::summary)
-}
-
 /// One rank's view of the run-wide audit, called by both rank bodies at the
 /// same points of a round. The plain drivers run with [`Audit::off`]:
 /// every call is then a branch on `None`/`false`, no collective is added
@@ -218,16 +214,21 @@ impl<'a> Audit<'a> {
     /// ranks that left were lost to one recovery and retire from the gap
     /// audit, ranks that arrived were admitted by a grow and enter it.
     pub(crate) fn membership_changed(&mut self, prev: &[usize], now: &[usize], round: u32) {
-        let lost = prev.iter().filter(|m| !now.contains(m));
-        let joined = now.iter().filter(|m| !prev.contains(m));
-        if let Some(p) = self.probe {
-            lost.clone().for_each(|&m| p.retire(m));
-            joined.clone().for_each(|&m| p.admit(m, round));
+        let mut lost = 0u64;
+        for &m in prev.iter().filter(|m| !now.contains(m)) {
+            if let Some(p) = self.probe {
+                p.retire(m);
+            }
+            lost += 1;
         }
-        let lost = lost.count() as u64;
+        for &m in now.iter().filter(|m| !prev.contains(m)) {
+            if let Some(p) = self.probe {
+                p.admit(m, round);
+            }
+            self.seen.ranks_joined += 1;
+        }
         self.seen.ranks_lost += lost;
         self.seen.recoveries += u64::from(lost > 0);
-        self.seen.ranks_joined += joined.count() as u64;
     }
 
     /// Root, before folding: remembers what the fold is about to absorb.

@@ -1,6 +1,6 @@
 //! Elastic scale-out of Algorithm 1: communicator grow, ledger
 //! rebalancing, and cross-rank work stealing under a deterministic
-//! [`FaultPlan`]. The round loop is [`crate::mpi::rank_main`]'s — the one
+//! [`FaultPlan`]. The round loop is `mpi::rank_main`'s — the one
 //! Algorithm-1 body — and this module holds the two protocols it calls at a
 //! round boundary and inside a round's sample batch.
 //!
@@ -11,8 +11,8 @@
 //! [`kadabra_mpisim::JoinPoint`]s schedule membership *growth*: at the start of the listed
 //! global round, every member calls [`Communicator::grow`], standby ranks
 //! parked by [`Universe::run_elastic`] are admitted, and the grown world
-//! runs a two-step rebalance ([`grow_and_rebalance`]) in lockstep with the
-//! newcomers' bootstrap ([`bootstrap_newcomer`]):
+//! runs a two-step rebalance (`grow_and_rebalance`) in lockstep with the
+//! newcomers' bootstrap (`bootstrap_newcomer`):
 //!
 //! 1. **round handoff** — the root broadcasts the current round, so
 //!    newcomers enter the adaptive loop exactly where the survivors are;
@@ -41,11 +41,11 @@
 //! slowest rank's straggler factor (the quota a straggler must produce
 //! before joining the round's reduction shrinks by its own factor).
 
-use crate::chaos::{deterministic_telemetry, finish_report, plan_summary, Audit, ChaosReport};
+use crate::chaos::{deterministic_telemetry, finish_report, Audit, ChaosReport};
 use crate::config::KadabraConfig;
 use crate::mpi::{self, count_into};
-use crate::phases::{prepare_for_ranks, Prepared};
-use crate::recovery::SampleLedger;
+use crate::phases::{prepare_for_pool, Prepared};
+use crate::recovery::{plan_summary, SampleLedger};
 use crate::sampler::ThreadSampler;
 use kadabra_epoch::CrossEpochProbe;
 use kadabra_graph::Graph;
@@ -146,7 +146,8 @@ pub(crate) fn grow_and_rebalance(
 /// The newcomer's side of the grow that admitted it into `comm`: the
 /// deterministic local recomputation of what the `founding` ranks derived
 /// collectively at launch (no collective needed), then the two lockstep
-/// rebalance collectives — a fresh ledger contributes zeros. Returns the
+/// rebalance collectives — having confirmed nothing, it contributes zeros
+/// to the ledger rebuild. Returns the
 /// set-up, the round to enter the loop at and the global state.
 pub(crate) fn bootstrap_newcomer(
     g: &Graph,
@@ -156,9 +157,9 @@ pub(crate) fn bootstrap_newcomer(
     w: &EventWriter,
 ) -> Result<(Prepared, u32, Vec<u64>), CommError> {
     let sp = w.begin(SpanId::Rebalance);
-    let prepared = prepare_for_ranks(g, cfg, founding);
+    let prepared = prepare_for_pool(g, cfg, founding, 1);
     let round = comm.bcast_u64(0, None)? as u32;
-    let rebuilt = comm.allreduce_sum_u64(SampleLedger::new(g.num_nodes()).frame())?;
+    let rebuilt = comm.allreduce_sum_u64(&vec![0u64; g.num_nodes() + 1])?;
     w.end(sp);
     Ok((prepared, round, rebuilt))
 }
@@ -291,6 +292,7 @@ mod tests {
             (FaultPlan::from_seed_with_crashes(2, 4), 4),
             (FaultPlan::ideal(21).with_crash_at_collective(1, 2), 3),
         ];
+        let mut recovered = false;
         for (plan, ranks) in plans {
             let observed =
                 kadabra_mpi_flat_observed(&g, &cfg, ranks, &ChaosOptions::all(plan.clone()));
@@ -306,10 +308,9 @@ mod tests {
                 "[{summary}]"
             );
             assert_eq!((elastic.ranks_joined, elastic.samples_stolen), (0, 0), "[{summary}]");
+            recovered |= elastic.recoveries > 0;
         }
-        let crashed = ElasticOptions::all(FaultPlan::ideal(21).with_crash_at_collective(1, 2));
-        let r = kadabra_mpi_flat_elastic(&g, &cfg, 3, 0, &crashed);
-        assert_eq!((r.ranks_lost, r.recoveries), (1, 1), "the crash never fired");
+        assert!(recovered, "no crash of the corpus fired");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! synchronized across ranks, yet stay within ±1 epoch because the global
 //! collective acts as a non-blocking barrier.
 //!
-//! [`rank_main`] is the only rank body of Algorithm 2 in this crate, and it
+//! `rank_main` is the only rank body of Algorithm 2 in this crate, and it
 //! has one schedule choice, taken from what it can observe —
 //! `world.fault_plan()`:
 //!

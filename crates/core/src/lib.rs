@@ -52,7 +52,7 @@ pub use elastic::{kadabra_mpi_flat_elastic, planned_admissions, ElasticOptions};
 pub use epoch_mpi::{kadabra_epoch_mpi, kadabra_epoch_mpi_traced};
 pub use mpi::{kadabra_mpi_flat, kadabra_mpi_flat_traced};
 pub use naive::kadabra_naive_parallel;
-pub use phases::{prepare, prepare_for_ranks, Prepared};
+pub use phases::{prepare, prepare_for_pool, Prepared};
 pub use recovery::{shrink_and_rebuild, CheckpointError, SampleLedger};
 pub use result::{BetweennessResult, PhaseTimings, SamplingStats};
 pub use revalidate::{resample_invalidated, ResampleScratch, ValidityBitmap};

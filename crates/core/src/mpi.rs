@@ -12,13 +12,13 @@
 //! counts plus τ in the last slot, so one reduction moves the entire
 //! sampling state exactly as in the paper.
 //!
-//! [`rank_main`] is the only rank body of Algorithm 1 in this crate. The
+//! `rank_main` is the only rank body of Algorithm 1 in this crate. The
 //! plain entry points below run it free (`Universe::run`: no plan, requests
 //! poll on real progress, the overlap is the paper's);
 //! [`crate::kadabra_mpi_flat_observed`] and
 //! [`crate::kadabra_mpi_flat_elastic`] run the same body in a world
 //! launched under a [`kadabra_mpisim::FaultPlan`], which the body reads back
-//! from its communicator, with the [`Audit`] switched on.
+//! from its communicator, with the `Audit` switched on.
 //!
 //! The adaptive loop is **crash-fault tolerant** (DESIGN.md §10): under a
 //! fault plan with scheduled rank crashes, survivors observe the typed

@@ -71,18 +71,18 @@ pub fn calibration_samples_for_thread(
 
 /// Full sequential preparation: diameter, ω, calibration on one thread.
 pub fn prepare(g: &Graph, cfg: &KadabraConfig) -> Prepared {
-    prepare_for_ranks(g, cfg, 1)
+    prepare_for_pool(g, cfg, 1, 1)
 }
 
-/// The set-up a `ranks`-rank world of single-threaded ranks derives
-/// collectively ([`prepare_collective`]), computed on one thread: the
+/// The set-up a world of `ranks` ranks × `threads` sampling threads derives
+/// collectively (`prepare_collective`), computed on one thread: the
 /// diameter is deterministic and the calibration streams are keyed by
-/// `(seed, rank, thread 0)`, so replaying ranks `0..ranks` reconstructs the
-/// all-reduce total exactly. Resident pools and ranks admitted mid-run
-/// build their δ budgets this way.
-pub fn prepare_for_ranks(g: &Graph, cfg: &KadabraConfig, ranks: usize) -> Prepared {
+/// `(seed, rank, thread)`, so replaying every stream of the pool
+/// reconstructs the all-reduce total exactly. Resident pools and ranks
+/// admitted mid-run build their δ budgets this way.
+pub fn prepare_for_pool(g: &Graph, cfg: &KadabraConfig, ranks: usize, threads: usize) -> Prepared {
     cfg.validate();
-    assert!(ranks >= 1);
+    assert!(ranks >= 1 && threads >= 1);
     assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
     let (vd, diameter_time) = diameter_phase(g, cfg);
     let omega = bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
@@ -91,9 +91,12 @@ pub fn prepare_for_ranks(g: &Graph, cfg: &KadabraConfig, ranks: usize) -> Prepar
     let n = g.num_nodes();
     let mut counts = vec![0u64; n];
     let mut taken = 0u64;
+    let pool = ranks * threads;
     for r in 0..ranks {
-        let mut sampler = ThreadSampler::new(n, cfg.seed, r, 0);
-        taken += calibration_samples_for_thread(g, &mut sampler, &mut counts, cfg, omega, ranks);
+        for t in 0..threads {
+            let mut sampler = ThreadSampler::new(n, cfg.seed, r, t);
+            taken += calibration_samples_for_thread(g, &mut sampler, &mut counts, cfg, omega, pool);
+        }
     }
     let calibration = Calibration::from_counts(&counts, taken, cfg);
     let calibration_time = calib_start.elapsed();
@@ -271,11 +274,11 @@ mod tests {
         let (lcc, _) = largest_component(&g);
         let cfg = KadabraConfig::new(0.1, 0.1);
         let tel = Telemetry::stats_only();
-        for ranks in [1, 3] {
-            let replayed = prepare_for_ranks(&lcc, &cfg, ranks);
+        for (ranks, threads) in [(1, 1), (3, 1), (2, 2)] {
+            let replayed = prepare_for_pool(&lcc, &cfg, ranks, threads);
             let collective = Universe::run(ranks, |comm| {
                 let w = tel.writer(comm.rank() as u32, 0);
-                prepare_collective(&lcc, &cfg, &comm, 1, &w).expect("no faults without a plan")
+                prepare_collective(&lcc, &cfg, &comm, threads, &w).expect("no plan, no faults")
             });
             for p in collective {
                 assert_eq!(

@@ -42,9 +42,8 @@
 //! post-recovery scheduling matches what a fresh launch at that scale would
 //! do.
 
-use crate::chaos::plan_summary;
 use crate::config::KadabraConfig;
-use kadabra_mpisim::{CommError, Communicator};
+use kadabra_mpisim::{CommError, Communicator, FaultPlan};
 use kadabra_telemetry::{CounterId, EventWriter, SpanId};
 
 /// Element-wise sum of every state frame this rank has contributed to an
@@ -221,6 +220,11 @@ pub fn shrink_and_rebuild(
     }
 }
 
+/// The replay handle of the plan `comm` runs under, for failure messages.
+pub(crate) fn plan_summary(comm: &Communicator) -> String {
+    comm.fault_plan().map_or_else(|| "no plan".to_owned(), FaultPlan::summary)
+}
+
 /// Sorts a communicator failure no recovery applies to: returns when it is
 /// this rank's own scheduled crash (the caller leaves the run as a dead
 /// rank), panics otherwise. A peer's death outside the recoverable part of
@@ -249,7 +253,7 @@ pub(crate) fn own_crash_or_fatal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kadabra_mpisim::{FaultPlan, Universe};
+    use kadabra_mpisim::Universe;
     use kadabra_telemetry::Telemetry;
 
     #[test]

@@ -4,9 +4,8 @@
 //! reproducible per `(graph, updates, config, seed)`.
 
 use kadabra_baselines::brandes;
-use kadabra_core::phases::{calibration_samples_for_thread, diameter_phase, scores_from_counts};
-use kadabra_core::sampler::ThreadSampler;
-use kadabra_core::{bounds, Calibration, KadabraConfig};
+use kadabra_core::phases::{prepare_for_pool, scores_from_counts};
+use kadabra_core::{Calibration, KadabraConfig};
 use kadabra_dynamic::{DynamicEngine, UpdateBatch, UpdateError};
 use kadabra_graph::csr::graph_from_edges;
 use kadabra_graph::generators::{grid, GridConfig};
@@ -20,32 +19,8 @@ const THREADS: usize = 2;
 fn setup(seed: u64, epsilon: f64) -> (Graph, KadabraConfig, u64, u32, Calibration) {
     let g = grid(GridConfig { rows: 5, cols: 5, diagonal_prob: 0.0, seed: 7 });
     let kcfg = KadabraConfig { epsilon, delta: 0.1, seed, ..Default::default() };
-    kcfg.validate();
-    let (vd, _) = diameter_phase(&g, &kcfg);
-    let omega = bounds::omega(kcfg.c, kcfg.epsilon, kcfg.delta, vd);
-    let n = g.num_nodes();
-    let total_threads = RANKS * THREADS;
-    let mut total = vec![0u64; n + 1];
-    for r in 0..RANKS {
-        for t in 0..THREADS {
-            let mut sampler = ThreadSampler::new(n, seed, r, t);
-            let mut counts = vec![0u64; n + 1];
-            let taken = calibration_samples_for_thread(
-                &g,
-                &mut sampler,
-                &mut counts[..n],
-                &kcfg,
-                omega,
-                total_threads,
-            );
-            counts[n] = taken;
-            for (a, &x) in total.iter_mut().zip(&counts) {
-                *a += x;
-            }
-        }
-    }
-    let calibration = Calibration::from_counts(&total[..n], total[n], &kcfg);
-    (g, kcfg, omega, vd, calibration)
+    let p = prepare_for_pool(&g, &kcfg, RANKS, THREADS);
+    (g, kcfg, p.omega, p.vertex_diameter, p.calibration)
 }
 
 fn engine_for(g: &Graph, kcfg: &KadabraConfig, omega: u64, vd: u32) -> DynamicEngine {

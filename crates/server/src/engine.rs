@@ -472,8 +472,7 @@ fn shrink_and_rebuild_here(
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
-    use kadabra_core::bounds;
-    use kadabra_core::phases::{calibration_samples_for_thread, diameter_phase};
+    use kadabra_core::phases::prepare_for_pool;
     use kadabra_graph::generators::{grid, GridConfig};
 
     fn setup(ranks: usize, seed: u64) -> (Graph, KadabraConfig, u64, Calibration) {
@@ -482,22 +481,8 @@ mod tests {
         // away, so the tests below observe multi-round accumulation.
         let kcfg =
             KadabraConfig { epsilon: 0.05, delta: 0.1, seed, n0_base: 200.0, ..Default::default() };
-        let (vd, _) = diameter_phase(&g, &kcfg);
-        let omega = bounds::omega(kcfg.c, kcfg.epsilon, kcfg.delta, vd);
-        let n = g.num_nodes();
-        let mut total = vec![0u64; n + 1];
-        for r in 0..ranks {
-            let mut s = ThreadSampler::new(n, kcfg.seed, r, 0);
-            let mut counts = vec![0u64; n + 1];
-            let taken =
-                calibration_samples_for_thread(&g, &mut s, &mut counts[..n], &kcfg, omega, ranks);
-            counts[n] = taken;
-            for (a, &x) in total.iter_mut().zip(&counts) {
-                *a += x;
-            }
-        }
-        let cal = Calibration::from_counts(&total[..n], total[n], &kcfg);
-        (g, kcfg, omega, cal)
+        let p = prepare_for_pool(&g, &kcfg, ranks, 1);
+        (g, kcfg, p.omega, p.calibration)
     }
 
     #[test]

@@ -13,10 +13,9 @@ use crate::cache::{EstimateCache, FrontierSnapshot, StageSnapshot};
 use crate::engine::{EngineCheckpoint, RefineEngine};
 use crate::sync::{AtomicU64, Ordering};
 use crate::QueryError;
-use kadabra_core::bounds::{self, f_bound, g_bound};
+use kadabra_core::bounds::{f_bound, g_bound};
 use kadabra_core::calibration::Calibration;
-use kadabra_core::phases::{calibration_samples_for_thread, diameter_phase};
-use kadabra_core::sampler::ThreadSampler;
+use kadabra_core::phases::{prepare_for_pool, Prepared};
 use kadabra_core::KadabraConfig;
 use kadabra_dynamic::{DynamicEngine, UpdateBatch};
 use kadabra_graph::{Graph, NodeId, Permutation};
@@ -278,31 +277,11 @@ impl Tenant {
             n0_base: cfg.n0_base,
             ..Default::default()
         };
-        kcfg.validate();
-        let (vd, _) = diameter_phase(&rg, &kcfg);
-        let omega = bounds::omega(kcfg.c, floor, cfg.delta, vd);
-
-        // Calibration, sequentially replaying each pool rank's stream so the
-        // δ budgets match what `kadabra_mpi_flat` at the same (seed, ranks)
-        // would derive.
-        let mut total = vec![0u64; n + 1];
-        for r in 0..cfg.pool_ranks {
-            let mut sampler = ThreadSampler::new(n, cfg.seed, r, 0);
-            let mut counts = vec![0u64; n + 1];
-            let taken = calibration_samples_for_thread(
-                &rg,
-                &mut sampler,
-                &mut counts[..n],
-                &kcfg,
-                omega,
-                cfg.pool_ranks,
-            );
-            counts[n] = taken;
-            for (a, &x) in total.iter_mut().zip(&counts) {
-                *a += x;
-            }
-        }
-        let calibration = Calibration::from_counts(&total[..n], total[n], &kcfg);
+        // Diameter and calibration, sequentially replaying each pool rank's
+        // stream so the δ budgets match what `kadabra_mpi_flat` at the same
+        // (seed, ranks) would derive.
+        let Prepared { vertex_diameter: vd, omega, calibration, .. } =
+            prepare_for_pool(&rg, &kcfg, cfg.pool_ranks, 1);
 
         let engine = if cfg.dynamic {
             // One sampling thread per rank: the dynamic pool's adaptive

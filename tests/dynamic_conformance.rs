@@ -16,11 +16,8 @@
 use std::collections::BTreeSet;
 
 use kadabra_mpi::baselines::brandes;
-use kadabra_mpi::core::phases::{
-    calibration_samples_for_thread, diameter_phase, scores_from_counts,
-};
-use kadabra_mpi::core::sampler::ThreadSampler;
-use kadabra_mpi::core::{bounds, Calibration, KadabraConfig};
+use kadabra_mpi::core::phases::{prepare_for_pool, scores_from_counts};
+use kadabra_mpi::core::{Calibration, KadabraConfig};
 use kadabra_mpi::dynamic::{DynamicEngine, UpdateBatch};
 use kadabra_mpi::graph::components::largest_component;
 use kadabra_mpi::graph::csr::graph_from_edges;
@@ -51,31 +48,8 @@ fn setup(
     threads: usize,
 ) -> (KadabraConfig, u64, u32, Calibration) {
     let kcfg = KadabraConfig { epsilon: EPS, delta: 0.1, seed, ..Default::default() };
-    let (vd, _) = diameter_phase(g, &kcfg);
-    let omega = bounds::omega(kcfg.c, kcfg.epsilon, kcfg.delta, vd);
-    let n = g.num_nodes();
-    let total_threads = ranks * threads;
-    let mut total = vec![0u64; n + 1];
-    for r in 0..ranks {
-        for t in 0..threads {
-            let mut sampler = ThreadSampler::new(n, seed, r, t);
-            let mut counts = vec![0u64; n + 1];
-            let taken = calibration_samples_for_thread(
-                g,
-                &mut sampler,
-                &mut counts[..n],
-                &kcfg,
-                omega,
-                total_threads,
-            );
-            counts[n] = taken;
-            for (a, &x) in total.iter_mut().zip(&counts) {
-                *a += x;
-            }
-        }
-    }
-    let calibration = Calibration::from_counts(&total[..n], total[n], &kcfg);
-    (kcfg, omega, vd, calibration)
+    let p = prepare_for_pool(g, &kcfg, ranks, threads);
+    (kcfg, p.omega, p.vertex_diameter, p.calibration)
 }
 
 fn engine_for(g: &Graph, seed: u64, ranks: usize, threads: usize) -> (DynamicEngine, Calibration) {
