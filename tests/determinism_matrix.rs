@@ -11,12 +11,15 @@
 
 use kadabra_mpi::core::{
     kadabra_epoch_mpi, kadabra_epoch_mpi_observed, kadabra_mpi_flat, kadabra_mpi_flat_elastic,
-    kadabra_mpi_flat_observed, kadabra_naive_parallel, kadabra_sequential, BetweennessResult,
-    ChaosOptions, ClusterShape, ElasticOptions, KadabraConfig,
+    kadabra_mpi_flat_observed, kadabra_naive_parallel, kadabra_sequential, prepare_for_pool,
+    BetweennessResult, ChaosOptions, ClusterShape, ElasticOptions, KadabraConfig,
 };
+use kadabra_mpi::dynamic::{DynamicEngine, UpdateBatch};
 use kadabra_mpi::graph::components::largest_component;
 use kadabra_mpi::graph::generators::{gnm, GnmConfig};
 use kadabra_mpi::mpisim::FaultPlan;
+use kadabra_mpi::server::engine::RefineEngine;
+use kadabra_mpi::telemetry::Telemetry;
 
 #[test]
 fn epoch_mpi_is_bit_identical_across_runs_over_the_seed_matrix() {
@@ -174,8 +177,14 @@ fn flat_mpi_is_bit_identical_across_runs_over_the_seed_matrix() {
 /// every score, little-endian: one word that changes if any bit of a
 /// driver's answer does.
 fn transcript_digest(r: &BetweennessResult) -> u64 {
-    let words = std::iter::once(r.samples).chain(r.scores.iter().map(|s| s.to_bits()));
+    fnv1a(std::iter::once(r.samples).chain(r.scores.iter().map(|s| s.to_bits())))
+}
+
+/// FNV-1a (64-bit) over the little-endian bytes of `words` — applied as is
+/// to a resident pool's `[c̃.., τ]` frame.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     words
+        .into_iter()
         .flat_map(u64::to_le_bytes)
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
@@ -250,4 +259,91 @@ fn golden_transcripts_hold_across_commits() {
         "flat grow + steal"
     );
     assert_eq!((grown.ranks_joined, grown.samples_stolen, grown.conservation_rounds), (2, 565, 2));
+
+    // The resident pools, on the same graph with small epochs (several
+    // rounds stay below ω = 1874). Static: rank 2 dies in round 0, the pool
+    // grows to four ranks and sheds to one.
+    let cfg = KadabraConfig { n0_base: 200.0, ..cfg };
+    let n = g.num_nodes();
+    let tel = Telemetry::stats_only();
+    let p = prepare_for_pool(&g, &cfg, 3, 1);
+    let plan = FaultPlan::ideal(42).with_crash_at_collective(2, 2);
+    let mut pool = RefineEngine::new(n, cfg, p.omega, 3, 2, plan);
+    let mut rows = Vec::new();
+    for resize in [None, None, None, Some(4), Some(1)] {
+        if let Some(ranks) = resize {
+            pool.resize(ranks);
+        }
+        let r = pool.step(&g, &p.calibration, &tel);
+        rows.push((r.tau, r.live, fnv1a(r.global)));
+    }
+    assert_eq!(
+        rows,
+        [
+            (92, 2, 0x5daf_fcfb_d11c_a3da),
+            (412, 2, 0x165c_3647_20f6_8031),
+            (732, 2, 0x93a5_4ebe_d068_ebce),
+            (988, 4, 0x2e31_cec7_4192_4055),
+            (1388, 1, 0xcc15_37e4_70c4_4008),
+        ],
+        "static pool"
+    );
+    assert_eq!(pool.last_achieved().to_bits(), 0x3fa6_a747_2433_52b9, "static pool");
+
+    // Dynamic, 2 ranks x 2 streams: converge, apply the `dynamic_chaos`
+    // fixture batch, converge tighter.
+    let p = prepare_for_pool(&g, &cfg, 2, 2);
+    let mut eng = DynamicEngine::new(
+        g.clone(),
+        cfg,
+        p.omega,
+        p.vertex_diameter,
+        2,
+        2,
+        4,
+        FaultPlan::ideal(9),
+    );
+    let r = eng.refine_until(0.04, 256, &p.calibration, &tel);
+    assert_eq!((r.tau, r.round, fnv1a(r.global)), (1536, 2, 0x06e5_b50c_d340_7c60), "dynamic");
+    let edges: Vec<_> = g.edges().collect();
+    let non_edge = (0..n as u32)
+        .flat_map(|u| (u + 1..n as u32).map(move |v| (u, v)))
+        .find(|&(u, v)| !g.has_edge(u, v))
+        .expect("the graph is not complete");
+    let batch = UpdateBatch::new(vec![non_edge], vec![edges[0], edges[edges.len() / 2]])
+        .expect("well-formed batch");
+    let up = eng.apply_update(&batch, &p.calibration, &tel).expect("valid batch");
+    assert_eq!(
+        (up.invalidated, up.retained, fnv1a(up.global)),
+        (61, 1475, 0xef2f_54d3_c4ad_e282),
+        "dynamic update"
+    );
+    let r = eng.refine_until(0.03, 256, &p.calibration, &tel);
+    assert_eq!((r.tau, r.round, fnv1a(r.global)), (2048, 3, 0xb852_927a_8adf_6dab), "dynamic");
+    assert_eq!((eng.work_edges(), eng.omega()), (115_270, 2187), "dynamic");
+
+    // One stream per rank and an ideal plan: the two pools are the same
+    // program, round for round, until τ reaches ω.
+    for ranks in [1, 2, 3] {
+        let p = prepare_for_pool(&g, &cfg, ranks, 1);
+        let plan = FaultPlan::ideal(5);
+        let mut fixed = RefineEngine::new(n, cfg, p.omega, ranks, 2, plan.clone());
+        let mut maintained =
+            DynamicEngine::new(g.clone(), cfg, p.omega, p.vertex_diameter, ranks, 1, 2, plan);
+        let mut rounds = 0;
+        loop {
+            let s = fixed.step(&g, &p.calibration, &tel);
+            let d = maintained.refine(&p.calibration, &tel);
+            if s.tau >= p.omega {
+                break;
+            }
+            assert_eq!(
+                (s.global, s.tau, s.achieved.to_bits()),
+                (d.global, d.tau, d.achieved.to_bits()),
+                "{ranks} ranks, round {rounds}"
+            );
+            rounds += 1;
+        }
+        assert!(rounds >= 3, "{ranks} ranks: ω reached after {rounds} rounds");
+    }
 }
