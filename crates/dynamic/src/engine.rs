@@ -296,6 +296,17 @@ impl DynamicEngine {
     pub fn refine(&mut self, calibration: &Calibration, tel: &Telemetry) -> DynRoundReport {
         let live = self.slots.len();
         assert!(live > 0, "refine on an empty pool");
+        if self.last_tau >= self.omega {
+            // At the cap a round has nothing to add: the a-priori bound
+            // already covers the floor (as in the static pool's `step`).
+            return DynRoundReport {
+                global: self.last_global.clone(),
+                tau: self.last_tau,
+                achieved: self.last_achieved,
+                live,
+                round: self.refine_runs,
+            };
+        }
         // Odd salts ≥ 1: crash-free (the crash schedule is reserved for the
         // first update batch — see the module docs).
         let plan = self.base_plan.reseeded(1 + 2 * self.refine_runs);
@@ -323,7 +334,8 @@ impl DynamicEngine {
         let global = results.into_iter().flatten().next().unwrap_or_else(|| vec![0u64; self.n + 1]);
         self.last_tau = global[self.n];
         self.last_achieved =
-            achieved_epsilon(&global[..self.n], self.last_tau, self.omega, calibration);
+            achieved_epsilon(&global[..self.n], self.last_tau, self.omega, calibration)
+                .min(if self.last_tau >= self.omega { self.kcfg.epsilon } else { 1.0 });
         self.last_global = global.clone();
         DynRoundReport {
             global,
@@ -440,7 +452,8 @@ impl DynamicEngine {
 
         self.last_tau = global[self.n];
         self.last_achieved =
-            achieved_epsilon(&global[..self.n], self.last_tau, self.omega, calibration);
+            achieved_epsilon(&global[..self.n], self.last_tau, self.omega, calibration)
+                .min(if self.last_tau >= self.omega { self.kcfg.epsilon } else { 1.0 });
         self.last_global = global.clone();
         let compacted = self.log.maybe_compact();
         Ok(UpdateReport {

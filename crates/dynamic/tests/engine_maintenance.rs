@@ -138,3 +138,24 @@ fn omega_ratchets_up_when_a_batch_stretches_the_graph() {
     assert!(engine.omega() >= omega_before, "ω must be monotone");
     assert!(engine.vertex_diameter() >= vd);
 }
+
+#[test]
+fn past_the_cap_a_round_draws_nothing_and_reports_the_floor() {
+    // One rule at τ ≥ ω, the static pool's: return without sampling, and
+    // report at most the floor (the a-priori bound holds for a maintained
+    // population as for a static one).
+    let (g, kcfg, omega, vd, calibration) = setup(11, 0.2);
+    let tel = Telemetry::stats_only();
+    let mut engine = engine_for(&g, &kcfg, omega, vd);
+    while engine.last_tau() < engine.omega() {
+        engine.refine(&calibration, &tel);
+    }
+    let (tau, frame, work) =
+        (engine.last_tau(), engine.last_global().to_vec(), engine.work_edges());
+    let further = engine.refine(&calibration, &tel);
+    assert_eq!((further.tau, engine.last_tau()), (tau, tau), "a round past ω drew samples");
+    assert_eq!(further.global, frame);
+    assert_eq!(engine.last_global(), frame.as_slice());
+    assert_eq!(engine.work_edges(), work);
+    assert!(further.achieved <= kcfg.epsilon, "claimed {} at the cap", further.achieved);
+}

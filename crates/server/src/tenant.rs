@@ -806,6 +806,35 @@ mod tests {
     }
 
     #[test]
+    fn a_dynamic_tenant_at_the_cap_freezes_its_floor_stage() {
+        // On this instance τ reaches ω while the adaptive bounds still
+        // stand a little above the floor (0.081 against 0.08). At the cap
+        // the a-priori bound covers the floor, so the floor stage must
+        // freeze and answer — for a maintained pool as for a static one.
+        let g = crate::testkit::corpus_graph(23);
+        for dynamic in [false, true] {
+            let tel = Telemetry::stats_only();
+            let cfg = TenantConfig {
+                dynamic,
+                schedule: vec![0.5, 0.08],
+                n0_base: 150.0,
+                ..TenantConfig::new(7)
+            };
+            let t = Tenant::build("gnm", &g, &cfg, &tel);
+            let w = tel.writer(7, 0);
+            let out = t.refine(t.floor_eps(), u32::MAX, &tel, &w);
+            assert!(out.tau >= t.omega(), "dynamic = {dynamic}: stopped short of the cap");
+            assert!(out.achieved <= t.floor_eps(), "dynamic = {dynamic}: claims {}", out.achieved);
+            let mut scratch = QueryScratch::new(t.num_vertices());
+            let mut scores = Vec::new();
+            let meta = t
+                .estimate_into(t.floor_eps(), &mut scratch, &mut scores)
+                .expect("the floor stage froze at the cap");
+            assert_eq!(meta.tau, out.tau);
+        }
+    }
+
+    #[test]
     fn resize_bumps_generation_and_conserves_tau() {
         let g = grid(GridConfig { rows: 5, cols: 5, diagonal_prob: 0.0, seed: 0 });
         let tel = Telemetry::stats_only();
