@@ -1,6 +1,6 @@
 //! Elastic scale-out of Algorithm 1: communicator grow, ledger
 //! rebalancing, and cross-rank work stealing under a deterministic
-//! [`FaultPlan`]. The round loop is `mpi::rank_main`'s — the one
+//! [`FaultPlan`]. The round loop is `mpi::adaptive_rounds` — the one
 //! Algorithm-1 body — and this module holds the two protocols it calls at a
 //! round boundary and inside a round's sample batch.
 //!
@@ -48,7 +48,7 @@ use crate::phases::{prepare_for_pool, Prepared};
 use crate::recovery::{plan_summary, SampleLedger};
 use crate::sampler::ThreadSampler;
 use kadabra_epoch::CrossEpochProbe;
-use kadabra_graph::Graph;
+use kadabra_graph::{Graph, GraphView};
 use kadabra_mpisim::{CommError, Communicator, FaultPlan, Universe};
 use kadabra_telemetry::{CounterId, EventWriter, SpanId};
 
@@ -217,9 +217,9 @@ impl StealRound {
     /// dedicated steal streams into their own `frame`. Claim sends are
     /// buffered, so no interleaving of the two loops can deadlock. Returns
     /// the samples this rank drew on stragglers' behalf.
-    pub(crate) fn handshake(
+    pub(crate) fn handshake<G: GraphView>(
         &self,
-        g: &Graph,
+        g: &G,
         cfg: &KadabraConfig,
         comm: &Communicator,
         round: u32,

@@ -33,6 +33,7 @@ pub mod epoch_mpi;
 pub mod mpi;
 pub mod naive;
 pub mod phases;
+pub mod pool;
 pub mod recovery;
 pub mod result;
 pub mod revalidate;
@@ -50,10 +51,11 @@ pub use chaos::{kadabra_epoch_mpi_observed, kadabra_mpi_flat_observed, ChaosOpti
 pub use config::{ClusterShape, KadabraConfig, KernelOptions};
 pub use elastic::{kadabra_mpi_flat_elastic, planned_admissions, ElasticOptions};
 pub use epoch_mpi::{kadabra_epoch_mpi, kadabra_epoch_mpi_traced};
-pub use mpi::{kadabra_mpi_flat, kadabra_mpi_flat_traced};
+pub use mpi::{kadabra_mpi_flat, kadabra_mpi_flat_traced, RankState, SampleSink, Stream};
 pub use naive::kadabra_naive_parallel;
 pub use phases::{prepare, prepare_for_pool, Prepared};
-pub use recovery::{shrink_and_rebuild, CheckpointError, SampleLedger};
+pub use pool::{EngineCheckpoint, PoolStatus, RoundReport, SamplerPool};
+pub use recovery::{own_crash_or_fatal, shrink_and_rebuild, CheckpointError, SampleLedger};
 pub use result::{BetweennessResult, PhaseTimings, SamplingStats};
 pub use revalidate::{resample_invalidated, ResampleScratch, ValidityBitmap};
 pub use sampler::ThreadSampler;

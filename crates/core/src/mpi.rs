@@ -12,13 +12,17 @@
 //! counts plus τ in the last slot, so one reduction moves the entire
 //! sampling state exactly as in the paper.
 //!
-//! `rank_main` is the only rank body of Algorithm 1 in this crate. The
-//! plain entry points below run it free (`Universe::run`: no plan, requests
-//! poll on real progress, the overlap is the paper's);
+//! `adaptive_rounds` is the only round loop of Algorithm 1 in the
+//! workspace, generic over what a stream does with the samples it draws
+//! ([`SampleSink`]). `rank_main` runs it to the adaptive stop after the
+//! collective set-up: the plain entry points below free (`Universe::run`: no
+//! plan, requests poll on real progress, the overlap is the paper's),
 //! [`crate::kadabra_mpi_flat_observed`] and
-//! [`crate::kadabra_mpi_flat_elastic`] run the same body in a world
-//! launched under a [`kadabra_mpisim::FaultPlan`], which the body reads back
-//! from its communicator, with the `Audit` switched on.
+//! [`crate::kadabra_mpi_flat_elastic`] in a world launched under a
+//! [`kadabra_mpisim::FaultPlan`], which the body reads back from its
+//! communicator, with the `Audit` switched on. The resident pools
+//! ([`crate::pool`]) run it a fixed number of rounds at a time on rank state
+//! they park in between, stopping inside a round only at the sample cap.
 //!
 //! The adaptive loop is **crash-fault tolerant** (DESIGN.md §10): under a
 //! fault plan with scheduled rank crashes, survivors observe the typed
@@ -37,9 +41,10 @@ use crate::phases::{fold_and_check, prepare_collective, root_result};
 use crate::recovery::{own_crash_or_fatal, shrink_and_rebuild, SampleLedger};
 use crate::result::BetweennessResult;
 use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
-use kadabra_graph::{Graph, NodeId};
-use kadabra_mpisim::{CommError, ElasticRank, Universe};
-use kadabra_telemetry::{CounterId, SpanId, Telemetry};
+use kadabra_graph::{Graph, GraphView, NodeId};
+use kadabra_mpisim::{CommError, Communicator, ElasticRank, Universe};
+use kadabra_telemetry::{CounterId, EventWriter, SpanId, Telemetry};
+use std::ops::Range;
 
 /// Runs Algorithm 1 with `ranks` simulated MPI processes (one sampling
 /// thread each). Returns the root's result.
@@ -96,6 +101,114 @@ pub(crate) fn count_into(frame: &mut [u64], interior: &[NodeId]) {
     frame[n] += 1;
 }
 
+/// What a sampling stream does with a drawn sample besides counting it
+/// into the rank's frame. Algorithm 1 confirms samples a snapshot at a
+/// time: a stream's records are, oldest first, the confirmed ones, the ones
+/// of the snapshot in flight, and the ones drawn since (the overlap).
+///
+/// Two implementors: `()` keeps nothing (the flat drivers, static
+/// tenants); the dynamic crate's `PathStore` retains every record so an
+/// edge batch can re-validate it.
+pub trait SampleSink {
+    /// One drawn sample: endpoints, shortest distance (`u32::MAX` for a
+    /// disconnected pair), interior.
+    fn record(&mut self, s: NodeId, t: NodeId, dist: u32, interior: &[NodeId]);
+    /// Everything recorded since the last snapshot goes into the reduction
+    /// that starts now.
+    fn snapshot(&mut self);
+    /// That reduction was observed complete: its samples are confirmed.
+    fn confirm(&mut self);
+    /// That reduction failed: its samples were counted nowhere and are
+    /// forgotten. The overlap stays — it is still in the rank's local frame.
+    fn discard(&mut self);
+}
+
+impl SampleSink for () {
+    #[inline]
+    fn record(&mut self, _: NodeId, _: NodeId, _: u32, _: &[NodeId]) {}
+    fn snapshot(&mut self) {}
+    fn confirm(&mut self) {}
+    fn discard(&mut self) {}
+}
+
+/// One sequential sampling stream of a rank.
+pub struct Stream<S> {
+    /// The adaptive RNG stream and its traversal scratch.
+    pub sampler: ThreadSampler,
+    /// What the stream retains of its samples.
+    pub sink: S,
+}
+
+/// The sampling state one rank carries through Algorithm 1 — and, in a
+/// resident pool, from one launch of the world to the next, so no sample is
+/// ever replayed.
+pub struct RankState<S> {
+    /// Stable identity: sampler stream coordinate and telemetry rank (the
+    /// world rank in a flat run, the slot id in a pool).
+    pub id: usize,
+    /// The rank's streams. A round's quota is split over all of them, the
+    /// overlap is drawn from the first.
+    pub streams: Vec<Stream<S>>,
+    /// Every frame whose reduction this rank observed — the recovery and
+    /// checkpoint source of truth.
+    pub ledger: SampleLedger,
+    /// S_loc: samples drawn but not yet globally confirmed (one frame,
+    /// shared by the rank's streams).
+    pub s_loc: Vec<u64>,
+}
+
+impl<S> RankState<S> {
+    /// Fresh state for rank `id` on an `n`-vertex graph: one stream per
+    /// sink, at thread coordinates `first_stream..` of `(seed, id)`.
+    pub fn new(
+        n: usize,
+        seed: u64,
+        id: usize,
+        first_stream: usize,
+        sinks: impl IntoIterator<Item = S>,
+    ) -> Self {
+        let streams = sinks
+            .into_iter()
+            .enumerate()
+            .map(|(t, sink)| Stream {
+                sampler: ThreadSampler::new(n, seed, id, first_stream + t),
+                sink,
+            })
+            .collect();
+        RankState { id, streams, ledger: SampleLedger::new(n), s_loc: vec![0u64; n + 1] }
+    }
+}
+
+/// Draws `k` samples from `stream` into the local frame and the sink.
+fn draw<G: GraphView, S: SampleSink>(g: &G, stream: &mut Stream<S>, k: u64, s_loc: &mut [u64]) {
+    let Stream { sampler, sink } = stream;
+    sampler.sample_batch_records(g, k, |s, t, dist, interior| {
+        count_into(s_loc, interior);
+        sink.record(s, t, dist, interior);
+    });
+}
+
+/// Stream `t`'s share of a rank's round quota (earlier streams take the
+/// remainder — deterministic).
+fn stream_share(quota: u64, streams: usize, t: usize) -> u64 {
+    quota / streams as u64 + u64::from((t as u64) < quota % streams as u64)
+}
+
+/// Which of its plan's membership and load schedules a world honours.
+#[derive(Clone, Copy)]
+pub(crate) struct Elastic {
+    /// First round whose scheduled joins grow the communicator; `None` for
+    /// a world launched without standbys.
+    pub(crate) grow_from: Option<u32>,
+    /// Redistribute the quota of the plan's slow ranks (DESIGN.md §15.3).
+    pub(crate) steal: bool,
+}
+
+impl Elastic {
+    /// A world of fixed membership whose ranks each draw their own quota.
+    pub(crate) const OFF: Elastic = Elastic { grow_from: None, steal: false };
+}
+
 /// Per-rank body of Algorithm 1, for a member of the `founding`-rank
 /// launch-time world (collective set-up, then the adaptive loop from round
 /// 0) and for a standby of that world (parks until a grow admits it, then
@@ -114,7 +227,7 @@ pub(crate) fn rank_main(
     steal: bool,
 ) -> RankOutcome {
     let n = g.num_nodes();
-    let (mut comm, newcomer) = match rank {
+    let (comm, newcomer) = match rank {
         ElasticRank::Founding(comm) => (comm, false),
         // Never admitted (the plan scheduled no join, or the run stopped
         // first): indistinguishable from a dead rank, by design.
@@ -134,7 +247,7 @@ pub(crate) fn rank_main(
     } else {
         prepare_collective(g, cfg, &comm, 1, &w).map(|p| (p, 0, vec![0u64; n + 1]))
     };
-    let (prepared, entry_round, mut s_global) = match setup {
+    let (prepared, entry_round, s_global) = match setup {
         Ok(t) => t,
         Err(e) => {
             own_crash_or_fatal(&e, &comm, cfg, "set-up", 0);
@@ -142,40 +255,89 @@ pub(crate) fn rank_main(
         }
     };
 
-    // Phase 3: Algorithm 1, with shrink-and-continue recovery.
-    let sp_ads = w.begin(SpanId::AdaptiveSampling);
-    let mut n0 = cfg.n0(comm.size());
-    let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET);
-    // S_loc: local state frame; s_global: aggregated frame S at the root
-    // (line 1).
-    let mut s_loc = vec![0u64; n + 1];
-    // Recovery checkpoint: every frame whose reduction this rank observed.
-    let mut ledger = SampleLedger::new(n);
+    // Phase 3: Algorithm 1 to the adaptive stop (lines 12-14: the root
+    // folds and checks). The grow that admitted a newcomer is already
+    // behind it; only later join points concern it.
+    let mut st = RankState::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET, [()]);
+    let stop = |s_global: &mut [u64], reduced: &[u64]| {
+        fold_and_check(s_global, reduced, cfg.epsilon, prepared.omega, &prepared.calibration)
+    };
+    let elastic = Elastic { grow_from: Some(entry_round + u32::from(newcomer)), steal };
+    let rounds = entry_round..u32::MAX;
+    let Some((comm, s_global)) =
+        adaptive_rounds(g, cfg, comm, &mut st, s_global, rounds, stop, elastic, &mut audit, &w)
+    else {
+        return RankOutcome::default();
+    };
 
-    let mut round = entry_round;
-    // Runs until the stop flag arrives (`None`) or a communicator failure
-    // ends this rank's part in the run (where, and the error).
+    let result = (comm.rank() == 0).then(|| {
+        let mut result = root_result(&s_global, &prepared, w.recorder());
+        result.stats.comm_bytes = comm.bytes_transferred();
+        result
+    });
+    RankOutcome { result, seen: audit.seen }
+}
+
+/// The round loop of Algorithm 1 with shrink-and-continue recovery, on
+/// rank state the caller owns: rounds `rounds` of sample, snapshot,
+/// overlapped `ireduce`, fold-and-`stop` on the root, overlapped `ibcast`
+/// of the flag, until the flag is set or the rounds run out. `s_global` is
+/// the aggregated frame S the run starts from (consulted on the root only,
+/// line 1); `stop` folds a reduced frame into it and decides. Returns the
+/// communicator the run ended on and S, or `None` when a communicator
+/// failure ended this rank's part in the run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn adaptive_rounds<G: GraphView, S: SampleSink>(
+    g: &G,
+    cfg: &KadabraConfig,
+    mut comm: Communicator,
+    st: &mut RankState<S>,
+    mut s_global: Vec<u64>,
+    rounds: Range<u32>,
+    mut stop: impl FnMut(&mut [u64], &[u64]) -> bool,
+    elastic: Elastic,
+    audit: &mut Audit<'_>,
+    w: &EventWriter,
+) -> Option<(Communicator, Vec<u64>)> {
+    let my_world = comm.world_rank();
+    let RankState { streams, ledger, s_loc, .. } = st;
+    let n = s_loc.len() - 1;
+    let threads = streams.len();
+    // A rank of T streams draws T quotas of a (P·T)-stream world.
+    let quota_at = |size: usize| cfg.n0(size * threads) * threads as u64;
+
+    let sp_ads = w.begin(SpanId::AdaptiveSampling);
+    let mut n0 = quota_at(comm.size());
+    let mut round = rounds.start;
+    // Runs until the stop flag arrives or the rounds run out (`None`), or a
+    // communicator failure ends this rank's part in the run (where, and the
+    // error).
     let failure: Option<(&str, CommError)> = loop {
+        if round >= rounds.end {
+            break None;
+        }
         w.set_epoch(round);
         audit.begin_round(my_world, round);
 
         // Joins fire at the *start* of the scheduled round, before its
         // sample batch; every member reads the same plan, so the grow is a
-        // collective everyone enters. The grow that admitted a newcomer is
-        // already behind it; only later join points concern it.
-        let joiners = comm.fault_plan().map_or(0, |p| p.join_at_round(u64::from(round)));
-        if joiners > 0 && (!newcomer || round > entry_round) {
-            match grow_and_rebalance(&comm, joiners, round, &ledger, &s_global, &mut audit, &w) {
+        // collective everyone enters.
+        let joiners = match (elastic.grow_from, comm.fault_plan()) {
+            (Some(from), Some(plan)) if round >= from => plan.join_at_round(u64::from(round)),
+            _ => 0,
+        };
+        if joiners > 0 {
+            match grow_and_rebalance(&comm, joiners, round, ledger, &s_global, audit, w) {
                 Ok((grown, rebuilt)) => {
                     comm = grown;
                     s_global = rebuilt;
-                    n0 = cfg.n0(comm.size());
+                    n0 = quota_at(comm.size());
                 }
                 Err(e) => break Some(("grow", e)),
             }
         }
         let steal_round = match comm.fault_plan() {
-            Some(plan) if steal => steal_schedule(plan, &comm, n0),
+            Some(plan) if elastic.steal => steal_schedule(plan, &comm, n0),
             _ => None,
         };
         let quota = steal_round.as_ref().map_or(n0, |st| st.own_quota(comm.rank(), n0));
@@ -183,16 +345,20 @@ pub(crate) fn rank_main(
         // One reduction round, all failure paths typed.
         let round_result = (|| -> Result<bool, CommError> {
             // Lines 5-6: this rank's quota of local samples, drawn as one
-            // batch, then what it draws on the stragglers' behalf.
+            // batch per stream, then what it draws on the stragglers'
+            // behalf.
             let sp = w.begin(SpanId::SampleBatch);
-            sampler.sample_batch(g, quota, |interior| count_into(&mut s_loc, interior));
+            for (t, stream) in streams.iter_mut().enumerate() {
+                draw(g, stream, stream_share(quota, threads, t), s_loc);
+            }
             if let Some(st) = &steal_round {
-                audit.seen.samples_stolen += st.handshake(g, cfg, &comm, round, &mut s_loc, &w)?;
+                audit.seen.samples_stolen += st.handshake(g, cfg, &comm, round, s_loc, w)?;
             }
             w.end(sp);
             // Lines 7-8: snapshot, so overlapped samples don't corrupt the
             // communication buffer.
-            let snapshot = std::mem::replace(&mut s_loc, vec![0u64; n + 1]);
+            let snapshot = std::mem::replace(s_loc, vec![0u64; n + 1]);
+            streams.iter_mut().for_each(|s| s.sink.snapshot());
             // Lines 10-11: non-blocking reduce, overlapped with sampling.
             // Under a plan test() returns false a plan-derived number of
             // times, then resolves (or fails — also at a plan-derived poll).
@@ -200,7 +366,7 @@ pub(crate) fn rank_main(
             let mut req = comm.ireduce_sum_u64(0, &snapshot)?;
             let mut overlapped = 0u64;
             while !req.test()? {
-                count_into(&mut s_loc, sampler.sample(g));
+                draw(g, &mut streams[0], 1, s_loc);
                 overlapped += 1;
             }
             w.end(sp);
@@ -209,6 +375,7 @@ pub(crate) fn rank_main(
             // checkpoint it (a failed round never reaches this line, so its
             // in-flight frame is discarded everywhere, never double-counted).
             ledger.confirm(&snapshot);
+            streams.iter_mut().for_each(|s| s.sink.confirm());
 
             // Lines 12-14: the root folds and checks.
             let mut d = 0u64;
@@ -219,23 +386,16 @@ pub(crate) fn rank_main(
                 let reduced = req.into_result().unwrap().expect("root receives reduction");
                 audit.absorb(&reduced);
                 let sp = w.begin(SpanId::Check);
-                let stop = fold_and_check(
-                    &mut s_global,
-                    &reduced,
-                    cfg.epsilon,
-                    prepared.omega,
-                    &prepared.calibration,
-                );
+                d = u64::from(stop(&mut s_global, &reduced));
                 w.end(sp);
-                d = u64::from(stop);
             }
-            audit.conserve(&comm, &snapshot, &ledger, &s_global, round)?;
+            audit.conserve(&comm, &snapshot, ledger, &s_global, round)?;
 
             // Lines 15-17: broadcast the termination flag, overlapped.
             let sp = w.begin(SpanId::BcastStop);
             let mut breq = comm.ibcast_u64(0, (comm.rank() == 0).then_some(d))?;
             while !breq.test()? {
-                count_into(&mut s_loc, sampler.sample(g));
+                draw(g, &mut streams[0], 1, s_loc);
                 overlapped += 1;
             }
             w.end(sp);
@@ -257,14 +417,16 @@ pub(crate) fn rank_main(
             // Σ survivor ledgers, identical at every survivor, so the
             // (possibly new) root resumes the stopping condition from a
             // consistent checkpoint; the failed round's frames are
-            // discarded.
+            // discarded (a no-op for a sink whose snapshot was confirmed
+            // before the failure).
             Err(CommError::RankFailed { rank }) if rank != my_world => {
-                match shrink_and_rebuild(&comm, &ledger, &w) {
+                streams.iter_mut().for_each(|s| s.sink.discard());
+                match shrink_and_rebuild(&comm, ledger, w) {
                     Ok((small, rebuilt)) => {
                         audit.membership_changed(comm.members(), small.members(), round);
                         comm = small;
                         s_global = rebuilt;
-                        n0 = cfg.n0(comm.size());
+                        n0 = quota_at(comm.size());
                         round += 1;
                     }
                     Err(e) => break Some(("recovery", e)),
@@ -277,15 +439,9 @@ pub(crate) fn rank_main(
     if let Some((phase, e)) = failure {
         // Its own scheduled crash: this rank leaves the run.
         own_crash_or_fatal(&e, &comm, cfg, phase, round);
-        return RankOutcome::default();
+        return None;
     }
-
-    let result = (comm.rank() == 0).then(|| {
-        let mut result = root_result(&s_global, &prepared, w.recorder());
-        result.stats.comm_bytes = comm.bytes_transferred();
-        result
-    });
-    RankOutcome { result, seen: audit.seen }
+    Some((comm, s_global))
 }
 
 #[cfg(test)]

@@ -232,7 +232,7 @@ pub(crate) fn plan_summary(comm: &Communicator) -> String {
 /// timeout or a poisoned communicator is a misconfigured plan or a bug, so
 /// the message carries the whole replay tuple: where, the sampling seed and
 /// the plan.
-pub(crate) fn own_crash_or_fatal(
+pub fn own_crash_or_fatal(
     e: &CommError,
     comm: &Communicator,
     cfg: &KadabraConfig,

@@ -34,7 +34,7 @@
 //! an uncapped pass only where connectivity can flip — see
 //! [`crate::engine::DynamicEngine`]).
 
-use kadabra_core::ValidityBitmap;
+use kadabra_core::{SampleSink, ValidityBitmap};
 use kadabra_graph::scratch::UNREACHED;
 use kadabra_graph::{GraphView, NodeId};
 
@@ -53,13 +53,19 @@ pub struct PathRec {
     len: u32,
 }
 
-/// Per-thread store of retained samples: fixed-width records plus a flat
-/// interior pool, mirroring (exactly) the confirmed mass in the owning
-/// rank's `SampleLedger`.
+/// Per-stream store of retained samples: fixed-width records plus a flat
+/// interior pool. As the stream's [`SampleSink`] it holds, oldest first,
+/// the records the owning rank's `SampleLedger` counts, those of the
+/// snapshot in flight, and the overlap drawn since; between a
+/// `drop_unconfirmed` and the next round it mirrors the ledger exactly.
 pub struct PathStore {
     recs: Vec<PathRec>,
     pool: Vec<NodeId>,
     spare: Vec<NodeId>,
+    /// Records `..confirmed` are counted by the ledger; `confirmed..pending`
+    /// are the snapshot in flight.
+    confirmed: usize,
+    pending: usize,
     /// Traversal scratch for redraws (separate from the sampler's, so
     /// redraw streams never perturb the adaptive stream's buffers).
     pub scratch: kadabra_graph::TraversalScratch,
@@ -74,6 +80,8 @@ impl PathStore {
             recs: Vec::new(),
             pool: Vec::new(),
             spare: Vec::new(),
+            confirmed: 0,
+            pending: 0,
             scratch: kadabra_graph::TraversalScratch::new(n),
             redraw_stats: kadabra_graph::bibfs::SearchStats::default(),
         }
@@ -116,17 +124,11 @@ impl PathStore {
         &self.pool[r.start as usize..(r.start + r.len) as usize]
     }
 
-    /// Rollback mark: pass to [`Self::truncate_to`] to drop every sample
-    /// pushed after this point (used when a reduction fails before the
-    /// epoch's frame is confirmed, keeping the store ledger-exact).
-    pub fn mark(&self) -> (usize, usize) {
-        (self.recs.len(), self.pool.len())
-    }
-
-    /// Drops every sample pushed after `mark`.
-    pub fn truncate_to(&mut self, mark: (usize, usize)) {
-        self.recs.truncate(mark.0);
-        self.pool.truncate(mark.1);
+    /// Pool offset where record `i`'s interior starts (the pool's end for
+    /// `i == len`). Records sit in the pool in order whenever marks move:
+    /// pushes append, and an update compacts before the next round.
+    fn pool_at(&self, i: usize) -> usize {
+        self.recs.get(i).map_or(self.pool.len(), |r| r.start as usize)
     }
 
     /// Replaces record `i`'s path with the redraw left in `self.scratch`
@@ -158,6 +160,32 @@ impl PathStore {
             r.start = start;
         }
         std::mem::swap(&mut self.pool, &mut self.spare);
+    }
+}
+
+impl SampleSink for PathStore {
+    fn record(&mut self, s: NodeId, t: NodeId, dist: u32, interior: &[NodeId]) {
+        self.push(s, t, dist, interior);
+    }
+
+    fn snapshot(&mut self) {
+        self.pending = self.recs.len();
+    }
+
+    fn confirm(&mut self) {
+        self.confirmed = self.pending;
+    }
+
+    /// Cuts the in-flight records out from between the confirmed ones and
+    /// the overlap, keeping the store ledger-exact after a failed reduction.
+    fn discard(&mut self) {
+        let (lo, hi) = (self.pool_at(self.confirmed), self.pool_at(self.pending));
+        self.pool.drain(lo..hi);
+        self.recs.drain(self.confirmed..self.pending);
+        for r in &mut self.recs[self.confirmed..] {
+            r.start -= (hi - lo) as u32;
+        }
+        self.pending = self.confirmed;
     }
 }
 
@@ -491,9 +519,19 @@ mod tests {
     fn store_rollback_and_pool_compaction_keep_records_exact() {
         let mut store = PathStore::new(8);
         store.push(0, 3, 2, &[1, 2]);
-        let mark = store.mark();
+        store.snapshot();
+        store.confirm();
         store.push(4, 6, 2, &[5]);
-        store.truncate_to(mark);
+        store.snapshot();
+        store.push(2, 5, 3, &[3, 4]);
+        // The reduction of the second record fails: it goes, the confirmed
+        // record before it and the overlap after it stay.
+        store.discard();
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.interior(1), &[3, 4]);
+        // And the unconfirmed rest goes with an empty snapshot of its own.
+        store.snapshot();
+        store.discard();
         assert_eq!(store.len(), 1);
         assert_eq!(store.interior(0), &[1, 2]);
         // Replace record 0's path via the scratch and compact the pool.

@@ -25,7 +25,7 @@ pub mod invalidate;
 pub mod log;
 pub mod overlay;
 
-pub use engine::{DynRoundReport, DynamicEngine, UpdateReport};
+pub use engine::{DynamicEngine, UpdateReport};
 pub use invalidate::{
     bfs_distances_into, classify_samples, vertex_diameter_bound, PathRec, PathStore, SweepScratch,
 };

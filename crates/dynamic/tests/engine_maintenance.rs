@@ -24,7 +24,44 @@ fn setup(seed: u64, epsilon: f64) -> (Graph, KadabraConfig, u64, u32, Calibratio
 }
 
 fn engine_for(g: &Graph, kcfg: &KadabraConfig, omega: u64, vd: u32) -> DynamicEngine {
-    DynamicEngine::new(g.clone(), *kcfg, omega, vd, RANKS, THREADS, 4, FaultPlan::ideal(kcfg.seed))
+    engine_under(g, kcfg, omega, vd, FaultPlan::ideal(kcfg.seed))
+}
+
+fn engine_under(
+    g: &Graph,
+    kcfg: &KadabraConfig,
+    omega: u64,
+    vd: u32,
+    plan: FaultPlan,
+) -> DynamicEngine {
+    DynamicEngine::new(g.clone(), *kcfg, omega, vd, RANKS, THREADS, 4, plan)
+}
+
+/// Records the stream stores hold beyond what the ledgers count: the
+/// overlap a round drew while its last collectives were in flight.
+fn unconfirmed_records(engine: &DynamicEngine) -> u64 {
+    let mut beyond = 0;
+    engine.pool().for_each_rank(|st| {
+        let held: u64 = st.streams.iter().map(|th| th.sink.len() as u64).sum();
+        beyond += held - st.ledger.tau();
+    });
+    beyond
+}
+
+/// The mirror invariant: per rank, the stream stores hold exactly the
+/// samples the ledger counts — Σ store interiors, one τ per record.
+fn assert_stores_mirror_ledgers(engine: &DynamicEngine) {
+    engine.pool().for_each_rank(|st| {
+        let n = st.ledger.frame().len() - 1;
+        let mut held = vec![0u64; n + 1];
+        for th in &st.streams {
+            for i in 0..th.sink.len() {
+                th.sink.interior(i).iter().for_each(|&v| held[v as usize] += 1);
+                held[n] += 1;
+            }
+        }
+        assert_eq!(held, st.ledger.frame(), "rank {}: the stores drifted off the ledger", st.id);
+    });
 }
 
 /// The batch under test: two grid edges deleted, two chords inserted.
@@ -45,9 +82,24 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 
 #[test]
 fn maintained_estimate_tracks_the_oracle_across_a_batch() {
+    tracks_the_oracle_across_a_batch(FaultPlan::ideal(42));
+}
+
+#[test]
+fn overlap_in_a_retaining_pool_is_dropped_before_classification() {
+    // Poll delays > 0: every round now leaves overlap samples in the local
+    // frames, with records in the stores. The batch must classify exactly
+    // the confirmed population all the same.
+    for seed in [42, 43] {
+        tracks_the_oracle_across_a_batch(FaultPlan::from_seed(seed));
+    }
+}
+
+fn tracks_the_oracle_across_a_batch(plan: FaultPlan) {
+    let delayed = plan.collective_delay_polls.1 > 0;
     let (g, kcfg, omega, vd, calibration) = setup(42, 0.2);
     let tel = Telemetry::stats_only();
-    let mut engine = engine_for(&g, &kcfg, omega, vd);
+    let mut engine = engine_under(&g, &kcfg, omega, vd, plan);
 
     let report = engine.refine_until(kcfg.epsilon, 64, &calibration, &tel);
     assert!(
@@ -61,9 +113,11 @@ fn maintained_estimate_tracks_the_oracle_across_a_batch() {
     assert!(diff <= kcfg.epsilon, "pre-update estimate off by {diff}");
 
     let tau_before = engine.last_tau();
+    assert_eq!(unconfirmed_records(&engine) > 0, delayed, "overlap records before the batch");
     let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
     let batch = test_batch(&edges);
     let up = engine.apply_update(&batch, &calibration, &tel).expect("batch applies");
+    assert_stores_mirror_ledgers(&engine);
     assert_eq!(up.tau, tau_before, "crash-free re-sampling must conserve τ");
     assert_eq!(up.invalidated + up.retained, tau_before, "every sample classified");
     assert!(up.invalidated > 0, "this batch provably crosses sampled paths");
@@ -80,6 +134,11 @@ fn maintained_estimate_tracks_the_oracle_across_a_batch() {
 
 #[test]
 fn the_trajectory_is_bit_reproducible() {
+    trajectory_is_bit_reproducible(FaultPlan::ideal(99));
+    trajectory_is_bit_reproducible(FaultPlan::from_seed(99));
+}
+
+fn trajectory_is_bit_reproducible(plan: FaultPlan) {
     let (g, kcfg, omega, vd, calibration) = setup(99, 0.25);
     let tel = Telemetry::stats_only();
     let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
@@ -92,8 +151,8 @@ fn the_trajectory_is_bit_reproducible() {
         (r1.global, up.global, up.invalidated, r2.global, r2.tau)
     };
 
-    let mut a = engine_for(&g, &kcfg, omega, vd);
-    let mut b = engine_for(&g, &kcfg, omega, vd);
+    let mut a = engine_under(&g, &kcfg, omega, vd, plan.clone());
+    let mut b = engine_under(&g, &kcfg, omega, vd, plan);
     let ra = run(&mut a);
     let rb = run(&mut b);
     assert_eq!(ra.0, rb.0, "pre-update frames diverged");

@@ -5,9 +5,11 @@
 //! regression test; this pass keeps it that way structurally instead of
 //! statistically. Two scopes are scanned:
 //!
-//! 1. every closure passed to a `.sample_batch(…)` call (the per-sample
-//!    consume callback runs once per drawn pair — an allocation there
-//!    multiplies by the sample count);
+//! 1. every closure passed to a `.sample_batch(…)` or
+//!    `.sample_batch_records(…)` call (the per-sample consume callback runs
+//!    once per drawn pair — an allocation there multiplies by the sample
+//!    count; the second is the one Algorithm 1's rank body passes, whose
+//!    sink may retain every record);
 //! 2. the bodies of the hot-path functions themselves — `sample_batch`,
 //!    `sample_batch_records` (which holds the per-pair loop),
 //!    `sample_shortest_path_into` and `sample` in `crates/core/src` /
@@ -40,6 +42,9 @@ use crate::{Pass, Sink, SourceFile, Workspace};
 
 /// See module docs.
 pub struct HotLoopHygiene;
+
+/// Method names whose closure argument is a per-sample consume callback.
+const BATCH_CALLS: [&str; 2] = ["sample_batch", "sample_batch_records"];
 
 /// Function names whose bodies are hot-path scope in core/graph.
 const HOT_FNS: [&str; 4] =
@@ -141,9 +146,11 @@ impl Pass for HotLoopHygiene {
             if file.is_test_path() {
                 continue;
             }
-            // Scope 1: closures handed to `.sample_batch(…)` anywhere.
+            // Scope 1: closures handed to `.sample_batch[_records](…)`
+            // anywhere.
             for i in 0..file.toks.len() {
-                if !file.is_ident(i, "sample_batch") || file.in_test(i) {
+                let Some(call) = BATCH_CALLS.iter().find(|c| file.is_ident(i, c)) else { continue };
+                if file.in_test(i) {
                     continue;
                 }
                 let Some((open, close)) = method_call(file, i) else { continue };
@@ -159,7 +166,7 @@ impl Pass for HotLoopHygiene {
                             file,
                             k + 1,
                             close,
-                            "sample_batch consume closure",
+                            &format!("{call} consume closure"),
                             &comm_api,
                             sink,
                         );

@@ -139,6 +139,40 @@ fn server_read_path_fixtures_fire_on_exactly_the_marked_lines() {
 }
 
 #[test]
+fn record_closure_fixtures_fire_on_exactly_the_marked_lines() {
+    // The hot-loop-hygiene pass's first scope covers both batch calls: the
+    // closure handed to `.sample_batch_records(…)` is the per-sample
+    // callback of every Algorithm-1 rank body and of the retaining pools.
+    // `records_bad.rs` must trip line-exactly; the sanctioned
+    // `records_good.rs` (flat interior pool, push-only) must stay clean.
+    let pass = "hot-loop-hygiene";
+    let rel = "crates/core/src/fixture.rs";
+    let (report, src) = run_case(pass, rel, true, "records_bad");
+    let expected = marker_lines(&src, pass);
+    assert!(!expected.is_empty(), "records_bad.rs carries no //~ markers");
+    let mut got: Vec<u32> =
+        report.active().filter(|f| f.pass == pass && f.file == rel).map(|f| f.line).collect();
+    got.sort_unstable();
+    got.dedup();
+    assert_eq!(got, expected, "record-closure findings landed on the wrong lines");
+    for f in report.active().filter(|f| f.pass == pass && f.file == rel) {
+        assert!(
+            f.message.contains("sample_batch_records consume closure"),
+            "finding must name the call whose closure it fired in: {}",
+            f.message
+        );
+    }
+
+    let (clean, _) = run_case(pass, rel, true, "records_good");
+    let hits: Vec<_> = clean.findings.iter().filter(|f| f.pass == pass).collect();
+    assert!(
+        hits.is_empty(),
+        "records_good.rs produced findings: {:?}",
+        hits.iter().map(|f| (f.line, f.message.as_str())).collect::<Vec<_>>()
+    );
+}
+
+#[test]
 fn dynamic_kernel_fixtures_fire_on_exactly_the_marked_lines() {
     // The hot-loop-hygiene pass's fourth scope: the streaming-update
     // apply/invalidate kernel bodies under `crates/dynamic/src`.

@@ -3,20 +3,20 @@
 //!
 //! Instead of running the driver to completion per request, the server
 //! keeps each named graph *resident* as a [`Tenant`]: a sampler pool
-//! ([`engine::RefineEngine`], reusing Algorithm 1's `sample_batch` loop and the
-//! PR 4 ledger/recovery protocol) that tightens ε round by round, publishing
-//! every consistent frame into a lock-free [`cache::EstimateCache`] that
-//! queries read without ever blocking refinement.
+//! ([`kadabra_core::pool::SamplerPool`] — Algorithm 1's rank body on parked
+//! rank state, with its ledger/recovery protocol) that tightens ε round by
+//! round, publishing every consistent frame into a lock-free
+//! [`cache::EstimateCache`] that queries read without ever blocking
+//! refinement.
 //!
 //! The moving pieces:
 //!
 //! - **[`cache`]** — double-buffered seqlock frontier plus write-once frozen
 //!   ε stages; the read path takes no locks and performs no allocation.
-//! - **[`engine`]** — the resident sampler pool: deterministic fixed-length
-//!   rounds, crash-fault tolerance by shrink-and-continue, ledger
-//!   checkpoint/restore.
 //! - **[`tenant`]** — one graph's setup phases (relabel, diameter,
-//!   calibration), query read paths, and refinement entry.
+//!   calibration), its pool (deterministic fixed-length rounds, crash-fault
+//!   tolerance by shrink-and-continue, ledger checkpoint — all
+//!   `kadabra_core::pool`'s), query read paths, and refinement entry.
 //! - **[`admission`]** — per-tenant bounded in-flight/queue gate with
 //!   load-shed.
 //! - **[`server`]** — the [`Server`]/[`Client`] front-end; every request is
@@ -28,7 +28,6 @@
 
 pub mod admission;
 pub mod cache;
-pub mod engine;
 mod server;
 mod sync;
 pub mod tenant;

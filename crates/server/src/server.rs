@@ -8,11 +8,11 @@
 //! tenant keeps refining toward the schedule floor until it is reached, so
 //! an idle server converges to its tightest ε on its own.
 
-use crate::engine::EngineCheckpoint;
 use crate::sync::{AtomicBool, AtomicU32, Ordering};
 use crate::tenant::{
     EstimateMeta, QueryScratch, RefineOutcome, Tenant, TenantConfig, UpdateOutcome, VertexEstimate,
 };
+use kadabra_core::pool::EngineCheckpoint;
 use kadabra_graph::{Graph, NodeId};
 use kadabra_telemetry::{CounterId, EventWriter, SpanId, Telemetry};
 use parking_lot::Mutex;
@@ -195,7 +195,7 @@ impl Server {
     }
 
     /// Checkpoints a tenant's sampling state (see
-    /// [`crate::engine::RefineEngine::checkpoint`]).
+    /// [`kadabra_core::pool::SamplerPool::checkpoint`]).
     pub fn checkpoint(&self, name: &str) -> Result<EngineCheckpoint, QueryError> {
         Ok(self.inner.find(name)?.checkpoint())
     }

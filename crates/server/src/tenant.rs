@@ -5,17 +5,17 @@
 //! degree-relabel (PR 5), iFUB diameter, calibration with per-rank sampler
 //! streams — so a tenant's estimates are comparable sample-for-sample with a
 //! `kadabra_mpi_flat` run at the same seed and rank count. Queries read the
-//! [`EstimateCache`] without touching the engine; refinement locks the
-//! engine and advances it in deterministic fixed-length rounds.
+//! [`EstimateCache`] without touching the pool; refinement locks the pool
+//! and advances it in deterministic fixed-length rounds.
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::cache::{EstimateCache, FrontierSnapshot, StageSnapshot};
-use crate::engine::{EngineCheckpoint, RefineEngine};
 use crate::sync::{AtomicU64, Ordering};
 use crate::QueryError;
 use kadabra_core::bounds::{f_bound, g_bound};
 use kadabra_core::calibration::Calibration;
 use kadabra_core::phases::{prepare_for_pool, Prepared};
+use kadabra_core::pool::{EngineCheckpoint, PoolStatus, RoundReport, SamplerPool};
 use kadabra_core::KadabraConfig;
 use kadabra_dynamic::{DynamicEngine, UpdateBatch};
 use kadabra_graph::{Graph, NodeId, Permutation};
@@ -37,8 +37,8 @@ pub struct TenantConfig {
     /// background pool refines toward, and the tightest `estimate` queries
     /// can ask for.
     pub schedule: Vec<f64>,
-    /// Reduction epochs per engine round — the determinism quantum (see
-    /// [`RefineEngine`]).
+    /// Reduction epochs per pool round — the determinism quantum (see
+    /// [`kadabra_core::pool`]).
     pub max_epochs_per_round: u32,
     /// Base of the epoch-length rule (smaller epochs = finer-grained
     /// rounds); defaults to the driver's `KadabraConfig` default.
@@ -197,42 +197,37 @@ pub struct RefineOutcome {
     pub live: usize,
 }
 
-/// The tenant's sampler pool: a static [`RefineEngine`], or the
-/// incremental [`DynamicEngine`] whose retained sample population is
-/// maintained across streaming edge updates.
+/// The tenant's sampler pool: one that retains nothing, stepped here, or
+/// the incremental [`DynamicEngine`] around one whose retained sample
+/// population is maintained across streaming edge updates.
 enum TenantEngine {
-    Static(Box<RefineEngine>),
+    Static {
+        pool: Box<SamplerPool<()>>,
+        /// Round `r` runs under `plan.reseeded(r)`: the crash schedule is
+        /// armed in round 0 only.
+        plan: FaultPlan,
+        epochs: u32,
+    },
     Dynamic(Box<DynamicEngine>),
 }
 
 impl TenantEngine {
-    fn live(&self) -> usize {
+    /// The pool's numbers between rounds (a dynamic pool's ω ratchets up as
+    /// updates stretch the graph).
+    fn status(&self) -> PoolStatus {
         match self {
-            TenantEngine::Static(e) => e.live(),
-            TenantEngine::Dynamic(e) => e.live(),
+            TenantEngine::Static { pool, .. } => pool.status(),
+            TenantEngine::Dynamic(e) => e.pool().status(),
         }
     }
 
-    fn last_achieved(&self) -> f64 {
+    /// One fixed-length round, under the engine's own plan-salt policy.
+    fn round(&mut self, g: &Graph, calibration: &Calibration, tel: &Telemetry) -> RoundReport {
         match self {
-            TenantEngine::Static(e) => e.last_achieved(),
-            TenantEngine::Dynamic(e) => e.last_achieved(),
-        }
-    }
-
-    fn last_tau(&self) -> u64 {
-        match self {
-            TenantEngine::Static(e) => e.last_tau(),
-            TenantEngine::Dynamic(e) => e.last_tau(),
-        }
-    }
-
-    /// The sample cap currently in force (the dynamic engine's ω ratchets
-    /// up as updates stretch the graph).
-    fn omega(&self) -> u64 {
-        match self {
-            TenantEngine::Static(e) => e.omega(),
-            TenantEngine::Dynamic(e) => e.omega(),
+            TenantEngine::Static { pool, plan, epochs } => {
+                pool.round(g, plan.reseeded(pool.status().round), *epochs, calibration, tel)
+            }
+            TenantEngine::Dynamic(e) => e.refine(calibration, tel),
         }
     }
 }
@@ -284,8 +279,8 @@ impl Tenant {
             prepare_for_pool(&rg, &kcfg, cfg.pool_ranks, 1);
 
         let engine = if cfg.dynamic {
-            // One sampling thread per rank: the dynamic pool's adaptive
-            // streams then coincide with the static engine's, so a dynamic
+            // One sampling stream per rank: the dynamic pool's adaptive
+            // streams then coincide with a static pool's, so a dynamic
             // tenant that never receives an update samples identically.
             TenantEngine::Dynamic(Box::new(DynamicEngine::new(
                 rg.clone(),
@@ -298,14 +293,11 @@ impl Tenant {
                 cfg.plan.clone(),
             )))
         } else {
-            TenantEngine::Static(Box::new(RefineEngine::new(
-                n,
-                kcfg,
-                omega,
-                cfg.pool_ranks,
-                cfg.max_epochs_per_round,
-                cfg.plan.clone(),
-            )))
+            TenantEngine::Static {
+                pool: Box::new(SamplerPool::new(n, kcfg, omega, cfg.pool_ranks, 1, || ())),
+                plan: cfg.plan.clone(),
+                epochs: cfg.max_epochs_per_round,
+            }
         };
         let tenant = Tenant {
             name: name.to_string(),
@@ -402,32 +394,17 @@ impl Tenant {
         let target = target_eps.max(self.floor);
         let mut eng = self.engine.lock();
         let mut rounds = 0u32;
-        while rounds < max_rounds
-            && eng.live() > 0
-            && eng.last_achieved() > target
-            && eng.last_tau() < eng.omega()
-        {
-            let (global, tau, achieved, round) = match &mut *eng {
-                TenantEngine::Static(e) => {
-                    let rep = e.step(&self.g, &self.calibration, tel);
-                    (rep.global, rep.tau, rep.achieved, rep.round)
-                }
-                TenantEngine::Dynamic(e) => {
-                    let rep = e.refine(&self.calibration, tel);
-                    (rep.global, rep.tau, rep.achieved, rep.round)
-                }
-            };
+        let mut at = eng.status();
+        while rounds < max_rounds && at.live > 0 && at.achieved > target && at.tau < at.omega {
+            let rep = eng.round(&self.g, &self.calibration, tel);
             let sp = w.begin(SpanId::CachePublish);
-            self.cache.publish_frontier(&global[..self.g.num_nodes()], tau, achieved, round);
+            let counts = &rep.global[..self.g.num_nodes()];
+            self.cache.publish_frontier(counts, rep.tau, rep.achieved, rep.round);
             w.end(sp);
             rounds += 1;
+            at = eng.status();
         }
-        RefineOutcome {
-            achieved: eng.last_achieved(),
-            tau: eng.last_tau(),
-            rounds_run: rounds,
-            live: eng.live(),
-        }
+        RefineOutcome { achieved: at.achieved, tau: at.tau, rounds_run: rounds, live: at.live }
     }
 
     /// Provisioned pool size (what [`Tenant::refine_elastic`] sheds back to).
@@ -437,7 +414,7 @@ impl Tenant {
 
     /// Sampler ranks currently in the pool.
     pub fn pool_ranks(&self) -> usize {
-        self.engine.lock().live()
+        self.engine.lock().status().live
     }
 
     /// Elastically resizes the pool to `ranks` sampler ranks at a round
@@ -459,30 +436,31 @@ impl Tenant {
     ) -> Result<ResizeOutcome, QueryError> {
         assert!(ranks >= 1, "a pool needs at least one sampler rank");
         let mut eng = self.engine.lock();
-        let TenantEngine::Static(e) = &mut *eng else {
+        let TenantEngine::Static { pool, .. } = &mut *eng else {
             return Err(QueryError::NotResizable);
         };
-        if e.live() == ranks {
+        let at = pool.status();
+        if at.live == ranks {
             return Ok(ResizeOutcome {
                 joined: 0,
                 shed: 0,
                 live: ranks,
                 generation: self.cache.generation(),
-                tau: e.last_tau(),
+                tau: at.tau,
             });
         }
         let sp = w.begin(SpanId::Rebalance);
-        let (joined, shed) = e.resize(ranks);
+        let (joined, shed) = pool.resize(ranks);
         if joined > 0 {
             w.count(CounterId::RanksJoined, joined as u64);
         }
-        let global = e.current_frame();
+        let global = pool.frame();
         let n = self.g.num_nodes();
         let tau = global[n];
-        let frame = (tau > 0).then(|| (&global[..n], tau, e.last_achieved(), e.round()));
+        let frame = (tau > 0).then(|| (&global[..n], tau, at.achieved, at.round));
         let generation = self.cache.advance_generation(frame);
         w.end(sp);
-        Ok(ResizeOutcome { joined, shed, live: e.live(), generation, tau })
+        Ok(ResizeOutcome { joined, shed, live: ranks, generation, tau })
     }
 
     /// Refines toward `target_eps` within a hard budget of `round_budget`
@@ -527,16 +505,11 @@ impl Tenant {
         out
     }
 
-    /// Checkpoints the engine's ledgers (see
-    /// [`crate::engine::RefineEngine::checkpoint`]).
+    /// Checkpoints the pool's ledgers (see [`SamplerPool::checkpoint`]).
     pub fn checkpoint(&self) -> EngineCheckpoint {
         match &*self.engine.lock() {
-            TenantEngine::Static(e) => e.checkpoint(),
-            TenantEngine::Dynamic(e) => EngineCheckpoint {
-                round: e.rounds(),
-                generation: 0,
-                images: e.checkpoint_ledgers(),
-            },
+            TenantEngine::Static { pool, .. } => pool.checkpoint(),
+            TenantEngine::Dynamic(e) => e.pool().checkpoint(),
         }
     }
 
@@ -581,7 +554,7 @@ impl Tenant {
             .apply_update(&batch, &self.calibration, tel)
             .map_err(|e| QueryError::BadUpdate(e.to_string()))?;
         self.omega.store(dyn_eng.omega(), Ordering::Relaxed);
-        let frame = (&rep.global[..n], rep.tau, rep.achieved, dyn_eng.rounds());
+        let frame = (&rep.global[..n], rep.tau, rep.achieved, dyn_eng.pool().status().round);
         let generation = self.cache.advance_generation(Some(frame));
         w.end(sp);
         drop(eng);
@@ -790,8 +763,28 @@ mod tests {
     fn dynamic_tenant_without_updates_matches_the_static_pool() {
         // Same seed, same pool: until the first update arrives, the dynamic
         // engine must publish the exact frames the static engine publishes.
-        let (ts, tel_s) = small_tenant(21);
-        let (td, tel_d) = small_dynamic_tenant(21);
+        check_dynamic_matches_static(|dynamic| {
+            if dynamic {
+                small_dynamic_tenant(21)
+            } else {
+                small_tenant(21)
+            }
+        });
+        // Also where τ reaches ω while the adaptive bounds still stand a
+        // little above the floor (0.081 against 0.08): the a-priori bound
+        // then covers the floor, so both floor stages must freeze.
+        let g = crate::testkit::corpus_graph(23);
+        let cfg =
+            TenantConfig { schedule: vec![0.5, 0.08], n0_base: 150.0, ..TenantConfig::new(7) };
+        check_dynamic_matches_static(|dynamic| {
+            let tel = Telemetry::stats_only();
+            (Tenant::build("gnm", &g, &TenantConfig { dynamic, ..cfg.clone() }, &tel), tel)
+        });
+    }
+
+    fn check_dynamic_matches_static(build: impl Fn(bool) -> (Tenant, Telemetry)) {
+        let (ts, tel_s) = build(false);
+        let (td, tel_d) = build(true);
         let (ws, wd) = (tel_s.writer(7, 0), tel_d.writer(7, 0));
         let s = ts.refine(ts.floor_eps(), 64, &tel_s, &ws);
         let d = td.refine(td.floor_eps(), 64, &tel_d, &wd);
@@ -803,35 +796,6 @@ mod tests {
         ts.estimate_into(ts.floor_eps(), &mut sc_s, &mut out_s).expect("static stage");
         td.estimate_into(td.floor_eps(), &mut sc_d, &mut out_d).expect("dynamic stage");
         assert_eq!(out_s, out_d, "estimate vectors diverged");
-    }
-
-    #[test]
-    fn a_dynamic_tenant_at_the_cap_freezes_its_floor_stage() {
-        // On this instance τ reaches ω while the adaptive bounds still
-        // stand a little above the floor (0.081 against 0.08). At the cap
-        // the a-priori bound covers the floor, so the floor stage must
-        // freeze and answer — for a maintained pool as for a static one.
-        let g = crate::testkit::corpus_graph(23);
-        for dynamic in [false, true] {
-            let tel = Telemetry::stats_only();
-            let cfg = TenantConfig {
-                dynamic,
-                schedule: vec![0.5, 0.08],
-                n0_base: 150.0,
-                ..TenantConfig::new(7)
-            };
-            let t = Tenant::build("gnm", &g, &cfg, &tel);
-            let w = tel.writer(7, 0);
-            let out = t.refine(t.floor_eps(), u32::MAX, &tel, &w);
-            assert!(out.tau >= t.omega(), "dynamic = {dynamic}: stopped short of the cap");
-            assert!(out.achieved <= t.floor_eps(), "dynamic = {dynamic}: claims {}", out.achieved);
-            let mut scratch = QueryScratch::new(t.num_vertices());
-            let mut scores = Vec::new();
-            let meta = t
-                .estimate_into(t.floor_eps(), &mut scratch, &mut scores)
-                .expect("the floor stage froze at the cap");
-            assert_eq!(meta.tau, out.tau);
-        }
     }
 
     #[test]

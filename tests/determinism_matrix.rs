@@ -12,13 +12,12 @@
 use kadabra_mpi::core::{
     kadabra_epoch_mpi, kadabra_epoch_mpi_observed, kadabra_mpi_flat, kadabra_mpi_flat_elastic,
     kadabra_mpi_flat_observed, kadabra_naive_parallel, kadabra_sequential, prepare_for_pool,
-    BetweennessResult, ChaosOptions, ClusterShape, ElasticOptions, KadabraConfig,
+    BetweennessResult, ChaosOptions, ClusterShape, ElasticOptions, KadabraConfig, SamplerPool,
 };
 use kadabra_mpi::dynamic::{DynamicEngine, UpdateBatch};
 use kadabra_mpi::graph::components::largest_component;
 use kadabra_mpi::graph::generators::{gnm, GnmConfig};
 use kadabra_mpi::mpisim::FaultPlan;
-use kadabra_mpi::server::engine::RefineEngine;
 use kadabra_mpi::telemetry::Telemetry;
 
 #[test]
@@ -267,14 +266,16 @@ fn golden_transcripts_hold_across_commits() {
     let n = g.num_nodes();
     let tel = Telemetry::stats_only();
     let p = prepare_for_pool(&g, &cfg, 3, 1);
+    // A static tenant's plan policy: round r runs under `reseeded(r)`.
     let plan = FaultPlan::ideal(42).with_crash_at_collective(2, 2);
-    let mut pool = RefineEngine::new(n, cfg, p.omega, 3, 2, plan);
+    let mut pool = SamplerPool::new(n, cfg, p.omega, 3, 1, || ());
     let mut rows = Vec::new();
     for resize in [None, None, None, Some(4), Some(1)] {
         if let Some(ranks) = resize {
             pool.resize(ranks);
         }
-        let r = pool.step(&g, &p.calibration, &tel);
+        let salted = plan.reseeded(pool.status().round);
+        let r = pool.round(&g, salted, 2, &p.calibration, &tel);
         rows.push((r.tau, r.live, fnv1a(r.global)));
     }
     assert_eq!(
@@ -288,7 +289,7 @@ fn golden_transcripts_hold_across_commits() {
         ],
         "static pool"
     );
-    assert_eq!(pool.last_achieved().to_bits(), 0x3fa6_a747_2433_52b9, "static pool");
+    assert_eq!(pool.status().achieved.to_bits(), 0x3fa6_a747_2433_52b9, "static pool");
 
     // Dynamic, 2 ranks x 2 streams: converge, apply the `dynamic_chaos`
     // fixture batch, converge tighter.
@@ -327,12 +328,21 @@ fn golden_transcripts_hold_across_commits() {
     for ranks in [1, 2, 3] {
         let p = prepare_for_pool(&g, &cfg, ranks, 1);
         let plan = FaultPlan::ideal(5);
-        let mut fixed = RefineEngine::new(n, cfg, p.omega, ranks, 2, plan.clone());
-        let mut maintained =
-            DynamicEngine::new(g.clone(), cfg, p.omega, p.vertex_diameter, ranks, 1, 2, plan);
+        let mut fixed = SamplerPool::new(n, cfg, p.omega, ranks, 1, || ());
+        let mut maintained = DynamicEngine::new(
+            g.clone(),
+            cfg,
+            p.omega,
+            p.vertex_diameter,
+            ranks,
+            1,
+            2,
+            plan.clone(),
+        );
         let mut rounds = 0;
         loop {
-            let s = fixed.step(&g, &p.calibration, &tel);
+            let salted = plan.reseeded(fixed.status().round);
+            let s = fixed.round(&g, salted, 2, &p.calibration, &tel);
             let d = maintained.refine(&p.calibration, &tel);
             if s.tau >= p.omega {
                 break;
