@@ -196,16 +196,16 @@ impl<S: SampleSink + Send> SamplerPool<S> {
 
     /// Re-reads τ and the supported accuracy off the ledgers — after a
     /// round, and after any surgery on them or on ω outside one — and
-    /// reports them as round `round`'s (between rounds: the next one's). One
-    /// rule at the cap: once τ ≥ ω the a-priori bound holds, so the claim is
-    /// at most the floor.
-    pub fn refresh(&mut self, calibration: &Calibration, round: u64) -> RoundReport {
+    /// reports the state in a round's shape (`round`: the next one's index).
+    /// One rule at the cap: once τ ≥ ω the a-priori bound holds, so the
+    /// claim is at most the floor.
+    pub fn refresh(&mut self, calibration: &Calibration) -> RoundReport {
         let global = self.frame();
-        let tau = global[self.n];
+        let (tau, live, round) = (global[self.n], self.slots.len(), self.round);
         self.last_tau = tau;
         self.last_achieved = achieved_epsilon(&global[..self.n], tau, self.omega, calibration)
             .min(if tau >= self.omega { self.kcfg.epsilon } else { 1.0 });
-        RoundReport { global, tau, achieved: self.last_achieved, live: self.slots.len(), round }
+        RoundReport { global, tau, achieved: self.last_achieved, live, round }
     }
 
     /// Launches a world of the live ranks under `plan` and runs `body` on
@@ -243,7 +243,7 @@ impl<S: SampleSink + Send> SamplerPool<S> {
     ) -> RoundReport {
         assert!(epochs >= 1, "a round must run at least one epoch");
         if self.slots.is_empty() || self.last_tau >= self.omega {
-            return self.refresh(calibration, self.round);
+            return self.refresh(calibration);
         }
         let (n, kcfg, omega) = (self.n, self.kcfg, self.omega);
         let start = self.frame();
@@ -273,8 +273,9 @@ impl<S: SampleSink + Send> SamplerPool<S> {
             )
             .map(drop)
         });
+        let report = self.refresh(calibration);
         self.round += 1;
-        self.refresh(calibration, self.round - 1)
+        report
     }
 
     /// Drops every sample drawn but never confirmed: the overlap a round
@@ -284,6 +285,7 @@ impl<S: SampleSink + Send> SamplerPool<S> {
         for slot in &mut self.slots {
             let st = slot.get_mut();
             for stream in &mut st.streams {
+                // A snapshot of the whole unconfirmed tail, discarded.
                 stream.sink.snapshot();
                 stream.sink.discard();
             }

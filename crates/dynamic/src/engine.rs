@@ -1,13 +1,10 @@
 //! The incremental sampling engine: what is *dynamic* about a dynamic
-//! tenant, on top of the resident pool every tenant samples with
-//! (`kadabra_core::pool`). The pool's streams record every sample they
-//! draw — `(s, t, L)` plus its interior — in a per-stream [`PathStore`],
-//! and refinement rounds traverse the [`DeltaLog`]'s overlay view, so the
-//! retained population is *maintained* across streaming edge updates
-//! instead of being redrawn from scratch, and no CSR rebuild sits between a
-//! batch and the next epoch. This file holds the log, the sweeps, the
-//! per-rank update body, the ω ratchet and the fault-plan salts; the round
-//! itself is the pool's.
+//! tenant — the [`DeltaLog`], the sweeps, the per-rank update body, the ω
+//! ratchet and the fault-plan salts — around the resident pool every tenant
+//! samples with (`kadabra_core::pool`). The pool's streams record every
+//! sample they draw in a [`PathStore`] and its rounds traverse the log's
+//! overlay view, so the retained population is *maintained* across edge
+//! updates and no CSR rebuild sits between a batch and the next epoch.
 //!
 //! An update batch ([`DynamicEngine::apply_update`]) runs the §14 pipeline:
 //!
@@ -29,11 +26,9 @@
 //! # The mirror invariant
 //!
 //! Classification reads the stores, the transaction writes the ledger: at
-//! that moment every stream's store must hold exactly the samples its
-//! rank's ledger counts. A round leaves the overlap it drew while its last
-//! collectives were in flight in the local frames — unconfirmed, with
-//! records in the stores — so `apply_update` drops those first
-//! (`SamplerPool::drop_unconfirmed`), in that one place.
+//! that moment every store must hold exactly the samples its rank's ledger
+//! counts. A round parks its last overlap unconfirmed, with records in the
+//! stores, so `apply_update` drops it first (DESIGN.md §14.4).
 //!
 //! # Fault-plan policy
 //!
@@ -205,7 +200,7 @@ impl DynamicEngine {
         calibration: &Calibration,
         tel: &Telemetry,
     ) -> RoundReport {
-        let mut report = self.pool.refresh(calibration, self.pool.status().round);
+        let mut report = self.pool.refresh(calibration);
         let mut rounds = 0;
         while report.achieved > target_eps
             && report.tau < self.omega()
@@ -276,7 +271,7 @@ impl DynamicEngine {
 
         // Σ survivor ledgers — post-transaction — is the maintained frame
         // on the *new* graph.
-        let rep = self.pool.refresh(calibration, self.pool.status().round);
+        let rep = self.pool.refresh(calibration);
         let compacted = self.log.maybe_compact();
         Ok(UpdateReport {
             seq,
@@ -396,7 +391,8 @@ fn run_update(
     w.end(sp_update);
     if let Err(e) = joined {
         // Its own scheduled crash: this rank leaves the pool.
-        own_crash_or_fatal(&e, &comm, kcfg, "an update batch", seq as u32);
+        let batch = u32::try_from(seq).unwrap_or(u32::MAX);
+        own_crash_or_fatal(&e, &comm, kcfg, "an update batch", batch);
         return None;
     }
     Some((invalidated, retained))
