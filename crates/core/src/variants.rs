@@ -19,11 +19,9 @@ use crate::calibration::{calibration_sample_count, Calibration};
 use crate::config::KadabraConfig;
 use crate::phases::scores_from_counts;
 use crate::result::{BetweennessResult, PhaseTimings, SamplingStats};
-use kadabra_graph::digraph::{directed_bfs, sample_directed_shortest_path, DiGraph};
-use kadabra_graph::scratch::{TraversalScratch, UNREACHED};
-use kadabra_graph::weighted::{
-    estimate_vertex_diameter, sample_weighted_shortest_path, WeightedGraph,
-};
+use kadabra_graph::digraph::{sample_directed_shortest_path, vertex_diameter_upper, DiGraph};
+use kadabra_graph::scratch::TraversalScratch;
+use kadabra_graph::weighted::{self, sample_weighted_shortest_path, WeightedGraph};
 use kadabra_graph::NodeId;
 use kadabra_telemetry::Stopwatch;
 use rand::rngs::StdRng;
@@ -69,24 +67,7 @@ impl PathSource for DirectedSource<'_> {
     }
 
     fn vertex_diameter_upper(&self, _cfg: &KadabraConfig) -> u32 {
-        // Directed eccentricity probing: BFS from a few high-out-degree
-        // vertices; double the largest finite eccentricity (the probes may
-        // miss the true diameter; doubling compensates in the same spirit as
-        // the iFUB budget fallback — only running time is affected).
-        let n = self.graph.num_nodes();
-        let mut roots: Vec<NodeId> = (0..n as NodeId).collect();
-        roots.sort_by_key(|&v| std::cmp::Reverse(self.graph.out_degree(v)));
-        roots.truncate(4);
-        let mut ecc = 1u32;
-        for &r in &roots {
-            let dist = directed_bfs(self.graph, r);
-            for &d in &dist {
-                if d != UNREACHED {
-                    ecc = ecc.max(d);
-                }
-            }
-        }
-        2 * ecc + 2
+        vertex_diameter_upper(self.graph)
     }
 
     fn sample_path<R: Rng + ?Sized>(
@@ -121,7 +102,7 @@ impl PathSource for WeightedSource<'_> {
     }
 
     fn vertex_diameter_upper(&self, _cfg: &KadabraConfig) -> u32 {
-        estimate_vertex_diameter(self.graph, 3, 0)
+        weighted::vertex_diameter_upper(self.graph)
     }
 
     fn sample_path<R: Rng + ?Sized>(

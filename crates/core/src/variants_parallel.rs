@@ -83,7 +83,7 @@ impl ParallelPathSource for WeightedGraph {
     }
 
     fn vertex_diameter_upper(&self, _cfg: &KadabraConfig) -> u32 {
-        kadabra_graph::weighted::estimate_vertex_diameter(self, 3, 0)
+        kadabra_graph::weighted::vertex_diameter_upper(self)
     }
 
     fn thread_state(&self) {}

@@ -111,24 +111,66 @@ impl std::fmt::Debug for DiGraph {
     }
 }
 
-/// Directed BFS distances from `source` along out-edges.
-pub fn directed_bfs(g: &DiGraph, source: NodeId) -> Vec<u32> {
-    let n = g.num_nodes();
-    let mut dist = vec![UNREACHED; n];
+/// BFS from `source` into `dist` along out-arcs (`fwd`), in-arcs (`bwd`) or
+/// both (the underlying undirected graph). Vertices `dist` already holds a
+/// distance for are not re-entered, so one array serves a sweep over all
+/// components. Returns how many vertices this call reached and the largest
+/// distance among them.
+fn bfs_over(g: &DiGraph, source: NodeId, fwd: bool, bwd: bool, dist: &mut [u32]) -> (usize, u32) {
     let mut queue = vec![source];
     dist[source as usize] = 0;
     let mut head = 0;
+    let mut ecc = 0;
     while head < queue.len() {
         let u = queue[head];
         head += 1;
-        for &v in g.out_neighbors(u) {
+        ecc = dist[u as usize];
+        let out = if fwd { g.out_neighbors(u) } else { &[] };
+        let inn = if bwd { g.in_neighbors(u) } else { &[] };
+        for &v in out.iter().chain(inn) {
             if dist[v as usize] == UNREACHED {
-                dist[v as usize] = dist[u as usize] + 1;
+                dist[v as usize] = ecc + 1;
                 queue.push(v);
             }
         }
     }
+    (queue.len(), ecc)
+}
+
+/// Directed BFS distances from `source` along out-edges.
+pub fn directed_bfs(g: &DiGraph, source: NodeId) -> Vec<u32> {
+    let mut dist = vec![UNREACHED; g.num_nodes()];
+    bfs_over(g, source, true, false, &mut dist);
     dist
+}
+
+/// Upper bound on the vertex diameter of `g` (vertices of the longest
+/// shortest directed path) — the input to KADABRA's ω, which is a sample
+/// *cap*: an underestimate here voids the (ε, δ) guarantee, an overestimate
+/// costs ⌊log₂⌋ steps of ω.
+///
+/// A shortest path lies inside one weakly connected component, so the
+/// vertex count of the largest one is always sound. When one root reaches
+/// every vertex and is reached by every vertex, `d(s, t) ≤ d(s, root) +
+/// d(root, t)` gives the tighter `ecc_in + ecc_out + 1`.
+pub fn vertex_diameter_upper(g: &DiGraph) -> u32 {
+    let n = g.num_nodes();
+    let Some(root) = (0..n as NodeId).max_by_key(|&v| g.out_degree(v)) else { return 0 };
+    let mut dist = vec![UNREACHED; n];
+    let (reached_out, ecc_out) = bfs_over(g, root, true, false, &mut dist);
+    dist.fill(UNREACHED);
+    let (reached_in, ecc_in) = bfs_over(g, root, false, true, &mut dist);
+    if reached_out == n && reached_in == n {
+        return (ecc_in + ecc_out + 1).min(n as u32);
+    }
+    dist.fill(UNREACHED);
+    let mut largest = 0;
+    for v in 0..n as NodeId {
+        if dist[v as usize] == UNREACHED {
+            largest = largest.max(bfs_over(g, v, true, true, &mut dist).0);
+        }
+    }
+    largest as u32
 }
 
 /// Result of a directed path sample (same semantics as the undirected
@@ -469,6 +511,21 @@ mod tests {
         let paths = enumerate_directed_shortest_paths(&g, 0, 3);
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0], vec![1, 2]);
+    }
+
+    #[test]
+    fn vertex_diameter_bound_covers_a_chain_beside_high_degree_stars() {
+        // Four out-stars own every high-out-degree vertex; the longest
+        // shortest path is the 10-chain none of them reaches.
+        let mut arcs: Vec<(NodeId, NodeId)> = (0..9).map(|v| (v, v + 1)).collect();
+        for star in 0..4 {
+            let hub = 10 + star * 6;
+            arcs.extend((1..6).map(|leaf| (hub, hub + leaf)));
+        }
+        let g = DiGraph::from_arcs(34, &arcs);
+        assert!(vertex_diameter_upper(&g) >= 10);
+        // Strongly connected: two BFS from one root, capped at n.
+        assert_eq!(vertex_diameter_upper(&cycle(6)), 6);
     }
 
     #[test]

@@ -262,46 +262,43 @@ pub fn enumerate_weighted_shortest_paths(
     paths
 }
 
-/// Maximum number of *vertices* on any sampled shortest path — the weighted
-/// analogue of the vertex diameter KADABRA's ω needs. Estimated from `k`
-/// Dijkstra sweeps (double-sweep style: each sweep roots at the hop-farthest
-/// vertex of the previous one). An underestimate only loosens the
-/// approximation, never correctness, because the result is doubled.
-pub fn estimate_vertex_diameter(g: &WeightedGraph, sweeps: usize, start: NodeId) -> u32 {
+/// Upper bound on the vertex diameter of `g` (vertices of the longest
+/// minimum-weight path) — the input to KADABRA's ω, which is a sample *cap*:
+/// an underestimate here voids the (ε, δ) guarantee, an overestimate costs
+/// ⌊log₂⌋ steps of ω.
+///
+/// A shortest path lies inside one connected component, so the vertex count
+/// of the largest one is always sound. On a connected graph every distance
+/// is at most `2·ecc(root)` and every hop weighs at least `w_min`, which
+/// bounds the hops of any shortest path by `2·ecc(root) / w_min`.
+pub fn vertex_diameter_upper(g: &WeightedGraph) -> u32 {
     let n = g.num_nodes();
-    if n == 0 {
-        return 0;
-    }
-    let mut root = start;
-    let mut best_hops = 1u32;
-    for _ in 0..sweeps.max(1) {
-        let (dist, _, order) = dijkstra_sigma(g, root, None);
-        // Hop count along predecessor chains: recompute by following any
-        // predecessor; per settled vertex the hop count is 1 + predecessor's.
-        let mut hops = vec![0u32; n];
-        let mut far = root;
-        for &v in &order {
-            if v == root {
-                continue;
-            }
-            let mut best = 0u32;
-            for (u, w) in g.neighbors(v) {
-                if dist[u as usize] != UNREACHED_W
-                    && dist[u as usize] + w as Dist == dist[v as usize]
-                {
-                    best = best.max(hops[u as usize]);
+    let mut seen = vec![false; n];
+    let mut stack = Vec::new();
+    let mut largest = 0usize;
+    for root in 0..n as NodeId {
+        if std::mem::replace(&mut seen[root as usize], true) {
+            continue;
+        }
+        let mut size = 0;
+        stack.push(root);
+        while let Some(u) = stack.pop() {
+            size += 1;
+            for (v, _) in g.neighbors(u) {
+                if !std::mem::replace(&mut seen[v as usize], true) {
+                    stack.push(v);
                 }
             }
-            hops[v as usize] = best + 1;
-            if hops[v as usize] > hops[far as usize] {
-                far = v;
-            }
         }
-        best_hops = best_hops.max(hops[far as usize] + 1);
-        root = far;
+        largest = largest.max(size);
     }
-    // Double for an upper-bound flavour (see doc comment).
-    (2 * best_hops).max(2)
+    let Some(&w_min) = g.weights.iter().min() else { return largest as u32 };
+    if largest < n {
+        return largest as u32;
+    }
+    let (dist, _, _) = dijkstra_sigma(g, 0, None);
+    let ecc = dist.iter().copied().max().unwrap_or(0);
+    (2 * ecc / w_min as Dist + 1).min(n as Dist) as u32
 }
 
 #[cfg(test)]
@@ -433,10 +430,15 @@ mod tests {
     }
 
     #[test]
-    fn vertex_diameter_estimate_covers_path() {
-        let g = wpath(20, 5);
-        let vd = estimate_vertex_diameter(&g, 2, 0);
-        assert!(vd >= 20, "path of 20 vertices needs vd >= 20, got {vd}");
+    fn vertex_diameter_bound_covers_path() {
+        assert_eq!(vertex_diameter_upper(&wpath(20, 5)), 20);
+        // Vertex 0 sits in a 2-vertex component beside a unit 10-path.
+        let mut edges = vec![(0, 1, 1)];
+        edges.extend((2..11).map(|v| (v, v + 1, 1)));
+        assert!(vertex_diameter_upper(&WeightedGraph::from_edges(12, &edges)) >= 10);
+        // Connected, uniform weights: twice the weighted eccentricity in hops.
+        let star = WeightedGraph::from_edges(5, &[(0, 1, 3), (0, 2, 3), (0, 3, 3), (0, 4, 3)]);
+        assert_eq!(vertex_diameter_upper(&star), 3);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property-based tests for the directed and weighted graph variants.
 
 use kadabra_graph::digraph::{
-    directed_bfs, enumerate_directed_shortest_paths, sample_directed_shortest_path, DiGraph,
+    self, directed_bfs, enumerate_directed_shortest_paths, sample_directed_shortest_path, DiGraph,
 };
 use kadabra_graph::scratch::{TraversalScratch, UNREACHED};
 use kadabra_graph::weighted::{
-    dijkstra_sigma, enumerate_weighted_shortest_paths, sample_weighted_shortest_path,
+    self, dijkstra_sigma, enumerate_weighted_shortest_paths, sample_weighted_shortest_path,
     WeightedGraph, UNREACHED_W,
 };
 use kadabra_graph::NodeId;
@@ -69,6 +69,38 @@ proptest! {
                 prop_assert_eq!(p.num_paths as usize, all.len());
             }
         }
+    }
+
+    #[test]
+    fn directed_vertex_diameter_bound_is_an_upper_bound((n, arcs) in arb_arcs(25, 60)) {
+        // Sparse draws leave most of these digraphs disconnected.
+        let g = DiGraph::from_arcs(n, &arcs);
+        let longest = (0..n as NodeId)
+            .flat_map(|s| directed_bfs(&g, s))
+            .filter(|&d| d != UNREACHED)
+            .max()
+            .unwrap_or(0);
+        prop_assert!(digraph::vertex_diameter_upper(&g) > longest);
+    }
+
+    #[test]
+    fn weighted_vertex_diameter_bound_is_an_upper_bound((n, edges) in arb_weighted(20, 40)) {
+        // The most hops of any minimum-weight path: per source, the longest
+        // chain in the shortest-path DAG, filled in settling order.
+        let g = WeightedGraph::from_edges(n, &edges);
+        let mut longest = 0u32;
+        for s in 0..n as NodeId {
+            let (dist, _, order) = dijkstra_sigma(&g, s, None);
+            let mut hops = vec![0u32; n];
+            for &v in &order[1..] {
+                let preds = g.neighbors(v).filter(|&(u, w)| {
+                    dist[u as usize] != UNREACHED_W && dist[u as usize] + w as u64 == dist[v as usize]
+                });
+                hops[v as usize] = 1 + preds.map(|(u, _)| hops[u as usize]).max().unwrap_or(0);
+                longest = longest.max(hops[v as usize]);
+            }
+        }
+        prop_assert!(weighted::vertex_diameter_upper(&g) > longest);
     }
 
     #[test]
