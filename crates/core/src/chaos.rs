@@ -49,7 +49,7 @@ use crate::recovery::{plan_summary, SampleLedger};
 use crate::result::BetweennessResult;
 use crate::{epoch_mpi, mpi};
 use kadabra_epoch::CrossEpochProbe;
-use kadabra_graph::Graph;
+use kadabra_graph::KadabraGraph;
 use kadabra_mpisim::{CommError, Communicator, ElasticRank, FaultPlan, Universe};
 use kadabra_telemetry::{Summary, Telemetry};
 
@@ -325,8 +325,8 @@ pub(crate) fn finish_report(
 /// Runs **Algorithm 1** (`kadabra_mpi_flat`) under a fault plan, with
 /// probes. Bit-reproducible: identical `(g, cfg, ranks, opts)` give
 /// identical scores — including runs whose plan crashes ranks mid-flight.
-pub fn kadabra_mpi_flat_observed(
-    g: &Graph,
+pub fn kadabra_mpi_flat_observed<G: KadabraGraph + Sync>(
+    g: &G,
     cfg: &KadabraConfig,
     ranks: usize,
     opts: &ChaosOptions,
@@ -345,8 +345,8 @@ pub fn kadabra_mpi_flat_observed(
 /// probes. Bit-reproducible: identical `(g, cfg, shape, opts)` give
 /// identical scores — including worker-thread sample placement, which the
 /// plain driver leaves to the scheduler, and crash recovery schedules.
-pub fn kadabra_epoch_mpi_observed(
-    g: &Graph,
+pub fn kadabra_epoch_mpi_observed<G: KadabraGraph + Sync>(
+    g: &G,
     cfg: &KadabraConfig,
     shape: ClusterShape,
     opts: &ChaosOptions,
@@ -365,6 +365,7 @@ pub fn kadabra_epoch_mpi_observed(
 mod tests {
     use super::*;
     use kadabra_graph::generators::{grid, GridConfig};
+    use kadabra_graph::Graph;
 
     fn small_graph() -> Graph {
         grid(GridConfig { rows: 5, cols: 5, diagonal_prob: 0.0, seed: 0 })

@@ -48,7 +48,7 @@ use crate::phases::{prepare_for_pool, Prepared};
 use crate::recovery::{plan_summary, SampleLedger};
 use crate::sampler::ThreadSampler;
 use kadabra_epoch::CrossEpochProbe;
-use kadabra_graph::{Graph, GraphView};
+use kadabra_graph::{KadabraGraph, PathSource};
 use kadabra_mpisim::{CommError, Communicator, FaultPlan, Universe};
 use kadabra_telemetry::{CounterId, EventWriter, SpanId};
 
@@ -103,8 +103,8 @@ impl ElasticOptions {
 /// Bit-reproducible: identical `(g, cfg, founding, standby, opts)` give
 /// identical scores — including runs that grow mid-adaptive-phase and runs
 /// whose stragglers are relieved by work stealing.
-pub fn kadabra_mpi_flat_elastic(
-    g: &Graph,
+pub fn kadabra_mpi_flat_elastic<G: KadabraGraph + Sync>(
+    g: &G,
     cfg: &KadabraConfig,
     founding: usize,
     standby: usize,
@@ -149,8 +149,8 @@ pub(crate) fn grow_and_rebalance(
 /// rebalance collectives — having confirmed nothing, it contributes zeros
 /// to the ledger rebuild. Returns the
 /// set-up, the round to enter the loop at and the global state.
-pub(crate) fn bootstrap_newcomer(
-    g: &Graph,
+pub(crate) fn bootstrap_newcomer<G: KadabraGraph>(
+    g: &G,
     cfg: &KadabraConfig,
     comm: &Communicator,
     founding: usize,
@@ -217,7 +217,7 @@ impl StealRound {
     /// dedicated steal streams into their own `frame`. Claim sends are
     /// buffered, so no interleaving of the two loops can deadlock. Returns
     /// the samples this rank drew on stragglers' behalf.
-    pub(crate) fn handshake<G: GraphView>(
+    pub(crate) fn handshake<G: PathSource>(
         &self,
         g: &G,
         cfg: &KadabraConfig,
@@ -271,6 +271,7 @@ mod tests {
     use super::*;
     use crate::chaos::{kadabra_mpi_flat_observed, ChaosOptions};
     use kadabra_graph::generators::{grid, GridConfig};
+    use kadabra_graph::Graph;
 
     fn small_graph() -> Graph {
         grid(GridConfig { rows: 5, cols: 5, diagonal_prob: 0.0, seed: 0 })

@@ -45,7 +45,7 @@ use crate::recovery::{own_crash_or_fatal, shrink_and_rebuild, SampleLedger};
 use crate::result::BetweennessResult;
 use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
 use kadabra_epoch::EpochFramework;
-use kadabra_graph::Graph;
+use kadabra_graph::{KadabraGraph, PathSource};
 use kadabra_mpisim::{CommError, Communicator, FaultPlan, Universe};
 use kadabra_telemetry::{CounterId, SpanId, Telemetry};
 
@@ -64,15 +64,19 @@ pub(crate) struct EpochOutcome {
 
 /// Runs Algorithm 2 on a simulated cluster of the given shape. Returns the
 /// root's result with cluster-wide communication statistics attached.
-pub fn kadabra_epoch_mpi(g: &Graph, cfg: &KadabraConfig, shape: ClusterShape) -> BetweennessResult {
+pub fn kadabra_epoch_mpi<G: KadabraGraph + Sync>(
+    g: &G,
+    cfg: &KadabraConfig,
+    shape: ClusterShape,
+) -> BetweennessResult {
     kadabra_epoch_mpi_traced(g, cfg, shape, &Telemetry::stats_only())
 }
 
 /// [`kadabra_epoch_mpi`] recording into an explicit [`Telemetry`] registry:
 /// per-`(rank, thread)` spans and counters, plus collective/p2p markers from
 /// the mpisim tracer hooks (and the full event stream in tracing mode).
-pub fn kadabra_epoch_mpi_traced(
-    g: &Graph,
+pub fn kadabra_epoch_mpi_traced<G: KadabraGraph + Sync>(
+    g: &G,
     cfg: &KadabraConfig,
     shape: ClusterShape,
     tel: &Telemetry,
@@ -85,7 +89,7 @@ pub fn kadabra_epoch_mpi_traced(
 }
 
 /// The argument checks every Algorithm-2 entry point makes.
-pub(crate) fn validate(g: &Graph, cfg: &KadabraConfig, shape: ClusterShape) {
+pub(crate) fn validate<G: PathSource>(g: &G, cfg: &KadabraConfig, shape: ClusterShape) {
     cfg.validate();
     shape.validate();
     assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
@@ -137,8 +141,8 @@ fn hierarchical_comms(
 
 /// Worker thread `t` of rank `my_world` (Algorithm 2, lines 5-9): samples
 /// into the epoch framework until termination. Returns the samples drawn.
-fn worker_main(
-    g: &Graph,
+fn worker_main<G: PathSource>(
+    g: &G,
     cfg: &KadabraConfig,
     fw: &EpochFramework,
     my_world: usize,
@@ -181,8 +185,8 @@ fn worker_main(
 }
 
 /// Per-rank body of Algorithm 2.
-pub(crate) fn rank_main(
-    g: &Graph,
+pub(crate) fn rank_main<G: KadabraGraph + Sync>(
+    g: &G,
     cfg: &KadabraConfig,
     shape: ClusterShape,
     mut world: Communicator,

@@ -41,22 +41,26 @@ use crate::phases::{fold_and_check, prepare_collective, root_result};
 use crate::recovery::{own_crash_or_fatal, shrink_and_rebuild, SampleLedger};
 use crate::result::BetweennessResult;
 use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
-use kadabra_graph::{Graph, GraphView, NodeId};
+use kadabra_graph::{KadabraGraph, NodeId, PathSource};
 use kadabra_mpisim::{CommError, Communicator, ElasticRank, Universe};
 use kadabra_telemetry::{CounterId, EventWriter, SpanId, Telemetry};
 use std::ops::Range;
 
 /// Runs Algorithm 1 with `ranks` simulated MPI processes (one sampling
 /// thread each). Returns the root's result.
-pub fn kadabra_mpi_flat(g: &Graph, cfg: &KadabraConfig, ranks: usize) -> BetweennessResult {
+pub fn kadabra_mpi_flat<G: KadabraGraph + Sync>(
+    g: &G,
+    cfg: &KadabraConfig,
+    ranks: usize,
+) -> BetweennessResult {
     kadabra_mpi_flat_traced(g, cfg, ranks, &Telemetry::stats_only())
 }
 
 /// [`kadabra_mpi_flat`] recording into an explicit [`Telemetry`] registry:
 /// per-rank spans and counters, plus collective/p2p markers from the mpisim
 /// tracer hooks (and the full event stream in tracing mode).
-pub fn kadabra_mpi_flat_traced(
-    g: &Graph,
+pub fn kadabra_mpi_flat_traced<G: KadabraGraph + Sync>(
+    g: &G,
     cfg: &KadabraConfig,
     ranks: usize,
     tel: &Telemetry,
@@ -70,7 +74,7 @@ pub fn kadabra_mpi_flat_traced(
 }
 
 /// The argument checks every Algorithm-1 entry point makes.
-pub(crate) fn validate(g: &Graph, cfg: &KadabraConfig, ranks: usize) {
+pub(crate) fn validate<G: PathSource>(g: &G, cfg: &KadabraConfig, ranks: usize) {
     cfg.validate();
     assert!(ranks >= 1);
     assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
@@ -180,7 +184,7 @@ impl<S> RankState<S> {
 }
 
 /// Draws `k` samples from `stream` into the local frame and the sink.
-fn draw<G: GraphView, S: SampleSink>(g: &G, stream: &mut Stream<S>, k: u64, s_loc: &mut [u64]) {
+fn draw<G: PathSource, S: SampleSink>(g: &G, stream: &mut Stream<S>, k: u64, s_loc: &mut [u64]) {
     let Stream { sampler, sink } = stream;
     sampler.sample_batch_records(g, k, |s, t, dist, interior| {
         count_into(s_loc, interior);
@@ -217,8 +221,8 @@ impl Elastic {
 /// the join schedule and the straggler factors are read from
 /// `comm.fault_plan()`, so a world without a plan never grows and never
 /// steals.
-pub(crate) fn rank_main(
-    g: &Graph,
+pub(crate) fn rank_main<G: KadabraGraph + Sync>(
+    g: &G,
     cfg: &KadabraConfig,
     rank: ElasticRank,
     founding: usize,
@@ -287,7 +291,7 @@ pub(crate) fn rank_main(
 /// communicator the run ended on and S, or `None` when a communicator
 /// failure ended this rank's part in the run.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn adaptive_rounds<G: GraphView, S: SampleSink>(
+pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
     g: &G,
     cfg: &KadabraConfig,
     mut comm: Communicator,
@@ -450,6 +454,7 @@ mod tests {
     use kadabra_baselines::brandes;
     use kadabra_graph::components::largest_component;
     use kadabra_graph::generators::{gnm, grid, GnmConfig, GridConfig};
+    use kadabra_graph::Graph;
     use kadabra_mpisim::FaultPlan;
 
     #[test]

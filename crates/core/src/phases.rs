@@ -11,8 +11,7 @@ use crate::config::KadabraConfig;
 use crate::result::BetweennessResult;
 use crate::sampler::ThreadSampler;
 use crate::shared::{phase_timings_from, sampling_stats_from};
-use kadabra_graph::diameter::diameter;
-use kadabra_graph::{Graph, NodeId};
+use kadabra_graph::{KadabraGraph, PathSource};
 use kadabra_mpisim::{CommError, Communicator};
 use kadabra_telemetry::{EventWriter, SpanId, Stopwatch, ThreadRecorder};
 use std::time::Duration;
@@ -34,25 +33,21 @@ pub struct Prepared {
 }
 
 /// Phase 1: computes the vertex-diameter upper bound. Sequential by design —
-/// in the paper this is the Amdahl term visible in Fig. 2b. The BFS is
-/// rooted at a maximum-degree vertex (a good iFUB start on complex
-/// networks).
-pub fn diameter_phase(g: &Graph, cfg: &KadabraConfig) -> (u32, Duration) {
+/// in the paper this is the Amdahl term visible in Fig. 2b. How the bound is
+/// found is the graph kind's business ([`KadabraGraph`]): iFUB under
+/// `cfg.diameter_bfs_budget` on the undirected CSR.
+pub fn diameter_phase<G: KadabraGraph>(g: &G, cfg: &KadabraConfig) -> (u32, Duration) {
     let start = Stopwatch::start();
-    let root = (0..g.num_nodes() as NodeId)
-        .max_by_key(|&v| g.degree(v))
-        // xtask: allow(unwrap) — callers assert num_nodes >= 2.
-        .expect("non-empty graph");
-    let d = diameter(g, root, cfg.diameter_bfs_budget);
-    (d.vertex_diameter_upper(), start.elapsed())
+    let vd = g.vertex_diameter_upper(cfg.diameter_bfs_budget);
+    (vd, start.elapsed())
 }
 
 /// Phase 2 worker: takes this thread's share of the non-adaptive calibration
 /// samples, accumulating counts into `counts`. Each of the `total_threads`
 /// workers takes `ceil(τ₀ / total_threads)` samples; returns the number
 /// taken.
-pub fn calibration_samples_for_thread(
-    g: &Graph,
+pub fn calibration_samples_for_thread<G: PathSource>(
+    g: &G,
     sampler: &mut ThreadSampler,
     counts: &mut [u64],
     cfg: &KadabraConfig,
@@ -70,7 +65,7 @@ pub fn calibration_samples_for_thread(
 }
 
 /// Full sequential preparation: diameter, ω, calibration on one thread.
-pub fn prepare(g: &Graph, cfg: &KadabraConfig) -> Prepared {
+pub fn prepare<G: KadabraGraph>(g: &G, cfg: &KadabraConfig) -> Prepared {
     prepare_for_pool(g, cfg, 1, 1)
 }
 
@@ -80,7 +75,12 @@ pub fn prepare(g: &Graph, cfg: &KadabraConfig) -> Prepared {
 /// `(seed, rank, thread)`, so replaying every stream of the pool
 /// reconstructs the all-reduce total exactly. Resident pools and ranks
 /// admitted mid-run build their δ budgets this way.
-pub fn prepare_for_pool(g: &Graph, cfg: &KadabraConfig, ranks: usize, threads: usize) -> Prepared {
+pub fn prepare_for_pool<G: KadabraGraph>(
+    g: &G,
+    cfg: &KadabraConfig,
+    ranks: usize,
+    threads: usize,
+) -> Prepared {
     cfg.validate();
     assert!(ranks >= 1 && threads >= 1);
     assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
@@ -115,8 +115,8 @@ pub fn prepare_for_pool(g: &Graph, cfg: &KadabraConfig, ranks: usize, threads: u
 ///
 /// Crash schedules are constrained to the adaptive phase, so the only
 /// failure a caller can survive here is its own rank's scheduled death.
-pub(crate) fn prepare_collective(
-    g: &Graph,
+pub(crate) fn prepare_collective<G: KadabraGraph + Sync>(
+    g: &G,
     cfg: &KadabraConfig,
     world: &Communicator,
     threads: usize,

@@ -32,7 +32,7 @@ use crate::config::KadabraConfig;
 use crate::mpi::{adaptive_rounds, Elastic, RankState, SampleSink};
 use crate::recovery::{CheckpointError, SampleLedger};
 use crate::sampler::ADS_STREAM_OFFSET;
-use kadabra_graph::GraphView;
+use kadabra_graph::PathSource;
 use kadabra_mpisim::{Communicator, FaultPlan, Universe};
 use kadabra_telemetry::{EventWriter, Telemetry};
 use parking_lot::Mutex;
@@ -233,7 +233,7 @@ impl<S: SampleSink + Send> SamplerPool<S> {
     /// executes exactly `epochs` reduction epochs of Algorithm 1 (fewer only
     /// if τ reaches ω, which is itself a deterministic event). At the cap,
     /// or on an empty pool, reports the state as it is without sampling.
-    pub fn round<G: GraphView + Sync>(
+    pub fn round<G: PathSource + Sync>(
         &mut self,
         view: &G,
         plan: FaultPlan,

@@ -3,15 +3,16 @@
 //! Each sampling thread owns a [`ThreadSampler`]: a deterministic RNG stream
 //! derived from `(seed, rank, thread)`, reusable BFS scratch, and the pair +
 //! path sampling loop. One call to [`ThreadSampler::sample`] = one KADABRA
-//! sample = one bidirectional BFS (the `SAMPLE()` of Algorithms 1 and 2).
+//! sample = one [`PathSource::sample_path_into`] (the `SAMPLE()` of Algorithms 1
+//! and 2; a bidirectional BFS on every undirected view).
 //! [`ThreadSampler::sample_batch`] amortizes the per-sample bookkeeping over
 //! a whole batch (DESIGN.md §11): pairs are pre-drawn in one sweep from the
 //! xoshiro stream and every sample writes its interior into the same reused
 //! scratch buffer, so from the second batch on a sample allocates nothing.
 
 use crate::config::KernelOptions;
-use kadabra_graph::bibfs::{sample_shortest_path_into, SearchStats};
-use kadabra_graph::{GraphView, NodeId, TraversalScratch};
+use kadabra_graph::bibfs::SearchStats;
+use kadabra_graph::{NodeId, PathSource, TraversalScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,7 +92,7 @@ impl ThreadSampler {
     /// vertices (empty for adjacent pairs **and** for disconnected pairs —
     /// KADABRA counts a sample of a disconnected pair as a path with no
     /// interior, keeping `b̃` an unbiased estimator on disconnected graphs).
-    pub fn sample<G: GraphView>(&mut self, g: &G) -> &[NodeId] {
+    pub fn sample<G: PathSource>(&mut self, g: &G) -> &[NodeId] {
         assert_eq!(
             g.num_nodes(),
             self.n,
@@ -100,8 +101,7 @@ impl ThreadSampler {
             g.num_nodes()
         );
         let (s, t) = self.draw_pair();
-        let _ =
-            sample_shortest_path_into(g, s, t, &mut self.scratch, &mut self.rng, &mut self.stats);
+        let _ = g.sample_path_into(s, t, &mut self.scratch, &mut self.rng, &mut self.stats);
         self.samples_taken += 1;
         &self.scratch.path
     }
@@ -115,7 +115,7 @@ impl ThreadSampler {
     /// distribution is identical to `k` calls of `sample` (every draw is
     /// independent), only the order in which the stream is consumed differs,
     /// which the `(ε, δ)` guarantee is insensitive to (DESIGN.md §11).
-    pub fn sample_batch<G: GraphView, F: FnMut(&[NodeId])>(
+    pub fn sample_batch<G: PathSource, F: FnMut(&[NodeId])>(
         &mut self,
         g: &G,
         k: u64,
@@ -125,10 +125,10 @@ impl ThreadSampler {
     }
 
     /// Like [`ThreadSampler::sample_batch`], but hands the consumer the full
-    /// sample record — endpoints, shortest distance (`u32::MAX` for a
+    /// sample record — endpoints, shortest distance in hops (`u32::MAX` for a
     /// disconnected pair), and the interior — so callers that *retain*
     /// samples (the dynamic-update path store) can later re-validate them.
-    pub fn sample_batch_records<G: GraphView, F: FnMut(NodeId, NodeId, u32, &[NodeId])>(
+    pub fn sample_batch_records<G: PathSource, F: FnMut(NodeId, NodeId, u32, &[NodeId])>(
         &mut self,
         g: &G,
         k: u64,
@@ -148,16 +148,8 @@ impl ThreadSampler {
             self.pairs.push(p);
         }
         for &(s, t) in &self.pairs {
-            let info = sample_shortest_path_into(
-                g,
-                s,
-                t,
-                &mut self.scratch,
-                &mut self.rng,
-                &mut self.stats,
-            );
-            let dist = info.map_or(u32::MAX, |i| i.distance);
-            consume(s, t, dist, &self.scratch.path);
+            let dist = g.sample_path_into(s, t, &mut self.scratch, &mut self.rng, &mut self.stats);
+            consume(s, t, dist.unwrap_or(u32::MAX), &self.scratch.path);
         }
         self.samples_taken += k;
     }

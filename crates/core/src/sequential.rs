@@ -9,7 +9,7 @@ use crate::result::BetweennessResult;
 use crate::sampler::ThreadSampler;
 use crate::shared::{phase_timings_from, sampling_stats_from};
 use crate::{bounds, calibration::Calibration};
-use kadabra_graph::Graph;
+use kadabra_graph::{Graph, KadabraGraph};
 use kadabra_telemetry::{CounterId, SpanId, Telemetry};
 
 /// Runs sequential KADABRA on `g`.
@@ -27,16 +27,27 @@ pub fn kadabra_sequential_traced(
     cfg: &KadabraConfig,
     tel: &Telemetry,
 ) -> BetweennessResult {
-    cfg.validate();
-    let n = g.num_nodes();
-    assert!(n >= 2, "KADABRA requires at least two vertices");
-    let w = tel.writer(0, 0);
-
     // Cache-aware relabeling: the whole run samples on the degree-relabeled
     // CSR (hot vertices packed at the low end of the id space) and the final
     // scores are mapped back to the caller's ids (DESIGN.md §11).
     let (rg, perm) = g.relabel_by_degree();
-    let g = &rg;
+    let mut result = kadabra_sequential_on(&rg, cfg, tel);
+    result.scores = perm.unrelabel(&result.scores);
+    result
+}
+
+/// Sequential KADABRA on any graph kind, sampling on `g` as given — what
+/// [`kadabra_sequential_traced`] runs on the relabeled CSR, and the entry
+/// point for directed and weighted graphs (the paper's footnote 1).
+pub fn kadabra_sequential_on<G: KadabraGraph>(
+    g: &G,
+    cfg: &KadabraConfig,
+    tel: &Telemetry,
+) -> BetweennessResult {
+    cfg.validate();
+    let n = g.num_nodes();
+    assert!(n >= 2, "KADABRA requires at least two vertices");
+    let w = tel.writer(0, 0);
 
     let sp = w.begin(SpanId::Diameter);
     let (vd, _) = diameter_phase(g, cfg);
@@ -90,8 +101,7 @@ pub fn kadabra_sequential_traced(
     stats.samples = tau;
 
     BetweennessResult {
-        // Map the relabeled-id scores back to the caller's original ids.
-        scores: perm.unrelabel(&scores_from_counts(&counts, tau)),
+        scores: scores_from_counts(&counts, tau),
         samples: tau,
         omega,
         vertex_diameter: vd,

@@ -14,7 +14,7 @@ use crate::result::{BetweennessResult, PhaseTimings, SamplingStats};
 use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
 use crate::{bounds, calibration::Calibration};
 use kadabra_epoch::EpochFramework;
-use kadabra_graph::Graph;
+use kadabra_graph::{Graph, KadabraGraph};
 use kadabra_telemetry::{CounterId, SpanId, Telemetry, ThreadRecorder};
 use std::time::Duration;
 
@@ -60,17 +60,29 @@ pub fn kadabra_shared_traced(
     threads: usize,
     tel: &Telemetry,
 ) -> BetweennessResult {
+    // Cache-aware relabeling: all sampling threads share the degree-relabeled
+    // CSR; the final scores are mapped back to the caller's ids
+    // (DESIGN.md §11).
+    let (rg, perm) = g.relabel_by_degree();
+    let mut result = kadabra_shared_on(&rg, cfg, threads, tel);
+    result.scores = perm.unrelabel(&result.scores);
+    result
+}
+
+/// Epoch-based shared-memory KADABRA on any graph kind, sampling on `g` as
+/// given — what [`kadabra_shared_traced`] runs on the relabeled CSR, and the
+/// entry point for directed and weighted graphs (the paper's footnote 1).
+pub fn kadabra_shared_on<G: KadabraGraph + Sync>(
+    g: &G,
+    cfg: &KadabraConfig,
+    threads: usize,
+    tel: &Telemetry,
+) -> BetweennessResult {
     cfg.validate();
     assert!(threads >= 1, "need at least one thread");
     let n = g.num_nodes();
     assert!(n >= 2, "KADABRA requires at least two vertices");
     let w = tel.writer(0, 0);
-
-    // Cache-aware relabeling: all sampling threads share the degree-relabeled
-    // CSR; the final scores are mapped back to the caller's ids
-    // (DESIGN.md §11).
-    let (rg, perm) = g.relabel_by_degree();
-    let g = &rg;
 
     // Phase 1: diameter (sequential).
     let sp = w.begin(SpanId::Diameter);
@@ -202,8 +214,7 @@ pub fn kadabra_shared_traced(
     stats.comm_bytes = rec.counter(CounterId::BytesReduced);
 
     BetweennessResult {
-        // Map the relabeled-id scores back to the caller's original ids.
-        scores: perm.unrelabel(&scores_from_counts(&acc, tau)),
+        scores: scores_from_counts(&acc, tau),
         samples: tau,
         omega,
         vertex_diameter: vd,

@@ -19,9 +19,9 @@ use crate::calibration::{calibration_sample_count, Calibration};
 use crate::config::KadabraConfig;
 use crate::phases::scores_from_counts;
 use crate::result::{BetweennessResult, PhaseTimings, SamplingStats};
-use kadabra_graph::digraph::{sample_directed_shortest_path, vertex_diameter_upper, DiGraph};
+use kadabra_graph::digraph::{sample_directed_shortest_path, DiGraph};
 use kadabra_graph::scratch::TraversalScratch;
-use kadabra_graph::weighted::{self, sample_weighted_shortest_path, WeightedGraph};
+use kadabra_graph::weighted::{sample_weighted_shortest_path, WeightedGraph};
 use kadabra_graph::NodeId;
 use kadabra_telemetry::Stopwatch;
 use rand::rngs::StdRng;
@@ -67,7 +67,7 @@ impl PathSource for DirectedSource<'_> {
     }
 
     fn vertex_diameter_upper(&self, _cfg: &KadabraConfig) -> u32 {
-        vertex_diameter_upper(self.graph)
+        kadabra_graph::KadabraGraph::vertex_diameter_upper(self.graph, 0)
     }
 
     fn sample_path<R: Rng + ?Sized>(
@@ -102,7 +102,7 @@ impl PathSource for WeightedSource<'_> {
     }
 
     fn vertex_diameter_upper(&self, _cfg: &KadabraConfig) -> u32 {
-        weighted::vertex_diameter_upper(self.graph)
+        kadabra_graph::KadabraGraph::vertex_diameter_upper(self.graph, 0)
     }
 
     fn sample_path<R: Rng + ?Sized>(

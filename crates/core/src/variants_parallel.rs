@@ -83,7 +83,7 @@ impl ParallelPathSource for WeightedGraph {
     }
 
     fn vertex_diameter_upper(&self, _cfg: &KadabraConfig) -> u32 {
-        kadabra_graph::weighted::vertex_diameter_upper(self)
+        kadabra_graph::KadabraGraph::vertex_diameter_upper(self, 0)
     }
 
     fn thread_state(&self) {}

@@ -9,8 +9,10 @@
 //! compute a bidirectional BFS", Section IV-F), directed BFS, and the
 //! directed bidirectional uniform shortest-path sampler.
 
+use crate::bibfs::{SampleInfo, SearchStats};
 use crate::csr::NodeId;
 use crate::scratch::{StampedBfsState, TraversalScratch, UNREACHED};
+use crate::source::{KadabraGraph, PathSource};
 use rand::Rng;
 
 /// A static directed graph: out-edges in CSR form plus the transpose.
@@ -144,33 +146,47 @@ pub fn directed_bfs(g: &DiGraph, source: NodeId) -> Vec<u32> {
     dist
 }
 
-/// Upper bound on the vertex diameter of `g` (vertices of the longest
-/// shortest directed path) — the input to KADABRA's ω, which is a sample
-/// *cap*: an underestimate here voids the (ε, δ) guarantee, an overestimate
-/// costs ⌊log₂⌋ steps of ω.
-///
-/// A shortest path lies inside one weakly connected component, so the
-/// vertex count of the largest one is always sound. When one root reaches
-/// every vertex and is reached by every vertex, `d(s, t) ≤ d(s, root) +
-/// d(root, t)` gives the tighter `ecc_in + ecc_out + 1`.
-pub fn vertex_diameter_upper(g: &DiGraph) -> u32 {
-    let n = g.num_nodes();
-    let Some(root) = (0..n as NodeId).max_by_key(|&v| g.out_degree(v)) else { return 0 };
-    let mut dist = vec![UNREACHED; n];
-    let (reached_out, ecc_out) = bfs_over(g, root, true, false, &mut dist);
-    dist.fill(UNREACHED);
-    let (reached_in, ecc_in) = bfs_over(g, root, false, true, &mut dist);
-    if reached_out == n && reached_in == n {
-        return (ecc_in + ecc_out + 1).min(n as u32);
+impl PathSource for DiGraph {
+    fn num_nodes(&self) -> usize {
+        DiGraph::num_nodes(self)
     }
-    dist.fill(UNREACHED);
-    let mut largest = 0;
-    for v in 0..n as NodeId {
-        if dist[v as usize] == UNREACHED {
-            largest = largest.max(bfs_over(g, v, true, true, &mut dist).0);
+
+    fn sample_path_into<R: Rng + ?Sized>(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        scratch: &mut TraversalScratch,
+        rng: &mut R,
+        _stats: &mut SearchStats,
+    ) -> Option<u32> {
+        sample_directed_shortest_path_into(self, s, t, scratch, rng).map(|info| info.distance)
+    }
+}
+
+impl KadabraGraph for DiGraph {
+    /// A shortest path lies inside one weakly connected component, so the
+    /// vertex count of the largest one is always sound. When one root
+    /// reaches every vertex and is reached by every vertex, `d(s, t) ≤
+    /// d(s, root) + d(root, t)` gives the tighter `ecc_in + ecc_out + 1`.
+    fn vertex_diameter_upper(&self, _bfs_budget: u32) -> u32 {
+        let n = self.num_nodes();
+        let Some(root) = (0..n as NodeId).max_by_key(|&v| self.out_degree(v)) else { return 0 };
+        let mut dist = vec![UNREACHED; n];
+        let (reached_out, ecc_out) = bfs_over(self, root, true, false, &mut dist);
+        dist.fill(UNREACHED);
+        let (reached_in, ecc_in) = bfs_over(self, root, false, true, &mut dist);
+        if reached_out == n && reached_in == n {
+            return (ecc_in + ecc_out + 1).min(n as u32);
         }
+        dist.fill(UNREACHED);
+        let mut largest = 0;
+        for v in 0..n as NodeId {
+            if dist[v as usize] == UNREACHED {
+                largest = largest.max(bfs_over(self, v, true, true, &mut dist).0);
+            }
+        }
+        largest as u32
     }
-    largest as u32
 }
 
 /// Result of a directed path sample (same semantics as the undirected
@@ -189,6 +205,20 @@ pub fn sample_directed_shortest_path<R: Rng + ?Sized>(
     scratch: &mut TraversalScratch,
     rng: &mut R,
 ) -> Option<DirectedPathSample> {
+    let SampleInfo { distance, num_paths } =
+        sample_directed_shortest_path_into(g, s, t, scratch, rng)?;
+    Some(DirectedPathSample { distance, interior: scratch.path.clone(), num_paths })
+}
+
+/// [`sample_directed_shortest_path`] leaving the interior in `scratch.path`
+/// (empty on `None`) instead of copying it out.
+pub fn sample_directed_shortest_path_into<R: Rng + ?Sized>(
+    g: &DiGraph,
+    s: NodeId,
+    t: NodeId,
+    scratch: &mut TraversalScratch,
+    rng: &mut R,
+) -> Option<SampleInfo> {
     assert!(s != t, "sampling requires distinct endpoints");
     assert!((s as usize) < g.num_nodes() && (t as usize) < g.num_nodes());
     scratch.reset();
@@ -285,7 +315,7 @@ pub fn sample_directed_shortest_path<R: Rng + ?Sized>(
         // xtask: allow(determinism) — a shortest path visits each vertex at
         // most once, so its length fits the CSR-guaranteed u32.
         debug_assert_eq!(scratch.path.len() as u32 + 1, distance);
-        return Some(DirectedPathSample { distance, interior: scratch.path.clone(), num_paths });
+        return Some(SampleInfo { distance, num_paths });
     }
 }
 
@@ -523,9 +553,9 @@ mod tests {
             arcs.extend((1..6).map(|leaf| (hub, hub + leaf)));
         }
         let g = DiGraph::from_arcs(34, &arcs);
-        assert!(vertex_diameter_upper(&g) >= 10);
+        assert!(g.vertex_diameter_upper(0) >= 10);
         // Strongly connected: two BFS from one root, capped at n.
-        assert_eq!(vertex_diameter_upper(&cycle(6)), 6);
+        assert_eq!(cycle(6).vertex_diameter_upper(0), 6);
     }
 
     #[test]

@@ -31,6 +31,11 @@
 //!   the paper takes a sample in <10ms on billion-edge graphs).
 //! * [`prefetch`] — best-effort software prefetch hints used by the sampling
 //!   hot path (see DESIGN.md §11).
+//! * [`source`] — the sample-source hook: [`PathSource`] ("draw a uniform
+//!   shortest path") and [`KadabraGraph`] (plus a vertex-diameter bound),
+//!   the only two things the drivers of `kadabra-core` ask of a graph, so
+//!   [`digraph`] and [`weighted`] graphs run Algorithms 1 and 2 unchanged
+//!   (the paper's footnote 1).
 
 pub mod bfs;
 pub mod bibfs;
@@ -42,6 +47,7 @@ pub mod generators;
 pub mod io;
 pub mod prefetch;
 pub mod scratch;
+pub mod source;
 pub mod stats;
 pub mod sumsweep;
 pub mod view;
@@ -49,6 +55,7 @@ pub mod weighted;
 
 pub use csr::{CsrArena, Graph, GraphBuilder, NodeId, Permutation};
 pub use scratch::TraversalScratch;
+pub use source::{KadabraGraph, PathSource};
 pub use view::GraphView;
 
 /// Convenience result alias used by fallible graph routines (IO, parsing).

@@ -5,10 +5,14 @@
 //! shortest-path counting, and a σ-proportional uniform shortest-path
 //! sampler. KADABRA's estimator is oblivious to *how* a uniform shortest
 //! path is drawn, so swapping this sampler in yields weighted betweenness
-//! approximation with the identical guarantee (see
-//! `kadabra_core::variants`).
+//! approximation with the identical guarantee: [`WeightedGraph`] is a
+//! [`crate::source::PathSource`], which is all the drivers of
+//! `kadabra-core` ask of a graph.
 
+use crate::bibfs::SearchStats;
 use crate::csr::NodeId;
+use crate::scratch::TraversalScratch;
+use crate::source::{KadabraGraph, PathSource};
 use rand::Rng;
 use std::collections::BinaryHeap;
 
@@ -262,43 +266,62 @@ pub fn enumerate_weighted_shortest_paths(
     paths
 }
 
-/// Upper bound on the vertex diameter of `g` (vertices of the longest
-/// minimum-weight path) — the input to KADABRA's ω, which is a sample *cap*:
-/// an underestimate here voids the (ε, δ) guarantee, an overestimate costs
-/// ⌊log₂⌋ steps of ω.
-///
-/// A shortest path lies inside one connected component, so the vertex count
-/// of the largest one is always sound. On a connected graph every distance
-/// is at most `2·ecc(root)` and every hop weighs at least `w_min`, which
-/// bounds the hops of any shortest path by `2·ecc(root) / w_min`.
-pub fn vertex_diameter_upper(g: &WeightedGraph) -> u32 {
-    let n = g.num_nodes();
-    let mut seen = vec![false; n];
-    let mut stack = Vec::new();
-    let mut largest = 0usize;
-    for root in 0..n as NodeId {
-        if std::mem::replace(&mut seen[root as usize], true) {
-            continue;
-        }
-        let mut size = 0;
-        stack.push(root);
-        while let Some(u) = stack.pop() {
-            size += 1;
-            for (v, _) in g.neighbors(u) {
-                if !std::mem::replace(&mut seen[v as usize], true) {
-                    stack.push(v);
+impl PathSource for WeightedGraph {
+    fn num_nodes(&self) -> usize {
+        WeightedGraph::num_nodes(self)
+    }
+
+    /// The returned distance is the path's hop count, not its weight.
+    fn sample_path_into<R: Rng + ?Sized>(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        scratch: &mut TraversalScratch,
+        rng: &mut R,
+        _stats: &mut SearchStats,
+    ) -> Option<u32> {
+        scratch.path.clear();
+        let sample = sample_weighted_shortest_path(self, s, t, rng)?;
+        scratch.path.extend_from_slice(&sample.interior);
+        Some(sample.interior.len() as u32 + 1)
+    }
+}
+
+impl KadabraGraph for WeightedGraph {
+    /// A shortest path lies inside one connected component, so the vertex
+    /// count of the largest one is always sound. On a connected graph every
+    /// distance is at most `2·ecc(root)` and every hop weighs at least
+    /// `w_min`, which bounds the hops of any shortest path by
+    /// `2·ecc(root) / w_min`.
+    fn vertex_diameter_upper(&self, _bfs_budget: u32) -> u32 {
+        let n = self.num_nodes();
+        let mut seen = vec![false; n];
+        let mut stack = Vec::new();
+        let mut largest = 0usize;
+        for root in 0..n as NodeId {
+            if std::mem::replace(&mut seen[root as usize], true) {
+                continue;
+            }
+            let mut size = 0;
+            stack.push(root);
+            while let Some(u) = stack.pop() {
+                size += 1;
+                for (v, _) in self.neighbors(u) {
+                    if !std::mem::replace(&mut seen[v as usize], true) {
+                        stack.push(v);
+                    }
                 }
             }
+            largest = largest.max(size);
         }
-        largest = largest.max(size);
+        let Some(&w_min) = self.weights.iter().min() else { return largest as u32 };
+        if largest < n {
+            return largest as u32;
+        }
+        let (dist, _, _) = dijkstra_sigma(self, 0, None);
+        let ecc = dist.iter().copied().max().unwrap_or(0);
+        (2 * ecc / w_min as Dist + 1).min(n as Dist) as u32
     }
-    let Some(&w_min) = g.weights.iter().min() else { return largest as u32 };
-    if largest < n {
-        return largest as u32;
-    }
-    let (dist, _, _) = dijkstra_sigma(g, 0, None);
-    let ecc = dist.iter().copied().max().unwrap_or(0);
-    (2 * ecc / w_min as Dist + 1).min(n as Dist) as u32
 }
 
 #[cfg(test)]
@@ -431,14 +454,14 @@ mod tests {
 
     #[test]
     fn vertex_diameter_bound_covers_path() {
-        assert_eq!(vertex_diameter_upper(&wpath(20, 5)), 20);
+        assert_eq!(wpath(20, 5).vertex_diameter_upper(0), 20);
         // Vertex 0 sits in a 2-vertex component beside a unit 10-path.
         let mut edges = vec![(0, 1, 1)];
         edges.extend((2..11).map(|v| (v, v + 1, 1)));
-        assert!(vertex_diameter_upper(&WeightedGraph::from_edges(12, &edges)) >= 10);
+        assert!(WeightedGraph::from_edges(12, &edges).vertex_diameter_upper(0) >= 10);
         // Connected, uniform weights: twice the weighted eccentricity in hops.
         let star = WeightedGraph::from_edges(5, &[(0, 1, 3), (0, 2, 3), (0, 3, 3), (0, 4, 3)]);
-        assert_eq!(vertex_diameter_upper(&star), 3);
+        assert_eq!(star.vertex_diameter_upper(0), 3);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Property-based tests for the directed and weighted graph variants.
 
 use kadabra_graph::digraph::{
-    self, directed_bfs, enumerate_directed_shortest_paths, sample_directed_shortest_path, DiGraph,
+    directed_bfs, enumerate_directed_shortest_paths, sample_directed_shortest_path, DiGraph,
 };
 use kadabra_graph::scratch::{TraversalScratch, UNREACHED};
 use kadabra_graph::weighted::{
-    self, dijkstra_sigma, enumerate_weighted_shortest_paths, sample_weighted_shortest_path,
+    dijkstra_sigma, enumerate_weighted_shortest_paths, sample_weighted_shortest_path,
     WeightedGraph, UNREACHED_W,
 };
-use kadabra_graph::NodeId;
+use kadabra_graph::{KadabraGraph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,7 +80,7 @@ proptest! {
             .filter(|&d| d != UNREACHED)
             .max()
             .unwrap_or(0);
-        prop_assert!(digraph::vertex_diameter_upper(&g) > longest);
+        prop_assert!(g.vertex_diameter_upper(0) > longest);
     }
 
     #[test]
@@ -100,7 +100,7 @@ proptest! {
                 longest = longest.max(hops[v as usize]);
             }
         }
-        prop_assert!(weighted::vertex_diameter_upper(&g) > longest);
+        prop_assert!(g.vertex_diameter_upper(0) > longest);
     }
 
     #[test]
