@@ -23,6 +23,15 @@
 //! All modes share the same three phases (Section III-A): diameter
 //! computation → calibration of the per-vertex failure probabilities
 //! δ_L/δ_U → adaptive sampling; see [`phases`].
+//!
+//! Every mode samples through one hook, [`kadabra_graph::PathSource`], and
+//! sets up through [`kadabra_graph::KadabraGraph`], so the same functions
+//! run on a [`kadabra_graph::digraph::DiGraph`] or a
+//! [`kadabra_graph::weighted::WeightedGraph`] (the paper's footnote 1):
+//! [`kadabra_mpi_flat`] and [`kadabra_epoch_mpi`] take any graph kind;
+//! [`kadabra_sequential`] and [`kadabra_shared`] relabel the undirected CSR
+//! by degree first and have [`kadabra_sequential_on`] and
+//! [`kadabra_shared_on`] as their as-given forms.
 
 pub mod bounds;
 pub mod calibration;
@@ -42,8 +51,6 @@ pub mod sequential;
 pub mod shared;
 mod sync;
 pub mod topk;
-pub mod variants;
-pub mod variants_parallel;
 
 pub use bounds::{achieved_epsilon, f_bound, g_bound, omega};
 pub use calibration::Calibration;
@@ -59,11 +66,12 @@ pub use recovery::{own_crash_or_fatal, shrink_and_rebuild, CheckpointError, Samp
 pub use result::{BetweennessResult, PhaseTimings, SamplingStats};
 pub use revalidate::{resample_invalidated, ResampleScratch, ValidityBitmap};
 pub use sampler::ThreadSampler;
-pub use sequential::{kadabra_sequential, kadabra_sequential_traced};
-pub use shared::{kadabra_shared, kadabra_shared_traced, phase_timings_from, sampling_stats_from};
+pub use sequential::{kadabra_sequential, kadabra_sequential_on, kadabra_sequential_traced};
+pub use shared::{
+    kadabra_shared, kadabra_shared_on, kadabra_shared_traced, phase_timings_from,
+    sampling_stats_from,
+};
 pub use topk::{
     confidence_intervals, confident_top_k, kadabra_topk, AdaptiveTopKResult, ConfidenceInterval,
     TopKResult,
 };
-pub use variants::{kadabra_directed, kadabra_weighted, PathSource};
-pub use variants_parallel::{kadabra_shared_directed, kadabra_shared_weighted, ParallelPathSource};

@@ -1,20 +1,30 @@
 //! Directed and weighted betweenness — the paper's footnote 1 extensions.
 //!
-//! KADABRA's machinery only needs a uniform-shortest-path sampler; swapping
-//! in the directed bidirectional BFS or the weighted Dijkstra sampler
-//! extends the guarantee to directed/weighted betweenness unchanged.
+//! KADABRA's machinery only needs a uniform-shortest-path sampler, and every
+//! driver takes it through one hook (`kadabra_graph::PathSource`): a
+//! `DiGraph` (directed bidirectional BFS) or a `WeightedGraph` (Dijkstra)
+//! runs the sequential algorithm and Algorithm 2 through the same entry
+//! points as the undirected CSR, with the same guarantee.
 //!
 //! Run: `cargo run --release --example directed_weighted`
 
 use kadabra_mpi::baselines::{brandes_directed, brandes_weighted};
-use kadabra_mpi::core::{kadabra_directed, kadabra_weighted, KadabraConfig};
+use kadabra_mpi::core::{kadabra_epoch_mpi, kadabra_sequential_on, ClusterShape, KadabraConfig};
 use kadabra_mpi::graph::digraph::DiGraph;
 use kadabra_mpi::graph::weighted::WeightedGraph;
+use kadabra_mpi::telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+fn max_err(scores: &[f64], exact: &[f64]) -> f64 {
+    scores.iter().zip(exact).map(|(a, e)| (a - e).abs()).fold(0.0f64, f64::max)
+}
+
 fn main() {
     let cfg = KadabraConfig::new(0.02, 0.1);
+    let tel = Telemetry::stats_only();
+    // Algorithm 2 on a simulated 2-rank × 2-thread cluster.
+    let shape = ClusterShape { ranks: 2, ranks_per_node: 2, threads_per_rank: 2 };
     let mut rng = StdRng::seed_from_u64(11);
 
     // --- Directed: a random "web graph" with asymmetric links. ---
@@ -29,15 +39,22 @@ fn main() {
         }
     }
     let dg = DiGraph::from_arcs(n, &arcs);
-    let dr = kadabra_directed(&dg, &cfg);
+    let dr = kadabra_sequential_on(&dg, &cfg, &tel);
     let exact = brandes_directed(&dg);
-    let worst = dr.scores.iter().zip(&exact).map(|(a, e)| (a - e).abs()).fold(0.0f64, f64::max);
     println!(
-        "directed: {} vertices, {} arcs -> {} samples, max |err| vs exact = {worst:.4} (eps {})",
+        "directed: {} vertices, {} arcs -> {} samples, max |err| vs exact = {:.4} (eps {})",
         dg.num_nodes(),
         dg.num_arcs(),
         dr.samples,
+        max_err(&dr.scores, &exact),
         cfg.epsilon
+    );
+    let dr2 = kadabra_epoch_mpi(&dg, &cfg, shape);
+    println!(
+        "  Algorithm 2 (2 x 2): {} samples in {} epochs, max |err| = {:.4}",
+        dr2.samples,
+        dr2.stats.epochs,
+        max_err(&dr2.scores, &exact)
     );
 
     // --- Weighted: a toy road network where the "highway" reroutes flow. ---
@@ -59,14 +76,21 @@ fn main() {
         edges.push((id(i, i), id(i + 1, i + 1), 1)); // the highway
     }
     let wg = WeightedGraph::from_edges((side * side) as usize, &edges);
-    let wr = kadabra_weighted(&wg, &cfg);
+    let wr = kadabra_sequential_on(&wg, &cfg, &tel);
     let wexact = brandes_weighted(&wg);
-    let worst = wr.scores.iter().zip(&wexact).map(|(a, e)| (a - e).abs()).fold(0.0f64, f64::max);
     println!(
-        "weighted: {} vertices, {} edges -> {} samples, max |err| vs exact = {worst:.4}",
+        "weighted: {} vertices, {} edges -> {} samples, max |err| vs exact = {:.4}",
         wg.num_nodes(),
         wg.num_edges(),
-        wr.samples
+        wr.samples,
+        max_err(&wr.scores, &wexact)
+    );
+    let wr2 = kadabra_epoch_mpi(&wg, &cfg, shape);
+    println!(
+        "  Algorithm 2 (2 x 2): {} samples in {} epochs, max |err| = {:.4}",
+        wr2.samples,
+        wr2.stats.epochs,
+        max_err(&wr2.scores, &wexact)
     );
     println!("\ntop 5 weighted-betweenness vertices (expect the highway diagonal):");
     for (v, score) in wr.top_k(5) {

@@ -17,16 +17,18 @@
 //! this tool's `--save-bin` option. By default the graph is read as
 //! undirected and unweighted and reduced to its largest connected component,
 //! exactly like the paper's experimental setup. `--directed` reads an arc
-//! list and runs directed KADABRA; `--weighted` reads `u v w` triples and
-//! runs weighted KADABRA (both sequential, paper footnote 1).
+//! list, `--weighted` reads `u v w` triples; both run on the input as given
+//! and honour every other option — the drivers sample through one hook, so
+//! they do not care what kind of graph it is (paper footnote 1).
 
-use kadabra_mpi::core::{kadabra_directed, kadabra_weighted};
 use kadabra_mpi::core::{
-    kadabra_epoch_mpi_traced, kadabra_mpi_flat_traced, kadabra_sequential_traced,
-    kadabra_shared_traced, ClusterShape, KadabraConfig,
+    kadabra_epoch_mpi_traced, kadabra_mpi_flat_traced, kadabra_sequential_on,
+    kadabra_sequential_traced, kadabra_shared_on, kadabra_shared_traced, BetweennessResult,
+    ClusterShape, KadabraConfig,
 };
 use kadabra_mpi::graph::components::largest_component;
 use kadabra_mpi::graph::io::{read_arc_list, read_path, read_weighted_edge_list, write_path};
+use kadabra_mpi::graph::{KadabraGraph, NodeId};
 use kadabra_mpi::telemetry::{chrome, Telemetry};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -117,8 +119,39 @@ fn parse_args() -> Args {
 
 fn main() -> ExitCode {
     let args = parse_args();
+    if args.directed && args.weighted {
+        eprintln!("--directed and --weighted are mutually exclusive");
+        return ExitCode::FAILURE;
+    }
     if args.directed || args.weighted {
-        return run_variant(&args);
+        // No LCC reduction: component structure differs for digraphs, and
+        // disconnected pairs are handled by the estimator.
+        let file = match std::fs::File::open(&args.graph) {
+            Ok(f) => f,
+            Err(e) => {
+                eprintln!("error opening {}: {e}", args.graph.display());
+                return ExitCode::FAILURE;
+            }
+        };
+        let loaded = if args.directed {
+            read_arc_list(file).map(|g| {
+                eprintln!("loaded digraph: {} vertices, {} arcs", g.num_nodes(), g.num_arcs());
+                run(&g, None, &args, kadabra_sequential_on, kadabra_shared_on)
+            })
+        } else {
+            read_weighted_edge_list(file).map(|g| {
+                eprintln!(
+                    "loaded weighted graph: {} vertices, {} edges",
+                    g.num_nodes(),
+                    g.num_edges()
+                );
+                run(&g, None, &args, kadabra_sequential_on, kadabra_shared_on)
+            })
+        };
+        return loaded.unwrap_or_else(|e| {
+            eprintln!("error reading {}: {e}", args.graph.display());
+            ExitCode::FAILURE
+        });
     }
     let raw = match read_path(&args.graph) {
         Ok(g) => g,
@@ -143,6 +176,21 @@ fn main() -> ExitCode {
         }
         eprintln!("cached lcc to {}", path.display());
     }
+    // The single-process entry points of the undirected CSR relabel it by
+    // degree first (DESIGN.md §11).
+    run(&g, Some(&mapping), &args, kadabra_sequential_traced, kadabra_shared_traced)
+}
+
+/// Solves on `g` in the selected mode and reports — the one path every graph
+/// kind takes. `seq` and `shared` are the kind's single-process entry
+/// points; `original_ids` maps `g`'s vertex ids back to the input's.
+fn run<G: KadabraGraph + Sync>(
+    g: &G,
+    original_ids: Option<&[NodeId]>,
+    args: &Args,
+    seq: fn(&G, &KadabraConfig, &Telemetry) -> BetweennessResult,
+    shared: fn(&G, &KadabraConfig, usize, &Telemetry) -> BetweennessResult,
+) -> ExitCode {
     if g.num_nodes() < 2 {
         eprintln!("graph too small for betweenness");
         return ExitCode::FAILURE;
@@ -158,11 +206,11 @@ fn main() -> ExitCode {
     // Chrome trace was requested, counters/spans only otherwise.
     let tel = if args.trace.is_some() { Telemetry::tracing() } else { Telemetry::stats_only() };
     let result = match args.mode.as_str() {
-        "seq" => kadabra_sequential_traced(&g, &cfg, &tel),
-        "shared" => kadabra_shared_traced(&g, &cfg, args.threads, &tel),
-        "mpi" => kadabra_mpi_flat_traced(&g, &cfg, args.ranks, &tel),
+        "seq" => seq(g, &cfg, &tel),
+        "shared" => shared(g, &cfg, args.threads, &tel),
+        "mpi" => kadabra_mpi_flat_traced(g, &cfg, args.ranks, &tel),
         "epoch-mpi" => kadabra_epoch_mpi_traced(
-            &g,
+            g,
             &cfg,
             ClusterShape {
                 ranks: args.ranks,
@@ -197,16 +245,16 @@ fn main() -> ExitCode {
         result.timings.adaptive_sampling,
     );
 
+    let original = |v: NodeId| original_ids.map_or(v, |ids| ids[v as usize]);
     if args.all {
         // Full score dump: `original_vertex_id score` per line on stdout.
-        for (new_id, &orig) in mapping.iter().enumerate() {
-            println!("{orig} {:.8}", result.scores[new_id]);
+        for (v, score) in result.scores.iter().enumerate() {
+            println!("{} {score:.8}", original(v as NodeId));
         }
     } else {
         println!("top {} vertices by approximate betweenness:", args.top);
         for (v, score) in result.top_k(args.top) {
-            let orig = mapping[v as usize];
-            println!("{orig} {score:.8}");
+            println!("{} {score:.8}", original(v));
         }
     }
     ExitCode::SUCCESS
@@ -230,74 +278,4 @@ fn write_chrome_trace(tel: &Telemetry, path: &PathBuf) -> std::io::Result<()> {
         }
     );
     Ok(())
-}
-
-/// Directed/weighted runs (sequential; paper footnote 1). These operate on
-/// the raw input (no LCC reduction: component structure differs for
-/// digraphs, and disconnected pairs are handled by the estimator).
-fn run_variant(args: &Args) -> ExitCode {
-    if args.directed && args.weighted {
-        eprintln!("--directed and --weighted are mutually exclusive");
-        return ExitCode::FAILURE;
-    }
-    if args.trace.is_some() || args.metrics {
-        eprintln!("note: --trace/--metrics cover the undirected modes only; ignoring");
-    }
-    let cfg = KadabraConfig {
-        epsilon: args.eps,
-        delta: args.delta,
-        seed: args.seed,
-        ..Default::default()
-    };
-    let file = match std::fs::File::open(&args.graph) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error opening {}: {e}", args.graph.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = if args.directed {
-        match read_arc_list(file) {
-            Ok(g) => {
-                eprintln!("loaded digraph: {} vertices, {} arcs", g.num_nodes(), g.num_arcs());
-                if g.num_nodes() < 2 {
-                    eprintln!("graph too small for betweenness");
-                    return ExitCode::FAILURE;
-                }
-                kadabra_directed(&g, &cfg)
-            }
-            Err(e) => {
-                eprintln!("error reading arc list: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        match read_weighted_edge_list(file) {
-            Ok(g) => {
-                eprintln!(
-                    "loaded weighted graph: {} vertices, {} edges",
-                    g.num_nodes(),
-                    g.num_edges()
-                );
-                if g.num_nodes() < 2 {
-                    eprintln!("graph too small for betweenness");
-                    return ExitCode::FAILURE;
-                }
-                kadabra_weighted(&g, &cfg)
-            }
-            Err(e) => {
-                eprintln!("error reading weighted edge list: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    eprintln!(
-        "done: {} samples (omega {}), {} epochs",
-        result.samples, result.omega, result.stats.epochs
-    );
-    println!("top {} vertices by approximate betweenness:", args.top);
-    for (v, score) in result.top_k(args.top) {
-        println!("{v} {score:.8}");
-    }
-    ExitCode::SUCCESS
 }

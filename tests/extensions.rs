@@ -1,19 +1,71 @@
 //! Integration tests for the extension features: directed/weighted KADABRA
-//! (sequential and epoch-parallel), adaptive top-k, SumSweep, and the
-//! Barabási–Albert generator — exercised through the public facade.
+//! through every driver (the paper's footnote 1), adaptive top-k, SumSweep,
+//! and the Barabási–Albert generator — exercised through the public facade.
 
 use kadabra_mpi::baselines::{brandes, brandes_directed, brandes_weighted};
+use kadabra_mpi::core::phases::scores_from_counts;
 use kadabra_mpi::core::{
-    kadabra_directed, kadabra_sequential, kadabra_shared_directed, kadabra_shared_weighted,
-    kadabra_topk, kadabra_weighted, KadabraConfig,
+    kadabra_epoch_mpi, kadabra_epoch_mpi_observed, kadabra_mpi_flat, kadabra_mpi_flat_observed,
+    kadabra_sequential, kadabra_sequential_on, kadabra_shared_on, kadabra_topk, prepare_for_pool,
+    BetweennessResult, ChaosOptions, ClusterShape, KadabraConfig, SamplerPool,
 };
 use kadabra_mpi::graph::digraph::DiGraph;
 use kadabra_mpi::graph::generators::{barabasi_albert, BaConfig};
 use kadabra_mpi::graph::sumsweep::sum_sweep;
 use kadabra_mpi::graph::weighted::WeightedGraph;
+use kadabra_mpi::graph::KadabraGraph;
+use kadabra_mpi::mpisim::FaultPlan;
+use kadabra_mpi::telemetry::Telemetry;
 
 fn max_err(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
+}
+
+/// Runs `g` through the four drivers — sequential, shared (T = 3), flat MPI
+/// (P = 3), epoch MPI (2 × 2) — and the resident sampler pool, and holds
+/// each within ε of `exact`. The
+/// runs whose schedule is a function of the seed (sequential; Algorithms 1
+/// and 2 under an ideal plan) must also repeat bit for bit; the free-running
+/// ones leave their sample counts to the scheduler, for every graph kind.
+fn every_driver_agrees_with_exact<G: KadabraGraph + Sync>(
+    g: &G,
+    cfg: &KadabraConfig,
+    exact: &[f64],
+) {
+    let tel = Telemetry::stats_only();
+    let shape = ClusterShape { ranks: 2, ranks_per_node: 2, threads_per_rank: 2 };
+    let free_running = [
+        ("shared", kadabra_shared_on(g, cfg, 3, &tel)),
+        ("flat MPI", kadabra_mpi_flat(g, cfg, 3)),
+        ("epoch MPI", kadabra_epoch_mpi(g, cfg, shape)),
+    ];
+    for (driver, r) in &free_running {
+        assert!(max_err(&r.scores, exact) <= cfg.epsilon, "{driver}");
+    }
+    let opts = ChaosOptions::all(FaultPlan::ideal(5));
+    let seeded = |driver: &str, a: BetweennessResult, b: BetweennessResult| {
+        assert!(max_err(&a.scores, exact) <= cfg.epsilon, "{driver}");
+        assert_eq!((a.samples, a.scores), (b.samples, b.scores), "{driver} did not repeat");
+    };
+    let sequential = || kadabra_sequential_on(g, cfg, &tel);
+    seeded("sequential", sequential(), sequential());
+    let flat = || kadabra_mpi_flat_observed(g, cfg, 3, &opts).result;
+    seeded("flat MPI under a plan", flat(), flat());
+    let epoch = || kadabra_epoch_mpi_observed(g, cfg, shape, &opts).result;
+    seeded("epoch MPI under a plan", epoch(), epoch());
+
+    // The resident pool: Algorithm 1's body two epochs at a time, to the floor.
+    let p = prepare_for_pool(g, cfg, 2, 1);
+    let mut pool = SamplerPool::new(g.num_nodes(), *cfg, p.omega, 2, 1, || ());
+    let report = loop {
+        let plan = FaultPlan::ideal(5).reseeded(pool.status().round);
+        let report = pool.round(g, plan, 2, &p.calibration, &tel);
+        if report.achieved <= cfg.epsilon {
+            break report;
+        }
+    };
+    let scores = scores_from_counts(&report.global[..g.num_nodes()], report.tau);
+    assert!(max_err(&scores, exact) <= cfg.epsilon, "sampler pool");
 }
 
 #[test]
@@ -25,11 +77,7 @@ fn directed_sequential_and_parallel_agree_with_exact() {
     arcs.extend(base.edges().filter(|&(u, v)| (u + v) % 3 == 0));
     let g = DiGraph::from_arcs(80, &arcs);
     let cfg = KadabraConfig { epsilon: 0.05, delta: 0.1, seed: 11, ..Default::default() };
-    let exact = brandes_directed(&g);
-    let seq = kadabra_directed(&g, &cfg);
-    let par = kadabra_shared_directed(&g, &cfg, 3);
-    assert!(max_err(&seq.scores, &exact) <= cfg.epsilon);
-    assert!(max_err(&par.scores, &exact) <= cfg.epsilon);
+    every_driver_agrees_with_exact(&g, &cfg, &brandes_directed(&g));
 }
 
 #[test]
@@ -39,11 +87,44 @@ fn weighted_sequential_and_parallel_agree_with_exact() {
         base.edges().map(|(u, v)| (u, v, 1 + (u + 2 * v) % 5)).collect();
     let g = WeightedGraph::from_edges(70, &edges);
     let cfg = KadabraConfig { epsilon: 0.05, delta: 0.1, seed: 12, ..Default::default() };
-    let exact = brandes_weighted(&g);
-    let seq = kadabra_weighted(&g, &cfg);
-    let par = kadabra_shared_weighted(&g, &cfg, 3);
-    assert!(max_err(&seq.scores, &exact) <= cfg.epsilon);
-    assert!(max_err(&par.scores, &exact) <= cfg.epsilon);
+    every_driver_agrees_with_exact(&g, &cfg, &brandes_weighted(&g));
+}
+
+#[test]
+fn directed_triangle_relays_one_pair_per_vertex() {
+    // 0 -> 1 -> 2 -> 0: every vertex is the interior of exactly one of the
+    // six ordered pairs, which no undirected triangle shows.
+    let g = DiGraph::from_arcs(3, &[(0, 1), (1, 2), (2, 0)]);
+    let cfg = KadabraConfig { epsilon: 0.03, delta: 0.1, seed: 9, ..Default::default() };
+    let exact = brandes_directed(&g);
+    assert!(exact.iter().all(|&b| (b - 1.0 / 6.0).abs() < 1e-12));
+    let r = kadabra_sequential_on(&g, &cfg, &Telemetry::stats_only());
+    assert!(max_err(&r.scores, &exact) <= cfg.epsilon);
+}
+
+#[test]
+fn a_heavy_edge_changes_the_weighted_ranking() {
+    // Unit weights: the direct edge 0-2 wins. Heavy direct edge: the detour
+    // through 1 wins and vertex 1 becomes central.
+    let light = WeightedGraph::from_edges(3, &[(0, 2, 1), (0, 1, 1), (1, 2, 1)]);
+    let heavy = WeightedGraph::from_edges(3, &[(0, 2, 10), (0, 1, 1), (1, 2, 1)]);
+    let cfg = KadabraConfig { epsilon: 0.05, delta: 0.1, seed: 10, ..Default::default() };
+    let tel = Telemetry::stats_only();
+    assert!(kadabra_sequential_on(&light, &cfg, &tel).scores[1] < 0.1);
+    assert!(kadabra_sequential_on(&heavy, &cfg, &tel).scores[1] > 0.2);
+}
+
+#[test]
+fn shared_directed_runs_account_their_frames_at_every_thread_count() {
+    let g = DiGraph::from_arcs(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+    let cfg = KadabraConfig { epsilon: 0.1, delta: 0.1, seed: 7, ..Default::default() };
+    let exact = brandes_directed(&g);
+    for threads in [1, 3, 4] {
+        let r = kadabra_shared_on(&g, &cfg, threads, &Telemetry::stats_only());
+        assert!(max_err(&r.scores, &exact) <= cfg.epsilon, "threads={threads}");
+        let frame = 6 * 4 + 8;
+        assert_eq!(r.stats.comm_bytes, r.stats.epochs * threads as u64 * frame);
+    }
 }
 
 #[test]
