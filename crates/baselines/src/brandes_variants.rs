@@ -1,6 +1,7 @@
 //! Exact Brandes betweenness for the directed and weighted graph variants
-//! (the paper's footnote 1). These are the oracles against which
-//! `kadabra_core::variants` is validated.
+//! (the paper's footnote 1). These are the oracles the drivers of
+//! `kadabra-core` are validated against when they run on a `DiGraph` or a
+//! `WeightedGraph`.
 
 use kadabra_graph::digraph::{directed_bfs, DiGraph};
 use kadabra_graph::scratch::UNREACHED;

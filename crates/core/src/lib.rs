@@ -24,14 +24,11 @@
 //! computation → calibration of the per-vertex failure probabilities
 //! δ_L/δ_U → adaptive sampling; see [`phases`].
 //!
-//! Every mode samples through one hook, [`kadabra_graph::PathSource`], and
-//! sets up through [`kadabra_graph::KadabraGraph`], so the same functions
-//! run on a [`kadabra_graph::digraph::DiGraph`] or a
-//! [`kadabra_graph::weighted::WeightedGraph`] (the paper's footnote 1):
-//! [`kadabra_mpi_flat`] and [`kadabra_epoch_mpi`] take any graph kind;
-//! [`kadabra_sequential`] and [`kadabra_shared`] relabel the undirected CSR
-//! by degree first and have [`kadabra_sequential_on`] and
-//! [`kadabra_shared_on`] as their as-given forms.
+//! Every mode samples through one hook, [`kadabra_graph::PathSource`], so
+//! the same functions run on a `DiGraph` or a `WeightedGraph` (the paper's
+//! footnote 1). [`kadabra_sequential`] and [`kadabra_shared`] relabel the
+//! undirected CSR by degree first; [`kadabra_sequential_on`] and
+//! [`kadabra_shared_on`] are their as-given forms for any graph kind.
 
 pub mod bounds;
 pub mod calibration;

@@ -64,6 +64,52 @@ pub fn calibration_samples_for_thread<G: PathSource>(
     share
 }
 
+/// Phase 2 on one rank: its `threads` workers take their shares in parallel
+/// on the streams `(seed, rank, 0..threads)`. Returns the rank's `(n + 1)`-slot
+/// frame: merged counts, and the number of samples taken in the last slot.
+pub(crate) fn calibration_frame<G: PathSource + Sync>(
+    g: &G,
+    cfg: &KadabraConfig,
+    omega: u64,
+    rank: usize,
+    threads: usize,
+    total_threads: usize,
+) -> Vec<u64> {
+    let n = g.num_nodes();
+    let mut frame = vec![0u64; n + 1];
+    crossbeam::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move |_| {
+                    let mut sampler = ThreadSampler::new(n, cfg.seed, rank, t);
+                    let mut counts = vec![0u64; n];
+                    let taken = calibration_samples_for_thread(
+                        g,
+                        &mut sampler,
+                        &mut counts,
+                        cfg,
+                        omega,
+                        total_threads,
+                    );
+                    (counts, taken)
+                })
+            })
+            .collect();
+        for h in handles {
+            // xtask: allow(unwrap) — a sampler-thread panic is a bug; abort
+            // the computation with its message.
+            let (counts, taken) = h.join().expect("calibration worker");
+            for (a, c) in frame.iter_mut().zip(counts) {
+                *a += c;
+            }
+            frame[n] += taken;
+        }
+    })
+    // xtask: allow(unwrap) — children are joined above; see worker waiver.
+    .expect("calibration scope");
+    frame
+}
+
 /// Full sequential preparation: diameter, ω, calibration on one thread.
 pub fn prepare<G: KadabraGraph>(g: &G, cfg: &KadabraConfig) -> Prepared {
     prepare_for_pool(g, cfg, 1, 1)
@@ -139,38 +185,7 @@ pub(crate) fn prepare_collective<G: KadabraGraph + Sync>(
 
     let sp = w.begin(SpanId::Calibration);
     let calib_start = Stopwatch::start();
-    let total_threads = threads * world.size();
-    let mut calib = vec![0u64; n + 1];
-    crossbeam::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                s.spawn(move |_| {
-                    let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, t);
-                    let mut counts = vec![0u64; n];
-                    let taken = calibration_samples_for_thread(
-                        g,
-                        &mut sampler,
-                        &mut counts,
-                        cfg,
-                        omega,
-                        total_threads,
-                    );
-                    (counts, taken)
-                })
-            })
-            .collect();
-        for h in handles {
-            // xtask: allow(unwrap) — a sampler-thread panic is a bug; abort
-            // the computation with its message.
-            let (counts, taken) = h.join().expect("calibration worker");
-            for (a, c) in calib.iter_mut().zip(counts) {
-                *a += c;
-            }
-            calib[n] += taken;
-        }
-    })
-    // xtask: allow(unwrap) — children are joined above; see worker waiver.
-    .expect("calibration scope");
+    let calib = calibration_frame(g, cfg, omega, my_world, threads, threads * world.size());
     let total = world.allreduce_sum_u64(&calib)?;
     let calibration = Calibration::from_counts(&total[..n], total[n], cfg);
     let calibration_time = calib_start.elapsed();

@@ -93,16 +93,8 @@ impl ThreadSampler {
     /// KADABRA counts a sample of a disconnected pair as a path with no
     /// interior, keeping `b̃` an unbiased estimator on disconnected graphs).
     pub fn sample<G: PathSource>(&mut self, g: &G) -> &[NodeId] {
-        assert_eq!(
-            g.num_nodes(),
-            self.n,
-            "sampler scratch sized for {} vertices, graph has {}",
-            self.n,
-            g.num_nodes()
-        );
-        let (s, t) = self.draw_pair();
-        let _ = g.sample_path_into(s, t, &mut self.scratch, &mut self.rng, &mut self.stats);
-        self.samples_taken += 1;
+        // A batch of one consumes the stream exactly as a lone draw would.
+        self.sample_batch_records(g, 1, |_, _, _, _| {});
         &self.scratch.path
     }
 

@@ -9,7 +9,7 @@
 
 use crate::bounds::stopping_condition;
 use crate::config::KadabraConfig;
-use crate::phases::{calibration_samples_for_thread, diameter_phase, scores_from_counts};
+use crate::phases::{calibration_frame, diameter_phase, scores_from_counts};
 use crate::result::{BetweennessResult, PhaseTimings, SamplingStats};
 use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
 use crate::{bounds, calibration::Calibration};
@@ -92,42 +92,8 @@ pub fn kadabra_shared_on<G: KadabraGraph + Sync>(
 
     // Phase 2: calibration — pleasingly parallel sampling, sequential δ fit.
     let sp_calib = w.begin(SpanId::Calibration);
-    let mut partials: Vec<(Vec<u64>, u64)> = Vec::new();
-    crossbeam::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                s.spawn(move |_| {
-                    let mut sampler = ThreadSampler::new(n, cfg.seed, 0, t);
-                    let mut counts = vec![0u64; n];
-                    let taken = calibration_samples_for_thread(
-                        g,
-                        &mut sampler,
-                        &mut counts,
-                        cfg,
-                        omega,
-                        threads,
-                    );
-                    (counts, taken)
-                })
-            })
-            .collect();
-        for h in handles {
-            // xtask: allow(unwrap) — a sampler-thread panic is a bug; abort
-            // the computation with its message.
-            partials.push(h.join().expect("calibration worker"));
-        }
-    })
-    // xtask: allow(unwrap) — children are joined above; see worker waiver.
-    .expect("calibration scope");
-    let mut calib_counts = vec![0u64; n];
-    let mut tau0 = 0;
-    for (counts, taken) in partials {
-        for (a, c) in calib_counts.iter_mut().zip(counts) {
-            *a += c;
-        }
-        tau0 += taken;
-    }
-    let calibration = Calibration::from_counts(&calib_counts, tau0, cfg);
+    let calib = calibration_frame(g, cfg, omega, 0, threads, threads);
+    let calibration = Calibration::from_counts(&calib[..n], calib[n], cfg);
     w.end(sp_calib);
 
     // Phase 3: epoch-based adaptive sampling.

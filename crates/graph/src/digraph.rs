@@ -159,7 +159,7 @@ impl PathSource for DiGraph {
         rng: &mut R,
         _stats: &mut SearchStats,
     ) -> Option<u32> {
-        sample_directed_shortest_path_into(self, s, t, scratch, rng).map(|info| info.distance)
+        sample_directed_shortest_path(self, s, t, scratch, rng).map(|info| info.distance)
     }
 }
 
@@ -189,30 +189,13 @@ impl KadabraGraph for DiGraph {
     }
 }
 
-/// Result of a directed path sample (same semantics as the undirected
-/// [`crate::bibfs::PathSample`]).
-pub type DirectedPathSample = crate::bibfs::PathSample;
-
 /// Samples a uniformly random shortest directed `s -> t` path with a
 /// balanced bidirectional BFS: the forward search follows out-edges, the
 /// backward search follows in-edges (this is where the stored transpose
 /// pays off). Correctness argument identical to the undirected sampler
-/// (see [`crate::bibfs`]); the cut/σ algebra is direction-agnostic.
+/// (see [`crate::bibfs`]); the cut/σ algebra is direction-agnostic. The
+/// interior is left in `scratch.path` (empty on `None`).
 pub fn sample_directed_shortest_path<R: Rng + ?Sized>(
-    g: &DiGraph,
-    s: NodeId,
-    t: NodeId,
-    scratch: &mut TraversalScratch,
-    rng: &mut R,
-) -> Option<DirectedPathSample> {
-    let SampleInfo { distance, num_paths } =
-        sample_directed_shortest_path_into(g, s, t, scratch, rng)?;
-    Some(DirectedPathSample { distance, interior: scratch.path.clone(), num_paths })
-}
-
-/// [`sample_directed_shortest_path`] leaving the interior in `scratch.path`
-/// (empty on `None`) instead of copying it out.
-pub fn sample_directed_shortest_path_into<R: Rng + ?Sized>(
     g: &DiGraph,
     s: NodeId,
     t: NodeId,
@@ -495,7 +478,7 @@ mod tests {
                     None => assert!(all.is_empty()),
                     Some(p) => {
                         assert_eq!(p.num_paths as usize, all.len());
-                        let mut key = p.interior.clone();
+                        let mut key = sc.path.clone();
                         key.sort_unstable();
                         assert!(all.iter().any(|cand| {
                             let mut c = cand.clone();
@@ -520,7 +503,7 @@ mod tests {
         for _ in 0..trials {
             let p = sample_directed_shortest_path(&g, 0, 3, &mut sc, &mut rng).unwrap();
             assert_eq!(p.num_paths, 2);
-            hits[(p.interior[0] == 2) as usize] += 1;
+            hits[(sc.path[0] == 2) as usize] += 1;
         }
         let frac = hits[0] as f64 / trials as f64;
         assert!((frac - 0.5).abs() < 0.02, "biased: {hits:?}");

@@ -1,25 +1,14 @@
-//! The sample-source hook: what Algorithms 1 and 2 need to know about a
-//! graph.
+//! The sample-source hook: all that Algorithms 1 and 2 know of a graph.
 //!
 //! Footnote 1 of the paper: the parallelization "also appl[ies] to directed
 //! and/or weighted graphs if the required modifications to the underlying
 //! sampling algorithm are done". `SAMPLE()` is the only line of either
-//! algorithm that touches the graph, and KADABRA's estimator consumes
-//! nothing but interior-vertex lists of uniformly drawn shortest paths. So
-//! the drivers of `kadabra-core` are generic over two small traits:
-//!
-//! * [`PathSource`] — the sampling half: vertex count, and "draw a uniform
-//!   shortest `s`–`t` path". Implemented once for every [`GraphView`] (the
-//!   CSR and the dynamic overlay, through the bidirectional BFS of
-//!   [`crate::bibfs`]), once for [`crate::digraph::DiGraph`] and once for
-//!   [`crate::weighted::WeightedGraph`].
-//! * [`KadabraGraph`] — the set-up half: an upper bound on the vertex
-//!   diameter, the one graph quantity the sample cap ω depends on. Not
-//!   blanket: the dynamic overlay maintains its own bound across updates.
-//!
-//! The traits live here, beside the graph types, because coherence accepts a
-//! blanket impl next to concrete ones only where trait and types share a
-//! crate.
+//! algorithm that touches the graph, so the drivers of `kadabra-core` are
+//! generic over [`PathSource`] (draw a uniform shortest path) and, for
+//! set-up, [`KadabraGraph`] (bound the vertex diameter). DESIGN.md §5 says
+//! what each impl guarantees. The traits live beside the graph types because
+//! coherence accepts a blanket impl next to concrete ones only where trait
+//! and types share a crate.
 
 use crate::bibfs::{sample_shortest_path_into, SearchStats};
 use crate::csr::{Graph, NodeId};

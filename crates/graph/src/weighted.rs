@@ -283,7 +283,8 @@ impl PathSource for WeightedGraph {
         scratch.path.clear();
         let sample = sample_weighted_shortest_path(self, s, t, rng)?;
         scratch.path.extend_from_slice(&sample.interior);
-        Some(sample.interior.len() as u32 + 1)
+        // A shortest path visits a vertex at most once, so this always fits.
+        u32::try_from(sample.interior.len() + 1).ok()
     }
 }
 

@@ -64,7 +64,7 @@ proptest! {
             None => prop_assert_eq!(d, UNREACHED),
             Some(p) => {
                 prop_assert_eq!(p.distance, d);
-                prop_assert_eq!(p.interior.len() as u32 + 1, p.distance);
+                prop_assert_eq!(sc.path.len() as u32 + 1, p.distance);
                 let all = enumerate_directed_shortest_paths(&g, s, t);
                 prop_assert_eq!(p.num_paths as usize, all.len());
             }

@@ -11,9 +11,14 @@
 //!    count; the second is the one Algorithm 1's rank body passes, whose
 //!    sink may retain every record);
 //! 2. the bodies of the hot-path functions themselves — `sample_batch`,
-//!    `sample_batch_records` (which holds the per-pair loop),
-//!    `sample_shortest_path_into` and `sample` in `crates/core/src` /
-//!    `crates/graph/src`;
+//!    `sample_batch_records` (which holds the per-pair loop), `sample`,
+//!    `sample_path_into` (the sample-source hook: every impl body is what
+//!    the per-pair loop calls) and `sample_shortest_path_into` (the kernel
+//!    behind the blanket impl) in `crates/core/src` / `crates/graph/src`.
+//!    The scan is of the named body, not of what it calls: the
+//!    `WeightedGraph` hook forwards to a Dijkstra that allocates its
+//!    distance and σ arrays per call, outside the scanned range — known,
+//!    and a kernel change rather than a waiver;
 //! 3. the estimate-cache read path in `crates/server/src` —
 //!    `read_frontier_into`, `read_vertex`, and `read_stage_into` run on
 //!    every query against the resident service, concurrently with the
@@ -47,8 +52,13 @@ pub struct HotLoopHygiene;
 const BATCH_CALLS: [&str; 2] = ["sample_batch", "sample_batch_records"];
 
 /// Function names whose bodies are hot-path scope in core/graph.
-const HOT_FNS: [&str; 4] =
-    ["sample_batch", "sample_batch_records", "sample_shortest_path_into", "sample"];
+const HOT_FNS: [&str; 5] = [
+    "sample_batch",
+    "sample_batch_records",
+    "sample",
+    "sample_path_into",
+    "sample_shortest_path_into",
+];
 
 /// Function names whose bodies are the service's cache read path.
 const SERVER_READ_FNS: [&str; 3] = ["read_frontier_into", "read_vertex", "read_stage_into"];

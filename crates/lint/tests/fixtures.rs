@@ -173,6 +173,40 @@ fn record_closure_fixtures_fire_on_exactly_the_marked_lines() {
 }
 
 #[test]
+fn sample_source_hook_fixtures_fire_on_exactly_the_marked_lines() {
+    // The hot-loop-hygiene pass's second scope names the sample-source
+    // hook: every `sample_path_into` body under `crates/graph/src` is what
+    // `sample_batch_records` calls per drawn pair. `hook_bad.rs` must trip
+    // line-exactly; the sanctioned `hook_good.rs` (forward to the kernel,
+    // clear + extend the caller's scratch) must stay clean.
+    let pass = "hot-loop-hygiene";
+    let rel = "crates/graph/src/fixture.rs";
+    let (report, src) = run_case(pass, rel, true, "hook_bad");
+    let expected = marker_lines(&src, pass);
+    assert!(!expected.is_empty(), "hook_bad.rs carries no //~ markers");
+    let mut got: Vec<u32> =
+        report.active().filter(|f| f.pass == pass && f.file == rel).map(|f| f.line).collect();
+    got.sort_unstable();
+    got.dedup();
+    assert_eq!(got, expected, "hook findings landed on the wrong lines");
+    for f in report.active().filter(|f| f.pass == pass && f.file == rel) {
+        assert!(
+            f.message.contains("body of `sample_path_into`"),
+            "finding must name the hook body it fired in: {}",
+            f.message
+        );
+    }
+
+    let (clean, _) = run_case(pass, rel, true, "hook_good");
+    let hits: Vec<_> = clean.findings.iter().filter(|f| f.pass == pass).collect();
+    assert!(
+        hits.is_empty(),
+        "hook_good.rs produced findings: {:?}",
+        hits.iter().map(|f| (f.line, f.message.as_str())).collect::<Vec<_>>()
+    );
+}
+
+#[test]
 fn dynamic_kernel_fixtures_fire_on_exactly_the_marked_lines() {
     // The hot-loop-hygiene pass's fourth scope: the streaming-update
     // apply/invalidate kernel bodies under `crates/dynamic/src`.

@@ -9,22 +9,43 @@
 //! Run: `cargo run --release --example directed_weighted`
 
 use kadabra_mpi::baselines::{brandes_directed, brandes_weighted};
-use kadabra_mpi::core::{kadabra_epoch_mpi, kadabra_sequential_on, ClusterShape, KadabraConfig};
+use kadabra_mpi::core::{
+    kadabra_epoch_mpi, kadabra_sequential_on, BetweennessResult, ClusterShape, KadabraConfig,
+};
 use kadabra_mpi::graph::digraph::DiGraph;
 use kadabra_mpi::graph::weighted::WeightedGraph;
+use kadabra_mpi::graph::KadabraGraph;
 use kadabra_mpi::telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn max_err(scores: &[f64], exact: &[f64]) -> f64 {
-    scores.iter().zip(exact).map(|(a, e)| (a - e).abs()).fold(0.0f64, f64::max)
+/// Runs the sequential driver and Algorithm 2 (a simulated 2-rank × 2-thread
+/// cluster) on `g` — any graph kind — and prints both errors against `exact`.
+fn solve<G: KadabraGraph + Sync>(kind: &str, g: &G, exact: &[f64]) -> BetweennessResult {
+    let cfg = KadabraConfig::new(0.02, 0.1);
+    let max_err = |r: &BetweennessResult| {
+        r.scores.iter().zip(exact).map(|(a, e)| (a - e).abs()).fold(0.0f64, f64::max)
+    };
+    let seq = kadabra_sequential_on(g, &cfg, &Telemetry::stats_only());
+    println!(
+        "{kind}: {} vertices -> {} samples, max |err| vs exact = {:.4} (eps {})",
+        g.num_nodes(),
+        seq.samples,
+        max_err(&seq),
+        cfg.epsilon
+    );
+    let shape = ClusterShape { ranks: 2, ranks_per_node: 2, threads_per_rank: 2 };
+    let alg2 = kadabra_epoch_mpi(g, &cfg, shape);
+    println!(
+        "  Algorithm 2 (2 x 2): {} samples in {} epochs, max |err| = {:.4}",
+        alg2.samples,
+        alg2.stats.epochs,
+        max_err(&alg2)
+    );
+    seq
 }
 
 fn main() {
-    let cfg = KadabraConfig::new(0.02, 0.1);
-    let tel = Telemetry::stats_only();
-    // Algorithm 2 on a simulated 2-rank × 2-thread cluster.
-    let shape = ClusterShape { ranks: 2, ranks_per_node: 2, threads_per_rank: 2 };
     let mut rng = StdRng::seed_from_u64(11);
 
     // --- Directed: a random "web graph" with asymmetric links. ---
@@ -39,23 +60,7 @@ fn main() {
         }
     }
     let dg = DiGraph::from_arcs(n, &arcs);
-    let dr = kadabra_sequential_on(&dg, &cfg, &tel);
-    let exact = brandes_directed(&dg);
-    println!(
-        "directed: {} vertices, {} arcs -> {} samples, max |err| vs exact = {:.4} (eps {})",
-        dg.num_nodes(),
-        dg.num_arcs(),
-        dr.samples,
-        max_err(&dr.scores, &exact),
-        cfg.epsilon
-    );
-    let dr2 = kadabra_epoch_mpi(&dg, &cfg, shape);
-    println!(
-        "  Algorithm 2 (2 x 2): {} samples in {} epochs, max |err| = {:.4}",
-        dr2.samples,
-        dr2.stats.epochs,
-        max_err(&dr2.scores, &exact)
-    );
+    solve("directed", &dg, &brandes_directed(&dg));
 
     // --- Weighted: a toy road network where the "highway" reroutes flow. ---
     // Grid-ish city streets (weight 3) plus a diagonal highway (weight 1).
@@ -76,22 +81,7 @@ fn main() {
         edges.push((id(i, i), id(i + 1, i + 1), 1)); // the highway
     }
     let wg = WeightedGraph::from_edges((side * side) as usize, &edges);
-    let wr = kadabra_sequential_on(&wg, &cfg, &tel);
-    let wexact = brandes_weighted(&wg);
-    println!(
-        "weighted: {} vertices, {} edges -> {} samples, max |err| vs exact = {:.4}",
-        wg.num_nodes(),
-        wg.num_edges(),
-        wr.samples,
-        max_err(&wr.scores, &wexact)
-    );
-    let wr2 = kadabra_epoch_mpi(&wg, &cfg, shape);
-    println!(
-        "  Algorithm 2 (2 x 2): {} samples in {} epochs, max |err| = {:.4}",
-        wr2.samples,
-        wr2.stats.epochs,
-        max_err(&wr2.scores, &wexact)
-    );
+    let wr = solve("weighted", &wg, &brandes_weighted(&wg));
     println!("\ntop 5 weighted-betweenness vertices (expect the highway diagonal):");
     for (v, score) in wr.top_k(5) {
         let (r, c) = (v / side, v % side);
