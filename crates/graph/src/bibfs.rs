@@ -389,6 +389,199 @@ pub fn enumerate_shortest_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<Node
     paths
 }
 
+/// The kernel as PR 24 left it — frontier swap, a degree sum per settled
+/// vertex, a walk-back that scans the whole row of every vertex it passes —
+/// kept verbatim as the differential oracle of the current one: same
+/// samples, same counters, same RNG consumption (`tests::oracle`).
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The buffers of PR 24's `TraversalScratch`.
+    pub(super) struct Scratch {
+        pub(super) fwd: StampedBfsState,
+        pub(super) bwd: StampedBfsState,
+        pub(super) path: Vec<NodeId>,
+        frontier_fwd: Vec<NodeId>,
+        frontier_bwd: Vec<NodeId>,
+        next_frontier: Vec<NodeId>,
+        meets: Vec<(NodeId, u32)>,
+        cut: Vec<(NodeId, u128)>,
+    }
+
+    impl Scratch {
+        pub(super) fn new(n: usize) -> Self {
+            Scratch {
+                fwd: StampedBfsState::new(n),
+                bwd: StampedBfsState::new(n),
+                path: Vec::new(),
+                frontier_fwd: Vec::new(),
+                frontier_bwd: Vec::new(),
+                next_frontier: Vec::new(),
+                meets: Vec::new(),
+                cut: Vec::new(),
+            }
+        }
+    }
+
+    pub(super) fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
+        g: &G,
+        s: NodeId,
+        t: NodeId,
+        scratch: &mut Scratch,
+        rng: &mut R,
+        stats: &mut SearchStats,
+    ) -> Option<SampleInfo> {
+        assert!(s != t, "sampling requires distinct endpoints");
+        scratch.fwd.reset();
+        scratch.bwd.reset();
+        let Scratch { fwd, bwd, path, frontier_fwd, frontier_bwd, next_frontier, meets, cut } =
+            scratch;
+        path.clear();
+        frontier_fwd.clear();
+        frontier_bwd.clear();
+        meets.clear();
+        cut.clear();
+
+        frontier_fwd.push(s);
+        frontier_bwd.push(t);
+        fwd.visit(s, 0, 1);
+        bwd.visit(t, 0, 1);
+        stats.vertices_settled += 2;
+        let mut ds = 0u32;
+        let mut dt = 0u32;
+        let mut deg_s: u64 = g.degree(s) as u64;
+        let mut deg_t: u64 = g.degree(t) as u64;
+
+        loop {
+            if frontier_fwd.is_empty() || frontier_bwd.is_empty() {
+                return None;
+            }
+            let expand_fwd = deg_s <= deg_t;
+            let (state, other, frontier, depth): (
+                &mut StampedBfsState,
+                &mut StampedBfsState,
+                &mut Vec<NodeId>,
+                &mut u32,
+            ) = if expand_fwd {
+                (&mut *fwd, &mut *bwd, &mut *frontier_fwd, &mut ds)
+            } else {
+                (&mut *bwd, &mut *fwd, &mut *frontier_bwd, &mut dt)
+            };
+
+            let new_depth = *depth + 1;
+            next_frontier.clear();
+            let mut next_deg: u64 = 0;
+            for i in 0..frontier.len() {
+                let u = frontier[i];
+                let su = state.sigma(u);
+                for &v in g.neighbors(u) {
+                    stats.edges_scanned += 1;
+                    if state.settle_or_merge(v, new_depth, su) {
+                        stats.vertices_settled += 1;
+                        next_frontier.push(v);
+                        next_deg += g.degree(v) as u64;
+                        if other.reached(v) {
+                            meets.push((v, other.dist(v)));
+                        }
+                    }
+                }
+            }
+            *depth = new_depth;
+            std::mem::swap(frontier, next_frontier);
+            if expand_fwd {
+                deg_s = next_deg;
+            } else {
+                deg_t = next_deg;
+            }
+            if !meets.is_empty() {
+                let k0 = meets.iter().map(|&(_, k)| k).min().unwrap();
+                let distance = new_depth + k0;
+                let (near, far) = if expand_fwd { (&*fwd, &*bwd) } else { (&*bwd, &*fwd) };
+                let mut num_paths: u128 = 0;
+                for &(v, k) in meets.iter() {
+                    if k == k0 {
+                        let w = (near.sigma(v) as u128).saturating_mul(far.sigma(v) as u128);
+                        num_paths = num_paths.saturating_add(w);
+                        cut.push((v, w));
+                    }
+                }
+                let (near_root, far_root) = if expand_fwd { (s, t) } else { (t, s) };
+                select_and_backtrack(g, cut, num_paths, near, near_root, far, far_root, path, rng);
+                return Some(SampleInfo { distance, num_paths });
+            }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
+        g: &G,
+        cut: &mut Vec<(NodeId, u128)>,
+        num_paths: u128,
+        near: &StampedBfsState,
+        near_root: NodeId,
+        far: &StampedBfsState,
+        far_root: NodeId,
+        path: &mut Vec<NodeId>,
+        rng: &mut R,
+    ) {
+        cut.sort_unstable_by_key(|&(v, _)| v);
+        let mut pick = rng.gen_range(0..num_paths);
+        let mut chosen = cut[0].0;
+        for &(v, w) in cut.iter() {
+            if pick < w {
+                chosen = v;
+                break;
+            }
+            pick -= w;
+        }
+        path.clear();
+        backtrack(g, near, chosen, near_root, path, cut, rng);
+        if chosen != far_root {
+            path.push(chosen);
+        }
+        backtrack(g, far, chosen, far_root, path, cut, rng);
+    }
+
+    fn backtrack<G: GraphView, R: Rng + ?Sized>(
+        g: &G,
+        state: &StampedBfsState,
+        from: NodeId,
+        _root: NodeId,
+        out: &mut Vec<NodeId>,
+        preds: &mut Vec<(NodeId, u128)>,
+        rng: &mut R,
+    ) {
+        let mut cur = from;
+        let mut d = state.dist(cur);
+        while d > 1 {
+            preds.clear();
+            let mut total: u64 = 0;
+            for &u in g.neighbors(cur) {
+                if let Some((du, su)) = state.record(u) {
+                    if du == d - 1 {
+                        total += su;
+                        preds.push((u, su as u128));
+                    }
+                }
+            }
+            let mut pick = rng.gen_range(0..total);
+            let mut nxt = cur;
+            for &(u, su) in preds.iter() {
+                let su = su as u64;
+                if pick < su {
+                    nxt = u;
+                    break;
+                }
+                pick -= su;
+            }
+            out.push(nxt);
+            cur = nxt;
+            d -= 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,6 +591,116 @@ mod tests {
 
     fn scratch_for(g: &Graph) -> TraversalScratch {
         TraversalScratch::new(g.num_nodes())
+    }
+
+    /// The differential oracle: on random pairs of random graphs — G(n, m),
+    /// small R-MAT, grids with diagonals, disjoint unions, and stars of
+    /// stars whose centre has a degree far above the level it is walked to —
+    /// the kernel and [`reference`] return the same sample, count the same
+    /// work, and leave the RNG at the same position.
+    mod oracle {
+        use super::*;
+        use crate::generators::{gnm, grid, rmat, GnmConfig, GridConfig, RmatConfig};
+        use proptest::prelude::*;
+
+        /// A centre joined to `hubs` hubs, hub `i` carrying `leaves[i]`
+        /// leaves, plus `extra` random edges: a walk from the centre towards
+        /// a leaf's hub looks for a one-vertex level in a long row.
+        fn star_of_stars(leaves: &[usize], extra: usize, seed: u64) -> Graph {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut edges = Vec::new();
+            let mut next = 1 + leaves.len() as NodeId;
+            for (i, &l) in leaves.iter().enumerate() {
+                let hub = 1 + i as NodeId;
+                edges.push((0, hub));
+                for _ in 0..l {
+                    edges.push((hub, next));
+                    next += 1;
+                }
+            }
+            let n = next as usize;
+            for _ in 0..extra {
+                edges.push((rng.gen_range(0..next), rng.gen_range(0..next)));
+            }
+            graph_from_edges(n, &edges)
+        }
+
+        /// `a` and `b` side by side, no edge between them.
+        fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
+            let shift = a.num_nodes() as NodeId;
+            let edges: Vec<_> =
+                a.edges().chain(b.edges().map(|(u, v)| (u + shift, v + shift))).collect();
+            graph_from_edges(a.num_nodes() + b.num_nodes(), &edges)
+        }
+
+        /// The graph of family `family % 5` drawn with size knobs `a`, `b`
+        /// (both in `0..64`) and `seed`.
+        pub(super) fn draw_graph(family: u8, a: usize, b: usize, seed: u64) -> Graph {
+            match family % 5 {
+                0 => gnm(GnmConfig { n: 4 + a, m: (4 + a) * (b % 5) / 2, seed }),
+                1 => rmat(RmatConfig::graph500(4 + a as u32 % 5, 1 + b as u32 % 8, seed)),
+                2 => grid(GridConfig {
+                    rows: 1 + a % 14,
+                    cols: 2 + b % 14,
+                    diagonal_prob: (seed % 7) as f64 / 10.0,
+                    seed,
+                }),
+                3 => disjoint_union(
+                    &gnm(GnmConfig { n: 4 + a % 30, m: 4 + a % 30, seed }),
+                    &gnm(GnmConfig { n: 4 + b % 30, m: 2 * (4 + b % 30), seed: seed ^ 1 }),
+                ),
+                _ => {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let leaves: Vec<usize> =
+                        (0..2 + a % 10).map(|_| rng.gen_range(0..1 + b % 40)).collect();
+                    star_of_stars(&leaves, b % 6, seed)
+                }
+            }
+        }
+
+        /// Runs `pairs` random pairs of `g` through both kernels from one
+        /// RNG seed and asserts they agree on everything observable.
+        pub(super) fn agree_on(g: &Graph, pairs: usize, seed: u64) {
+            let n = g.num_nodes();
+            let mut pick = StdRng::seed_from_u64(seed);
+            let (mut sc, mut rsc) = (TraversalScratch::new(n), reference::Scratch::new(n));
+            let (mut rng, mut rrng) =
+                (StdRng::seed_from_u64(seed ^ 7), StdRng::seed_from_u64(seed ^ 7));
+            for _ in 0..pairs {
+                let s = pick.gen_range(0..n as NodeId);
+                let t = pick.gen_range(0..n as NodeId);
+                if s == t {
+                    continue;
+                }
+                let (mut st, mut rst) = (SearchStats::default(), SearchStats::default());
+                let got = sample_shortest_path_into(g, s, t, &mut sc, &mut rng, &mut st);
+                let want =
+                    reference::sample_shortest_path_into(g, s, t, &mut rsc, &mut rrng, &mut rst);
+                prop_assert_eq!(got, want, "s={} t={}", s, t);
+                prop_assert_eq!(&sc.path, &rsc.path, "interior, s={} t={}", s, t);
+                prop_assert_eq!(st.edges_scanned, rst.edges_scanned, "s={} t={}", s, t);
+                prop_assert_eq!(st.vertices_settled, rst.vertices_settled, "s={} t={}", s, t);
+                prop_assert_eq!(
+                    rng.clone().gen::<u64>(),
+                    rrng.clone().gen::<u64>(),
+                    "RNG position, s={} t={}",
+                    s,
+                    t
+                );
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(400))]
+
+            #[test]
+            fn kernel_matches_the_reference(
+                (family, a, b) in (0u8..5, 0usize..64, 0usize..64),
+                seed in any::<u64>(),
+            ) {
+                agree_on(&draw_graph(family, a, b, seed), 24, seed);
+            }
+        }
     }
 
     #[test]
