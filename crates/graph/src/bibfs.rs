@@ -128,17 +128,20 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
         fwd,
         bwd,
         path,
-        frontier_fwd,
-        frontier_bwd,
-        next_frontier,
+        order_fwd,
+        order_bwd,
+        levels_fwd,
+        levels_bwd,
         meets,
         cut,
-        ..
     } = scratch;
 
-    // Frontiers hold the vertices of the most recently completed level.
-    frontier_fwd.push(s);
-    frontier_bwd.push(t);
+    // Each direction appends the vertices it settles to its order list; the
+    // level starts cut it into BFS levels, the last of which is the frontier.
+    order_fwd.push(s);
+    order_bwd.push(t);
+    levels_fwd.push(0);
+    levels_bwd.push(0);
     fwd.visit(s, 0, 1);
     bwd.visit(t, 0, 1);
     stats.vertices_settled += 2;
@@ -148,87 +151,110 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
     let mut deg_t: u64 = g.degree(t) as u64;
 
     loop {
-        if frontier_fwd.is_empty() || frontier_bwd.is_empty() {
-            return None; // one component exhausted without meeting
-        }
         // Balanced expansion: grow the cheaper side.
         let expand_fwd = deg_s <= deg_t;
-        let (state, other, frontier, depth): (
-            &mut StampedBfsState,
-            &mut StampedBfsState,
-            &mut Vec<NodeId>,
-            &mut u32,
-        ) = if expand_fwd {
-            (&mut *fwd, &mut *bwd, &mut *frontier_fwd, &mut ds)
+        let (state, other, order, levels, depth, deg) = if expand_fwd {
+            (&mut *fwd, &*bwd, &mut *order_fwd, &mut *levels_fwd, &mut ds, &mut deg_s)
         } else {
-            (&mut *bwd, &mut *fwd, &mut *frontier_bwd, &mut dt)
+            (&mut *bwd, &*fwd, &mut *order_bwd, &mut *levels_bwd, &mut dt, &mut deg_t)
         };
 
         let new_depth = *depth + 1;
-        next_frontier.clear();
-        let mut next_deg: u64 = 0;
-        for i in 0..frontier.len() {
-            let u = frontier[i];
+        let (start, end) = (levels[levels.len() - 1] as usize, order.len());
+        // `order` holds each vertex at most once and ids are u32: this fits.
+        levels.push(end as u32);
+        for i in start..end {
+            let u = order[i];
             // Pull the next frontier vertex's adjacency row while scanning
             // this one's.
-            if let Some(&w) = frontier.get(i + 1) {
-                g.prefetch_neighbors(w);
+            if i + 1 < end {
+                g.prefetch_neighbors(order[i + 1]);
             }
             let su = state.sigma(u);
             let adj = g.neighbors(u);
             for (j, &v) in adj.iter().enumerate() {
-                // Pull the stamped record a few probes ahead: the v's are
-                // data-dependent, so the hardware prefetcher cannot help.
+                // Pull both directions' records a few probes ahead: the v's
+                // are data-dependent, so the hardware prefetcher cannot help,
+                // and every vertex this level settles is probed on the other
+                // side by the meet test.
                 if let Some(&w) = adj.get(j + STATE_PREFETCH_DIST) {
                     state.prefetch(w);
+                    other.prefetch(w);
                 }
                 stats.edges_scanned += 1;
                 if state.settle_or_merge(v, new_depth, su) {
                     stats.vertices_settled += 1;
-                    next_frontier.push(v);
-                    next_deg += g.degree(v) as u64;
-                    if other.reached(v) {
-                        meets.push((v, other.dist(v)));
+                    order.push(v);
+                    if let Some((k, _)) = other.record(v) {
+                        meets.push((v, k));
                     }
                 }
             }
         }
         *depth = new_depth;
-        std::mem::swap(frontier, next_frontier);
-        if expand_fwd {
-            deg_s = next_deg;
-        } else {
-            deg_t = next_deg;
-        }
-        if !meets.is_empty() {
-            // Finish: compute the true distance and the cut.
-            // xtask: allow(unwrap) — guarded by !meets.is_empty() above.
-            let k0 = meets.iter().map(|&(_, k)| k).min().unwrap();
-            let distance = new_depth + k0;
-            // The cut lives at level `new_depth` of the side just expanded.
-            let (near, far) = if expand_fwd { (&*fwd, &*bwd) } else { (&*bwd, &*fwd) };
-            let mut num_paths: u128 = 0;
-            for &(v, k) in meets.iter() {
-                if k == k0 {
-                    let w = (near.sigma(v) as u128).saturating_mul(far.sigma(v) as u128);
-                    num_paths = num_paths.saturating_add(w);
-                    cut.push((v, w));
-                }
+        if meets.is_empty() {
+            let level = &order[end..];
+            if level.is_empty() {
+                return None; // one component exhausted without meeting
             }
-            debug_assert!(num_paths > 0);
-
-            let (near_root, far_root) = if expand_fwd { (s, t) } else { (t, s) };
-            select_and_backtrack(g, cut, num_paths, near, near_root, far, far_root, path, rng);
-            debug_assert_eq!(
-                // xtask: allow(determinism) — a shortest path visits each
-                // vertex at most once, so its length fits the u32 the CSR
-                // layout guarantees for vertex counts.
-                path.len() as u32 + 1,
-                distance,
-                "interior vertex count must be distance - 1"
-            );
-            return Some(SampleInfo { distance, num_paths });
+            // The next balance decision reads this level's degree sum; the
+            // meeting level, usually the widest, never pays for one.
+            *deg = level.iter().map(|&v| g.degree(v) as u64).sum();
+            continue;
         }
+
+        // Finish: compute the true distance and the cut.
+        // xtask: allow(unwrap) — guarded by the empty check above.
+        let k0 = meets.iter().map(|&(_, k)| k).min().unwrap();
+        let distance = new_depth + k0;
+        // The cut lives at level `new_depth` of the side just expanded.
+        let (fwd_side, bwd_side) = (
+            Side { state: &*fwd, order: order_fwd, levels: levels_fwd, root: s },
+            Side { state: &*bwd, order: order_bwd, levels: levels_bwd, root: t },
+        );
+        let (near, far) = if expand_fwd { (fwd_side, bwd_side) } else { (bwd_side, fwd_side) };
+        let mut num_paths: u128 = 0;
+        for &(v, k) in meets.iter() {
+            if k == k0 {
+                let w = (near.state.sigma(v) as u128).saturating_mul(far.state.sigma(v) as u128);
+                num_paths = num_paths.saturating_add(w);
+                cut.push((v, w));
+            }
+        }
+        debug_assert!(num_paths > 0);
+
+        select_and_backtrack(g, cut, num_paths, &near, &far, path, rng);
+        debug_assert_eq!(
+            // xtask: allow(determinism) — a shortest path visits each
+            // vertex at most once, so its length fits the u32 the CSR
+            // layout guarantees for vertex counts.
+            path.len() as u32 + 1,
+            distance,
+            "interior vertex count must be distance - 1"
+        );
+        return Some(SampleInfo { distance, num_paths });
+    }
+}
+
+/// One direction of a search that has met, as the walk-back reads it.
+struct Side<'a> {
+    /// Distances and σ from `root`.
+    state: &'a StampedBfsState,
+    /// Settled vertices in settling order.
+    order: &'a [NodeId],
+    /// Level starts into `order`.
+    levels: &'a [u32],
+    /// The endpoint this direction grew from.
+    root: NodeId,
+}
+
+impl Side<'_> {
+    /// The vertices at distance `d` from the root. Level `d` must be complete
+    /// and followed by a started one: true for every level below the
+    /// direction's radius, the only levels the walk asks for.
+    fn level(&self, d: u32) -> &[NodeId] {
+        let d = d as usize;
+        &self.order[self.levels[d] as usize..self.levels[d + 1] as usize]
     }
 }
 
@@ -240,15 +266,12 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
 /// follows the frontier's insertion order, so the cut is put into a
 /// canonical order before any RNG is consumed. Selection then depends only
 /// on the level sets and the RNG stream, never on traversal schedule.
-#[allow(clippy::too_many_arguments)]
 fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     cut: &mut Vec<(NodeId, u128)>,
     num_paths: u128,
-    near: &StampedBfsState,
-    near_root: NodeId,
-    far: &StampedBfsState,
-    far_root: NodeId,
+    near: &Side<'_>,
+    far: &Side<'_>,
     path: &mut Vec<NodeId>,
     rng: &mut R,
 ) {
@@ -271,11 +294,11 @@ fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
     // dead once a vertex is drawn, so the walks reuse it as predecessor
     // scratch — no extra allocation, no extra plumbing.
     path.clear();
-    backtrack(g, near, chosen, near_root, path, cut, rng);
-    if chosen != far_root {
+    backtrack(g, near, chosen, path, cut, rng);
+    if chosen != far.root {
         path.push(chosen);
     }
-    backtrack(g, far, chosen, far_root, path, cut, rng);
+    backtrack(g, far, chosen, path, cut, rng);
 }
 
 /// Sliding prefetch distance for the backtrack predecessor scan: the
@@ -283,47 +306,64 @@ fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
 /// cache a few entries ahead.
 const BACKTRACK_PREFETCH_DIST: usize = 6;
 
-/// Walks from `from` (exclusive) towards `root` (exclusive), pushing interior
-/// vertices onto `out`. At a vertex of distance `d` the predecessor `u`
-/// (distance `d - 1`) is chosen with probability `σ(u) / Σ σ`, which makes
-/// the complete walk a uniform draw among the σ(from) shortest root→from
-/// paths.
+/// Walks from `from` (exclusive) towards `side.root` (exclusive), pushing
+/// interior vertices onto `out`. At a vertex of distance `d` the predecessor
+/// `u` (distance `d - 1`) is chosen with probability `σ(u) / Σ σ`, which
+/// makes the complete walk a uniform draw among the σ(from) shortest
+/// root→from paths.
 ///
-/// `preds` is caller scratch (clobbered): each step scans the neighbor
-/// records **once**, caching the qualifying predecessors with their σ, then
-/// draws from the cache — the record probes are random accesses into a
-/// state arena that may be cache-cold, so not re-scanning for the draw
-/// halves the expensive loads. The drawn predecessor — and the RNG stream —
-/// are exactly those of a scan-twice implementation.
+/// The predecessors of `cur` are the vertices of level `d - 1` in
+/// `row(cur)`, and each step finds them from whichever side is cheaper:
+/// scanning the row and probing every entry's record, or, when the level is
+/// short against a long row (a hub reached from a low-degree root), testing
+/// each level vertex for membership in the row by binary search and sorting
+/// the hits by id. Rows are strictly increasing, so id order is row order:
+/// either way `preds` (caller scratch, clobbered) ends up as the same list,
+/// the draw is made from it with the same `total`, and the drawn
+/// predecessor — and the RNG stream — do not depend on the branch.
 fn backtrack<G: GraphView, R: Rng + ?Sized>(
     g: &G,
-    state: &StampedBfsState,
+    side: &Side<'_>,
     from: NodeId,
-    root: NodeId,
     out: &mut Vec<NodeId>,
     preds: &mut Vec<(NodeId, u128)>,
     rng: &mut R,
 ) {
+    let state = side.state;
     let mut cur = from;
     let mut d = state.dist(cur);
     while d > 1 {
         let adj = g.neighbors(cur);
-        for &u in adj.iter().take(BACKTRACK_PREFETCH_DIST) {
-            state.prefetch(u);
-        }
+        let level = side.level(d - 1);
         // Total σ over predecessors equals σ(cur) by construction, except for
         // cut vertices whose σ may also have received contributions from
         // same-level edges; recompute the predecessor total to stay exact.
         preds.clear();
         let mut total: u64 = 0;
-        for (j, &u) in adj.iter().enumerate() {
-            if let Some(&nu) = adj.get(j + BACKTRACK_PREFETCH_DIST) {
-                state.prefetch(nu);
-            }
-            if let Some((du, su)) = state.record(u) {
-                if du == d - 1 {
+        // ⌈log₂(deg + 1)⌉ probes per binary search of the row.
+        let search = (usize::BITS - adj.len().leading_zeros()) as usize;
+        if level.len() * search < adj.len() {
+            for &u in level {
+                if adj.binary_search(&u).is_ok() {
+                    let su = state.sigma(u);
                     total += su;
                     preds.push((u, su as u128));
+                }
+            }
+            preds.sort_unstable_by_key(|&(u, _)| u);
+        } else {
+            for &u in adj.iter().take(BACKTRACK_PREFETCH_DIST) {
+                state.prefetch(u);
+            }
+            for (j, &u) in adj.iter().enumerate() {
+                if let Some(&nu) = adj.get(j + BACKTRACK_PREFETCH_DIST) {
+                    state.prefetch(nu);
+                }
+                if let Some((du, su)) = state.record(u) {
+                    if du == d - 1 {
+                        total += su;
+                        preds.push((u, su as u128));
+                    }
                 }
             }
         }
@@ -344,8 +384,7 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
         cur = nxt;
         d -= 1;
     }
-    debug_assert!(d == 0 || g.has_edge(cur, root) || cur == root);
-    let _ = root;
+    debug_assert!(d == 0 || g.has_edge(cur, side.root) || cur == side.root);
 }
 
 /// Exhaustively enumerates **all** shortest `s`-`t` paths. Exponential in the
@@ -472,8 +511,7 @@ mod reference {
             let new_depth = *depth + 1;
             next_frontier.clear();
             let mut next_deg: u64 = 0;
-            for i in 0..frontier.len() {
-                let u = frontier[i];
+            for &u in frontier.iter() {
                 let su = state.sigma(u);
                 for &v in g.neighbors(u) {
                     stats.edges_scanned += 1;

@@ -74,8 +74,6 @@ pub struct StampedState<S: Stamp> {
     slots: Vec<Slot<S>>,
     /// Current round.
     round: S,
-    /// FIFO queue for the BFS frontier.
-    pub queue: Vec<NodeId>,
 }
 
 /// The production stamp width: wraps once per ~4 billion samples.
@@ -87,7 +85,6 @@ impl<S: Stamp> StampedState<S> {
         StampedState {
             slots: vec![Slot { stamp: S::CLEAR, dist: UNREACHED, sigma: 0 }; n],
             round: S::CLEAR,
-            queue: Vec::new(),
         }
     }
 
@@ -95,7 +92,6 @@ impl<S: Stamp> StampedState<S> {
     /// where every stamp is cleared so recycled round numbers cannot alias
     /// stamps written before the wrap.
     pub fn reset(&mut self) {
-        self.queue.clear();
         if self.round == S::LAST {
             for slot in &mut self.slots {
                 slot.stamp = S::CLEAR;
@@ -198,10 +194,12 @@ impl<S: Stamp> StampedState<S> {
 }
 
 /// Scratch space for one sampling thread: two stamped BFS states (forward
-/// from `s`, backward from `t`), frontier buffers, and result buffers for the
-/// sampled shortest path. Every buffer holds at most one entry per vertex and
-/// is allocated at that capacity up front, so no sample — not even the first
-/// — performs a heap allocation.
+/// from `s`, backward from `t`), each direction's settled vertices cut into
+/// BFS levels, and result buffers for the sampled shortest path. Every
+/// buffer holds at most one entry per vertex (the level starts one more
+/// than the levels, of which there are at most n) and is allocated at that
+/// capacity up front, so no sample — not even the first — performs a heap
+/// allocation.
 pub struct TraversalScratch {
     /// Forward BFS state (from the sample's source `s`).
     pub fwd: StampedBfsState,
@@ -209,12 +207,16 @@ pub struct TraversalScratch {
     pub bwd: StampedBfsState,
     /// The most recently sampled path, as interior vertices only.
     pub path: Vec<NodeId>,
-    /// Forward frontier (most recently completed level around `s`).
-    pub frontier_fwd: Vec<NodeId>,
-    /// Backward frontier (most recently completed level around `t`).
-    pub frontier_bwd: Vec<NodeId>,
-    /// The level currently being built; swapped into a frontier when done.
-    pub next_frontier: Vec<NodeId>,
+    /// Vertices settled around `s`, in settling order.
+    pub order_fwd: Vec<NodeId>,
+    /// Vertices settled around `t`, in settling order.
+    pub order_bwd: Vec<NodeId>,
+    /// Where each level of `order_fwd` begins: level `i` is
+    /// `order_fwd[levels_fwd[i]..levels_fwd[i + 1]]`, the last level runs to
+    /// the end and is the frontier.
+    pub levels_fwd: Vec<u32>,
+    /// Where each level of `order_bwd` begins (as `levels_fwd`).
+    pub levels_bwd: Vec<u32>,
     /// Meeting vertices of the final level: (vertex, settled other-side dist).
     pub meets: Vec<(NodeId, u32)>,
     /// Meeting-cut vertices with their path-count weights σ_near·σ_far.
@@ -228,9 +230,10 @@ impl TraversalScratch {
             fwd: StampedBfsState::new(n),
             bwd: StampedBfsState::new(n),
             path: Vec::with_capacity(n),
-            frontier_fwd: Vec::with_capacity(n),
-            frontier_bwd: Vec::with_capacity(n),
-            next_frontier: Vec::with_capacity(n),
+            order_fwd: Vec::with_capacity(n),
+            order_bwd: Vec::with_capacity(n),
+            levels_fwd: Vec::with_capacity(n + 2),
+            levels_bwd: Vec::with_capacity(n + 2),
             meets: Vec::with_capacity(n),
             cut: Vec::with_capacity(n),
         }
@@ -241,9 +244,10 @@ impl TraversalScratch {
         self.fwd.reset();
         self.bwd.reset();
         self.path.clear();
-        self.frontier_fwd.clear();
-        self.frontier_bwd.clear();
-        self.next_frontier.clear();
+        self.order_fwd.clear();
+        self.order_bwd.clear();
+        self.levels_fwd.clear();
+        self.levels_bwd.clear();
         self.meets.clear();
         self.cut.clear();
     }
@@ -352,18 +356,20 @@ mod tests {
         sc.fwd.visit(0, 0, 1);
         sc.bwd.visit(2, 0, 1);
         sc.path.push(1);
-        sc.frontier_fwd.push(0);
-        sc.frontier_bwd.push(2);
-        sc.next_frontier.push(1);
+        sc.order_fwd.push(0);
+        sc.order_bwd.push(2);
+        sc.levels_fwd.push(0);
+        sc.levels_bwd.push(0);
         sc.meets.push((1, 1));
         sc.cut.push((1, 1));
         sc.reset();
         assert!(!sc.fwd.reached(0));
         assert!(!sc.bwd.reached(2));
         assert!(sc.path.is_empty());
-        assert!(sc.frontier_fwd.is_empty());
-        assert!(sc.frontier_bwd.is_empty());
-        assert!(sc.next_frontier.is_empty());
+        assert!(sc.order_fwd.is_empty());
+        assert!(sc.order_bwd.is_empty());
+        assert!(sc.levels_fwd.is_empty());
+        assert!(sc.levels_bwd.is_empty());
         assert!(sc.meets.is_empty());
         assert!(sc.cut.is_empty());
     }
