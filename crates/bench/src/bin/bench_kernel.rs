@@ -2,7 +2,8 @@
 //! measures the single-thread hot path — `ThreadSampler::sample_batch` over
 //! the balanced bidirectional BFS — on the R-MAT perf instance and emits
 //! `BENCH_kernel.json` (`kadabra-bench/v1` plus `ns_per_sample` /
-//! `allocs_per_sample` extra columns).
+//! `allocs_per_sample` / `walk_probes_per_sample` extra columns — the last
+//! is the walk-back's work, which `edges_scanned` does not count).
 //!
 //! Rows produced:
 //!
@@ -62,12 +63,14 @@ fn measure(instance: &str, mode: &str, g: &Graph, iters: u64, seed: u64) -> Benc
     sampler.sample_batch(g, iters, |interior| interior_visits += interior.len() as u64);
 
     let before = ALLOC.counts();
-    let edges_before = sampler.stats.edges_scanned;
+    let stats_before = sampler.stats;
     let start = Instant::now();
     sampler.sample_batch(g, iters, |interior| interior_visits += interior.len() as u64);
     let wall_ns = start.elapsed().as_nanos() as u64;
     let allocs = ALLOC.counts().since(&before).allocs;
-    let edges_per_sample = (sampler.stats.edges_scanned - edges_before) as f64 / iters as f64;
+    let per_sample = |now: u64, then: u64| (now - then) as f64 / iters as f64;
+    let edges_per_sample = per_sample(sampler.stats.edges_scanned, stats_before.edges_scanned);
+    let walk_probes_per_sample = per_sample(sampler.stats.walk_probes, stats_before.walk_probes);
 
     let ns_per_sample = wall_ns as f64 / iters as f64;
     let samples_per_sec = if wall_ns > 0 { iters as f64 / (wall_ns as f64 / 1e9) } else { 0.0 };
@@ -75,7 +78,8 @@ fn measure(instance: &str, mode: &str, g: &Graph, iters: u64, seed: u64) -> Benc
     println!(
         "  {instance} {mode}: {iters} samples, {ns_per_sample:.0} ns/sample, \
          {samples_per_sec:.0} samples/s, {allocs} allocs ({allocs_per_sample:.4}/sample, \
-         {interior_visits} interior visits, {edges_per_sample:.0} edges/sample)"
+         {interior_visits} interior visits, {edges_per_sample:.0} edges/sample, \
+         {walk_probes_per_sample:.0} walk probes/sample)"
     );
     BenchRun {
         instance: instance.to_string(),
@@ -91,6 +95,7 @@ fn measure(instance: &str, mode: &str, g: &Graph, iters: u64, seed: u64) -> Benc
         extras: vec![
             ("ns_per_sample".to_string(), ns_per_sample),
             ("allocs_per_sample".to_string(), allocs_per_sample),
+            ("walk_probes_per_sample".to_string(), walk_probes_per_sample),
         ],
     }
 }

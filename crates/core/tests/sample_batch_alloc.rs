@@ -21,9 +21,10 @@ use kadabra_alloctrack::CountingAlloc;
 use kadabra_core::ThreadSampler;
 use kadabra_graph::bibfs::SearchStats;
 use kadabra_graph::components::largest_component;
+use kadabra_graph::csr::graph_from_edges;
 use kadabra_graph::digraph::DiGraph;
-use kadabra_graph::generators::{rmat, RmatConfig};
-use kadabra_graph::{NodeId, PathSource, TraversalScratch};
+use kadabra_graph::generators::{grid, rmat, GridConfig, RmatConfig};
+use kadabra_graph::{Graph, NodeId, PathSource, TraversalScratch};
 use rand::Rng;
 use std::cell::Cell;
 
@@ -57,6 +58,23 @@ impl PathSource for Metered<'_> {
     }
 }
 
+/// Runs batches 2 to 6 of `batch` samples on `g` (the first sized the pair
+/// buffer) and asserts that none allocates; returns their interior visits.
+fn batches_allocate_nothing(g: &Graph, sampler: &mut ThreadSampler, batch: u64, what: &str) -> u64 {
+    let mut interior_visits = 0u64;
+    for nth in 2..=6 {
+        let before = ALLOC.counts();
+        sampler.sample_batch(g, batch, |interior| interior_visits += interior.len() as u64);
+        let heap = ALLOC.counts().since(&before);
+        assert_eq!(
+            heap.allocs, 0,
+            "{what}: batch {nth} of {batch} samples allocated: {heap:?} \
+             (see the module docs for the KADABRA_SKIP_ALLOC_GATE waiver)"
+        );
+    }
+    interior_visits
+}
+
 #[test]
 fn sample_batch_is_allocation_free_after_warmup() {
     if std::env::var("KADABRA_SKIP_ALLOC_GATE").is_ok_and(|v| v == "1") {
@@ -75,16 +93,20 @@ fn sample_batch_is_allocation_free_after_warmup() {
 
     // The counters are process-wide, but this is the only test in the binary
     // and the harness thread is parked while it runs.
-    for nth in 2..=6 {
-        let before = ALLOC.counts();
-        sampler.sample_batch(&g, batch, |interior| interior_visits += interior.len() as u64);
-        let heap = ALLOC.counts().since(&before);
-        assert_eq!(
-            heap.allocs, 0,
-            "batch {nth} of {batch} samples allocated: {heap:?} \
-             (see the module docs for the KADABRA_SKIP_ALLOC_GATE waiver)"
-        );
-    }
+    interior_visits += batches_allocate_nothing(&g, &mut sampler, batch, "R-MAT s14");
+
+    // A high-diameter input, whose searches run dozens of levels deep where
+    // R-MAT's meet after three to six. Its sampler's first batch runs on a
+    // star of the same order, two levels deep: that sizes the pair buffer
+    // and leaves a level-start buffer grown on demand short, so the grid's
+    // batches fail the gate unless every buffer was allocated at capacity.
+    let (grid_g, _) =
+        grid(GridConfig { rows: 64, cols: 64, diagonal_prob: 0.0, seed: 0 }).relabel_by_degree();
+    let n = grid_g.num_nodes();
+    let star = graph_from_edges(n, &(1..n as NodeId).map(|v| (0, v)).collect::<Vec<_>>());
+    let mut grid_sampler = ThreadSampler::new(n, 7, 0, 0);
+    grid_sampler.sample_batch(&star, batch, |interior| interior_visits += interior.len() as u64);
+    interior_visits += batches_allocate_nothing(&grid_g, &mut grid_sampler, batch, "64 x 64 grid");
     assert!(interior_visits > 0, "the batches must produce interior vertices");
 
     // The same loop over another graph kind (in this function because the

@@ -53,6 +53,9 @@ pub struct SearchStats {
     pub edges_scanned: u64,
     /// Vertices settled by both searches.
     pub vertices_settled: u64,
+    /// Work of the walk-back: row entries probed plus level vertices tested
+    /// for membership in a row. Not part of `edges_scanned`.
+    pub walk_probes: u64,
 }
 
 /// Summary of a sampled path whose interior vertices were left in
@@ -223,7 +226,7 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
         }
         debug_assert!(num_paths > 0);
 
-        select_and_backtrack(g, cut, num_paths, &near, &far, path, rng);
+        stats.walk_probes += select_and_backtrack(g, cut, num_paths, &near, &far, path, rng);
         debug_assert_eq!(
             // xtask: allow(determinism) — a shortest path visits each
             // vertex at most once, so its length fits the u32 the CSR
@@ -259,7 +262,7 @@ impl Side<'_> {
 }
 
 /// Tail of a sample: draws one cut vertex ∝ σ_near·σ_far and walks back to
-/// both roots, leaving the interior in `path`.
+/// both roots, leaving the interior in `path`. Returns the walks' probes.
 ///
 /// The cut is first sorted by vertex id. The level sets of a BFS are
 /// order-independent, but the *discovery order* within the final level
@@ -274,7 +277,7 @@ fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
     far: &Side<'_>,
     path: &mut Vec<NodeId>,
     rng: &mut R,
-) {
+) -> u64 {
     // Canonical cut order (each vertex settles at most once per direction and
     // level, so ids are distinct and the sort is a total order).
     cut.sort_unstable_by_key(|&(v, _)| v);
@@ -294,11 +297,11 @@ fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
     // dead once a vertex is drawn, so the walks reuse it as predecessor
     // scratch — no extra allocation, no extra plumbing.
     path.clear();
-    backtrack(g, near, chosen, path, cut, rng);
+    let probes = backtrack(g, near, chosen, path, cut, rng);
     if chosen != far.root {
         path.push(chosen);
     }
-    backtrack(g, far, chosen, path, cut, rng);
+    probes + backtrack(g, far, chosen, path, cut, rng)
 }
 
 /// Sliding prefetch distance for the backtrack predecessor scan: the
@@ -321,6 +324,8 @@ const BACKTRACK_PREFETCH_DIST: usize = 6;
 /// either way `preds` (caller scratch, clobbered) ends up as the same list,
 /// the draw is made from it with the same `total`, and the drawn
 /// predecessor — and the RNG stream — do not depend on the branch.
+///
+/// Returns the probes made: row entries read plus level vertices tested.
 fn backtrack<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     side: &Side<'_>,
@@ -328,30 +333,27 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
     out: &mut Vec<NodeId>,
     preds: &mut Vec<(NodeId, u128)>,
     rng: &mut R,
-) {
+) -> u64 {
     let state = side.state;
+    let mut probes = 0u64;
     let mut cur = from;
     let mut d = state.dist(cur);
     while d > 1 {
         let adj = g.neighbors(cur);
         let level = side.level(d - 1);
-        // Total σ over predecessors equals σ(cur) by construction, except for
-        // cut vertices whose σ may also have received contributions from
-        // same-level edges; recompute the predecessor total to stay exact.
         preds.clear();
-        let mut total: u64 = 0;
         // ⌈log₂(deg + 1)⌉ probes per binary search of the row.
         let search = (usize::BITS - adj.len().leading_zeros()) as usize;
         if level.len() * search < adj.len() {
+            probes += level.len() as u64;
             for &u in level {
                 if adj.binary_search(&u).is_ok() {
-                    let su = state.sigma(u);
-                    total += su;
-                    preds.push((u, su as u128));
+                    preds.push((u, state.sigma(u) as u128));
                 }
             }
             preds.sort_unstable_by_key(|&(u, _)| u);
         } else {
+            probes += adj.len() as u64;
             for &u in adj.iter().take(BACKTRACK_PREFETCH_DIST) {
                 state.prefetch(u);
             }
@@ -361,12 +363,16 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
                 }
                 if let Some((du, su)) = state.record(u) {
                     if du == d - 1 {
-                        total += su;
                         preds.push((u, su as u128));
                     }
                 }
             }
         }
+        // Σσ over the predecessors is σ(cur), recomputed in case σ saturated.
+        // It wraps, as release builds always did: on inputs where σ passes
+        // u64::MAX (long grid paths) the draw is the one release makes, not
+        // a debug-build overflow panic.
+        let total = preds.iter().fold(0u64, |sum, &(_, su)| sum.wrapping_add(su as u64));
         debug_assert!(total > 0);
         let mut pick = rng.gen_range(0..total);
         let mut nxt = cur;
@@ -385,6 +391,7 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
         d -= 1;
     }
     debug_assert!(d == 0 || g.has_edge(cur, side.root) || cur == side.root);
+    probes
 }
 
 /// Exhaustively enumerates **all** shortest `s`-`t` paths. Exponential in the
@@ -430,8 +437,10 @@ pub fn enumerate_shortest_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<Node
 
 /// The kernel as PR 24 left it — frontier swap, a degree sum per settled
 /// vertex, a walk-back that scans the whole row of every vertex it passes —
-/// kept verbatim as the differential oracle of the current one: same
-/// samples, same counters, same RNG consumption (`tests::oracle`).
+/// kept as the differential oracle of the current one: same samples, same
+/// counters, same RNG consumption (`tests::oracle`). Its walk counts the
+/// row entries it reads into `walk_probes`, the most the current walk may
+/// probe.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -545,7 +554,9 @@ mod reference {
                     }
                 }
                 let (near_root, far_root) = if expand_fwd { (s, t) } else { (t, s) };
-                select_and_backtrack(g, cut, num_paths, near, near_root, far, far_root, path, rng);
+                stats.walk_probes += select_and_backtrack(
+                    g, cut, num_paths, near, near_root, far, far_root, path, rng,
+                );
                 return Some(SampleInfo { distance, num_paths });
             }
         }
@@ -562,7 +573,7 @@ mod reference {
         far_root: NodeId,
         path: &mut Vec<NodeId>,
         rng: &mut R,
-    ) {
+    ) -> u64 {
         cut.sort_unstable_by_key(|&(v, _)| v);
         let mut pick = rng.gen_range(0..num_paths);
         let mut chosen = cut[0].0;
@@ -574,11 +585,11 @@ mod reference {
             pick -= w;
         }
         path.clear();
-        backtrack(g, near, chosen, near_root, path, cut, rng);
+        let probes = backtrack(g, near, chosen, near_root, path, cut, rng);
         if chosen != far_root {
             path.push(chosen);
         }
-        backtrack(g, far, chosen, far_root, path, cut, rng);
+        probes + backtrack(g, far, chosen, far_root, path, cut, rng)
     }
 
     fn backtrack<G: GraphView, R: Rng + ?Sized>(
@@ -589,12 +600,14 @@ mod reference {
         out: &mut Vec<NodeId>,
         preds: &mut Vec<(NodeId, u128)>,
         rng: &mut R,
-    ) {
+    ) -> u64 {
+        let mut probes = 0;
         let mut cur = from;
         let mut d = state.dist(cur);
         while d > 1 {
             preds.clear();
             let mut total: u64 = 0;
+            probes += g.degree(cur) as u64;
             for &u in g.neighbors(cur) {
                 if let Some((du, su)) = state.record(u) {
                     if du == d - 1 {
@@ -617,6 +630,7 @@ mod reference {
             cur = nxt;
             d -= 1;
         }
+        probes
     }
 }
 
@@ -635,7 +649,8 @@ mod tests {
     /// small R-MAT, grids with diagonals, disjoint unions, and stars of
     /// stars whose centre has a degree far above the level it is walked to —
     /// the kernel and [`reference`] return the same sample, count the same
-    /// work, and leave the RNG at the same position.
+    /// expansion work, and leave the RNG at the same position; the walk
+    /// probes no more than the row-scanning one.
     mod oracle {
         use super::*;
         use crate::generators::{gnm, grid, rmat, GnmConfig, GridConfig, RmatConfig};
@@ -696,9 +711,22 @@ mod tests {
             }
         }
 
+        /// How the walks of [`agree_on`]'s samples compared with the
+        /// row-scanning walk of [`reference`].
+        #[derive(Default)]
+        pub(super) struct Walks {
+            /// Samples whose walk probed less: a level step was taken.
+            pub(super) shorter: u64,
+            /// Samples that walked and probed exactly as much: every step
+            /// scanned its row (a level step probes strictly less, since it
+            /// fires only on `|level| · ⌈log₂(deg + 1)⌉ < deg`).
+            pub(super) rows_only: u64,
+        }
+
         /// Runs `pairs` random pairs of `g` through both kernels from one
         /// RNG seed and asserts they agree on everything observable.
-        pub(super) fn agree_on(g: &Graph, pairs: usize, seed: u64) {
+        pub(super) fn agree_on(g: &Graph, pairs: usize, seed: u64) -> Walks {
+            let mut walks = Walks::default();
             let n = g.num_nodes();
             let mut pick = StdRng::seed_from_u64(seed);
             let (mut sc, mut rsc) = (TraversalScratch::new(n), reference::Scratch::new(n));
@@ -725,7 +753,12 @@ mod tests {
                     s,
                     t
                 );
+                prop_assert!(st.walk_probes <= rst.walk_probes, "s={} t={}", s, t);
+                walks.shorter += u64::from(st.walk_probes < rst.walk_probes);
+                walks.rows_only +=
+                    u64::from(st.walk_probes == rst.walk_probes && st.walk_probes > 0);
             }
+            walks
         }
 
         proptest! {
@@ -738,6 +771,23 @@ mod tests {
             ) {
                 agree_on(&draw_graph(family, a, b, seed), 24, seed);
             }
+        }
+
+        /// The inputs above drive both walk branches: some samples take a
+        /// level step, some walk through rows only.
+        #[test]
+        fn both_walk_branches_are_taken() {
+            let mut walks = Walks::default();
+            for family in 0..5 {
+                for seed in 0..40u64 {
+                    let (a, b) = ((seed * 13 % 64) as usize, (seed * 29 % 64) as usize);
+                    let w = agree_on(&draw_graph(family, a, b, seed), 24, seed);
+                    walks.shorter += w.shorter;
+                    walks.rows_only += w.rows_only;
+                }
+            }
+            assert!(walks.shorter > 0, "no sample took the level branch");
+            assert!(walks.rows_only > 0, "no sample walked through rows only");
         }
     }
 

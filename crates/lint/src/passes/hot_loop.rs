@@ -13,8 +13,10 @@
 //! 2. the bodies of the hot-path functions themselves — `sample_batch`,
 //!    `sample_batch_records` (which holds the per-pair loop), `sample`,
 //!    `sample_path_into` (the sample-source hook: every impl body is what
-//!    the per-pair loop calls) and `sample_shortest_path_into` (the kernel
-//!    behind the blanket impl) in `crates/core/src` / `crates/graph/src`.
+//!    the per-pair loop calls), `sample_shortest_path_into` (the kernel
+//!    behind the blanket impl) and its walk-back, `select_and_backtrack`
+//!    and `backtrack`, in `crates/core/src` / `crates/graph/src`. Sorting
+//!    the walk's predecessor scratch in place stays legal.
 //!    The scan is of the named body, not of what it calls: the
 //!    `WeightedGraph` hook forwards to a Dijkstra that allocates its
 //!    distance and σ arrays per call, outside the scanned range — known,
@@ -52,12 +54,14 @@ pub struct HotLoopHygiene;
 const BATCH_CALLS: [&str; 2] = ["sample_batch", "sample_batch_records"];
 
 /// Function names whose bodies are hot-path scope in core/graph.
-const HOT_FNS: [&str; 5] = [
+const HOT_FNS: [&str; 7] = [
     "sample_batch",
     "sample_batch_records",
     "sample",
     "sample_path_into",
     "sample_shortest_path_into",
+    "select_and_backtrack",
+    "backtrack",
 ];
 
 /// Function names whose bodies are the service's cache read path.

@@ -207,6 +207,39 @@ fn sample_source_hook_fixtures_fire_on_exactly_the_marked_lines() {
 }
 
 #[test]
+fn walk_back_fixtures_fire_on_exactly_the_marked_lines() {
+    // The second scope also names the kernel's walk-back: `backtrack` (and
+    // `select_and_backtrack`) run once per hop of every sampled path.
+    // `walk_bad.rs` must trip line-exactly; the sanctioned `walk_good.rs`
+    // (caller scratch, cleared, pushed and sorted in place) must stay clean.
+    let pass = "hot-loop-hygiene";
+    let rel = "crates/graph/src/bibfs.rs";
+    let (report, src) = run_case(pass, rel, true, "walk_bad");
+    let expected = marker_lines(&src, pass);
+    assert!(!expected.is_empty(), "walk_bad.rs carries no //~ markers");
+    let mut got: Vec<u32> =
+        report.active().filter(|f| f.pass == pass && f.file == rel).map(|f| f.line).collect();
+    got.sort_unstable();
+    got.dedup();
+    assert_eq!(got, expected, "walk-back findings landed on the wrong lines");
+    for f in report.active().filter(|f| f.pass == pass && f.file == rel) {
+        assert!(
+            f.message.contains("body of `backtrack`"),
+            "finding must name the walk body it fired in: {}",
+            f.message
+        );
+    }
+
+    let (clean, _) = run_case(pass, rel, true, "walk_good");
+    let hits: Vec<_> = clean.findings.iter().filter(|f| f.pass == pass).collect();
+    assert!(
+        hits.is_empty(),
+        "walk_good.rs produced findings: {:?}",
+        hits.iter().map(|f| (f.line, f.message.as_str())).collect::<Vec<_>>()
+    );
+}
+
+#[test]
 fn dynamic_kernel_fixtures_fire_on_exactly_the_marked_lines() {
     // The hot-loop-hygiene pass's fourth scope: the streaming-update
     // apply/invalidate kernel bodies under `crates/dynamic/src`.
