@@ -26,7 +26,10 @@
 //!
 //! A uniform path is then drawn by picking a cut vertex with probability
 //! proportional to `σ_s(v)·σ_t(v)` and walking back to each endpoint, at each
-//! step choosing a predecessor `u` with probability `σ(u)/Σ σ`.
+//! step choosing a predecessor `u` with probability `σ(u)/Σ σ`. Each
+//! direction keeps the vertices it settled cut into BFS levels, so a step
+//! finds its predecessors from whichever is shorter, the row or the level
+//! below (DESIGN.md §11.6).
 
 use crate::bfs::sigma_bfs;
 use crate::csr::{Graph, NodeId};
