@@ -11,8 +11,9 @@
 
 use kadabra_mpi::core::{
     kadabra_epoch_mpi, kadabra_epoch_mpi_observed, kadabra_mpi_flat, kadabra_mpi_flat_elastic,
-    kadabra_mpi_flat_observed, kadabra_naive_parallel, kadabra_sequential, prepare_for_pool,
-    BetweennessResult, ChaosOptions, ClusterShape, ElasticOptions, KadabraConfig, SamplerPool,
+    kadabra_mpi_flat_observed, kadabra_naive_parallel, kadabra_sequential, kadabra_shared_on,
+    prepare_for_pool, BetweennessResult, ChaosOptions, ClusterShape, ElasticOptions, KadabraConfig,
+    SamplerPool,
 };
 use kadabra_mpi::dynamic::{DynamicEngine, UpdateBatch};
 use kadabra_mpi::graph::components::largest_component;
@@ -237,6 +238,28 @@ fn golden_transcripts_hold_across_commits() {
     assert_eq!((r.samples, transcript_digest(&r)), one, "flat observed, 1 rank");
     let r = kadabra_mpi_flat_elastic(&g, &cfg, 1, 0, &ElasticOptions::all(FaultPlan::ideal(0)));
     assert_eq!((r.result.samples, transcript_digest(&r.result)), one, "flat elastic, 1 founder");
+    let r = kadabra_shared_on(&g, &cfg, 1, &Telemetry::stats_only());
+    assert_eq!((r.samples, transcript_digest(&r)), one, "shared, 1 thread");
+
+    // Algorithm 2 at T = 1 and P > 1 (the hierarchical path `rmat-epoch`
+    // runs), under delay-free plans: healthy, and with rank 3 dying at its
+    // first adaptive collective.
+    let shape = ClusterShape { ranks: 2, ranks_per_node: 2, threads_per_rank: 1 };
+    let r = kadabra_epoch_mpi_observed(&g, &cfg, shape, &ChaosOptions::all(FaultPlan::ideal(9)));
+    assert_eq!(
+        (r.result.samples, transcript_digest(&r.result)),
+        (1592, 0xfc93_ece7_99d1_942f),
+        "epoch, 2 x 1"
+    );
+    let shape = ClusterShape { ranks: 4, ranks_per_node: 2, threads_per_rank: 1 };
+    let chaos = ChaosOptions::all(FaultPlan::ideal(33).with_crash_at_collective(3, 4));
+    let crash = kadabra_epoch_mpi_observed(&g, &cfg, shape, &chaos);
+    assert_eq!(
+        (crash.result.samples, transcript_digest(&crash.result)),
+        (1708, 0x7582_0aaa_7625_a027),
+        "epoch crash, 4 x 1"
+    );
+    assert_eq!((crash.ranks_lost, crash.recoveries, crash.conservation_rounds), (1, 1, 2));
 
     // Algorithm 1 under a firing crash, and growing by two ranks beside a
     // straggler whose quota is stolen.
