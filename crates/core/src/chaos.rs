@@ -4,10 +4,10 @@
 //! # What "observed" changes
 //!
 //! Nothing in the algorithms: [`kadabra_mpi_flat_observed`] and
-//! [`kadabra_epoch_mpi_observed`] run the rank bodies of [`crate::mpi`] and
-//! [`crate::epoch_mpi`] — the same ones the plain drivers run — in a world
-//! launched with `Universe::run_with_plan`, and hand them an `Audit` that
-//! is switched on. The plain drivers let every overlap loop run free: how
+//! [`kadabra_epoch_mpi_observed`] run the rank body of [`crate::mpi`] — the
+//! same one the plain drivers of both algorithms run — in a world
+//! launched with `Universe::run_with_plan`, and hand it an `Audit` that is
+//! switched on. The plain drivers let every overlap loop run free: how
 //! many samples a rank squeezes in while a non-blocking collective
 //! progresses depends on OS scheduling, so two runs produce different (all
 //! correct) scores. Under a plan that door is closed, and perturbed runs
@@ -15,7 +15,7 @@
 //!
 //! * every non-blocking request polls deterministically (the engine's
 //!   logical clock — see `kadabra_mpisim`'s `fault` module),
-//! * the epoch body, seeing `world.fault_plan()`, gives its workers an
+//! * a rank with epoch workers, seeing `world.fault_plan()`, gives them an
 //!   exact plan-derived per-epoch sample quota instead of letting them
 //!   free-run, and overlaps each transition wait with a plan-derived sample
 //!   count before spin-waiting without sampling.
@@ -23,7 +23,7 @@
 //! Only the *degrees of freedom the paper already treats as adversarial*
 //! (who is slow, by how much) move from the OS into the plan. Plans may
 //! also schedule **rank crashes** (`FaultPlan::with_crash_at_collective` /
-//! `with_crash_after_polls`); the bodies' shrink-and-continue recovery
+//! `with_crash_after_polls`); the body's shrink-and-continue recovery
 //! (DESIGN.md §10) then runs just as reproducibly, because the crash
 //! coordinates, the failure detection and every post-recovery schedule are
 //! functions of the plan.
@@ -45,12 +45,12 @@
 //! failure.
 
 use crate::config::{ClusterShape, KadabraConfig};
+use crate::mpi::{self, Algorithm};
 use crate::recovery::{plan_summary, SampleLedger};
 use crate::result::BetweennessResult;
-use crate::{epoch_mpi, mpi};
 use kadabra_epoch::CrossEpochProbe;
 use kadabra_graph::KadabraGraph;
-use kadabra_mpisim::{CommError, Communicator, ElasticRank, FaultPlan, Universe};
+use kadabra_mpisim::{CommError, Communicator, FaultPlan, Universe};
 use kadabra_telemetry::{Summary, Telemetry};
 
 /// Event capacity per `(rank, thread)` recorder when a run under a plan
@@ -84,13 +84,6 @@ impl ChaosOptions {
         self.telemetry = true;
         self
     }
-}
-
-/// The registry a run under a plan records into: logical-clock-only (wall
-/// readings would differ between reruns of the same plan), buffered only
-/// when the caller asked for a trace.
-pub(crate) fn deterministic_telemetry(trace: bool) -> Telemetry {
-    Telemetry::deterministic(if trace { CHAOS_TRACE_CAPACITY } else { 0 })
 }
 
 /// Outcome of a run under a plan: the algorithm's result plus what the
@@ -165,6 +158,9 @@ pub(crate) struct RankOutcome {
     /// recovered root after crashes).
     pub(crate) result: Option<BetweennessResult>,
     pub(crate) seen: Seen,
+    /// `[node-local, leaders, world]` bytes its communicators moved, as
+    /// `mpi::root_outcome` sums them (node-local: only at a node leader).
+    pub(crate) bytes: [u64; 3],
 }
 
 /// `[Σc̃, τ]` of a state frame.
@@ -173,8 +169,8 @@ fn mass(frame: &[u64]) -> [u64; 2] {
     [frame[..n].iter().sum(), frame[n]]
 }
 
-/// One rank's view of the run-wide audit, called by both rank bodies at the
-/// same points of a round. The plain drivers run with [`Audit::off`]:
+/// One rank's view of the run-wide audit, called by the rank body at fixed
+/// points of a round. The plain drivers run with [`Audit::off`]:
 /// every call is then a branch on `None`/`false`, no collective is added
 /// and nothing is summed.
 pub(crate) struct Audit<'a> {
@@ -295,33 +291,6 @@ impl<'a> Audit<'a> {
     }
 }
 
-/// Assembles the [`ChaosReport`] from the surviving root's outcome, the
-/// shared probe and the telemetry registry.
-pub(crate) fn finish_report(
-    root: RankOutcome,
-    probe: Option<&CrossEpochProbe>,
-    plan: &FaultPlan,
-    tel: &Telemetry,
-) -> ChaosReport {
-    let (max_epoch_gap, probe_observations, probe_violations) =
-        probe.map_or((0, 0, 0), |p| (p.max_gap(), p.observations(), p.violations()));
-    ChaosReport {
-        // xtask: allow(unwrap) — the entry points pass the outcome they
-        // selected for holding Some.
-        result: root.result.expect("root outcome holds the result"),
-        max_epoch_gap,
-        probe_observations,
-        probe_violations,
-        conservation_rounds: root.seen.rounds,
-        ranks_lost: root.seen.ranks_lost,
-        recoveries: root.seen.recoveries,
-        ranks_joined: root.seen.ranks_joined,
-        samples_stolen: root.seen.samples_stolen,
-        plan_summary: plan.summary(),
-        phases: tel.summary(),
-    }
-}
-
 /// Runs **Algorithm 1** (`kadabra_mpi_flat`) under a fault plan, with
 /// probes. Bit-reproducible: identical `(g, cfg, ranks, opts)` give
 /// identical scores — including runs whose plan crashes ranks mid-flight.
@@ -331,14 +300,7 @@ pub fn kadabra_mpi_flat_observed<G: KadabraGraph + Sync>(
     ranks: usize,
     opts: &ChaosOptions,
 ) -> ChaosReport {
-    mpi::validate(g, cfg, ranks);
-    let probe = opts.probe.then(|| CrossEpochProbe::new(ranks));
-    let tel = deterministic_telemetry(opts.telemetry);
-    let outcomes = Universe::run_with_plan(ranks, opts.plan.clone(), |comm| {
-        let audit = Audit::new(probe.as_ref(), opts.conservation);
-        mpi::rank_main(g, cfg, ElasticRank::Founding(comm), ranks, &tel, audit, false)
-    });
-    finish_report(mpi::root_outcome(outcomes), probe.as_ref(), &opts.plan, &tel)
+    observed(g, cfg, ClusterShape::flat(ranks), 0, Algorithm::One { steal: false }, opts)
 }
 
 /// Runs **Algorithm 2** (`kadabra_epoch_mpi`) under a fault plan, with
@@ -351,14 +313,46 @@ pub fn kadabra_epoch_mpi_observed<G: KadabraGraph + Sync>(
     shape: ClusterShape,
     opts: &ChaosOptions,
 ) -> ChaosReport {
-    epoch_mpi::validate(g, cfg, shape);
-    let probe = opts.probe.then(|| CrossEpochProbe::new(shape.ranks));
-    let tel = deterministic_telemetry(opts.telemetry);
-    let outcomes = Universe::run_with_plan(shape.ranks, opts.plan.clone(), |comm| {
+    observed(g, cfg, shape, 0, Algorithm::Two, opts)
+}
+
+/// Runs the rank body in a world of `shape`, with `standby` more ranks
+/// parked for the plan's joins, launched under `opts.plan` with the audit
+/// `opts` asks for.
+pub(crate) fn observed<G: KadabraGraph + Sync>(
+    g: &G,
+    cfg: &KadabraConfig,
+    shape: ClusterShape,
+    standby: usize,
+    algorithm: Algorithm,
+    opts: &ChaosOptions,
+) -> ChaosReport {
+    mpi::validate(g, cfg, shape);
+    let probe =
+        opts.probe.then(|| CrossEpochProbe::with_standbys(shape.ranks + standby, shape.ranks));
+    let tel = Telemetry::deterministic(if opts.telemetry { CHAOS_TRACE_CAPACITY } else { 0 });
+    let plan = &opts.plan;
+    let outcomes = Universe::run_elastic(shape.ranks, standby, plan.clone(), |rank| {
         let audit = Audit::new(probe.as_ref(), opts.conservation);
-        epoch_mpi::rank_main(g, cfg, shape, comm, &tel, audit)
+        mpi::rank_main(g, cfg, rank, shape, algorithm, &tel, audit)
     });
-    finish_report(epoch_mpi::root_outcome(outcomes), probe.as_ref(), &opts.plan, &tel)
+    let root = mpi::root_outcome(outcomes);
+    let (max_epoch_gap, probe_observations, probe_violations) =
+        probe.as_ref().map_or((0, 0, 0), |p| (p.max_gap(), p.observations(), p.violations()));
+    ChaosReport {
+        // xtask: allow(unwrap) — root_outcome selected it for holding Some.
+        result: root.result.expect("root outcome holds the result"),
+        max_epoch_gap,
+        probe_observations,
+        probe_violations,
+        conservation_rounds: root.seen.rounds,
+        ranks_lost: root.seen.ranks_lost,
+        recoveries: root.seen.recoveries,
+        ranks_joined: root.seen.ranks_joined,
+        samples_stolen: root.seen.samples_stolen,
+        plan_summary: plan.summary(),
+        phases: tel.summary(),
+    }
 }
 
 #[cfg(test)]

@@ -1,18 +1,19 @@
 //! Elastic scale-out of Algorithm 1: communicator grow, ledger
 //! rebalancing, and cross-rank work stealing under a deterministic
-//! [`FaultPlan`]. The round loop is `mpi::adaptive_rounds` — the one
-//! Algorithm-1 body — and this module holds the two protocols it calls at a
-//! round boundary and inside a round's sample batch.
+//! [`FaultPlan`]. The round loop is `mpi::adaptive_rounds` — the one round
+//! loop of both algorithms — and this module holds the two protocols it
+//! calls at a round boundary and inside a round's sample batch.
 //!
 //! # Grow and rebalance (DESIGN.md §15)
 //!
 //! A crash shrinks the communicator and survivors rebuild global state from
 //! their [`SampleLedger`]s; this turns the dial the other way. A plan's
-//! [`kadabra_mpisim::JoinPoint`]s schedule membership *growth*: at the start of the listed
-//! global round, every member calls [`Communicator::grow`], standby ranks
-//! parked by [`Universe::run_elastic`] are admitted, and the grown world
-//! runs a two-step rebalance (`grow_and_rebalance`) in lockstep with the
-//! newcomers' bootstrap (`bootstrap_newcomer`):
+//! [`kadabra_mpisim::JoinPoint`]s schedule membership *growth*: at the
+//! start of the listed global round, every member calls
+//! [`Communicator::grow`], standby ranks parked by
+//! [`kadabra_mpisim::Universe::run_elastic`] are admitted, and the grown
+//! world runs a two-step rebalance (`grow_and_rebalance`) in lockstep with
+//! the newcomers' bootstrap (`bootstrap_newcomer`):
 //!
 //! 1. **round handoff** — the root broadcasts the current round, so
 //!    newcomers enter the adaptive loop exactly where the survivors are;
@@ -25,8 +26,9 @@
 //! newcomers take over their deterministic slice of the remaining budget —
 //! their sampler streams are keyed by world rank, fixed at launch, so the
 //! post-grow schedule is a pure function of `(plan, seed)`. The
-//! [`CrossEpochProbe`] audits the epoch-gap invariant *across* the join:
-//! standbys start excluded ([`CrossEpochProbe::with_standbys`]) and are
+//! [`kadabra_epoch::CrossEpochProbe`] audits the epoch-gap invariant
+//! *across* the join: standbys start excluded
+//! ([`kadabra_epoch::CrossEpochProbe::with_standbys`]) and are
 //! admitted in-round.
 //!
 //! # Work stealing
@@ -41,15 +43,14 @@
 //! slowest rank's straggler factor (the quota a straggler must produce
 //! before joining the round's reduction shrinks by its own factor).
 
-use crate::chaos::{deterministic_telemetry, finish_report, Audit, ChaosReport};
-use crate::config::KadabraConfig;
-use crate::mpi::{self, count_into};
+use crate::chaos::{observed, Audit, ChaosOptions, ChaosReport};
+use crate::config::{ClusterShape, KadabraConfig};
+use crate::mpi::{count_into, Algorithm};
 use crate::phases::{prepare_for_pool, Prepared};
 use crate::recovery::{plan_summary, SampleLedger};
 use crate::sampler::ThreadSampler;
-use kadabra_epoch::CrossEpochProbe;
 use kadabra_graph::{KadabraGraph, PathSource};
-use kadabra_mpisim::{CommError, Communicator, FaultPlan, Universe};
+use kadabra_mpisim::{CommError, Communicator, FaultPlan};
 use kadabra_telemetry::{CounterId, EventWriter, SpanId};
 
 /// Base of the steal-stream thread coordinate space: disjoint from
@@ -110,14 +111,9 @@ pub fn kadabra_mpi_flat_elastic<G: KadabraGraph + Sync>(
     standby: usize,
     opts: &ElasticOptions,
 ) -> ChaosReport {
-    mpi::validate(g, cfg, founding);
-    let probe = opts.probe.then(|| CrossEpochProbe::with_standbys(founding + standby, founding));
-    let tel = deterministic_telemetry(opts.telemetry);
-    let outcomes = Universe::run_elastic(founding, standby, opts.plan.clone(), |rank| {
-        let audit = Audit::new(probe.as_ref(), opts.conservation);
-        mpi::rank_main(g, cfg, rank, founding, &tel, audit, opts.steal)
-    });
-    finish_report(mpi::root_outcome(outcomes), probe.as_ref(), &opts.plan, &tel)
+    let ElasticOptions { ref plan, probe, conservation, telemetry, steal } = *opts;
+    let chaos = ChaosOptions { plan: plan.clone(), probe, conservation, telemetry };
+    observed(g, cfg, ClusterShape::flat(founding), standby, Algorithm::One { steal }, &chaos)
 }
 
 /// The incumbents' side of a grow by `joiners` ranks at the start of

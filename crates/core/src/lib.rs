@@ -14,11 +14,11 @@
 //!
 //! | Function | Paper analogue |
 //! |---|---|
-//! | [`kadabra_sequential`] | KADABRA as in Borassi & Natale (Ref. [7]) |
+//! | [`kadabra_sequential`] | KADABRA as in Borassi & Natale (Ref. \[7\]) |
 //! | [`kadabra_naive_parallel`] | the "simple" parallelization dismissed in Section III-B |
-//! | [`kadabra_shared`] | the epoch-based shared-memory state of the art (Ref. [24]) |
+//! | [`kadabra_shared`] | the epoch-based shared-memory state of the art (Ref. \[24\]): Algorithm 2 at P = 1 |
 //! | [`kadabra_mpi_flat`] | **Algorithm 1**: pure-MPI adaptive sampling |
-//! | [`kadabra_epoch_mpi`] | **Algorithm 2**: epoch framework + hierarchical MPI |
+//! | [`kadabra_epoch_mpi`] | **Algorithm 2**: Algorithm 1's rank body with epoch workers and a hierarchical reduction |
 //!
 //! All modes share the same three phases (Section III-A): diameter
 //! computation → calibration of the per-vertex failure probabilities

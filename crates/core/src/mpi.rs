@@ -1,5 +1,6 @@
-//! **Algorithm 1** of the paper: MPI parallelization of adaptive sampling
-//! without multithreading.
+//! **Algorithm 1** of the paper — MPI parallelization of adaptive sampling
+//! without multithreading — and the one rank body both of the paper's
+//! algorithms run.
 //!
 //! Every MPI rank samples independently; every `n0` samples the ranks
 //! snapshot their local state frame, start a *non-blocking* reduction to
@@ -12,17 +13,20 @@
 //! counts plus τ in the last slot, so one reduction moves the entire
 //! sampling state exactly as in the paper.
 //!
-//! `adaptive_rounds` is the only round loop of Algorithm 1 in the
-//! workspace, generic over what a stream does with the samples it draws
-//! ([`SampleSink`]). `rank_main` runs it to the adaptive stop after the
-//! collective set-up: the plain entry points below free (`Universe::run`: no
-//! plan, requests poll on real progress, the overlap is the paper's),
-//! [`crate::kadabra_mpi_flat_observed`] and
-//! [`crate::kadabra_mpi_flat_elastic`] in a world launched under a
-//! [`kadabra_mpisim::FaultPlan`], which the body reads back from its
-//! communicator, with the `Audit` switched on. The resident pools
-//! ([`crate::pool`]) run it a fixed number of rounds at a time on rank state
-//! they park in between, stopping inside a round only at the sample cap.
+//! `adaptive_rounds` is the only round loop in the workspace, generic over
+//! what a stream does with the samples it draws ([`SampleSink`]). Algorithm
+//! 2 ([`crate::epoch_mpi`]) is this loop with the epoch framework's workers
+//! beside thread 0 and a hierarchical reduction path, and the shared-memory
+//! driver ([`crate::shared`]) is Algorithm 2 at P = 1. `rank_main` runs the
+//! loop to the adaptive stop after the collective set-up, for every entry
+//! point of both algorithms: the plain ones free (`Universe::run`: no plan,
+//! requests poll on real progress, the overlap is the paper's), the
+//! observed and elastic ones ([`crate::chaos`], [`crate::elastic`]) in a
+//! world launched under a [`kadabra_mpisim::FaultPlan`], which the body
+//! reads back from its communicator, with the `Audit` switched on. The
+//! resident pools ([`crate::pool`]) run the loop a fixed number of rounds at
+//! a time on rank state they park in between, stopping inside a round only
+//! at the sample cap.
 //!
 //! The adaptive loop is **crash-fault tolerant** (DESIGN.md §10): under a
 //! fault plan with scheduled rank crashes, survivors observe the typed
@@ -30,17 +34,19 @@
 //! state from their [`SampleLedger`] checkpoints, and continue — the new
 //! rank 0 (smallest surviving world rank) takes over the stopping-condition
 //! bookkeeping, so the run terminates with the usual (ε, δ) guarantee even
-//! if the original root died. It is **elastic** (DESIGN.md §15) the same
-//! way: at a round the plan schedules a join for, every member grows the
-//! communicator and rebalances ([`crate::elastic`]).
+//! if the original root died. An Algorithm-1 world is **elastic** (DESIGN.md
+//! §15) the same way: at a round the plan schedules a join for, every member
+//! grows the communicator and rebalances ([`crate::elastic`]).
 
 use crate::chaos::{Audit, RankOutcome};
-use crate::config::KadabraConfig;
+use crate::config::{ClusterShape, KadabraConfig};
 use crate::elastic::{bootstrap_newcomer, grow_and_rebalance, steal_schedule};
+use crate::epoch_mpi::{worker_main, Epochs, Hierarchy};
 use crate::phases::{fold_and_check, prepare_collective, root_result};
 use crate::recovery::{own_crash_or_fatal, shrink_and_rebuild, SampleLedger};
 use crate::result::BetweennessResult;
 use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
+use kadabra_epoch::EpochFramework;
 use kadabra_graph::{KadabraGraph, NodeId, PathSource};
 use kadabra_mpisim::{CommError, Communicator, ElasticRank, Universe};
 use kadabra_telemetry::{CounterId, EventWriter, SpanId, Telemetry};
@@ -65,25 +71,43 @@ pub fn kadabra_mpi_flat_traced<G: KadabraGraph + Sync>(
     ranks: usize,
     tel: &Telemetry,
 ) -> BetweennessResult {
-    validate(g, cfg, ranks);
-    let outcomes = Universe::run(ranks, |comm| {
-        rank_main(g, cfg, ElasticRank::Founding(comm), ranks, tel, Audit::off(), false)
+    run_free(g, cfg, ClusterShape::flat(ranks), Algorithm::One { steal: false }, tel)
+}
+
+/// Runs the rank body free — no plan, the audit off — in a world of
+/// `shape`, and returns the root's result.
+pub(crate) fn run_free<G: KadabraGraph + Sync>(
+    g: &G,
+    cfg: &KadabraConfig,
+    shape: ClusterShape,
+    algorithm: Algorithm,
+    tel: &Telemetry,
+) -> BetweennessResult {
+    validate(g, cfg, shape);
+    let outcomes = Universe::run(shape.ranks, |comm| {
+        rank_main(g, cfg, ElasticRank::Founding(comm), shape, algorithm, tel, Audit::off())
     });
     // xtask: allow(unwrap) — root_outcome selected it for holding Some.
     root_outcome(outcomes).result.expect("root outcome holds the result")
 }
 
-/// The argument checks every Algorithm-1 entry point makes.
-pub(crate) fn validate<G: PathSource>(g: &G, cfg: &KadabraConfig, ranks: usize) {
+/// The argument checks every entry point of Algorithms 1 and 2 makes.
+pub(crate) fn validate<G: PathSource>(g: &G, cfg: &KadabraConfig, shape: ClusterShape) {
     cfg.validate();
-    assert!(ranks >= 1);
+    shape.validate();
     assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
 }
 
 /// The outcome of the rank that holds the result, carrying the run-wide
-/// total of the per-rank steal counts.
+/// totals: the per-rank steal counts, and what every communicator moved.
+/// Node-local engines are shared per node, so their final leaders' figures
+/// add up; the leader and world engines are global, and every member of a
+/// shared engine reports the same cumulative figure, so the maximum across
+/// outcomes is that engine's total even when some ranks died.
 pub(crate) fn root_outcome(outcomes: Vec<RankOutcome>) -> RankOutcome {
     let samples_stolen = outcomes.iter().map(|o| o.seen.samples_stolen).sum();
+    let engine = |i: usize| outcomes.iter().map(|o| o.bytes[i]).fold(0, u64::max);
+    let comm_bytes = outcomes.iter().map(|o| o.bytes[0]).sum::<u64>() + engine(1) + engine(2);
     let mut root = outcomes
         .into_iter()
         .find(|o| o.result.is_some())
@@ -91,6 +115,9 @@ pub(crate) fn root_outcome(outcomes: Vec<RankOutcome>) -> RankOutcome {
         // Some; without crash faults that is rank 0.
         .expect("the surviving root produces the result");
     root.seen.samples_stolen = samples_stolen;
+    if let Some(r) = root.result.as_mut() {
+        r.stats.comm_bytes = comm_bytes;
+    }
     root
 }
 
@@ -110,9 +137,9 @@ pub(crate) fn count_into(frame: &mut [u64], interior: &[NodeId]) {
 /// time: a stream's records are, oldest first, the confirmed ones, the ones
 /// of the snapshot in flight, and the ones drawn since (the overlap).
 ///
-/// Two implementors: `()` keeps nothing (the flat drivers, static
-/// tenants); the dynamic crate's `PathStore` retains every record so an
-/// edge batch can re-validate it.
+/// Two implementors: `()` keeps nothing (the MPI drivers, static tenants);
+/// the dynamic crate's `PathStore` retains every record so an edge batch
+/// can re-validate it.
 pub trait SampleSink {
     /// One drawn sample: endpoints, shortest distance (`u32::MAX` for a
     /// disconnected pair), interior.
@@ -183,8 +210,14 @@ impl<S> RankState<S> {
     }
 }
 
-/// Draws `k` samples from `stream` into the local frame and the sink.
-fn draw<G: PathSource, S: SampleSink>(g: &G, stream: &mut Stream<S>, k: u64, s_loc: &mut [u64]) {
+/// Draws `k` samples from `stream` into the local frame and the sink, as
+/// one batch.
+pub(crate) fn draw<G: PathSource, S: SampleSink>(
+    g: &G,
+    stream: &mut Stream<S>,
+    k: u64,
+    s_loc: &mut [u64],
+) {
     let Stream { sampler, sink } = stream;
     sampler.sample_batch_records(g, k, |s, t, dist, interior| {
         count_into(s_loc, interior);
@@ -192,10 +225,39 @@ fn draw<G: PathSource, S: SampleSink>(g: &G, stream: &mut Stream<S>, k: u64, s_l
     });
 }
 
+/// Thread 0's overlap of a wait: one sample at a time from `stream` into
+/// `s_loc` until `done`. Returns the samples drawn.
+pub(crate) fn overlap<G: PathSource, S: SampleSink>(
+    g: &G,
+    stream: &mut Stream<S>,
+    s_loc: &mut [u64],
+    mut done: impl FnMut() -> Result<bool, CommError>,
+) -> Result<u64, CommError> {
+    let mut drawn = 0u64;
+    while !done()? {
+        draw(g, stream, 1, s_loc);
+        drawn += 1;
+    }
+    Ok(drawn)
+}
+
 /// Stream `t`'s share of a rank's round quota (earlier streams take the
 /// remainder — deterministic).
 fn stream_share(quota: u64, streams: usize, t: usize) -> u64 {
     quota / streams as u64 + u64::from((t as u64) < quota % streams as u64)
+}
+
+/// Which of the paper's algorithms a world runs; its entry point picks it.
+/// Both run this module's body. They differ in the reduction path (flat, or
+/// the Section IV-E/F hierarchy), and only Algorithm 1 worlds grow and
+/// steal (DESIGN.md §15).
+#[derive(Clone, Copy)]
+pub(crate) enum Algorithm {
+    /// Flat world reductions; `steal` redistributes the straggler quota of
+    /// the plan's slow ranks (DESIGN.md §15.3).
+    One { steal: bool },
+    /// The Section IV-E/F hierarchy.
+    Two,
 }
 
 /// Which of its plan's membership and load schedules a world honours.
@@ -213,25 +275,40 @@ impl Elastic {
     pub(crate) const OFF: Elastic = Elastic { grow_from: None, steal: false };
 }
 
-/// Per-rank body of Algorithm 1, for a member of the `founding`-rank
-/// launch-time world (collective set-up, then the adaptive loop from round
-/// 0) and for a standby of that world (parks until a grow admits it, then
-/// enters the loop at the handed-off round). `steal` asks for the straggler
-/// quota of the plan's slow ranks to be redistributed (DESIGN.md §15.3);
-/// the join schedule and the straggler factors are read from
-/// `comm.fault_plan()`, so a world without a plan never grows and never
-/// steals.
+/// The communicators a rank reduces over.
+pub(crate) struct Comms {
+    /// The world: set-up, the stop flag, the audit and recovery run on it.
+    pub(crate) world: Communicator,
+    /// Algorithm 2's node-local and leader communicators; `None` reduces
+    /// flat over the world (Algorithm 1, the resident pools).
+    pub(crate) hierarchy: Option<Hierarchy>,
+}
+
+impl Comms {
+    /// `[node-local, leaders, world]` bytes, as [`root_outcome`] sums them.
+    fn bytes(&self) -> [u64; 3] {
+        let [node, leaders] = self.hierarchy.as_ref().map_or([0; 2], Hierarchy::bytes);
+        [node, leaders, self.world.bytes_transferred()]
+    }
+}
+
+/// Per-rank body of Algorithms 1 and 2, for a member of the
+/// `shape.ranks`-rank launch-time world (collective set-up, then the
+/// adaptive loop from round 0) and for a standby of that world (parks until
+/// a grow admits it, then enters the loop at the handed-off round). The join
+/// schedule and the straggler factors are read from `comm.fault_plan()`, so
+/// a world without a plan never grows and never steals.
 pub(crate) fn rank_main<G: KadabraGraph + Sync>(
     g: &G,
     cfg: &KadabraConfig,
     rank: ElasticRank,
-    founding: usize,
+    shape: ClusterShape,
+    algorithm: Algorithm,
     tel: &Telemetry,
     mut audit: Audit<'_>,
-    steal: bool,
 ) -> RankOutcome {
     let n = g.num_nodes();
-    let (comm, newcomer) = match rank {
+    let (world, newcomer) = match rank {
         ElasticRank::Founding(comm) => (comm, false),
         // Never admitted (the plan scheduled no join, or the run stopped
         // first): indistinguishable from a dead rank, by design.
@@ -240,75 +317,118 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
             Err(_) => return RankOutcome::default(),
         },
     };
-    let my_world = comm.world_rank();
+    let my_world = world.world_rank();
     let w = tel.writer(my_world as u32, 0);
-    comm.set_tracer(w.clone());
+    // Attach before splitting so the derived communicators inherit it.
+    world.set_tracer(w.clone());
 
-    // Phases 1-2. A newcomer replays them locally and receives the round
-    // and the global state from the world that admitted it.
-    let setup = if newcomer {
-        bootstrap_newcomer(g, cfg, &comm, founding, &w)
-    } else {
-        prepare_collective(g, cfg, &comm, 1, &w).map(|p| (p, 0, vec![0u64; n + 1]))
-    };
-    let (prepared, entry_round, s_global) = match setup {
+    // Algorithm 2's Section IV-E communicators, then phases 1-2. A newcomer
+    // replays the phases locally and receives the round and the global
+    // state from the world that admitted it.
+    let setup = (|| -> Result<_, CommError> {
+        let hierarchy = match algorithm {
+            Algorithm::One { .. } => None,
+            Algorithm::Two => Some(Hierarchy::split(&world, shape.ranks_per_node)?),
+        };
+        let (prepared, entry_round, s_global) = if newcomer {
+            bootstrap_newcomer(g, cfg, &world, shape.ranks, &w)?
+        } else {
+            (prepare_collective(g, cfg, &world, shape.threads_per_rank, &w)?, 0, vec![0; n + 1])
+        };
+        Ok((hierarchy, prepared, entry_round, s_global))
+    })();
+    let (hierarchy, prepared, entry_round, s_global) = match setup {
         Ok(t) => t,
         Err(e) => {
-            own_crash_or_fatal(&e, &comm, cfg, "set-up", 0);
+            own_crash_or_fatal(&e, &world, cfg, "set-up", 0);
             return RankOutcome::default();
         }
     };
 
-    // Phase 3: Algorithm 1 to the adaptive stop (lines 12-14: the root
-    // folds and checks). The grow that admitted a newcomer is already
-    // behind it; only later join points concern it.
-    let mut st = RankState::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET, [()]);
+    // Phase 3 to the adaptive stop (lines 12-14: the root folds and
+    // checks). The grow that admitted a newcomer is already behind it; only
+    // later join points concern it.
+    let elastic = match algorithm {
+        Algorithm::One { steal } => {
+            Elastic { grow_from: Some(entry_round + u32::from(newcomer)), steal }
+        }
+        Algorithm::Two => Elastic::OFF,
+    };
     let stop = |s_global: &mut [u64], reduced: &[u64]| {
         fold_and_check(s_global, reduced, cfg.epsilon, prepared.omega, &prepared.calibration)
     };
-    let elastic = Elastic { grow_from: Some(entry_round + u32::from(newcomer)), steal };
+    let mut st = RankState::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET, [()]);
     let rounds = entry_round..u32::MAX;
-    let Some((comm, s_global)) =
-        adaptive_rounds(g, cfg, comm, &mut st, s_global, rounds, stop, elastic, &mut audit, &w)
-    else {
+    // A rank of T > 1 threads runs T − 1 epoch workers beside thread 0
+    // (Algorithm 2, lines 5-9). The plan is cloned because they read it for
+    // the whole phase while recovery replaces the world.
+    let threads = shape.threads_per_rank;
+    let fw = (threads > 1).then(|| EpochFramework::new(n, threads));
+    let plan = world.fault_plan().cloned();
+    let comms = Comms { world, hierarchy };
+    let end = crossbeam::scope(|s| {
+        let mut epochs = fw.as_ref().map(|fw| {
+            let launch_n0 = cfg.n0(shape.total_threads());
+            for t in 1..threads {
+                let (tw, plan) = (tel.writer(my_world as u32, t as u32), plan.as_ref());
+                s.spawn(move |_| {
+                    let drawn = worker_main(g, cfg, fw, my_world, t, plan, launch_n0);
+                    // One flush at exit keeps the hot loop free of stores.
+                    tw.count(CounterId::Samples, drawn);
+                });
+            }
+            Epochs::new(fw, plan.as_ref(), my_world)
+        });
+        let (e, audit) = (epochs.as_mut(), &mut audit);
+        let end =
+            adaptive_rounds(g, cfg, comms, &mut st, e, s_global, rounds, stop, elastic, audit, &w);
+        if let Some(fw) = &fw {
+            fw.signal_termination();
+        }
+        end
+    })
+    // xtask: allow(unwrap) — children are joined above; see worker waiver.
+    .expect("adaptive sampling scope");
+    let Some((comms, s_global)) = end else {
         return RankOutcome::default();
     };
 
-    let result = (comm.rank() == 0).then(|| {
-        let mut result = root_result(&s_global, &prepared, w.recorder());
-        result.stats.comm_bytes = comm.bytes_transferred();
-        result
-    });
-    RankOutcome { result, seen: audit.seen }
+    let result = (comms.world.rank() == 0).then(|| root_result(&s_global, &prepared, w.recorder()));
+    RankOutcome { result, seen: audit.seen, bytes: comms.bytes() }
 }
 
-/// The round loop of Algorithm 1 with shrink-and-continue recovery, on
-/// rank state the caller owns: rounds `rounds` of sample, snapshot,
-/// overlapped `ireduce`, fold-and-`stop` on the root, overlapped `ibcast`
-/// of the flag, until the flag is set or the rounds run out. `s_global` is
-/// the aggregated frame S the run starts from (consulted on the root only,
-/// line 1); `stop` folds a reduced frame into it and decides. Returns the
-/// communicator the run ended on and S, or `None` when a communicator
-/// failure ended this rank's part in the run.
+/// The round loop of Algorithms 1 and 2 with shrink-and-continue recovery,
+/// on rank state the caller owns: rounds `rounds` of sample, snapshot,
+/// overlapped reduction, fold-and-`stop` on the root, overlapped `ibcast`
+/// of the flag, until the flag is set or the rounds run out. `epochs` is
+/// the framework of the rank's workers, if it has any: each snapshot closes
+/// one of its epochs. `s_global` is the aggregated frame S the run starts
+/// from (consulted on the root only, line 1); `stop` folds a reduced frame
+/// into it and decides. Returns the communicators the run ended on and S,
+/// or `None` when a communicator failure ended this rank's part in the run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
     g: &G,
     cfg: &KadabraConfig,
-    mut comm: Communicator,
+    comms: Comms,
     st: &mut RankState<S>,
+    mut epochs: Option<&mut Epochs<'_>>,
     mut s_global: Vec<u64>,
     rounds: Range<u32>,
     mut stop: impl FnMut(&mut [u64], &[u64]) -> bool,
     elastic: Elastic,
     audit: &mut Audit<'_>,
     w: &EventWriter,
-) -> Option<(Communicator, Vec<u64>)> {
+) -> Option<(Comms, Vec<u64>)> {
+    let Comms { world: mut comm, mut hierarchy } = comms;
     let my_world = comm.world_rank();
     let RankState { streams, ledger, s_loc, .. } = st;
     let n = s_loc.len() - 1;
     let threads = streams.len();
-    // A rank of T streams draws T quotas of a (P·T)-stream world.
-    let quota_at = |size: usize| cfg.n0(size * threads) * threads as u64;
+    // A rank of T streams and W workers draws T quotas of a world of
+    // P·(T + W) sampling threads.
+    let workers = epochs.as_ref().map_or(0, |e| e.workers());
+    let quota_at = |size: usize| cfg.n0(size * (threads + workers)) * threads as u64;
 
     let sp_ads = w.begin(SpanId::AdaptiveSampling);
     let mut n0 = quota_at(comm.size());
@@ -360,34 +480,54 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
             }
             w.end(sp);
             // Lines 7-8: snapshot, so overlapped samples don't corrupt the
-            // communication buffer.
-            let snapshot = std::mem::replace(s_loc, vec![0u64; n + 1]);
+            // communication buffer; the workers' frames of the epoch it
+            // closes join it.
+            let mut snapshot = std::mem::replace(s_loc, vec![0u64; n + 1]);
             streams.iter_mut().for_each(|s| s.sink.snapshot());
-            // Lines 10-11: non-blocking reduce, overlapped with sampling.
-            // Under a plan test() returns false a plan-derived number of
-            // times, then resolves (or fails — also at a plan-derived poll).
-            let sp = w.begin(SpanId::IreduceWait);
-            let mut req = comm.ireduce_sum_u64(0, &snapshot)?;
             let mut overlapped = 0u64;
-            while !req.test()? {
-                draw(g, &mut streams[0], 1, s_loc);
-                overlapped += 1;
+            if let Some(epochs) = epochs.as_deref_mut() {
+                overlapped += epochs.close(g, &mut streams[0], s_loc, &mut snapshot, w)?;
             }
+            // Lines 10-11: non-blocking reduce, overlapped with sampling —
+            // over the world, or under the hierarchy inside the node first
+            // (Section IV-E: shared-memory RMA in the paper, semantically a
+            // node-local reduce). Under a plan test() returns false a
+            // plan-derived number of times, then resolves (or fails — also
+            // at a plan-derived poll).
+            let first = hierarchy.as_ref().map_or(&comm, |h| &h.local);
+            let sp = w.begin(SpanId::IreduceWait);
+            let mut req = first.ireduce_sum_u64(0, &snapshot)?;
+            overlapped += overlap(g, &mut streams[0], s_loc, || req.test())?;
             w.end(sp);
             w.count(CounterId::BytesReduced, snapshot.len() as u64 * 8);
-            // Observed completion: the snapshot is now globally counted —
-            // checkpoint it (a failed round never reaches this line, so its
-            // in-flight frame is discarded everywhere, never double-counted).
+            // Observed completion: the snapshot is now part of a
+            // globally-consistent prefix — checkpoint it (a failed round
+            // never reaches this line, so its in-flight frame is discarded
+            // everywhere, never double-counted).
             ledger.confirm(&snapshot);
             streams.iter_mut().for_each(|s| s.sink.confirm());
+            let mut reduced = req.into_result().flatten();
+            // Section IV-F: node leaders run Ibarrier (overlapped), then a
+            // blocking Reduce — the strategy that outperformed MPI_Ireduce.
+            if let (Some(h), Some(frame)) = (&hierarchy, &reduced) {
+                let sp = w.begin(SpanId::IbarrierWait);
+                let mut bar = h.leaders.ibarrier()?;
+                overlapped += overlap(g, &mut streams[0], s_loc, || bar.test())?;
+                w.end(sp);
+                let sp = w.begin(SpanId::Reduce);
+                let across_nodes = h.leaders.reduce_sum_u64(0, frame)?;
+                w.end(sp);
+                w.count(CounterId::BytesReduced, frame.len() as u64 * 8);
+                reduced = across_nodes;
+            }
 
             // Lines 12-14: the root folds and checks.
             let mut d = 0u64;
             if comm.rank() == 0 {
-                // xtask: allow(unwrap) — the request completed (test() was
-                // true) and this rank is the reduction root, so both layers
-                // are Some.
-                let reduced = req.into_result().unwrap().expect("root receives reduction");
+                // xtask: allow(unwrap) — the root is the reduction's root
+                // (under the hierarchy its node's leader and the leaders'
+                // root, split keys being world ranks), so it received Some.
+                let reduced = reduced.expect("root receives reduction");
                 audit.absorb(&reduced);
                 let sp = w.begin(SpanId::Check);
                 d = u64::from(stop(&mut s_global, &reduced));
@@ -398,10 +538,7 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
             // Lines 15-17: broadcast the termination flag, overlapped.
             let sp = w.begin(SpanId::BcastStop);
             let mut breq = comm.ibcast_u64(0, (comm.rank() == 0).then_some(d))?;
-            while !breq.test()? {
-                draw(g, &mut streams[0], 1, s_loc);
-                overlapped += 1;
-            }
+            overlapped += overlap(g, &mut streams[0], s_loc, || breq.test())?;
             w.end(sp);
             w.count(CounterId::Samples, quota + overlapped);
             w.count(CounterId::Epochs, 1);
@@ -422,14 +559,27 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
             // (possibly new) root resumes the stopping condition from a
             // consistent checkpoint; the failed round's frames are
             // discarded (a no-op for a sink whose snapshot was confirmed
-            // before the failure).
+            // before the failure). The hierarchy is re-split over the
+            // survivors, a collective members can die in too: then recover
+            // again.
             Err(CommError::RankFailed { rank }) if rank != my_world => {
                 streams.iter_mut().for_each(|s| s.sink.discard());
-                match shrink_and_rebuild(&comm, ledger, w) {
-                    Ok((small, rebuilt)) => {
-                        audit.membership_changed(comm.members(), small.members(), round);
-                        comm = small;
-                        s_global = rebuilt;
+                let prev = comm.members().to_vec();
+                let recovered = loop {
+                    let (small, rebuilt) = match shrink_and_rebuild(&comm, ledger, w) {
+                        Ok(t) => t,
+                        Err(e) => break Err(e),
+                    };
+                    comm = small;
+                    s_global = rebuilt;
+                    match hierarchy.as_mut().map_or(Ok(()), |h| h.resplit(&comm)) {
+                        Err(CommError::RankFailed { rank }) if rank != my_world => continue,
+                        done => break done,
+                    }
+                };
+                match recovered {
+                    Ok(()) => {
+                        audit.membership_changed(&prev, comm.members(), round);
                         n0 = quota_at(comm.size());
                         round += 1;
                     }
@@ -445,7 +595,7 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
         own_crash_or_fatal(&e, &comm, cfg, phase, round);
         return None;
     }
-    Some((comm, s_global))
+    Some((Comms { world: comm, hierarchy }, s_global))
 }
 
 #[cfg(test)]
@@ -456,6 +606,8 @@ mod tests {
     use kadabra_graph::generators::{gnm, grid, GnmConfig, GridConfig};
     use kadabra_graph::Graph;
     use kadabra_mpisim::FaultPlan;
+
+    const FLAT: Algorithm = Algorithm::One { steal: false };
 
     #[test]
     fn single_rank_reduces_to_sequential_structure() {
@@ -520,7 +672,8 @@ mod tests {
     ) -> BetweennessResult {
         let tel = Telemetry::stats_only();
         let outcomes = Universe::run_with_plan(ranks, plan, |comm| {
-            rank_main(g, cfg, ElasticRank::Founding(comm), ranks, &tel, Audit::off(), false)
+            let rank = ElasticRank::Founding(comm);
+            rank_main(g, cfg, rank, ClusterShape::flat(ranks), FLAT, &tel, Audit::off())
         });
         outcomes.into_iter().find_map(|o| o.result).expect("a surviving root")
     }
@@ -554,7 +707,8 @@ mod tests {
         let plan = FaultPlan::ideal(13).with_crash_at_collective(0, 3);
         let tel = Telemetry::stats_only();
         let outcomes = Universe::run_with_plan(3, plan, |comm| {
-            rank_main(&lcc, &cfg, ElasticRank::Founding(comm), 3, &tel, Audit::off(), false)
+            let rank = ElasticRank::Founding(comm);
+            rank_main(&lcc, &cfg, rank, ClusterShape::flat(3), FLAT, &tel, Audit::off())
         });
         assert!(outcomes[0].result.is_none(), "the dead root cannot return a result");
         let survivors: Vec<_> = outcomes.into_iter().filter_map(|o| o.result).collect();

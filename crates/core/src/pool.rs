@@ -1,11 +1,11 @@
 //! The resident sampler pool: Algorithm 1's rank state, parked between
 //! launches of the world so it survives across queries and edge updates.
 //!
-//! The flat driver ([`crate::mpi`]) runs set-up and the adaptive loop once
-//! and returns. A resident tenant instead keeps the per-rank sampling state
+//! The MPI drivers ([`crate::mpi`]) run set-up and the adaptive loop once
+//! and return. A resident tenant instead keeps the per-rank sampling state
 //! ([`RankState`]: sampler streams, [`SampleLedger`] checkpoint, local
-//! frame) alive between *rounds*, where a round is a fixed number of
-//! reduction epochs of the Algorithm-1 body (`mpi::adaptive_rounds`)
+//! frame) alive between *rounds*, where a round is a fixed number of flat
+//! reduction epochs of the one round loop (`mpi::adaptive_rounds`)
 //! executed inside one [`Universe`] run. Inside a round the only stop is the
 //! deterministic τ ≥ ω cap; stopping on a query's target ε happens *between*
 //! rounds, in the caller. That is what makes a service deterministic: the
@@ -29,7 +29,7 @@ use crate::bounds::achieved_epsilon;
 use crate::calibration::Calibration;
 use crate::chaos::Audit;
 use crate::config::KadabraConfig;
-use crate::mpi::{adaptive_rounds, Elastic, RankState, SampleSink};
+use crate::mpi::{adaptive_rounds, Comms, Elastic, RankState, SampleSink};
 use crate::recovery::{CheckpointError, SampleLedger};
 use crate::sampler::ADS_STREAM_OFFSET;
 use kadabra_graph::PathSource;
@@ -262,8 +262,9 @@ impl<S: SampleSink + Send> SamplerPool<S> {
             adaptive_rounds(
                 view,
                 &kcfg,
-                comm,
+                Comms { world: comm, hierarchy: None },
                 st,
+                None,
                 s_global,
                 rounds,
                 cap,

@@ -1,6 +1,7 @@
 //! Shrink-and-continue recovery (DESIGN.md §10): sampling-state checkpoints
-//! and the recovery protocol shared by the flat ([`crate::mpi`]) and epoch
-//! ([`crate::epoch_mpi`]) MPI drivers.
+//! and the recovery protocol, run by the one round loop ([`crate::mpi`]) of
+//! both MPI algorithms and the resident pools, and by the dynamic engine's
+//! update.
 //!
 //! # The checkpoint: a ledger of globally-reduced frames
 //!

@@ -1,19 +1,15 @@
 //! Shared-memory parallel KADABRA using the epoch-based framework — the
-//! state-of-the-art baseline of the paper (Ref. [24], van der Grinten et
-//! al., Euro-Par 2019), i.e. Algorithm 2 restricted to a single process.
-//!
-//! `T − 1` worker threads sample wait-free into their per-epoch state
-//! frames; thread 0 interleaves sampling with epoch transitions,
-//! aggregation and the stopping-condition check, overlapping all
-//! coordination with its own sampling.
+//! state-of-the-art baseline of the paper (Ref. \[24\], van der Grinten et
+//! al., Euro-Par 2019), i.e. Algorithm 2 restricted to a single process,
+//! which is what runs it: `T − 1` worker threads sample wait-free into
+//! their per-epoch state frames, and thread 0 interleaves sampling with
+//! epoch transitions, aggregation and the stopping-condition check
+//! ([`crate::epoch_mpi`]). Its one-rank world's collectives complete at the
+//! first poll.
 
-use crate::bounds::stopping_condition;
-use crate::config::KadabraConfig;
-use crate::phases::{calibration_frame, diameter_phase, scores_from_counts};
+use crate::config::{ClusterShape, KadabraConfig};
+use crate::epoch_mpi::kadabra_epoch_mpi_traced;
 use crate::result::{BetweennessResult, PhaseTimings, SamplingStats};
-use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
-use crate::{bounds, calibration::Calibration};
-use kadabra_epoch::EpochFramework;
 use kadabra_graph::{Graph, KadabraGraph};
 use kadabra_telemetry::{CounterId, SpanId, Telemetry, ThreadRecorder};
 use std::time::Duration;
@@ -72,121 +68,15 @@ pub fn kadabra_shared_traced(
 /// Epoch-based shared-memory KADABRA on any graph kind, sampling on `g` as
 /// given — what [`kadabra_shared_traced`] runs on the relabeled CSR, and the
 /// entry point for directed and weighted graphs (the paper's footnote 1).
+/// It is Algorithm 2 on one rank of `threads` threads.
 pub fn kadabra_shared_on<G: KadabraGraph + Sync>(
     g: &G,
     cfg: &KadabraConfig,
     threads: usize,
     tel: &Telemetry,
 ) -> BetweennessResult {
-    cfg.validate();
-    assert!(threads >= 1, "need at least one thread");
-    let n = g.num_nodes();
-    assert!(n >= 2, "KADABRA requires at least two vertices");
-    let w = tel.writer(0, 0);
-
-    // Phase 1: diameter (sequential).
-    let sp = w.begin(SpanId::Diameter);
-    let (vd, _) = diameter_phase(g, cfg);
-    w.end(sp);
-    let omega = bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
-
-    // Phase 2: calibration — pleasingly parallel sampling, sequential δ fit.
-    let sp_calib = w.begin(SpanId::Calibration);
-    let calib = calibration_frame(g, cfg, omega, 0, threads, threads);
-    let calibration = Calibration::from_counts(&calib[..n], calib[n], cfg);
-    w.end(sp_calib);
-
-    // Phase 3: epoch-based adaptive sampling.
-    let sp_ads = w.begin(SpanId::AdaptiveSampling);
-    let fw = EpochFramework::new(n, threads);
-    let n0 = cfg.n0(threads);
-    let mut acc = vec![0u64; n];
-    let mut tau: u64 = 0;
-
-    crossbeam::scope(|s| {
-        for t in 1..threads {
-            let fw = &fw;
-            let tw = tel.writer(0, t as u32);
-            s.spawn(move |_| {
-                let mut sampler = ThreadSampler::new(n, cfg.seed, 0, ADS_STREAM_OFFSET + t);
-                let mut h = fw.handle(t);
-                let mut drawn = 0u64;
-                // Small batches amortize pair drawing while still polling
-                // the epoch command often enough to stay within the
-                // framework's one-epoch lag bound.
-                const WORKER_CHUNK: u64 = 8;
-                while !fw.should_terminate() {
-                    sampler.sample_batch(g, WORKER_CHUNK, |interior| h.record_sample(interior));
-                    drawn += WORKER_CHUNK;
-                    fw.check_transition(&mut h);
-                }
-                // One flush at exit keeps the hot loop free of stores.
-                tw.count(CounterId::Samples, drawn);
-            });
-        }
-
-        // Thread 0: sampling + coordination (Algorithm 2, lines 10-31).
-        let mut sampler = ThreadSampler::new(n, cfg.seed, 0, ADS_STREAM_OFFSET);
-        let mut h = fw.handle(0);
-        let mut epoch = 0u32;
-        loop {
-            w.set_epoch(epoch);
-            let sp = w.begin(SpanId::SampleBatch);
-            sampler.sample_batch(g, n0, |interior| h.record_sample(interior));
-            w.end(sp);
-            fw.force_transition(&mut h, epoch);
-            let sp = w.begin(SpanId::TransitionWait);
-            let mut overlapped = 0u64;
-            while !fw.transition_done(epoch) {
-                // Overlapped: h already advanced, so these samples land in
-                // the next epoch's frame.
-                let interior = sampler.sample(g);
-                h.record_sample(interior);
-                overlapped += 1;
-            }
-            w.end(sp);
-            w.count(CounterId::Samples, n0 + overlapped);
-
-            let sp = w.begin(SpanId::FrameAggregate);
-            tau += fw.aggregate_epoch(epoch, &mut acc);
-            w.end(sp);
-            w.count(CounterId::BytesReduced, (fw.frame_bytes() * threads) as u64);
-            w.count(CounterId::Epochs, 1);
-
-            let sp = w.begin(SpanId::Check);
-            let stop = stopping_condition(
-                &acc,
-                tau,
-                cfg.epsilon,
-                omega,
-                &calibration.delta_l,
-                &calibration.delta_u,
-            );
-            w.end(sp);
-            if stop {
-                fw.signal_termination();
-                break;
-            }
-            epoch += 1;
-        }
-    })
-    // xtask: allow(unwrap) — children are joined above; see worker waiver.
-    .expect("adaptive sampling scope");
-    w.end(sp_ads);
-
-    let rec = w.recorder();
-    let mut stats = sampling_stats_from(rec);
-    stats.samples = tau;
-    stats.comm_bytes = rec.counter(CounterId::BytesReduced);
-
-    BetweennessResult {
-        scores: scores_from_counts(&acc, tau),
-        samples: tau,
-        omega,
-        vertex_diameter: vd,
-        timings: phase_timings_from(rec),
-        stats,
-    }
+    let shape = ClusterShape { ranks: 1, ranks_per_node: 1, threads_per_rank: threads };
+    kadabra_epoch_mpi_traced(g, cfg, shape, tel)
 }
 
 #[cfg(test)]
@@ -239,67 +129,5 @@ mod tests {
         for s in &r.scores {
             assert!((0.0..=1.0).contains(s));
         }
-    }
-
-    #[test]
-    fn comm_bytes_scale_with_epochs_and_threads() {
-        let g = grid(GridConfig { rows: 6, cols: 6, diagonal_prob: 0.0, seed: 0 });
-        let r = kadabra_shared(&g, &KadabraConfig::new(0.1, 0.1), 2);
-        let frame = 36 * 4 + 8;
-        assert_eq!(r.stats.comm_bytes, r.stats.epochs * 2 * frame);
-    }
-
-    /// The in-process analogue of the paper's cross-process epoch bound:
-    /// while workers run this module's sampling loop, every thread's
-    /// published epoch (via the new observability hooks) must stay within
-    /// `[commanded − 1, commanded]` — the two-frames-per-thread guarantee
-    /// the Euro-Par'19 framework is built on.
-    #[test]
-    fn thread_epochs_stay_within_one_of_commanded() {
-        use kadabra_epoch::EpochFramework;
-        let g = grid(GridConfig { rows: 5, cols: 5, diagonal_prob: 0.0, seed: 0 });
-        let n = g.num_nodes();
-        let threads = 3;
-        let fw = EpochFramework::new(n, threads);
-        crossbeam::scope(|s| {
-            for t in 1..threads {
-                let fw = &fw;
-                let g = &g;
-                s.spawn(move |_| {
-                    let mut sampler = ThreadSampler::new(n, 7, 0, ADS_STREAM_OFFSET + t);
-                    let mut h = fw.handle(t);
-                    while !fw.should_terminate() {
-                        h.record_sample(sampler.sample(g));
-                        fw.check_transition(&mut h);
-                    }
-                });
-            }
-            let mut sampler = ThreadSampler::new(n, 7, 0, ADS_STREAM_OFFSET);
-            let mut h = fw.handle(0);
-            let mut acc = vec![0u64; n];
-            for epoch in 0..20u32 {
-                for _ in 0..50 {
-                    h.record_sample(sampler.sample(&g));
-                }
-                fw.force_transition(&mut h, epoch);
-                while !fw.transition_done(epoch) {
-                    std::hint::spin_loop();
-                }
-                // Audit the hook bound at the strongest observable point.
-                let commanded = fw.commanded_epoch();
-                assert_eq!(commanded, epoch + 1);
-                for t in 0..threads {
-                    let te = fw.thread_epoch(t);
-                    assert!(
-                        te + 1 >= commanded && te <= commanded,
-                        "thread {t} epoch {te} outside [{}, {commanded}]",
-                        commanded - 1
-                    );
-                }
-                fw.aggregate_epoch(epoch, &mut acc);
-            }
-            fw.signal_termination();
-        })
-        .unwrap();
     }
 }
