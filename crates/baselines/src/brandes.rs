@@ -2,7 +2,7 @@
 //!
 //! One augmented BFS per source plus a reverse accumulation of the
 //! dependency recursion `δ_s(v) = Σ_{w : v ∈ pred(w)} (σ_v/σ_w)(1 + δ_s(w))`
-//! (Ref. [8] of the paper). Scores are normalized by `n(n-1)`.
+//! (Ref. \[8\] of the paper). Scores are normalized by `n(n-1)`.
 
 use kadabra_graph::bfs::sigma_bfs;
 use kadabra_graph::{Graph, NodeId};
@@ -23,7 +23,7 @@ pub fn brandes(g: &Graph) -> Vec<f64> {
 /// `num_threads` worker threads (crossbeam scoped threads; sources are
 /// claimed from an atomic counter, per-thread partial scores merged at the
 /// end). This mirrors the standard shared-memory Brandes parallelization the
-/// paper cites as Ref. [15].
+/// paper cites as Ref. \[15\].
 pub fn brandes_parallel(g: &Graph, num_threads: usize) -> Vec<f64> {
     assert!(num_threads >= 1);
     let n = g.num_nodes();

@@ -2,13 +2,13 @@
 //!
 //! These are the comparators and oracles the reproduction needs:
 //!
-//! * [`brandes`] — the exact O(|V||E|) algorithm of Brandes (Ref. [8] of the
+//! * [`brandes()`] — the exact O(|V||E|) algorithm of Brandes (Ref. \[8\] of the
 //!   paper), sequential and source-parallel. The paper's Section II calls
 //!   exact algorithms "hardly practical" beyond ~100M edges; the experiment
 //!   harness uses Brandes both as ground truth for accuracy validation and
 //!   to illustrate that cost gap.
 //! * [`rk`] — the fixed-sample-size approximation of Riondato &
-//!   Kornaropoulos (Ref. [18]), the non-adaptive predecessor of KADABRA;
+//!   Kornaropoulos (Ref. \[18\]), the non-adaptive predecessor of KADABRA;
 //!   the ablation benches quantify how much adaptivity buys.
 //! * [`brute`] — brute-force betweenness by exhaustive shortest-path
 //!   enumeration; exponential, but an independent oracle for tiny graphs.

@@ -1,7 +1,7 @@
 //! The RK algorithm (Riondato & Kornaropoulos): betweenness approximation
 //! with a **fixed** number of sampled shortest paths.
 //!
-//! Ref. [18] of the paper. RK draws `r` vertex pairs and one uniform
+//! Ref. \[18\] of the paper. RK draws `r` vertex pairs and one uniform
 //! shortest path per pair; `b̃(v)` is the fraction of paths with `v` as an
 //! interior vertex. With
 //! `r = (c/ε²)(⌊log₂(VD − 2)⌋ + 1 + ln(1/δ))` (VD = vertex diameter, the

@@ -4,7 +4,7 @@
 //!
 //! Paper: "the stopping condition [must be checked] neither too rarely (to
 //! avoid a high latency until the algorithm terminates) nor too often (to
-//! avoid unnecessary computation)"; Ref. [24] tuned `n0 = 1000·(PT)^-1.33`.
+//! avoid unnecessary computation)"; Ref. \[24\] tuned `n0 = 1000·(PT)^-1.33`.
 //!
 //! Run: `cargo run --release -p kadabra-bench --bin exp_ablation_n0`
 

@@ -3,7 +3,7 @@
 //!
 //! Paper: "simple parallelization techniques — such as taking a fixed number
 //! of samples before each check of the stopping condition — ... fail to
-//! overlap computation and aggregation [and] are known to not scale well,
+//! overlap computation and aggregation \[and\] are known to not scale well,
 //! even on shared-memory machines."
 //!
 //! Run: `cargo run --release -p kadabra-bench --bin exp_ablation_naive`

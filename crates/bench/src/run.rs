@@ -50,7 +50,7 @@ pub fn paper_shape(nodes: usize) -> SimConfig {
     }
 }
 
-/// The shared-memory state-of-the-art baseline (Ref. [24]): one process on
+/// The shared-memory state-of-the-art baseline (Ref. \[24\]): one process on
 /// one compute node spanning both sockets with 24 threads — which is exactly
 /// why it pays the NUMA penalty the paper measured at 20-30%.
 pub fn shared_baseline_shape() -> SimConfig {

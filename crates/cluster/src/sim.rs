@@ -53,7 +53,7 @@ pub struct SimConfig {
     /// Global-reduction strategy.
     pub strategy: ReduceStrategy,
     /// Apply the NUMA sampling penalty (a process spanning both sockets —
-    /// used for the single-node shared-memory baseline of Ref. [24]).
+    /// used for the single-node shared-memory baseline of Ref. \[24\]).
     pub numa_penalty: bool,
     /// Model cross-rank work stealing: plan-marked stragglers keep only
     /// `n0 / factor` of their per-thread round quota and the deficit moves
@@ -277,7 +277,7 @@ pub fn simulate(
 /// * the calibration makespan follows the slowest thread (that phase joins
 ///   on a blocking all-reduce),
 /// * a scheduled rank crash ([`FaultPlan::crashes`]) is mapped onto a global
-///   round (see [`crash_schedule`]) and sacrifices that round: its samples
+///   round (see `crash_schedule`) and sacrifices that round: its samples
 ///   are discarded everywhere (matching the real drivers' ledger recovery,
 ///   which only counts globally-reduced rounds), survivors pay a recovery
 ///   penalty — failure confirmation + communicator shrink + ledger

@@ -21,7 +21,7 @@ pub struct KadabraConfig {
     /// condition checks.
     pub n0_base: f64,
     /// Exponent of the epoch-length rule (Section IV-D; tuned to 1.33 in
-    /// Ref. [24]). The paper prints the rule as `1000(PT)^{1.33}`, but its
+    /// Ref. \[24\]). The paper prints the rule as `1000(PT)^{1.33}`, but its
     /// own Section IV-D says epochs must get *shorter* as P grows, so the
     /// exponent is applied as a decay (see DESIGN.md §5).
     pub n0_exponent: f64,

@@ -1,5 +1,5 @@
 //! Sequential KADABRA — the original algorithm of Borassi & Natale
-//! (Ref. [7] of the paper), single-threaded. This is the semantic reference
+//! (Ref. \[7\] of the paper), single-threaded. This is the semantic reference
 //! implementation every parallel mode is tested against.
 
 use crate::bounds::stopping_condition;

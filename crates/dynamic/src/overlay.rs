@@ -8,7 +8,7 @@
 //! lookup steering to a materialized `Vec` row) for zero cost on untouched
 //! ones, whose adjacency slices still come straight out of the base CSR.
 //!
-//! Periodic compaction ([`DynamicGraph::compact_into`]) folds the overlay
+//! Periodic compaction (`DynamicGraph::compact_into`) folds the overlay
 //! back into a fresh CSR built through a recycled [`CsrArena`], preserving
 //! the vertex labeling — compaction is invisible to every consumer of the
 //! view (same adjacency, same ids), which the proptests in

@@ -3,7 +3,7 @@
 //!
 //! This crate reproduces the concurrent data structure of van der Grinten,
 //! Angriman & Meyerhenke, *"Parallel adaptive sampling with almost no
-//! synchronization"* (Euro-Par 2019) — Ref. [24] of the IPDPS 2020 paper —
+//! synchronization"* (Euro-Par 2019) — Ref. \[24\] of the IPDPS 2020 paper —
 //! in the functional formulation of the paper's Section IV-B:
 //!
 //! * Sampling progress is divided into discrete **epochs**; epochs are *not*
@@ -23,9 +23,9 @@
 //! a handful of `Relaxed` atomic increments; checking for a transition is a
 //! single `Acquire` load plus, at most, one `Release` store. No
 //! compare-and-swap is used anywhere, matching the "lightweight memory
-//! fences" claim of Ref. [24].
+//! fences" claim of Ref. \[24\].
 //!
-//! Memory-ordering argument (the paper defers this to Ref. [24]):
+//! Memory-ordering argument (the paper defers this to Ref. \[24\]):
 //! a sampling thread finishes all `Relaxed` frame writes *before* it
 //! publishes its new epoch with a `Release` store; the aggregator reads the
 //! epoch with an `Acquire` load before touching the frame, so all frame

@@ -2,7 +2,7 @@
 //!
 //! Phase 1 of KADABRA (Section III-A of the paper) computes the graph
 //! diameter — the main ingredient of the static sample bound ω. The paper
-//! uses the sequential BFS-based method of Borassi et al. [6]; we implement
+//! uses the sequential BFS-based method of Borassi et al. \[6\]; we implement
 //! its two core techniques for undirected graphs:
 //!
 //! * the **two-sweep** heuristic, which gives a lower bound that is exact on

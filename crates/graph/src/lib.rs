@@ -1,6 +1,6 @@
 //! Graph substrate for the `kadabra-mpi` workspace.
 //!
-//! This crate plays the role that [NetworKit] plays for the original C++
+//! This crate plays the role that NetworKit plays for the original C++
 //! implementation of the paper *"Scaling Betweenness Approximation to Billions
 //! of Edges by MPI-based Adaptive Sampling"* (van der Grinten & Meyerhenke,
 //! IPDPS 2020): it provides the static graph data structure and every graph
@@ -16,7 +16,7 @@
 //! * [`bibfs`] — the balanced **bidirectional BFS** used by KADABRA to sample a
 //!   uniformly random shortest path between a random vertex pair.
 //! * [`diameter`] — two-sweep lower bound and the iFUB exact-diameter
-//!   algorithm (the technique behind the sequential diameter phase, Ref. [6]
+//!   algorithm (the technique behind the sequential diameter phase, Ref. \[6\]
 //!   of the paper).
 //! * [`components`] — connected components; the experiments (like the paper)
 //!   run on the largest connected component.

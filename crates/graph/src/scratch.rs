@@ -12,7 +12,7 @@
 //! counter wrap — without that clear, a stamp written billions of rounds ago
 //! would alias the recycled round number and resurrect stale state.
 //!
-//! The per-vertex state is stored as an array of structs ([`Slot`]): one
+//! The per-vertex state is stored as an array of structs (`Slot`): one
 //! sample touches a sparse, essentially random subset of vertices, so keeping
 //! a vertex's stamp, distance and σ in a single 16-byte record turns three
 //! potential cache misses per probe into one.

@@ -1,6 +1,6 @@
 //! The sample-source hook: all that Algorithms 1 and 2 know of a graph.
 //!
-//! Footnote 1 of the paper: the parallelization "also appl[ies] to directed
+//! Footnote 1 of the paper: the parallelization "also appl\[ies\] to directed
 //! and/or weighted graphs if the required modifications to the underlying
 //! sampling algorithm are done". `SAMPLE()` is the only line of either
 //! algorithm that touches the graph, so the drivers of `kadabra-core` are

@@ -1,6 +1,6 @@
 //! SumSweep diameter bounds.
 //!
-//! Ref. [6] of the paper (Borassi et al., TCS 2015) computes diameters of
+//! Ref. \[6\] of the paper (Borassi et al., TCS 2015) computes diameters of
 //! real-world graphs in a handful of BFS runs by *sweeping*: repeatedly
 //! running BFS from carefully chosen roots and maintaining lower/upper
 //! eccentricity bounds. This module implements the undirected SumSweep

@@ -19,7 +19,7 @@
 //!   `kadabra_core::pool`'s), query read paths, and refinement entry.
 //! - **[`admission`]** — per-tenant bounded in-flight/queue gate with
 //!   load-shed.
-//! - **[`server`]** — the [`Server`]/[`Client`] front-end; every request is
+//! - **`server`** — the [`Server`]/[`Client`] front-end; every request is
 //!   a telemetry span.
 //! - **[`wire`]** — line-delimited JSON over TCP, a thin shell over
 //!   [`Client`].

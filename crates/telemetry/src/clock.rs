@@ -8,7 +8,7 @@
 //!   everything else threads a [`Stopwatch`] or a span through here.
 //! * **Logical clock** — ticks the producer advances deterministically
 //!   (overlapped polls of a non-blocking request, rounds, DES virtual
-//!   nanoseconds). Under a chaos [`FaultPlan`] the logical clock is a pure
+//!   nanoseconds). Under a chaos `FaultPlan` the logical clock is a pure
 //!   function of `(plan, seed)`, so traces from perturbed runs are
 //!   bit-reproducible.
 //!

@@ -5,7 +5,7 @@
 //!
 //! # What it checks
 //!
-//! [`model`] runs the given closure repeatedly, exploring thread
+//! [`model()`] runs the given closure repeatedly, exploring thread
 //! interleavings by depth-first search over every nondeterministic choice:
 //!
 //! * **Scheduling** — threads are sequentialized; before each atomic

@@ -2,7 +2,7 @@
 //!
 //! Each atomic wraps two real `std` atomics: `loc` caches the model's
 //! generation-tagged location id (`gen << 32 | idx + 1`), and `val` holds
-//! the value used when no model is running. Inside [`crate::model`] every
+//! the value used when no model is running. Inside [`crate::model()`] every
 //! operation is (1) a scheduling point and (2) an action on the modelled
 //! store history; outside a model the wrapper delegates straight to `val`,
 //! so code compiled with `--features loom` still behaves normally in

@@ -1,6 +1,6 @@
 //! `loom::thread` subset: `spawn`, `JoinHandle`, `yield_now`.
 //!
-//! Inside [`crate::model`] spawned closures run on real OS threads that are
+//! Inside [`crate::model()`] spawned closures run on real OS threads that are
 //! sequentialized by the execution's token scheduler; outside a model they
 //! delegate to `std::thread` unchanged.
 

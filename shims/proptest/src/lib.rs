@@ -206,7 +206,7 @@ pub mod collection {
     use rand::rngs::StdRng;
     use rand::Rng;
 
-    /// Size specification for [`vec`]: an exact length or a half-open range.
+    /// Size specification for [`vec()`]: an exact length or a half-open range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -238,7 +238,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
