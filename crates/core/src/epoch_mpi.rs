@@ -17,12 +17,12 @@
 //!   global reduction. Epoch ends are never synchronized across ranks, yet
 //!   stay within ±1 epoch because the global collective acts as a
 //!   non-blocking barrier.
-//! * **The workers** (Section IV-B): a rank of `T > 1` threads runs `T − 1`
-//!   of them, sampling wait-free into the framework; thread 0 is Algorithm
-//!   1's rank state. At every snapshot thread 0 commands one epoch
-//!   transition and adds the workers' frames of the closed epoch into its
-//!   own (`Epochs`). At `T = 1` there is no framework: the snapshot is the
-//!   frame.
+//! * **The workers** (Section IV-B, `worker_main`): a rank of `T > 1`
+//!   threads runs `T − 1` of them, sampling wait-free into the framework;
+//!   thread 0 is Algorithm 1's rank state. At every snapshot thread 0
+//!   commands one epoch transition and adds the workers' frames of the
+//!   closed epoch into its own. At `T = 1` there is no framework: the
+//!   snapshot is the frame.
 //!
 //! The body has one schedule choice, taken from what it can observe —
 //! `world.fault_plan()`:
@@ -47,13 +47,13 @@
 //! stopping-condition bookkeeping fails over to it consistently.
 
 use crate::config::{ClusterShape, KadabraConfig};
-use crate::mpi::{draw, overlap, run_free, Algorithm, SampleSink, Stream};
+use crate::mpi::{run_free, Algorithm};
 use crate::result::BetweennessResult;
 use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
-use kadabra_epoch::{EpochFramework, SamplerHandle};
+use kadabra_epoch::EpochFramework;
 use kadabra_graph::{KadabraGraph, PathSource};
 use kadabra_mpisim::{CommError, Communicator, FaultPlan};
-use kadabra_telemetry::{EventWriter, SpanId, Telemetry};
+use kadabra_telemetry::Telemetry;
 
 /// Runs Algorithm 2 on a simulated cluster of the given shape. Returns the
 /// root's result with cluster-wide communication statistics attached.
@@ -123,69 +123,6 @@ impl Hierarchy {
     pub(crate) fn bytes(&self) -> [u64; 2] {
         let [local, leaders] = self.moved();
         [if self.local.rank() == 0 { local } else { 0 }, leaders]
-    }
-}
-
-/// Thread 0's side of the epoch framework of a rank with `T − 1` workers.
-/// Thread 0 samples into the rank's local frame, not into the framework:
-/// its handle only commands transitions, and its frames stay empty.
-pub(crate) struct Epochs<'a> {
-    fw: &'a EpochFramework,
-    h: SamplerHandle<'a>,
-    /// The world's plan, which sets the transition overlap (module docs).
-    plan: Option<&'a FaultPlan>,
-    my_world: usize,
-}
-
-impl<'a> Epochs<'a> {
-    pub(crate) fn new(
-        fw: &'a EpochFramework,
-        plan: Option<&'a FaultPlan>,
-        my_world: usize,
-    ) -> Self {
-        Epochs { fw, h: fw.handle(0), plan, my_world }
-    }
-
-    /// The workers beside thread 0.
-    pub(crate) fn workers(&self) -> usize {
-        self.fw.num_threads() - 1
-    }
-
-    /// Lines 14-18 at a snapshot: commands the epoch transition, overlaps
-    /// the workers' catch-up with thread 0's samples into `s_loc` (under a
-    /// plan, one batch of a plan-derived size), and adds the workers' frames
-    /// of the closed epoch into `snapshot`. Returns the overlap.
-    pub(crate) fn close<G: PathSource, S: SampleSink>(
-        &mut self,
-        g: &G,
-        stream: &mut Stream<S>,
-        s_loc: &mut [u64],
-        snapshot: &mut [u64],
-        w: &EventWriter,
-    ) -> Result<u64, CommError> {
-        let (fw, e) = (self.fw, self.h.epoch());
-        fw.force_transition(&mut self.h, e);
-        let sp = w.begin(SpanId::TransitionWait);
-        let overlapped = match self.plan {
-            None => overlap(g, stream, s_loc, || Ok(fw.transition_done(e)))?,
-            // The framework has no Request to meter polls on, so the plan
-            // supplies the overlap sample count directly; the residual wait
-            // samples nothing.
-            Some(plan) => {
-                let planned = plan.transition_overlap(self.my_world, e);
-                draw(g, stream, planned, s_loc);
-                while !fw.transition_done(e) {
-                    std::hint::spin_loop();
-                }
-                planned
-            }
-        };
-        w.end(sp);
-        let sp = w.begin(SpanId::FrameAggregate);
-        let n = snapshot.len() - 1;
-        snapshot[n] += fw.aggregate_epoch(e, &mut snapshot[..n]);
-        w.end(sp);
-        Ok(overlapped)
     }
 }
 

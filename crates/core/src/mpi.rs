@@ -41,7 +41,7 @@
 use crate::chaos::{Audit, RankOutcome};
 use crate::config::{ClusterShape, KadabraConfig};
 use crate::elastic::{bootstrap_newcomer, grow_and_rebalance, steal_schedule};
-use crate::epoch_mpi::{worker_main, Epochs, Hierarchy};
+use crate::epoch_mpi::{worker_main, Hierarchy};
 use crate::phases::{fold_and_check, prepare_collective, root_result};
 use crate::recovery::{own_crash_or_fatal, shrink_and_rebuild, SampleLedger};
 use crate::result::BetweennessResult;
@@ -212,12 +212,7 @@ impl<S> RankState<S> {
 
 /// Draws `k` samples from `stream` into the local frame and the sink, as
 /// one batch.
-pub(crate) fn draw<G: PathSource, S: SampleSink>(
-    g: &G,
-    stream: &mut Stream<S>,
-    k: u64,
-    s_loc: &mut [u64],
-) {
+fn draw<G: PathSource, S: SampleSink>(g: &G, stream: &mut Stream<S>, k: u64, s_loc: &mut [u64]) {
     let Stream { sampler, sink } = stream;
     sampler.sample_batch_records(g, k, |s, t, dist, interior| {
         count_into(s_loc, interior);
@@ -227,7 +222,7 @@ pub(crate) fn draw<G: PathSource, S: SampleSink>(
 
 /// Thread 0's overlap of a wait: one sample at a time from `stream` into
 /// `s_loc` until `done`. Returns the samples drawn.
-pub(crate) fn overlap<G: PathSource, S: SampleSink>(
+fn overlap<G: PathSource, S: SampleSink>(
     g: &G,
     stream: &mut Stream<S>,
     s_loc: &mut [u64],
@@ -367,7 +362,7 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
     let plan = world.fault_plan().cloned();
     let comms = Comms { world, hierarchy };
     let end = crossbeam::scope(|s| {
-        let mut epochs = fw.as_ref().map(|fw| {
+        if let Some(fw) = &fw {
             let launch_n0 = cfg.n0(shape.total_threads());
             for t in 1..threads {
                 let (tw, plan) = (tel.writer(my_world as u32, t as u32), plan.as_ref());
@@ -377,11 +372,11 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
                     tw.count(CounterId::Samples, drawn);
                 });
             }
-            Epochs::new(fw, plan.as_ref(), my_world)
-        });
-        let (e, audit) = (epochs.as_mut(), &mut audit);
-        let end =
-            adaptive_rounds(g, cfg, comms, &mut st, e, s_global, rounds, stop, elastic, audit, &w);
+        }
+        let (workers, audit) = (fw.as_ref(), &mut audit);
+        let end = adaptive_rounds(
+            g, cfg, comms, &mut st, workers, s_global, rounds, stop, elastic, audit, &w,
+        );
         if let Some(fw) = &fw {
             fw.signal_termination();
         }
@@ -400,9 +395,9 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
 /// The round loop of Algorithms 1 and 2 with shrink-and-continue recovery,
 /// on rank state the caller owns: rounds `rounds` of sample, snapshot,
 /// overlapped reduction, fold-and-`stop` on the root, overlapped `ibcast`
-/// of the flag, until the flag is set or the rounds run out. `epochs` is
-/// the framework of the rank's workers, if it has any: each snapshot closes
-/// one of its epochs. `s_global` is the aggregated frame S the run starts
+/// of the flag, until the flag is set or the rounds run out. `workers` is
+/// the epoch framework of the rank's workers, if it has any: each snapshot
+/// closes one of its epochs. `s_global` is the aggregated frame S the run starts
 /// from (consulted on the root only, line 1); `stop` folds a reduced frame
 /// into it and decides. Returns the communicators the run ended on and S,
 /// or `None` when a communicator failure ended this rank's part in the run.
@@ -412,7 +407,7 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
     cfg: &KadabraConfig,
     comms: Comms,
     st: &mut RankState<S>,
-    mut epochs: Option<&mut Epochs<'_>>,
+    workers: Option<&EpochFramework>,
     mut s_global: Vec<u64>,
     rounds: Range<u32>,
     mut stop: impl FnMut(&mut [u64], &[u64]) -> bool,
@@ -427,8 +422,11 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
     let threads = streams.len();
     // A rank of T streams and W workers draws T quotas of a world of
     // P·(T + W) sampling threads.
-    let workers = epochs.as_ref().map_or(0, |e| e.workers());
-    let quota_at = |size: usize| cfg.n0(size * (threads + workers)) * threads as u64;
+    let lanes = threads + workers.map_or(0, |fw| fw.num_threads() - 1);
+    let quota_at = |size: usize| cfg.n0(size * lanes) * threads as u64;
+    // Thread 0's handle on the workers' framework only commands
+    // transitions: thread 0 samples into `s_loc`, so its frames stay empty.
+    let mut h0 = workers.map(|fw| fw.handle(0));
 
     let sp_ads = w.begin(SpanId::AdaptiveSampling);
     let mut n0 = quota_at(comm.size());
@@ -480,13 +478,35 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
             }
             w.end(sp);
             // Lines 7-8: snapshot, so overlapped samples don't corrupt the
-            // communication buffer; the workers' frames of the epoch it
-            // closes join it.
+            // communication buffer.
             let mut snapshot = std::mem::replace(s_loc, vec![0u64; n + 1]);
             streams.iter_mut().for_each(|s| s.sink.snapshot());
             let mut overlapped = 0u64;
-            if let Some(epochs) = epochs.as_deref_mut() {
-                overlapped += epochs.close(g, &mut streams[0], s_loc, &mut snapshot, w)?;
+            // Algorithm 2, lines 14-18: command the epoch transition, overlap
+            // the workers' catch-up, and add their frames of the closed
+            // epoch into the snapshot.
+            if let (Some(fw), Some(h)) = (workers, h0.as_mut()) {
+                let e = h.epoch();
+                fw.force_transition(h, e);
+                let sp = w.begin(SpanId::TransitionWait);
+                overlapped += match comm.fault_plan() {
+                    None => overlap(g, &mut streams[0], s_loc, || Ok(fw.transition_done(e)))?,
+                    // The framework has no Request to meter polls on, so the
+                    // plan supplies the overlap, drawn as one batch; the
+                    // residual wait samples nothing.
+                    Some(plan) => {
+                        let planned = plan.transition_overlap(my_world, e);
+                        draw(g, &mut streams[0], planned, s_loc);
+                        while !fw.transition_done(e) {
+                            std::hint::spin_loop();
+                        }
+                        planned
+                    }
+                };
+                w.end(sp);
+                let sp = w.begin(SpanId::FrameAggregate);
+                snapshot[n] += fw.aggregate_epoch(e, &mut snapshot[..n]);
+                w.end(sp);
             }
             // Lines 10-11: non-blocking reduce, overlapped with sampling —
             // over the world, or under the hierarchy inside the node first
