@@ -352,7 +352,6 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
     let stop = |s_global: &mut [u64], reduced: &[u64]| {
         fold_and_check(s_global, reduced, cfg.epsilon, prepared.omega, &prepared.calibration)
     };
-    let mut st = RankState::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET, [()]);
     let rounds = entry_round..u32::MAX;
     // A rank of T > 1 threads runs T − 1 epoch workers beside thread 0
     // (Algorithm 2, lines 5-9). The plan is cloned because they read it for
@@ -373,6 +372,11 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
                 });
             }
         }
+        // Thread 0's state lives for this phase only: its traversal scratch
+        // is freed before the root allocates the result, which would
+        // otherwise sit above it in the allocator's heap and keep the freed
+        // space resident across repeated solves.
+        let mut st = RankState::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET, [()]);
         let (workers, audit) = (fw.as_ref(), &mut audit);
         let end = adaptive_rounds(
             g, cfg, comms, &mut st, workers, s_global, rounds, stop, elastic, audit, &w,
