@@ -401,10 +401,11 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
 /// overlapped reduction, fold-and-`stop` on the root, overlapped `ibcast`
 /// of the flag, until the flag is set or the rounds run out. `workers` is
 /// the epoch framework of the rank's workers, if it has any: each snapshot
-/// closes one of its epochs. `s_global` is the aggregated frame S the run starts
-/// from (consulted on the root only, line 1); `stop` folds a reduced frame
-/// into it and decides. Returns the communicators the run ended on and S,
-/// or `None` when a communicator failure ended this rank's part in the run.
+/// closes one of its epochs. `s_global` is the aggregated frame S the run
+/// starts from (consulted on the root only, line 1); `stop` folds a reduced
+/// frame into it and decides. Returns the communicators the run ended on
+/// and S, or `None` when a communicator failure ended this rank's part in
+/// the run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
     g: &G,
