@@ -101,12 +101,91 @@ pub fn calibration_sample_count(cfg: &KadabraConfig, omega: u64) -> u64 {
     cfg.calibration_samples.unwrap_or_else(|| (omega / 25).clamp(200, 100_000))
 }
 
+/// The fit over all n vertices that [`Calibration::from_counts`] replaced,
+/// kept as its differential oracle.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn from_counts(counts: &[u64], tau: u64, cfg: &KadabraConfig) -> Calibration {
+        assert!(tau > 0, "calibration requires at least one sample");
+        let n = counts.len();
+        let floor_budget = cfg.delta * cfg.calibration_floor;
+        let shaped_budget = cfg.delta - floor_budget;
+        let per_vertex_floor = floor_budget / (2.0 * n as f64);
+        let b: Vec<f64> = counts.iter().map(|&c| c as f64 / tau as f64).collect();
+        let spent = |c_param: f64| -> f64 {
+            b.iter().map(|&bv| if bv > 0.0 { 2.0 * (-c_param / bv).exp() } else { 0.0 }).sum()
+        };
+        let mut delta_l = vec![per_vertex_floor; n];
+        let mut delta_u = vec![per_vertex_floor; n];
+        let max_b = b.iter().cloned().fold(0.0f64, f64::max);
+        if max_b > 0.0 && shaped_budget > 0.0 {
+            let mut lo = 0.0f64;
+            let mut hi = max_b * (2.0 * n as f64 / shaped_budget).ln().max(1.0) * 4.0;
+            while spent(hi) > shaped_budget {
+                hi *= 2.0;
+            }
+            if spent(lo) <= shaped_budget {
+                hi = 0.0;
+            }
+            for _ in 0..100 {
+                let mid = 0.5 * (lo + hi);
+                if spent(mid) > shaped_budget {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let c_param = hi;
+            let total = spent(c_param);
+            let scale = if total > 0.0 { shaped_budget / total } else { 0.0 };
+            for v in 0..n {
+                if b[v] > 0.0 {
+                    let w = ((-c_param / b[v]).exp() * scale).min(0.4);
+                    delta_l[v] += w;
+                    delta_u[v] += w;
+                }
+            }
+        }
+        Calibration { delta_l, delta_u, samples: tau }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg() -> KadabraConfig {
         KadabraConfig { epsilon: 0.05, delta: 0.1, ..Default::default() }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The fit and [`reference::from_counts`] assign bit-identical
+        /// budgets: count vectors from all-zero to dense, with a share of
+        /// zeros drawn per case, over random τ, δ and floors.
+        #[test]
+        fn fit_matches_the_reference(
+            raw in proptest::collection::vec((0u64..4, 0u64..5_000), 1..400),
+            zero_share in 0u64..4,
+            tau in 1u64..10_000,
+            delta in 0.001f64..0.5,
+            (floored, floor) in (any::<bool>(), 0.0f64..0.99),
+        ) {
+            let counts: Vec<u64> =
+                raw.iter().map(|&(z, c)| if z < zero_share { 0 } else { c }).collect();
+            let calibration_floor = if floored { floor } else { 0.0 };
+            let cfg = KadabraConfig { delta, calibration_floor, ..cfg() };
+            let (got, want) =
+                (Calibration::from_counts(&counts, tau, &cfg), reference::from_counts(&counts, tau, &cfg));
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got.delta_l), bits(&want.delta_l));
+            prop_assert_eq!(bits(&got.delta_u), bits(&want.delta_u));
+            prop_assert_eq!(got.samples, want.samples);
+        }
     }
 
     #[test]

@@ -119,10 +119,114 @@ pub fn hop_distance(g: &Graph, s: NodeId, t: NodeId) -> Option<u32> {
     (d != UNREACHED).then_some(d)
 }
 
+/// The queue-driven top-down BFS [`bfs`] replaced, kept as its differential
+/// oracle (`tests::oracle`).
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn bfs(g: &Graph, source: NodeId) -> BfsResult {
+        let n = g.num_nodes();
+        assert!((source as usize) < n, "source out of range");
+        let mut dist = vec![UNREACHED; n];
+        let mut order = Vec::new();
+        dist[source as usize] = 0;
+        order.push(source);
+        let mut head = 0;
+        let mut ecc = 0;
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            if let Some(&w) = order.get(head) {
+                g.prefetch_neighbors(w);
+            }
+            let du = dist[u as usize];
+            for &v in g.neighbors(u) {
+                if dist[v as usize] == UNREACHED {
+                    dist[v as usize] = du + 1;
+                    ecc = du + 1;
+                    order.push(v);
+                }
+            }
+        }
+        BfsResult { dist, order, ecc }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::graph_from_edges;
+
+    /// [`bfs`] against [`reference::bfs`]: the same distances and
+    /// eccentricity from every source tried, and an order that lists exactly
+    /// the reached vertices by non-decreasing distance.
+    mod oracle {
+        use super::*;
+        use crate::generators::{
+            barabasi_albert, gnm, grid, rmat, BaConfig, GnmConfig, GridConfig, RmatConfig,
+        };
+        use proptest::prelude::*;
+
+        fn agree_from(g: &Graph, source: NodeId) {
+            let (got, want) = (bfs(g, source), reference::bfs(g, source));
+            prop_assert_eq!(&got.dist, &want.dist, "dist from {}", source);
+            prop_assert_eq!(got.ecc, want.ecc, "ecc from {}", source);
+            prop_assert_eq!(got.order.first(), Some(&source));
+            prop_assert!(got
+                .order
+                .windows(2)
+                .all(|w| got.dist[w[0] as usize] <= got.dist[w[1] as usize]));
+            let mut seen = got.order.clone();
+            seen.sort_unstable();
+            let mut reached = want.order;
+            reached.sort_unstable();
+            prop_assert_eq!(seen, reached, "reached set from {}", source);
+        }
+
+        /// A graph of family `family % 4` — G(n, m) from empty to dense
+        /// (often disconnected), R-MAT, Barabási–Albert, grids with
+        /// diagonals — with size knobs `a`, `b` in `0..64`.
+        fn draw_graph(family: u8, a: usize, b: usize, seed: u64) -> Graph {
+            match family % 4 {
+                0 => gnm(GnmConfig { n: 2 + a, m: (2 + a) * (b % 9) / 2, seed }),
+                1 => rmat(RmatConfig::graph500(4 + a as u32 % 6, 1 + b as u32 % 16, seed)),
+                2 => barabasi_albert(BaConfig { n: 8 + a * 4, m: 1 + b % 6, seed }),
+                _ => grid(GridConfig {
+                    rows: 1 + a % 24,
+                    cols: 1 + b % 24,
+                    diagonal_prob: (seed % 5) as f64 / 10.0,
+                    seed,
+                }),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(400))]
+
+            #[test]
+            fn bfs_matches_the_reference(
+                family in 0u8..4,
+                a in 0usize..64,
+                b in 0usize..64,
+                seed in 0u64..1_000,
+                sources in proptest::collection::vec(any::<u32>(), 1..6),
+            ) {
+                let g = draw_graph(family, a, b, seed);
+                for s in sources {
+                    agree_from(&g, s % g.num_nodes() as NodeId);
+                }
+            }
+        }
+
+        #[test]
+        fn bfs_matches_the_reference_on_a_64_by_64_grid() {
+            let g = grid(GridConfig { rows: 64, cols: 64, diagonal_prob: 0.0, seed: 1 });
+            for s in [0, 63, 2080, 4095, 1234] {
+                agree_from(&g, s);
+            }
+        }
+    }
 
     fn path_graph(n: usize) -> Graph {
         let edges: Vec<_> = (0..n as NodeId - 1).map(|v| (v, v + 1)).collect();

@@ -505,13 +505,74 @@ pub fn graph_from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Graph {
     b.build()
 }
 
+/// The comparison-sort relabel [`Graph::relabel_by_degree_in`] replaced,
+/// kept as its differential oracle.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn relabel_by_degree_in(g: &Graph, arena: &mut CsrArena) -> (Graph, Permutation) {
+        let n = g.num_nodes();
+        let mut to_old: Vec<NodeId> = (0..n as NodeId).collect();
+        to_old.sort_unstable_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+        let mut to_new = vec![0 as NodeId; n];
+        for (new, &old) in to_old.iter().enumerate() {
+            to_new[old as usize] = new as NodeId;
+        }
+
+        let mut offsets = arena.take_offsets();
+        offsets.resize(n + 1, 0);
+        for new in 0..n {
+            offsets[new + 1] = offsets[new] + g.degree(to_old[new]) as u64;
+        }
+        let mut targets = arena.take_targets();
+        targets.resize(g.targets.len(), 0);
+        for new in 0..n {
+            let lo = offsets[new] as usize;
+            let hi = offsets[new + 1] as usize;
+            let row = &mut targets[lo..hi];
+            for (slot, &w) in row.iter_mut().zip(g.neighbors(to_old[new])) {
+                *slot = to_new[w as usize];
+            }
+            row.sort_unstable();
+        }
+        (Graph { offsets, targets }, Permutation { to_new, to_old })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::{rmat, RmatConfig};
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The relabel and [`reference::relabel_by_degree_in`] build the same
+        /// graph and the same permutation: on random edge lists over a vertex
+        /// range that leaves some vertices isolated, and on R-MAT graphs
+        /// (skewed degrees, long runs of ties), through fresh and recycled
+        /// arenas.
+        #[test]
+        fn relabel_matches_the_reference(
+            n in 1usize..80,
+            edges in proptest::collection::vec((0u32..80, 0u32..80), 0..200),
+            scale in 2u32..9,
+            seed in 0u64..1_000,
+        ) {
+            let edges: Vec<_> =
+                edges.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)).collect();
+            let mut arena = CsrArena::new();
+            for g in [graph_from_edges(n, &edges), rmat(RmatConfig::graph500(scale, 4, seed))] {
+                let (rg, perm) = g.relabel_by_degree_in(&mut arena);
+                let want = reference::relabel_by_degree_in(&g, &mut CsrArena::new());
+                prop_assert_eq!(&rg, &want.0);
+                prop_assert_eq!(&perm, &want.1);
+                prop_assert!(rg.check_canonical().is_ok());
+                arena.recycle(rg);
+            }
+        }
 
         /// The cursor check and the search-per-arc check it replaced accept
         /// exactly the same arrays: random valid graphs, and the same graphs
