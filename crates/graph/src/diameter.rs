@@ -74,7 +74,9 @@ pub fn two_sweep(g: &Graph, start: NodeId) -> (u32, NodeId, NodeId) {
 /// reaches `2l` the search can stop with a certified exact answer.
 ///
 /// `max_bfs = 0` means unlimited. When the budget is exhausted the result
-/// carries `BoundsOnly` with `upper = 2 * ecc(r)`.
+/// carries `BoundsOnly` with `upper = max(lower, 2(l − 1))` for the lowest
+/// level `l` whose vertices were *all* searched (`2 · ecc(r)` before the
+/// first level completes); the bounds hold at every budget.
 pub fn diameter(g: &Graph, start: NodeId, max_bfs: u32) -> DiameterResult {
     let n = g.num_nodes();
     assert!((start as usize) < n);
@@ -175,11 +177,13 @@ pub fn diameter(g: &Graph, start: NodeId, max_bfs: u32) -> DiameterResult {
             }
             let e = bfs(g, v).ecc;
             lower = lower.max(e);
-            upper = upper.min(lower.max(2 * (level.saturating_sub(1))));
             if lower >= 2 * level {
                 break;
             }
         }
+        // Only now is every vertex above `level - 1` done: each unprocessed
+        // vertex has eccentricity ≤ 2(level − 1), each processed one ≤ lower.
+        upper = upper.min(lower.max(2 * (level - 1)));
     }
     DiameterResult { lower, upper: lower, kind: DiameterKind::Exact, bfs_count }
 }
@@ -194,7 +198,51 @@ mod tests {
     use super::*;
     use crate::components::largest_component;
     use crate::csr::graph_from_edges;
-    use crate::generators::{gnm, grid, rmat, GnmConfig, GridConfig, RmatConfig};
+    use crate::generators::{
+        barabasi_albert, gnm, grid, rmat, BaConfig, GnmConfig, GridConfig, RmatConfig,
+    };
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Whatever the budget, the bounds hold: `lower ≤ D ≤ upper`, and a
+        /// result tagged `Exact` is `D` — on connected G(n, m) components,
+        /// Barabási–Albert graphs and grids with diagonals, from a random
+        /// start, under every budget from 1 to 12 and unlimited.
+        #[test]
+        fn every_budget_bounds_the_diameter(
+            family in 0u8..3,
+            size in 0usize..60,
+            knob in 0usize..8,
+            seed in 0u64..1_000,
+            start in any::<u32>(),
+        ) {
+            let g = match family {
+                0 => largest_component(&gnm(GnmConfig { n: 4 + size, m: (4 + size) * (2 + knob) / 2 - 2, seed })).0,
+                1 => barabasi_albert(BaConfig { n: 8 + size, m: 1 + knob % 3, seed }),
+                _ => grid(GridConfig {
+                    rows: 1 + size % 13,
+                    cols: 2 + size / 13 + knob,
+                    diagonal_prob: (seed % 4) as f64 / 10.0,
+                    seed,
+                }),
+            };
+            let exact = diameter_brute_force(&g);
+            let start = start % g.num_nodes() as NodeId;
+            for budget in 0..=12 {
+                let d = diameter(&g, start, budget);
+                prop_assert!(d.lower <= exact, "budget {}: lower {} > D {}", budget, d.lower, exact);
+                prop_assert!(d.upper >= exact, "budget {}: upper {} < D {}", budget, d.upper, exact);
+                if d.kind == DiameterKind::Exact {
+                    prop_assert_eq!((d.lower, d.upper), (exact, exact), "budget {}", budget);
+                }
+                if budget == 0 {
+                    prop_assert_eq!(d.kind, DiameterKind::Exact);
+                }
+            }
+        }
+    }
 
     #[test]
     fn path_graph_diameter() {
@@ -283,6 +331,18 @@ mod tests {
             // be the true diameter.
             assert_eq!(d.exact(), 38);
         }
+    }
+
+    #[test]
+    fn a_budget_spent_inside_a_level_keeps_the_upper_bound() {
+        // The budget runs out among the vertices of one level. Lowering
+        // `upper` after each of them (rather than after the whole level)
+        // reported an upper bound of 3 here.
+        let g = barabasi_albert(BaConfig { n: 18, m: 2, seed: 636 });
+        let exact = diameter_brute_force(&g);
+        assert_eq!(exact, 4);
+        let d = diameter(&g, 8, 4);
+        assert!(d.lower <= exact && exact <= d.upper, "{d:?}");
     }
 
     #[test]
