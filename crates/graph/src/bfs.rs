@@ -4,47 +4,144 @@
 //! the diameter algorithms and by tests as a reference for the bidirectional
 //! sampler), eccentricity computation, and σ-augmented BFS (shortest-path
 //! counting, the forward pass of Brandes' algorithm).
+//!
+//! The full-distance BFS is direction-optimizing (Beamer, Asanović &
+//! Patterson, "Direction-Optimizing Breadth-First Search", SC 2012): a
+//! level expands top-down — frontier rows scanned for unvisited neighbours —
+//! while the frontier is small, and bottom-up — every unvisited vertex scans
+//! its row for a frontier neighbour and stops at the first — while the
+//! frontier's arcs outnumber a share of the unexplored ones. On a
+//! small-world graph the two or three widest levels hold most vertices, and
+//! bottom-up settles each of them after a few row entries instead of
+//! reading every arc into the level.
 
 use crate::csr::{Graph, NodeId};
 use crate::scratch::UNREACHED;
+
+/// A growing frontier goes bottom-up once its arcs exceed the unexplored
+/// arcs / `ALPHA` (Beamer et al.'s α).
+const ALPHA: u64 = 14;
+
+/// A bottom-up search returns to top-down once the frontier holds fewer
+/// than n / `BETA` vertices (Beamer et al.'s β). Without the way back, the
+/// long tail of a high-diameter graph pays an O(n) scan per level.
+const BETA: usize = 24;
 
 /// Result of a full single-source BFS.
 pub struct BfsResult {
     /// `dist[v]` = hop distance from the source, or [`UNREACHED`].
     pub dist: Vec<u32>,
-    /// Vertices in visitation (non-decreasing distance) order.
+    /// The reached vertices by non-decreasing distance. The order inside one
+    /// level is unspecified.
     pub order: Vec<NodeId>,
     /// Eccentricity of the source within its component (max finite distance).
     pub ecc: u32,
 }
 
-/// Runs a plain BFS from `source`, returning distances, visitation order and
-/// the source's eccentricity.
-pub fn bfs(g: &Graph, source: NodeId) -> BfsResult {
+/// The buffers of [`bfs_into`], reused by every search on one graph: the
+/// distances, and the reached vertices level by level.
+pub(crate) struct BfsScratch {
+    dist: Vec<u32>,
+    order: Vec<NodeId>,
+    /// `order[levels[d]..levels[d + 1]]` is level `d`; the last entry is
+    /// `order.len()`.
+    levels: Vec<usize>,
+}
+
+impl BfsScratch {
+    /// Buffers for searches on a graph of `n` vertices.
+    pub(crate) fn new(n: usize) -> Self {
+        BfsScratch { dist: vec![UNREACHED; n], order: Vec::with_capacity(n), levels: Vec::new() }
+    }
+
+    /// Distances of the last search.
+    pub(crate) fn dist(&self) -> &[u32] {
+        &self.dist
+    }
+
+    /// The smallest id at the maximum distance of the last search, with
+    /// that distance.
+    pub(crate) fn farthest(&self) -> (NodeId, u32) {
+        let ecc = self.levels.len() - 2;
+        let last = &self.order[self.levels[ecc]..self.levels[ecc + 1]];
+        // xtask: allow(unwrap) — a search reaches its source, so every level
+        // up to the eccentricity is non-empty.
+        (*last.iter().min().unwrap(), ecc as u32)
+    }
+}
+
+/// Searches from `source` into `sc`, returning the source's eccentricity.
+/// Allocation-free once `sc.order` has grown to the component's size.
+pub(crate) fn bfs_into(g: &Graph, source: NodeId, sc: &mut BfsScratch) -> u32 {
     let n = g.num_nodes();
     assert!((source as usize) < n, "source out of range");
-    let mut dist = vec![UNREACHED; n];
-    let mut order = Vec::new();
-    dist[source as usize] = 0;
-    order.push(source);
-    let mut head = 0;
-    let mut ecc = 0;
-    while head < order.len() {
-        let u = order[head];
-        head += 1;
-        if let Some(&w) = order.get(head) {
-            g.prefetch_neighbors(w);
+    assert_eq!(sc.dist.len(), n, "scratch sized for another graph");
+    for &v in &sc.order {
+        sc.dist[v as usize] = UNREACHED;
+    }
+    sc.order.clear();
+    sc.levels.clear();
+    sc.dist[source as usize] = 0;
+    sc.order.push(source);
+    sc.levels.push(0);
+
+    let mut frontier_arcs = g.degree(source) as u64;
+    let mut unexplored = 2 * g.num_edges() as u64 - frontier_arcs;
+    let (mut bottom_up, mut last_width) = (false, 0);
+    let (mut lo, mut d) = (0, 0u32);
+    loop {
+        let hi = sc.order.len();
+        if lo == hi {
+            return d - 1;
         }
-        let du = dist[u as usize];
-        for &v in g.neighbors(u) {
-            if dist[v as usize] == UNREACHED {
-                dist[v as usize] = du + 1;
-                ecc = du + 1;
-                order.push(v);
+        sc.levels.push(hi);
+        let width = hi - lo;
+        if bottom_up {
+            bottom_up = width >= n / BETA;
+        } else {
+            bottom_up = width > last_width && frontier_arcs > unexplored / ALPHA;
+        }
+        let mut next_arcs = 0u64;
+        if bottom_up {
+            for v in 0..n as NodeId {
+                if sc.dist[v as usize] != UNREACHED {
+                    continue;
+                }
+                let row = g.neighbors(v);
+                if row.iter().any(|&u| sc.dist[u as usize] == d) {
+                    sc.dist[v as usize] = d + 1;
+                    sc.order.push(v);
+                    next_arcs += row.len() as u64;
+                }
+            }
+        } else {
+            for i in lo..hi {
+                let u = sc.order[i];
+                if let Some(&w) = sc.order.get(i + 1) {
+                    g.prefetch_neighbors(w);
+                }
+                for &v in g.neighbors(u) {
+                    if sc.dist[v as usize] == UNREACHED {
+                        sc.dist[v as usize] = d + 1;
+                        sc.order.push(v);
+                        next_arcs += g.degree(v) as u64;
+                    }
+                }
             }
         }
+        unexplored -= next_arcs;
+        frontier_arcs = next_arcs;
+        (lo, last_width) = (hi, width);
+        d += 1;
     }
-    BfsResult { dist, order, ecc }
+}
+
+/// Runs a BFS from `source`, returning distances, the reached vertices by
+/// level and the source's eccentricity.
+pub fn bfs(g: &Graph, source: NodeId) -> BfsResult {
+    let mut sc = BfsScratch::new(g.num_nodes());
+    let ecc = bfs_into(g, source, &mut sc);
+    BfsResult { dist: sc.dist, order: sc.order, ecc }
 }
 
 /// σ-augmented BFS from `source`: distances plus the number of shortest
@@ -96,15 +193,9 @@ pub fn sigma_bfs(g: &Graph, source: NodeId) -> SigmaBfsResult {
 /// smallest id) together with that distance; `(source, 0)` for an isolated
 /// source. This is the primitive behind the two-sweep diameter bound.
 pub fn farthest_vertex(g: &Graph, source: NodeId) -> (NodeId, u32) {
-    let res = bfs(g, source);
-    let mut best = (source, 0u32);
-    for v in res.order {
-        let d = res.dist[v as usize];
-        if d != UNREACHED && d > best.1 {
-            best = (v, d);
-        }
-    }
-    best
+    let mut sc = BfsScratch::new(g.num_nodes());
+    bfs_into(g, source, &mut sc);
+    sc.farthest()
 }
 
 /// Eccentricity of `source` within its connected component.

@@ -15,7 +15,7 @@
 //! term that limits overall speedup at high node counts (Fig. 2b), and our
 //! reproduction keeps that characteristic.
 
-use crate::bfs::{bfs, farthest_vertex};
+use crate::bfs::{bfs_into, farthest_vertex, BfsScratch};
 use crate::csr::{Graph, NodeId};
 use crate::scratch::UNREACHED;
 
@@ -77,6 +77,11 @@ pub fn two_sweep(g: &Graph, start: NodeId) -> (u32, NodeId, NodeId) {
 /// carries `BoundsOnly` with `upper = max(lower, 2(l − 1))` for the lowest
 /// level `l` whose vertices were *all* searched (`2 · ecc(r)` before the
 /// first level completes); the bounds hold at every budget.
+///
+/// Every choice is a function of distances and ids alone — a farthest vertex
+/// is the smallest id at the largest distance, a level is searched in
+/// ascending id — so the result does not depend on the order a BFS visits
+/// one level in. All searches share one [`BfsScratch`].
 pub fn diameter(g: &Graph, start: NodeId, max_bfs: u32) -> DiameterResult {
     let n = g.num_nodes();
     assert!((start as usize) < n);
@@ -89,6 +94,7 @@ pub fn diameter(g: &Graph, start: NodeId, max_bfs: u32) -> DiameterResult {
         *used += 1;
         max_bfs == 0 || *used <= max_bfs
     };
+    let mut sc = BfsScratch::new(n);
 
     // Two-sweep lower bound.
     if !budget(&mut bfs_count) {
@@ -99,7 +105,8 @@ pub fn diameter(g: &Graph, start: NodeId, max_bfs: u32) -> DiameterResult {
             bfs_count,
         };
     }
-    let (a, _) = farthest_vertex(g, start);
+    bfs_into(g, start, &mut sc);
+    let (a, _) = sc.farthest();
     if !budget(&mut bfs_count) {
         return DiameterResult {
             lower: 0,
@@ -108,26 +115,21 @@ pub fn diameter(g: &Graph, start: NodeId, max_bfs: u32) -> DiameterResult {
             bfs_count,
         };
     }
-    let res_a = bfs(g, a);
-    let mut lower = res_a.ecc;
+    let mut lower = bfs_into(g, a, &mut sc);
     // Midpoint of the a->b path: a vertex at distance ecc/2 from a on the
     // path towards b. We approximate by walking back from b.
-    let b = *res_a
-        .order
-        .iter()
-        .max_by_key(|&&v| res_a.dist[v as usize])
-        // xtask: allow(unwrap) — BFS order always contains the source.
-        .unwrap();
+    let (b, _) = sc.farthest();
     let mid;
     {
-        let target = res_a.ecc / 2;
+        let dist_a = sc.dist();
+        let target = lower / 2;
         // Walk from b towards a until the distance from a equals target.
         let mut cur = b;
-        while res_a.dist[cur as usize] > target {
-            let d = res_a.dist[cur as usize];
+        while dist_a[cur as usize] > target {
+            let d = dist_a[cur as usize];
             let mut stepped = false;
             for &u in g.neighbors(cur) {
-                if res_a.dist[u as usize] + 1 == d {
+                if dist_a[u as usize] + 1 == d {
                     cur = u;
                     stepped = true;
                     break;
@@ -149,34 +151,47 @@ pub fn diameter(g: &Graph, start: NodeId, max_bfs: u32) -> DiameterResult {
             bfs_count,
         };
     }
-    let res_mid = bfs(g, mid);
-    lower = lower.max(res_mid.ecc);
-    let mut upper = 2 * res_mid.ecc;
+    let ecc_mid = bfs_into(g, mid, &mut sc);
+    lower = lower.max(ecc_mid);
+    let mut upper = 2 * ecc_mid;
     if lower == upper {
         return DiameterResult { lower, upper, kind: DiameterKind::Exact, bfs_count };
     }
 
-    // Vertices by decreasing level.
-    let mut by_level: Vec<Vec<NodeId>> = vec![Vec::new(); res_mid.ecc as usize + 1];
-    for v in 0..n as NodeId {
-        let d = res_mid.dist[v as usize];
+    // Vertices by level, ascending id inside one: a counting sort of the
+    // midpoint's distances, so that `by_level[starts[l]..starts[l + 1]]` is
+    // level `l`.
+    let dist_mid = sc.dist();
+    let mut starts = vec![0usize; ecc_mid as usize + 2];
+    for &d in dist_mid {
         if d != UNREACHED {
-            by_level[d as usize].push(v);
+            starts[d as usize + 1] += 1;
         }
     }
-    for level in (1..=res_mid.ecc).rev() {
+    for l in 0..=ecc_mid as usize {
+        starts[l + 1] += starts[l];
+    }
+    let mut by_level = vec![0 as NodeId; starts[ecc_mid as usize + 1]];
+    let mut cursor = starts.clone();
+    for (v, &d) in dist_mid.iter().enumerate() {
+        if d != UNREACHED {
+            by_level[cursor[d as usize]] = v as NodeId;
+            cursor[d as usize] += 1;
+        }
+    }
+    for level in (1..=ecc_mid).rev() {
         if lower >= 2 * level {
             // Certified: every unprocessed vertex has eccentricity ≤ 2*level ≤ lower.
             return DiameterResult { lower, upper: lower, kind: DiameterKind::Exact, bfs_count };
         }
-        for &v in &by_level[level as usize] {
+        let l = level as usize;
+        for &v in &by_level[starts[l]..starts[l + 1]] {
             if !budget(&mut bfs_count) {
                 let kind =
                     if lower == upper { DiameterKind::Exact } else { DiameterKind::BoundsOnly };
                 return DiameterResult { lower, upper, kind, bfs_count };
             }
-            let e = bfs(g, v).ecc;
-            lower = lower.max(e);
+            lower = lower.max(bfs_into(g, v, &mut sc));
             if lower >= 2 * level {
                 break;
             }
@@ -190,7 +205,8 @@ pub fn diameter(g: &Graph, start: NodeId, max_bfs: u32) -> DiameterResult {
 
 /// Exact diameter by all-pairs BFS; O(n·m), test oracle for small graphs.
 pub fn diameter_brute_force(g: &Graph) -> u32 {
-    (0..g.num_nodes() as NodeId).map(|v| bfs(g, v).ecc).max().unwrap_or(0)
+    let mut sc = BfsScratch::new(g.num_nodes());
+    (0..g.num_nodes() as NodeId).map(|v| bfs_into(g, v, &mut sc)).max().unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -73,7 +73,11 @@ pub fn sum_sweep(g: &Graph, start: NodeId, sweeps: usize) -> SumSweepResult {
         lower = lower.max(res.ecc);
         upper = upper.min(2 * res.ecc);
         if reachable.is_none() {
-            reachable = Some(res.order.clone());
+            // In id order, so that every tie below breaks by id rather than
+            // by the order a BFS visits one level in.
+            let mut ids = res.order.clone();
+            ids.sort_unstable();
+            reachable = Some(ids);
         }
         for &v in res.order.iter() {
             let d = res.dist[v as usize];
@@ -109,11 +113,13 @@ pub fn sum_sweep(g: &Graph, start: NodeId, sweeps: usize) -> SumSweepResult {
                 .filter(|&v| !used[v as usize])
                 .min_by_key(|&v| dist_max[v as usize])
         } else if sweep % 2 == 0 {
+            // Among the farthest, the larger distance sum: the more
+            // peripheral of them.
             candidates
                 .iter()
                 .copied()
                 .filter(|&v| !used[v as usize] && res.dist[v as usize] != UNREACHED)
-                .max_by_key(|&v| res.dist[v as usize])
+                .max_by_key(|&v| (res.dist[v as usize], dist_sum[v as usize]))
         } else {
             candidates
                 .iter()

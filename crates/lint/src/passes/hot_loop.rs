@@ -15,8 +15,10 @@
 //!    `sample_path_into` (the sample-source hook: every impl body is what
 //!    the per-pair loop calls), `sample_shortest_path_into` (the kernel
 //!    behind the blanket impl) and its walk-back, `select_and_backtrack`
-//!    and `backtrack`, in `crates/core/src` / `crates/graph/src`. Sorting
-//!    the walk's predecessor scratch in place stays legal.
+//!    and `backtrack`, and the diameter phase's `bfs_into` (every BFS of a
+//!    `diameter()` call reuses one scratch), in `crates/core/src` /
+//!    `crates/graph/src`. Sorting the walk's predecessor scratch in place
+//!    stays legal.
 //!    The scan is of the named body, not of what it calls: the
 //!    `WeightedGraph` hook forwards to a Dijkstra that allocates its
 //!    distance and σ arrays per call, outside the scanned range — known,
@@ -54,7 +56,7 @@ pub struct HotLoopHygiene;
 const BATCH_CALLS: [&str; 2] = ["sample_batch", "sample_batch_records"];
 
 /// Function names whose bodies are hot-path scope in core/graph.
-const HOT_FNS: [&str; 7] = [
+const HOT_FNS: [&str; 8] = [
     "sample_batch",
     "sample_batch_records",
     "sample",
@@ -62,6 +64,7 @@ const HOT_FNS: [&str; 7] = [
     "sample_shortest_path_into",
     "select_and_backtrack",
     "backtrack",
+    "bfs_into",
 ];
 
 /// Function names whose bodies are the service's cache read path.
