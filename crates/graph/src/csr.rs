@@ -224,12 +224,29 @@ impl Graph {
 
     /// Like [`Graph::relabel_by_degree`], recycling an arena's buffers for
     /// the relabeled CSR arrays.
+    ///
+    /// Neither step compares: the permutation is a counting sort by degree,
+    /// and each row fills in ascending order because new ids are scattered
+    /// in ascending order.
     pub fn relabel_by_degree_in(&self, arena: &mut CsrArena) -> (Graph, Permutation) {
         let n = self.num_nodes();
-        let mut to_old: Vec<NodeId> = (0..n as NodeId).collect();
-        // Highest degree first; the original id tiebreak makes the
-        // permutation deterministic for any input graph.
-        to_old.sort_unstable_by_key(|&v| (std::cmp::Reverse(self.degree(v)), v));
+        // Highest degree first: bucket `max_deg - degree`. Ids enter their
+        // bucket in ascending order, so ties keep the original id order and
+        // the permutation is deterministic for any input graph.
+        let max_deg = self.max_degree();
+        let mut bucket_start = vec![0usize; max_deg + 2];
+        for v in 0..n as NodeId {
+            bucket_start[max_deg - self.degree(v) + 1] += 1;
+        }
+        for k in 0..=max_deg {
+            bucket_start[k + 1] += bucket_start[k];
+        }
+        let mut to_old = vec![0 as NodeId; n];
+        for v in 0..n as NodeId {
+            let k = max_deg - self.degree(v);
+            to_old[bucket_start[k]] = v;
+            bucket_start[k] += 1;
+        }
         let mut to_new = vec![0 as NodeId; n];
         for (new, &old) in to_old.iter().enumerate() {
             to_new[old as usize] = new as NodeId;
@@ -242,14 +259,22 @@ impl Graph {
         }
         let mut targets = arena.take_targets();
         targets.resize(self.targets.len(), 0);
-        for new in 0..n {
-            let lo = offsets[new] as usize;
-            let hi = offsets[new + 1] as usize;
-            let row = &mut targets[lo..hi];
-            for (slot, &w) in row.iter_mut().zip(self.neighbors(to_old[new])) {
-                *slot = to_new[w as usize];
+        // Vertex `u` goes into the row of each of its neighbours, `u`
+        // ascending; the rows are symmetric, so every row ends up complete
+        // and sorted. offsets[w] is row w's write cursor, as in
+        // `GraphBuilder::build_in`, and is repaired afterwards.
+        for (u, &old) in to_old.iter().enumerate() {
+            for &w in self.neighbors(old) {
+                let row = to_new[w as usize] as usize;
+                targets[offsets[row] as usize] = u as NodeId;
+                offsets[row] += 1;
             }
-            row.sort_unstable();
+        }
+        for v in (1..=n).rev() {
+            offsets[v] = offsets[v - 1];
+        }
+        if n > 0 {
+            offsets[0] = 0;
         }
         let g = Graph { offsets, targets };
         debug_assert!(g.check_canonical().is_ok());
