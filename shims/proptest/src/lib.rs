@@ -16,7 +16,10 @@
 //! deterministic case seed instead), and value generation is uniform rather
 //! than upstream's bias-towards-edge-cases. Every run is fully deterministic:
 //! case `i` of a test derives its RNG seed from a fixed constant and `i`
-//! only, so failures reproduce without a persistence file.
+//! only, so failures reproduce without a persistence file. A
+//! `PROPTEST_CASES` environment variable replaces every test's case count,
+//! `with_cases` included (upstream lets an explicit `with_cases` win), so a
+//! long sweep needs no code change; the first cases stay the same cases.
 
 #![forbid(unsafe_code)]
 
@@ -273,6 +276,12 @@ pub mod test_runner {
         StdRng::seed_from_u64(BASE_SEED ^ h ^ ((case as u64) << 32))
     }
 
+    /// The case count to run: `PROPTEST_CASES` when it is set to a number,
+    /// otherwise `configured`.
+    pub fn cases(configured: u32) -> u32 {
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(configured)
+    }
+
     /// Debug-renders a generated input for the failure report.
     pub fn render_input<T: core::fmt::Debug>(value: &T) -> String {
         format!("{value:?}")
@@ -339,7 +348,8 @@ macro_rules! __proptest_impl {
         $(#[$meta])*
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
-            for case in 0..config.cases {
+            let cases = $crate::test_runner::cases(config.cases);
+            for case in 0..cases {
                 let mut rng = $crate::test_runner::case_rng(stringify!($name), case);
                 let mut inputs: ::std::vec::Vec<::std::string::String> =
                     ::std::vec::Vec::new();
@@ -354,7 +364,7 @@ macro_rules! __proptest_impl {
                 if let ::std::result::Result::Err(payload) = outcome {
                     ::std::eprintln!(
                         "proptest shim: {} failed at case {}/{} with inputs:",
-                        stringify!($name), case, config.cases,
+                        stringify!($name), case, cases,
                     );
                     for (i, input) in inputs.iter().enumerate() {
                         ::std::eprintln!("  arg[{i}] = {input}");
