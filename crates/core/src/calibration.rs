@@ -42,17 +42,20 @@ impl Calibration {
         let shaped_budget = cfg.delta - floor_budget;
         let per_vertex_floor = floor_budget / (2.0 * n as f64);
 
-        let b: Vec<f64> = counts.iter().map(|&c| c as f64 / tau as f64).collect();
+        let b = |c: u64| c as f64 / tau as f64;
+        // Vertices with b̃ = 0 contribute nothing to the shaped budget (their
+        // floor suffices — their g-bound only needs a modest τ), so the fit
+        // sums over the touched ones alone, in index order: the +0.0 terms it
+        // skips leave every partial sum bit-identical.
+        let touched: Vec<f64> = counts.iter().filter(|&&c| c > 0).map(|&c| b(c)).collect();
 
         // Binary search C in exp(-C / b̃(v)): sum is monotone decreasing in C.
-        // Vertices with b̃ = 0 contribute nothing to the shaped budget (their
-        // floor suffices — their g-bound only needs a modest τ).
         let spent = |c_param: f64| -> f64 {
-            b.iter().map(|&bv| if bv > 0.0 { 2.0 * (-c_param / bv).exp() } else { 0.0 }).sum()
+            touched.iter().map(|&bv| 2.0 * (-c_param / bv).exp()).sum()
         };
         let mut delta_l = vec![per_vertex_floor; n];
         let mut delta_u = vec![per_vertex_floor; n];
-        let max_b = b.iter().cloned().fold(0.0f64, f64::max);
+        let max_b = touched.iter().cloned().fold(0.0f64, f64::max);
         if max_b > 0.0 && shaped_budget > 0.0 {
             // Bracket: C = 0 spends 2·#{b>0} ≥ shaped (for any non-trivial n);
             // C large spends ~0.
@@ -78,9 +81,9 @@ impl Calibration {
             // binary-search slack.
             let total = spent(c_param);
             let scale = if total > 0.0 { shaped_budget / total } else { 0.0 };
-            for v in 0..n {
-                if b[v] > 0.0 {
-                    let w = ((-c_param / b[v]).exp() * scale).min(0.4);
+            for (v, &c) in counts.iter().enumerate() {
+                if c > 0 {
+                    let w = ((-c_param / b(c)).exp() * scale).min(0.4);
                     delta_l[v] += w;
                     delta_u[v] += w;
                 }
