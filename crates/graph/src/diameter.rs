@@ -81,7 +81,7 @@ pub fn two_sweep(g: &Graph, start: NodeId) -> (u32, NodeId, NodeId) {
 /// Every choice is a function of distances and ids alone — a farthest vertex
 /// is the smallest id at the largest distance, a level is searched in
 /// ascending id — so the result does not depend on the order a BFS visits
-/// one level in. All searches share one [`BfsScratch`].
+/// one level in. All searches share one BFS scratch.
 pub fn diameter(g: &Graph, start: NodeId, max_bfs: u32) -> DiameterResult {
     let n = g.num_nodes();
     assert!((start as usize) < n);

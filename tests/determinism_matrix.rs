@@ -12,11 +12,12 @@
 use kadabra_mpi::core::{
     kadabra_epoch_mpi, kadabra_epoch_mpi_observed, kadabra_mpi_flat, kadabra_mpi_flat_elastic,
     kadabra_mpi_flat_observed, kadabra_naive_parallel, kadabra_sequential, kadabra_shared_on,
-    prepare_for_pool, BetweennessResult, ChaosOptions, ClusterShape, ElasticOptions, KadabraConfig,
-    SamplerPool,
+    omega, prepare_for_pool, BetweennessResult, ChaosOptions, ClusterShape, ElasticOptions,
+    KadabraConfig, SamplerPool,
 };
 use kadabra_mpi::dynamic::{DynamicEngine, UpdateBatch};
 use kadabra_mpi::graph::components::largest_component;
+use kadabra_mpi::graph::diameter::diameter_brute_force;
 use kadabra_mpi::graph::generators::{gnm, GnmConfig};
 use kadabra_mpi::mpisim::FaultPlan;
 use kadabra_mpi::telemetry::Telemetry;
@@ -201,6 +202,13 @@ fn golden_transcripts_hold_across_commits() {
 
     let seq = kadabra_sequential(&g, &cfg);
     assert_eq!((seq.samples, transcript_digest(&seq)), (2000, 0xaa05_6878_8eec_88f3), "sequential");
+    // The ω every row below samples against is the ω of the exact
+    // diameter. iFUB's default budget ends inside a level here, so the
+    // vertex diameter it reports is a sound bound above D + 1 (8 + 1, not
+    // 6 + 1) that lands in the same ⌊log₂(VD − 2)⌋ bucket.
+    let vd = diameter_brute_force(&g) + 1;
+    assert!(seq.vertex_diameter >= vd, "VD {} below the exact {vd}", seq.vertex_diameter);
+    assert_eq!(seq.omega, omega(cfg.c, cfg.epsilon, cfg.delta, vd), "ω of the exact diameter");
 
     let naive = kadabra_naive_parallel(&g, &cfg, 2);
     assert_eq!((naive.samples, transcript_digest(&naive)), (1592, 0x10ee_88d4_d5f9_fb08), "naive");
@@ -289,6 +297,7 @@ fn golden_transcripts_hold_across_commits() {
     let n = g.num_nodes();
     let tel = Telemetry::stats_only();
     let p = prepare_for_pool(&g, &cfg, 3, 1);
+    assert_eq!((p.vertex_diameter, p.omega), (seq.vertex_diameter, seq.omega), "pool prologue");
     // A static tenant's plan policy: round r runs under `reseeded(r)`.
     let plan = FaultPlan::ideal(42).with_crash_at_collective(2, 2);
     let mut pool = SamplerPool::new(n, cfg, p.omega, 3, 1, || ());
