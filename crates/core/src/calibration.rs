@@ -50,9 +50,8 @@ impl Calibration {
         let touched: Vec<f64> = counts.iter().filter(|&&c| c > 0).map(|&c| b(c)).collect();
 
         // Binary search C in exp(-C / b̃(v)): sum is monotone decreasing in C.
-        let spent = |c_param: f64| -> f64 {
-            touched.iter().map(|&bv| 2.0 * (-c_param / bv).exp()).sum()
-        };
+        let spent =
+            |c_param: f64| -> f64 { touched.iter().map(|&bv| 2.0 * (-c_param / bv).exp()).sum() };
         let mut delta_l = vec![per_vertex_floor; n];
         let mut delta_u = vec![per_vertex_floor; n];
         let max_b = touched.iter().cloned().fold(0.0f64, f64::max);
