@@ -158,25 +158,11 @@ pub fn diameter(g: &Graph, start: NodeId, max_bfs: u32) -> DiameterResult {
         return DiameterResult { lower, upper, kind: DiameterKind::Exact, bfs_count };
     }
 
-    // Vertices by level, ascending id inside one: a counting sort of the
-    // midpoint's distances, so that `by_level[starts[l]..starts[l + 1]]` is
-    // level `l`.
-    let dist_mid = sc.dist();
-    let mut starts = vec![0usize; ecc_mid as usize + 2];
-    for &d in dist_mid {
+    // Vertices by level, ascending id inside one.
+    let mut by_level: Vec<Vec<NodeId>> = vec![Vec::new(); ecc_mid as usize + 1];
+    for (v, &d) in sc.dist().iter().enumerate() {
         if d != UNREACHED {
-            starts[d as usize + 1] += 1;
-        }
-    }
-    for l in 0..=ecc_mid as usize {
-        starts[l + 1] += starts[l];
-    }
-    let mut by_level = vec![0 as NodeId; starts[ecc_mid as usize + 1]];
-    let mut cursor = starts.clone();
-    for (v, &d) in dist_mid.iter().enumerate() {
-        if d != UNREACHED {
-            by_level[cursor[d as usize]] = v as NodeId;
-            cursor[d as usize] += 1;
+            by_level[d as usize].push(v as NodeId);
         }
     }
     for level in (1..=ecc_mid).rev() {
@@ -184,8 +170,7 @@ pub fn diameter(g: &Graph, start: NodeId, max_bfs: u32) -> DiameterResult {
             // Certified: every unprocessed vertex has eccentricity ≤ 2*level ≤ lower.
             return DiameterResult { lower, upper: lower, kind: DiameterKind::Exact, bfs_count };
         }
-        let l = level as usize;
-        for &v in &by_level[starts[l]..starts[l + 1]] {
+        for &v in &by_level[level as usize] {
             if !budget(&mut bfs_count) {
                 let kind =
                     if lower == upper { DiameterKind::Exact } else { DiameterKind::BoundsOnly };
