@@ -6,27 +6,33 @@
 //! uniformly at random** among all shortest s-t paths. Every interior vertex
 //! of the sampled path receives one count.
 //!
-//! The implementation expands complete BFS levels alternately from both
-//! endpoints, always growing the side whose frontier has the smaller total
-//! degree (fewer edges to scan). Expansion stops during the first level in
-//! which a newly discovered vertex is already settled by the opposite search.
+//! The implementation grows complete BFS levels alternately from both
+//! endpoints, always on the side whose frontier has the smaller total degree
+//! (fewer edges to scan), until the level about to be settled meets the
+//! other side.
 //!
-//! Correctness of the stopping rule: let the expanding side be `s` with
-//! completed radius `ds` and let the other side have completed radius `dt`.
-//! All vertices within distance `ds` of `s` (resp. `dt` of `t`) are settled
-//! with exact distances and path counts σ. If a path of length
-//! `L < ds + 1 + k0` existed (where `k0` is the minimum settled `t`-distance
-//! over the meeting vertices), then either `L ≤ ds` — impossible, `t` would
-//! have been discovered (with settled `dist_t(t) = 0`) in an earlier level —
-//! or the path's vertex at distance `ds + 1` from `s` would be a meeting
-//! vertex with a smaller settled `t`-distance. Hence
-//! `L = ds + 1 + k0`, and the set `C = {v : dist_s(v) = ds+1, dist_t(v) = k0}`
-//! is a complete s-t cut of the shortest-path DAG, giving
-//! `σ_st = Σ_{v ∈ C} σ_s(v)·σ_t(v)`.
+//! Correctness of the stopping rule: let the side about to grow (the *near*
+//! side) have completed radius `ds` and the other (*far*) side radius `dt`.
+//! All vertices within distance `ds` of the near root (resp. `dt` of the far
+//! root) are settled with exact distances and path counts σ, and no vertex
+//! is settled by both sides — else the search would have stopped. So
+//! `L ≥ ds + dt + 1`: a shorter path would have a vertex within `ds` of one
+//! root and within `dt` of the other. A vertex at near distance `ds + 1` that
+//! the far side settled at distance `k ≤ dt` closes a path of length
+//! `ds + 1 + k`, hence `k = dt` and `L = ds + 1 + dt`. The meeting cut is
+//! therefore exactly `C = {w ∈ L_dt(far) : N(w) ∩ L_ds(near) ≠ ∅}`, with
+//! `σ_near(w) = Σ σ_near(u)` over those neighbours `u`, and it is a complete
+//! s-t cut of the shortest-path DAG, giving `σ_st = Σ_{w ∈ C} σ_near(w)·σ_far(w)`.
+//!
+//! `C` can be found from either side: by settling the near side's next level
+//! and testing each new vertex against the far side, or — when the far
+//! frontier is much cheaper to read than the near one — by testing each
+//! far-frontier vertex against the near frontier, without settling the
+//! meeting level at all (DESIGN.md §11.6).
 //!
 //! A uniform path is then drawn by picking a cut vertex with probability
-//! proportional to `σ_s(v)·σ_t(v)` and walking back to each endpoint, at each
-//! step choosing a predecessor `u` with probability `σ(u)/Σ σ`. Each
+//! proportional to `σ_near(v)·σ_far(v)` and walking back to each endpoint, at
+//! each step choosing a predecessor `u` with probability `σ(u)/Σ σ`. Each
 //! direction keeps the vertices it settled cut into BFS levels, so a step
 //! finds its predecessors from whichever is shorter, the row or the level
 //! below (DESIGN.md §11.6).
@@ -52,7 +58,9 @@ pub struct PathSample {
 /// Statistics of the bidirectional search, used by performance models.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchStats {
-    /// Edges scanned by both searches.
+    /// Adjacency entries read by both searches: every row entry an
+    /// expansion scans, plus the meet test's reads, a binary search of a
+    /// row of `deg` entries counting ⌈log₂(deg + 1)⌉.
     pub edges_scanned: u64,
     /// Vertices settled by both searches.
     pub vertices_settled: u64,
@@ -130,42 +138,136 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
     assert!(s != t, "sampling requires distinct endpoints");
     assert!((s as usize) < g.num_nodes() && (t as usize) < g.num_nodes());
     scratch.reset();
-    let TraversalScratch {
-        fwd,
-        bwd,
-        path,
-        order_fwd,
-        order_bwd,
-        levels_fwd,
-        levels_bwd,
-        meets,
-        cut,
-    } = scratch;
-
-    // Each direction appends the vertices it settles to its order list; the
-    // level starts cut it into BFS levels, the last of which is the frontier.
-    order_fwd.push(s);
-    order_bwd.push(t);
-    levels_fwd.push(0);
-    levels_bwd.push(0);
-    fwd.visit(s, 0, 1);
-    bwd.visit(t, 0, 1);
+    let TraversalScratch { fwd, bwd, path, order_fwd, order_bwd, levels_fwd, levels_bwd, cut } =
+        scratch;
+    let mut fwd = Side::start(g, fwd, order_fwd, levels_fwd, s);
+    let mut bwd = Side::start(g, bwd, order_bwd, levels_bwd, t);
     stats.vertices_settled += 2;
-    let mut ds = 0u32; // completed radius around s
-    let mut dt = 0u32; // completed radius around t
-    let mut deg_s: u64 = g.degree(s) as u64;
-    let mut deg_t: u64 = g.degree(t) as u64;
 
     loop {
         // Balanced expansion: grow the cheaper side.
-        let expand_fwd = deg_s <= deg_t;
-        let (state, other, order, levels, depth, deg) = if expand_fwd {
-            (&mut *fwd, &*bwd, &mut *order_fwd, &mut *levels_fwd, &mut ds, &mut deg_s)
-        } else {
-            (&mut *bwd, &*fwd, &mut *order_bwd, &mut *levels_bwd, &mut dt, &mut deg_t)
-        };
+        let (near, far) =
+            if fwd.cost.degrees <= bwd.cost.degrees { (&mut fwd, &bwd) } else { (&mut bwd, &fwd) };
 
-        let new_depth = *depth + 1;
+        // The meet test reads at most min(D_far, |L_near| · Σ⌈log₂(deg + 1)⌉)
+        // entries; run it when that is well under the D_near the expansion
+        // reads. Either way the cut is the same set.
+        let searches = (near.frontier().len() as u64).saturating_mul(far.cost.searches);
+        let bound = far.cost.degrees.min(searches);
+        let can_meet = if 2 * bound < near.cost.degrees {
+            stats.edges_scanned += meet_from_far(g, near, far, cut);
+            if !cut.is_empty() {
+                return Some(select_and_backtrack(g, cut, near, far, path, rng, stats));
+            }
+            false
+        } else {
+            true
+        };
+        if can_meet {
+            near.expand::<_, true>(g, far, cut, stats);
+        } else {
+            near.expand::<_, false>(g, far, cut, stats);
+        }
+        if cut.is_empty() {
+            let level = near.level(near.depth + 1);
+            if level.is_empty() {
+                return None; // one component exhausted without meeting
+            }
+            // The next balance decision reads this level's cost; the meeting
+            // level, usually the widest, never pays for one.
+            near.cost = LevelCost::of(g, level);
+            near.depth += 1;
+            continue;
+        }
+        for (v, sigma) in cut.iter_mut() {
+            *sigma = near.state.sigma(*v);
+        }
+        return Some(select_and_backtrack(g, cut, near, far, path, rng, stats));
+    }
+}
+
+/// What reading a level costs: its degree sum (scanning every row) and its
+/// Σ ⌈log₂(deg + 1)⌉ (one binary search in every row).
+#[derive(Clone, Copy)]
+struct LevelCost {
+    degrees: u64,
+    searches: u64,
+}
+
+impl LevelCost {
+    /// Both sums over `level`, in one pass.
+    fn of<G: GraphView>(g: &G, level: &[NodeId]) -> LevelCost {
+        level.iter().fold(LevelCost { degrees: 0, searches: 0 }, |c, &v| {
+            let deg = g.degree(v);
+            LevelCost { degrees: c.degrees + deg as u64, searches: c.searches + search_cost(deg) }
+        })
+    }
+}
+
+/// ⌈log₂(deg + 1)⌉: the probes of one binary search in a row of `deg` entries.
+fn search_cost(deg: usize) -> u64 {
+    u64::from(usize::BITS - deg.leading_zeros())
+}
+
+/// One direction of the search.
+struct Side<'a> {
+    /// Distances and σ from `root`.
+    state: &'a mut StampedBfsState,
+    /// Settled vertices in settling order.
+    order: &'a mut Vec<NodeId>,
+    /// Level starts into `order`.
+    levels: &'a mut Vec<u32>,
+    /// The endpoint this direction grows from.
+    root: NodeId,
+    /// Completed radius: levels `0..=depth` are settled. A level that meets
+    /// is never counted, so the meeting cut sits at `depth + 1`.
+    depth: u32,
+    /// Cost of reading the frontier, level `depth`.
+    cost: LevelCost,
+}
+
+impl<'a> Side<'a> {
+    /// Settles `root` as level 0.
+    fn start<G: GraphView>(
+        g: &G,
+        state: &'a mut StampedBfsState,
+        order: &'a mut Vec<NodeId>,
+        levels: &'a mut Vec<u32>,
+        root: NodeId,
+    ) -> Side<'a> {
+        state.visit(root, 0, 1);
+        order.push(root);
+        levels.push(0);
+        Side { state, order, levels, root, depth: 0, cost: LevelCost::of(g, &[root]) }
+    }
+
+    /// The vertices at distance `d` from the root, for a level that is
+    /// complete or the last one started.
+    fn level(&self, d: u32) -> &[NodeId] {
+        let d = d as usize;
+        let end = self.levels.get(d + 1).map_or(self.order.len(), |&e| e as usize);
+        &self.order[self.levels[d] as usize..end]
+    }
+
+    /// The vertices at the completed radius.
+    fn frontier(&self) -> &[NodeId] {
+        self.level(self.depth)
+    }
+
+    /// Settles level `depth + 1` from the frontier, leaving `depth` alone.
+    /// With `MEET`, every vertex it settles that `far` has settled joins
+    /// `cut`, σ_near to be filled in once the level is complete; without, no
+    /// vertex can meet (the meet test found none) and the far side is never
+    /// read.
+    fn expand<G: GraphView, const MEET: bool>(
+        &mut self,
+        g: &G,
+        far: &Side<'_>,
+        cut: &mut Vec<(NodeId, u64)>,
+        stats: &mut SearchStats,
+    ) {
+        let (state, order, levels) = (&mut *self.state, &mut *self.order, &mut *self.levels);
+        let (other, new_depth) = (&*far.state, self.depth + 1);
         let (start, end) = (levels[levels.len() - 1] as usize, order.len());
         // `order` holds each vertex at most once and ids are u32: this fits.
         levels.push(end as u32);
@@ -179,116 +281,121 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
             let su = state.sigma(u);
             let adj = g.neighbors(u);
             for (j, &v) in adj.iter().enumerate() {
-                // Pull both directions' records a few probes ahead: the v's
-                // are data-dependent, so the hardware prefetcher cannot help,
-                // and every vertex this level settles is probed on the other
-                // side by the meet test.
+                // Pull the records a few probes ahead: the v's are
+                // data-dependent, so the hardware prefetcher cannot help.
+                // When the level can meet, every vertex it settles is
+                // probed on the other side too.
                 if let Some(&w) = adj.get(j + STATE_PREFETCH_DIST) {
                     state.prefetch(w);
-                    other.prefetch(w);
+                    if MEET {
+                        other.prefetch(w);
+                    }
                 }
                 stats.edges_scanned += 1;
                 if state.settle_or_merge(v, new_depth, su) {
                     stats.vertices_settled += 1;
                     order.push(v);
-                    if let Some((k, _)) = other.record(v) {
-                        meets.push((v, k));
+                    if MEET {
+                        if let Some((k, _)) = other.record(v) {
+                            debug_assert_eq!(k, far.depth, "every meet is at the far radius");
+                            cut.push((v, 0));
+                        }
                     }
                 }
             }
         }
-        *depth = new_depth;
-        if meets.is_empty() {
-            let level = &order[end..];
-            if level.is_empty() {
-                return None; // one component exhausted without meeting
-            }
-            // The next balance decision reads this level's degree sum; the
-            // meeting level, usually the widest, never pays for one.
-            *deg = level.iter().map(|&v| g.degree(v) as u64).sum();
-            continue;
-        }
-
-        // Finish: compute the true distance and the cut.
-        // xtask: allow(unwrap) — guarded by the empty check above.
-        let k0 = meets.iter().map(|&(_, k)| k).min().unwrap();
-        let distance = new_depth + k0;
-        // The cut lives at level `new_depth` of the side just expanded.
-        let (fwd_side, bwd_side) = (
-            Side { state: &*fwd, order: order_fwd, levels: levels_fwd, root: s },
-            Side { state: &*bwd, order: order_bwd, levels: levels_bwd, root: t },
-        );
-        let (near, far) = if expand_fwd { (fwd_side, bwd_side) } else { (bwd_side, fwd_side) };
-        let mut num_paths: u128 = 0;
-        for &(v, k) in meets.iter() {
-            if k == k0 {
-                let w = (near.state.sigma(v) as u128).saturating_mul(far.state.sigma(v) as u128);
-                num_paths = num_paths.saturating_add(w);
-                cut.push((v, w));
-            }
-        }
-        debug_assert!(num_paths > 0);
-
-        stats.walk_probes += select_and_backtrack(g, cut, num_paths, &near, &far, path, rng);
-        debug_assert_eq!(
-            // xtask: allow(determinism) — a shortest path visits each
-            // vertex at most once, so its length fits the u32 the CSR
-            // layout guarantees for vertex counts.
-            path.len() as u32 + 1,
-            distance,
-            "interior vertex count must be distance - 1"
-        );
-        return Some(SampleInfo { distance, num_paths });
     }
 }
 
-/// One direction of a search that has met, as the walk-back reads it.
-struct Side<'a> {
-    /// Distances and σ from `root`.
-    state: &'a StampedBfsState,
-    /// Settled vertices in settling order.
-    order: &'a [NodeId],
-    /// Level starts into `order`.
-    levels: &'a [u32],
-    /// The endpoint this direction grew from.
-    root: NodeId,
-}
-
-impl Side<'_> {
-    /// The vertices at distance `d` from the root. Level `d` must be complete
-    /// and followed by a started one: true for every level below the
-    /// direction's radius, the only levels the walk asks for.
-    fn level(&self, d: u32) -> &[NodeId] {
-        let d = d as usize;
-        &self.order[self.levels[d] as usize..self.levels[d + 1] as usize]
+/// The meet test from the far frontier: fills `cut` with every far-frontier
+/// vertex `w` adjacent to the near frontier, each with σ_near(w), the
+/// saturating sum of σ over those neighbours — the vertices, and the σ, that
+/// expanding `near` would settle on the far side (a saturating sum of
+/// non-negative terms does not depend on their order). For each `w` it
+/// either scans `row(w)` against the near records or binary-searches each
+/// near-frontier vertex in `row(w)`, whichever reads less, as the walk-back
+/// does. Returns the entries read, a binary search counting
+/// ⌈log₂(deg + 1)⌉.
+fn meet_from_far<G: GraphView>(
+    g: &G,
+    near: &Side<'_>,
+    far: &Side<'_>,
+    cut: &mut Vec<(NodeId, u64)>,
+) -> u64 {
+    let (level, state) = (near.frontier(), &*near.state);
+    let targets = far.frontier();
+    let mut reads = 0u64;
+    for (i, &w) in targets.iter().enumerate() {
+        if let Some(&next) = targets.get(i + 1) {
+            g.prefetch_neighbors(next);
+        }
+        let adj = g.neighbors(w);
+        let search = search_cost(adj.len());
+        let mut sigma = 0u64;
+        if (level.len() as u64) * search < adj.len() as u64 {
+            reads += level.len() as u64 * search;
+            for &u in level {
+                if adj.binary_search(&u).is_ok() {
+                    sigma = sigma.saturating_add(state.sigma(u));
+                }
+            }
+        } else {
+            reads += adj.len() as u64;
+            for &u in adj.iter().take(STATE_PREFETCH_DIST) {
+                state.prefetch(u);
+            }
+            for (j, &u) in adj.iter().enumerate() {
+                if let Some(&nu) = adj.get(j + STATE_PREFETCH_DIST) {
+                    state.prefetch(nu);
+                }
+                // A near-side neighbour below the frontier would have
+                // settled `w` on the near side too: every hit is on it.
+                if let Some((du, su)) = state.record(u) {
+                    debug_assert_eq!(du, near.depth);
+                    sigma = sigma.saturating_add(su);
+                }
+            }
+        }
+        // σ of a settled vertex is at least 1: a zero sum is no neighbour.
+        if sigma > 0 {
+            cut.push((w, sigma));
+        }
     }
+    reads
 }
 
 /// Tail of a sample: draws one cut vertex ∝ σ_near·σ_far and walks back to
-/// both roots, leaving the interior in `path`. Returns the walks' probes.
+/// both roots, leaving the interior in `path`; adds the walks' probes to
+/// `stats`. `cut` holds each cut vertex with σ_near; the cut sits at
+/// distance `near.depth + 1` from the near root and `far.depth` from the far
+/// one.
 ///
 /// The cut is first sorted by vertex id. The level sets of a BFS are
-/// order-independent, but the *discovery order* within the final level
-/// follows the frontier's insertion order, so the cut is put into a
-/// canonical order before any RNG is consumed. Selection then depends only
-/// on the level sets and the RNG stream, never on traversal schedule.
+/// order-independent, but the order in which a cut is found is not, so the
+/// cut is put into a canonical order before any RNG is consumed. Selection
+/// then depends only on the level sets and the RNG stream, never on
+/// traversal schedule, nor on which side found the cut.
 fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
     g: &G,
-    cut: &mut Vec<(NodeId, u128)>,
-    num_paths: u128,
+    cut: &mut Vec<(NodeId, u64)>,
     near: &Side<'_>,
     far: &Side<'_>,
     path: &mut Vec<NodeId>,
     rng: &mut R,
-) -> u64 {
-    // Canonical cut order (each vertex settles at most once per direction and
-    // level, so ids are distinct and the sort is a total order).
+    stats: &mut SearchStats,
+) -> SampleInfo {
+    // Canonical cut order (each vertex enters the cut at most once, so ids
+    // are distinct and the sort is a total order).
     cut.sort_unstable_by_key(|&(v, _)| v);
 
     // Sample a cut vertex proportionally to σ_near · σ_far.
+    let weight = |v: NodeId, sn: u64| (sn as u128).saturating_mul(far.state.sigma(v) as u128);
+    let num_paths = cut.iter().fold(0u128, |sum, &(v, sn)| sum.saturating_add(weight(v, sn)));
+    debug_assert!(num_paths > 0);
     let mut pick = rng.gen_range(0..num_paths);
     let mut chosen = cut[0].0;
-    for &(v, w) in cut.iter() {
+    for &(v, sn) in cut.iter() {
+        let w = weight(v, sn);
         if pick < w {
             chosen = v;
             break;
@@ -300,11 +407,21 @@ fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
     // dead once a vertex is drawn, so the walks reuse it as predecessor
     // scratch — no extra allocation, no extra plumbing.
     path.clear();
-    let probes = backtrack(g, near, chosen, path, cut, rng);
+    let probes = backtrack(g, near, chosen, near.depth + 1, path, cut, rng);
     if chosen != far.root {
         path.push(chosen);
     }
-    probes + backtrack(g, far, chosen, path, cut, rng)
+    stats.walk_probes += probes + backtrack(g, far, chosen, far.depth, path, cut, rng);
+    let distance = near.depth + 1 + far.depth;
+    debug_assert_eq!(
+        // xtask: allow(determinism) — a shortest path visits each vertex at
+        // most once, so its length fits the u32 the CSR layout guarantees
+        // for vertex counts.
+        path.len() as u32 + 1,
+        distance,
+        "interior vertex count must be distance - 1"
+    );
+    SampleInfo { distance, num_paths }
 }
 
 /// Sliding prefetch distance for the backtrack predecessor scan: the
@@ -312,11 +429,12 @@ fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
 /// cache a few entries ahead.
 const BACKTRACK_PREFETCH_DIST: usize = 6;
 
-/// Walks from `from` (exclusive) towards `side.root` (exclusive), pushing
-/// interior vertices onto `out`. At a vertex of distance `d` the predecessor
-/// `u` (distance `d - 1`) is chosen with probability `σ(u) / Σ σ`, which
-/// makes the complete walk a uniform draw among the σ(from) shortest
-/// root→from paths.
+/// Walks from `from` (exclusive), at distance `d` from `side.root`, towards
+/// the root (exclusive), pushing interior vertices onto `out`. At a vertex
+/// of distance `d` the predecessor `u` (distance `d - 1`) is chosen with
+/// probability `σ(u) / Σ σ`, which makes the complete walk a uniform draw
+/// among the σ(from) shortest root→from paths. The distance is passed in
+/// because the near side's cut vertex may not be settled on that side.
 ///
 /// The predecessors of `cur` are the vertices of level `d - 1` in
 /// `row(cur)`, and each step finds them from whichever side is cheaper:
@@ -333,25 +451,24 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     side: &Side<'_>,
     from: NodeId,
+    mut d: u32,
     out: &mut Vec<NodeId>,
-    preds: &mut Vec<(NodeId, u128)>,
+    preds: &mut Vec<(NodeId, u64)>,
     rng: &mut R,
 ) -> u64 {
-    let state = side.state;
+    let state = &*side.state;
     let mut probes = 0u64;
     let mut cur = from;
-    let mut d = state.dist(cur);
     while d > 1 {
         let adj = g.neighbors(cur);
         let level = side.level(d - 1);
         preds.clear();
-        // ⌈log₂(deg + 1)⌉ probes per binary search of the row.
-        let search = (usize::BITS - adj.len().leading_zeros()) as usize;
+        let search = search_cost(adj.len()) as usize;
         if level.len() * search < adj.len() {
             probes += level.len() as u64;
             for &u in level {
                 if adj.binary_search(&u).is_ok() {
-                    preds.push((u, state.sigma(u) as u128));
+                    preds.push((u, state.sigma(u)));
                 }
             }
             preds.sort_unstable_by_key(|&(u, _)| u);
@@ -366,7 +483,7 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
                 }
                 if let Some((du, su)) = state.record(u) {
                     if du == d - 1 {
-                        preds.push((u, su as u128));
+                        preds.push((u, su));
                     }
                 }
             }
@@ -375,12 +492,11 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
         // It wraps, as release builds always did: on inputs where σ passes
         // u64::MAX (long grid paths) the draw is the one release makes, not
         // a debug-build overflow panic.
-        let total = preds.iter().fold(0u64, |sum, &(_, su)| sum.wrapping_add(su as u64));
+        let total = preds.iter().fold(0u64, |sum, &(_, su)| sum.wrapping_add(su));
         debug_assert!(total > 0);
         let mut pick = rng.gen_range(0..total);
         let mut nxt = cur;
         for &(u, su) in preds.iter() {
-            let su = su as u64;
             if pick < su {
                 nxt = u;
                 break;
@@ -651,9 +767,11 @@ mod tests {
     /// The differential oracle: on random pairs of random graphs — G(n, m),
     /// small R-MAT, grids with diagonals, disjoint unions, and stars of
     /// stars whose centre has a degree far above the level it is walked to —
-    /// the kernel and [`reference`] return the same sample, count the same
-    /// expansion work, and leave the RNG at the same position; the walk
-    /// probes no more than the row-scanning one.
+    /// the kernel and [`reference`] return the same sample and leave the RNG
+    /// at the same position. The kernel settles no more vertices than the
+    /// reference, reads less than 1.5× its adjacency entries (a meet test
+    /// reads under half of the expansion it precedes), and its walk probes no
+    /// more than the row-scanning one.
     mod oracle {
         use super::*;
         use crate::generators::{gnm, grid, rmat, GnmConfig, GridConfig, RmatConfig};
@@ -714,22 +832,26 @@ mod tests {
             }
         }
 
-        /// How the walks of [`agree_on`]'s samples compared with the
-        /// row-scanning walk of [`reference`].
+        /// How [`agree_on`]'s samples compared with [`reference`]'s.
         #[derive(Default)]
-        pub(super) struct Walks {
+        pub(super) struct Branches {
             /// Samples whose walk probed less: a level step was taken.
             pub(super) shorter: u64,
             /// Samples that walked and probed exactly as much: every step
             /// scanned its row (a level step probes strictly less, since it
             /// fires only on `|level| · ⌈log₂(deg + 1)⌉ < deg`).
             pub(super) rows_only: u64,
+            /// Samples whose cut the meet test found: the meeting level,
+            /// never empty, was not settled.
+            pub(super) met_from_far: u64,
+            /// Samples that met by settling the meeting level.
+            pub(super) met_by_expanding: u64,
         }
 
         /// Runs `pairs` random pairs of `g` through both kernels from one
         /// RNG seed and asserts they agree on everything observable.
-        pub(super) fn agree_on(g: &Graph, pairs: usize, seed: u64) -> Walks {
-            let mut walks = Walks::default();
+        pub(super) fn agree_on(g: &Graph, pairs: usize, seed: u64) -> Branches {
+            let mut seen = Branches::default();
             let n = g.num_nodes();
             let mut pick = StdRng::seed_from_u64(seed);
             let (mut sc, mut rsc) = (TraversalScratch::new(n), reference::Scratch::new(n));
@@ -747,8 +869,8 @@ mod tests {
                     reference::sample_shortest_path_into(g, s, t, &mut rsc, &mut rrng, &mut rst);
                 prop_assert_eq!(got, want, "s={} t={}", s, t);
                 prop_assert_eq!(&sc.path, &rsc.path, "interior, s={} t={}", s, t);
-                prop_assert_eq!(st.edges_scanned, rst.edges_scanned, "s={} t={}", s, t);
-                prop_assert_eq!(st.vertices_settled, rst.vertices_settled, "s={} t={}", s, t);
+                prop_assert!(st.vertices_settled <= rst.vertices_settled, "s={} t={}", s, t);
+                prop_assert!(2 * st.edges_scanned <= 3 * rst.edges_scanned, "s={} t={}", s, t);
                 prop_assert_eq!(
                     rng.clone().gen::<u64>(),
                     rrng.clone().gen::<u64>(),
@@ -757,11 +879,32 @@ mod tests {
                     t
                 );
                 prop_assert!(st.walk_probes <= rst.walk_probes, "s={} t={}", s, t);
-                walks.shorter += u64::from(st.walk_probes < rst.walk_probes);
-                walks.rows_only +=
+                seen.shorter += u64::from(st.walk_probes < rst.walk_probes);
+                seen.rows_only +=
                     u64::from(st.walk_probes == rst.walk_probes && st.walk_probes > 0);
+                if got.is_some() {
+                    let from_far = st.vertices_settled < rst.vertices_settled;
+                    seen.met_from_far += u64::from(from_far);
+                    seen.met_by_expanding += u64::from(!from_far);
+                }
             }
-            walks
+            seen
+        }
+
+        /// [`agree_on`] over the graph families at 40 seeds each.
+        fn branches_taken() -> Branches {
+            let mut seen = Branches::default();
+            for family in 0..5 {
+                for seed in 0..40u64 {
+                    let (a, b) = ((seed * 13 % 64) as usize, (seed * 29 % 64) as usize);
+                    let w = agree_on(&draw_graph(family, a, b, seed), 24, seed);
+                    seen.shorter += w.shorter;
+                    seen.rows_only += w.rows_only;
+                    seen.met_from_far += w.met_from_far;
+                    seen.met_by_expanding += w.met_by_expanding;
+                }
+            }
+            seen
         }
 
         proptest! {
@@ -780,17 +923,18 @@ mod tests {
         /// level step, some walk through rows only.
         #[test]
         fn both_walk_branches_are_taken() {
-            let mut walks = Walks::default();
-            for family in 0..5 {
-                for seed in 0..40u64 {
-                    let (a, b) = ((seed * 13 % 64) as usize, (seed * 29 % 64) as usize);
-                    let w = agree_on(&draw_graph(family, a, b, seed), 24, seed);
-                    walks.shorter += w.shorter;
-                    walks.rows_only += w.rows_only;
-                }
-            }
-            assert!(walks.shorter > 0, "no sample took the level branch");
-            assert!(walks.rows_only > 0, "no sample walked through rows only");
+            let seen = branches_taken();
+            assert!(seen.shorter > 0, "no sample took the level branch");
+            assert!(seen.rows_only > 0, "no sample walked through rows only");
+        }
+
+        /// The inputs above drive both ways of meeting: some samples find
+        /// the cut from the far frontier, some by settling the meeting level.
+        #[test]
+        fn both_meeting_paths_are_taken() {
+            let seen = branches_taken();
+            assert!(seen.met_from_far > 0, "no sample found its cut from the far frontier");
+            assert!(seen.met_by_expanding > 0, "no sample met by settling a level");
         }
     }
 

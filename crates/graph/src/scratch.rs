@@ -217,10 +217,9 @@ pub struct TraversalScratch {
     pub levels_fwd: Vec<u32>,
     /// Where each level of `order_bwd` begins (as `levels_fwd`).
     pub levels_bwd: Vec<u32>,
-    /// Meeting vertices of the final level: (vertex, settled other-side dist).
-    pub meets: Vec<(NodeId, u32)>,
-    /// Meeting-cut vertices with their path-count weights σ_near·σ_far.
-    pub cut: Vec<(NodeId, u128)>,
+    /// Meeting-cut vertices with σ_near; the walk-back reuses it as
+    /// predecessor scratch.
+    pub cut: Vec<(NodeId, u64)>,
 }
 
 impl TraversalScratch {
@@ -234,7 +233,6 @@ impl TraversalScratch {
             order_bwd: Vec::with_capacity(n),
             levels_fwd: Vec::with_capacity(n + 2),
             levels_bwd: Vec::with_capacity(n + 2),
-            meets: Vec::with_capacity(n),
             cut: Vec::with_capacity(n),
         }
     }
@@ -248,7 +246,6 @@ impl TraversalScratch {
         self.order_bwd.clear();
         self.levels_fwd.clear();
         self.levels_bwd.clear();
-        self.meets.clear();
         self.cut.clear();
     }
 }
@@ -360,7 +357,6 @@ mod tests {
         sc.order_bwd.push(2);
         sc.levels_fwd.push(0);
         sc.levels_bwd.push(0);
-        sc.meets.push((1, 1));
         sc.cut.push((1, 1));
         sc.reset();
         assert!(!sc.fwd.reached(0));
@@ -370,7 +366,6 @@ mod tests {
         assert!(sc.order_bwd.is_empty());
         assert!(sc.levels_fwd.is_empty());
         assert!(sc.levels_bwd.is_empty());
-        assert!(sc.meets.is_empty());
         assert!(sc.cut.is_empty());
     }
 
