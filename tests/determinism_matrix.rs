@@ -353,7 +353,7 @@ fn golden_transcripts_hold_across_commits() {
     );
     let r = eng.refine_until(0.03, 256, &p.calibration, &tel);
     assert_eq!((r.tau, r.round, fnv1a(r.global)), (2048, 3, 0xb852_927a_8adf_6dab), "dynamic");
-    assert_eq!((eng.work_edges(), eng.omega()), (115_270, 2187), "dynamic");
+    assert_eq!((eng.work_edges(), eng.omega()), (115_353, 2187), "dynamic");
 
     // One stream per rank and an ideal plan: the two pools are the same
     // program, round for round, until τ reaches ω.
