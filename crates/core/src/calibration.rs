@@ -17,14 +17,19 @@
 //! during calibration — retains a strictly positive budget.
 
 use crate::config::KadabraConfig;
+use std::sync::Arc;
 
 /// Calibrated per-vertex failure probabilities.
+///
+/// The fit gives each vertex one budget for both deviations, so `delta_l`
+/// and `delta_u` are two names for one allocation: a clone, and the second
+/// name, cost no memory.
 #[derive(Debug, Clone)]
 pub struct Calibration {
     /// Lower-deviation budget per vertex.
-    pub delta_l: Vec<f64>,
-    /// Upper-deviation budget per vertex.
-    pub delta_u: Vec<f64>,
+    pub delta_l: Arc<[f64]>,
+    /// Upper-deviation budget per vertex (the same values as `delta_l`).
+    pub delta_u: Arc<[f64]>,
     /// Number of calibration samples the estimates came from.
     pub samples: u64,
 }
@@ -52,10 +57,9 @@ impl Calibration {
         // Binary search C in exp(-C / b̃(v)): sum is monotone decreasing in C.
         let spent =
             |c_param: f64| -> f64 { touched.iter().map(|&bv| 2.0 * (-c_param / bv).exp()).sum() };
-        let mut delta_l = vec![per_vertex_floor; n];
-        let mut delta_u = vec![per_vertex_floor; n];
         let max_b = touched.iter().cloned().fold(0.0f64, f64::max);
-        if max_b > 0.0 && shaped_budget > 0.0 {
+        // The shaping exp(−C/b̃) and the rescale onto the shaped budget.
+        let shape = (max_b > 0.0 && shaped_budget > 0.0).then(|| {
             // Bracket: C = 0 spends 2·#{b>0} ≥ shaped (for any non-trivial n);
             // C large spends ~0.
             let mut lo = 0.0f64;
@@ -79,16 +83,18 @@ impl Calibration {
             // Exact rescale onto the shaped budget to absorb the remaining
             // binary-search slack.
             let total = spent(c_param);
-            let scale = if total > 0.0 { shaped_budget / total } else { 0.0 };
-            for (v, &c) in counts.iter().enumerate() {
-                if c > 0 {
-                    let w = ((-c_param / b(c)).exp() * scale).min(0.4);
-                    delta_l[v] += w;
-                    delta_u[v] += w;
+            (c_param, if total > 0.0 { shaped_budget / total } else { 0.0 })
+        });
+        let delta: Arc<[f64]> = counts
+            .iter()
+            .map(|&c| match shape {
+                Some((c_param, scale)) if c > 0 => {
+                    per_vertex_floor + ((-c_param / b(c)).exp() * scale).min(0.4)
                 }
-            }
-        }
-        Calibration { delta_l, delta_u, samples: tau }
+                _ => per_vertex_floor,
+            })
+            .collect();
+        Calibration { delta_l: Arc::clone(&delta), delta_u: delta, samples: tau }
     }
 
     /// Total failure budget actually allocated (must be ≤ δ).
@@ -150,7 +156,7 @@ mod reference {
                 }
             }
         }
-        Calibration { delta_l, delta_u, samples: tau }
+        Calibration { delta_l: delta_l.into(), delta_u: delta_u.into(), samples: tau }
     }
 }
 

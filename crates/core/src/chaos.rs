@@ -176,6 +176,8 @@ fn mass(frame: &[u64]) -> [u64; 2] {
 pub(crate) struct Audit<'a> {
     probe: Option<&'a CrossEpochProbe>,
     conservation: bool,
+    /// `[Σc̃, τ]` of the frame this rank sent into this round's reduction.
+    sent: [u64; 2],
     /// Root only: `[Σc̃, τ]` of the frame its fold absorbed this round.
     absorbed: [u64; 2],
     pub(crate) seen: Seen,
@@ -183,7 +185,7 @@ pub(crate) struct Audit<'a> {
 
 impl<'a> Audit<'a> {
     pub(crate) fn new(probe: Option<&'a CrossEpochProbe>, conservation: bool) -> Self {
-        Audit { probe, conservation, absorbed: [0; 2], seen: Seen::default() }
+        Audit { probe, conservation, sent: [0; 2], absorbed: [0; 2], seen: Seen::default() }
     }
 
     pub(crate) fn off() -> Self {
@@ -227,6 +229,14 @@ impl<'a> Audit<'a> {
         self.seen.recoveries += u64::from(lost > 0);
     }
 
+    /// Every rank, as its frame enters the reduction: remembers what it
+    /// sent, so the frame can be freed once confirmed.
+    pub(crate) fn send(&mut self, frame: &[u64]) {
+        if self.conservation {
+            self.sent = mass(frame);
+        }
+    }
+
     /// Root, before folding: remembers what the fold is about to absorb.
     pub(crate) fn absorb(&mut self, reduced: &[u64]) {
         if self.conservation {
@@ -235,13 +245,12 @@ impl<'a> Audit<'a> {
     }
 
     /// The per-round conservation check, a collective over `world`: what
-    /// all ranks `sent` this round must equal what the root's fold
-    /// absorbed, and — the recovery invariant — the root's global state
-    /// must equal the sum of all live ledgers.
+    /// all ranks sent this round must equal what the root's fold absorbed,
+    /// and — the recovery invariant — the root's global state must equal
+    /// the sum of all live ledgers.
     pub(crate) fn conserve(
         &mut self,
         world: &Communicator,
-        sent: &[u64],
         ledger: &SampleLedger,
         s_global: &[u64],
         round: u32,
@@ -249,7 +258,7 @@ impl<'a> Audit<'a> {
         if !self.conservation {
             return Ok(());
         }
-        let [sent_c, sent_tau] = mass(sent);
+        let [sent_c, sent_tau] = self.sent;
         let [ledger_c, ledger_tau] = mass(ledger.frame());
         let totals = world.allreduce_sum_u64(&[sent_c, sent_tau, ledger_c, ledger_tau])?;
         if world.rank() == 0 {

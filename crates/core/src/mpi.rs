@@ -117,6 +117,12 @@ pub(crate) fn root_outcome(outcomes: Vec<RankOutcome>) -> RankOutcome {
     root.seen.samples_stolen = samples_stolen;
     if let Some(r) = root.result.as_mut() {
         r.stats.comm_bytes = comm_bytes;
+        // Re-home the scores on the caller's thread. The root's rank thread
+        // allocated them in its own allocator arena (glibc keeps one per
+        // thread), which can give back memory only above its highest live
+        // block: a kept result would hold the run's freed buffers below it
+        // resident (+0.4 MiB per kept result on the `rmat-epoch` input).
+        r.scores = r.scores.to_vec();
     }
     root
 }
@@ -206,7 +212,18 @@ impl<S> RankState<S> {
                 sink,
             })
             .collect();
-        RankState { id, streams, ledger: SampleLedger::new(n), s_loc: vec![0u64; n + 1] }
+        Self::with_streams(n, id, streams, SampleLedger::new(n))
+    }
+
+    /// State for rank `id` around streams built elsewhere: `ledger`, and an
+    /// empty local frame for an `n`-vertex graph.
+    pub(crate) fn with_streams(
+        n: usize,
+        id: usize,
+        streams: Vec<Stream<S>>,
+        ledger: SampleLedger,
+    ) -> Self {
+        RankState { id, streams, ledger, s_loc: vec![0u64; n + 1] }
     }
 }
 
@@ -317,6 +334,10 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
     // Attach before splitting so the derived communicators inherit it.
     world.set_tracer(w.clone());
 
+    // Thread 0 calibrates and then samples the adaptive phase with one
+    // scratch.
+    let mut sampler = ThreadSampler::new(n, cfg.seed, my_world, 0);
+
     // Algorithm 2's Section IV-E communicators, then phases 1-2. A newcomer
     // replays the phases locally and receives the round and the global
     // state from the world that admitted it.
@@ -328,7 +349,11 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
         let (prepared, entry_round, s_global) = if newcomer {
             bootstrap_newcomer(g, cfg, &world, shape.ranks, &w)?
         } else {
-            (prepare_collective(g, cfg, &world, shape.threads_per_rank, &w)?, 0, vec![0; n + 1])
+            let threads = shape.threads_per_rank;
+            let prepared = prepare_collective(g, cfg, &world, threads, &mut sampler, &w)?;
+            // S lives on the root; recovery hands every survivor a rebuilt one.
+            let s_global = if world.rank() == 0 { vec![0; n + 1] } else { Vec::new() };
+            (prepared, 0, s_global)
         };
         Ok((hierarchy, prepared, entry_round, s_global))
     })();
@@ -375,8 +400,13 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
         // Thread 0's state lives for this phase only: its traversal scratch
         // is freed before the root allocates the result, which would
         // otherwise sit above it in the allocator's heap and keep the freed
-        // space resident across repeated solves.
-        let mut st = RankState::new(n, cfg.seed, my_world, ADS_STREAM_OFFSET, [()]);
+        // space resident across repeated solves. A world without a fault
+        // plan neither loses nor admits a rank, so nothing rebuilds from
+        // its ledger.
+        sampler.reseed(cfg.seed, my_world, ADS_STREAM_OFFSET);
+        let ledger = if plan.is_some() { SampleLedger::new(n) } else { SampleLedger::untracked() };
+        let mut st =
+            RankState::with_streams(n, my_world, vec![Stream { sampler, sink: () }], ledger);
         let (workers, audit) = (fw.as_ref(), &mut audit);
         let end = adaptive_rounds(
             g, cfg, comms, &mut st, workers, s_global, rounds, stop, elastic, audit, &w,
@@ -519,6 +549,7 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
             // node-local reduce). Under a plan test() returns false a
             // plan-derived number of times, then resolves (or fails — also
             // at a plan-derived poll).
+            audit.send(&snapshot);
             let first = hierarchy.as_ref().map_or(&comm, |h| &h.local);
             let sp = w.begin(SpanId::IreduceWait);
             let mut req = first.ireduce_sum_u64(0, &snapshot)?;
@@ -526,10 +557,11 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
             w.end(sp);
             w.count(CounterId::BytesReduced, snapshot.len() as u64 * 8);
             // Observed completion: the snapshot is now part of a
-            // globally-consistent prefix — checkpoint it (a failed round
-            // never reaches this line, so its in-flight frame is discarded
-            // everywhere, never double-counted).
+            // globally-consistent prefix — checkpoint it and free it (a
+            // failed round never reaches this line, so its in-flight frame is
+            // discarded everywhere, never double-counted).
             ledger.confirm(&snapshot);
+            drop(snapshot);
             streams.iter_mut().for_each(|s| s.sink.confirm());
             let mut reduced = req.into_result().flatten();
             // Section IV-F: node leaders run Ibarrier (overlapped), then a
@@ -558,7 +590,7 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
                 d = u64::from(stop(&mut s_global, &reduced));
                 w.end(sp);
             }
-            audit.conserve(&comm, &snapshot, ledger, &s_global, round)?;
+            audit.conserve(&comm, ledger, &s_global, round)?;
 
             // Lines 15-17: broadcast the termination flag, overlapped.
             let sp = w.begin(SpanId::BcastStop);

@@ -65,8 +65,10 @@ pub fn calibration_samples_for_thread<G: PathSource>(
 }
 
 /// Phase 2 on one rank: its `threads` workers take their shares in parallel
-/// on the streams `(seed, rank, 0..threads)`. Returns the rank's `(n + 1)`-slot
-/// frame: merged counts, and the number of samples taken in the last slot.
+/// on the streams `(seed, rank, 0..threads)`, stream 0 on the calling thread
+/// with `own` (re-keyed to it), the others on threads of their own. Returns
+/// the rank's `(n + 1)`-slot frame: merged counts, and the number of samples
+/// taken in the last slot.
 pub(crate) fn calibration_frame<G: PathSource + Sync>(
     g: &G,
     cfg: &KadabraConfig,
@@ -74,40 +76,33 @@ pub(crate) fn calibration_frame<G: PathSource + Sync>(
     rank: usize,
     threads: usize,
     total_threads: usize,
+    own: &mut ThreadSampler,
 ) -> Vec<u64> {
     let n = g.num_nodes();
-    let mut frame = vec![0u64; n + 1];
+    let share = |sampler: &mut ThreadSampler| {
+        let mut frame = vec![0u64; n + 1];
+        frame[n] =
+            calibration_samples_for_thread(g, sampler, &mut frame[..n], cfg, omega, total_threads);
+        frame
+    };
     crossbeam::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                s.spawn(move |_| {
-                    let mut sampler = ThreadSampler::new(n, cfg.seed, rank, t);
-                    let mut counts = vec![0u64; n];
-                    let taken = calibration_samples_for_thread(
-                        g,
-                        &mut sampler,
-                        &mut counts,
-                        cfg,
-                        omega,
-                        total_threads,
-                    );
-                    (counts, taken)
-                })
-            })
+        let handles: Vec<_> = (1..threads)
+            .map(|t| s.spawn(move |_| share(&mut ThreadSampler::new(n, cfg.seed, rank, t))))
             .collect();
+        own.reseed(cfg.seed, rank, 0);
+        let mut frame = share(own);
         for h in handles {
             // xtask: allow(unwrap) — a sampler-thread panic is a bug; abort
             // the computation with its message.
-            let (counts, taken) = h.join().expect("calibration worker");
-            for (a, c) in frame.iter_mut().zip(counts) {
+            let other = h.join().expect("calibration worker");
+            for (a, c) in frame.iter_mut().zip(other) {
                 *a += c;
             }
-            frame[n] += taken;
         }
+        frame
     })
     // xtask: allow(unwrap) — children are joined above; see worker waiver.
-    .expect("calibration scope");
-    frame
+    .expect("calibration scope")
 }
 
 /// Full sequential preparation: diameter, ω, calibration on one thread.
@@ -138,9 +133,11 @@ pub fn prepare_for_pool<G: KadabraGraph>(
     let mut counts = vec![0u64; n];
     let mut taken = 0u64;
     let pool = ranks * threads;
+    // One scratch serves every stream in turn.
+    let mut sampler = ThreadSampler::new(n, cfg.seed, 0, 0);
     for r in 0..ranks {
         for t in 0..threads {
-            let mut sampler = ThreadSampler::new(n, cfg.seed, r, t);
+            sampler.reseed(cfg.seed, r, t);
             taken += calibration_samples_for_thread(g, &mut sampler, &mut counts, cfg, omega, pool);
         }
     }
@@ -151,7 +148,9 @@ pub fn prepare_for_pool<G: KadabraGraph>(
 }
 
 /// The set-up of Algorithms 1 and 2, run collectively over `world` by ranks
-/// of `threads` sampling threads each (the flat driver passes 1).
+/// of `threads` sampling threads each (the flat driver passes 1); the
+/// calling thread calibrates with `sampler`, leaving it on its calibration
+/// stream.
 ///
 /// Phase 1: sequential diameter at rank 0, broadcast — the other ranks
 /// idle, the Amdahl term of Fig. 2b. Phase 2: all `P·T` threads take their
@@ -166,6 +165,7 @@ pub(crate) fn prepare_collective<G: KadabraGraph + Sync>(
     cfg: &KadabraConfig,
     world: &Communicator,
     threads: usize,
+    sampler: &mut ThreadSampler,
     w: &EventWriter,
 ) -> Result<Prepared, CommError> {
     let n = g.num_nodes();
@@ -185,8 +185,10 @@ pub(crate) fn prepare_collective<G: KadabraGraph + Sync>(
 
     let sp = w.begin(SpanId::Calibration);
     let calib_start = Stopwatch::start();
-    let calib = calibration_frame(g, cfg, omega, my_world, threads, threads * world.size());
+    let total_threads = threads * world.size();
+    let calib = calibration_frame(g, cfg, omega, my_world, threads, total_threads, sampler);
     let total = world.allreduce_sum_u64(&calib)?;
+    drop(calib);
     let calibration = Calibration::from_counts(&total[..n], total[n], cfg);
     let calibration_time = calib_start.elapsed();
     w.end(sp);
@@ -293,7 +295,9 @@ mod tests {
             let replayed = prepare_for_pool(&lcc, &cfg, ranks, threads);
             let collective = Universe::run(ranks, |comm| {
                 let w = tel.writer(comm.rank() as u32, 0);
-                prepare_collective(&lcc, &cfg, &comm, threads, &w).expect("no plan, no faults")
+                let mut sampler = ThreadSampler::new(lcc.num_nodes(), cfg.seed, 0, 0);
+                prepare_collective(&lcc, &cfg, &comm, threads, &mut sampler, &w)
+                    .expect("no plan, no faults")
             });
             for p in collective {
                 assert_eq!(

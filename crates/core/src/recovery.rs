@@ -60,11 +60,23 @@ impl SampleLedger {
         SampleLedger { frame: vec![0u64; n + 1] }
     }
 
+    /// A ledger that keeps nothing, for a rank of a world without a fault
+    /// plan: such a world neither loses nor admits a rank, so no rebuild
+    /// ever reads its ledgers. Confirming into it is free, and it holds no
+    /// frame.
+    pub fn untracked() -> Self {
+        SampleLedger { frame: Vec::new() }
+    }
+
     /// Confirms a frame whose reduction this rank observed completing.
     /// Must be called exactly once per completed reduction, with the same
     /// frame that was reduced — the conservation invariant the chaos suite
-    /// checks is `global state == Σ survivor ledgers`, element-wise.
+    /// checks is `global state == Σ survivor ledgers`, element-wise. An
+    /// untracked ledger ignores it.
     pub fn confirm(&mut self, frame: &[u64]) {
+        if self.frame.is_empty() {
+            return;
+        }
         debug_assert_eq!(frame.len(), self.frame.len());
         for (a, &x) in self.frame.iter_mut().zip(frame) {
             *a += x;
@@ -92,7 +104,8 @@ impl SampleLedger {
 
     /// Total confirmed sample count τ (the last frame slot).
     pub fn tau(&self) -> u64 {
-        // xtask: allow(unwrap) — `new` guarantees a non-empty frame.
+        // xtask: allow(unwrap) — `new` guarantees a non-empty frame, and
+        // only a world without a fault plan holds untracked ledgers.
         *self.frame.last().unwrap()
     }
 
@@ -264,6 +277,13 @@ mod tests {
         l.confirm(&[0, 5, 1, 2]);
         assert_eq!(l.frame(), &[1, 5, 3, 3]);
         assert_eq!(l.tau(), 3);
+    }
+
+    #[test]
+    fn untracked_ledger_keeps_nothing() {
+        let mut l = SampleLedger::untracked();
+        l.confirm(&[1, 0, 2, 1]);
+        assert!(l.frame().is_empty());
     }
 
     #[test]

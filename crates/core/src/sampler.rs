@@ -60,6 +60,15 @@ impl ThreadSampler {
         }
     }
 
+    /// Turns this sampler into [`ThreadSampler::new`]`(n, seed, rank,
+    /// thread)` without reallocating its scratch: what a thread that samples
+    /// one phase after another does between them.
+    pub fn reseed(&mut self, seed: u64, rank: usize, thread: usize) {
+        self.rng = StdRng::seed_from_u64(mix_seed(seed, rank as u64, thread as u64));
+        self.stats = SearchStats::default();
+        self.samples_taken = 0;
+    }
+
     /// [`ThreadSampler::new`]. One of the five names frozen for `benchmark/`
     /// and uncalled inside the workspace; [`KernelOptions`] says why they
     /// exist and which later PR removes them.

@@ -54,15 +54,19 @@ pub fn kadabra_sequential_on<G: KadabraGraph>(
     w.end(sp);
     let omega = bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
 
+    // One scratch samples both phases; the calibration counts are freed
+    // before the adaptive phase allocates its own.
     let sp = w.begin(SpanId::Calibration);
     let mut sampler = ThreadSampler::new(n, cfg.seed, 0, 0);
-    let mut calib_counts = vec![0u64; n];
-    let tau0 = calibration_samples_for_thread(g, &mut sampler, &mut calib_counts, cfg, omega, 1);
-    let calibration = Calibration::from_counts(&calib_counts, tau0, cfg);
+    let calibration = {
+        let mut counts = vec![0u64; n];
+        let tau0 = calibration_samples_for_thread(g, &mut sampler, &mut counts, cfg, omega, 1);
+        Calibration::from_counts(&counts, tau0, cfg)
+    };
     w.end(sp);
 
     let sp_ads = w.begin(SpanId::AdaptiveSampling);
-    let mut sampler = ThreadSampler::new(n, cfg.seed, 0, 1);
+    sampler.reseed(cfg.seed, 0, 1);
     let mut counts = vec![0u64; n];
     let mut tau: u64 = 0;
     let n0 = cfg.n0(1);

@@ -316,7 +316,8 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
         let cfg = KadabraConfig::new(0.1, 0.1);
         let (result, _) = run_with_calibration(&g, &cfg);
-        let other = Calibration { delta_l: vec![0.1], delta_u: vec![0.1], samples: 1 };
+        let other =
+            Calibration { delta_l: vec![0.1].into(), delta_u: vec![0.1].into(), samples: 1 };
         confidence_intervals(&result, &other);
     }
 }
