@@ -150,11 +150,11 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
             if fwd.cost.degrees <= bwd.cost.degrees { (&mut fwd, &bwd) } else { (&mut bwd, &fwd) };
 
         // The meet test reads at most min(D_far, |L_near| · Σ⌈log₂(deg + 1)⌉)
-        // entries; run it when that is well under the D_near the expansion
-        // reads. Either way the cut is the same set.
+        // entries, and the expansion D_near ≤ D_far: run the test when the
+        // second term is under half of D_near. Either way the cut is the
+        // same set.
         let searches = (near.frontier().len() as u64).saturating_mul(far.cost.searches);
-        let bound = far.cost.degrees.min(searches);
-        let can_meet = if 2 * bound < near.cost.degrees {
+        let can_meet = if searches.saturating_mul(2) < near.cost.degrees {
             stats.edges_scanned += meet_from_far(g, near, far, cut);
             if !cut.is_empty() {
                 return Some(select_and_backtrack(g, cut, near, far, path, rng, stats));
