@@ -240,6 +240,39 @@ fn walk_back_fixtures_fire_on_exactly_the_marked_lines() {
 }
 
 #[test]
+fn meet_test_fixtures_fire_on_exactly_the_marked_lines() {
+    // The second scope names the kernel's meet test too: `meet_from_far`
+    // runs before an expansion of every sample, once per far-frontier
+    // vertex. `meet_bad.rs` must trip line-exactly; the sanctioned
+    // `meet_good.rs` (borrowed frontiers, caller's cut buffer) must stay clean.
+    let pass = "hot-loop-hygiene";
+    let rel = "crates/graph/src/bibfs.rs";
+    let (report, src) = run_case(pass, rel, true, "meet_bad");
+    let expected = marker_lines(&src, pass);
+    assert!(!expected.is_empty(), "meet_bad.rs carries no //~ markers");
+    let mut got: Vec<u32> =
+        report.active().filter(|f| f.pass == pass && f.file == rel).map(|f| f.line).collect();
+    got.sort_unstable();
+    got.dedup();
+    assert_eq!(got, expected, "meet-test findings landed on the wrong lines");
+    for f in report.active().filter(|f| f.pass == pass && f.file == rel) {
+        assert!(
+            f.message.contains("body of `meet_from_far`"),
+            "finding must name the meet test it fired in: {}",
+            f.message
+        );
+    }
+
+    let (clean, _) = run_case(pass, rel, true, "meet_good");
+    let hits: Vec<_> = clean.findings.iter().filter(|f| f.pass == pass).collect();
+    assert!(
+        hits.is_empty(),
+        "meet_good.rs produced findings: {:?}",
+        hits.iter().map(|f| (f.line, f.message.as_str())).collect::<Vec<_>>()
+    );
+}
+
+#[test]
 fn dynamic_kernel_fixtures_fire_on_exactly_the_marked_lines() {
     // The hot-loop-hygiene pass's fourth scope: the streaming-update
     // apply/invalidate kernel bodies under `crates/dynamic/src`.
