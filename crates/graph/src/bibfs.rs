@@ -765,8 +765,9 @@ mod tests {
     }
 
     /// The differential oracle: on random pairs of random graphs — G(n, m),
-    /// small R-MAT, grids with diagonals, disjoint unions, and stars of
-    /// stars whose centre has a degree far above the level it is walked to —
+    /// small R-MAT, grids with diagonals, disjoint unions, stars of stars
+    /// whose centre has a degree far above the level it is walked to, and
+    /// two fans whose hubs meet the far side through long and short rows —
     /// the kernel and [`reference`] return the same sample and leave the RNG
     /// at the same position. The kernel settles no more vertices than the
     /// reference, reads less than 1.5× its adjacency entries (a meet test
@@ -799,6 +800,45 @@ mod tests {
             graph_from_edges(n, &edges)
         }
 
+        /// Two fans meeting in the middle. `s = 0` is joined to `k` vertices;
+        /// each of `j` hubs is joined to a random non-empty subset of them
+        /// and carries `leaves` leaves. `t = 1` is joined to `r` vertices,
+        /// the first carrying `4 · leaves` leaves, each joined to a random
+        /// non-empty subset of the hubs. From `s` to `t` the near frontier
+        /// is the hubs, σ above 1, and the far frontier one long row and
+        /// some short ones: the meet test fires, in both of its branches.
+        fn fans(k: usize, j: usize, r: usize, leaves: usize, seed: u64) -> Graph {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut edges = Vec::new();
+            let subset = |rng: &mut StdRng, from: std::ops::Range<NodeId>| {
+                let first = rng.gen_range(from.clone());
+                let mut picked: Vec<NodeId> = from.filter(|_| rng.gen_bool(0.5)).collect();
+                picked.push(first);
+                picked
+            };
+            let mids = 2..2 + k as NodeId;
+            let hubs = mids.end..mids.end + j as NodeId;
+            let rims = hubs.end..hubs.end + r as NodeId;
+            let mut next = rims.end;
+            edges.extend(mids.clone().map(|a| (0, a)));
+            for h in hubs.clone() {
+                edges.extend(subset(&mut rng, mids.clone()).into_iter().map(|a| (a, h)));
+            }
+            for c in rims.clone() {
+                edges.push((1, c));
+                edges.extend(subset(&mut rng, hubs.clone()).into_iter().map(|h| (h, c)));
+            }
+            let mut hang = |v: NodeId, count: usize| {
+                for _ in 0..count {
+                    edges.push((v, next));
+                    next += 1;
+                }
+            };
+            hubs.for_each(|h| hang(h, leaves));
+            hang(rims.start, 4 * leaves);
+            graph_from_edges(next as usize, &edges)
+        }
+
         /// `a` and `b` side by side, no edge between them.
         fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
             let shift = a.num_nodes() as NodeId;
@@ -807,10 +847,10 @@ mod tests {
             graph_from_edges(a.num_nodes() + b.num_nodes(), &edges)
         }
 
-        /// The graph of family `family % 5` drawn with size knobs `a`, `b`
+        /// The graph of family `family % 6` drawn with size knobs `a`, `b`
         /// (both in `0..64`) and `seed`.
         pub(super) fn draw_graph(family: u8, a: usize, b: usize, seed: u64) -> Graph {
-            match family % 5 {
+            match family % 6 {
                 0 => gnm(GnmConfig { n: 4 + a, m: (4 + a) * (b % 5) / 2, seed }),
                 1 => rmat(RmatConfig::graph500(4 + a as u32 % 5, 1 + b as u32 % 8, seed)),
                 2 => grid(GridConfig {
@@ -823,12 +863,13 @@ mod tests {
                     &gnm(GnmConfig { n: 4 + a % 30, m: 4 + a % 30, seed }),
                     &gnm(GnmConfig { n: 4 + b % 30, m: 2 * (4 + b % 30), seed: seed ^ 1 }),
                 ),
-                _ => {
+                4 => {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let leaves: Vec<usize> =
                         (0..2 + a % 10).map(|_| rng.gen_range(0..1 + b % 40)).collect();
                     star_of_stars(&leaves, b % 6, seed)
                 }
+                _ => fans(1 + a % 4, 1 + b % 3, 1 + a / 16, 8 + b, seed),
             }
         }
 
@@ -848,8 +889,9 @@ mod tests {
             pub(super) met_by_expanding: u64,
         }
 
-        /// Runs `pairs` random pairs of `g` through both kernels from one
-        /// RNG seed and asserts they agree on everything observable.
+        /// Runs the pair (0, 1) and `pairs - 1` random pairs of `g` through
+        /// both kernels from one RNG seed and asserts they agree on everything
+        /// observable.
         pub(super) fn agree_on(g: &Graph, pairs: usize, seed: u64) -> Branches {
             let mut seen = Branches::default();
             let n = g.num_nodes();
@@ -857,9 +899,11 @@ mod tests {
             let (mut sc, mut rsc) = (TraversalScratch::new(n), reference::Scratch::new(n));
             let (mut rng, mut rrng) =
                 (StdRng::seed_from_u64(seed ^ 7), StdRng::seed_from_u64(seed ^ 7));
-            for _ in 0..pairs {
-                let s = pick.gen_range(0..n as NodeId);
-                let t = pick.gen_range(0..n as NodeId);
+            for i in 0..pairs {
+                let (s, t) = match i {
+                    0 => (0, 1),
+                    _ => (pick.gen_range(0..n as NodeId), pick.gen_range(0..n as NodeId)),
+                };
                 if s == t {
                     continue;
                 }
@@ -894,7 +938,7 @@ mod tests {
         /// [`agree_on`] over the graph families at 40 seeds each.
         fn branches_taken() -> Branches {
             let mut seen = Branches::default();
-            for family in 0..5 {
+            for family in 0..6 {
                 for seed in 0..40u64 {
                     let (a, b) = ((seed * 13 % 64) as usize, (seed * 29 % 64) as usize);
                     let w = agree_on(&draw_graph(family, a, b, seed), 24, seed);
@@ -912,7 +956,7 @@ mod tests {
 
             #[test]
             fn kernel_matches_the_reference(
-                (family, a, b) in (0u8..5, 0usize..64, 0usize..64),
+                (family, a, b) in (0u8..6, 0usize..64, 0usize..64),
                 seed in any::<u64>(),
             ) {
                 agree_on(&draw_graph(family, a, b, seed), 24, seed);
