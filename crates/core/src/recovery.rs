@@ -64,7 +64,7 @@ impl SampleLedger {
     /// plan: such a world neither loses nor admits a rank, so no rebuild
     /// ever reads its ledgers. Confirming into it is free, and it holds no
     /// frame.
-    pub fn untracked() -> Self {
+    pub(crate) fn untracked() -> Self {
         SampleLedger { frame: Vec::new() }
     }
 

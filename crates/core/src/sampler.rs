@@ -63,7 +63,7 @@ impl ThreadSampler {
     /// Turns this sampler into [`ThreadSampler::new`]`(n, seed, rank,
     /// thread)` without reallocating its scratch: what a thread that samples
     /// one phase after another does between them.
-    pub fn reseed(&mut self, seed: u64, rank: usize, thread: usize) {
+    pub(crate) fn reseed(&mut self, seed: u64, rank: usize, thread: usize) {
         self.rng = StdRng::seed_from_u64(mix_seed(seed, rank as u64, thread as u64));
         self.stats = SearchStats::default();
         self.samples_taken = 0;
@@ -170,6 +170,20 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(a.sample(&g), b.sample(&g));
         }
+    }
+
+    #[test]
+    fn reseeded_sampler_draws_what_a_fresh_one_draws() {
+        let g = gnm(GnmConfig { n: 30, m: 90, seed: 1 });
+        let mut used = ThreadSampler::new(30, 7, 0, 0);
+        used.sample_batch(&g, 20, |_| {});
+        used.reseed(7, 1, 3);
+        let mut fresh = ThreadSampler::new(30, 7, 1, 3);
+        for _ in 0..50 {
+            assert_eq!(used.sample(&g), fresh.sample(&g));
+        }
+        assert_eq!(used.samples_taken, fresh.samples_taken);
+        assert_eq!(used.stats.edges_scanned, fresh.stats.edges_scanned);
     }
 
     #[test]
