@@ -154,19 +154,14 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
         // second term is under half of D_near. Either way the cut is the
         // same set.
         let searches = (near.frontier().len() as u64).saturating_mul(far.cost.searches);
-        let can_meet = if searches.saturating_mul(2) < near.cost.degrees {
+        if searches.saturating_mul(2) < near.cost.degrees {
             stats.edges_scanned += meet_from_far(g, near, far, cut);
             if !cut.is_empty() {
                 return Some(select_and_backtrack(g, cut, near, far, path, rng, stats));
             }
-            false
-        } else {
-            true
-        };
-        if can_meet {
-            near.expand::<_, true>(g, far, cut, stats);
-        } else {
             near.expand::<_, false>(g, far, cut, stats);
+        } else {
+            near.expand::<_, true>(g, far, cut, stats);
         }
         if cut.is_empty() {
             let level = near.level(near.depth + 1);
