@@ -24,11 +24,12 @@
 //! `σ_near(w) = Σ σ_near(u)` over those neighbours `u`, and it is a complete
 //! s-t cut of the shortest-path DAG, giving `σ_st = Σ_{w ∈ C} σ_near(w)·σ_far(w)`.
 //!
-//! `C` can be found from either side: by settling the near side's next level
-//! and testing each new vertex against the far side, or — when the far
-//! frontier is much cheaper to read than the near one — by testing each
-//! far-frontier vertex against the near frontier, without settling the
-//! meeting level at all (DESIGN.md §11.6).
+//! `C` can be found from either side: by settling the near side's next level,
+//! where a vertex whose slot the far side holds is a meet (both sides share
+//! one state array, and the near side takes such a slot over until the level
+//! is complete), or — when the far frontier is much cheaper to read than the
+//! near one — by testing each far-frontier vertex against the near frontier,
+//! without settling the meeting level at all (DESIGN.md §11.6).
 //!
 //! A uniform path is then drawn by picking a cut vertex with probability
 //! proportional to `σ_near(v)·σ_far(v)` and walking back to each endpoint, at
@@ -39,7 +40,7 @@
 
 use crate::bfs::sigma_bfs;
 use crate::csr::{Graph, NodeId};
-use crate::scratch::{StampedBfsState, TraversalScratch};
+use crate::scratch::{Relax, StampedBfsState, TraversalScratch};
 use crate::view::GraphView;
 use rand::Rng;
 
@@ -137,14 +138,14 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
 ) -> Option<SampleInfo> {
     assert!(s != t, "sampling requires distinct endpoints");
     assert!((s as usize) < g.num_nodes() && (t as usize) < g.num_nodes());
-    scratch.reset();
-    let TraversalScratch { fwd, bwd, path, order_fwd, order_bwd, levels_fwd, levels_bwd, cut } =
+    let (s_tag, t_tag) = scratch.reset();
+    let TraversalScratch { state, path, order_fwd, order_bwd, levels_fwd, levels_bwd, cut } =
         scratch;
-    let mut fwd = Side::start(g, fwd, order_fwd, levels_fwd, s);
-    let mut bwd = Side::start(g, bwd, order_bwd, levels_bwd, t);
+    let mut fwd = Side::start(g, state, s_tag, order_fwd, levels_fwd, s);
+    let mut bwd = Side::start(g, state, t_tag, order_bwd, levels_bwd, t);
     stats.vertices_settled += 2;
 
-    loop {
+    let (near, far) = loop {
         // Balanced expansion: grow the cheaper side.
         let (near, far) =
             if fwd.cost.degrees <= bwd.cost.degrees { (&mut fwd, &bwd) } else { (&mut bwd, &fwd) };
@@ -155,30 +156,34 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
         // same set.
         let searches = (near.frontier().len() as u64).saturating_mul(far.cost.searches);
         if searches.saturating_mul(2) < near.cost.degrees {
-            stats.edges_scanned += meet_from_far(g, near, far, cut);
+            stats.edges_scanned += meet_from_far(g, state, near, far, cut);
             if !cut.is_empty() {
-                return Some(select_and_backtrack(g, cut, near, far, path, rng, stats));
+                break (near, far);
             }
-            near.expand::<_, false>(g, far, cut, stats);
-        } else {
-            near.expand::<_, true>(g, far, cut, stats);
         }
-        if cut.is_empty() {
-            let level = near.level(near.depth + 1);
-            if level.is_empty() {
-                return None; // one component exhausted without meeting
+        near.expand(g, state, far, cut, stats);
+        if !cut.is_empty() {
+            // The level is complete: hand each cut vertex back to the far
+            // side as the level found it, its entry taking σ_near.
+            for (v, sigma) in cut.iter_mut() {
+                let near_sigma = state.sigma(*v, near.tag);
+                state.visit(*v, far.tag, far.depth, *sigma);
+                *sigma = near_sigma;
             }
-            // The next balance decision reads this level's cost; the meeting
-            // level, usually the widest, never pays for one.
-            near.cost = LevelCost::of(g, level);
-            near.depth += 1;
-            continue;
+            break (near, far);
         }
-        for (v, sigma) in cut.iter_mut() {
-            *sigma = near.state.sigma(*v);
+        let level = near.level(near.depth + 1);
+        if level.is_empty() {
+            return None; // one component exhausted without meeting
         }
-        return Some(select_and_backtrack(g, cut, near, far, path, rng, stats));
-    }
+        // The next balance decision reads this level's cost; the meeting
+        // level, usually the widest, never pays for one.
+        near.cost = LevelCost::of(g, level);
+        near.depth += 1;
+    };
+    let (info, probes) = select_and_backtrack(g, state, cut, near, far, path, rng);
+    stats.walk_probes += probes;
+    Some(info)
 }
 
 /// What reading a level costs: its degree sum (scanning every row) and its
@@ -206,8 +211,8 @@ fn search_cost(deg: usize) -> u64 {
 
 /// One direction of the search.
 struct Side<'a> {
-    /// Distances and σ from `root`.
-    state: &'a mut StampedBfsState,
+    /// The stamp of this direction's records in the shared state.
+    tag: u32,
     /// Settled vertices in settling order.
     order: &'a mut Vec<NodeId>,
     /// Level starts into `order`.
@@ -222,18 +227,19 @@ struct Side<'a> {
 }
 
 impl<'a> Side<'a> {
-    /// Settles `root` as level 0.
+    /// Settles `root` as level 0 of the direction `tag`.
     fn start<G: GraphView>(
         g: &G,
-        state: &'a mut StampedBfsState,
+        state: &mut StampedBfsState,
+        tag: u32,
         order: &'a mut Vec<NodeId>,
         levels: &'a mut Vec<u32>,
         root: NodeId,
     ) -> Side<'a> {
-        state.visit(root, 0, 1);
+        state.visit(root, tag, 0, 1);
         order.push(root);
         levels.push(0);
-        Side { state, order, levels, root, depth: 0, cost: LevelCost::of(g, &[root]) }
+        Side { tag, order, levels, root, depth: 0, cost: LevelCost::of(g, &[root]) }
     }
 
     /// The vertices at distance `d` from the root, for a level that is
@@ -250,19 +256,20 @@ impl<'a> Side<'a> {
     }
 
     /// Settles level `depth + 1` from the frontier, leaving `depth` alone.
-    /// With `MEET`, every vertex it settles that `far` has settled joins
-    /// `cut`, σ_near to be filled in once the level is complete; without, no
-    /// vertex can meet (the meet test found none) and the far side is never
-    /// read.
-    fn expand<G: GraphView, const MEET: bool>(
+    /// A vertex whose slot `far` holds is a meet: the level takes the slot
+    /// over and `cut` keeps the vertex with σ_far, for the caller to hand
+    /// back once the level is complete. After a meet test that found no cut,
+    /// no slot of `far`'s can come up.
+    fn expand<G: GraphView>(
         &mut self,
         g: &G,
+        state: &mut StampedBfsState,
         far: &Side<'_>,
         cut: &mut Vec<(NodeId, u64)>,
         stats: &mut SearchStats,
     ) {
-        let (state, order, levels) = (&mut *self.state, &mut *self.order, &mut *self.levels);
-        let (other, new_depth) = (&*far.state, self.depth + 1);
+        let (order, levels) = (&mut *self.order, &mut *self.levels);
+        let (tag, new_depth) = (self.tag, self.depth + 1);
         let (start, end) = (levels[levels.len() - 1] as usize, order.len());
         // `order` holds each vertex at most once and ids are u32: this fits.
         levels.push(end as u32);
@@ -273,30 +280,25 @@ impl<'a> Side<'a> {
             if i + 1 < end {
                 g.prefetch_neighbors(order[i + 1]);
             }
-            let su = state.sigma(u);
+            let su = state.sigma(u, tag);
             let adj = g.neighbors(u);
+            stats.edges_scanned += adj.len() as u64;
             for (j, &v) in adj.iter().enumerate() {
-                // Pull the records a few probes ahead: the v's are
+                // Pull the slots a few probes ahead: the v's are
                 // data-dependent, so the hardware prefetcher cannot help.
-                // When the level can meet, every vertex it settles is
-                // probed on the other side too.
                 if let Some(&w) = adj.get(j + STATE_PREFETCH_DIST) {
                     state.prefetch(w);
-                    if MEET {
-                        other.prefetch(w);
+                }
+                match state.settle_or_merge(v, tag, far.tag, new_depth, su) {
+                    Relax::Known => continue,
+                    Relax::Settled => {}
+                    Relax::Met(k, far_sigma) => {
+                        debug_assert_eq!(k, far.depth, "every meet is at the far radius");
+                        cut.push((v, far_sigma));
                     }
                 }
-                stats.edges_scanned += 1;
-                if state.settle_or_merge(v, new_depth, su) {
-                    stats.vertices_settled += 1;
-                    order.push(v);
-                    if MEET {
-                        if let Some((k, _)) = other.record(v) {
-                            debug_assert_eq!(k, far.depth, "every meet is at the far radius");
-                            cut.push((v, 0));
-                        }
-                    }
-                }
+                stats.vertices_settled += 1;
+                order.push(v);
             }
         }
     }
@@ -313,11 +315,12 @@ impl<'a> Side<'a> {
 /// ⌈log₂(deg + 1)⌉.
 fn meet_from_far<G: GraphView>(
     g: &G,
+    state: &StampedBfsState,
     near: &Side<'_>,
     far: &Side<'_>,
     cut: &mut Vec<(NodeId, u64)>,
 ) -> u64 {
-    let (level, state) = (near.frontier(), &*near.state);
+    let (level, tag) = (near.frontier(), near.tag);
     let targets = far.frontier();
     let mut reads = 0u64;
     for (i, &w) in targets.iter().enumerate() {
@@ -331,7 +334,7 @@ fn meet_from_far<G: GraphView>(
             reads += level.len() as u64 * search;
             for &u in level {
                 if adj.binary_search(&u).is_ok() {
-                    sigma = sigma.saturating_add(state.sigma(u));
+                    sigma = sigma.saturating_add(state.sigma(u, tag));
                 }
             }
         } else {
@@ -345,7 +348,7 @@ fn meet_from_far<G: GraphView>(
                 }
                 // A near-side neighbour below the frontier would have
                 // settled `w` on the near side too: every hit is on it.
-                if let Some((du, su)) = state.record(u) {
+                if let Some((du, su)) = state.record(u, tag) {
                     debug_assert_eq!(du, near.depth);
                     sigma = sigma.saturating_add(su);
                 }
@@ -360,10 +363,10 @@ fn meet_from_far<G: GraphView>(
 }
 
 /// Tail of a sample: draws one cut vertex ∝ σ_near·σ_far and walks back to
-/// both roots, leaving the interior in `path`; adds the walks' probes to
-/// `stats`. `cut` holds each cut vertex with σ_near; the cut sits at
-/// distance `near.depth + 1` from the near root and `far.depth` from the far
-/// one.
+/// both roots, leaving the interior in `path`; returns the sample and the
+/// walks' probes. `cut` holds each cut vertex with σ_near, and `state` its
+/// far record; the cut sits at distance `near.depth + 1` from the near root
+/// and `far.depth` from the far one.
 ///
 /// The cut is first sorted by vertex id. The level sets of a BFS are
 /// order-independent, but the order in which a cut is found is not, so the
@@ -372,19 +375,19 @@ fn meet_from_far<G: GraphView>(
 /// traversal schedule, nor on which side found the cut.
 fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
     g: &G,
+    state: &StampedBfsState,
     cut: &mut Vec<(NodeId, u64)>,
     near: &Side<'_>,
     far: &Side<'_>,
     path: &mut Vec<NodeId>,
     rng: &mut R,
-    stats: &mut SearchStats,
-) -> SampleInfo {
+) -> (SampleInfo, u64) {
     // Canonical cut order (each vertex enters the cut at most once, so ids
     // are distinct and the sort is a total order).
     cut.sort_unstable_by_key(|&(v, _)| v);
 
     // Sample a cut vertex proportionally to σ_near · σ_far.
-    let weight = |v: NodeId, sn: u64| (sn as u128).saturating_mul(far.state.sigma(v) as u128);
+    let weight = |v: NodeId, sn: u64| (sn as u128).saturating_mul(state.sigma(v, far.tag) as u128);
     let num_paths = cut.iter().fold(0u128, |sum, &(v, sn)| sum.saturating_add(weight(v, sn)));
     debug_assert!(num_paths > 0);
     let mut pick = rng.gen_range(0..num_paths);
@@ -402,11 +405,11 @@ fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
     // dead once a vertex is drawn, so the walks reuse it as predecessor
     // scratch — no extra allocation, no extra plumbing.
     path.clear();
-    let probes = backtrack(g, near, chosen, near.depth + 1, path, cut, rng);
+    let probes = backtrack(g, state, near, chosen, near.depth + 1, path, cut, rng);
     if chosen != far.root {
         path.push(chosen);
     }
-    stats.walk_probes += probes + backtrack(g, far, chosen, far.depth, path, cut, rng);
+    let probes = probes + backtrack(g, state, far, chosen, far.depth, path, cut, rng);
     let distance = near.depth + 1 + far.depth;
     debug_assert_eq!(
         // xtask: allow(determinism) — a shortest path visits each vertex at
@@ -416,7 +419,7 @@ fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
         distance,
         "interior vertex count must be distance - 1"
     );
-    SampleInfo { distance, num_paths }
+    (SampleInfo { distance, num_paths }, probes)
 }
 
 /// Sliding prefetch distance for the backtrack predecessor scan: the
@@ -429,7 +432,8 @@ const BACKTRACK_PREFETCH_DIST: usize = 6;
 /// of distance `d` the predecessor `u` (distance `d - 1`) is chosen with
 /// probability `σ(u) / Σ σ`, which makes the complete walk a uniform draw
 /// among the σ(from) shortest root→from paths. The distance is passed in
-/// because the near side's cut vertex may not be settled on that side.
+/// because the near side's cut vertex holds no near record: the meet test
+/// never settled it, or the expansion handed it back to the far side.
 ///
 /// The predecessors of `cur` are the vertices of level `d - 1` in
 /// `row(cur)`, and each step finds them from whichever side is cheaper:
@@ -442,8 +446,10 @@ const BACKTRACK_PREFETCH_DIST: usize = 6;
 /// predecessor — and the RNG stream — do not depend on the branch.
 ///
 /// Returns the probes made: row entries read plus level vertices tested.
+#[allow(clippy::too_many_arguments)]
 fn backtrack<G: GraphView, R: Rng + ?Sized>(
     g: &G,
+    state: &StampedBfsState,
     side: &Side<'_>,
     from: NodeId,
     mut d: u32,
@@ -451,7 +457,7 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
     preds: &mut Vec<(NodeId, u64)>,
     rng: &mut R,
 ) -> u64 {
-    let state = &*side.state;
+    let tag = side.tag;
     let mut probes = 0u64;
     let mut cur = from;
     while d > 1 {
@@ -463,7 +469,7 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
             probes += level.len() as u64;
             for &u in level {
                 if adj.binary_search(&u).is_ok() {
-                    preds.push((u, state.sigma(u)));
+                    preds.push((u, state.sigma(u, tag)));
                 }
             }
             preds.sort_unstable_by_key(|&(u, _)| u);
@@ -476,7 +482,7 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
                 if let Some(&nu) = adj.get(j + BACKTRACK_PREFETCH_DIST) {
                     state.prefetch(nu);
                 }
-                if let Some((du, su)) = state.record(u) {
+                if let Some((du, su)) = state.record(u, tag) {
                     if du == d - 1 {
                         preds.push((u, su));
                     }
@@ -559,10 +565,19 @@ pub fn enumerate_shortest_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<Node
 mod reference {
     use super::*;
 
+    /// One direction's records: its state of its own and its tag there.
+    type Tree<'a> = (&'a StampedBfsState, u32);
+
     /// The buffers of PR 24's `TraversalScratch`.
     pub(super) struct Scratch {
-        pub(super) fwd: StampedBfsState,
-        pub(super) bwd: StampedBfsState,
+        fwd: StampedBfsState,
+        bwd: StampedBfsState,
+        /// The tag pair of each state's last reset. A direction with a state
+        /// of its own writes only the first tag, so relaxing against the
+        /// second never meets.
+        tags: [(u32, u32); 2],
+        /// Whether the last sample that met expanded the forward side.
+        pub(super) met_fwd: bool,
         pub(super) path: Vec<NodeId>,
         frontier_fwd: Vec<NodeId>,
         frontier_bwd: Vec<NodeId>,
@@ -576,12 +591,23 @@ mod reference {
             Scratch {
                 fwd: StampedBfsState::new(n),
                 bwd: StampedBfsState::new(n),
+                tags: [(0, 0); 2],
+                met_fwd: false,
                 path: Vec::new(),
                 frontier_fwd: Vec::new(),
                 frontier_bwd: Vec::new(),
                 next_frontier: Vec::new(),
                 meets: Vec::new(),
                 cut: Vec::new(),
+            }
+        }
+
+        /// The far side's record of `v` after the last sample that met.
+        pub(super) fn far_record(&self, v: NodeId) -> Option<(u32, u64)> {
+            if self.met_fwd {
+                self.bwd.record(v, self.tags[1].0)
+            } else {
+                self.fwd.record(v, self.tags[0].0)
             }
         }
     }
@@ -595,10 +621,20 @@ mod reference {
         stats: &mut SearchStats,
     ) -> Option<SampleInfo> {
         assert!(s != t, "sampling requires distinct endpoints");
-        scratch.fwd.reset();
-        scratch.bwd.reset();
-        let Scratch { fwd, bwd, path, frontier_fwd, frontier_bwd, next_frontier, meets, cut } =
-            scratch;
+        scratch.tags = [scratch.fwd.reset(), scratch.bwd.reset()];
+        let Scratch {
+            fwd,
+            bwd,
+            tags,
+            met_fwd,
+            path,
+            frontier_fwd,
+            frontier_bwd,
+            next_frontier,
+            meets,
+            cut,
+        } = scratch;
+        let (tf, tb) = (tags[0].0, tags[1].0);
         path.clear();
         frontier_fwd.clear();
         frontier_bwd.clear();
@@ -607,8 +643,8 @@ mod reference {
 
         frontier_fwd.push(s);
         frontier_bwd.push(t);
-        fwd.visit(s, 0, 1);
-        bwd.visit(t, 0, 1);
+        fwd.visit(s, tf, 0, 1);
+        bwd.visit(t, tb, 0, 1);
         stats.vertices_settled += 2;
         let mut ds = 0u32;
         let mut dt = 0u32;
@@ -620,30 +656,32 @@ mod reference {
                 return None;
             }
             let expand_fwd = deg_s <= deg_t;
-            let (state, other, frontier, depth): (
+            let (state, other, frontier, depth, (tag, alone), other_tag): (
                 &mut StampedBfsState,
                 &mut StampedBfsState,
                 &mut Vec<NodeId>,
                 &mut u32,
+                (u32, u32),
+                u32,
             ) = if expand_fwd {
-                (&mut *fwd, &mut *bwd, &mut *frontier_fwd, &mut ds)
+                (&mut *fwd, &mut *bwd, &mut *frontier_fwd, &mut ds, tags[0], tb)
             } else {
-                (&mut *bwd, &mut *fwd, &mut *frontier_bwd, &mut dt)
+                (&mut *bwd, &mut *fwd, &mut *frontier_bwd, &mut dt, tags[1], tf)
             };
 
             let new_depth = *depth + 1;
             next_frontier.clear();
             let mut next_deg: u64 = 0;
             for &u in frontier.iter() {
-                let su = state.sigma(u);
+                let su = state.sigma(u, tag);
                 for &v in g.neighbors(u) {
                     stats.edges_scanned += 1;
-                    if state.settle_or_merge(v, new_depth, su) {
+                    if state.settle_or_merge(v, tag, alone, new_depth, su) == Relax::Settled {
                         stats.vertices_settled += 1;
                         next_frontier.push(v);
                         next_deg += g.degree(v) as u64;
-                        if other.reached(v) {
-                            meets.push((v, other.dist(v)));
+                        if let Some((k, _)) = other.record(v, other_tag) {
+                            meets.push((v, k));
                         }
                     }
                 }
@@ -656,13 +694,19 @@ mod reference {
                 deg_t = next_deg;
             }
             if !meets.is_empty() {
+                *met_fwd = expand_fwd;
                 let k0 = meets.iter().map(|&(_, k)| k).min().unwrap();
                 let distance = new_depth + k0;
-                let (near, far) = if expand_fwd { (&*fwd, &*bwd) } else { (&*bwd, &*fwd) };
+                let (near, far): (Tree<'_>, Tree<'_>) = if expand_fwd {
+                    ((&*fwd, tf), (&*bwd, tb))
+                } else {
+                    ((&*bwd, tb), (&*fwd, tf))
+                };
                 let mut num_paths: u128 = 0;
                 for &(v, k) in meets.iter() {
                     if k == k0 {
-                        let w = (near.sigma(v) as u128).saturating_mul(far.sigma(v) as u128);
+                        let w = (near.0.sigma(v, near.1) as u128)
+                            .saturating_mul(far.0.sigma(v, far.1) as u128);
                         num_paths = num_paths.saturating_add(w);
                         cut.push((v, w));
                     }
@@ -681,9 +725,9 @@ mod reference {
         g: &G,
         cut: &mut Vec<(NodeId, u128)>,
         num_paths: u128,
-        near: &StampedBfsState,
+        near: Tree<'_>,
         near_root: NodeId,
-        far: &StampedBfsState,
+        far: Tree<'_>,
         far_root: NodeId,
         path: &mut Vec<NodeId>,
         rng: &mut R,
@@ -708,7 +752,7 @@ mod reference {
 
     fn backtrack<G: GraphView, R: Rng + ?Sized>(
         g: &G,
-        state: &StampedBfsState,
+        (state, tag): Tree<'_>,
         from: NodeId,
         _root: NodeId,
         out: &mut Vec<NodeId>,
@@ -717,13 +761,13 @@ mod reference {
     ) -> u64 {
         let mut probes = 0;
         let mut cur = from;
-        let mut d = state.dist(cur);
+        let mut d = state.record(cur, tag).map_or(0, |(d, _)| d);
         while d > 1 {
             preds.clear();
             let mut total: u64 = 0;
             probes += g.degree(cur) as u64;
             for &u in g.neighbors(cur) {
-                if let Some((du, su)) = state.record(u) {
+                if let Some((du, su)) = state.record(u, tag) {
                     if du == d - 1 {
                         total += su;
                         preds.push((u, su as u128));
@@ -766,8 +810,10 @@ mod tests {
     /// the kernel and [`reference`] return the same sample and leave the RNG
     /// at the same position. The kernel settles no more vertices than the
     /// reference, reads less than 1.5× its adjacency entries (a meet test
-    /// reads under half of the expansion it precedes), and its walk probes no
-    /// more than the row-scanning one.
+    /// reads under half of the expansion it precedes), its walk probes no
+    /// more than the row-scanning one, and after a sample that meets, the far
+    /// side's records are the reference's bit for bit (the take-over rule
+    /// hands every cut vertex back).
     mod oracle {
         use super::*;
         use crate::generators::{gnm, grid, rmat, GnmConfig, GridConfig, RmatConfig};
@@ -918,6 +964,25 @@ mod tests {
                     t
                 );
                 prop_assert!(st.walk_probes <= rst.walk_probes, "s={} t={}", s, t);
+                if got.is_some() {
+                    // The far side's records, in the array both sides share,
+                    // are bit-equal to the reference's array of their own:
+                    // every cut vertex a meeting level took over was handed
+                    // back. A reset hands out (s, t) tags as consecutive
+                    // rounds, and no u32 round wraps here.
+                    let t_tag = sc.state.round();
+                    let far_tag = if rsc.met_fwd { t_tag } else { t_tag - 1 };
+                    for v in 0..n as NodeId {
+                        prop_assert_eq!(
+                            sc.state.record(v, far_tag),
+                            rsc.far_record(v),
+                            "far record of {}, s={} t={}",
+                            v,
+                            s,
+                            t
+                        );
+                    }
+                }
                 seen.shorter += u64::from(st.walk_probes < rst.walk_probes);
                 seen.rows_only +=
                     u64::from(st.walk_probes == rst.walk_probes && st.walk_probes > 0);

@@ -11,7 +11,7 @@
 
 use crate::bibfs::{SampleInfo, SearchStats};
 use crate::csr::NodeId;
-use crate::scratch::{StampedBfsState, TraversalScratch, UNREACHED};
+use crate::scratch::{Relax, StampedBfsState, TraversalScratch, UNREACHED};
 use crate::source::{KadabraGraph, PathSource};
 use rand::Rng;
 
@@ -204,137 +204,125 @@ pub fn sample_directed_shortest_path<R: Rng + ?Sized>(
 ) -> Option<SampleInfo> {
     assert!(s != t, "sampling requires distinct endpoints");
     assert!((s as usize) < g.num_nodes() && (t as usize) < g.num_nodes());
-    scratch.reset();
+    let (s_tag, t_tag) = scratch.reset();
+    let TraversalScratch { state, path, cut, .. } = scratch;
 
     let mut frontier_s = vec![s];
     let mut frontier_t = vec![t];
-    scratch.fwd.visit(s, 0, 1);
-    scratch.bwd.visit(t, 0, 1);
+    state.visit(s, s_tag, 0, 1);
+    state.visit(t, t_tag, 0, 1);
     let mut ds = 0u32;
     let mut dt = 0u32;
     let mut deg_s = g.out_degree(s) as u64;
     let mut deg_t = g.in_degree(t) as u64;
-    let mut meets: Vec<(NodeId, u32)> = Vec::new();
 
     loop {
         if frontier_s.is_empty() || frontier_t.is_empty() {
             return None;
         }
         let expand_fwd = deg_s <= deg_t;
-        let new_depth;
-        {
-            let (state, other, frontier, depth): (
-                &mut StampedBfsState,
-                &mut StampedBfsState,
-                &mut Vec<NodeId>,
-                &mut u32,
-            ) = if expand_fwd {
-                (&mut scratch.fwd, &mut scratch.bwd, &mut frontier_s, &mut ds)
-            } else {
-                (&mut scratch.bwd, &mut scratch.fwd, &mut frontier_t, &mut dt)
-            };
-            new_depth = *depth + 1;
-            let mut next = Vec::new();
-            let mut next_deg = 0u64;
-            for &u in frontier.iter() {
-                let su = state.sigma(u);
-                let neigh = if expand_fwd { g.out_neighbors(u) } else { g.in_neighbors(u) };
-                for &v in neigh {
-                    if state.reached(v) {
-                        if state.dist(v) == new_depth {
-                            state.add_sigma(v, su);
-                        }
-                    } else {
-                        state.visit(v, new_depth, su);
-                        next.push(v);
-                        next_deg +=
-                            if expand_fwd { g.out_degree(v) as u64 } else { g.in_degree(v) as u64 };
-                        if other.reached(v) {
-                            meets.push((v, other.dist(v)));
-                        }
+        let (frontier, depth, tag, far_tag, far_depth) = if expand_fwd {
+            (&mut frontier_s, &mut ds, s_tag, t_tag, dt)
+        } else {
+            (&mut frontier_t, &mut dt, t_tag, s_tag, ds)
+        };
+        let new_depth = *depth + 1;
+        let mut next = Vec::new();
+        let mut next_deg = 0u64;
+        for &u in frontier.iter() {
+            let su = state.sigma(u, tag);
+            let neigh = if expand_fwd { g.out_neighbors(u) } else { g.in_neighbors(u) };
+            for &v in neigh {
+                // As in the undirected kernel: a meet takes the far slot
+                // over, keeping σ_far in `cut` until the level is complete.
+                match state.settle_or_merge(v, tag, far_tag, new_depth, su) {
+                    Relax::Known => continue,
+                    Relax::Settled => {}
+                    Relax::Met(k, far_sigma) => {
+                        debug_assert_eq!(k, far_depth, "every meet is at the far radius");
+                        cut.push((v, far_sigma));
                     }
                 }
-            }
-            *depth = new_depth;
-            *frontier = next;
-            if expand_fwd {
-                deg_s = next_deg;
-            } else {
-                deg_t = next_deg;
+                next.push(v);
+                next_deg += if expand_fwd { g.out_degree(v) as u64 } else { g.in_degree(v) as u64 };
             }
         }
-        if meets.is_empty() {
+        *depth = new_depth;
+        *frontier = next;
+        if expand_fwd {
+            deg_s = next_deg;
+        } else {
+            deg_t = next_deg;
+        }
+        if cut.is_empty() {
             continue;
         }
-        // xtask: allow(unwrap) — meets checked non-empty above.
-        let k0 = meets.iter().map(|&(_, k)| k).min().unwrap();
-        let distance = new_depth + k0;
-        let (near, far) =
-            if expand_fwd { (&scratch.fwd, &scratch.bwd) } else { (&scratch.bwd, &scratch.fwd) };
-        let cut: Vec<(NodeId, u128)> = meets
-            .iter()
-            .filter(|&&(_, k)| k == k0)
-            .map(|&(v, _)| ((near.sigma(v) as u128).saturating_mul(far.sigma(v) as u128), v))
-            .map(|(w, v)| (v, w))
-            .collect();
-        let num_paths: u128 = cut.iter().fold(0u128, |a, &(_, w)| a.saturating_add(w));
+        // Hand each cut vertex back to the far side; its entry takes σ_near.
+        for (v, sigma) in cut.iter_mut() {
+            let near_sigma = state.sigma(*v, tag);
+            state.visit(*v, far_tag, far_depth, *sigma);
+            *sigma = near_sigma;
+        }
+        let distance = new_depth + far_depth;
+        let weight =
+            |v: NodeId, sn: u64| (sn as u128).saturating_mul(state.sigma(v, far_tag) as u128);
+        let num_paths = cut.iter().fold(0u128, |sum, &(v, sn)| sum.saturating_add(weight(v, sn)));
         let mut pick = rng.gen_range(0..num_paths);
         let mut chosen = cut[0].0;
-        for &(v, w) in &cut {
+        for &(v, sn) in cut.iter() {
+            let w = weight(v, sn);
             if pick < w {
                 chosen = v;
                 break;
             }
             pick -= w;
         }
-        scratch.path.clear();
+        path.clear();
         // Walk towards s along in-edges of the forward tree, towards t along
         // out-edges of the backward tree.
-        backtrack_directed(g, &scratch.fwd, chosen, true, &mut scratch.path, rng);
+        backtrack_directed(state, s_tag, chosen, ds, |v| g.in_neighbors(v), path, rng);
         if chosen != s && chosen != t {
-            scratch.path.push(chosen);
+            path.push(chosen);
         }
-        backtrack_directed(g, &scratch.bwd, chosen, false, &mut scratch.path, rng);
+        backtrack_directed(state, t_tag, chosen, dt, |v| g.out_neighbors(v), path, rng);
         // xtask: allow(determinism) — a shortest path visits each vertex at
         // most once, so its length fits the CSR-guaranteed u32.
-        debug_assert_eq!(scratch.path.len() as u32 + 1, distance);
+        debug_assert_eq!(path.len() as u32 + 1, distance);
         return Some(SampleInfo { distance, num_paths });
     }
 }
 
-/// σ-proportional backtracking. For the forward tree predecessors of `v` are
-/// its in-neighbours at distance `d(v) − 1`; for the backward tree they are
-/// out-neighbours.
-fn backtrack_directed<R: Rng + ?Sized>(
-    g: &DiGraph,
+/// σ-proportional backtracking from `from`, at distance `d` from the root of
+/// direction `tag`: the predecessors of `v` are the vertices of
+/// `preds_of(v)` — in-neighbours in the forward tree, out-neighbours in the
+/// backward one — at distance `d(v) − 1`. The distance is passed in because
+/// the near side handed the chosen vertex back to the far side.
+fn backtrack_directed<'g, R: Rng + ?Sized>(
     state: &StampedBfsState,
+    tag: u32,
     from: NodeId,
-    forward_tree: bool,
+    mut d: u32,
+    preds_of: impl Fn(NodeId) -> &'g [NodeId],
     out: &mut Vec<NodeId>,
     rng: &mut R,
 ) {
     let mut cur = from;
-    let mut d = state.dist(cur);
     while d > 1 {
-        let preds = if forward_tree { g.in_neighbors(cur) } else { g.out_neighbors(cur) };
-        let mut total = 0u64;
-        for &u in preds {
-            if state.reached(u) && state.dist(u) == d - 1 {
-                total += state.sigma(u);
-            }
-        }
+        let preds = preds_of(cur);
+        // σ of `u` if it sits one level below `cur`, else 0.
+        let below =
+            |u: NodeId| state.record(u, tag).filter(|&(du, _)| du == d - 1).map_or(0, |r| r.1);
+        let total: u64 = preds.iter().map(|&u| below(u)).sum();
         debug_assert!(total > 0);
         let mut pick = rng.gen_range(0..total);
         let mut nxt = cur;
         for &u in preds {
-            if state.reached(u) && state.dist(u) == d - 1 {
-                let su = state.sigma(u);
-                if pick < su {
-                    nxt = u;
-                    break;
-                }
-                pick -= su;
+            let su = below(u);
+            if pick < su {
+                nxt = u;
+                break;
             }
+            pick -= su;
         }
         debug_assert_ne!(nxt, cur);
         out.push(nxt);

@@ -12,6 +12,12 @@
 //! counter wrap — without that clear, a stamp written billions of rounds ago
 //! would alias the recycled round number and resurrect stale state.
 //!
+//! Both directions of a search share one array. A reset hands out two round
+//! stamps, one *tag* per direction, and a slot holds the record of the
+//! direction whose tag it carries. No vertex is settled by both directions
+//! before the level that meets (DESIGN.md §11.6), so one slot per vertex is
+//! enough, and the slot load that relaxes an edge also finds the meet.
+//!
 //! The per-vertex state is stored as an array of structs (`Slot`): one
 //! sample touches a sparse, essentially random subset of vertices, so keeping
 //! a vertex's stamp, distance and σ in a single 16-byte record turns three
@@ -26,7 +32,7 @@ pub const UNREACHED: u32 = u32::MAX;
 /// Round-stamp integer for [`StampedState`].
 ///
 /// The default is `u32`; tests instantiate `u8` to exercise the wrap path
-/// cheaply (a `u32` stamp wraps only once per ~4 billion samples).
+/// cheaply (a `u32` stamp wraps only once per ~2 billion samples).
 pub trait Stamp: Copy + Eq + std::fmt::Debug {
     /// Inactive stamp value; `reset` never yields a round equal to it, so a
     /// cleared slot can never read as visited.
@@ -55,28 +61,42 @@ impl Stamp for u8 {
     }
 }
 
-/// Per-vertex BFS record: validity stamp, distance from the round's source,
-/// and shortest-path count σ, packed together for single-miss probes.
+/// Per-vertex BFS record: owner stamp, distance from the owner's root, and
+/// shortest-path count σ, packed together for single-miss probes.
 #[derive(Clone, Copy)]
 struct Slot<S> {
-    /// Entry is valid iff `stamp == round` of the owning state.
+    /// The tag of the direction this record belongs to.
     stamp: S,
-    /// Distance from the round's source.
+    /// Distance from the owning direction's root.
     dist: u32,
-    /// Number of shortest paths from the source.
+    /// Number of shortest paths from that root.
     sigma: u64,
 }
 
-/// One direction's worth of BFS state with O(1) reset, generic over the
-/// stamp width (see [`Stamp`]).
+/// What one [`StampedState::settle_or_merge`] found in the slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Relax {
+    /// The slot was already the direction's own: σ was merged in if it sits
+    /// at the relaxed distance, and the slot was left alone otherwise.
+    Known,
+    /// The slot was free and now holds the direction's record.
+    Settled,
+    /// The slot held the other direction's record `(dist, σ)`, now replaced
+    /// by this direction's: the two searches meet here.
+    Met(u32, u64),
+}
+
+/// Both directions' BFS state with O(1) reset, generic over the stamp width
+/// (see [`Stamp`]).
 pub struct StampedState<S: Stamp> {
-    /// Per-vertex records; `slots[v]` is valid iff `slots[v].stamp == round`.
+    /// Per-vertex records; `slots[v]` belongs to the direction whose tag
+    /// `slots[v].stamp` equals.
     slots: Vec<Slot<S>>,
-    /// Current round.
+    /// The last round stamp handed out.
     round: S,
 }
 
-/// The production stamp width: wraps once per ~4 billion samples.
+/// The production stamp width: wraps once per ~2 billion samples.
 pub type StampedBfsState = StampedState<u32>;
 
 impl<S: Stamp> StampedState<S> {
@@ -88,10 +108,18 @@ impl<S: Stamp> StampedState<S> {
         }
     }
 
-    /// Starts a fresh traversal round; O(1) except on round-counter wrap,
-    /// where every stamp is cleared so recycled round numbers cannot alias
-    /// stamps written before the wrap.
-    pub fn reset(&mut self) {
+    /// Starts a fresh traversal and hands out its two tags, one per
+    /// direction: distinct from each other and from every stamp a slot
+    /// holds. O(1) except on round-counter wrap, where every stamp is
+    /// cleared so recycled round numbers cannot alias stamps written before
+    /// the wrap (a pair may straddle it: the clear then falls between the
+    /// two tags, before either is written).
+    pub fn reset(&mut self) -> (S, S) {
+        (self.next_round(), self.next_round())
+    }
+
+    /// The round after the last one handed out, wrapping with a full clear.
+    fn next_round(&mut self) -> S {
         if self.round == S::LAST {
             for slot in &mut self.slots {
                 slot.stamp = S::CLEAR;
@@ -99,80 +127,62 @@ impl<S: Stamp> StampedState<S> {
             self.round = S::CLEAR;
         }
         self.round = self.round.next();
+        self.round
     }
 
-    /// Distance of `v` in the current round, or [`UNREACHED`].
+    /// The last tag [`Self::reset`] handed out.
+    #[cfg(test)]
+    pub(crate) fn round(&self) -> S {
+        self.round
+    }
+
+    /// Single-probe record read: `Some((dist, σ))` if `v`'s slot holds
+    /// direction `tag`'s record, else `None`. The backtrack walk's
+    /// predecessor scan is built on this.
     #[inline]
-    pub fn dist(&self, v: NodeId) -> u32 {
+    pub fn record(&self, v: NodeId, tag: S) -> Option<(u32, u64)> {
         let slot = &self.slots[v as usize];
-        if slot.stamp == self.round {
-            slot.dist
-        } else {
-            UNREACHED
-        }
-    }
-
-    /// σ(v): number of shortest source→v paths found this round (0 if unreached).
-    #[inline]
-    pub fn sigma(&self, v: NodeId) -> u64 {
-        let slot = &self.slots[v as usize];
-        if slot.stamp == self.round {
-            slot.sigma
-        } else {
-            0
-        }
-    }
-
-    /// Marks `v` visited at `dist` with initial path count `sigma`.
-    #[inline]
-    pub fn visit(&mut self, v: NodeId, dist: u32, sigma: u64) {
-        self.slots[v as usize] = Slot { stamp: self.round, dist, sigma };
-    }
-
-    /// Adds `extra` shortest paths to `v`'s count. `v` must be visited.
-    #[inline]
-    pub fn add_sigma(&mut self, v: NodeId, extra: u64) {
-        let slot = &mut self.slots[v as usize];
-        debug_assert!(slot.stamp == self.round);
-        slot.sigma = slot.sigma.saturating_add(extra);
-    }
-
-    /// Whether `v` was reached this round.
-    #[inline]
-    pub fn reached(&self, v: NodeId) -> bool {
-        self.slots[v as usize].stamp == self.round
-    }
-
-    /// Single-probe record read: `Some((dist, σ))` if `v` was reached this
-    /// round, else `None`. One slot load where separate
-    /// `reached`/`dist`/`sigma` calls would touch the slot three times — the
-    /// backtrack walk's predecessor scan is built on this.
-    #[inline]
-    pub fn record(&self, v: NodeId) -> Option<(u32, u64)> {
-        let slot = &self.slots[v as usize];
-        if slot.stamp == self.round {
+        if slot.stamp == tag {
             Some((slot.dist, slot.sigma))
         } else {
             None
         }
     }
 
-    /// Single-probe BFS relaxation for the hot sampling loop: if `v` is
-    /// unvisited this round, settles it at `dist` with count `sigma` and
-    /// returns `true`; if `v` is already settled *at the same distance*,
-    /// accumulates `sigma` and returns `false`; otherwise returns `false`
-    /// without touching the record.
+    /// σ(v) of direction `tag`: the shortest root→v paths it found (0 if
+    /// `v`'s slot is not `tag`'s).
     #[inline]
-    pub fn settle_or_merge(&mut self, v: NodeId, dist: u32, sigma: u64) -> bool {
+    pub fn sigma(&self, v: NodeId, tag: S) -> u64 {
+        self.record(v, tag).map_or(0, |(_, sigma)| sigma)
+    }
+
+    /// Gives `v`'s slot to direction `tag`, at `dist` with path count
+    /// `sigma`.
+    #[inline]
+    pub fn visit(&mut self, v: NodeId, tag: S, dist: u32, sigma: u64) {
+        self.slots[v as usize] = Slot { stamp: tag, dist, sigma };
+    }
+
+    /// Single-probe BFS relaxation for the hot sampling loop: one load of
+    /// `v`'s slot, compared with the expanding direction's `tag` and the
+    /// other direction's `far`, settles `v` at `dist` with count `sigma`,
+    /// merges `sigma` into a record already at `dist`, ignores a record
+    /// nearer the root, or takes the other direction's record over and
+    /// returns it (see [`Relax`]).
+    #[inline]
+    pub fn settle_or_merge(&mut self, v: NodeId, tag: S, far: S, dist: u32, sigma: u64) -> Relax {
         let slot = &mut self.slots[v as usize];
-        if slot.stamp == self.round {
+        if slot.stamp == tag {
             if slot.dist == dist {
                 slot.sigma = slot.sigma.saturating_add(sigma);
             }
-            false
+            return Relax::Known;
+        }
+        let old = std::mem::replace(slot, Slot { stamp: tag, dist, sigma });
+        if old.stamp == far {
+            Relax::Met(old.dist, old.sigma)
         } else {
-            *slot = Slot { stamp: self.round, dist, sigma };
-            true
+            Relax::Settled
         }
     }
 
@@ -181,30 +191,19 @@ impl<S: Stamp> StampedState<S> {
     pub fn prefetch(&self, v: NodeId) {
         prefetch_read(&self.slots, v as usize);
     }
-
-    /// Number of vertices this state was sized for.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if sized for the empty graph.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
 }
 
-/// Scratch space for one sampling thread: two stamped BFS states (forward
-/// from `s`, backward from `t`), each direction's settled vertices cut into
-/// BFS levels, and result buffers for the sampled shortest path. Every
-/// buffer holds at most one entry per vertex (the level starts one more
-/// than the levels, of which there are at most n) and is allocated at that
-/// capacity up front, so no sample — not even the first — performs a heap
-/// allocation.
+/// Scratch space for one sampling thread: the stamped BFS state both
+/// directions share (forward from `s`, backward from `t`), each direction's
+/// settled vertices cut into BFS levels, and result buffers for the sampled
+/// shortest path. Every buffer holds at most one entry per vertex (the level
+/// starts one more than the levels, of which there are at most n) and is
+/// allocated at that capacity up front, so no sample — not even the first —
+/// performs a heap allocation.
 pub struct TraversalScratch {
-    /// Forward BFS state (from the sample's source `s`).
-    pub fwd: StampedBfsState,
-    /// Backward BFS state (from the sample's target `t`).
-    pub bwd: StampedBfsState,
+    /// Both directions' BFS records, told apart by the tags
+    /// [`TraversalScratch::reset`] hands out.
+    pub state: StampedBfsState,
     /// The most recently sampled path, as interior vertices only.
     pub path: Vec<NodeId>,
     /// Vertices settled around `s`, in settling order.
@@ -217,7 +216,8 @@ pub struct TraversalScratch {
     pub levels_fwd: Vec<u32>,
     /// Where each level of `order_bwd` begins (as `levels_fwd`).
     pub levels_bwd: Vec<u32>,
-    /// Meeting-cut vertices with σ_near; the walk-back reuses it as
+    /// Meeting-cut vertices with a σ (the far side's while a level that
+    /// meets is expanded, σ_near after); the walk-back reuses it as
     /// predecessor scratch.
     pub cut: Vec<(NodeId, u64)>,
 }
@@ -226,8 +226,7 @@ impl TraversalScratch {
     /// Allocates scratch for an `n`-vertex graph.
     pub fn new(n: usize) -> Self {
         TraversalScratch {
-            fwd: StampedBfsState::new(n),
-            bwd: StampedBfsState::new(n),
+            state: StampedBfsState::new(n),
             path: Vec::with_capacity(n),
             order_fwd: Vec::with_capacity(n),
             order_bwd: Vec::with_capacity(n),
@@ -237,16 +236,16 @@ impl TraversalScratch {
         }
     }
 
-    /// Resets both directions and all buffers for a new sample.
-    pub fn reset(&mut self) {
-        self.fwd.reset();
-        self.bwd.reset();
+    /// Resets the state and all buffers for a new sample and returns the
+    /// tags of the forward and the backward direction.
+    pub fn reset(&mut self) -> (u32, u32) {
         self.path.clear();
         self.order_fwd.clear();
         self.order_bwd.clear();
         self.levels_fwd.clear();
         self.levels_bwd.clear();
         self.cut.clear();
+        self.state.reset()
     }
 }
 
@@ -257,61 +256,82 @@ mod tests {
     #[test]
     fn fresh_state_reports_unreached() {
         let mut st = StampedBfsState::new(4);
-        st.reset();
+        let (a, b) = st.reset();
         for v in 0..4 {
-            assert_eq!(st.dist(v), UNREACHED);
-            assert_eq!(st.sigma(v), 0);
-            assert!(!st.reached(v));
+            for tag in [a, b] {
+                assert_eq!(st.record(v, tag), None);
+                assert_eq!(st.sigma(v, tag), 0);
+            }
         }
     }
 
     #[test]
     fn visit_and_reset_invalidate() {
         let mut st = StampedBfsState::new(4);
-        st.reset();
-        st.visit(2, 5, 7);
-        assert_eq!(st.dist(2), 5);
-        assert_eq!(st.sigma(2), 7);
-        assert!(st.reached(2));
-        st.reset();
-        assert_eq!(st.dist(2), UNREACHED);
-        assert_eq!(st.sigma(2), 0);
-        assert!(!st.reached(2));
-    }
-
-    #[test]
-    fn add_sigma_accumulates() {
-        let mut st = StampedBfsState::new(2);
-        st.reset();
-        st.visit(0, 0, 1);
-        st.add_sigma(0, 3);
-        assert_eq!(st.sigma(0), 4);
+        let (a, _) = st.reset();
+        st.visit(2, a, 5, 7);
+        assert_eq!(st.record(2, a), Some((5, 7)));
+        assert_eq!(st.sigma(2, a), 7);
+        let (a2, b2) = st.reset();
+        for tag in [a2, b2] {
+            assert_eq!(st.record(2, tag), None);
+            assert_eq!(st.sigma(2, tag), 0);
+        }
     }
 
     #[test]
     fn settle_or_merge_matches_visit_semantics() {
         let mut st = StampedBfsState::new(3);
-        st.reset();
-        assert!(st.settle_or_merge(1, 2, 5));
-        // Same distance: merge.
-        assert!(!st.settle_or_merge(1, 2, 3));
-        assert_eq!(st.sigma(1), 8);
+        let (a, b) = st.reset();
+        assert_eq!(st.settle_or_merge(1, a, b, 2, 5), Relax::Settled);
+        // Same distance: merge, accumulating.
+        assert_eq!(st.settle_or_merge(1, a, b, 2, 3), Relax::Known);
+        assert_eq!(st.sigma(1, a), 8);
         // Larger distance: ignored.
-        assert!(!st.settle_or_merge(1, 3, 100));
-        assert_eq!(st.sigma(1), 8);
-        assert_eq!(st.dist(1), 2);
+        assert_eq!(st.settle_or_merge(1, a, b, 3, 100), Relax::Known);
+        assert_eq!(st.record(1, a), Some((2, 8)));
+        // Merges saturate.
+        assert_eq!(st.settle_or_merge(1, a, b, 2, u64::MAX), Relax::Known);
+        assert_eq!(st.sigma(1, a), u64::MAX);
+        // The other direction's slot: taken over, its record returned.
+        st.visit(2, b, 4, 6);
+        assert_eq!(st.settle_or_merge(2, a, b, 3, 9), Relax::Met(4, 6));
+        assert_eq!(st.record(2, a), Some((3, 9)));
+        assert_eq!(st.record(2, b), None);
+    }
+
+    /// A slot one direction visits is invisible to the other's tag, in
+    /// both directions and through every reader.
+    #[test]
+    fn a_slot_is_invisible_to_the_other_tag() {
+        let mut st = StampedBfsState::new(4);
+        let (a, b) = st.reset();
+        st.visit(0, a, 0, 1);
+        st.visit(3, b, 0, 1);
+        st.visit(1, a, 1, 2);
+        st.visit(2, b, 1, 5);
+        for (v, own, other) in [(0, a, b), (1, a, b), (2, b, a), (3, b, a)] {
+            assert!(st.record(v, own).is_some());
+            assert_eq!(st.record(v, other), None, "vertex {v}");
+            assert_eq!(st.sigma(v, other), 0, "vertex {v}");
+        }
+        // Relaxing the other direction's slot by its own tag merges.
+        assert_eq!(st.settle_or_merge(2, b, a, 1, 1), Relax::Known);
+        assert_eq!(st.record(2, b), Some((1, 6)));
+        assert_eq!(st.sigma(2, a), 0);
     }
 
     #[test]
     fn round_wrap_clears_stamps() {
         let mut st = StampedBfsState::new(2);
-        st.reset();
-        st.visit(0, 1, 1);
+        let (a, _) = st.reset();
+        st.visit(0, a, 1, 1);
         st.round = u32::MAX; // force the wrap path
-        st.reset();
-        assert!(!st.reached(0));
-        st.visit(1, 2, 2);
-        assert_eq!(st.dist(1), 2);
+        let (a, b) = st.reset();
+        assert_eq!((a, b), (1, 2));
+        assert_eq!(st.record(0, a), None);
+        st.visit(1, b, 2, 2);
+        assert_eq!(st.record(1, b), Some((2, 2)));
     }
 
     /// Force a *natural* stamp wrap with a `u8` stamp: without the full clear
@@ -320,47 +340,93 @@ mod tests {
     #[test]
     fn u8_stamp_survives_natural_wraparound() {
         let mut st: StampedState<u8> = StampedState::new(4);
-        // Visit vertex 3 during round 7 of the first stamp cycle.
-        for _ in 0..7 {
+        // Visit vertex 3 with the first tag of the fourth pair (round 7).
+        for _ in 0..3 {
             st.reset();
         }
-        st.visit(3, 42, 9);
-        assert_eq!(st.dist(3), 42);
-        // Run resets through the u8 wrap and back around to round 7 of the
-        // second cycle: 255 rounds per cycle, so 255 more resets land the
-        // round counter exactly where vertex 3's stale stamp sits.
-        for _ in 0..255 {
-            st.reset();
-            assert!(!st.reached(3), "stale stamp resurrected after wrap");
+        let (a, _) = st.reset();
+        assert_eq!(a, 7);
+        st.visit(3, a, 42, 9);
+        assert_eq!(st.record(3, a), Some((42, 9)));
+        // Two rounds a reset, 255 a cycle: 300 resets run through two wraps
+        // and hand out round 7 again on the way.
+        let mut seven_again = false;
+        for _ in 0..300 {
+            let (a, b) = st.reset();
+            seven_again |= a == 7 || b == 7;
+            for tag in [a, b] {
+                assert_eq!(st.record(3, tag), None, "stale stamp resurrected after wrap");
+                assert_eq!(st.sigma(3, tag), 0);
+            }
         }
-        // A second full cycle for good measure.
-        for _ in 0..255 {
-            st.reset();
-            assert!(!st.reached(3));
-            assert_eq!(st.dist(3), UNREACHED);
-            assert_eq!(st.sigma(3), 0);
-        }
+        assert!(seven_again);
         // The state still works normally after two wraps.
-        st.visit(3, 1, 2);
-        assert_eq!(st.dist(3), 1);
-        assert_eq!(st.sigma(3), 2);
+        let (a, _) = st.reset();
+        st.visit(3, a, 1, 2);
+        assert_eq!(st.record(3, a), Some((1, 2)));
+    }
+
+    /// Samples on a `u8` stamp through two natural wraps, one of them a pair
+    /// straddling `LAST`: each sample's pair finds every slot free under both
+    /// tags, then one direction's slots never read as the other's, and a
+    /// meet taken over and handed back restores the far record bit for bit.
+    #[test]
+    fn stamp_pairs_stay_apart_through_two_wraps() {
+        let n = 7;
+        let mut st: StampedState<u8> = StampedState::new(n);
+        let (mut wraps, mut straddles, mut last) = (0, 0, 0u8);
+        for r in 0..400u32 {
+            let (a, b) = st.reset();
+            assert_ne!(a, b);
+            wraps += u32::from(a < last || b < a);
+            straddles += u32::from(b < a);
+            last = b;
+            for v in 0..n as NodeId {
+                assert_eq!((st.record(v, a), st.record(v, b)), (None, None), "sample {r}");
+            }
+            // Each direction settles three vertices, the sample's own.
+            let owner = |v: NodeId| (v + r).is_multiple_of(2);
+            for v in 0..6 as NodeId {
+                let (tag, far) = if owner(v) { (a, b) } else { (b, a) };
+                assert_eq!(st.settle_or_merge(v, tag, far, r, u64::from(v) + 1), Relax::Settled);
+            }
+            for v in 0..6 as NodeId {
+                let (own, other) = if owner(v) { (a, b) } else { (b, a) };
+                assert_eq!(st.record(v, own), Some((r, u64::from(v) + 1)));
+                assert_eq!(st.record(v, other), None);
+            }
+            // A vertex `a` expands into from `b`'s side meets; handing it
+            // back leaves `b`'s record as it was.
+            let met = if owner(0) { 1 } else { 0 };
+            let before = st.record(met, b);
+            let Relax::Met(dist, sigma) = st.settle_or_merge(met, a, b, r + 1, 1) else {
+                panic!("no meet at vertex {met}, sample {r}")
+            };
+            st.visit(met, b, dist, sigma);
+            assert_eq!(st.record(met, b), before);
+            assert_eq!(st.record(met, a), None);
+        }
+        assert!(wraps >= 2, "only {wraps} wraps");
+        assert!(straddles >= 1, "no pair straddled LAST");
     }
 
     #[test]
     fn scratch_reset_clears_everything() {
         let mut sc = TraversalScratch::new(3);
-        sc.reset();
-        sc.fwd.visit(0, 0, 1);
-        sc.bwd.visit(2, 0, 1);
+        let (a, b) = sc.reset();
+        sc.state.visit(0, a, 0, 1);
+        sc.state.visit(2, b, 0, 1);
         sc.path.push(1);
         sc.order_fwd.push(0);
         sc.order_bwd.push(2);
         sc.levels_fwd.push(0);
         sc.levels_bwd.push(0);
         sc.cut.push((1, 1));
-        sc.reset();
-        assert!(!sc.fwd.reached(0));
-        assert!(!sc.bwd.reached(2));
+        let (a2, b2) = sc.reset();
+        for tag in [a2, b2] {
+            assert_eq!(sc.state.record(0, tag), None);
+            assert_eq!(sc.state.record(2, tag), None);
+        }
         assert!(sc.path.is_empty());
         assert!(sc.order_fwd.is_empty());
         assert!(sc.order_bwd.is_empty());
@@ -373,15 +439,14 @@ mod tests {
     fn many_rounds_stay_consistent() {
         let mut st = StampedBfsState::new(8);
         for r in 0..1000u32 {
-            st.reset();
+            let (a, b) = st.reset();
             let v = (r % 8) as NodeId;
-            st.visit(v, r, 1);
-            assert_eq!(st.dist(v), r);
-            // All other vertices must read unreached.
-            for u in 0..8 {
-                if u != v {
-                    assert!(!st.reached(u));
-                }
+            st.visit(v, a, r, 1);
+            assert_eq!(st.record(v, a), Some((r, 1)));
+            // All other vertices, and `v` for the other tag, read unreached.
+            assert_eq!(st.record(v, b), None);
+            for u in (0..8).filter(|&u| u != v) {
+                assert_eq!((st.record(u, a), st.record(u, b)), (None, None));
             }
         }
     }
