@@ -33,8 +33,73 @@ fn arb_weighted(
     })
 }
 
+/// Two directed fans meeting in the middle: `s = 0` → `k` mids → `j` hubs,
+/// each entered from a random non-empty subset of the mids and carrying
+/// `hub_leaves` out-leaves → `r` rims, each entered from a random non-empty
+/// subset of the hubs → `t = 1`, the first rim fed by `rim_leaves`
+/// in-leaves. The hubs reach σ above 1 from `s`; depending on the leaves,
+/// the level that meets is expanded from the hubs onto the rims or from the
+/// rims onto several hubs, the far vertices of σ above 1.
+fn directed_fans(
+    (k, j, r): (usize, usize, usize),
+    (hub_leaves, rim_leaves): (usize, usize),
+    seed: u64,
+) -> DiGraph {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let subset = |rng: &mut StdRng, from: std::ops::Range<NodeId>| {
+        let first = rng.gen_range(from.clone());
+        let mut picked: Vec<NodeId> = from.filter(|_| rng.gen_bool(0.5)).collect();
+        picked.push(first);
+        picked
+    };
+    let mids = 2..2 + k as NodeId;
+    let hubs = mids.end..mids.end + j as NodeId;
+    let rims = hubs.end..hubs.end + r as NodeId;
+    let mut arcs: Vec<(NodeId, NodeId)> = mids.clone().map(|a| (0, a)).collect();
+    for h in hubs.clone() {
+        arcs.extend(subset(&mut rng, mids.clone()).into_iter().map(|a| (a, h)));
+    }
+    for c in rims.clone() {
+        arcs.push((c, 1));
+        arcs.extend(subset(&mut rng, hubs.clone()).into_iter().map(|h| (h, c)));
+    }
+    let mut next = rims.end;
+    for h in hubs {
+        arcs.extend((next..next + hub_leaves as NodeId).map(|leaf| (h, leaf)));
+        next += hub_leaves as NodeId;
+    }
+    arcs.extend((next..next + rim_leaves as NodeId).map(|leaf| (leaf, rims.start)));
+    DiGraph::from_arcs((next + rim_leaves as NodeId) as usize, &arcs)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn directed_sampler_draws_a_shortest_path_across_two_fans(
+        sizes in (1usize..5, 2usize..5, 1usize..4),
+        leaves in (0usize..12, 0usize..12),
+        seed in 0u64..500,
+    ) {
+        let g = directed_fans(sizes, leaves, seed);
+        let all = enumerate_directed_shortest_paths(&g, 0, 1);
+        let mut sc = TraversalScratch::new(g.num_nodes());
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..8 {
+            let p = sample_directed_shortest_path(&g, 0, 1, &mut sc, &mut rng).expect("s reaches t");
+            prop_assert_eq!(p.distance, 4);
+            prop_assert_eq!(p.num_paths as usize, all.len());
+            let mut key = sc.path.clone();
+            key.sort_unstable();
+            let found = all.iter().any(|cand| {
+                let mut c = cand.clone();
+                c.sort_unstable();
+                c == key
+            });
+            prop_assert!(found, "{:?} is not a shortest path", sc.path);
+        }
+    }
 
     #[test]
     fn digraph_transpose_is_consistent((n, arcs) in arb_arcs(25, 120)) {
