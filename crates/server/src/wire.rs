@@ -80,20 +80,29 @@ impl Server {
     }
 }
 
+/// Serves one connection. Each reply line leaves in one write, with Nagle's
+/// algorithm off: a reply written as two small segments had its second held
+/// back until the client's delayed ACK, about 40 ms per round trip.
 fn handle_connection(stream: TcpStream, client: Client) {
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let Ok(mut out) = stream.try_clone() else { return };
     let reader = BufReader::new(stream);
     let mut scratch: Option<(String, QueryScratch)> = None;
+    let mut line_out = Vec::new();
     for line in reader.lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
             continue;
         }
         let reply = dispatch(&client, &line, &mut scratch).unwrap_or_else(|e| error_reply(&e));
-        if out.write_all(reply.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
+        line_out.clear();
+        line_out.extend_from_slice(reply.as_bytes());
+        line_out.push(b'\n');
+        if out.write_all(&line_out).is_err() {
             break;
         }
-        let _ = out.flush();
     }
 }
 
@@ -269,13 +278,42 @@ mod tests {
     use kadabra_telemetry::json::Json;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+    use std::time::{Duration, Instant};
 
     fn ask(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str) -> Json {
-        stream.write_all(req.as_bytes()).expect("write");
-        stream.write_all(b"\n").expect("newline");
+        stream.write_all(format!("{req}\n").as_bytes()).expect("write");
         let mut line = String::new();
         reader.read_line(&mut line).expect("reply line");
         Json::parse(&line).expect("reply json")
+    }
+
+    /// A reply leaves in one segment with Nagle off: the median of 50
+    /// sequential `vertex` round trips over loopback stays under 10 ms, where
+    /// one reply held back for the client's delayed ACK costs 40 ms or more.
+    #[test]
+    fn round_trips_do_not_wait_for_a_delayed_ack() {
+        let s = Server::new(ServerConfig { deterministic: true, background_refine: false });
+        let g = grid(GridConfig { rows: 5, cols: 5, diagonal_prob: 0.0, seed: 0 });
+        s.add_tenant("grid", &g, &TenantConfig::new(23));
+        let mut sock = s.listen("127.0.0.1:0").expect("bind");
+        let mut stream = TcpStream::connect(sock.addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let refine = r#"{"op":"refine","tenant":"grid","eps":0.25,"max_rounds":64}"#;
+        assert!(matches!(ask(&mut stream, &mut reader, refine).get("ok"), Some(Json::Bool(true))));
+
+        let mut rtts: Vec<Duration> = (0..50)
+            .map(|i| {
+                let req = format!(r#"{{"op":"vertex","tenant":"grid","v":{}}}"#, i % 25);
+                let t0 = Instant::now();
+                let r = ask(&mut stream, &mut reader, &req);
+                let rtt = t0.elapsed();
+                assert!(r.get("tau").and_then(Json::as_f64).expect("tau") > 0.0);
+                rtt
+            })
+            .collect();
+        rtts.sort_unstable();
+        assert!(rtts[25] < Duration::from_millis(10), "median round trip {:?}", rtts[25]);
+        sock.shutdown();
     }
 
     #[test]
