@@ -81,8 +81,9 @@ impl Server {
 }
 
 /// Serves one connection. Each reply line leaves in one write, with Nagle's
-/// algorithm off: a reply written as two small segments had its second held
-/// back until the client's delayed ACK, about 40 ms per round trip.
+/// algorithm off: a reply split over two small segments would have its
+/// second held back until the client's delayed ACK, about 40 ms a round
+/// trip.
 fn handle_connection(stream: TcpStream, client: Client) {
     if stream.set_nodelay(true).is_err() {
         return;
