@@ -37,7 +37,8 @@ pub trait Stamp: Copy + Eq + std::fmt::Debug {
     /// Inactive stamp value; `reset` never yields a round equal to it, so a
     /// cleared slot can never read as visited.
     const CLEAR: Self;
-    /// Largest round value; the reset after it performs the full-clear wrap.
+    /// Largest round value; a reset whose pair would pass it performs the
+    /// full-clear wrap.
     const LAST: Self;
     /// Successor of a non-[`Self::LAST`] value.
     fn next(self) -> Self;
@@ -109,25 +110,22 @@ impl<S: Stamp> StampedState<S> {
     }
 
     /// Starts a fresh traversal and hands out its two tags, one per
-    /// direction: distinct from each other and from every stamp a slot
-    /// holds. O(1) except on round-counter wrap, where every stamp is
-    /// cleared so recycled round numbers cannot alias stamps written before
-    /// the wrap (a pair may straddle it: the clear then falls between the
-    /// two tags, before either is written).
+    /// direction: two consecutive rounds, distinct from each other and from
+    /// every stamp a slot holds. O(1) except on round-counter wrap, where
+    /// every stamp is cleared so recycled round numbers cannot alias stamps
+    /// written before the wrap. A pair never straddles the wrap: its first
+    /// tag would be written after the clear and survive into the next
+    /// cycle, so a pair that would pass [`Stamp::LAST`] wraps first.
     pub fn reset(&mut self) -> (S, S) {
-        (self.next_round(), self.next_round())
-    }
-
-    /// The round after the last one handed out, wrapping with a full clear.
-    fn next_round(&mut self) -> S {
-        if self.round == S::LAST {
+        if self.round == S::LAST || self.round.next() == S::LAST {
             for slot in &mut self.slots {
                 slot.stamp = S::CLEAR;
             }
             self.round = S::CLEAR;
         }
-        self.round = self.round.next();
-        self.round
+        let first = self.round.next();
+        self.round = first.next();
+        (first, self.round)
     }
 
     /// The last tag [`Self::reset`] handed out.
@@ -183,6 +181,19 @@ impl<S: Stamp> StampedState<S> {
             Relax::Met(old.dist, old.sigma)
         } else {
             Relax::Settled
+        }
+    }
+
+    /// Hands each meeting-cut vertex, which direction `near` took over, back
+    /// to direction `far` at `far_depth` with the σ_far its cut entry holds,
+    /// and puts σ_near in the entry instead. Once the meeting level is
+    /// complete, this leaves far's records as they were before it.
+    #[inline]
+    pub fn hand_back(&mut self, cut: &mut [(NodeId, u64)], near: S, far: S, far_depth: u32) {
+        for (v, sigma) in cut {
+            let near_sigma = self.sigma(*v, near);
+            self.visit(*v, far, far_depth, *sigma);
+            *sigma = near_sigma;
         }
     }
 
@@ -348,8 +359,8 @@ mod tests {
         assert_eq!(a, 7);
         st.visit(3, a, 42, 9);
         assert_eq!(st.record(3, a), Some((42, 9)));
-        // Two rounds a reset, 255 a cycle: 300 resets run through two wraps
-        // and hand out round 7 again on the way.
+        // Two rounds a reset, 127 resets a cycle: 300 resets run through two
+        // wraps and hand out round 7 again on the way.
         let mut seven_again = false;
         for _ in 0..300 {
             let (a, b) = st.reset();
@@ -366,48 +377,43 @@ mod tests {
         assert_eq!(st.record(3, a), Some((1, 2)));
     }
 
-    /// Samples on a `u8` stamp through two natural wraps, one of them a pair
-    /// straddling `LAST`: each sample's pair finds every slot free under both
-    /// tags, then one direction's slots never read as the other's, and a
-    /// meet taken over and handed back restores the far record bit for bit.
+    /// Samples on a `u8` stamp through two natural wraps. Each direction
+    /// writes only the slot its tag names, so a slot written near a wrap
+    /// (the last pairs of a cycle included) keeps that stamp until the same
+    /// tag comes round in a later cycle. Every pair must find every slot
+    /// free under both tags, no pair may straddle the wrap (its first tag
+    /// would be written after the clear and never cleared again), one
+    /// direction's slot never reads as the other's, and a meet taken over
+    /// and handed back restores the far record bit for bit.
     #[test]
     fn stamp_pairs_stay_apart_through_two_wraps() {
-        let n = 7;
+        let n = 256;
         let mut st: StampedState<u8> = StampedState::new(n);
         let (mut wraps, mut straddles, mut last) = (0, 0, 0u8);
         for r in 0..400u32 {
             let (a, b) = st.reset();
-            assert_ne!(a, b);
-            wraps += u32::from(a < last || b < a);
-            straddles += u32::from(b < a);
-            last = b;
             for v in 0..n as NodeId {
-                assert_eq!((st.record(v, a), st.record(v, b)), (None, None), "sample {r}");
+                assert_eq!((st.record(v, a), st.record(v, b)), (None, None), "{v}, sample {r}");
             }
-            // Each direction settles three vertices, the sample's own.
-            let owner = |v: NodeId| (v + r).is_multiple_of(2);
-            for v in 0..6 as NodeId {
-                let (tag, far) = if owner(v) { (a, b) } else { (b, a) };
-                assert_eq!(st.settle_or_merge(v, tag, far, r, u64::from(v) + 1), Relax::Settled);
-            }
-            for v in 0..6 as NodeId {
-                let (own, other) = if owner(v) { (a, b) } else { (b, a) };
-                assert_eq!(st.record(v, own), Some((r, u64::from(v) + 1)));
-                assert_eq!(st.record(v, other), None);
-            }
-            // A vertex `a` expands into from `b`'s side meets; handing it
-            // back leaves `b`'s record as it was.
-            let met = if owner(0) { 1 } else { 0 };
-            let before = st.record(met, b);
-            let Relax::Met(dist, sigma) = st.settle_or_merge(met, a, b, r + 1, 1) else {
-                panic!("no meet at vertex {met}, sample {r}")
+            wraps += u32::from(a < last);
+            straddles += u32::from(b <= a);
+            last = b;
+            let (va, vb) = (NodeId::from(a), NodeId::from(b));
+            assert_eq!(st.settle_or_merge(va, a, b, r, 1), Relax::Settled);
+            assert_eq!(st.settle_or_merge(vb, b, a, r, 2), Relax::Settled);
+            assert_eq!((st.record(va, b), st.record(vb, a)), (None, None), "sample {r}");
+            // `a` expanding into `b`'s slot meets; handing it back leaves
+            // `b`'s record as it was and puts σ_a in the cut entry.
+            let Relax::Met(dist, sigma) = st.settle_or_merge(vb, a, b, r + 1, 3) else {
+                panic!("no meet at vertex {vb}, sample {r}")
             };
-            st.visit(met, b, dist, sigma);
-            assert_eq!(st.record(met, b), before);
-            assert_eq!(st.record(met, a), None);
+            let mut cut = [(vb, sigma)];
+            st.hand_back(&mut cut, a, b, dist);
+            assert_eq!(cut, [(vb, 3)]);
+            assert_eq!((st.record(vb, b), st.record(vb, a)), (Some((r, 2)), None));
         }
         assert!(wraps >= 2, "only {wraps} wraps");
-        assert!(straddles >= 1, "no pair straddled LAST");
+        assert_eq!(straddles, 0, "a pair straddled the wrap");
     }
 
     #[test]
