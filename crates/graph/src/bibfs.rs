@@ -165,11 +165,7 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
         if !cut.is_empty() {
             // The level is complete: hand each cut vertex back to the far
             // side as the level found it, its entry taking σ_near.
-            for (v, sigma) in cut.iter_mut() {
-                let near_sigma = state.sigma(*v, near.tag);
-                state.visit(*v, far.tag, far.depth, *sigma);
-                *sigma = near_sigma;
-            }
+            state.hand_back(cut, near.tag, far.tag, far.depth);
             break (near, far);
         }
         let level = near.level(near.depth + 1);

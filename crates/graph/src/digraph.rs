@@ -258,11 +258,7 @@ pub fn sample_directed_shortest_path<R: Rng + ?Sized>(
             continue;
         }
         // Hand each cut vertex back to the far side; its entry takes σ_near.
-        for (v, sigma) in cut.iter_mut() {
-            let near_sigma = state.sigma(*v, tag);
-            state.visit(*v, far_tag, far_depth, *sigma);
-            *sigma = near_sigma;
-        }
+        state.hand_back(cut, tag, far_tag, far_depth);
         let distance = new_depth + far_depth;
         let weight =
             |v: NodeId, sn: u64| (sn as u128).saturating_mul(state.sigma(v, far_tag) as u128);
