@@ -81,13 +81,13 @@ impl Server {
 }
 
 /// Serves one connection. Each reply line leaves in one write, with Nagle's
-/// algorithm off: a reply split over two small segments would have its
-/// second held back until the client's delayed ACK, about 40 ms a round
-/// trip.
+/// algorithm off where the socket allows it: a reply split over two small
+/// segments would have its second held back until the client's delayed ACK,
+/// about 40 ms a round trip.
 fn handle_connection(stream: TcpStream, client: Client) {
-    if stream.set_nodelay(true).is_err() {
-        return;
-    }
+    // Best effort: the single write already keeps a short reply in one
+    // segment, so a socket that refuses the option is still served.
+    let _ = stream.set_nodelay(true);
     let Ok(mut out) = stream.try_clone() else { return };
     let reader = BufReader::new(stream);
     let mut scratch: Option<(String, QueryScratch)> = None;
