@@ -37,10 +37,13 @@
 //! direction keeps the vertices it settled cut into BFS levels, so a step
 //! finds its predecessors from whichever is shorter, the row or the level
 //! below (DESIGN.md §11.6).
+//!
+//! Nothing above needs symmetric rows: a digraph runs the same kernel, the
+//! search from `s` on its out-rows and the one from `t` on the transpose.
 
 use crate::bfs::sigma_bfs;
 use crate::csr::{Graph, NodeId};
-use crate::scratch::{Relax, StampedBfsState, TraversalScratch};
+use crate::scratch::{Relax, StampedBfsState, TraversalScratch, UNREACHED};
 use crate::view::GraphView;
 use rand::Rng;
 
@@ -128,6 +131,7 @@ pub fn sample_shortest_path_with_stats<G: GraphView, R: Rng + ?Sized>(
 /// one-entry-per-vertex bound by [`TraversalScratch::new`], so a call performs
 /// no heap allocation at all — the property the allocation-regression test in
 /// `kadabra-core` pins down.
+#[inline]
 pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     s: NodeId,
@@ -136,13 +140,31 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
     rng: &mut R,
     stats: &mut SearchStats,
 ) -> Option<SampleInfo> {
+    sample_along(g, g, s, t, scratch, rng, stats)
+}
+
+/// The kernel: the search from `s` expands along `fwd`'s rows, the one from
+/// `t` along `bwd`'s, and they must be each other's transpose,
+/// `u ∈ fwd(v) ⇔ v ∈ bwd(u)` — one symmetric view passed twice, or a
+/// digraph's out-rows and in-rows. Each side expands, costs its levels and
+/// prefetches through its own rows; the meet test reads the far side's, a
+/// walk the other side's (DESIGN.md §11.6).
+pub(crate) fn sample_along<V: GraphView, R: Rng + ?Sized>(
+    fwd: &V,
+    bwd: &V,
+    s: NodeId,
+    t: NodeId,
+    scratch: &mut TraversalScratch,
+    rng: &mut R,
+    stats: &mut SearchStats,
+) -> Option<SampleInfo> {
     assert!(s != t, "sampling requires distinct endpoints");
-    assert!((s as usize) < g.num_nodes() && (t as usize) < g.num_nodes());
+    assert!((s as usize) < fwd.num_nodes() && (t as usize) < fwd.num_nodes());
     let (s_tag, t_tag) = scratch.reset();
     let TraversalScratch { state, path, order_fwd, order_bwd, levels_fwd, levels_bwd, cut } =
         scratch;
-    let mut fwd = Side::start(g, state, s_tag, order_fwd, levels_fwd, s);
-    let mut bwd = Side::start(g, state, t_tag, order_bwd, levels_bwd, t);
+    let mut fwd = Side::start(fwd, state, s_tag, order_fwd, levels_fwd, s);
+    let mut bwd = Side::start(bwd, state, t_tag, order_bwd, levels_bwd, t);
     stats.vertices_settled += 2;
 
     let (near, far) = loop {
@@ -156,12 +178,12 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
         // same set.
         let searches = (near.frontier().len() as u64).saturating_mul(far.cost.searches);
         if searches.saturating_mul(2) < near.cost.degrees {
-            stats.edges_scanned += meet_from_far(g, state, near, far, cut);
+            stats.edges_scanned += meet_from_far(state, near, far, cut);
             if !cut.is_empty() {
                 break (near, far);
             }
         }
-        near.expand(g, state, far, cut, stats);
+        near.expand(state, far, cut, stats);
         if !cut.is_empty() {
             // The level is complete: hand each cut vertex back to the far
             // side as the level found it, its entry taking σ_near.
@@ -174,10 +196,10 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
         }
         // The next balance decision reads this level's cost; the meeting
         // level, usually the widest, never pays for one.
-        near.cost = LevelCost::of(g, level);
+        near.cost = LevelCost::of(near.rows, level);
         near.depth += 1;
     };
-    let (info, probes) = select_and_backtrack(g, state, cut, near, far, path, rng);
+    let (info, probes) = select_and_backtrack(state, cut, near, far, path, rng);
     stats.walk_probes += probes;
     Some(info)
 }
@@ -191,10 +213,10 @@ struct LevelCost {
 }
 
 impl LevelCost {
-    /// Both sums over `level`, in one pass.
-    fn of<G: GraphView>(g: &G, level: &[NodeId]) -> LevelCost {
+    /// Both sums over `level`'s rows in `rows`, in one pass.
+    fn of<V: GraphView>(rows: &V, level: &[NodeId]) -> LevelCost {
         level.iter().fold(LevelCost { degrees: 0, searches: 0 }, |c, &v| {
-            let deg = g.degree(v);
+            let deg = rows.degree(v);
             LevelCost { degrees: c.degrees + deg as u64, searches: c.searches + search_cost(deg) }
         })
     }
@@ -206,7 +228,9 @@ fn search_cost(deg: usize) -> u64 {
 }
 
 /// One direction of the search.
-struct Side<'a> {
+struct Side<'a, V> {
+    /// The rows this direction expands along.
+    rows: &'a V,
     /// The stamp of this direction's records in the shared state.
     tag: u32,
     /// Settled vertices in settling order.
@@ -222,20 +246,20 @@ struct Side<'a> {
     cost: LevelCost,
 }
 
-impl<'a> Side<'a> {
-    /// Settles `root` as level 0 of the direction `tag`.
-    fn start<G: GraphView>(
-        g: &G,
+impl<'a, V: GraphView> Side<'a, V> {
+    /// Settles `root` as level 0 of the direction `tag`, growing along `rows`.
+    fn start(
+        rows: &'a V,
         state: &mut StampedBfsState,
         tag: u32,
         order: &'a mut Vec<NodeId>,
         levels: &'a mut Vec<u32>,
         root: NodeId,
-    ) -> Side<'a> {
+    ) -> Side<'a, V> {
         state.visit(root, tag, 0, 1);
         order.push(root);
         levels.push(0);
-        Side { tag, order, levels, root, depth: 0, cost: LevelCost::of(g, &[root]) }
+        Side { rows, tag, order, levels, root, depth: 0, cost: LevelCost::of(rows, &[root]) }
     }
 
     /// The vertices at distance `d` from the root, for a level that is
@@ -256,15 +280,14 @@ impl<'a> Side<'a> {
     /// over and `cut` keeps the vertex with σ_far, for the caller to hand
     /// back once the level is complete. After a meet test that found no cut,
     /// no slot of `far`'s can come up.
-    fn expand<G: GraphView>(
+    fn expand(
         &mut self,
-        g: &G,
         state: &mut StampedBfsState,
-        far: &Side<'_>,
+        far: &Side<'_, V>,
         cut: &mut Vec<(NodeId, u64)>,
         stats: &mut SearchStats,
     ) {
-        let (order, levels) = (&mut *self.order, &mut *self.levels);
+        let (rows, order, levels) = (self.rows, &mut *self.order, &mut *self.levels);
         let (tag, new_depth) = (self.tag, self.depth + 1);
         let (start, end) = (levels[levels.len() - 1] as usize, order.len());
         // `order` holds each vertex at most once and ids are u32: this fits.
@@ -274,10 +297,10 @@ impl<'a> Side<'a> {
             // Pull the next frontier vertex's adjacency row while scanning
             // this one's.
             if i + 1 < end {
-                g.prefetch_neighbors(order[i + 1]);
+                rows.prefetch_neighbors(order[i + 1]);
             }
             let su = state.sigma(u, tag);
-            let adj = g.neighbors(u);
+            let adj = rows.neighbors(u);
             stats.edges_scanned += adj.len() as u64;
             for (j, &v) in adj.iter().enumerate() {
                 // Pull the slots a few probes ahead: the v's are
@@ -304,16 +327,16 @@ impl<'a> Side<'a> {
 /// vertex `w` adjacent to the near frontier, each with σ_near(w), the
 /// saturating sum of σ over those neighbours — the vertices, and the σ, that
 /// expanding `near` would settle on the far side (a saturating sum of
-/// non-negative terms does not depend on their order). For each `w` it
-/// either scans `row(w)` against the near records or binary-searches each
-/// near-frontier vertex in `row(w)`, whichever reads less, as the walk-back
-/// does. Returns the entries read, a binary search counting
-/// ⌈log₂(deg + 1)⌉.
-fn meet_from_far<G: GraphView>(
-    g: &G,
+/// non-negative terms does not depend on their order). `row(w)` is `w`'s
+/// row in the far side's rows: the vertices the near side steps to `w` from.
+/// For each `w` it either scans `row(w)` against the near records or
+/// binary-searches each near-frontier vertex in `row(w)`, whichever reads
+/// less, as the walk-back does. Returns the entries read, a binary search
+/// counting ⌈log₂(deg + 1)⌉.
+fn meet_from_far<V: GraphView>(
     state: &StampedBfsState,
-    near: &Side<'_>,
-    far: &Side<'_>,
+    near: &Side<'_, V>,
+    far: &Side<'_, V>,
     cut: &mut Vec<(NodeId, u64)>,
 ) -> u64 {
     let (level, tag) = (near.frontier(), near.tag);
@@ -321,9 +344,9 @@ fn meet_from_far<G: GraphView>(
     let mut reads = 0u64;
     for (i, &w) in targets.iter().enumerate() {
         if let Some(&next) = targets.get(i + 1) {
-            g.prefetch_neighbors(next);
+            far.rows.prefetch_neighbors(next);
         }
-        let adj = g.neighbors(w);
+        let adj = far.rows.neighbors(w);
         let search = search_cost(adj.len());
         let mut sigma = 0u64;
         if (level.len() as u64) * search < adj.len() as u64 {
@@ -369,12 +392,11 @@ fn meet_from_far<G: GraphView>(
 /// cut is put into a canonical order before any RNG is consumed. Selection
 /// then depends only on the level sets and the RNG stream, never on
 /// traversal schedule, nor on which side found the cut.
-fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
-    g: &G,
+fn select_and_backtrack<V: GraphView, R: Rng + ?Sized>(
     state: &StampedBfsState,
     cut: &mut Vec<(NodeId, u64)>,
-    near: &Side<'_>,
-    far: &Side<'_>,
+    near: &Side<'_, V>,
+    far: &Side<'_, V>,
     path: &mut Vec<NodeId>,
     rng: &mut R,
 ) -> (SampleInfo, u64) {
@@ -401,11 +423,11 @@ fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
     // dead once a vertex is drawn, so the walks reuse it as predecessor
     // scratch — no extra allocation, no extra plumbing.
     path.clear();
-    let probes = backtrack(g, state, near, chosen, near.depth + 1, path, cut, rng);
+    let probes = backtrack(state, near, far.rows, chosen, near.depth + 1, path, cut, rng);
     if chosen != far.root {
         path.push(chosen);
     }
-    let probes = probes + backtrack(g, state, far, chosen, far.depth, path, cut, rng);
+    let probes = probes + backtrack(state, far, near.rows, chosen, far.depth, path, cut, rng);
     let distance = near.depth + 1 + far.depth;
     debug_assert_eq!(
         // xtask: allow(determinism) — a shortest path visits each vertex at
@@ -432,21 +454,21 @@ const BACKTRACK_PREFETCH_DIST: usize = 6;
 /// never settled it, or the expansion handed it back to the far side.
 ///
 /// The predecessors of `cur` are the vertices of level `d - 1` in
-/// `row(cur)`, and each step finds them from whichever side is cheaper:
-/// scanning the row and probing every entry's record, or, when the level is
-/// short against a long row (a hub reached from a low-degree root), testing
-/// each level vertex for membership in the row by binary search and sorting
-/// the hits by id. Rows are strictly increasing, so id order is row order:
+/// `row(cur)`, its row in `rows`, the transpose of `side`'s rows. Each step
+/// finds them from whichever side is cheaper: scanning the row and probing
+/// every entry's record, or, when the level is short against a long row (a
+/// hub reached from a low-degree root), testing each level vertex for
+/// membership in the row by binary search and sorting the hits by id. Rows are strictly increasing, so id order is row order:
 /// either way `preds` (caller scratch, clobbered) ends up as the same list,
 /// the draw is made from it with the same `total`, and the drawn
 /// predecessor — and the RNG stream — do not depend on the branch.
 ///
 /// Returns the probes made: row entries read plus level vertices tested.
 #[allow(clippy::too_many_arguments)]
-fn backtrack<G: GraphView, R: Rng + ?Sized>(
-    g: &G,
+fn backtrack<V: GraphView, R: Rng + ?Sized>(
     state: &StampedBfsState,
-    side: &Side<'_>,
+    side: &Side<'_, V>,
+    rows: &V,
     from: NodeId,
     mut d: u32,
     out: &mut Vec<NodeId>,
@@ -457,7 +479,7 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
     let mut probes = 0u64;
     let mut cur = from;
     while d > 1 {
-        let adj = g.neighbors(cur);
+        let adj = rows.neighbors(cur);
         let level = side.level(d - 1);
         preds.clear();
         let search = search_cost(adj.len()) as usize;
@@ -501,12 +523,12 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
             pick -= su;
         }
         debug_assert_ne!(nxt, cur);
-        g.prefetch_neighbors(nxt);
+        rows.prefetch_neighbors(nxt);
         out.push(nxt);
         cur = nxt;
         d -= 1;
     }
-    debug_assert!(d == 0 || g.has_edge(cur, side.root) || cur == side.root);
+    debug_assert!(d == 0 || rows.has_edge(cur, side.root) || cur == side.root);
     probes
 }
 
@@ -516,38 +538,43 @@ fn backtrack<G: GraphView, R: Rng + ?Sized>(
 /// Each returned path lists interior vertices in s→t order.
 pub fn enumerate_shortest_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
     assert!(s != t);
-    let res = sigma_bfs(g, s);
-    if res.dist[t as usize] == crate::scratch::UNREACHED {
-        return Vec::new();
-    }
-    // DFS backwards from t over the shortest-path DAG.
-    let mut paths = Vec::new();
-    let mut stack = vec![t];
-    fn rec(
-        g: &Graph,
+    enumerate_back(g, &sigma_bfs(g, s).dist, s, t)
+}
+
+/// Every shortest `s`-`t` path by DFS backwards from `t` over the
+/// shortest-path DAG: the predecessors of `v` are the vertices of `preds`'
+/// row of `v` one level closer to `s` by `dist`, the distances from `s`.
+pub(crate) fn enumerate_back<V: GraphView>(
+    preds: &V,
+    dist: &[u32],
+    s: NodeId,
+    t: NodeId,
+) -> Vec<Vec<NodeId>> {
+    fn rec<V: GraphView>(
+        preds: &V,
         dist: &[u32],
         s: NodeId,
-        cur: NodeId,
         stack: &mut Vec<NodeId>,
         paths: &mut Vec<Vec<NodeId>>,
     ) {
+        let cur = stack[stack.len() - 1];
         if cur == s {
             // stack holds t..=s reversed; interior = everything but ends.
-            let mut interior: Vec<NodeId> = stack[1..stack.len() - 1].to_vec();
-            interior.reverse();
-            paths.push(interior);
+            paths.push(stack[1..stack.len() - 1].iter().rev().copied().collect());
             return;
         }
-        let d = dist[cur as usize];
-        for &u in g.neighbors(cur) {
-            if dist[u as usize] + 1 == d {
+        for &u in preds.neighbors(cur) {
+            if dist[u as usize] != UNREACHED && dist[u as usize] + 1 == dist[cur as usize] {
                 stack.push(u);
-                rec(g, dist, s, u, stack, paths);
+                rec(preds, dist, s, stack, paths);
                 stack.pop();
             }
         }
     }
-    rec(g, &res.dist, s, t, &mut stack, &mut paths);
+    let mut paths = Vec::new();
+    if dist[t as usize] != UNREACHED {
+        rec(preds, dist, s, &mut vec![t], &mut paths);
+    }
     paths
 }
 
@@ -812,6 +839,7 @@ mod tests {
     /// hands every cut vertex back).
     mod oracle {
         use super::*;
+        use crate::digraph::DiGraph;
         use crate::generators::{gnm, grid, rmat, GnmConfig, GridConfig, RmatConfig};
         use proptest::prelude::*;
 
@@ -932,18 +960,10 @@ mod tests {
         pub(super) fn agree_on(g: &Graph, pairs: usize, seed: u64) -> Branches {
             let mut seen = Branches::default();
             let n = g.num_nodes();
-            let mut pick = StdRng::seed_from_u64(seed);
             let (mut sc, mut rsc) = (TraversalScratch::new(n), reference::Scratch::new(n));
             let (mut rng, mut rrng) =
                 (StdRng::seed_from_u64(seed ^ 7), StdRng::seed_from_u64(seed ^ 7));
-            for i in 0..pairs {
-                let (s, t) = match i {
-                    0 => (0, 1),
-                    _ => (pick.gen_range(0..n as NodeId), pick.gen_range(0..n as NodeId)),
-                };
-                if s == t {
-                    continue;
-                }
+            for (s, t) in draw_pairs(n, pairs, seed) {
                 let (mut st, mut rst) = (SearchStats::default(), SearchStats::default());
                 let got = sample_shortest_path_into(g, s, t, &mut sc, &mut rng, &mut st);
                 let want =
@@ -991,6 +1011,18 @@ mod tests {
             seen
         }
 
+        /// The pair (0, 1) and `pairs - 1` random pairs of `0..n` drawn from
+        /// `seed`, those with `s == t` left out.
+        fn draw_pairs(n: usize, pairs: usize, seed: u64) -> impl Iterator<Item = (NodeId, NodeId)> {
+            let mut pick = StdRng::seed_from_u64(seed);
+            (0..pairs)
+                .map(move |i| match i {
+                    0 => (0, 1),
+                    _ => (pick.gen_range(0..n as NodeId), pick.gen_range(0..n as NodeId)),
+                })
+                .filter(|&(s, t)| s != t)
+        }
+
         /// [`agree_on`] over the graph families at 40 seeds each.
         fn branches_taken() -> Branches {
             let mut seen = Branches::default();
@@ -1016,6 +1048,45 @@ mod tests {
                 seed in any::<u64>(),
             ) {
                 agree_on(&draw_graph(family, a, b, seed), 24, seed);
+            }
+
+            /// A digraph holding both orientations of every edge of `g`
+            /// samples exactly as `g` does: its out-rows and in-rows are both
+            /// `g`'s rows, so the kernel reads what it reads on `g`, and
+            /// returns the same sample, interior, counters and RNG position.
+            #[test]
+            fn symmetric_digraph_samples_as_its_graph(
+                (family, a, b) in (0u8..6, 0usize..64, 0usize..64),
+                seed in any::<u64>(),
+            ) {
+                let g = draw_graph(family, a, b, seed);
+                let arcs: Vec<_> = g.edges().flat_map(|(u, v)| [(u, v), (v, u)]).collect();
+                let dg = DiGraph::from_arcs(g.num_nodes(), &arcs);
+                let n = g.num_nodes();
+                let (mut sc, mut dsc) = (TraversalScratch::new(n), TraversalScratch::new(n));
+                let (mut rng, mut drng) =
+                    (StdRng::seed_from_u64(seed ^ 7), StdRng::seed_from_u64(seed ^ 7));
+                for (s, t) in draw_pairs(n, 24, seed) {
+                    let (mut st, mut dst) = (SearchStats::default(), SearchStats::default());
+                    let want = sample_shortest_path_into(&g, s, t, &mut sc, &mut rng, &mut st);
+                    let got = dg.sample_into(s, t, &mut dsc, &mut drng, &mut dst);
+                    prop_assert_eq!(got, want, "s={} t={}", s, t);
+                    prop_assert_eq!(&dsc.path, &sc.path, "interior, s={} t={}", s, t);
+                    prop_assert_eq!(
+                        (dst.edges_scanned, dst.vertices_settled, dst.walk_probes),
+                        (st.edges_scanned, st.vertices_settled, st.walk_probes),
+                        "counters, s={} t={}",
+                        s,
+                        t
+                    );
+                    prop_assert_eq!(
+                        drng.clone().gen::<u64>(),
+                        rng.clone().gen::<u64>(),
+                        "RNG position, s={} t={}",
+                        s,
+                        t
+                    );
+                }
             }
         }
 

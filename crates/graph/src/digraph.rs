@@ -2,26 +2,70 @@
 //!
 //! Footnote 1 of the paper: "The parallelization techniques considered in
 //! this paper also apply to directed and/or weighted graphs if the required
-//! modifications to the underlying sampling algorithm are done." This module
-//! provides those modifications' substrate for the *directed* case: a CSR
+//! modifications to the underlying sampling algorithm are done." For the
+//! *directed* case the modification is the one Section IV-F names: a CSR
 //! digraph storing both the out-adjacency and the in-adjacency ("NetworKit
 //! stores both the graph and its reverse/transpose to be able to efficiently
-//! compute a bidirectional BFS", Section IV-F), directed BFS, and the
-//! directed bidirectional uniform shortest-path sampler.
+//! compute a bidirectional BFS"). The sampler is then the kernel of
+//! [`crate::bibfs`], its search from `s` expanding along out-rows and its
+//! search from `t` along in-rows.
 
-use crate::bibfs::{SampleInfo, SearchStats};
+use crate::bibfs::{enumerate_back, sample_along, SampleInfo, SearchStats};
 use crate::csr::NodeId;
-use crate::scratch::{Relax, StampedBfsState, TraversalScratch, UNREACHED};
+use crate::scratch::{TraversalScratch, UNREACHED};
 use crate::source::{KadabraGraph, PathSource};
+use crate::view::GraphView;
 use rand::Rng;
 
 /// A static directed graph: out-edges in CSR form plus the transpose.
 #[derive(Clone, PartialEq, Eq)]
 pub struct DiGraph {
-    out_offsets: Vec<u64>,
-    out_targets: Vec<NodeId>,
-    in_offsets: Vec<u64>,
-    in_targets: Vec<NodeId>,
+    out: Rows,
+    inn: Rows,
+}
+
+/// One direction's sorted rows in CSR form: a [`GraphView`] whose rows are
+/// not symmetric, which the kernel reads only beside its transpose.
+#[derive(Clone, PartialEq, Eq)]
+struct Rows {
+    offsets: Vec<u64>,
+    targets: Vec<NodeId>,
+}
+
+impl Rows {
+    /// Rows over `n` vertices from `pairs`, sorted and duplicate-free.
+    fn from_sorted(n: usize, pairs: &[(NodeId, NodeId)]) -> Rows {
+        let mut offsets = vec![0u64; n + 1];
+        for &(u, _) in pairs {
+            offsets[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        Rows { offsets, targets: pairs.iter().map(|&(_, v)| v).collect() }
+    }
+}
+
+impl GraphView for Rows {
+    #[inline]
+    fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    #[inline]
+    fn degree(&self, v: NodeId) -> usize {
+        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
+    }
+
+    #[inline]
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        &self.targets[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
+    }
+
+    #[inline]
+    fn prefetch_neighbors(&self, v: NodeId) {
+        crate::prefetch::prefetch_read(&self.targets, self.offsets[v as usize] as usize);
+    }
 }
 
 impl DiGraph {
@@ -39,68 +83,60 @@ impl DiGraph {
             .collect();
         cleaned.sort_unstable();
         cleaned.dedup();
-        let build = |n: usize, pairs: &[(NodeId, NodeId)]| -> (Vec<u64>, Vec<NodeId>) {
-            let mut offsets = vec![0u64; n + 1];
-            for &(u, _) in pairs {
-                offsets[u as usize + 1] += 1;
-            }
-            for i in 0..n {
-                offsets[i + 1] += offsets[i];
-            }
-            let mut cursor = offsets[..n].to_vec();
-            let mut targets = vec![0 as NodeId; pairs.len()];
-            for &(u, v) in pairs {
-                targets[cursor[u as usize] as usize] = v;
-                cursor[u as usize] += 1;
-            }
-            (offsets, targets)
-        };
-        let (out_offsets, out_targets) = build(n, &cleaned);
+        let out = Rows::from_sorted(n, &cleaned);
         let mut reversed: Vec<(NodeId, NodeId)> = cleaned.iter().map(|&(u, v)| (v, u)).collect();
         reversed.sort_unstable();
-        let (in_offsets, in_targets) = build(n, &reversed);
-        DiGraph { out_offsets, out_targets, in_offsets, in_targets }
+        DiGraph { out, inn: Rows::from_sorted(n, &reversed) }
     }
 
     /// Number of vertices.
     pub fn num_nodes(&self) -> usize {
-        self.out_offsets.len() - 1
+        GraphView::num_nodes(&self.out)
     }
 
     /// Number of arcs.
     pub fn num_arcs(&self) -> usize {
-        self.out_targets.len()
+        self.out.targets.len()
     }
 
     /// Out-neighbours of `v` (sorted).
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let lo = self.out_offsets[v as usize] as usize;
-        let hi = self.out_offsets[v as usize + 1] as usize;
-        &self.out_targets[lo..hi]
+        self.out.neighbors(v)
     }
 
     /// In-neighbours of `v` (sorted) — the transpose adjacency.
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let lo = self.in_offsets[v as usize] as usize;
-        let hi = self.in_offsets[v as usize + 1] as usize;
-        &self.in_targets[lo..hi]
+        self.inn.neighbors(v)
     }
 
     /// Out-degree of `v`.
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out_neighbors(v).len()
+        self.out.degree(v)
     }
 
     /// In-degree of `v`.
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.in_neighbors(v).len()
+        self.inn.degree(v)
     }
 
     /// Whether the arc `u -> v` exists.
     pub fn has_arc(&self, u: NodeId, v: NodeId) -> bool {
-        self.out_neighbors(u).binary_search(&v).is_ok()
+        self.out.has_edge(u, v)
+    }
+
+    /// The kernel of [`crate::bibfs`] from `s` along out-rows and from `t`
+    /// along in-rows, with its search statistics.
+    pub(crate) fn sample_into<R: Rng + ?Sized>(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        scratch: &mut TraversalScratch,
+        rng: &mut R,
+        stats: &mut SearchStats,
+    ) -> Option<SampleInfo> {
+        sample_along(&self.out, &self.inn, s, t, scratch, rng, stats)
     }
 }
 
@@ -157,9 +193,9 @@ impl PathSource for DiGraph {
         t: NodeId,
         scratch: &mut TraversalScratch,
         rng: &mut R,
-        _stats: &mut SearchStats,
+        stats: &mut SearchStats,
     ) -> Option<u32> {
-        sample_directed_shortest_path(self, s, t, scratch, rng).map(|info| info.distance)
+        self.sample_into(s, t, scratch, rng, stats).map(|info| info.distance)
     }
 }
 
@@ -189,12 +225,9 @@ impl KadabraGraph for DiGraph {
     }
 }
 
-/// Samples a uniformly random shortest directed `s -> t` path with a
-/// balanced bidirectional BFS: the forward search follows out-edges, the
-/// backward search follows in-edges (this is where the stored transpose
-/// pays off). Correctness argument identical to the undirected sampler
-/// (see [`crate::bibfs`]); the cut/σ algebra is direction-agnostic. The
-/// interior is left in `scratch.path` (empty on `None`).
+/// Samples a uniformly random shortest directed `s -> t` path, leaving its
+/// interior in `scratch.path` (empty on `None`): [`DiGraph`]'s
+/// [`PathSource`] sample without the search statistics.
 pub fn sample_directed_shortest_path<R: Rng + ?Sized>(
     g: &DiGraph,
     s: NodeId,
@@ -202,166 +235,14 @@ pub fn sample_directed_shortest_path<R: Rng + ?Sized>(
     scratch: &mut TraversalScratch,
     rng: &mut R,
 ) -> Option<SampleInfo> {
-    assert!(s != t, "sampling requires distinct endpoints");
-    assert!((s as usize) < g.num_nodes() && (t as usize) < g.num_nodes());
-    let (s_tag, t_tag) = scratch.reset();
-    let TraversalScratch { state, path, cut, .. } = scratch;
-
-    let mut frontier_s = vec![s];
-    let mut frontier_t = vec![t];
-    state.visit(s, s_tag, 0, 1);
-    state.visit(t, t_tag, 0, 1);
-    let mut ds = 0u32;
-    let mut dt = 0u32;
-    let mut deg_s = g.out_degree(s) as u64;
-    let mut deg_t = g.in_degree(t) as u64;
-
-    loop {
-        if frontier_s.is_empty() || frontier_t.is_empty() {
-            return None;
-        }
-        let expand_fwd = deg_s <= deg_t;
-        let (frontier, depth, tag, far_tag, far_depth) = if expand_fwd {
-            (&mut frontier_s, &mut ds, s_tag, t_tag, dt)
-        } else {
-            (&mut frontier_t, &mut dt, t_tag, s_tag, ds)
-        };
-        let new_depth = *depth + 1;
-        let mut next = Vec::new();
-        let mut next_deg = 0u64;
-        for &u in frontier.iter() {
-            let su = state.sigma(u, tag);
-            let neigh = if expand_fwd { g.out_neighbors(u) } else { g.in_neighbors(u) };
-            for &v in neigh {
-                // As in the undirected kernel: a meet takes the far slot
-                // over, keeping σ_far in `cut` until the level is complete.
-                match state.settle_or_merge(v, tag, far_tag, new_depth, su) {
-                    Relax::Known => continue,
-                    Relax::Settled => {}
-                    Relax::Met(k, far_sigma) => {
-                        debug_assert_eq!(k, far_depth, "every meet is at the far radius");
-                        cut.push((v, far_sigma));
-                    }
-                }
-                next.push(v);
-                next_deg += if expand_fwd { g.out_degree(v) as u64 } else { g.in_degree(v) as u64 };
-            }
-        }
-        *depth = new_depth;
-        *frontier = next;
-        if expand_fwd {
-            deg_s = next_deg;
-        } else {
-            deg_t = next_deg;
-        }
-        if cut.is_empty() {
-            continue;
-        }
-        // Hand each cut vertex back to the far side; its entry takes σ_near.
-        state.hand_back(cut, tag, far_tag, far_depth);
-        let distance = new_depth + far_depth;
-        let weight =
-            |v: NodeId, sn: u64| (sn as u128).saturating_mul(state.sigma(v, far_tag) as u128);
-        let num_paths = cut.iter().fold(0u128, |sum, &(v, sn)| sum.saturating_add(weight(v, sn)));
-        let mut pick = rng.gen_range(0..num_paths);
-        let mut chosen = cut[0].0;
-        for &(v, sn) in cut.iter() {
-            let w = weight(v, sn);
-            if pick < w {
-                chosen = v;
-                break;
-            }
-            pick -= w;
-        }
-        path.clear();
-        // Walk towards s along in-edges of the forward tree, towards t along
-        // out-edges of the backward tree.
-        backtrack_directed(state, s_tag, chosen, ds, |v| g.in_neighbors(v), path, rng);
-        if chosen != s && chosen != t {
-            path.push(chosen);
-        }
-        backtrack_directed(state, t_tag, chosen, dt, |v| g.out_neighbors(v), path, rng);
-        // xtask: allow(determinism) — a shortest path visits each vertex at
-        // most once, so its length fits the CSR-guaranteed u32.
-        debug_assert_eq!(path.len() as u32 + 1, distance);
-        return Some(SampleInfo { distance, num_paths });
-    }
-}
-
-/// σ-proportional backtracking from `from`, at distance `d` from the root of
-/// direction `tag`: the predecessors of `v` are the vertices of
-/// `preds_of(v)` — in-neighbours in the forward tree, out-neighbours in the
-/// backward one — at distance `d(v) − 1`. The distance is passed in because
-/// the near side handed the chosen vertex back to the far side.
-fn backtrack_directed<'g, R: Rng + ?Sized>(
-    state: &StampedBfsState,
-    tag: u32,
-    from: NodeId,
-    mut d: u32,
-    preds_of: impl Fn(NodeId) -> &'g [NodeId],
-    out: &mut Vec<NodeId>,
-    rng: &mut R,
-) {
-    let mut cur = from;
-    while d > 1 {
-        let preds = preds_of(cur);
-        // σ of `u` if it sits one level below `cur`, else 0.
-        let below =
-            |u: NodeId| state.record(u, tag).filter(|&(du, _)| du == d - 1).map_or(0, |r| r.1);
-        let total: u64 = preds.iter().map(|&u| below(u)).sum();
-        debug_assert!(total > 0);
-        let mut pick = rng.gen_range(0..total);
-        let mut nxt = cur;
-        for &u in preds {
-            let su = below(u);
-            if pick < su {
-                nxt = u;
-                break;
-            }
-            pick -= su;
-        }
-        debug_assert_ne!(nxt, cur);
-        out.push(nxt);
-        cur = nxt;
-        d -= 1;
-    }
+    g.sample_into(s, t, scratch, rng, &mut SearchStats::default())
 }
 
 /// Exhaustive enumeration of all shortest directed `s -> t` paths (test
 /// oracle; exponential). Returns interior vertex lists.
 pub fn enumerate_directed_shortest_paths(g: &DiGraph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
     assert!(s != t);
-    let dist = directed_bfs(g, s);
-    if dist[t as usize] == UNREACHED {
-        return Vec::new();
-    }
-    let mut paths = Vec::new();
-    let mut stack = vec![t];
-    fn rec(
-        g: &DiGraph,
-        dist: &[u32],
-        s: NodeId,
-        cur: NodeId,
-        stack: &mut Vec<NodeId>,
-        paths: &mut Vec<Vec<NodeId>>,
-    ) {
-        if cur == s {
-            let mut interior: Vec<NodeId> = stack[1..stack.len() - 1].to_vec();
-            interior.reverse();
-            paths.push(interior);
-            return;
-        }
-        let d = dist[cur as usize];
-        for &u in g.in_neighbors(cur) {
-            if dist[u as usize] != UNREACHED && dist[u as usize] + 1 == d {
-                stack.push(u);
-                rec(g, dist, s, u, stack, paths);
-                stack.pop();
-            }
-        }
-    }
-    rec(g, &dist, s, t, &mut stack, &mut paths);
-    paths
+    enumerate_back(&g.inn, &directed_bfs(g, s), s, t)
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ pub fn read_edge_list_in<R: Read>(reader: R, arena: &mut crate::csr::CsrArena) -
         edges.push((u, v));
     }
     let n = if edges.is_empty() { 0 } else { max_id + 1 };
-    if n > NodeId::MAX as u64 + 1 {
+    if n > NodeId::MAX as u64 {
         return Err(GraphError::TooManyVertices(n));
     }
     let mut b = GraphBuilder::with_capacity(n as usize, edges.len());
@@ -232,6 +232,14 @@ mod tests {
         assert!(matches!(read_edge_list(text.as_bytes()), Err(GraphError::Parse { line: 1, .. })));
     }
 
+    /// The id `u32::MAX` would make 2^32 vertices, one more than `u32` ids
+    /// can name.
+    #[test]
+    fn edge_list_rejects_the_id_u32_max() {
+        let read = read_edge_list("0 4294967295\n".as_bytes());
+        assert!(matches!(read, Err(GraphError::TooManyVertices(n)) if n == 1 << 32));
+    }
+
     #[test]
     fn empty_edge_list() {
         let g = read_edge_list("".as_bytes()).unwrap();
@@ -367,7 +375,7 @@ pub fn read_weighted_edge_list<R: Read>(reader: R) -> Result<crate::weighted::We
         edges.push((u, v, w as u32));
     }
     let n = if edges.is_empty() { 0 } else { max_id + 1 };
-    if n > NodeId::MAX as u64 + 1 {
+    if n > NodeId::MAX as u64 {
         return Err(GraphError::TooManyVertices(n));
     }
     let triples: Vec<(NodeId, NodeId, u32)> =
@@ -406,7 +414,7 @@ pub fn read_arc_list<R: Read>(reader: R) -> Result<crate::digraph::DiGraph> {
         arcs.push((u, v));
     }
     let n = if arcs.is_empty() { 0 } else { max_id + 1 };
-    if n > NodeId::MAX as u64 + 1 {
+    if n > NodeId::MAX as u64 {
         return Err(GraphError::TooManyVertices(n));
     }
     let pairs: Vec<(NodeId, NodeId)> =
@@ -450,6 +458,18 @@ mod variant_io_tests {
         assert!(g.has_arc(0, 1));
         assert!(!g.has_arc(1, 0));
         assert_eq!(g.num_arcs(), 2);
+    }
+
+    #[test]
+    fn weighted_edge_list_rejects_the_id_u32_max() {
+        let read = read_weighted_edge_list("0 4294967295 1\n".as_bytes());
+        assert!(matches!(read, Err(GraphError::TooManyVertices(n)) if n == 1 << 32));
+    }
+
+    #[test]
+    fn arc_list_rejects_the_id_u32_max() {
+        let read = read_arc_list("0 4294967295\n".as_bytes());
+        assert!(matches!(read, Err(GraphError::TooManyVertices(n)) if n == 1 << 32));
     }
 
     #[test]

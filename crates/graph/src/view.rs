@@ -18,7 +18,9 @@ use crate::csr::{Graph, NodeId};
 ///
 /// Implementations must uphold the CSR canonical form the kernels assume:
 /// `neighbors(v)` is strictly increasing, contains no self-loops, and the
-/// edge relation is symmetric (`u ∈ neighbors(v) ⇔ v ∈ neighbors(u)`).
+/// edge relation is symmetric (`u ∈ neighbors(v) ⇔ v ∈ neighbors(u)`). The
+/// one exception is private: a digraph's out-rows and in-rows, which the
+/// kernel only ever reads as a pair, each the other's transpose.
 pub trait GraphView {
     /// Number of vertices (vertex ids are `0..num_nodes`).
     fn num_nodes(&self) -> usize;

@@ -3,7 +3,9 @@
 //! set of shortest s-t paths — the property the KADABRA (ε, δ) guarantee
 //! stands on — across every corner-case topology the meeting-cut logic has:
 //! adjacent endpoints (empty interior), disconnected endpoints, and cuts
-//! with several vertices of unequal path multiplicity.
+//! with several vertices of unequal path multiplicity. The same harness
+//! holds the directed sampler, the kernel over out-rows and in-rows, to the
+//! same test on a digraph whose transpose differs from it.
 //!
 //! Each uniformity test takes ≥50 000 seed-pinned samples per vertex pair
 //! and applies a chi-square goodness-of-fit test against the brute-force
@@ -14,11 +16,17 @@
 //! means the sampler's distribution moved, not bad luck.
 
 use kadabra_baselines::brute_force_betweenness;
-use kadabra_graph::bibfs::{enumerate_shortest_paths, sample_shortest_path};
+use kadabra_graph::bibfs::{
+    enumerate_shortest_paths, sample_shortest_path, sample_shortest_path_into, SampleInfo,
+    SearchStats,
+};
 use kadabra_graph::csr::graph_from_edges;
+use kadabra_graph::digraph::{
+    enumerate_directed_shortest_paths, sample_directed_shortest_path, DiGraph,
+};
 use kadabra_graph::generators::{grid, GridConfig};
 use kadabra_graph::scratch::TraversalScratch;
-use kadabra_graph::{Graph, NodeId};
+use kadabra_graph::{Graph, NodeId, PathSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -35,11 +43,36 @@ fn chi2_critical(df: f64) -> f64 {
     df * (1.0 - a + z * a.sqrt()).powi(3)
 }
 
-/// Draws `SAMPLES` paths for `(s, t)` and chi-square-tests the empirical
-/// path distribution against uniform over the enumerated path set. Also pins
-/// the per-sample `distance` / `num_paths` metadata to the oracle.
-fn assert_uniform_over_paths(g: &Graph, s: NodeId, t: NodeId, seed: u64) {
-    let oracle = enumerate_shortest_paths(g, s, t);
+/// A graph kind's sampler (interior left in the scratch) and its exhaustive
+/// shortest-path enumeration.
+type Kind<G> = (
+    fn(&G, NodeId, NodeId, &mut TraversalScratch, &mut StdRng) -> Option<SampleInfo>,
+    fn(&G, NodeId, NodeId) -> Vec<Vec<NodeId>>,
+);
+
+/// Undirected graphs: the kernel over one symmetric view.
+const UNDIRECTED: Kind<Graph> = (
+    |g, s, t, scratch, rng| {
+        sample_shortest_path_into(g, s, t, scratch, rng, &mut SearchStats::default())
+    },
+    enumerate_shortest_paths,
+);
+
+/// Digraphs: the kernel over out-rows from `s` and in-rows from `t`.
+const DIRECTED: Kind<DiGraph> = (sample_directed_shortest_path, enumerate_directed_shortest_paths);
+
+/// Draws `SAMPLES` paths for `(s, t)` with `kind`'s sampler and
+/// chi-square-tests the empirical path distribution against uniform over the
+/// set `kind` enumerates. Also pins the per-sample `distance` / `num_paths`
+/// metadata to the enumeration.
+fn assert_uniform_over_paths<G: PathSource>(
+    g: &G,
+    (sample, enumerate): Kind<G>,
+    s: NodeId,
+    t: NodeId,
+    seed: u64,
+) {
+    let oracle = enumerate(g, s, t);
     assert!(!oracle.is_empty(), "pair ({s},{t}) must be connected for this helper");
     // Path length in hops = interior vertices + the final hop.
     let expected_len = oracle[0].len() as u32 + 1;
@@ -61,20 +94,20 @@ fn assert_uniform_over_paths(g: &Graph, s: NodeId, t: NodeId, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut key = Vec::new();
     for _ in 0..SAMPLES {
-        let sample = sample_shortest_path(g, s, t, &mut scratch, &mut rng)
+        let info = sample(g, s, t, &mut scratch, &mut rng)
             .expect("oracle found paths; the sampler must too");
-        assert_eq!(sample.distance, expected_len, "distance must match the oracle");
+        assert_eq!(info.distance, expected_len, "distance must match the oracle");
         assert_eq!(
-            sample.num_paths,
+            info.num_paths,
             oracle.len() as u128,
             "σ bookkeeping must count exactly the enumerated paths"
         );
         key.clear();
-        key.extend_from_slice(&sample.interior);
+        key.extend_from_slice(&scratch.path);
         key.sort_unstable();
         let slot = counts
             .get_mut(&key)
-            .unwrap_or_else(|| panic!("sampled a non-shortest path: {:?}", sample.interior));
+            .unwrap_or_else(|| panic!("sampled a non-shortest path: {:?}", scratch.path));
         *slot += 1;
     }
 
@@ -95,7 +128,7 @@ fn uniform_over_grid_corner_paths() {
     // 4x4 grid, opposite corners: C(6,3) = 20 monotone shortest paths.
     let g = grid(GridConfig { rows: 4, cols: 4, diagonal_prob: 0.0, seed: 0 });
     assert_eq!(enumerate_shortest_paths(&g, 0, 15).len(), 20);
-    assert_uniform_over_paths(&g, 0, 15, 0xC0FFEE);
+    assert_uniform_over_paths(&g, UNDIRECTED, 0, 15, 0xC0FFEE);
 }
 
 #[test]
@@ -107,10 +140,10 @@ fn uniform_when_cut_vertices_have_unequal_multiplicity() {
     let g = graph_from_edges(7, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 6), (0, 4), (4, 5), (5, 6)]);
     let oracle = enumerate_shortest_paths(&g, 0, 6);
     assert_eq!(oracle.len(), 3);
-    assert_uniform_over_paths(&g, 0, 6, 0xBEEF);
+    assert_uniform_over_paths(&g, UNDIRECTED, 0, 6, 0xBEEF);
     // And in the reverse direction (the balanced expansion picks sides by
     // frontier degree, so s/t roles are not symmetric in the implementation).
-    assert_uniform_over_paths(&g, 6, 0, 0xFEED);
+    assert_uniform_over_paths(&g, UNDIRECTED, 6, 0, 0xFEED);
 }
 
 #[test]
@@ -118,7 +151,46 @@ fn uniform_over_multi_vertex_meeting_cut() {
     // Star-of-middles: 4 disjoint length-2 paths, cut = {1, 2, 3, 4}.
     let g = graph_from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 5), (4, 5)]);
     assert_eq!(enumerate_shortest_paths(&g, 0, 5).len(), 4);
-    assert_uniform_over_paths(&g, 0, 5, 0xABAD1DEA);
+    assert_uniform_over_paths(&g, UNDIRECTED, 0, 5, 0xABAD1DEA);
+}
+
+#[test]
+fn uniform_over_one_way_grid_paths() {
+    // A 4x4 grid whose arcs run right and down, plus a chord up-left out of
+    // every cell but the first row and column: the 20 monotone corner paths
+    // are the shortest ones, and every row of the transpose differs from the
+    // out-row of its vertex. The walk back to `s` must read in-rows and the
+    // walk back to `t` out-rows; a walk that read its own side's rows would
+    // find no predecessor one level down.
+    //
+    // The corners are hubs: `s` = 0 has 16 out-leaves, `t` = 15 has 16
+    // in-leaves, and the arc 15 → 0 closes the loop the wrong way. One
+    // binary search per far vertex is then far cheaper than the near row,
+    // so the meet test runs before the first expansion; it must read the
+    // far side's rows, where a search of `t`'s out-row would find `s` and
+    // report a path of one hop.
+    let cell = |r: NodeId, c: NodeId| 4 * r + c;
+    let mut arcs = vec![(cell(3, 3), cell(0, 0))];
+    for r in 0..4 {
+        for c in 0..4 {
+            if c < 3 {
+                arcs.push((cell(r, c), cell(r, c + 1)));
+            }
+            if r < 3 {
+                arcs.push((cell(r, c), cell(r + 1, c)));
+            }
+            if r > 0 && c > 0 {
+                arcs.push((cell(r, c), cell(r - 1, c - 1)));
+            }
+        }
+    }
+    arcs.extend((16..32).map(|leaf| (cell(0, 0), leaf)));
+    arcs.extend((32..48).map(|leaf| (leaf, cell(3, 3))));
+    let g = DiGraph::from_arcs(48, &arcs);
+    assert_eq!(enumerate_directed_shortest_paths(&g, 0, 15).len(), 20);
+    assert_uniform_over_paths(&g, DIRECTED, 0, 15, 0xD1_6EC7);
+    // From an inner cell to the corner: the chords reach back past `s`.
+    assert_uniform_over_paths(&g, DIRECTED, cell(1, 1), 15, 0x5EED);
 }
 
 #[test]

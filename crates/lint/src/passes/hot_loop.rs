@@ -14,7 +14,8 @@
 //!    `sample_batch_records` (which holds the per-pair loop), `sample`,
 //!    `sample_path_into` (the sample-source hook: every impl body is what
 //!    the per-pair loop calls), `sample_shortest_path_into` (the kernel
-//!    behind the blanket impl), its level expansion `expand`, its meet test
+//!    behind the blanket impl) and `sample_along` (its body, which the
+//!    digraph hook runs too), its level expansion `expand`, its meet test
 //!    `meet_from_far` and its walk-back, `select_and_backtrack` and
 //!    `backtrack`, and the diameter phase's `bfs_into` (every BFS of a
 //!    `diameter()` call reuses one scratch), in `crates/core/src` /
@@ -57,12 +58,13 @@ pub struct HotLoopHygiene;
 const BATCH_CALLS: [&str; 2] = ["sample_batch", "sample_batch_records"];
 
 /// Function names whose bodies are hot-path scope in core/graph.
-const HOT_FNS: [&str; 10] = [
+const HOT_FNS: [&str; 11] = [
     "sample_batch",
     "sample_batch_records",
     "sample",
     "sample_path_into",
     "sample_shortest_path_into",
+    "sample_along",
     "expand",
     "meet_from_far",
     "select_and_backtrack",

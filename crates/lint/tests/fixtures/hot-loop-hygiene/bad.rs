@@ -29,3 +29,11 @@ pub fn sample_batch_records(pairs: &[(u32, u32)], out: &mut Vec<u32>) {
         out.push(s);
     }
 }
+
+/// The kernel body both graph kinds run, scanned by name: a frontier built
+/// per level allocates per sample.
+pub fn sample_along(rows: &[Vec<u32>], s: u32, out: &mut Vec<u32>) {
+    let mut next = Vec::new(); //~ hot-loop-hygiene
+    next.extend_from_slice(&rows[s as usize]);
+    out.extend_from_slice(&next);
+}

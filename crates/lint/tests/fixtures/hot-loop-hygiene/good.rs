@@ -24,3 +24,10 @@ pub fn sample_batch_records(pairs: &[(u32, u32)], out: &mut Vec<u32>) {
         out.push(s ^ t);
     }
 }
+
+/// The kernel body both graph kinds run: the next level goes into the
+/// caller's pre-sized order list.
+pub fn sample_along(rows: &[Vec<u32>], s: u32, order: &mut Vec<u32>) {
+    order.clear();
+    order.extend_from_slice(&rows[s as usize]);
+}
