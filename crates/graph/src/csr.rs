@@ -28,8 +28,11 @@ pub struct Graph {
 }
 
 /// The offset-array half of the CSR invariants. It runs before anything
-/// slices `targets` by `offsets`, [`Graph::check_canonical`] included.
-fn check_offsets(offsets: &[u64], num_targets: usize) -> std::result::Result<(), String> {
+/// slices `targets` by `offsets`, [`check_row`] included.
+pub(crate) fn check_offsets(
+    offsets: &[u64],
+    num_targets: usize,
+) -> std::result::Result<(), String> {
     if offsets.is_empty() {
         return Err("offsets must have length n + 1".into());
     }
@@ -44,6 +47,63 @@ fn check_offsets(offsets: &[u64], num_targets: usize) -> std::result::Result<(),
     }
     if offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err("offsets must be non-decreasing".into());
+    }
+    Ok(())
+}
+
+/// The row step of the canonical-form check, for row `v` of a graph on `n`
+/// vertices: the row is strictly sorted, every target is `< n`, and none is
+/// `v` itself. Returns the row's count of targets above the diagonal
+/// (`t > v`), which [`check_reverse`] needs summed over all rows.
+pub(crate) fn check_row(v: usize, row: &[NodeId], n: usize) -> std::result::Result<usize, String> {
+    if !row.windows(2).all(|w| w[0] < w[1]) {
+        return Err(format!("adjacency of vertex {v} not strictly sorted"));
+    }
+    // Sorted, so the last target is the largest and the diagonal is found by
+    // one binary search.
+    if let Some(&t) = row.last().filter(|&&t| t as usize >= n) {
+        return Err(format!("target {t} of vertex {v} out of range"));
+    }
+    let below = row.partition_point(|&t| (t as usize) < v);
+    if row.get(below).is_some_and(|&t| t as usize == v) {
+        return Err(format!("self-loop at vertex {v}"));
+    }
+    Ok(row.len() - below)
+}
+
+/// The reverse pass of the canonical-form check, on arrays whose offsets
+/// passed [`check_offsets`] and whose every row passed [`check_row`], with
+/// `above` the rows' summed counts.
+///
+/// Only the arcs `v → t` with `t > v` are walked. Rows are visited in
+/// ascending `v`, so in a symmetric, strictly sorted CSR the reverse of
+/// `v → t` is the next unread entry of row `t`: the entries of row `t` read
+/// so far are its neighbours below `v`. One cursor per row, bounded by the
+/// row's end, matches each arc above the diagonal to a distinct entry below
+/// it. If the arcs above the diagonal are exactly half of all arcs, that
+/// injective matching is a bijection onto the arcs below, so every arc has
+/// its reverse (DESIGN.md §11.7).
+fn check_reverse(
+    offsets: &[u64],
+    targets: &[NodeId],
+    above: usize,
+) -> std::result::Result<(), String> {
+    if 2 * above != targets.len() {
+        return Err(format!("{above} of {} arcs lie above the diagonal, not half", targets.len()));
+    }
+    let n = offsets.len() - 1;
+    let mut cursor: Vec<u64> = offsets[..n].to_vec();
+    for v in 0..n {
+        // The arcs above the diagonal are the sorted row's suffix, walked
+        // from its end: each goes to a different row, so order is free.
+        let row = &targets[offsets[v] as usize..offsets[v + 1] as usize];
+        for &t in row.iter().rev().take_while(|&&t| t as usize > v) {
+            let c = cursor[t as usize];
+            if c >= offsets[t as usize + 1] || targets[c as usize] != v as NodeId {
+                return Err(format!("edge {v}->{t} has no reverse edge"));
+            }
+            cursor[t as usize] = c + 1;
+        }
     }
     Ok(())
 }
@@ -69,54 +129,37 @@ impl Graph {
     }
 
     /// Builds a graph from CSR arrays that came from outside the program
-    /// (a cached binary file): the same invariants as
-    /// [`Graph::from_sorted_csr`], all of them checked in every build and
-    /// reported as an error instead of a panic.
-    pub(crate) fn from_untrusted_csr(
+    /// (a cached binary file), once their offsets passed [`check_offsets`]
+    /// and every row passed [`check_row`], `above` being the rows' summed
+    /// counts: runs the reverse pass and reports a failure as an error
+    /// instead of a panic.
+    pub(crate) fn from_row_checked_csr(
         offsets: Vec<u64>,
         targets: Vec<NodeId>,
+        above: usize,
     ) -> std::result::Result<Self, String> {
-        check_offsets(&offsets, targets.len())?;
-        let g = Graph { offsets, targets };
-        g.check_canonical()?;
-        Ok(g)
+        check_reverse(&offsets, &targets, above)?;
+        Ok(Graph { offsets, targets })
     }
 
     /// Verifies full canonical form — every target in range, no self-loop,
     /// every adjacency list strictly sorted, every arc matched by its
-    /// reverse — in one pass over the arcs.
-    ///
-    /// Rows are visited in ascending `v`, so in a symmetric, strictly sorted
-    /// CSR the reverse of arc `v → t` is exactly the next unread entry of
-    /// row `t`: the entries of row `t` read so far are its neighbours below
-    /// `v`. One cursor per row replaces a binary search per arc.
+    /// reverse: a row step on every row (order, range, self-loops, and the
+    /// row's count of targets above the diagonal), then one pass that
+    /// matches each arc above the diagonal to its reverse and checks that
+    /// those arcs are exactly half of all arcs (DESIGN.md §11.7).
     pub fn check_canonical(&self) -> std::result::Result<(), String> {
         let n = self.num_nodes();
-        let mut cursor: Vec<u64> = self.offsets[..n].to_vec();
+        let mut above = 0;
         for v in 0..n {
-            let adj = self.neighbors(v as NodeId);
-            for (i, &t) in adj.iter().enumerate() {
-                if t as usize >= n {
-                    return Err(format!("target {t} of vertex {v} out of range"));
-                }
-                if t == v as NodeId {
-                    return Err(format!("self-loop at vertex {v}"));
-                }
-                if i > 0 && adj[i - 1] >= t {
-                    return Err(format!("adjacency of vertex {v} not strictly sorted"));
-                }
-                let c = cursor[t as usize];
-                if c >= self.offsets[t as usize + 1] || self.targets[c as usize] != v as NodeId {
-                    return Err(format!("edge {v}->{t} has no reverse edge"));
-                }
-                cursor[t as usize] = c + 1;
-            }
+            above += check_row(v, self.neighbors(v as NodeId), n)?;
         }
-        Ok(())
+        check_reverse(&self.offsets, &self.targets, above)
     }
 
-    /// The search-per-arc formulation [`Graph::check_canonical`] replaced,
-    /// kept as its test oracle.
+    /// The search-per-arc formulation the row step and reverse pass
+    /// replaced, kept as the test oracle of [`Graph::check_canonical`] and
+    /// of `io::read_binary`.
     #[cfg(test)]
     fn check_canonical_by_search(&self) -> std::result::Result<(), String> {
         let n = self.num_nodes();
@@ -586,10 +629,8 @@ mod tests {
             scale in 2u32..9,
             seed in 0u64..1_000,
         ) {
-            let edges: Vec<_> =
-                edges.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)).collect();
             let mut arena = CsrArena::new();
-            for g in [graph_from_edges(n, &edges), rmat(RmatConfig::graph500(scale, 4, seed))] {
+            for g in [graph_on(n, edges), rmat(RmatConfig::graph500(scale, 4, seed))] {
                 let (rg, perm) = g.relabel_by_degree_in(&mut arena);
                 let want = reference::relabel_by_degree_in(&g, &mut CsrArena::new());
                 prop_assert_eq!(&rg, &want.0);
@@ -599,18 +640,16 @@ mod tests {
             }
         }
 
-        /// The cursor check and the search-per-arc check it replaced accept
-        /// exactly the same arrays: random valid graphs, and the same graphs
-        /// with one word of either array overwritten.
+        /// `io::read_binary` and the search-per-arc check accept exactly the
+        /// same arrays: random valid graphs, and the same graphs with one
+        /// word of either array overwritten.
         #[test]
         fn cursor_check_agrees_with_the_search_oracle(
             n in 2usize..24,
             edges in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
             (array, at, word) in (0u8..3, 0usize..4096, 0u64..26),
         ) {
-            let edges: Vec<_> =
-                edges.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)).collect();
-            let g = graph_from_edges(n, &edges);
+            let g = graph_on(n, edges);
             let (mut offsets, mut targets) = (g.offsets.clone(), g.targets.clone());
             // array 0 leaves the graph valid; 1 and 2 overwrite one word.
             match array {
@@ -622,7 +661,7 @@ mod tests {
                 _ => {}
             }
             let sliceable = check_offsets(&offsets, targets.len()).is_ok();
-            let loaded = Graph::from_untrusted_csr(offsets.clone(), targets.clone());
+            let loaded = load(&offsets, &targets);
             if sliceable {
                 let oracle = Graph { offsets, targets }.check_canonical_by_search();
                 prop_assert_eq!(loaded.is_ok(), oracle.is_ok(), "{:?} vs {:?}", loaded, oracle);
@@ -633,6 +672,110 @@ mod tests {
                 prop_assert!(loaded.is_ok(), "valid graph rejected: {:?}", loaded);
             }
         }
+
+        /// Family A: one entry below the diagonal replaced by another value
+        /// that keeps its row strictly sorted and free of self-loops. Every
+        /// row step passes; when the new value is below the diagonal too the
+        /// above-diagonal count still is half the arcs, and only the reverse
+        /// pass's compare of the cursor's entry can see it.
+        #[test]
+        fn cursor_check_agrees_with_the_search_oracle_on_a_moved_lower_entry(
+            n in 2usize..24,
+            edges in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
+            pick in 0usize..4096,
+        ) {
+            let g = graph_on(n, edges);
+            let mut moves = Vec::new();
+            for v in 0..n {
+                let (lo, row) = (g.offsets[v] as usize, g.neighbors(v as NodeId));
+                for (i, &u) in row.iter().enumerate().filter(|&(_, &u)| (u as usize) < v) {
+                    let after = i.checked_sub(1).map_or(0, |j| row[j] + 1);
+                    let before = row.get(i + 1).map_or(n as NodeId, |&t| t);
+                    for w in (after..before).filter(|&w| w != u && w as usize != v) {
+                        moves.push((lo + i, w));
+                    }
+                }
+            }
+            let mut targets = g.targets.clone();
+            if let Some(&(at, w)) = moves.get(pick % moves.len().max(1)) {
+                targets[at] = w;
+            }
+            let mutated = Graph { offsets: g.offsets.clone(), targets };
+            prop_assert!(rows_pass(&mutated));
+            let loaded = load(&mutated.offsets, &mutated.targets);
+            let oracle = mutated.check_canonical_by_search();
+            prop_assert_eq!(loaded.is_ok(), oracle.is_ok(), "{:?} vs {:?}", loaded, oracle);
+            prop_assert_eq!(loaded.is_ok(), moves.is_empty());
+        }
+
+        /// Family B: one extra entry inserted as the largest entry below the
+        /// diagonal of its row. Every row step passes and every arc above
+        /// the diagonal still finds its reverse; only the count of arcs
+        /// above the diagonal, no longer half, can see it.
+        #[test]
+        fn cursor_check_agrees_with_the_search_oracle_on_an_extra_lower_entry(
+            n in 2usize..24,
+            edges in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
+            pick in 0usize..4096,
+        ) {
+            let g = graph_on(n, edges);
+            let mut inserts = Vec::new();
+            for v in 0..n {
+                let row = g.neighbors(v as NodeId);
+                let below = row.partition_point(|&t| (t as usize) < v);
+                let after = below.checked_sub(1).map_or(0, |j| row[j] + 1);
+                for w in after..v as NodeId {
+                    inserts.push((v, g.offsets[v] as usize + below, w));
+                }
+            }
+            let (mut offsets, mut targets) = (g.offsets.clone(), g.targets.clone());
+            if let Some(&(v, at, w)) = inserts.get(pick % inserts.len().max(1)) {
+                targets.insert(at, w);
+                offsets[v + 1..].iter_mut().for_each(|o| *o += 1);
+            }
+            let mutated = Graph { offsets, targets };
+            prop_assert!(rows_pass(&mutated));
+            let loaded = load(&mutated.offsets, &mutated.targets);
+            let oracle = mutated.check_canonical_by_search();
+            prop_assert_eq!(loaded.is_ok(), oracle.is_ok(), "{:?} vs {:?}", loaded, oracle);
+            prop_assert_eq!(loaded.is_ok(), inserts.is_empty());
+        }
+    }
+
+    /// A graph on `n` vertices from edges drawn over a wider range, folded
+    /// into `0..n`.
+    fn graph_on(n: usize, edges: Vec<(NodeId, NodeId)>) -> Graph {
+        let edges: Vec<_> = edges.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)).collect();
+        graph_from_edges(n, &edges)
+    }
+
+    /// `read_binary` on the arrays as `write_binary` serializes them, valid
+    /// or not.
+    fn load(offsets: &[u64], targets: &[NodeId]) -> crate::Result<Graph> {
+        let g = Graph { offsets: offsets.to_vec(), targets: targets.to_vec() };
+        let mut buf = Vec::new();
+        crate::io::write_binary(&g, &mut buf).expect("writing to memory");
+        crate::io::read_binary(&buf[..])
+    }
+
+    /// Whether every row of `g` passes the row step.
+    fn rows_pass(g: &Graph) -> bool {
+        let n = g.num_nodes();
+        (0..n).all(|v| check_row(v, g.neighbors(v as NodeId), n).is_ok())
+    }
+
+    /// Rows `[1, 2]`, `[]`, `[0, 1]`: every row step passes and half the
+    /// arcs lie above the diagonal. Row 1 is empty, so only the bound at the
+    /// end of its row keeps its cursor from matching the arc 0 → 1 to the
+    /// first entry of row 2, the entry that also matches 0 → 2.
+    #[test]
+    fn cursor_stops_at_the_end_of_its_row() {
+        let (offsets, targets) = (vec![0, 2, 2, 4], vec![1, 2, 0, 1]);
+        let g = Graph { offsets, targets };
+        assert!(rows_pass(&g));
+        assert!(load(&g.offsets, &g.targets).is_err());
+        assert!(g.check_canonical().is_err());
+        assert!(g.check_canonical_by_search().is_err());
     }
 
     #[test]

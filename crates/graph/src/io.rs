@@ -8,9 +8,13 @@
 //! * **Binary CSR** — a compact little-endian dump of the canonical CSR
 //!   arrays, used to cache generated instances between experiment runs
 //!   (regenerating a 15M-edge hyperbolic graph costs far more than reading
-//!   ~120 MB back).
+//!   ~120 MB back). A cached file is not trusted: [`read_binary`] checks
+//!   the offsets once they are read, runs the row step of the
+//!   canonical-form check on each row as soon as its last target is
+//!   decoded, while the row is still in cache, and then matches each
+//!   undirected edge once, from its arc above the diagonal (DESIGN.md §11.7).
 
-use crate::csr::{Graph, GraphBuilder, NodeId};
+use crate::csr::{check_offsets, check_row, Graph, GraphBuilder, NodeId};
 use crate::{GraphError, Result};
 use bytes::{Buf, BufMut};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -19,6 +23,10 @@ use std::path::Path;
 /// Magic header of the binary format ("KDBG" + version 1).
 const MAGIC: [u8; 4] = *b"KDBG";
 const VERSION: u32 = 1;
+
+/// Bytes decoded per read of an array: a row of the target array longer
+/// than `BLOCK_BYTES / 4` entries spans blocks.
+const BLOCK_BYTES: usize = 1 << 16;
 
 /// Parses an edge-list from a reader. Lines starting with `#` or `%` and
 /// blank lines are skipped; each other line must hold two integers.
@@ -119,29 +127,35 @@ fn read_exact_or_corrupt<R: Read>(reader: &mut R, buf: &mut [u8], what: &str) ->
 }
 
 /// Reads `len` little-endian `W`-byte words into a vector in one pass,
-/// through a fixed staging block. `len` comes from the file header, so the
-/// reservation is fallible rather than trusted.
+/// through a fixed staging block, handing the words read so far to `landed`
+/// after each block. `len` comes from the file header, so the reservation is
+/// fallible rather than trusted.
 fn read_le_words<R: Read, T, const W: usize>(
     reader: &mut R,
     len: usize,
     what: &str,
     decode: fn([u8; W]) -> T,
+    mut landed: impl FnMut(&[T]) -> Result<()>,
 ) -> Result<Vec<T>> {
     let mut out = Vec::new();
     out.try_reserve_exact(len)
         .map_err(|_| GraphError::Corrupt(format!("cannot hold a {what} of {len} entries")))?;
-    let mut block = [0u8; 1 << 16];
+    let mut block = [0u8; BLOCK_BYTES];
     while out.len() < len {
         let words = (len - out.len()).min(block.len() / W);
         let bytes = &mut block[..words * W];
         read_exact_or_corrupt(reader, bytes, what)?;
         out.extend(bytes.as_chunks::<W>().0.iter().map(|&w| decode(w)));
+        landed(&out)?;
     }
     Ok(out)
 }
 
 /// Deserializes a graph from the binary CSR format, re-validating all
-/// invariants (the file may come from an untrusted cache).
+/// invariants (the file may come from an untrusted cache): the offsets as
+/// soon as they are read, each row's range, order and self-loop checks as
+/// soon as its last target is decoded, and symmetry in one pass over the
+/// arcs above the diagonal at the end.
 pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph> {
     let mut header = [0u8; 24];
     read_exact_or_corrupt(&mut reader, &mut header, "header")?;
@@ -161,9 +175,20 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph> {
     }
     let m2 = usize::try_from(m2)
         .map_err(|_| GraphError::Corrupt(format!("target count {m2} exceeds the address space")))?;
-    let offsets = read_le_words(&mut reader, n as usize + 1, "offset array", u64::from_le_bytes)?;
-    let targets = read_le_words(&mut reader, m2, "target array", u32::from_le_bytes)?;
-    Graph::from_untrusted_csr(offsets, targets).map_err(GraphError::Corrupt)
+    let n = n as usize;
+    let offsets =
+        read_le_words(&mut reader, n + 1, "offset array", u64::from_le_bytes, |_| Ok(()))?;
+    check_offsets(&offsets, m2).map_err(GraphError::Corrupt)?;
+    let (mut next_row, mut above) = (0, 0);
+    let targets = read_le_words(&mut reader, m2, "target array", u32::from_le_bytes, |landed| {
+        while next_row < n && offsets[next_row + 1] as usize <= landed.len() {
+            let row = &landed[offsets[next_row] as usize..offsets[next_row + 1] as usize];
+            above += check_row(next_row, row, n).map_err(GraphError::Corrupt)?;
+            next_row += 1;
+        }
+        Ok(())
+    })?;
+    Graph::from_row_checked_csr(offsets, targets, above).map_err(GraphError::Corrupt)
 }
 
 /// Reads a graph from a path, dispatching on the `.bin` extension.
@@ -303,6 +328,25 @@ mod tests {
             assert!(matches!(read_binary(&buf[..]), Err(GraphError::Corrupt(_))), "{what}");
         }
         assert!(read_binary(&path_file_with_target(0, 1)[..]).is_ok(), "fixture is sound");
+    }
+
+    /// A star whose hub row is longer than one decode block: the row step
+    /// runs on it once, when its last target lands in the second block. An
+    /// out-of-range target just past the block boundary is caught there; a
+    /// row step that skipped the hub's tail would leave it to index the
+    /// reverse pass's cursors out of bounds.
+    #[test]
+    fn binary_checks_a_row_that_spans_decode_blocks() {
+        let per_block = BLOCK_BYTES / 4;
+        let leaves = per_block as NodeId + 3_616;
+        let star: Vec<_> = (1..=leaves).map(|v| (0, v)).collect();
+        let g = graph_from_edges(leaves as usize + 1, &star);
+        let mut buf = Vec::new();
+        write_binary(&g, &mut buf).unwrap();
+        assert_eq!(read_binary(&buf[..]).unwrap(), g);
+        let at = 24 + 8 * (leaves as usize + 2) + 4 * per_block;
+        buf[at..at + 4].copy_from_slice(&(leaves + 1).to_le_bytes());
+        assert!(matches!(read_binary(&buf[..]), Err(GraphError::Corrupt(_))));
     }
 
     #[test]

@@ -202,12 +202,16 @@ pub struct RefineOutcome {
 /// population is maintained across streaming edge updates.
 enum TenantEngine {
     Static {
+        /// Degree-relabeled working graph (cache-aware layout).
+        g: Graph,
         pool: Box<SamplerPool<()>>,
         /// Round `r` runs under `plan.reseeded(r)`: the crash schedule is
         /// armed in round 0 only.
         plan: FaultPlan,
         epochs: u32,
     },
+    /// Holds the degree-relabeled base snapshot; the live graph evolves
+    /// inside the engine's delta log.
     Dynamic(Box<DynamicEngine>),
 }
 
@@ -222,9 +226,9 @@ impl TenantEngine {
     }
 
     /// One fixed-length round, under the engine's own plan-salt policy.
-    fn round(&mut self, g: &Graph, calibration: &Calibration, tel: &Telemetry) -> RoundReport {
+    fn round(&mut self, calibration: &Calibration, tel: &Telemetry) -> RoundReport {
         match self {
-            TenantEngine::Static { pool, plan, epochs } => {
+            TenantEngine::Static { g, pool, plan, epochs } => {
                 pool.round(g, plan.reseeded(pool.status().round), *epochs, calibration, tel)
             }
             TenantEngine::Dynamic(e) => e.refine(calibration, tel),
@@ -235,10 +239,8 @@ impl TenantEngine {
 /// One resident graph and everything needed to answer queries about it.
 pub struct Tenant {
     name: String,
-    /// Degree-relabeled working graph (cache-aware layout, PR 5). For
-    /// dynamic tenants this is the *base snapshot*; the live graph evolves
-    /// inside the engine's delta log.
-    g: Graph,
+    /// Vertex count of the resident graph, which the engine holds.
+    n: usize,
     perm: Permutation,
     vd: u32,
     /// Provisioned pool size — what an elastic refine sheds back to.
@@ -283,7 +285,7 @@ impl Tenant {
             // streams then coincide with a static pool's, so a dynamic
             // tenant that never receives an update samples identically.
             TenantEngine::Dynamic(Box::new(DynamicEngine::new(
-                rg.clone(),
+                rg,
                 kcfg,
                 omega,
                 vd,
@@ -294,6 +296,7 @@ impl Tenant {
             )))
         } else {
             TenantEngine::Static {
+                g: rg,
                 pool: Box::new(SamplerPool::new(n, kcfg, omega, cfg.pool_ranks, 1, || ())),
                 plan: cfg.plan.clone(),
                 epochs: cfg.max_epochs_per_round,
@@ -301,7 +304,7 @@ impl Tenant {
         };
         let tenant = Tenant {
             name: name.to_string(),
-            g: rg,
+            n,
             perm,
             vd,
             base_ranks: cfg.pool_ranks,
@@ -330,7 +333,7 @@ impl Tenant {
 
     /// Vertex count of the resident graph.
     pub fn num_vertices(&self) -> usize {
-        self.g.num_nodes()
+        self.n
     }
 
     /// The tightest ε the schedule reaches.
@@ -396,9 +399,9 @@ impl Tenant {
         let mut rounds = 0u32;
         let mut at = eng.status();
         while rounds < max_rounds && at.live > 0 && at.achieved > target && at.tau < at.omega {
-            let rep = eng.round(&self.g, &self.calibration, tel);
+            let rep = eng.round(&self.calibration, tel);
             let sp = w.begin(SpanId::CachePublish);
-            let counts = &rep.global[..self.g.num_nodes()];
+            let counts = &rep.global[..self.n];
             self.cache.publish_frontier(counts, rep.tau, rep.achieved, rep.round);
             w.end(sp);
             rounds += 1;
@@ -455,7 +458,7 @@ impl Tenant {
             w.count(CounterId::RanksJoined, joined as u64);
         }
         let global = pool.frame();
-        let n = self.g.num_nodes();
+        let n = self.n;
         let tau = global[n];
         let frame = (tau > 0).then(|| (&global[..n], tau, at.achieved, at.round));
         let generation = self.cache.advance_generation(frame);
@@ -530,7 +533,7 @@ impl Tenant {
         tel: &Telemetry,
         w: &EventWriter,
     ) -> Result<UpdateOutcome, QueryError> {
-        let n = self.g.num_nodes();
+        let n = self.n;
         let map = |pairs: &[(NodeId, NodeId)]| -> Result<Vec<(NodeId, NodeId)>, QueryError> {
             pairs
                 .iter()
@@ -582,7 +585,7 @@ impl Tenant {
     /// Bernstein confidence interval at the tenant's δ. Lock- and
     /// allocation-free.
     pub fn vertex_estimate(&self, v: NodeId) -> Result<VertexEstimate, QueryError> {
-        if (v as usize) >= self.g.num_nodes() {
+        if (v as usize) >= self.n {
             return Err(QueryError::BadVertex);
         }
         let j = self.perm.to_new(v);
@@ -618,7 +621,7 @@ impl Tenant {
         if !self.cache.read_stage_into(stage, &mut scratch.stage) {
             return Err(QueryError::NotReady { achieved: self.achieved_eps() });
         }
-        let n = self.g.num_nodes();
+        let n = self.n;
         if out.len() != n {
             out.resize(n, 0.0);
         }
@@ -645,7 +648,7 @@ impl Tenant {
         if !self.cache.read_frontier_into(&mut scratch.frontier) {
             return Err(QueryError::NotReady { achieved: 1.0 });
         }
-        let n = self.g.num_nodes();
+        let n = self.n;
         let counts = &scratch.frontier.counts;
         let perm = &self.perm;
         for (i, slot) in scratch.idx.iter_mut().enumerate() {
