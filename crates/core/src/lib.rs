@@ -26,9 +26,11 @@
 //!
 //! Every mode samples through one hook, [`kadabra_graph::PathSource`], so
 //! the same functions run on a `DiGraph` or a `WeightedGraph` (the paper's
-//! footnote 1). [`kadabra_sequential`] and [`kadabra_shared`] relabel the
-//! undirected CSR by degree first; [`kadabra_sequential_on`] and
-//! [`kadabra_shared_on`] are their as-given forms for any graph kind.
+//! footnote 1). Every one-shot driver samples the graph it is given, in the
+//! caller's vertex ids, and holds no second copy of it. A caller that runs
+//! many solves on one graph may relabel it by degree first
+//! (`Graph::relabel_by_degree`) and map the scores back through the
+//! `Permutation`, as a resident server tenant does (DESIGN.md §11.1).
 
 pub mod bounds;
 pub mod calibration;
@@ -63,11 +65,8 @@ pub use recovery::{own_crash_or_fatal, shrink_and_rebuild, CheckpointError, Samp
 pub use result::{BetweennessResult, PhaseTimings, SamplingStats};
 pub use revalidate::{resample_invalidated, ResampleScratch, ValidityBitmap};
 pub use sampler::ThreadSampler;
-pub use sequential::{kadabra_sequential, kadabra_sequential_on, kadabra_sequential_traced};
-pub use shared::{
-    kadabra_shared, kadabra_shared_on, kadabra_shared_traced, phase_timings_from,
-    sampling_stats_from,
-};
+pub use sequential::{kadabra_sequential, kadabra_sequential_traced};
+pub use shared::{kadabra_shared, kadabra_shared_traced, phase_timings_from, sampling_stats_from};
 pub use topk::{
     confidence_intervals, confident_top_k, kadabra_topk, AdaptiveTopKResult, ConfidenceInterval,
     TopKResult,

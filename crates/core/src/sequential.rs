@@ -9,37 +9,23 @@ use crate::result::BetweennessResult;
 use crate::sampler::ThreadSampler;
 use crate::shared::{phase_timings_from, sampling_stats_from};
 use crate::{bounds, calibration::Calibration};
-use kadabra_graph::{Graph, KadabraGraph};
+use kadabra_graph::KadabraGraph;
 use kadabra_telemetry::{CounterId, SpanId, Telemetry};
 
-/// Runs sequential KADABRA on `g`.
+/// Runs sequential KADABRA on `g`, sampling on it as given: an undirected
+/// CSR, a `DiGraph` or a `WeightedGraph` (the paper's footnote 1).
 ///
 /// `g` is typically the largest connected component of the network under
 /// study (the paper's experimental setup); disconnected inputs are legal —
 /// pairs in different components contribute samples with empty interiors.
-pub fn kadabra_sequential(g: &Graph, cfg: &KadabraConfig) -> BetweennessResult {
+/// `g` is not relabeled: within one solve a degree-sorted copy costs more
+/// than it saves (DESIGN.md §11.1).
+pub fn kadabra_sequential<G: KadabraGraph>(g: &G, cfg: &KadabraConfig) -> BetweennessResult {
     kadabra_sequential_traced(g, cfg, &Telemetry::stats_only())
 }
 
 /// [`kadabra_sequential`] recording into an explicit [`Telemetry`] registry.
-pub fn kadabra_sequential_traced(
-    g: &Graph,
-    cfg: &KadabraConfig,
-    tel: &Telemetry,
-) -> BetweennessResult {
-    // Cache-aware relabeling: the whole run samples on the degree-relabeled
-    // CSR (hot vertices packed at the low end of the id space) and the final
-    // scores are mapped back to the caller's ids (DESIGN.md §11).
-    let (rg, perm) = g.relabel_by_degree();
-    let mut result = kadabra_sequential_on(&rg, cfg, tel);
-    result.scores = perm.unrelabel(&result.scores);
-    result
-}
-
-/// Sequential KADABRA on any graph kind, sampling on `g` as given — what
-/// [`kadabra_sequential_traced`] runs on the relabeled CSR, and the entry
-/// point for directed and weighted graphs (the paper's footnote 1).
-pub fn kadabra_sequential_on<G: KadabraGraph>(
+pub fn kadabra_sequential_traced<G: KadabraGraph>(
     g: &G,
     cfg: &KadabraConfig,
     tel: &Telemetry,

@@ -10,7 +10,7 @@
 use crate::config::{ClusterShape, KadabraConfig};
 use crate::epoch_mpi::kadabra_epoch_mpi_traced;
 use crate::result::{BetweennessResult, PhaseTimings, SamplingStats};
-use kadabra_graph::{Graph, KadabraGraph};
+use kadabra_graph::KadabraGraph;
 use kadabra_telemetry::{CounterId, SpanId, Telemetry, ThreadRecorder};
 use std::time::Duration;
 
@@ -43,33 +43,20 @@ pub fn sampling_stats_from(rec: &ThreadRecorder) -> SamplingStats {
     }
 }
 
-/// Runs epoch-based shared-memory KADABRA with `threads` sampling threads.
-pub fn kadabra_shared(g: &Graph, cfg: &KadabraConfig, threads: usize) -> BetweennessResult {
+/// Runs epoch-based shared-memory KADABRA with `threads` sampling threads,
+/// sampling on `g` (any graph kind) as given: Algorithm 2 on one rank of
+/// `threads` threads.
+pub fn kadabra_shared<G: KadabraGraph + Sync>(
+    g: &G,
+    cfg: &KadabraConfig,
+    threads: usize,
+) -> BetweennessResult {
     kadabra_shared_traced(g, cfg, threads, &Telemetry::stats_only())
 }
 
 /// [`kadabra_shared`] recording into an explicit [`Telemetry`] registry
 /// (spans, counters and — in tracing mode — the Chrome-trace event stream).
-pub fn kadabra_shared_traced(
-    g: &Graph,
-    cfg: &KadabraConfig,
-    threads: usize,
-    tel: &Telemetry,
-) -> BetweennessResult {
-    // Cache-aware relabeling: all sampling threads share the degree-relabeled
-    // CSR; the final scores are mapped back to the caller's ids
-    // (DESIGN.md §11).
-    let (rg, perm) = g.relabel_by_degree();
-    let mut result = kadabra_shared_on(&rg, cfg, threads, tel);
-    result.scores = perm.unrelabel(&result.scores);
-    result
-}
-
-/// Epoch-based shared-memory KADABRA on any graph kind, sampling on `g` as
-/// given — what [`kadabra_shared_traced`] runs on the relabeled CSR, and the
-/// entry point for directed and weighted graphs (the paper's footnote 1).
-/// It is Algorithm 2 on one rank of `threads` threads.
-pub fn kadabra_shared_on<G: KadabraGraph + Sync>(
+pub fn kadabra_shared_traced<G: KadabraGraph + Sync>(
     g: &G,
     cfg: &KadabraConfig,
     threads: usize,

@@ -10,12 +10,11 @@
 
 use kadabra_mpi::baselines::{brandes_directed, brandes_weighted};
 use kadabra_mpi::core::{
-    kadabra_epoch_mpi, kadabra_sequential_on, BetweennessResult, ClusterShape, KadabraConfig,
+    kadabra_epoch_mpi, kadabra_sequential, BetweennessResult, ClusterShape, KadabraConfig,
 };
 use kadabra_mpi::graph::digraph::DiGraph;
 use kadabra_mpi::graph::weighted::WeightedGraph;
 use kadabra_mpi::graph::KadabraGraph;
-use kadabra_mpi::telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,7 +25,7 @@ fn solve<G: KadabraGraph + Sync>(kind: &str, g: &G, exact: &[f64]) -> Betweennes
     let max_err = |r: &BetweennessResult| {
         r.scores.iter().zip(exact).map(|(a, e)| (a - e).abs()).fold(0.0f64, f64::max)
     };
-    let seq = kadabra_sequential_on(g, &cfg, &Telemetry::stats_only());
+    let seq = kadabra_sequential(g, &cfg);
     println!(
         "{kind}: {} vertices -> {} samples, max |err| vs exact = {:.4} (eps {})",
         g.num_nodes(),

@@ -22,9 +22,8 @@
 //! they do not care what kind of graph it is (paper footnote 1).
 
 use kadabra_mpi::core::{
-    kadabra_epoch_mpi_traced, kadabra_mpi_flat_traced, kadabra_sequential_on,
-    kadabra_sequential_traced, kadabra_shared_on, kadabra_shared_traced, BetweennessResult,
-    ClusterShape, KadabraConfig,
+    kadabra_epoch_mpi_traced, kadabra_mpi_flat_traced, kadabra_sequential_traced,
+    kadabra_shared_traced, ClusterShape, KadabraConfig,
 };
 use kadabra_mpi::graph::components::largest_component;
 use kadabra_mpi::graph::io::{read_arc_list, read_path, read_weighted_edge_list, write_path};
@@ -136,7 +135,7 @@ fn main() -> ExitCode {
         let loaded = if args.directed {
             read_arc_list(file).map(|g| {
                 eprintln!("loaded digraph: {} vertices, {} arcs", g.num_nodes(), g.num_arcs());
-                run(&g, None, &args, kadabra_sequential_on, kadabra_shared_on)
+                run(&g, None, &args)
             })
         } else {
             read_weighted_edge_list(file).map(|g| {
@@ -145,7 +144,7 @@ fn main() -> ExitCode {
                     g.num_nodes(),
                     g.num_edges()
                 );
-                run(&g, None, &args, kadabra_sequential_on, kadabra_shared_on)
+                run(&g, None, &args)
             })
         };
         return loaded.unwrap_or_else(|e| {
@@ -169,6 +168,8 @@ fn main() -> ExitCode {
         raw.num_nodes(),
         raw.num_edges()
     );
+    // Every driver samples `g` as given, so the solve holds this one CSR.
+    drop(raw);
     if let Some(path) = &args.save_bin {
         if let Err(e) = write_path(&g, path) {
             eprintln!("error writing {}: {e}", path.display());
@@ -176,21 +177,12 @@ fn main() -> ExitCode {
         }
         eprintln!("cached lcc to {}", path.display());
     }
-    // The single-process entry points of the undirected CSR relabel it by
-    // degree first (DESIGN.md §11).
-    run(&g, Some(&mapping), &args, kadabra_sequential_traced, kadabra_shared_traced)
+    run(&g, Some(&mapping), &args)
 }
 
 /// Solves on `g` in the selected mode and reports — the one path every graph
-/// kind takes. `seq` and `shared` are the kind's single-process entry
-/// points; `original_ids` maps `g`'s vertex ids back to the input's.
-fn run<G: KadabraGraph + Sync>(
-    g: &G,
-    original_ids: Option<&[NodeId]>,
-    args: &Args,
-    seq: fn(&G, &KadabraConfig, &Telemetry) -> BetweennessResult,
-    shared: fn(&G, &KadabraConfig, usize, &Telemetry) -> BetweennessResult,
-) -> ExitCode {
+/// kind takes. `original_ids` maps `g`'s vertex ids back to the input's.
+fn run<G: KadabraGraph + Sync>(g: &G, original_ids: Option<&[NodeId]>, args: &Args) -> ExitCode {
     if g.num_nodes() < 2 {
         eprintln!("graph too small for betweenness");
         return ExitCode::FAILURE;
@@ -206,8 +198,8 @@ fn run<G: KadabraGraph + Sync>(
     // Chrome trace was requested, counters/spans only otherwise.
     let tel = if args.trace.is_some() { Telemetry::tracing() } else { Telemetry::stats_only() };
     let result = match args.mode.as_str() {
-        "seq" => seq(g, &cfg, &tel),
-        "shared" => shared(g, &cfg, args.threads, &tel),
+        "seq" => kadabra_sequential_traced(g, &cfg, &tel),
+        "shared" => kadabra_shared_traced(g, &cfg, args.threads, &tel),
         "mpi" => kadabra_mpi_flat_traced(g, &cfg, args.ranks, &tel),
         "epoch-mpi" => kadabra_epoch_mpi_traced(
             g,

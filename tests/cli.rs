@@ -1,6 +1,7 @@
 //! The `kadabra` binary end to end: directed input takes the same dispatch
 //! as undirected input, so `--mode`, `--ranks`, `--threads` and `--metrics`
-//! apply to it.
+//! apply to it, and the one-shot modes report undirected results in the
+//! input's vertex ids.
 
 use std::process::Command;
 
@@ -31,4 +32,29 @@ fn directed_input_honours_mode_ranks_threads_and_metrics() {
     for row in ["phase", "transition_wait", "ibarrier_wait", "reduction_overlap"] {
         assert!(stderr.contains(row), "no `{row}` row on stderr:\n{stderr}");
     }
+}
+
+#[test]
+fn undirected_one_shot_modes_report_input_ids() {
+    // A triangle on 0..=2 beside the path 3 - 4 - 5 - 6 - 7: the path is the
+    // largest component, so the drivers solve it as vertices 0..5 and the
+    // answer must be mapped back to the input's middle vertex, 5.
+    let edges = "0 1\n1 2\n2 0\n3 4\n4 5\n5 6\n6 7\n";
+    let path = std::env::temp_dir().join(format!("kadabra-cli-{}.edges", std::process::id()));
+    std::fs::write(&path, edges).unwrap();
+    for mode in ["seq", "shared"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_kadabra"))
+            .arg(&path)
+            .args(["--mode", mode, "--top", "1", "--eps", "0.02"])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "{mode}: exit {:?}\n{stderr}", out.status.code());
+        assert!(stderr.contains("5 vertices, 4 edges (lcc of 8 / 7)"), "{mode}: {stderr}");
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), 2, "{mode}: {stdout}");
+        assert!(lines[1].starts_with("5 0."), "{mode}: {stdout}");
+    }
+    std::fs::remove_file(&path).unwrap();
 }

@@ -11,9 +11,9 @@
 
 use kadabra_mpi::core::{
     kadabra_epoch_mpi, kadabra_epoch_mpi_observed, kadabra_mpi_flat, kadabra_mpi_flat_elastic,
-    kadabra_mpi_flat_observed, kadabra_naive_parallel, kadabra_sequential, kadabra_shared_on,
-    omega, prepare_for_pool, BetweennessResult, ChaosOptions, ClusterShape, ElasticOptions,
-    KadabraConfig, SamplerPool,
+    kadabra_mpi_flat_observed, kadabra_naive_parallel, kadabra_sequential, kadabra_shared, omega,
+    prepare_for_pool, BetweennessResult, ChaosOptions, ClusterShape, ElasticOptions, KadabraConfig,
+    SamplerPool,
 };
 use kadabra_mpi::dynamic::{DynamicEngine, UpdateBatch};
 use kadabra_mpi::graph::components::largest_component;
@@ -246,7 +246,7 @@ fn golden_transcripts_hold_across_commits() {
     assert_eq!((r.samples, transcript_digest(&r)), one, "flat observed, 1 rank");
     let r = kadabra_mpi_flat_elastic(&g, &cfg, 1, 0, &ElasticOptions::all(FaultPlan::ideal(0)));
     assert_eq!((r.result.samples, transcript_digest(&r.result)), one, "flat elastic, 1 founder");
-    let r = kadabra_shared_on(&g, &cfg, 1, &Telemetry::stats_only());
+    let r = kadabra_shared(&g, &cfg, 1);
     assert_eq!((r.samples, transcript_digest(&r)), one, "shared, 1 thread");
 
     // Algorithm 2 at T = 1 and P > 1 (the hierarchical path `rmat-epoch`

@@ -6,8 +6,8 @@ use kadabra_mpi::baselines::{brandes, brandes_directed, brandes_weighted};
 use kadabra_mpi::core::phases::scores_from_counts;
 use kadabra_mpi::core::{
     kadabra_epoch_mpi, kadabra_epoch_mpi_observed, kadabra_mpi_flat, kadabra_mpi_flat_observed,
-    kadabra_sequential, kadabra_sequential_on, kadabra_shared_on, kadabra_topk, prepare_for_pool,
-    BetweennessResult, ChaosOptions, ClusterShape, KadabraConfig, SamplerPool,
+    kadabra_sequential, kadabra_shared, kadabra_topk, prepare_for_pool, BetweennessResult,
+    ChaosOptions, ClusterShape, KadabraConfig, SamplerPool,
 };
 use kadabra_mpi::graph::digraph::DiGraph;
 use kadabra_mpi::graph::generators::{barabasi_albert, BaConfig};
@@ -35,7 +35,7 @@ fn every_driver_agrees_with_exact<G: KadabraGraph + Sync>(
     let tel = Telemetry::stats_only();
     let shape = ClusterShape { ranks: 2, ranks_per_node: 2, threads_per_rank: 2 };
     let free_running = [
-        ("shared", kadabra_shared_on(g, cfg, 3, &tel)),
+        ("shared", kadabra_shared(g, cfg, 3)),
         ("flat MPI", kadabra_mpi_flat(g, cfg, 3)),
         ("epoch MPI", kadabra_epoch_mpi(g, cfg, shape)),
     ];
@@ -47,7 +47,7 @@ fn every_driver_agrees_with_exact<G: KadabraGraph + Sync>(
         assert!(max_err(&a.scores, exact) <= cfg.epsilon, "{driver}");
         assert_eq!((a.samples, a.scores), (b.samples, b.scores), "{driver} did not repeat");
     };
-    let sequential = || kadabra_sequential_on(g, cfg, &tel);
+    let sequential = || kadabra_sequential(g, cfg);
     seeded("sequential", sequential(), sequential());
     let flat = || kadabra_mpi_flat_observed(g, cfg, 3, &opts).result;
     seeded("flat MPI under a plan", flat(), flat());
@@ -98,7 +98,7 @@ fn directed_triangle_relays_one_pair_per_vertex() {
     let cfg = KadabraConfig { epsilon: 0.03, delta: 0.1, seed: 9, ..Default::default() };
     let exact = brandes_directed(&g);
     assert!(exact.iter().all(|&b| (b - 1.0 / 6.0).abs() < 1e-12));
-    let r = kadabra_sequential_on(&g, &cfg, &Telemetry::stats_only());
+    let r = kadabra_sequential(&g, &cfg);
     assert!(max_err(&r.scores, &exact) <= cfg.epsilon);
 }
 
@@ -109,9 +109,8 @@ fn a_heavy_edge_changes_the_weighted_ranking() {
     let light = WeightedGraph::from_edges(3, &[(0, 2, 1), (0, 1, 1), (1, 2, 1)]);
     let heavy = WeightedGraph::from_edges(3, &[(0, 2, 10), (0, 1, 1), (1, 2, 1)]);
     let cfg = KadabraConfig { epsilon: 0.05, delta: 0.1, seed: 10, ..Default::default() };
-    let tel = Telemetry::stats_only();
-    assert!(kadabra_sequential_on(&light, &cfg, &tel).scores[1] < 0.1);
-    assert!(kadabra_sequential_on(&heavy, &cfg, &tel).scores[1] > 0.2);
+    assert!(kadabra_sequential(&light, &cfg).scores[1] < 0.1);
+    assert!(kadabra_sequential(&heavy, &cfg).scores[1] > 0.2);
 }
 
 #[test]
@@ -120,7 +119,7 @@ fn shared_directed_runs_account_their_frames_at_every_thread_count() {
     let cfg = KadabraConfig { epsilon: 0.1, delta: 0.1, seed: 7, ..Default::default() };
     let exact = brandes_directed(&g);
     for threads in [1, 3, 4] {
-        let r = kadabra_shared_on(&g, &cfg, threads, &Telemetry::stats_only());
+        let r = kadabra_shared(&g, &cfg, threads);
         assert!(max_err(&r.scores, &exact) <= cfg.epsilon, "threads={threads}");
         // What the one-rank world's collectives move: the diameter
         // broadcast and the calibration all-reduce, then per epoch the
