@@ -199,7 +199,9 @@ pub fn sample_weighted_shortest_path<R: Rng + ?Sized>(
         for (u, w) in g.neighbors(cur) {
             if dist[u as usize] != UNREACHED_W && dist[u as usize] + w as Dist == dist[cur as usize]
             {
-                total += sigma[u as usize];
+                // Wraps once σ has saturated, in every build profile, as
+                // the unweighted walk's sum does (`bibfs.rs`).
+                total = total.wrapping_add(sigma[u as usize]);
             }
         }
         debug_assert!(total > 0);
@@ -444,6 +446,38 @@ mod tests {
         }
         let frac = long_route as f64 / trials as f64;
         assert!((frac - 0.5).abs() < 0.02, "biased: {frac}");
+    }
+
+    #[test]
+    fn corner_to_corner_on_a_large_unit_grid_draws_a_shortest_path() {
+        // C(78, 39) ≈ 2^74 shortest paths saturate σ long before the far
+        // corner, so the predecessors' sum overflows u64: the walk must
+        // draw as a release build does, not panic in a debug build.
+        let side: NodeId = 40;
+        let id = |r: NodeId, c: NodeId| r * side + c;
+        let mut edges = Vec::new();
+        for r in 0..side {
+            for c in 0..side {
+                if c + 1 < side {
+                    edges.push((id(r, c), id(r, c + 1), 1));
+                }
+                if r + 1 < side {
+                    edges.push((id(r, c), id(r + 1, c), 1));
+                }
+            }
+        }
+        let g = WeightedGraph::from_edges((side * side) as usize, &edges);
+        let (s, t) = (id(0, 0), id(side - 1, side - 1));
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..8 {
+            let p = sample_weighted_shortest_path(&g, s, t, &mut rng).unwrap();
+            assert_eq!(p.distance, 2 * Dist::from(side - 1));
+            assert_eq!(p.interior.len(), 2 * (side as usize - 1) - 1);
+            assert_eq!(p.num_paths, u64::MAX, "σ saturates");
+            let hops = std::iter::once(s).chain(p.interior.iter().copied()).chain([t]);
+            let walk: Vec<NodeId> = hops.collect();
+            assert!(walk.windows(2).all(|w| g.neighbors(w[0]).any(|(v, _)| v == w[1])));
+        }
     }
 
     #[test]
