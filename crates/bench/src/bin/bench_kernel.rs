@@ -7,13 +7,14 @@
 //!
 //! Rows produced:
 //!
-//! * `kernel` — degree-descending relabeled CSR, the exact layout every
-//!   driver actually samples on (DESIGN.md §11). This row is the regression
+//! * `kernel` — degree-descending relabeled CSR, the layout a resident
+//!   server tenant samples on (DESIGN.md §11.1). This row is the regression
 //!   gate: `cargo xtask bench --kernel --check` fails CI when its
 //!   `samples_per_sec` drops more than 15% below the committed baseline, or
 //!   when `allocs_per_sample` is nonzero.
-//! * `kernel-raw` — the same graph in generator-order labeling, so layout
-//!   regressions are distinguishable from algorithmic ones. Its sampler is
+//! * `kernel-raw` — the same graph in generator-order labeling: what every
+//!   one-shot driver samples, since they take the caller's graph as given.
+//!   It also tells layout regressions from algorithmic ones. Its sampler is
 //!   sized from the *raw* graph — [`ThreadSampler`] asserts the scratch
 //!   matches the graph it runs on.
 //!
@@ -112,7 +113,7 @@ fn main() {
 
     let mut bench = BenchArtifact::new("kernel", 1.0, 0.0, seed);
     let (rg, _perm) = g.relabel_by_degree();
-    // Gate row: the production layout.
+    // Gate row: the tenant layout.
     bench.push(measure("rmat-s14-lcc", "kernel", &rg, iters, seed));
     bench.push(measure("rmat-s14-lcc", "kernel-raw", &g, iters, seed));
     emit(&bench);
