@@ -1,9 +1,10 @@
 //! **Sampling-kernel benchmark** backing `cargo xtask bench --kernel`:
 //! measures the single-thread hot path — `ThreadSampler::sample_batch` over
-//! the balanced bidirectional BFS — on the R-MAT perf instance and emits
-//! `BENCH_kernel.json` (`kadabra-bench/v1` plus `ns_per_sample` /
-//! `allocs_per_sample` / `walk_probes_per_sample` extra columns — the last
-//! is the walk-back's work, which `edges_scanned` does not count).
+//! the balanced bidirectional BFS — on the R-MAT perf instance and, as a
+//! diagnostic, a road grid, and emits `BENCH_kernel.json`
+//! (`kadabra-bench/v1` plus `ns_per_sample` / `allocs_per_sample` /
+//! `walk_probes_per_sample` extra columns — the last is the walk-back's
+//! work, which `edges_scanned` does not count).
 //!
 //! Rows produced:
 //!
@@ -17,6 +18,12 @@
 //!   It also tells layout regressions from algorithmic ones. Its sampler is
 //!   sized from the *raw* graph — [`ThreadSampler`] asserts the scratch
 //!   matches the graph it runs on.
+//! * `road` — a 256 × 256 grid with 5 % random diagonals in input order,
+//!   the `road-seq` benchmark's class and size (generator seed 1): long
+//!   searches whose meeting level is a sliver of the work, where a kernel
+//!   change tuned for R-MAT can cost. Diagnostic, not gated; it measures
+//!   `iters / ROAD_SHARE` samples, since a sample there costs hundreds of
+//!   times an R-MAT one.
 //!
 //! The binary registers [`kadabra_alloctrack::CountingAlloc`] as its global
 //! allocator; after the warm-up batch the measured batch must not allocate.
@@ -29,7 +36,7 @@ use kadabra_alloctrack::CountingAlloc;
 use kadabra_bench::{emit, seed, BenchArtifact, BenchRun};
 use kadabra_core::ThreadSampler;
 use kadabra_graph::components::largest_component;
-use kadabra_graph::generators::{rmat, RmatConfig};
+use kadabra_graph::generators::{grid, rmat, GridConfig, RmatConfig};
 use kadabra_graph::Graph;
 use std::time::Instant;
 
@@ -41,6 +48,9 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 /// buffer that grows with the batch size rather than being sized at
 /// construction) reaches steady-state capacity before counting begins.
 const WARMUP: u64 = 2_000;
+
+/// The `road` row measures `iters / ROAD_SHARE` samples.
+const ROAD_SHARE: u64 = 50;
 
 fn iters() -> u64 {
     match std::env::var("KADABRA_KERNEL_ITERS") {
@@ -116,5 +126,8 @@ fn main() {
     // Gate row: the tenant layout.
     bench.push(measure("rmat-s14-lcc", "kernel", &rg, iters, seed));
     bench.push(measure("rmat-s14-lcc", "kernel-raw", &g, iters, seed));
+    let (road, _) =
+        largest_component(&grid(GridConfig { rows: 256, cols: 256, diagonal_prob: 0.05, seed: 1 }));
+    bench.push(measure("grid-256-d05-lcc", "road", &road, (iters / ROAD_SHARE).max(1), seed));
     emit(&bench);
 }

@@ -24,12 +24,17 @@
 //! `σ_near(w) = Σ σ_near(u)` over those neighbours `u`, and it is a complete
 //! s-t cut of the shortest-path DAG, giving `σ_st = Σ_{w ∈ C} σ_near(w)·σ_far(w)`.
 //!
-//! `C` can be found from either side: by settling the near side's next level,
-//! where a vertex whose slot the far side holds is a meet (both sides share
-//! one state array, and the near side takes such a slot over until the level
-//! is complete), or — when the far frontier is much cheaper to read than the
-//! near one — by testing each far-frontier vertex against the near frontier,
-//! without settling the meeting level at all (DESIGN.md §11.6).
+//! `C` can be found from either side: by expanding the near side's next
+//! level, where a vertex whose slot the far side holds is a meet (both sides
+//! share one state array, and the near side takes such a slot over until the
+//! cut is complete), or — when the far frontier is much cheaper to read than
+//! the near one — by testing each far-frontier vertex against the near
+//! frontier, without settling the meeting level at all (DESIGN.md §11.6).
+//! An expansion settles its level only up to the first meet. All the rest of
+//! the level can add is more of `C`, or σ to it, so it tests each remaining
+//! row entry against the far frontier's bits and touches only the hits'
+//! slots; the meet test likewise tests row entries against the near
+//! frontier's bits. The bits are set for one test and cleared after it.
 //!
 //! A uniform path is then drawn by picking a cut vertex with probability
 //! proportional to `σ_near(v)·σ_far(v)` and walking back to each endpoint, at
@@ -43,7 +48,7 @@
 
 use crate::bfs::sigma_bfs;
 use crate::csr::{Graph, NodeId};
-use crate::scratch::{Relax, StampedBfsState, TraversalScratch, UNREACHED};
+use crate::scratch::{Relax, StampedBfsState, TraversalScratch, VertexBits, UNREACHED};
 use crate::view::GraphView;
 use rand::Rng;
 
@@ -66,7 +71,9 @@ pub struct SearchStats {
     /// expansion scans, plus the meet test's reads, a binary search of a
     /// row of `deg` entries counting ⌈log₂(deg + 1)⌉.
     pub edges_scanned: u64,
-    /// Vertices settled by both searches.
+    /// Vertices settled by both searches. A level that meets is settled
+    /// only up to its first meet; after that only the far-frontier vertices
+    /// it reaches count, which are the cut (the module docs).
     pub vertices_settled: u64,
     /// Work of the walk-back: row entries probed plus level vertices tested
     /// for membership in a row. Not part of `edges_scanned`.
@@ -140,7 +147,20 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
     rng: &mut R,
     stats: &mut SearchStats,
 ) -> Option<SampleInfo> {
-    sample_along(g, g, s, t, scratch, rng, stats)
+    sample_along(g, g, s, t, scratch, rng, stats).map(|(info, _)| info)
+}
+
+/// How a sample's search found its meeting cut.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Meeting {
+    /// The meet test from the far frontier found it: the meeting level was
+    /// never expanded.
+    FromFar,
+    /// The expansion met before its level's last row entry, and the rest of
+    /// the level was tested against the far frontier's bits.
+    Finished,
+    /// The expansion's first meet was its level's last row entry.
+    AtLastEntry,
 }
 
 /// The kernel: the search from `s` expands along `fwd`'s rows, the one from
@@ -148,7 +168,7 @@ pub fn sample_shortest_path_into<G: GraphView, R: Rng + ?Sized>(
 /// `u ∈ fwd(v) ⇔ v ∈ bwd(u)` — one symmetric view passed twice, or a
 /// digraph's out-rows and in-rows. Each side expands, costs its levels and
 /// prefetches through its own rows; the meet test reads the far side's, a
-/// walk the other side's (DESIGN.md §11.6).
+/// walk the other side's (DESIGN.md §11.6). Also reports how the search met.
 pub(crate) fn sample_along<V: GraphView, R: Rng + ?Sized>(
     fwd: &V,
     bwd: &V,
@@ -157,17 +177,25 @@ pub(crate) fn sample_along<V: GraphView, R: Rng + ?Sized>(
     scratch: &mut TraversalScratch,
     rng: &mut R,
     stats: &mut SearchStats,
-) -> Option<SampleInfo> {
+) -> Option<(SampleInfo, Meeting)> {
     assert!(s != t, "sampling requires distinct endpoints");
     assert!((s as usize) < fwd.num_nodes() && (t as usize) < fwd.num_nodes());
     let (s_tag, t_tag) = scratch.reset();
-    let TraversalScratch { state, path, order_fwd, order_bwd, levels_fwd, levels_bwd, cut } =
-        scratch;
+    let TraversalScratch {
+        state,
+        path,
+        order_fwd,
+        order_bwd,
+        levels_fwd,
+        levels_bwd,
+        cut,
+        frontier_bits: bits,
+    } = scratch;
     let mut fwd = Side::start(fwd, state, s_tag, order_fwd, levels_fwd, s);
     let mut bwd = Side::start(bwd, state, t_tag, order_bwd, levels_bwd, t);
     stats.vertices_settled += 2;
 
-    let (near, far) = loop {
+    let (near, far, meeting) = loop {
         // Balanced expansion: grow the cheaper side.
         let (near, far) =
             if fwd.cost.degrees <= bwd.cost.degrees { (&mut fwd, &bwd) } else { (&mut bwd, &fwd) };
@@ -178,17 +206,17 @@ pub(crate) fn sample_along<V: GraphView, R: Rng + ?Sized>(
         // same set.
         let searches = (near.frontier().len() as u64).saturating_mul(far.cost.searches);
         if searches.saturating_mul(2) < near.cost.degrees {
-            stats.edges_scanned += meet_from_far(state, near, far, cut);
+            stats.edges_scanned += meet_from_far(state, bits, near, far, cut);
             if !cut.is_empty() {
-                break (near, far);
+                break (near, far, Meeting::FromFar);
             }
         }
-        near.expand(state, far, cut, stats);
-        if !cut.is_empty() {
-            // The level is complete: hand each cut vertex back to the far
-            // side as the level found it, its entry taking σ_near.
+        if let Some(at) = near.expand(state, far, cut, stats) {
+            let meeting = near.finish_meeting_level(state, bits, far, at, cut, stats);
+            // The cut is complete: hand each cut vertex back to the far side
+            // as the level found it, its entry taking σ_near.
             state.hand_back(cut, near.tag, far.tag, far.depth);
-            break (near, far);
+            break (near, far, meeting);
         }
         let level = near.level(near.depth + 1);
         if level.is_empty() {
@@ -201,7 +229,7 @@ pub(crate) fn sample_along<V: GraphView, R: Rng + ?Sized>(
     };
     let (info, probes) = select_and_backtrack(state, cut, near, far, path, rng);
     stats.walk_probes += probes;
-    Some(info)
+    Some((info, meeting))
 }
 
 /// What reading a level costs: its degree sum (scanning every row) and its
@@ -275,18 +303,21 @@ impl<'a, V: GraphView> Side<'a, V> {
         self.level(self.depth)
     }
 
-    /// Settles level `depth + 1` from the frontier, leaving `depth` alone.
-    /// A vertex whose slot `far` holds is a meet: the level takes the slot
-    /// over and `cut` keeps the vertex with σ_far, for the caller to hand
-    /// back once the level is complete. After a meet test that found no cut,
-    /// no slot of `far`'s can come up.
+    /// Settles level `depth + 1` from the frontier, leaving `depth` alone,
+    /// up to its first meet: a vertex whose slot `far` holds. The level
+    /// takes that slot over, `cut` keeps the vertex with σ_far, for the
+    /// caller to hand back once the cut is complete, and the return value is
+    /// where the level stops: the position in `order` of the row that met
+    /// and the entry after the meet, for [`Self::finish_meeting_level`].
+    /// `None` is a level settled in full without a meet. After a meet test
+    /// that found no cut, no slot of `far`'s can come up.
     fn expand(
         &mut self,
         state: &mut StampedBfsState,
         far: &Side<'_, V>,
         cut: &mut Vec<(NodeId, u64)>,
         stats: &mut SearchStats,
-    ) {
+    ) -> Option<(usize, usize)> {
         let (rows, order, levels) = (self.rows, &mut *self.order, &mut *self.levels);
         let (tag, new_depth) = (self.tag, self.depth + 1);
         let (start, end) = (levels[levels.len() - 1] as usize, order.len());
@@ -309,17 +340,85 @@ impl<'a, V: GraphView> Side<'a, V> {
                     state.prefetch(w);
                 }
                 match state.settle_or_merge(v, tag, far.tag, new_depth, su) {
-                    Relax::Known => continue,
-                    Relax::Settled => {}
+                    Relax::Known => {}
+                    Relax::Settled => {
+                        stats.vertices_settled += 1;
+                        order.push(v);
+                    }
                     Relax::Met(k, far_sigma) => {
                         debug_assert_eq!(k, far.depth, "every meet is at the far radius");
                         cut.push((v, far_sigma));
+                        stats.vertices_settled += 1;
+                        order.push(v);
+                        return Some((i, j + 1));
                     }
                 }
-                stats.vertices_settled += 1;
-                order.push(v);
             }
         }
+        None
+    }
+
+    /// Finishes the level [`Self::expand`] met in, from entry `entry` of the
+    /// row of `order[row]` on. What a sample reads of that level is its cut —
+    /// the far-frontier vertices it reaches — and their σ_near, so each entry
+    /// is tested against the far frontier's bits, and only a hit touches its
+    /// slot: the first takes the far record over into `cut`, as in
+    /// `expand`, later ones merge σ. Every other vertex of the level stays
+    /// unsettled. Reads the same row entries, in the same order, as settling
+    /// the level in full, so `cut` ends up the same list with the same σ.
+    ///
+    /// Runs once per sample, so a call costs nothing; inlined into
+    /// `sample_along`, it slowed the road grid's samples, whose time is in
+    /// `expand`, by ≈ 9 % in a kernel probe (DESIGN.md §11.6).
+    #[inline(never)]
+    fn finish_meeting_level(
+        &mut self,
+        state: &mut StampedBfsState,
+        bits: &mut VertexBits,
+        far: &Side<'_, V>,
+        (row, entry): (usize, usize),
+        cut: &mut Vec<(NodeId, u64)>,
+        stats: &mut SearchStats,
+    ) -> Meeting {
+        let (rows, tag, new_depth) = (self.rows, self.tag, self.depth + 1);
+        let end = self.levels[new_depth as usize] as usize;
+        if row + 1 == end && entry == rows.degree(self.order[row]) {
+            return Meeting::AtLastEntry;
+        }
+        let targets = far.frontier();
+        bits.insert_all(targets);
+        for i in row..end {
+            let u = self.order[i];
+            if i + 1 < end {
+                rows.prefetch_neighbors(self.order[i + 1]);
+            }
+            let adj = rows.neighbors(u);
+            // `expand` counted the row that met when it began it.
+            let rest = if i == row {
+                &adj[entry..]
+            } else {
+                stats.edges_scanned += adj.len() as u64;
+                adj
+            };
+            for &v in rest {
+                if !bits.contains(v) {
+                    continue;
+                }
+                let su = state.sigma(u, tag);
+                match state.settle_or_merge(v, tag, far.tag, new_depth, su) {
+                    Relax::Met(k, far_sigma) => {
+                        debug_assert_eq!(k, far.depth, "every meet is at the far radius");
+                        cut.push((v, far_sigma));
+                        stats.vertices_settled += 1;
+                        self.order.push(v);
+                    }
+                    // A cut vertex met before: σ merged into the level's record.
+                    relax => debug_assert_eq!(relax, Relax::Known),
+                }
+            }
+        }
+        bits.clear_all(targets);
+        Meeting::Finished
     }
 }
 
@@ -329,18 +428,21 @@ impl<'a, V: GraphView> Side<'a, V> {
 /// expanding `near` would settle on the far side (a saturating sum of
 /// non-negative terms does not depend on their order). `row(w)` is `w`'s
 /// row in the far side's rows: the vertices the near side steps to `w` from.
-/// For each `w` it either scans `row(w)` against the near records or
-/// binary-searches each near-frontier vertex in `row(w)`, whichever reads
-/// less, as the walk-back does. Returns the entries read, a binary search
-/// counting ⌈log₂(deg + 1)⌉.
+/// For each `w` it either tests every entry of `row(w)` against the near
+/// frontier's bits or binary-searches each near-frontier vertex in
+/// `row(w)`, whichever reads less, as the walk-back does; either way it
+/// reads σ only at a hit. Returns the entries read, a binary search counting
+/// ⌈log₂(deg + 1)⌉.
 fn meet_from_far<V: GraphView>(
     state: &StampedBfsState,
+    bits: &mut VertexBits,
     near: &Side<'_, V>,
     far: &Side<'_, V>,
     cut: &mut Vec<(NodeId, u64)>,
 ) -> u64 {
     let (level, tag) = (near.frontier(), near.tag);
     let targets = far.frontier();
+    bits.insert_all(level);
     let mut reads = 0u64;
     for (i, &w) in targets.iter().enumerate() {
         if let Some(&next) = targets.get(i + 1) {
@@ -358,18 +460,11 @@ fn meet_from_far<V: GraphView>(
             }
         } else {
             reads += adj.len() as u64;
-            for &u in adj.iter().take(STATE_PREFETCH_DIST) {
-                state.prefetch(u);
-            }
-            for (j, &u) in adj.iter().enumerate() {
-                if let Some(&nu) = adj.get(j + STATE_PREFETCH_DIST) {
-                    state.prefetch(nu);
-                }
-                // A near-side neighbour below the frontier would have
-                // settled `w` on the near side too: every hit is on it.
-                if let Some((du, su)) = state.record(u, tag) {
-                    debug_assert_eq!(du, near.depth);
-                    sigma = sigma.saturating_add(su);
+            // A near-side neighbour below the frontier would have settled
+            // `w` on the near side too: the frontier holds every one.
+            for &u in adj {
+                if bits.contains(u) {
+                    sigma = sigma.saturating_add(state.sigma(u, tag));
                 }
             }
         }
@@ -378,6 +473,7 @@ fn meet_from_far<V: GraphView>(
             cut.push((w, sigma));
         }
     }
+    bits.clear_all(level);
     reads
 }
 
@@ -947,11 +1043,14 @@ mod tests {
             /// scanned its row (a level step probes strictly less, since it
             /// fires only on `|level| · ⌈log₂(deg + 1)⌉ < deg`).
             pub(super) rows_only: u64,
-            /// Samples whose cut the meet test found: the meeting level,
-            /// never empty, was not settled.
+            /// Samples whose cut the meet test found: the meeting level was
+            /// not expanded.
             pub(super) met_from_far: u64,
-            /// Samples that met by settling the meeting level.
-            pub(super) met_by_expanding: u64,
+            /// Samples whose expansion met before its level's last entry and
+            /// finished the level against the far frontier's bits.
+            pub(super) finished: u64,
+            /// Samples whose expansion first met at its level's last entry.
+            pub(super) at_last_entry: u64,
         }
 
         /// Runs the pair (0, 1) and `pairs - 1` random pairs of `g` through
@@ -965,7 +1064,8 @@ mod tests {
                 (StdRng::seed_from_u64(seed ^ 7), StdRng::seed_from_u64(seed ^ 7));
             for (s, t) in draw_pairs(n, pairs, seed) {
                 let (mut st, mut rst) = (SearchStats::default(), SearchStats::default());
-                let got = sample_shortest_path_into(g, s, t, &mut sc, &mut rng, &mut st);
+                let met = sample_along(g, g, s, t, &mut sc, &mut rng, &mut st);
+                let got = met.map(|(info, _)| info);
                 let want =
                     reference::sample_shortest_path_into(g, s, t, &mut rsc, &mut rrng, &mut rst);
                 prop_assert_eq!(got, want, "s={} t={}", s, t);
@@ -1002,10 +1102,11 @@ mod tests {
                 seen.shorter += u64::from(st.walk_probes < rst.walk_probes);
                 seen.rows_only +=
                     u64::from(st.walk_probes == rst.walk_probes && st.walk_probes > 0);
-                if got.is_some() {
-                    let from_far = st.vertices_settled < rst.vertices_settled;
-                    seen.met_from_far += u64::from(from_far);
-                    seen.met_by_expanding += u64::from(!from_far);
+                match met.map(|(_, meeting)| meeting) {
+                    Some(Meeting::FromFar) => seen.met_from_far += 1,
+                    Some(Meeting::Finished) => seen.finished += 1,
+                    Some(Meeting::AtLastEntry) => seen.at_last_entry += 1,
+                    None => {}
                 }
             }
             seen
@@ -1033,7 +1134,8 @@ mod tests {
                     seen.shorter += w.shorter;
                     seen.rows_only += w.rows_only;
                     seen.met_from_far += w.met_from_far;
-                    seen.met_by_expanding += w.met_by_expanding;
+                    seen.finished += w.finished;
+                    seen.at_last_entry += w.at_last_entry;
                 }
             }
             seen
@@ -1099,13 +1201,55 @@ mod tests {
             assert!(seen.rows_only > 0, "no sample walked through rows only");
         }
 
-        /// The inputs above drive both ways of meeting: some samples find
-        /// the cut from the far frontier, some by settling the meeting level.
+        /// The inputs above drive every way of meeting, as the kernel
+        /// reports it: some samples find the cut from the far frontier, some
+        /// finish a level that met against the far frontier's bits, and
+        /// some first meet at their level's last entry.
         #[test]
-        fn both_meeting_paths_are_taken() {
+        fn every_meeting_path_is_taken() {
             let seen = branches_taken();
             assert!(seen.met_from_far > 0, "no sample found its cut from the far frontier");
-            assert!(seen.met_by_expanding > 0, "no sample met by settling a level");
+            assert!(seen.finished > 0, "no sample finished a level against the bits");
+            assert!(seen.at_last_entry > 0, "no sample first met at its level's last entry");
+        }
+
+        /// Every sample leaves the frontier bits clear, so the set costs
+        /// nothing between samples: after each way of meeting, after a pair
+        /// in two components, and after samples of a digraph whose in-rows
+        /// differ from its out-rows.
+        #[test]
+        fn frontier_bits_are_left_clear() {
+            let (mut met, mut unmet, mut directed) = ([0u64; 3], 0u64, 0u64);
+            for family in 0..6 {
+                for seed in 0..20u64 {
+                    let (a, b) = ((seed * 13 % 64) as usize, (seed * 29 % 64) as usize);
+                    let g = draw_graph(family, a, b, seed);
+                    // Every edge one way, and every other one both ways.
+                    let arcs: Vec<_> = g
+                        .edges()
+                        .flat_map(|(u, v)| [(u, v), if (u ^ v) & 1 == 0 { (v, u) } else { (u, v) }])
+                        .collect();
+                    let dg = DiGraph::from_arcs(g.num_nodes(), &arcs);
+                    let mut sc = TraversalScratch::new(g.num_nodes());
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut st = SearchStats::default();
+                    for (s, t) in draw_pairs(g.num_nodes(), 24, seed) {
+                        match sample_along(&g, &g, s, t, &mut sc, &mut rng, &mut st) {
+                            Some((_, Meeting::FromFar)) => met[0] += 1,
+                            Some((_, Meeting::Finished)) => met[1] += 1,
+                            Some((_, Meeting::AtLastEntry)) => met[2] += 1,
+                            None => unmet += 1,
+                        }
+                        assert!(sc.frontier_bits.is_clear(), "graph, s={s} t={t}");
+                        directed +=
+                            u64::from(dg.sample_into(s, t, &mut sc, &mut rng, &mut st).is_some());
+                        assert!(sc.frontier_bits.is_clear(), "digraph, s={s} t={t}");
+                    }
+                }
+            }
+            assert!(met.iter().all(|&m| m > 0), "a way of meeting was not taken: {met:?}");
+            assert!(unmet > 0, "no pair was disconnected");
+            assert!(directed > 0, "no digraph sample met");
         }
     }
 

@@ -136,7 +136,7 @@ impl DiGraph {
         rng: &mut R,
         stats: &mut SearchStats,
     ) -> Option<SampleInfo> {
-        sample_along(&self.out, &self.inn, s, t, scratch, rng, stats)
+        sample_along(&self.out, &self.inn, s, t, scratch, rng, stats).map(|(info, _)| info)
     }
 }
 

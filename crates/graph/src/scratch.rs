@@ -204,13 +204,60 @@ impl<S: Stamp> StampedState<S> {
     }
 }
 
+/// One bit per vertex, all clear between uses: a caller sets the bits of
+/// one frontier, tests neighbours against them, and clears them again
+/// before it returns. That costs O(|frontier|) per use, not O(n), and a
+/// frontier test reads 8 bytes per 64 vertices (n/8 bytes in all) where a
+/// record probe reads a 16-byte slot.
+pub(crate) struct VertexBits {
+    words: Vec<u64>,
+}
+
+impl VertexBits {
+    /// A clear set for an `n`-vertex graph.
+    pub fn new(n: usize) -> Self {
+        VertexBits { words: vec![0; n.div_ceil(64)] }
+    }
+
+    /// Sets the bit of every vertex of `vs`.
+    #[inline]
+    pub fn insert_all(&mut self, vs: &[NodeId]) {
+        for &v in vs {
+            self.words[v as usize / 64] |= 1 << (v % 64);
+        }
+    }
+
+    /// Whether `v`'s bit is set.
+    #[inline]
+    pub fn contains(&self, v: NodeId) -> bool {
+        self.words[v as usize / 64] >> (v % 64) & 1 != 0
+    }
+
+    /// Clears the set after [`Self::insert_all`]`(vs)` on a clear set: every
+    /// set bit belongs to a vertex of `vs`, so zeroing the words of `vs`
+    /// clears them all.
+    #[inline]
+    pub fn clear_all(&mut self, vs: &[NodeId]) {
+        for &v in vs {
+            self.words[v as usize / 64] = 0;
+        }
+    }
+
+    /// Whether every bit is clear, as it is between samples.
+    #[cfg(test)]
+    pub fn is_clear(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+}
+
 /// Scratch space for one sampling thread: the stamped BFS state both
 /// directions share (forward from `s`, backward from `t`), each direction's
-/// settled vertices cut into BFS levels, and result buffers for the sampled
-/// shortest path. Every buffer holds at most one entry per vertex (the level
-/// starts one more than the levels, of which there are at most n) and is
-/// allocated at that capacity up front, so no sample — not even the first —
-/// performs a heap allocation.
+/// settled vertices cut into BFS levels, a frontier bit set, and result
+/// buffers for the sampled shortest path. Every buffer holds at most one
+/// entry per vertex (the level starts one more than the levels, of which
+/// there are at most n; the bit set one bit) and is allocated at that
+/// capacity up front, so no sample — not even the first — performs a heap
+/// allocation.
 pub struct TraversalScratch {
     /// Both directions' BFS records, told apart by the tags
     /// [`TraversalScratch::reset`] hands out.
@@ -231,6 +278,9 @@ pub struct TraversalScratch {
     /// meets is expanded, σ_near after); the walk-back reuses it as
     /// predecessor scratch.
     pub cut: Vec<(NodeId, u64)>,
+    /// One frontier's vertices, while the meet test or the end of a level
+    /// that met tests neighbours against it; clear between samples.
+    pub(crate) frontier_bits: VertexBits,
 }
 
 impl TraversalScratch {
@@ -244,6 +294,7 @@ impl TraversalScratch {
             levels_fwd: Vec::with_capacity(n + 2),
             levels_bwd: Vec::with_capacity(n + 2),
             cut: Vec::with_capacity(n),
+            frontier_bits: VertexBits::new(n),
         }
     }
 
@@ -414,6 +465,22 @@ mod tests {
         }
         assert!(wraps >= 2, "only {wraps} wraps");
         assert_eq!(straddles, 0, "a pair straddled the wrap");
+    }
+
+    /// Setting a frontier and clearing it leaves every word zero, in the
+    /// last, partial word too, and only the frontier's bits read as set.
+    #[test]
+    fn vertex_bits_clear_what_they_set() {
+        let mut bits = VertexBits::new(130);
+        let frontier = [0, 5, 63, 64, 100, 129];
+        bits.insert_all(&frontier);
+        for v in 0..130 {
+            assert_eq!(bits.contains(v), frontier.contains(&v), "vertex {v}");
+        }
+        assert!(!bits.is_clear());
+        bits.clear_all(&frontier);
+        assert!(bits.is_clear());
+        assert!((0..130).all(|v| !bits.contains(v)));
     }
 
     #[test]

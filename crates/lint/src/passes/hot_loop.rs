@@ -15,7 +15,8 @@
 //!    `sample_path_into` (the sample-source hook: every impl body is what
 //!    the per-pair loop calls), `sample_shortest_path_into` (the kernel
 //!    behind the blanket impl) and `sample_along` (its body, which the
-//!    digraph hook runs too), its level expansion `expand`, its meet test
+//!    digraph hook runs too), its level expansion `expand`, the end of a
+//!    meeting level, `finish_meeting_level`, its meet test
 //!    `meet_from_far` and its walk-back, `select_and_backtrack` and
 //!    `backtrack`, and the diameter phase's `bfs_into` (every BFS of a
 //!    `diameter()` call reuses one scratch), in `crates/core/src` /
@@ -58,7 +59,7 @@ pub struct HotLoopHygiene;
 const BATCH_CALLS: [&str; 2] = ["sample_batch", "sample_batch_records"];
 
 /// Function names whose bodies are hot-path scope in core/graph.
-const HOT_FNS: [&str; 11] = [
+const HOT_FNS: [&str; 12] = [
     "sample_batch",
     "sample_batch_records",
     "sample",
@@ -66,6 +67,7 @@ const HOT_FNS: [&str; 11] = [
     "sample_shortest_path_into",
     "sample_along",
     "expand",
+    "finish_meeting_level",
     "meet_from_far",
     "select_and_backtrack",
     "backtrack",

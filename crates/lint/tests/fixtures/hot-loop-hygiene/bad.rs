@@ -37,3 +37,10 @@ pub fn sample_along(rows: &[Vec<u32>], s: u32, out: &mut Vec<u32>) {
     next.extend_from_slice(&rows[s as usize]);
     out.extend_from_slice(&next);
 }
+
+/// The end of a level that met, scanned by name: a copy of the far frontier
+/// to test against allocates per sample.
+pub fn finish_meeting_level(row: &[u32], far: &[u32], cut: &mut Vec<u32>) {
+    let targets = far.to_vec(); //~ hot-loop-hygiene
+    cut.extend(row.iter().filter(|v| targets.contains(v)));
+}

@@ -31,3 +31,13 @@ pub fn sample_along(rows: &[Vec<u32>], s: u32, order: &mut Vec<u32>) {
     order.clear();
     order.extend_from_slice(&rows[s as usize]);
 }
+
+/// The end of a level that met: tests each entry against the caller's
+/// pre-sized frontier bits and pushes the hits into the caller's cut.
+pub fn finish_meeting_level(row: &[u32], bits: &[u64], cut: &mut Vec<u32>) {
+    for &v in row {
+        if bits[v as usize / 64] >> (v % 64) & 1 != 0 {
+            cut.push(v);
+        }
+    }
+}
