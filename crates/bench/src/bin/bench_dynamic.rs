@@ -82,7 +82,7 @@ fn setup(g: &Graph, seed: u64) -> (KadabraConfig, u64, u32, Calibration, u64) {
             }
         }
     }
-    let calibration = Calibration::from_counts(&total[..n], total[n], &kcfg);
+    let calibration = Calibration::from_counts(&total[..n], total[n], omega, &kcfg);
     (kcfg, omega, vd, calibration, cal_edges)
 }
 

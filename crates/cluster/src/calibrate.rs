@@ -34,8 +34,9 @@ impl CostModel {
 
         // Diameter phase (also warms the graph into such cache as we have).
         let t0 = Instant::now();
-        let (_vd, _) = kadabra_core::phases::diameter_phase(g, cfg);
+        let (vd, _) = kadabra_core::phases::diameter_phase(g, cfg);
         let diameter_ns = t0.elapsed().as_nanos() as u64;
+        let omega = kadabra_core::bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
 
         // Per-sample durations.
         let mut sampler = ThreadSampler::new(n, cfg.seed ^ 0xC057, 0, 0);
@@ -53,7 +54,7 @@ impl CostModel {
 
         // Stopping-condition check cost: evaluate the real check on the real
         // counts a few times and fit cost = fixed + per_vertex * n.
-        let calibration = Calibration::from_counts(&counts, probes as u64, cfg);
+        let calibration = Calibration::from_counts(&counts, probes as u64, omega, cfg);
         let reps = 5;
         let t1 = Instant::now();
         for i in 0..reps {
@@ -72,9 +73,9 @@ impl CostModel {
         let check_ns_per_vertex =
             ((check_total.saturating_sub(check_ns_fixed)) as f64 / n as f64).max(0.1);
 
-        // δ-fit cost (binary search over n vertices).
+        // δ-fit cost (bisection over the count histogram, at the instance's ω).
         let t2 = Instant::now();
-        let _ = Calibration::from_counts(&counts, probes as u64, cfg);
+        let _ = Calibration::from_counts(&counts, probes as u64, omega, cfg);
         let delta_fit_ns = t2.elapsed().as_nanos() as u64;
 
         CostModel { sample_ns, check_ns_per_vertex, check_ns_fixed, diameter_ns, delta_fit_ns }

@@ -34,8 +34,9 @@ pub struct KadabraConfig {
     /// the budget is exhausted the (valid) upper bound `2·ecc` is used,
     /// which only affects running time, not correctness.
     pub diameter_bfs_budget: u32,
-    /// Fraction of the failure budget spread uniformly over all vertices
-    /// during calibration (keeps δ_L(v), δ_U(v) > 0 everywhere).
+    /// Fraction of the vertex budget δ/2 spread uniformly over all vertices
+    /// during calibration. It keeps δ_L(v), δ_U(v) > 0 everywhere, so it
+    /// must lie in (0, 1).
     pub calibration_floor: f64,
     /// Carries nothing and is read by nothing; frozen for `benchmark/` (see
     /// [`KernelOptions`]).
@@ -102,8 +103,9 @@ impl KadabraConfig {
         assert!(self.c > 0.0, "c must be positive");
         assert!(self.n0_base >= 1.0, "n0_base must be at least 1");
         assert!(
-            (0.0..1.0).contains(&self.calibration_floor),
-            "calibration_floor must lie in [0, 1)"
+            self.calibration_floor > 0.0 && self.calibration_floor < 1.0,
+            "calibration_floor must lie in (0, 1), got {}",
+            self.calibration_floor
         );
     }
 
@@ -189,6 +191,14 @@ mod tests {
     #[should_panic(expected = "delta")]
     fn rejects_bad_delta() {
         KadabraConfig { delta: 1.5, ..Default::default() }.validate();
+    }
+
+    /// A zero floor would leave untouched vertices at δ = 0, where f and g
+    /// are undefined and no stop ever passes.
+    #[test]
+    #[should_panic(expected = "calibration_floor")]
+    fn rejects_zero_calibration_floor() {
+        KadabraConfig { calibration_floor: 0.0, ..Default::default() }.validate();
     }
 
     #[test]

@@ -141,7 +141,7 @@ pub fn prepare_for_pool<G: KadabraGraph>(
             taken += calibration_samples_for_thread(g, &mut sampler, &mut counts, cfg, omega, pool);
         }
     }
-    let calibration = Calibration::from_counts(&counts, taken, cfg);
+    let calibration = Calibration::from_counts(&counts, taken, omega, cfg);
     let calibration_time = calib_start.elapsed();
 
     Prepared { vertex_diameter: vd, omega, calibration, diameter_time, calibration_time }
@@ -189,7 +189,7 @@ pub(crate) fn prepare_collective<G: KadabraGraph + Sync>(
     let calib = calibration_frame(g, cfg, omega, my_world, threads, total_threads, sampler);
     let total = world.allreduce_sum_u64(&calib)?;
     drop(calib);
-    let calibration = Calibration::from_counts(&total[..n], total[n], cfg);
+    let calibration = Calibration::from_counts(&total[..n], total[n], omega, cfg);
     let calibration_time = calib_start.elapsed();
     w.end(sp);
 
@@ -268,7 +268,7 @@ mod tests {
         assert_eq!(p.vertex_diameter, 6);
         assert_eq!(p.omega, bounds::omega(0.5, 0.1, 0.1, 6));
         assert!(p.calibration.samples >= 200);
-        assert!(p.calibration.total_budget() <= cfg.delta * 1.000001);
+        assert!(p.calibration.total_budget() <= cfg.delta / 2.0 * 1.000001);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn kadabra_sequential_traced<G: KadabraGraph>(
     let calibration = {
         let mut counts = vec![0u64; n];
         let tau0 = calibration_samples_for_thread(g, &mut sampler, &mut counts, cfg, omega, 1);
-        Calibration::from_counts(&counts, tau0, cfg)
+        Calibration::from_counts(&counts, tau0, omega, cfg)
     };
     w.end(sp);
 
@@ -140,6 +140,32 @@ mod tests {
         assert_eq!(a.scores, b.scores);
         assert_eq!(a.samples, b.samples);
         assert_eq!(a.stats.epochs, b.stats.epochs);
+    }
+
+    /// The calibration moves only where the stop fires: the answer is
+    /// the first τ samples of stream `(seed, 0, 1)`, drawn in batches of
+    /// n0 (a batch draws its pairs up front), bit for bit.
+    #[test]
+    fn answer_is_a_prefix_of_the_adaptive_stream() {
+        let g = gnm(GnmConfig { n: 300, m: 900, seed: 5 });
+        let (lcc, _) = largest_component(&g);
+        let cfg = KadabraConfig { epsilon: 0.03, delta: 0.1, seed: 11, ..Default::default() };
+        let r = kadabra_sequential(&lcc, &cfg);
+        let n = lcc.num_nodes();
+        let n0 = cfg.n0(1);
+        assert_eq!(r.samples % n0, 0);
+        let mut counts = vec![0u64; n];
+        let mut sampler = ThreadSampler::new(n, cfg.seed, 0, 1);
+        for _ in 0..r.samples / n0 {
+            sampler.sample_batch(&lcc, n0, |interior| {
+                for &v in interior {
+                    counts[v as usize] += 1;
+                }
+            });
+        }
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&r.scores), bits(&scores_from_counts(&counts, r.samples)));
+        assert!(r.samples < r.omega, "the stop must fire before ω to test anything");
     }
 
     #[test]

@@ -75,12 +75,13 @@ proptest! {
         prop_assert!(stopping_condition(&counts, omega_v, 1e-9, omega_v, &dl, &du));
     }
 
-    /// Calibration never exceeds the failure budget and keeps every vertex
+    /// Calibration never exceeds its half of the failure budget and keeps every vertex
     /// strictly positive, for arbitrary count distributions.
     #[test]
     fn calibration_budget_and_positivity(
         counts in proptest::collection::vec(0u64..10_000, 1..200),
         tau_extra in 1u64..5_000,
+        omega_v in 1u64..100_000,
         delta in 0.01f64..0.5,
         floor in 0.05f64..0.9,
     ) {
@@ -91,8 +92,8 @@ proptest! {
             calibration_floor: floor,
             ..Default::default()
         };
-        let cal = Calibration::from_counts(&counts, tau, &cfg);
-        prop_assert!(cal.total_budget() <= delta * 1.0001, "budget {}", cal.total_budget());
+        let cal = Calibration::from_counts(&counts, tau, omega_v, &cfg);
+        prop_assert!(cal.total_budget() <= delta / 2.0 * 1.0001, "budget {}", cal.total_budget());
         for v in 0..counts.len() {
             prop_assert!(cal.delta_l[v] > 0.0 && cal.delta_l[v] < 0.5);
             prop_assert!(cal.delta_u[v] > 0.0 && cal.delta_u[v] < 0.5);
@@ -102,6 +103,7 @@ proptest! {
         idx.sort_by_key(|&i| counts[i]);
         for w in idx.windows(2) {
             prop_assert!(cal.delta_l[w[0]] <= cal.delta_l[w[1]] + 1e-15);
+            prop_assert!(cal.delta_u[w[0]] <= cal.delta_u[w[1]] + 1e-15);
         }
     }
 
