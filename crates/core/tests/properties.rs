@@ -75,8 +75,9 @@ proptest! {
         prop_assert!(stopping_condition(&counts, omega_v, 1e-9, omega_v, &dl, &du));
     }
 
-    /// Calibration never exceeds its half of the failure budget and keeps every vertex
-    /// strictly positive, for arbitrary count distributions.
+    /// Calibration never exceeds its half of the failure budget (δ/2) and
+    /// keeps every vertex strictly positive, for arbitrary count
+    /// distributions and caps ω.
     #[test]
     fn calibration_budget_and_positivity(
         counts in proptest::collection::vec(0u64..10_000, 1..200),
