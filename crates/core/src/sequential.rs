@@ -4,7 +4,7 @@
 
 use crate::bounds::stopping_condition;
 use crate::config::KadabraConfig;
-use crate::phases::{calibration_samples_for_thread, diameter_phase, scores_from_counts};
+use crate::phases::{calibration_samples_for_thread, diameter_phase};
 use crate::result::BetweennessResult;
 use crate::sampler::ThreadSampler;
 use crate::shared::{phase_timings_from, sampling_stats_from};
@@ -91,7 +91,10 @@ pub fn kadabra_sequential_traced<G: KadabraGraph>(
     stats.samples = tau;
 
     BetweennessResult {
-        scores: scores_from_counts(&counts, tau),
+        // `scores_from_counts` in place: the scores reuse the counts'
+        // allocation (u64 and f64 share size and alignment), so a solve
+        // never holds both.
+        scores: counts.into_iter().map(|c| c as f64 / tau as f64).collect(),
         samples: tau,
         omega,
         vertex_diameter: vd,
@@ -103,6 +106,7 @@ pub fn kadabra_sequential_traced<G: KadabraGraph>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::scores_from_counts;
     use kadabra_baselines::brandes;
     use kadabra_graph::components::largest_component;
     use kadabra_graph::csr::graph_from_edges;
