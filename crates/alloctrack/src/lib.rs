@@ -22,6 +22,8 @@
 //! do — and the allocator runs *underneath* any model the checker could
 //! explore anyway.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 // xtask: allow(direct-atomics) — a #[global_allocator] must be a const-
 // constructible static usable before main; loom atomics cannot back one, so

@@ -17,6 +17,8 @@
 //! over ordered pairs, matching the paper's definition in Section I, so
 //! results are directly comparable across all algorithms in the workspace.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod brandes;
 pub mod brandes_variants;
 pub mod brute;

@@ -5,6 +5,8 @@
 //! the paper (see DESIGN.md §4 for the index and EXPERIMENTS.md for the
 //! recorded paper-vs-measured comparison).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod artifact;
 pub mod env;
 pub mod instances;

@@ -1,6 +1,11 @@
 //! Cost-model calibration: measures real per-operation costs on this
 //! machine so the DES's virtual clock is grounded in reality.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "calibration exists to measure real time; the DES only reads what it measured"
+)]
+
 use kadabra_core::{Calibration, KadabraConfig, ThreadSampler};
 use kadabra_graph::Graph;
 use rand::rngs::StdRng;

@@ -27,6 +27,8 @@
 //! event by event, and can switch to the `MPI_Ireduce` and fully-blocking
 //! variants for the Section IV-F ablation.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)]
+
 pub mod calibrate;
 pub mod sim;
 pub mod sim_naive;

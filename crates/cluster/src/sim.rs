@@ -350,8 +350,7 @@ fn crash_schedule(plan: Option<&FaultPlan>, p_count: usize) -> Option<(usize, us
 ///
 /// Recording is a pure observer: `log: None` reproduces
 /// [`simulate_perturbed`] bit-for-bit.
-// xtask: allow(too_many_arguments) — mirrors simulate_perturbed plus the sink.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "mirrors simulate_perturbed plus the sink")]
 pub fn simulate_traced(
     g: &Graph,
     cfg: &KadabraConfig,
@@ -1101,7 +1100,7 @@ pub fn simulate_traced(
 /// Leader logic after node aggregation completes: enter the global phase
 /// according to the reduce strategy. Shared by `NodeWait` boundaries and
 /// `AggDone`.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the DES state the global phase reads and advances")]
 fn try_enter_global_phase(
     proc_id: usize,
     now: u64,
@@ -1182,7 +1181,7 @@ fn try_enter_global_phase(
 }
 
 /// Leader arrives at the blocking global reduce.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "shares try_enter_global_phase's signature")]
 fn arrive_at_reduce(
     proc_id: usize,
     now: u64,

@@ -348,9 +348,10 @@ pub(crate) fn observed<G: KadabraGraph + Sync>(
     let root = mpi::root_outcome(outcomes);
     let (max_epoch_gap, probe_observations, probe_violations) =
         probe.as_ref().map_or((0, 0, 0), |p| (p.max_gap(), p.observations(), p.violations()));
+    #[expect(clippy::expect_used, reason = "root_outcome selected it for holding Some")]
+    let result = root.result.expect("root outcome holds the result");
     ChaosReport {
-        // xtask: allow(unwrap) — root_outcome selected it for holding Some.
-        result: root.result.expect("root outcome holds the result"),
+        result,
         max_epoch_gap,
         probe_observations,
         probe_violations,

@@ -32,6 +32,8 @@
 //! (`Graph::relabel_by_degree`) and map the scores back through the
 //! `Permutation`, as a resident server tenant does (DESIGN.md §11.1).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)]
+
 pub mod bounds;
 pub mod calibration;
 pub mod chaos;

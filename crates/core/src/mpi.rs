@@ -87,8 +87,9 @@ pub(crate) fn run_free<G: KadabraGraph + Sync>(
     let outcomes = Universe::run(shape.ranks, |comm| {
         rank_main(g, cfg, ElasticRank::Founding(comm), shape, algorithm, tel, Audit::off())
     });
-    // xtask: allow(unwrap) — root_outcome selected it for holding Some.
-    root_outcome(outcomes).result.expect("root outcome holds the result")
+    #[expect(clippy::expect_used, reason = "root_outcome selected it for holding Some")]
+    let result = root_outcome(outcomes).result.expect("root outcome holds the result");
+    result
 }
 
 /// The argument checks every entry point of Algorithms 1 and 2 makes.
@@ -108,11 +109,14 @@ pub(crate) fn root_outcome(outcomes: Vec<RankOutcome>) -> RankOutcome {
     let samples_stolen = outcomes.iter().map(|o| o.seen.samples_stolen).sum();
     let engine = |i: usize| outcomes.iter().map(|o| o.bytes[i]).fold(0, u64::max);
     let comm_bytes = outcomes.iter().map(|o| o.bytes[0]).sum::<u64>() + engine(1) + engine(2);
+    #[expect(
+        clippy::expect_used,
+        reason = "exactly one rank (the final root) returns Some; without crash faults that is \
+                  rank 0"
+    )]
     let mut root = outcomes
         .into_iter()
         .find(|o| o.result.is_some())
-        // xtask: allow(unwrap) — exactly one rank (the final root) returns
-        // Some; without crash faults that is rank 0.
         .expect("the surviving root produces the result");
     root.seen.samples_stolen = samples_stolen;
     if let Some(r) = root.result.as_mut() {
@@ -415,10 +419,12 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
             fw.signal_termination();
         }
         end
-    })
-    // xtask: allow(unwrap) — children are joined above; see worker waiver.
-    .expect("adaptive sampling scope");
-    let Some((comms, s_global)) = end else {
+    });
+    #[expect(
+        clippy::expect_used,
+        reason = "the scope joins every epoch worker, and a worker panic is a bug to abort with"
+    )]
+    let Some((comms, s_global)) = end.expect("adaptive sampling scope") else {
         return RankOutcome::default();
     };
 
@@ -436,7 +442,10 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
 /// frame into it and decides. Returns the communicators the run ended on
 /// and S, or `None` when a communicator failure ended this rank's part in
 /// the run.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the one round loop of every driver and pool; each argument is a part it varies"
+)]
 pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
     g: &G,
     cfg: &KadabraConfig,
@@ -581,9 +590,12 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
             // Lines 12-14: the root folds and checks.
             let mut d = 0u64;
             if comm.rank() == 0 {
-                // xtask: allow(unwrap) — the root is the reduction's root
-                // (under the hierarchy its node's leader and the leaders'
-                // root, split keys being world ranks), so it received Some.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the root is the reduction's root (under the hierarchy its node's \
+                              leader and the leaders' root, split keys being world ranks), so it \
+                              received Some"
+                )]
                 let reduced = reduced.expect("root receives reduction");
                 audit.absorb(&reduced);
                 let sp = w.begin(SpanId::Check);
@@ -599,8 +611,9 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
             w.end(sp);
             w.count(CounterId::Samples, quota + overlapped);
             w.count(CounterId::Epochs, 1);
-            // xtask: allow(unwrap) — test() returned true above.
-            Ok(breq.into_result().unwrap() != 0)
+            #[expect(clippy::unwrap_used, reason = "test() returned true above")]
+            let stop = breq.into_result().unwrap() != 0;
+            Ok(stop)
         })();
 
         match round_result {

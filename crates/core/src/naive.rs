@@ -40,7 +40,7 @@ pub fn kadabra_naive_parallel(g: &Graph, cfg: &KadabraConfig, threads: usize) ->
     let mut tau: u64 = 0;
     let mut stats = SamplingStats::default();
 
-    crossbeam::scope(|s| {
+    let scoped = crossbeam::scope(|s| {
         for t in 1..threads {
             let barrier = &barrier;
             let terminate = &terminate;
@@ -119,9 +119,9 @@ pub fn kadabra_naive_parallel(g: &Graph, cfg: &KadabraConfig, threads: usize) ->
             );
             stats.check_time += check_start.elapsed();
         }
-    })
-    // xtask: allow(unwrap) — a sampler-thread panic is a bug; abort with it.
-    .expect("naive sampling scope");
+    });
+    #[expect(clippy::expect_used, reason = "a sampler-thread panic is a bug; abort with it")]
+    scoped.expect("naive sampling scope");
     stats.samples = tau;
 
     BetweennessResult {

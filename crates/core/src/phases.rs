@@ -85,24 +85,30 @@ pub(crate) fn calibration_frame<G: PathSource + Sync>(
             calibration_samples_for_thread(g, sampler, &mut frame[..n], cfg, omega, total_threads);
         frame
     };
-    crossbeam::scope(|s| {
+    let frame = crossbeam::scope(|s| {
         let handles: Vec<_> = (1..threads)
             .map(|t| s.spawn(move |_| share(&mut ThreadSampler::new(n, cfg.seed, rank, t))))
             .collect();
         own.reseed(cfg.seed, rank, 0);
         let mut frame = share(own);
         for h in handles {
-            // xtask: allow(unwrap) — a sampler-thread panic is a bug; abort
-            // the computation with its message.
+            #[expect(
+                clippy::expect_used,
+                reason = "a sampler-thread panic is a bug; abort the computation with its message"
+            )]
             let other = h.join().expect("calibration worker");
             for (a, c) in frame.iter_mut().zip(other) {
                 *a += c;
             }
         }
         frame
-    })
-    // xtask: allow(unwrap) — children are joined above; see worker waiver.
-    .expect("calibration scope")
+    });
+    #[expect(
+        clippy::expect_used,
+        reason = "the scope joins every worker above, and a worker panic is a bug to abort with"
+    )]
+    let frame = frame.expect("calibration scope");
+    frame
 }
 
 /// Full sequential preparation: diameter, ω, calibration on one thread.

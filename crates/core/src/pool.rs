@@ -324,7 +324,7 @@ impl SamplerPool<()> {
         assert!(target >= 1, "a pool needs at least one sampler rank");
         let (mut joined, mut shed) = (0, 0);
         while self.slots.len() > target {
-            // xtask: allow(unwrap) — the loop guard holds len > target >= 1.
+            #[expect(clippy::expect_used, reason = "the loop guard holds len > target >= 1")]
             let victim = self.slots.pop().expect("pool has a slot to shed").into_inner();
             if victim.ledger.tau() > 0 {
                 self.slots[0].get_mut().ledger.confirm(victim.ledger.frame());
@@ -419,7 +419,6 @@ mod tests {
             for _ in 0..rounds {
                 last = Some(eng.step(&g, &cal, &tel));
             }
-            // xtask: allow(unwrap) — rounds >= 1 below.
             last.unwrap()
         };
         let a = run(3);

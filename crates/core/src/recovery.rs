@@ -103,9 +103,12 @@ impl SampleLedger {
     }
 
     /// Total confirmed sample count τ (the last frame slot).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`new` guarantees a non-empty frame, and only a world without a fault plan \
+                  holds untracked ledgers"
+    )]
     pub fn tau(&self) -> u64 {
-        // xtask: allow(unwrap) — `new` guarantees a non-empty frame, and
-        // only a world without a fault plan holds untracked ledgers.
         *self.frame.last().unwrap()
     }
 
@@ -129,13 +132,13 @@ impl SampleLedger {
     /// `frame == Σ confirmed frames since new()` — the property the
     /// checkpoint round-trip proptests pin down.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        #[expect(clippy::unwrap_used, reason = "the slice is exactly 8 bytes by construction")]
         let word = |i: usize| -> Result<u64, CheckpointError> {
             let at = i * 8;
             let end = at + 8;
             if end > bytes.len() {
                 return Err(CheckpointError::Truncated);
             }
-            // xtask: allow(unwrap) — the slice is exactly 8 bytes by construction.
             Ok(u64::from_le_bytes(bytes[at..end].try_into().unwrap()))
         };
         if word(0)? != CHECKPOINT_MAGIC {

@@ -10,12 +10,9 @@
 //! that buffers left to grow on demand keep doubling for several batches.
 //!
 //! The gate holds in debug builds too — capacity reuse is not an optimizer
-//! artifact — so it runs under plain `cargo test`. **Waiver path:** builds
-//! whose allocator behavior is intentionally not representative (sanitizer
-//! instrumentation, allocation-profiling wrappers, miri) can skip the gate
-//! by setting `KADABRA_SKIP_ALLOC_GATE=1`; the release-mode
-//! `cargo xtask bench --kernel --check` CI job re-checks the same property
-//! independently, so a skip here never un-gates a merge.
+//! artifact — so it runs under plain `cargo test`, unconditionally. The
+//! release-mode `cargo xtask bench --kernel --check` CI job re-checks the
+//! same property independently.
 
 use kadabra_alloctrack::CountingAlloc;
 use kadabra_core::ThreadSampler;
@@ -41,21 +38,13 @@ fn batches_allocate_nothing<G: PathSource>(
         let before = ALLOC.counts();
         sampler.sample_batch(g, batch, |interior| interior_visits += interior.len() as u64);
         let heap = ALLOC.counts().since(&before);
-        assert_eq!(
-            heap.allocs, 0,
-            "{what}: batch {nth} of {batch} samples allocated: {heap:?} \
-             (see the module docs for the KADABRA_SKIP_ALLOC_GATE waiver)"
-        );
+        assert_eq!(heap.allocs, 0, "{what}: batch {nth} of {batch} samples allocated: {heap:?}");
     }
     interior_visits
 }
 
 #[test]
 fn sample_batch_is_allocation_free_after_warmup() {
-    if std::env::var("KADABRA_SKIP_ALLOC_GATE").is_ok_and(|v| v == "1") {
-        eprintln!("KADABRA_SKIP_ALLOC_GATE=1: skipping the allocation gate");
-        return;
-    }
     // The `bench_kernel` perf instance (~11k vertices).
     let (g, _) = largest_component(&rmat(RmatConfig::graph500(14, 8, 1)));
     let (g, _) = g.relabel_by_degree();

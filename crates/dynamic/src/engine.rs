@@ -104,7 +104,10 @@ impl DynamicEngine {
     /// A fresh incremental pool of `ranks × threads` sampler streams over
     /// `base`. `omega`/`vd` come from the caller's diameter phase on the
     /// base graph (the engine re-bounds them itself after every batch).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the pool's shape, the diameter bound and the base plan"
+    )]
     pub fn new(
         base: Graph,
         kcfg: KadabraConfig,
@@ -239,8 +242,11 @@ impl DynamicEngine {
         batch.delete_endpoints(&mut eps);
         self.sweep_edges += self.sweep.sweep_old(self.log.view(), eps, del_cap, batch.deletes());
 
-        // xtask: allow(unwrap) — `validate` ran on this exact batch above;
-        // append re-checks the same invariants against an unchanged view.
+        #[expect(
+            clippy::expect_used,
+            reason = "`validate` ran on this exact batch above; append re-checks the same \
+                      invariants against an unchanged view"
+        )]
         let seq = self.log.append(batch).expect("batch validated above");
         tel.writer(0, 0).count(CounterId::EdgesApplied, batch.len() as u64);
 

@@ -241,8 +241,11 @@ impl SweepScratch {
             scanned += bfs_distances_into(g, src, cap, &mut dist[row * n..(row + 1) * n], queue);
         }
         slots.clear();
-        // xtask: allow(unwrap) — every edge endpoint is in `eps` by
-        // construction (eps is the dedup of these very endpoints).
+        #[expect(
+            clippy::unwrap_used,
+            reason = "every edge endpoint is in `eps` by construction (eps is the dedup of these \
+                      very endpoints)"
+        )]
         let row = |x: NodeId| eps.binary_search(&x).unwrap() as u32;
         for &(u, v) in edges {
             slots.push((row(u), row(v)));
@@ -344,7 +347,6 @@ pub fn bfs_distances_into<G: GraphView>(
 /// the rule and its proof sketch). `dist_old`/`dist_new` are the flat
 /// endpoint tables of [`SweepScratch`]; `del_slots`/`ins_slots` the
 /// per-edge row pairs. Allocation-free.
-#[allow(clippy::too_many_arguments)]
 pub fn classify_samples(
     recs: &[PathRec],
     n: usize,

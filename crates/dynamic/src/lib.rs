@@ -20,6 +20,8 @@
 //!   pure function of `(graph, update sequence, config, seed)` and stays
 //!   within the (ε, δ) guarantee on the mutated graph.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod engine;
 pub mod invalidate;
 pub mod log;

@@ -155,8 +155,11 @@ impl DynamicGraph {
         let n = self.base.num_nodes();
         let mut b = GraphBuilder::with_capacity(n, self.num_edges);
         self.for_each_edge(|u, v| {
-            // xtask: allow(unwrap) — edges come from a canonical view, so
-            // they are in-range, deduplicated, and self-loop free.
+            #[expect(
+                clippy::unwrap_used,
+                reason = "edges come from a canonical view, so they are in-range, deduplicated, \
+                          and self-loop free"
+            )]
             b.add_edge(u, v).unwrap();
         });
         let rebuilt = b.build_in(arena);

@@ -37,6 +37,8 @@
 //! into `e+2` after the aggregation of `e` completed — the paper's
 //! "no thread accesses state frames of epoch e−2" guarantee.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crossbeam::utils::CachePadded;
 pub mod probe;
 pub mod sync;

@@ -61,11 +61,13 @@ impl BfsScratch {
 
     /// The smallest id at the maximum distance of the last search, with
     /// that distance.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "a search reaches its source, so every level up to the eccentricity is non-empty"
+    )]
     pub(crate) fn farthest(&self) -> (NodeId, u32) {
         let ecc = self.levels.len() - 2;
         let last = &self.order[self.levels[ecc]..self.levels[ecc + 1]];
-        // xtask: allow(unwrap) — a search reaches its source, so every level
-        // up to the eccentricity is non-empty.
         (*last.iter().min().unwrap(), ecc as u32)
     }
 }

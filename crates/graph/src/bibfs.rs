@@ -560,7 +560,10 @@ const BACKTRACK_PREFETCH_DIST: usize = 6;
 /// predecessor — and the RNG stream — do not depend on the branch.
 ///
 /// Returns the probes made: row entries read plus level vertices tested.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "hot per-hop kernel: its scratch and RNG are the caller's"
+)]
 fn backtrack<V: GraphView, R: Rng + ?Sized>(
     state: &StampedBfsState,
     side: &Side<'_, V>,
@@ -839,7 +842,10 @@ mod reference {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the reference kernel keeps its original signature"
+    )]
     fn select_and_backtrack<G: GraphView, R: Rng + ?Sized>(
         g: &G,
         cut: &mut Vec<(NodeId, u128)>,

@@ -90,9 +90,11 @@ pub fn largest_component(g: &Graph) -> (Graph, Vec<NodeId>) {
     let mut b = GraphBuilder::with_capacity(old_of_new.len(), g.num_edges());
     for (u, v) in g.edges() {
         if comps.label[u as usize] == target {
+            #[expect(
+                clippy::expect_used,
+                reason = "remapped ids are < component size by construction of new_of_old"
+            )]
             b.add_edge(new_of_old[u as usize], new_of_old[v as usize])
-                // xtask: allow(unwrap) — remapped ids are < component size
-                // by construction of new_of_old.
                 .expect("remapped ids are in range");
         }
     }

@@ -566,10 +566,12 @@ impl GraphBuilder {
 /// examples.
 pub fn graph_from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Graph {
     let mut b = GraphBuilder::with_capacity(n, edges.len());
-    b.extend_edges(edges.iter().copied())
-        // xtask: allow(unwrap) — documented contract of this convenience
-        // helper; panicking on bad endpoints is the advertised behavior.
-        .expect("edge endpoints must be < n");
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract of this convenience helper; panicking on bad endpoints is \
+                  the advertised behavior"
+    )]
+    b.extend_edges(edges.iter().copied()).expect("edge endpoints must be < n");
     b.build()
 }
 

@@ -41,7 +41,7 @@ pub fn barabasi_albert(cfg: BaConfig) -> Graph {
     let seed_n = cfg.m + 1;
     for u in 0..seed_n as NodeId {
         for v in (u + 1)..seed_n as NodeId {
-            // xtask: allow(unwrap) — seed ids < seed_n <= n by construction.
+            #[expect(clippy::expect_used, reason = "seed ids < seed_n <= n by construction")]
             builder.add_edge(u, v).expect("seed ids in range");
             endpoints.push(u);
             endpoints.push(v);
@@ -58,7 +58,7 @@ pub fn barabasi_albert(cfg: BaConfig) -> Graph {
             }
         }
         for &t in &targets {
-            // xtask: allow(unwrap) — targets drawn from prior endpoints < v.
+            #[expect(clippy::expect_used, reason = "targets drawn from prior endpoints < v")]
             builder.add_edge(v as NodeId, t).expect("ids in range");
             endpoints.push(v as NodeId);
             endpoints.push(t);

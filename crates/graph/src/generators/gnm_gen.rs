@@ -42,7 +42,7 @@ pub fn gnm(cfg: GnmConfig) -> Graph {
                 let j = rng.gen_range(i..all.len());
                 all.swap(i, j);
                 let (u, v) = all[i];
-                // xtask: allow(unwrap) — pairs enumerated from 0..n.
+                #[expect(clippy::unwrap_used, reason = "pairs enumerated from 0..n")]
                 builder.add_edge(u, v).unwrap();
             }
         } else {
@@ -55,7 +55,7 @@ pub fn gnm(cfg: GnmConfig) -> Graph {
                 let (lo, hi) = if u < v { (u, v) } else { (v, u) };
                 let key = (lo as u64) << 32 | hi as u64;
                 if chosen.insert(key) {
-                    // xtask: allow(unwrap) — endpoints sampled from 0..n.
+                    #[expect(clippy::unwrap_used, reason = "endpoints sampled from 0..n")]
                     builder.add_edge(lo, hi).unwrap();
                 }
             }

@@ -35,18 +35,25 @@ pub fn grid(cfg: GridConfig) -> Graph {
     let mut b = GraphBuilder::with_capacity(n, 2 * n);
     for r in 0..cfg.rows {
         for c in 0..cfg.cols {
-            // xtask: allow(unwrap) — all three below: id(r, c) < rows·cols
-            // whenever r < rows and c < cols, which the bounds checks ensure.
             if c + 1 < cfg.cols {
-                // xtask: allow(unwrap) — see above.
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "id(r, c) < rows·cols while the bounds check holds"
+                )]
                 b.add_edge(id(r, c), id(r, c + 1)).unwrap();
             }
             if r + 1 < cfg.rows {
-                // xtask: allow(unwrap) — see above.
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "id(r, c) < rows·cols while the bounds check holds"
+                )]
                 b.add_edge(id(r, c), id(r + 1, c)).unwrap();
             }
             if r + 1 < cfg.rows && c + 1 < cfg.cols && rng.gen_bool(cfg.diagonal_prob) {
-                // xtask: allow(unwrap) — see above.
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "id(r, c) < rows·cols while the bounds check holds"
+                )]
                 b.add_edge(id(r, c), id(r + 1, c + 1)).unwrap();
             }
         }

@@ -76,11 +76,9 @@ pub fn hyperbolic(cfg: HyperbolicConfig) -> Graph {
         bands[band_of(r)].push(i as u32);
     }
     for band in &mut bands {
+        #[expect(clippy::expect_used, reason = "angles are finite draws from [0, 2π)")]
         band.sort_by(|&a, &b| {
-            angle[a as usize]
-                .partial_cmp(&angle[b as usize])
-                // xtask: allow(unwrap) — angles are finite draws from [0, 2π).
-                .expect("angles are finite")
+            angle[a as usize].partial_cmp(&angle[b as usize]).expect("angles are finite")
         });
     }
 
@@ -137,7 +135,7 @@ pub fn hyperbolic(cfg: HyperbolicConfig) -> Graph {
             scan_window(band, &angle, lo_angle, hi_angle, |j| {
                 let j = j as usize;
                 if (b > bi || j > i) && connected(i, j) {
-                    // xtask: allow(unwrap) — band indices enumerate 0..n.
+                    #[expect(clippy::expect_used, reason = "band indices enumerate 0..n")]
                     builder.add_edge(i as NodeId, j as NodeId).expect("ids in range");
                 }
             });

@@ -62,7 +62,7 @@ pub fn rmat(cfg: RmatConfig) -> Graph {
     let mut builder = GraphBuilder::with_capacity(n, m);
     for _ in 0..m {
         let (u, v) = rmat_edge(&mut rng, &cfg);
-        // xtask: allow(unwrap) — rmat_edge yields ids < 2^scale = n.
+        #[expect(clippy::expect_used, reason = "rmat_edge yields ids < 2^scale = n")]
         builder.add_edge(u, v).expect("generated ids are in range");
     }
     builder.build()

@@ -37,6 +37,8 @@
 //!   [`digraph`] and [`weighted`] graphs run Algorithms 1 and 2 unchanged
 //!   (the paper's footnote 1).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)]
+
 pub mod bfs;
 pub mod bibfs;
 pub mod components;

@@ -85,14 +85,9 @@ pub fn sum_sweep(g: &Graph, start: NodeId, sweeps: usize) -> SumSweepResult {
             dist_max[v as usize] = dist_max[v as usize].max(d);
             ecc_ub[v as usize] = ecc_ub[v as usize].min(d + res.ecc);
         }
-        let triangle_ub = reachable
-            .as_ref()
-            // xtask: allow(unwrap) — populated on the first sweep above.
-            .unwrap()
-            .iter()
-            .map(|&v| ecc_ub[v as usize])
-            .max()
-            .unwrap_or(0);
+        #[expect(clippy::unwrap_used, reason = "populated on the first sweep above")]
+        let triangle_ub =
+            reachable.as_ref().unwrap().iter().map(|&v| ecc_ub[v as usize]).max().unwrap_or(0);
         upper = upper.min(triangle_ub);
         if lower >= upper {
             upper = lower;
@@ -104,7 +99,7 @@ pub fn sum_sweep(g: &Graph, start: NodeId, sweeps: usize) -> SumSweepResult {
         // sweep instead targets a *central* vertex (minimum distance sum),
         // whose eccentricity powers the `2·ecc` upper bound (a 4-sweep-style
         // refinement of Ref. [6]).
-        // xtask: allow(unwrap) — populated on the first sweep above.
+        #[expect(clippy::unwrap_used, reason = "populated on the first sweep above")]
         let candidates = reachable.as_ref().unwrap();
         let next = if sweep + 2 == sweeps {
             candidates

@@ -403,7 +403,7 @@ fn lex_punct(cur: &mut Cursor, out: &mut LexOut, line: u32, col: u32) {
             return;
         }
     }
-    // xtask: allow(unwrap) — peek(0) was Some in the caller's dispatch arm.
+    #[expect(clippy::expect_used, reason = "peek(0) was Some in the caller's dispatch arm")]
     let c = cur.bump().expect("caller peeked");
     out.tokens.push(Token { kind: TokKind::Punct, text: c.to_string(), line, col });
 }

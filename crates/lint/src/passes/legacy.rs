@@ -1,17 +1,16 @@
-//! The original token-level rules, migrated from the legacy xtask lexer to
-//! AST spans.
+//! The two token-level rules that clippy cannot express, over AST spans.
 //!
-//! The rules and scopes are identical to the hand-rolled scanner (which
-//! `cargo xtask lint --legacy` still runs as a fallback); what changed is
-//! the substrate: matches are over real tokens with `(line, col)` spans,
-//! test code is recognized semantically (`#[test]` functions and
-//! `#[cfg(test)]` items of any shape, not just line-anchored `mod` blocks),
-//! and string/comment content can never produce a false match because it is
-//! never tokenized as code.
+//! Clippy has no lint for one enum variant (`SeqCst`), and its
+//! `disallowed-types` flags every use of a crate's own `sync.rs` re-exports,
+//! so both rules stay token matches here. Matches are over real tokens with
+//! `(line, col)` spans, test code is recognized semantically (`#[test]`
+//! functions and `#[cfg(test)]` items of any shape), and string/comment
+//! content can never produce a false match because it is never tokenized
+//! as code. The token rules clippy does express (no unwrap in library code,
+//! no wall-clock reads, no panics in `mpisim`) are configured at the crate
+//! roots and in `clippy.toml` (DESIGN.md §12.4).
 
-use super::{is_comm_path, is_core_library_path, is_deterministic_path, method_call};
-use crate::lex::TokKind;
-use crate::{Pass, Sink, SourceFile, Workspace};
+use crate::{Pass, Sink, Workspace};
 
 /// `Ordering::SeqCst` is banned everywhere: every atomic in this workspace
 /// states its actual pairing (Release/Acquire, or Relaxed plus an external
@@ -65,130 +64,6 @@ impl Pass for DirectAtomics {
                     && !file.in_test(i)
                 {
                     sink.emit(file, i, "direct use of std/core::sync::atomic".to_string());
-                }
-            }
-        }
-    }
-}
-
-/// `thread_rng` is banned workspace-wide, and wall-clock reads are banned in
-/// the deterministic-simulation subtrees.
-pub struct Nondeterminism;
-
-/// True when token `i` begins `Instant::now(` or `SystemTime::now(`.
-fn is_wallclock_read(file: &SourceFile, i: usize) -> bool {
-    (file.is_ident(i, "Instant") || file.is_ident(i, "SystemTime"))
-        && file.is_punct(i + 1, "::")
-        && file.is_ident(i + 2, "now")
-}
-
-impl Pass for Nondeterminism {
-    fn name(&self) -> &'static str {
-        "nondeterminism"
-    }
-    fn hint(&self) -> &'static str {
-        "deterministic paths must not read entropy or the wall clock; thread seeded StdRngs / \
-         logical time through instead"
-    }
-    fn run(&self, ws: &Workspace, sink: &mut Sink<'_>) {
-        for file in &ws.files {
-            let deterministic = is_deterministic_path(&file.rel);
-            for i in 0..file.toks.len() {
-                if file.is_ident(i, "thread_rng") {
-                    sink.emit(file, i, "entropy source thread_rng".to_string());
-                }
-                if deterministic && is_wallclock_read(file, i) {
-                    sink.emit(
-                        file,
-                        i,
-                        "wall-clock read inside the deterministic simulation".to_string(),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// `.unwrap()` / `.expect(…)` are banned in library non-test code.
-pub struct UnwrapBan;
-
-impl Pass for UnwrapBan {
-    fn name(&self) -> &'static str {
-        "unwrap"
-    }
-    fn hint(&self) -> &'static str {
-        "library code must not panic on Option/Result; recover, propagate, or document the \
-         invariant with `// xtask: allow(unwrap) — <why>`"
-    }
-    fn run(&self, ws: &Workspace, sink: &mut Sink<'_>) {
-        for file in &ws.files {
-            if file.is_test_path() {
-                continue;
-            }
-            for i in 0..file.toks.len() {
-                let banned = file.is_ident(i, "unwrap") || file.is_ident(i, "expect");
-                if banned && method_call(file, i).is_some() && !file.in_test(i) {
-                    sink.emit(file, i, format!("call of .{}()", file.toks[i].text));
-                }
-            }
-        }
-    }
-}
-
-/// Raw wall-clock reads are banned in `crates/core/src` and
-/// `crates/graph/src`: the drivers and the traversal kernel take time
-/// through `kadabra-telemetry` so there is exactly one timing code path.
-pub struct Wallclock;
-
-impl Pass for Wallclock {
-    fn name(&self) -> &'static str {
-        "wallclock"
-    }
-    fn hint(&self) -> &'static str {
-        "crates/core takes time through kadabra-telemetry (spans or Stopwatch) so there is \
-         exactly one timing code path; do not read Instant/SystemTime directly"
-    }
-    fn run(&self, ws: &Workspace, sink: &mut Sink<'_>) {
-        for file in &ws.files {
-            if !is_core_library_path(&file.rel) {
-                continue;
-            }
-            for i in 0..file.toks.len() {
-                if is_wallclock_read(file, i) && !file.in_test(i) {
-                    sink.emit(file, i, "wall-clock read outside the telemetry crate".to_string());
-                }
-            }
-        }
-    }
-}
-
-/// `panic!` / `todo!` / `unimplemented!` are banned in `crates/mpisim/src`:
-/// communicator error paths must surface typed `CommError`s.
-pub struct CommPanic;
-
-impl Pass for CommPanic {
-    fn name(&self) -> &'static str {
-        "comm-panic"
-    }
-    fn hint(&self) -> &'static str {
-        "communicator code must surface typed CommErrors (RankFailed/Timeout/Poisoned) so \
-         shrink-and-continue recovery can run; a panic here kills the whole simulated cluster"
-    }
-    fn run(&self, ws: &Workspace, sink: &mut Sink<'_>) {
-        for file in &ws.files {
-            if !is_comm_path(&file.rel) || file.is_test_path() {
-                continue;
-            }
-            for i in 0..file.toks.len() {
-                let panicky = file.is_ident(i, "panic")
-                    || file.is_ident(i, "todo")
-                    || file.is_ident(i, "unimplemented");
-                if panicky
-                    && file.is_punct(i + 1, "!")
-                    && file.toks.get(i + 2).is_some_and(|t| matches!(t.kind, TokKind::Open(_)))
-                    && !file.in_test(i)
-                {
-                    sink.emit(file, i, format!("{}! on a communicator path", file.toks[i].text));
                 }
             }
         }

@@ -17,22 +17,18 @@ pub use comm_flow::CommErrorFlow;
 pub use delta::DeltaConfinement;
 pub use determinism::Determinism;
 pub use hot_loop::HotLoopHygiene;
-pub use legacy::{CommPanic, DirectAtomics, Nondeterminism, SeqcstBan, UnwrapBan, Wallclock};
+pub use legacy::{DirectAtomics, SeqcstBan};
 
 use crate::lex::{Delim, TokKind};
 use crate::{Pass, SourceFile};
 
-/// Every pass, in reporting order: the migrated token-level rules first,
-/// then the semantic passes the lexer could not express.
+/// Every pass, in reporting order: the two token-level rules first, then
+/// the semantic passes.
 #[must_use]
 pub fn all() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(SeqcstBan),
         Box::new(DirectAtomics),
-        Box::new(Nondeterminism),
-        Box::new(UnwrapBan),
-        Box::new(Wallclock),
-        Box::new(CommPanic),
         Box::new(CommErrorFlow),
         Box::new(AtomicProtocol),
         Box::new(Determinism),
@@ -41,24 +37,15 @@ pub fn all() -> Vec<Box<dyn Pass>> {
     ]
 }
 
-/// True for files inside the deterministic-simulation subtrees where wall
-/// clock reads are banned (`crates/mpisim/src`, `crates/cluster/src` except
-/// `calibrate.rs`, which exists precisely to measure real time).
-#[must_use]
-pub fn is_deterministic_path(rel: &str) -> bool {
-    (rel.starts_with("crates/mpisim/src") || rel.starts_with("crates/cluster/src"))
-        && !rel.ends_with("calibrate.rs")
-}
-
-/// True for files under `crates/core/src` and `crates/graph/src`, where all
-/// timing goes through `kadabra-telemetry` (DESIGN.md §9, §11).
+/// True for files under `crates/core/src` and `crates/graph/src`, whose
+/// named hot functions are hot-loop scope (DESIGN.md §11).
 #[must_use]
 pub fn is_core_library_path(rel: &str) -> bool {
     rel.starts_with("crates/core/src") || rel.starts_with("crates/graph/src")
 }
 
-/// True for files under `crates/mpisim/src`, where panicking macros are
-/// banned on communicator error paths (DESIGN.md §10).
+/// True for files under `crates/mpisim/src`, whose `pub fn … -> Result<_,
+/// CommError>` signatures are the communicator API (DESIGN.md §10).
 #[must_use]
 pub fn is_comm_path(rel: &str) -> bool {
     rel.starts_with("crates/mpisim/src")

@@ -1,21 +1,14 @@
-//! The `kadabra-lint/v1` machine-readable report and the baseline
-//! suppression file.
+//! The `kadabra-lint/v2` machine-readable report.
 //!
 //! The report is the lint analogue of the `kadabra-bench/v1` artifact
 //! (DESIGN.md §9): a versioned JSON document CI uploads as an artifact and
 //! validates with [`validate_report`] so schema drift fails the PR that
-//! causes it. The baseline file (`lint-baseline.json` at the workspace
-//! root) suppresses *known, accepted* findings by a content key that
-//! survives unrelated line churn — new findings always fail, legacy debt
-//! does not.
+//! causes it.
 
 use kadabra_telemetry::json::{escape, Json};
 
 /// Schema identifier written into every report.
-pub const LINT_SCHEMA: &str = "kadabra-lint/v1";
-
-/// Schema identifier of the baseline file.
-pub const BASELINE_SCHEMA: &str = "kadabra-lint/baseline-v1";
+pub const LINT_SCHEMA: &str = "kadabra-lint/v2";
 
 /// One lint finding.
 #[derive(Debug, Clone)]
@@ -36,39 +29,6 @@ pub struct Finding {
     pub message: String,
     /// Suppressed by an inline `xtask: allow(...)` waiver.
     pub waived: bool,
-    /// Suppressed by the baseline file.
-    pub baselined: bool,
-}
-
-impl Finding {
-    /// Content key for baseline matching: FNV-1a over pass, file, and the
-    /// whitespace-normalized excerpt — stable under reformatting and line
-    /// drift, distinct per occurrence site text.
-    #[must_use]
-    pub fn baseline_key(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        };
-        eat(self.pass.as_bytes());
-        eat(b"\0");
-        eat(self.file.as_bytes());
-        eat(b"\0");
-        for part in self.excerpt.split_whitespace() {
-            eat(part.as_bytes());
-            eat(b" ");
-        }
-        format!("{h:016x}")
-    }
-
-    /// True when the finding still gates the build (not suppressed).
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        !self.waived && !self.baselined
-    }
 }
 
 /// A complete lint run.
@@ -78,7 +38,7 @@ pub struct Report {
     pub files_scanned: usize,
     /// Names of the passes that ran.
     pub passes: Vec<&'static str>,
-    /// All findings (active, waived, and baselined), sorted by position.
+    /// All findings (active and waived), sorted by position.
     pub findings: Vec<Finding>,
 }
 
@@ -89,24 +49,23 @@ impl Report {
         Report { files_scanned, passes, findings }
     }
 
-    /// Findings that gate the build.
+    /// Findings that gate the build (not waived).
     pub fn active(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.is_active())
+        self.findings.iter().filter(|f| !f.waived)
     }
 
-    /// Counts as `(total, active, waived, baselined)`.
+    /// Counts as `(total, active, waived)`.
     #[must_use]
-    pub fn counts(&self) -> (usize, usize, usize, usize) {
+    pub fn counts(&self) -> (usize, usize, usize) {
         let waived = self.findings.iter().filter(|f| f.waived).count();
-        let baselined = self.findings.iter().filter(|f| f.baselined).count();
         let total = self.findings.len();
-        (total, total - waived - baselined, waived, baselined)
+        (total, total - waived, waived)
     }
 
-    /// Serializes the `kadabra-lint/v1` document.
+    /// Serializes the `kadabra-lint/v2` document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let (total, active, waived, baselined) = self.counts();
+        let (total, active, waived) = self.counts();
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!("  \"schema\": \"{LINT_SCHEMA}\",\n"));
@@ -126,24 +85,21 @@ impl Report {
             s.push_str(&format!("\"col\": {}, ", f.col));
             s.push_str(&format!("\"message\": \"{}\", ", escape(&f.message)));
             s.push_str(&format!("\"excerpt\": \"{}\", ", escape(&f.excerpt)));
-            s.push_str(&format!("\"key\": \"{}\", ", f.baseline_key()));
-            s.push_str(&format!("\"waived\": {}, ", f.waived));
-            s.push_str(&format!("\"baselined\": {}}}", f.baselined));
+            s.push_str(&format!("\"waived\": {}}}", f.waived));
         }
         if !self.findings.is_empty() {
             s.push_str("\n  ");
         }
         s.push_str("],\n");
         s.push_str(&format!(
-            "  \"summary\": {{\"total\": {total}, \"active\": {active}, \"waived\": {waived}, \
-             \"baselined\": {baselined}}}\n"
+            "  \"summary\": {{\"total\": {total}, \"active\": {active}, \"waived\": {waived}}}\n"
         ));
         s.push_str("}\n");
         s
     }
 }
 
-/// Validates a serialized report against the `kadabra-lint/v1` schema:
+/// Validates a serialized report against the `kadabra-lint/v2` schema:
 /// schema tag, required fields and types, and summary-count consistency.
 ///
 /// # Errors
@@ -164,9 +120,9 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         return Err("passes must be a non-empty array of strings".to_string());
     }
     let findings = doc.get("findings").and_then(Json::as_array).ok_or("missing findings array")?;
-    let (mut waived, mut baselined) = (0u64, 0u64);
+    let mut waived = 0u64;
     for (i, f) in findings.iter().enumerate() {
-        for key in ["pass", "file", "message", "excerpt", "key"] {
+        for key in ["pass", "file", "message", "excerpt"] {
             if f.get(key).and_then(Json::as_str).is_none() {
                 return Err(format!("finding {i} lacks string `{key}`"));
             }
@@ -177,120 +133,23 @@ pub fn validate_report(text: &str) -> Result<(), String> {
                 return Err(format!("finding {i} lacks positive numeric `{key}`"));
             }
         }
-        let flag = |key: &str| -> Result<bool, String> {
-            match f.get(key) {
-                Some(Json::Bool(b)) => Ok(*b),
-                _ => Err(format!("finding {i} lacks boolean `{key}`")),
-            }
-        };
-        if flag("waived")? {
-            waived += 1;
-        }
-        if flag("baselined")? {
-            baselined += 1;
+        match f.get("waived") {
+            Some(Json::Bool(true)) => waived += 1,
+            Some(Json::Bool(false)) => {}
+            _ => return Err(format!("finding {i} lacks boolean `waived`")),
         }
     }
     let summary = doc.get("summary").ok_or("missing summary object")?;
     let num = |key: &str| {
         summary.get(key).and_then(Json::as_f64).ok_or_else(|| format!("summary lacks `{key}`"))
     };
-    let (total, active) = (num("total")?, num("active")?);
-    let (s_waived, s_baselined) = (num("waived")?, num("baselined")?);
-    #[allow(clippy::cast_precision_loss)]
-    let consistent = total == findings.len() as f64
-        && s_waived == waived as f64
-        && s_baselined == baselined as f64
-        && active == total - s_waived - s_baselined;
+    let (total, active, s_waived) = (num("total")?, num("active")?, num("waived")?);
+    let consistent =
+        total == findings.len() as f64 && s_waived == waived as f64 && active == total - s_waived;
     if !consistent {
         return Err("summary counts are inconsistent with the findings array".to_string());
     }
     Ok(())
-}
-
-/// The baseline suppression set: accepted findings identified by
-/// `(pass, file, key)`.
-#[derive(Debug, Default)]
-pub struct Baseline {
-    entries: Vec<(String, String, String)>,
-}
-
-impl Baseline {
-    /// The empty baseline (nothing suppressed).
-    #[must_use]
-    pub fn empty() -> Baseline {
-        Baseline::default()
-    }
-
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries are present.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Parses a `kadabra-lint/baseline-v1` document.
-    ///
-    /// # Errors
-    /// Returns a description of the first schema violation found.
-    pub fn parse(text: &str) -> Result<Baseline, String> {
-        let doc = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let schema = doc.get("schema").and_then(Json::as_str);
-        if schema != Some(BASELINE_SCHEMA) {
-            return Err(format!("schema tag is {schema:?}, expected {BASELINE_SCHEMA:?}"));
-        }
-        let entries = doc.get("entries").and_then(Json::as_array).ok_or("missing entries array")?;
-        let mut out = Baseline::default();
-        for (i, e) in entries.iter().enumerate() {
-            let field = |key: &str| {
-                e.get(key)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("entry {i} lacks string `{key}`"))
-            };
-            out.entries.push((field("pass")?, field("file")?, field("key")?));
-        }
-        Ok(out)
-    }
-
-    /// True when `f` is covered by a baseline entry.
-    #[must_use]
-    pub fn matches(&self, f: &Finding) -> bool {
-        let key = f.baseline_key();
-        self.entries.iter().any(|(p, file, k)| p == f.pass && *file == f.file && *k == key)
-    }
-
-    /// Serializes the non-suppressed findings of `report` as a fresh
-    /// baseline document (`cargo xtask lint --write-baseline`).
-    #[must_use]
-    pub fn render(report: &Report) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{BASELINE_SCHEMA}\",\n"));
-        s.push_str("  \"entries\": [");
-        let mut first = true;
-        for f in report.active() {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "\n    {{\"pass\": \"{}\", \"file\": \"{}\", \"key\": \"{}\"}}",
-                escape(f.pass),
-                escape(&f.file),
-                f.baseline_key()
-            ));
-        }
-        if !first {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -307,51 +166,28 @@ mod tests {
             excerpt: excerpt.to_string(),
             message: "m".to_string(),
             waived: false,
-            baselined: false,
         }
     }
 
     #[test]
     fn report_round_trips_through_validation() {
         let mut f = finding("seqcst", "crates/x/src/lib.rs", "a.load(SeqCst);");
-        let mut report = Report::new(4, vec!["seqcst", "unwrap"], vec![f.clone()]);
+        let mut report = Report::new(4, vec!["seqcst", "direct-atomics"], vec![f.clone()]);
         assert!(validate_report(&report.to_json()).is_ok(), "{}", report.to_json());
         f.waived = true;
         report.findings.push(f);
         assert!(validate_report(&report.to_json()).is_ok());
-        let (total, active, waived, baselined) = report.counts();
-        assert_eq!((total, active, waived, baselined), (2, 1, 1, 0));
+        assert_eq!(report.counts(), (2, 1, 1));
     }
 
     #[test]
     fn validation_rejects_drift() {
         let report = Report::new(4, vec!["seqcst"], vec![]);
         let good = report.to_json();
-        assert!(validate_report(&good.replace("kadabra-lint/v1", "kadabra-lint/v2")).is_err());
+        assert!(validate_report(&good.replace("kadabra-lint/v2", "kadabra-lint/v1")).is_err());
         assert!(
             validate_report(&good.replace("\"files_scanned\": 4", "\"files_scanned\": 0")).is_err()
         );
         assert!(validate_report("{}").is_err());
-    }
-
-    #[test]
-    fn baseline_key_is_stable_under_whitespace_but_not_content() {
-        let a = finding("unwrap", "crates/x/src/lib.rs", "v.unwrap();");
-        let b = finding("unwrap", "crates/x/src/lib.rs", "  v.unwrap();  ");
-        let c = finding("unwrap", "crates/x/src/lib.rs", "w.unwrap();");
-        assert_eq!(a.baseline_key(), b.baseline_key());
-        assert_ne!(a.baseline_key(), c.baseline_key());
-    }
-
-    #[test]
-    fn baseline_round_trip_suppresses() {
-        let f = finding("unwrap", "crates/x/src/lib.rs", "v.unwrap();");
-        let report = Report::new(1, vec!["unwrap"], vec![f.clone()]);
-        let rendered = Baseline::render(&report);
-        let baseline = Baseline::parse(&rendered).expect("parse");
-        assert_eq!(baseline.len(), 1);
-        assert!(baseline.matches(&f));
-        let other = finding("unwrap", "crates/y/src/lib.rs", "v.unwrap();");
-        assert!(!baseline.matches(&other));
     }
 }

@@ -28,33 +28,39 @@ use std::sync::Arc;
 // state; concentrating the panics here keeps the call sites honest.
 
 /// Views a deposited accumulator as its concrete type.
+#[expect(clippy::expect_used, reason = "type pinned by (seq, OpKind); see module note")]
 fn acc_mut<T: 'static>(boxed: &mut Box<dyn Any + Send>) -> &mut T {
-    // xtask: allow(unwrap) — type pinned by (seq, OpKind); see module note.
     boxed.downcast_mut::<T>().expect("collective accumulator type")
 }
 
 /// Views the (guaranteed-present) accumulator slot as its concrete type.
+#[expect(clippy::expect_used, reason = "first join deposits before finalize/collect run")]
 fn acc_slot_mut<T: 'static>(acc: &mut Option<Box<dyn Any + Send>>) -> &mut T {
-    // xtask: allow(unwrap) — first join deposits before finalize/collect run.
     acc_mut(acc.as_mut().expect("collective accumulator present"))
 }
 
 /// Reads the (guaranteed-present) accumulator slot as its concrete type.
+#[expect(
+    clippy::expect_used,
+    reason = "first join deposits before collect runs; type pinned by (seq, OpKind), see module \
+              note"
+)]
 fn acc_slot_ref<T: 'static>(acc: &Option<Box<dyn Any + Send>>) -> &T {
     acc.as_ref()
-        // xtask: allow(unwrap) — first join deposits before collect runs.
         .expect("collective accumulator present")
         .downcast_ref::<T>()
-        // xtask: allow(unwrap) — type pinned by (seq, OpKind); see module note.
         .expect("collective accumulator type")
 }
 
 /// Takes the accumulator out of the slot (single-consumer collectives).
+#[expect(clippy::expect_used, reason = "type pinned by (seq, OpKind); see module note")]
 fn acc_take<T: 'static>(acc: &mut Option<Box<dyn Any + Send>>) -> T {
-    // xtask: allow(unwrap) — the engine hands each op's slot to exactly one
-    // taker (the root), and the deposit precedes any collect.
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine hands each op's slot to exactly one taker (the root), and the deposit \
+                  precedes any collect"
+    )]
     let boxed = acc.take().expect("collective accumulator present");
-    // xtask: allow(unwrap) — type pinned by (seq, OpKind); see module note.
     *boxed.downcast::<T>().expect("collective accumulator type")
 }
 
@@ -541,15 +547,17 @@ impl Communicator {
         let my_crash = self.crash.clone();
         let child = self.engine.wait_complete(seq, move |acc| {
             let sp = acc_slot_ref::<SplitAcc>(acc);
-            // xtask: allow(unwrap) — finalize ran before any wait_complete
-            // returns, so the per-color groups exist.
+            #[expect(
+                clippy::expect_used,
+                reason = "finalize ran before any wait_complete returns, so the per-color groups \
+                          exist"
+            )]
             let (engine, ranks) = &sp.groups.as_ref().expect("groups built")[&color];
-            let new_rank = ranks
-                .iter()
-                .position(|&r| r == my_rank)
-                // xtask: allow(unwrap) — this rank's own submission is in
-                // exactly one color group.
-                .expect("own rank in group");
+            #[expect(
+                clippy::expect_used,
+                reason = "this rank's own submission is in exactly one color group"
+            )]
+            let new_rank = ranks.iter().position(|&r| r == my_rank).expect("own rank in group");
             Communicator::new(engine.clone(), new_rank, my_crash)
         })?;
         self.trace_complete(seq);

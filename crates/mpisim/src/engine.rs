@@ -278,15 +278,14 @@ impl Engine {
     }
 
     /// Non-blocking check whether all ranks have joined op `seq`.
+    #[expect(
+        clippy::expect_used,
+        reason = "`seq` comes from a Request this engine issued, and slots are only freed after \
+                  the last retirement"
+    )]
     pub fn is_complete(&self, seq: u64) -> bool {
         let slots = self.slots.lock();
-        slots
-            .get(&seq)
-            // xtask: allow(unwrap) — `seq` comes from a Request this engine
-            // issued, and slots are only freed after the last retirement.
-            .expect("is_complete on unknown op")
-            .arrived
-            == self.size
+        slots.get(&seq).expect("is_complete on unknown op").arrived == self.size
     }
 
     /// Completion collection; must only be called once [`Self::is_complete`]
@@ -299,8 +298,11 @@ impl Engine {
         collect: impl FnOnce(&mut Option<Box<dyn Any + Send>>) -> T,
     ) -> T {
         let mut slots = self.slots.lock();
-        // xtask: allow(unwrap) — `seq` comes from a Request this engine
-        // issued, and this rank has not retired it yet.
+        #[expect(
+            clippy::expect_used,
+            reason = "`seq` comes from a Request this engine issued, and this rank has not retired \
+                      it yet"
+        )]
         let slot = slots.get_mut(&seq).expect("try_complete on unknown op");
         assert!(slot.arrived == self.size, "try_complete before completion");
         let out = collect(&mut slot.acc);
@@ -333,8 +335,11 @@ impl Engine {
                 return Err(self.poisoned_error());
             }
             let (kind, arrived, stuck) = {
-                // xtask: allow(unwrap) — `seq` comes from a Request this
-                // engine issued, and this rank has not retired it yet.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`seq` comes from a Request this engine issued, and this rank has not \
+                              retired it yet"
+                )]
                 let slot = slots.get_mut(&seq).expect("wait_complete on unknown op");
                 if slot.arrived == self.size {
                     let out = collect(&mut slot.acc);
@@ -406,8 +411,11 @@ impl Engine {
                 return Err(self.poisoned_error());
             }
             {
-                // xtask: allow(unwrap) — the slot is freed only after the
-                // last survivor retires, and this rank has not retired yet.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the slot is freed only after the last survivor retires, and this \
+                              rank has not retired yet"
+                )]
                 let slot = slots.get_mut(&key).expect("shrink generation slot present");
                 let done =
                     slot.acc.is_some() || self.health.shrink_complete(&self.members, &slot.joined);
@@ -432,19 +440,24 @@ impl Engine {
                         slot.acc = Some(Box::new(ShrinkAcc { child: (child, survivors) }));
                         self.cv.notify_all();
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "just stored/observed above, and the reserved key space pins the \
+                                  type"
+                    )]
                     let acc = slot
                         .acc
                         .as_ref()
                         .and_then(|a| a.downcast_ref::<ShrinkAcc>())
-                        // xtask: allow(unwrap) — just stored/observed above,
-                        // and the reserved key space pins the type.
                         .expect("shrink accumulator");
                     let (child, survivors) = (acc.child.0.clone(), acc.child.1.clone());
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "this rank joined, so it is among the survivors by construction"
+                    )]
                     let new_rank = survivors
                         .iter()
                         .position(|&r| r == rank)
-                        // xtask: allow(unwrap) — this rank joined, so it is
-                        // among the survivors by construction.
                         .expect("own rank among shrink survivors");
                     slot.retired += 1;
                     if slot.retired == survivors.len() {
@@ -496,12 +509,15 @@ impl Engine {
         assert!(slot.kind == OpKind::Grow, "reserved grow key collided with an op");
         assert!(!slot.joined[rank], "rank {rank} joined grow generation {generation} twice");
         {
+            #[expect(
+                clippy::expect_used,
+                reason = "deposited unconditionally at slot creation above; the reserved key space \
+                          pins the type"
+            )]
             let acc = slot
                 .acc
                 .as_mut()
                 .and_then(|a| a.downcast_mut::<GrowAcc>())
-                // xtask: allow(unwrap) — deposited unconditionally at slot
-                // creation above; the reserved key space pins the type.
                 .expect("grow accumulator");
             if acc.extra != extra {
                 let msg = format!(
@@ -523,14 +539,21 @@ impl Engine {
                 return Err(self.poisoned_error());
             }
             {
-                // xtask: allow(unwrap) — the slot is freed only after the
-                // last joiner retires, and this rank has not retired yet.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the slot is freed only after the last joiner retires, and this rank \
+                              has not retired yet"
+                )]
                 let slot = slots.get_mut(&key).expect("grow generation slot present");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the slot holds a GrowAcc from its creation; the reserved key space \
+                              pins the type"
+                )]
                 let acc = slot
                     .acc
                     .as_mut()
                     .and_then(|a| a.downcast_mut::<GrowAcc>())
-                    // xtask: allow(unwrap) — see above; type pinned by key space.
                     .expect("grow accumulator");
                 let done =
                     acc.child.is_some() || self.health.shrink_complete(&self.members, &slot.joined);
@@ -563,14 +586,16 @@ impl Engine {
                         acc.child = Some((child, joiners, admitted.len()));
                         self.cv.notify_all();
                     }
+                    #[expect(clippy::expect_used, reason = "just stored/observed above")]
                     let (child, joiners, admitted) =
-                        // xtask: allow(unwrap) — just stored/observed above.
                         acc.child.as_ref().expect("grow child").clone();
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "this rank joined, so it is among the joiners by construction"
+                    )]
                     let new_rank = joiners
                         .iter()
                         .position(|&r| r == rank)
-                        // xtask: allow(unwrap) — this rank joined, so it is
-                        // among the joiners by construction.
                         .expect("own rank among grow joiners");
                     slot.retired += 1;
                     if slot.retired == joiners.len() {
@@ -692,8 +717,11 @@ impl<T> Request<T> {
             // Deterministic regime: injected polls exhausted — resolve now,
             // blocking if peers are still on their way (the wait respects
             // the plan-scaled deadlock budget).
-            // xtask: allow(unwrap) — `collect` is consumed exactly once:
-            // here or below, both guarded by the early return above.
+            #[expect(
+                clippy::unwrap_used,
+                reason = "`collect` is consumed exactly once: here or below, both guarded by the \
+                          early return above"
+            )]
             let collect = self.collect.take().unwrap();
             match self.engine.wait_complete(self.seq, collect) {
                 Ok(v) => {
@@ -713,8 +741,11 @@ impl<T> Request<T> {
         }
         // Completion is monotone and this rank has not retired yet, so the
         // slot is guaranteed to still exist for the collection step.
-        // xtask: allow(unwrap) — `collect` is consumed exactly once: here on
-        // the first successful test(), guarded by the early return above.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "`collect` is consumed exactly once: here on the first successful test(), \
+                      guarded by the early return above"
+        )]
         let collect = self.collect.take().unwrap();
         self.result = Some(self.engine.try_complete(self.seq, collect));
         self.trace_complete();
@@ -729,8 +760,11 @@ impl<T> Request<T> {
         if let Some(v) = self.result.take() {
             return Ok(v);
         }
-        // xtask: allow(unwrap) — wait() takes self; if test() already
-        // collected, the result.take() above returned early.
+        #[expect(
+            clippy::expect_used,
+            reason = "wait() takes self; if test() already collected, the result.take() above \
+                      returned early"
+        )]
         let collect = self.collect.take().expect("request already consumed");
         let out = self.engine.wait_complete(self.seq, collect)?;
         self.trace_complete();

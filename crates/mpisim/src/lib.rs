@@ -49,6 +49,8 @@
 //! ([`Communicator::steal_claim`] / [`Communicator::steal_grant`])
 //! redistributes sample quota away from plan-marked stragglers.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_methods)]
+
 mod comm;
 mod engine;
 mod error;

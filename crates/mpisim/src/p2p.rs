@@ -115,8 +115,11 @@ impl Mailbox {
         loop {
             if let Some(stream) = q.get_mut(&(src, dst, tag)) {
                 if let Some((&key, _)) = stream.pending.iter().next() {
-                    // xtask: allow(unwrap) — `key` was just observed present
-                    // and the map is under the same lock.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "`key` was just observed present and the map is under the same \
+                                  lock"
+                    )]
                     let payload = stream.pending.remove(&key).expect("pending message present");
                     return Ok((key, payload));
                 }

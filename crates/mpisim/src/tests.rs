@@ -400,7 +400,7 @@ fn scheduled_crash_is_typed_and_bit_reproducible() {
     assert_eq!(a, run(), "crash outcome must replay from (plan, seed): {}", plan.summary());
     // Two clean rounds everywhere.
     for r in &a {
-        #[allow(clippy::identity_op)] // the spelled-out rank sum documents who joined
+        #[expect(clippy::identity_op, reason = "the spelled-out rank sum documents who joined")]
         {
             assert_eq!(r[0], Ok(0 + 1 + 2));
             assert_eq!(r[1], Ok(3 + 1 + 2));
@@ -441,7 +441,7 @@ fn shrink_excludes_the_dead_and_survivors_continue() {
     });
     // One clean round before the crash (rank 2 joins seq 0, dies at seq 1).
     for (rank, (sums, after)) in out.iter().enumerate() {
-        #[allow(clippy::identity_op)] // the spelled-out rank sum documents who joined
+        #[expect(clippy::identity_op, reason = "the spelled-out rank sum documents who joined")]
         {
             assert_eq!(sums, &[0 + 1 + 2 + 3], "rank {rank} pre-crash rounds");
         }

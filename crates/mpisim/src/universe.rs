@@ -123,7 +123,12 @@ impl Universe {
         }
         let total = founding + standby;
         let mut results: Vec<Option<T>> = (0..total).map(|_| None).collect();
-        crossbeam::scope(|s| {
+        let scoped = crossbeam::scope(|s| {
+            #[expect(
+                clippy::expect_used,
+                reason = "OS thread spawn only fails on resource exhaustion, which is \
+                          unrecoverable for an in-process MPI world"
+            )]
             let handles: Vec<_> = results
                 .iter_mut()
                 .enumerate()
@@ -146,9 +151,6 @@ impl Universe {
                         .spawn(move |_| {
                             *slot = Some(f(role));
                         })
-                        // xtask: allow(unwrap) — OS thread spawn only fails
-                        // on resource exhaustion, which is unrecoverable for
-                        // an in-process MPI world.
                         .expect("spawn rank thread")
                 })
                 .collect();
@@ -168,16 +170,21 @@ impl Universe {
             if let Some(p) = panics.into_iter().next() {
                 std::panic::resume_unwind(Box::new(p));
             }
-        })
-        // xtask: allow(unwrap) — every child is joined (and its panic
-        // re-raised) inside the scope, so the scope itself cannot fail.
-        .expect("mpi world scope");
+        });
+        #[expect(
+            clippy::expect_used,
+            reason = "every child is joined (and its panic re-raised) inside the scope, so the \
+                      scope itself cannot fail"
+        )]
+        scoped.expect("mpi world scope");
+        #[expect(
+            clippy::expect_used,
+            reason = "each rank thread wrote its slot before exiting, and all of them were joined \
+                      above"
+        )]
+        let results: Vec<T> =
+            results.into_iter().map(|r| r.expect("every rank produced a result")).collect();
         results
-            .into_iter()
-            // xtask: allow(unwrap) — each rank thread wrote its slot
-            // before exiting, and all of them were joined above.
-            .map(|r| r.expect("every rank produced a result"))
-            .collect()
     }
 
     fn launch<T, F>(
@@ -192,7 +199,12 @@ impl Universe {
     {
         assert!(world_size >= 1, "world must have at least one rank");
         let mut results: Vec<Option<T>> = (0..world_size).map(|_| None).collect();
-        crossbeam::scope(|s| {
+        let scoped = crossbeam::scope(|s| {
+            #[expect(
+                clippy::expect_used,
+                reason = "OS thread spawn only fails on resource exhaustion, which is \
+                          unrecoverable for an in-process MPI world"
+            )]
             let handles: Vec<_> = results
                 .iter_mut()
                 .enumerate()
@@ -208,9 +220,6 @@ impl Universe {
                         .spawn(move |_| {
                             *slot = Some(f(comm));
                         })
-                        // xtask: allow(unwrap) — OS thread spawn only fails
-                        // on resource exhaustion, which is unrecoverable for
-                        // an in-process MPI world.
                         .expect("spawn rank thread")
                 })
                 .collect();
@@ -222,15 +231,20 @@ impl Universe {
                     )));
                 }
             }
-        })
-        // xtask: allow(unwrap) — every child is joined (and its panic
-        // re-raised) inside the scope, so the scope itself cannot fail.
-        .expect("mpi world scope");
+        });
+        #[expect(
+            clippy::expect_used,
+            reason = "every child is joined (and its panic re-raised) inside the scope, so the \
+                      scope itself cannot fail"
+        )]
+        scoped.expect("mpi world scope");
+        #[expect(
+            clippy::expect_used,
+            reason = "each rank thread wrote its slot before exiting, and all of them were joined \
+                      above"
+        )]
+        let results: Vec<T> =
+            results.into_iter().map(|r| r.expect("every rank produced a result")).collect();
         results
-            .into_iter()
-            // xtask: allow(unwrap) — each rank thread wrote its slot
-            // before exiting, and all of them were joined above.
-            .map(|r| r.expect("every rank produced a result"))
-            .collect()
     }
 }

@@ -422,7 +422,8 @@ impl EstimateCache {
     }
 }
 
-#[cfg(all(test, not(feature = "loom")))]
+#[cfg(test)]
+#[cfg(not(feature = "loom"))]
 mod tests {
     use super::*;
 

@@ -26,6 +26,8 @@
 //! - **[`testkit`]** — seed-addressed deterministic fixtures for the
 //!   service-level test harness.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod admission;
 pub mod cache;
 mod server;

@@ -352,7 +352,8 @@ impl Client {
     }
 }
 
-#[cfg(all(test, not(feature = "loom")))]
+#[cfg(test)]
+#[cfg(not(feature = "loom"))]
 mod tests {
     use super::*;
     use kadabra_graph::generators::{grid, GridConfig};

@@ -265,7 +265,7 @@ impl Tenant {
         assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
         let (rg, perm) = g.relabel_by_degree();
         let n = rg.num_nodes();
-        // xtask: allow(unwrap) — validate() rejects empty schedules.
+        #[expect(clippy::unwrap_used, reason = "validate() rejects empty schedules")]
         let floor = *cfg.schedule.last().unwrap();
         let kcfg = KadabraConfig {
             epsilon: floor,
@@ -672,7 +672,8 @@ impl Tenant {
     }
 }
 
-#[cfg(all(test, not(feature = "loom")))]
+#[cfg(test)]
+#[cfg(not(feature = "loom"))]
 mod tests {
     use super::*;
     use kadabra_graph::generators::{grid, GridConfig};

@@ -72,7 +72,8 @@ pub fn boot_dynamic_with_plan(seed: u64, plan: FaultPlan) -> Server {
     server
 }
 
-#[cfg(all(test, not(feature = "loom")))]
+#[cfg(test)]
+#[cfg(not(feature = "loom"))]
 mod tests {
     use super::*;
 

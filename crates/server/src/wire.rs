@@ -170,12 +170,12 @@ fn dispatch(
         return Ok(format!("{{\"ok\":true,\"tenants\":[{}]}}", names.join(",")));
     }
     let tenant = req.get("tenant").and_then(Json::as_str).ok_or_else(|| bad("missing tenant"))?;
+    #[expect(clippy::unwrap_used, reason = "the fallback arm assigns Some just before it unwraps")]
     let sc = match scratch {
         Some((name, sc)) if name == tenant => sc,
         _ => {
             let fresh = client.scratch(tenant)?;
             *scratch = Some((tenant.to_string(), fresh));
-            // xtask: allow(unwrap) — assigned Some on the line above.
             &mut scratch.as_mut().unwrap().1
         }
     };
@@ -271,7 +271,8 @@ fn dispatch(
     }
 }
 
-#[cfg(all(test, not(feature = "loom")))]
+#[cfg(test)]
+#[cfg(not(feature = "loom"))]
 mod tests {
     use crate::server::{Server, ServerConfig};
     use crate::tenant::TenantConfig;

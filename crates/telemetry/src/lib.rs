@@ -27,6 +27,7 @@
 //! * [`bench::BenchArtifact`] — `BENCH_<name>.json` artifacts with a stable,
 //!   validated schema (`cargo xtask bench --smoke`).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
 pub mod bench;

@@ -8,11 +8,9 @@
 //! engine is the `kadabra-lint` AST framework (DESIGN.md §12): a
 //! hand-rolled lexer and item-level parser drive a registry of passes, each
 //! reporting precise `(line, col)` spans. `--json PATH` writes the
-//! machine-readable `kadabra-lint/v1` report (schema-validated before the
+//! machine-readable `kadabra-lint/v2` report (schema-validated before the
 //! command exits, and written even when findings fail the run so CI can
-//! upload it as an artifact). `--write-baseline` accepts all current
-//! findings into `lint-baseline.json`, which future runs subtract; the file
-//! being absent means an empty baseline.
+//! upload it as an artifact).
 //!
 //! The token-level rules:
 //!
@@ -26,27 +24,17 @@
 //!   `sync.rs` indirection module (which swaps in the loom model checker
 //!   under `--features loom`), never from `std::sync::atomic` directly.
 //!   Files named `sync.rs` and test code are exempt.
-//! * **nondeterminism** — `thread_rng` is banned workspace-wide (all
-//!   randomness flows from seeded `StdRng`s so every run is reproducible),
-//!   and wall-clock reads (`Instant::now`, `SystemTime::now`) are banned in
-//!   the deterministic simulation paths (`crates/mpisim/src`,
-//!   `crates/cluster/src` except `calibrate.rs`, which exists precisely to
-//!   measure real time).
-//! * **unwrap** — `.unwrap()` / `.expect(` are banned in library non-test
-//!   code; recover, propagate, or document the invariant with a waiver.
-//! * **wallclock** — raw wall-clock reads (`Instant::now`,
-//!   `SystemTime::now`) are banned under `crates/core/src` and
-//!   `crates/graph/src`: the algorithm drivers and the traversal kernel
-//!   must take time through `kadabra-telemetry` spans (or its `Stopwatch`)
-//!   so there is exactly one timing code path (DESIGN.md §9, §11).
-//! * **comm-panic** — `panic!` / `todo!` / `unimplemented!` are banned in
-//!   `crates/mpisim/src`: communicator error paths must surface typed
-//!   `CommError`s so the fault-tolerance layer can shrink and continue
-//!   (DESIGN.md §10). A panicking rank would take the whole simulated
-//!   cluster down instead of exercising recovery.
 //!
-//! Four semantic passes sit on top (see
-//! `crates/lint/src/passes/` for the full rationale of each):
+//! Clippy has no lint for either: it cannot name one enum variant, and its
+//! `disallowed-types` would flag every use of a `sync.rs` re-export too.
+//! The token rules clippy does express are clippy's (DESIGN.md §12.4):
+//! `unwrap_used`/`expect_used` in every library crate, `panic` in
+//! `kadabra-mpisim`, and `disallowed-methods` on `Instant::now`/
+//! `SystemTime::now` in `core`, `graph`, `mpisim` and `cluster`, each
+//! denied at the crate root and configured in `crates/clippy.toml`.
+//!
+//! Five semantic passes sit on top (see `crates/lint/src/passes/` for the
+//! full rationale of each):
 //!
 //! * **comm-error-flow** — call sites of the communicator API (harvested
 //!   from `pub fn … -> Result<_, CommError>` signatures in
@@ -65,6 +53,9 @@
 //! * **hot-loop-hygiene** — no allocation, locking, cloning, formatting,
 //!   or collectives inside per-sample code: `sample_batch` consume
 //!   closures and the named hot functions of `crates/core`/`crates/graph`.
+//! * **delta-confinement** — tenant graphs mutate only through the
+//!   `DeltaLog` API: no direct overlay mutator calls outside
+//!   `crates/dynamic`.
 //!
 //! Any rule can be waived for one line with a trailing or preceding comment
 //! `// xtask: allow(<rule>) — <why this occurrence is sound>`. Waivers are
@@ -72,11 +63,11 @@
 //!
 //! The engine lexes rather than greps: comments, string literals, and
 //! `#[cfg(test)]` modules are stripped or marked before matching, so prose
-//! *about* `SeqCst` or an error message containing ".unwrap()" never trips
-//! a rule. `shims/` is deliberately out of scope — those crates reproduce
-//! third-party APIs (including their `SeqCst` surface) and are not governed
-//! by this workspace's concurrency discipline; `fixtures` directories are
-//! skipped too, since they exist to violate the rules on purpose.
+//! *about* `SeqCst` never trips a rule. `shims/` is deliberately out of
+//! scope — those crates reproduce third-party APIs (including their
+//! `SeqCst` surface) and are not governed by this workspace's concurrency
+//! discipline; `fixtures` directories are skipped too, since they exist to
+//! violate the rules on purpose.
 //!
 //! # `cargo xtask deny`
 //!
@@ -152,8 +143,7 @@ fn main() -> ExitCode {
                 "usage: cargo xtask <command>\n\n\
                  commands:\n  \
                  lint   AST-based semantic lint passes (stable)\n         \
-                 [--json PATH] write + validate the kadabra-lint/v1 report\n         \
-                 [--write-baseline] accept current findings into lint-baseline.json\n  \
+                 [--json PATH] write + validate the kadabra-lint/v2 report\n  \
                  deny   supply-chain gate via cargo-deny, config in deny.toml (skips if absent)\n  \
                  loom   model-check the epoch protocol + telemetry recorder + server cache (stable)\n  \
                  tsan   run concurrency tests under ThreadSanitizer (nightly + rust-src)\n  \
@@ -172,12 +162,10 @@ fn main() -> ExitCode {
 // ---------------------------------------------------------------------------
 
 fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut write_baseline = false;
     let mut json_path: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--write-baseline" => write_baseline = true,
             "--json" => match it.next() {
                 Some(p) => json_path = Some(PathBuf::from(p)),
                 None => {
@@ -191,16 +179,14 @@ fn cmd_lint(args: &[String]) -> ExitCode {
             }
         }
     }
-    cmd_lint_ast(json_path, write_baseline)
+    cmd_lint_ast(json_path)
 }
 
 /// The AST lint engine (`kadabra-lint`): parses the workspace, runs every
-/// registered pass, applies inline waivers and the `lint-baseline.json`
-/// suppression set, and fails on any active finding. `--json PATH` also
-/// writes (and schema-validates) the `kadabra-lint/v1` report for CI to
-/// upload; `--write-baseline` accepts the current active findings into the
-/// baseline instead of failing.
-fn cmd_lint_ast(json_path: Option<PathBuf>, write_baseline: bool) -> ExitCode {
+/// registered pass, applies inline waivers, and fails on any active
+/// finding. `--json PATH` also writes (and schema-validates) the
+/// `kadabra-lint/v2` report for CI to upload.
+fn cmd_lint_ast(json_path: Option<PathBuf>) -> ExitCode {
     let root = workspace_root();
     let ws = match kadabra_lint::Workspace::load(&root) {
         Ok(ws) => ws,
@@ -211,33 +197,7 @@ fn cmd_lint_ast(json_path: Option<PathBuf>, write_baseline: bool) -> ExitCode {
     };
     let passes = kadabra_lint::passes::all();
     let pass_refs: Vec<&dyn kadabra_lint::Pass> = passes.iter().map(AsRef::as_ref).collect();
-    let baseline_path = root.join("lint-baseline.json");
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match kadabra_lint::report::Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("xtask lint: invalid {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(_) => kadabra_lint::report::Baseline::empty(),
-    };
-    let report = ws.run(&pass_refs, &baseline);
-
-    if write_baseline {
-        let rendered = kadabra_lint::report::Baseline::render(&report);
-        if let Err(e) = std::fs::write(&baseline_path, rendered) {
-            eprintln!("xtask lint: failed to write {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        let (_, active, _, _) = report.counts();
-        println!(
-            "xtask lint: accepted {active} finding(s) into {} — each entry is tracked debt, \
-             not a licence",
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
+    let report = ws.run(&pass_refs);
 
     for f in report.active() {
         println!(
@@ -263,20 +223,19 @@ fn cmd_lint_ast(json_path: Option<PathBuf>, write_baseline: bool) -> ExitCode {
         );
     }
 
-    let (total, active, waived, baselined) = report.counts();
+    let (total, active, waived) = report.counts();
     if active == 0 {
         println!(
-            "xtask lint: {} files clean across {} passes ({} waived, {} baselined)",
+            "xtask lint: {} files clean across {} passes ({} waived)",
             report.files_scanned,
             report.passes.len(),
-            waived,
-            baselined
+            waived
         );
         return ExitCode::SUCCESS;
     }
     println!(
-        "\nxtask lint: {active} active finding(s) ({total} total, {waived} waived, {baselined} \
-         baselined) in {} file(s); waive a line with `// xtask: allow(<pass>) — <reason>` if \
+        "\nxtask lint: {active} active finding(s) ({total} total, {waived} waived) in {} \
+         file(s); waive a line with `// xtask: allow(<pass>) — <reason>` if \
          the occurrence is deliberate",
         report.files_scanned
     );

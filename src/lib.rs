@@ -61,6 +61,8 @@
 //! assert_eq!(result.scores.len(), 200);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub use kadabra_baselines as baselines;
 pub use kadabra_cluster as cluster;
 pub use kadabra_core as core;

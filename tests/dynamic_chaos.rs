@@ -197,9 +197,11 @@ fn the_cache_never_serves_a_mixed_generation_answer() {
 /// the old graph or the new one within the reported ε — never a blend
 /// outside both.
 #[test]
-// The collect is load-bearing: all readers must be running before the
-// update starts; joining lazily would serialize them after it.
-#[allow(clippy::needless_collect)]
+#[expect(
+    clippy::needless_collect,
+    reason = "all readers must be running before the update starts; joining lazily would \
+              serialize them after it"
+)]
 fn concurrent_readers_stay_coherent_through_the_crashing_update() {
     let corpus = corpus_graph(SEED);
     let exact_old = std::sync::Arc::new(brandes(&corpus));

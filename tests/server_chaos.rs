@@ -77,9 +77,11 @@ fn crash_mid_refine_keeps_answers_within_checkpointed_eps() {
 /// is running must always see a coherent snapshot: monotone rounds, CI
 /// containing the estimate, error within the reported ε of the oracle.
 #[test]
-// The collect is load-bearing: all readers must be running before the
-// refine starts; joining lazily would serialize them after it.
-#[allow(clippy::needless_collect)]
+#[expect(
+    clippy::needless_collect,
+    reason = "all readers must be running before the refine starts; joining lazily would \
+              serialize them after it"
+)]
 fn concurrent_queries_stay_coherent_through_the_crash() {
     let exact = std::sync::Arc::new(brandes(&corpus_graph(SEED)));
     let server = boot_chaos();
