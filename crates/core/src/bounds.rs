@@ -25,6 +25,8 @@
 //! guarantee.
 
 use crate::calibration::Calibration;
+use kadabra_graph::NodeId;
+use std::sync::Arc;
 
 /// Static maximum number of samples ω for error `eps`, failure probability
 /// `delta`, and vertex-diameter upper bound `vertex_diameter`.
@@ -66,9 +68,12 @@ pub fn g_bound(b_tilde: f64, delta_u: f64, omega: u64, tau: u64) -> f64 {
 /// Evaluates the full stopping condition over aggregated counts: `true` iff
 /// every vertex satisfies both bounds at error `eps` (or τ ≥ ω).
 ///
-/// This is the `CHECKFORSTOP` of Algorithms 1 and 2; it runs on a consistent
-/// aggregated state only (Section III-B: f and g are not monotone in τ and
-/// c̃, so checking racy counts would be unsound).
+/// This is the `CHECKFORSTOP` of Algorithms 1 and 2, evaluated over all n
+/// vertices; it runs on a consistent aggregated state only (Section III-B:
+/// f and g are not monotone in τ and c̃, so checking racy counts would be
+/// unsound). The round loop and the sequential driver run [`StopRule`],
+/// which decides the same in O(touched) and is held to this function by a
+/// proptest.
 pub fn stopping_condition(
     counts: &[u64],
     tau: u64,
@@ -90,6 +95,63 @@ pub fn stopping_condition(
         let b = c as f64 / tau_f;
         f_bound(b, delta_l[v], omega, tau) < eps && g_bound(b, delta_u[v], omega, tau) < eps
     })
+}
+
+/// [`stopping_condition`] in O(touched): the drivers' `CHECKFORSTOP`
+/// over a frame whose nonzero counts are all listed.
+///
+/// Below ω an untouched vertex (b̃ = 0) can fail only on g. At b̃ = 0,
+/// `f = ln(1/δ_L)/τ · (−u + √(u²))` is exactly 0 (u > 0 below ω, and the
+/// rounded square root of a rounded square returns |u| in binary floating
+/// point), while g falls as δ_U grows and rises with b̃. So the one vertex
+/// whose bound can bind among the untouched is the one with the smallest
+/// δ_U, checked at b̃ = 0: if it is touched, its own check at b̃ > 0 is the
+/// stricter one, and nothing is lost by checking it twice. The test is
+/// then "every touched vertex passes, and g(0, min δ_U) < ε" — no per-vertex
+/// state beyond the calibration, and no count of the untouched.
+#[derive(Debug, Clone)]
+pub struct StopRule {
+    eps: f64,
+    omega: u64,
+    delta_l: Arc<[f64]>,
+    delta_u: Arc<[f64]>,
+    /// The smallest δ_U of any vertex (`None` on an empty graph).
+    min_delta_u: Option<f64>,
+}
+
+impl StopRule {
+    /// The rule at error `eps` and cap `omega` under `calibration`'s δ
+    /// budgets: one O(n) pass for the smallest δ_U, once per solve.
+    pub fn new(eps: f64, omega: u64, calibration: &Calibration) -> StopRule {
+        let min_delta_u = calibration.delta_u.iter().copied().reduce(f64::min);
+        StopRule {
+            eps,
+            omega,
+            delta_l: calibration.delta_l.clone(),
+            delta_u: calibration.delta_u.clone(),
+            min_delta_u,
+        }
+    }
+
+    /// Equals `stopping_condition(counts, tau, ..)` under the rule's
+    /// parameters, provided every vertex with a nonzero count is in
+    /// `touched` (in any order, each once).
+    pub fn stops(&self, counts: &[u64], touched: &[NodeId], tau: u64) -> bool {
+        if tau == 0 {
+            return false;
+        }
+        if tau >= self.omega {
+            return true;
+        }
+        let (eps, omega, tau_f) = (self.eps, self.omega, tau as f64);
+        self.min_delta_u.is_none_or(|du| g_bound(0.0, du, omega, tau) < eps)
+            && touched.iter().all(|&v| {
+                let v = v as usize;
+                let b = counts[v] as f64 / tau_f;
+                f_bound(b, self.delta_l[v], omega, tau) < eps
+                    && g_bound(b, self.delta_u[v], omega, tau) < eps
+            })
+    }
 }
 
 /// The accuracy a consistent `(counts, tau)` frame supports: the worst
@@ -116,6 +178,81 @@ pub fn achieved_epsilon(counts: &[u64], tau: u64, omega: u64, calibration: &Cali
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::KadabraConfig;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// [`StopRule::stops`] equals [`stopping_condition`], on budgets
+        /// from [`Calibration::from_counts`] over random calibration and
+        /// adaptive counts (each with its own share of zeros), ω and δ.
+        /// `tau_case` 0 is τ = 0 and 1 is τ ≥ ω; otherwise 0 < τ < ω.
+        /// `eps_case` 1 and 2 put ε a hair above and below g(0, min δ_U),
+        /// where the binding untouched vertex decides the stop, and
+        /// `cover_lowest` touches every vertex of the smallest δ_U, so the
+        /// binding vertex is a touched one. `touch_hubs` touches only the
+        /// vertices calibration saw, a few times each: their larger
+        /// budgets pass where the untouched vertices' floor fails.
+        #[test]
+        fn stop_rule_matches_stopping_condition(
+            calib in proptest::collection::vec((0u64..3, 0u64..400), 1..60),
+            adaptive in proptest::collection::vec((0u64..3, 0u64..3_000), 60),
+            tau0 in 1u64..2_000,
+            omega in 2u64..100_000,
+            delta in 0.001f64..0.5,
+            calibration_floor in 0.001f64..0.99,
+            eps_drawn in 0.001f64..0.5,
+            tau_case in 0u8..6,
+            tau_frac in 0.0f64..1.0,
+            eps_case in 0u8..3,
+            cover_lowest in any::<bool>(),
+            touch_hubs in any::<bool>(),
+        ) {
+            let n = calib.len();
+            let calib_counts: Vec<u64> =
+                calib.iter().map(|&(z, c)| if z == 0 { 0 } else { c }).collect();
+            let cfg = KadabraConfig {
+                epsilon: eps_drawn,
+                delta,
+                calibration_floor,
+                ..Default::default()
+            };
+            let cal = Calibration::from_counts(&calib_counts, tau0, omega, &cfg);
+            let tau = match tau_case {
+                0 => 0,
+                1 => omega + (tau_frac * 1_000.0) as u64,
+                _ => 1 + ((omega - 2) as f64 * tau_frac) as u64,
+            };
+            let mut counts: Vec<u64> = adaptive[..n]
+                .iter()
+                .zip(&calib_counts)
+                .map(|(&(z, c), &k)| match (touch_hubs, z, k) {
+                    (true, _, 0) | (false, 0, _) => 0,
+                    (true, _, _) => 1 + c % 4,
+                    (false, _, _) => c,
+                })
+                .map(|c| c.min(tau))
+                .collect();
+            let min_delta_u = cal.delta_u.iter().copied().fold(f64::INFINITY, f64::min);
+            if cover_lowest && tau > 0 {
+                for v in (0..n).filter(|&v| cal.delta_u[v] == min_delta_u) {
+                    counts[v] = counts[v].max(1);
+                }
+            }
+            let g0 = g_bound(0.0, min_delta_u, omega, tau.clamp(1, omega));
+            let eps = match eps_case {
+                0 => eps_drawn,
+                1 => g0 * (1.0 + 1e-9),
+                _ => g0 * (1.0 - 1e-9),
+            };
+            // Any order will do; the drivers list in first-count order.
+            let touched: Vec<NodeId> =
+                (0..n as NodeId).rev().filter(|&v| counts[v as usize] > 0).collect();
+            let want = stopping_condition(&counts, tau, eps, omega, &cal.delta_l, &cal.delta_u);
+            prop_assert_eq!(StopRule::new(eps, omega, &cal).stops(&counts, &touched, tau), want);
+        }
+    }
 
     #[test]
     fn omega_matches_formula() {

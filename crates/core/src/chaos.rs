@@ -45,6 +45,7 @@
 //! failure.
 
 use crate::config::{ClusterShape, KadabraConfig};
+use crate::frame::SparseFrame;
 use crate::mpi::{self, Algorithm};
 use crate::recovery::{plan_summary, SampleLedger};
 use crate::result::BetweennessResult;
@@ -163,7 +164,7 @@ pub(crate) struct RankOutcome {
     pub(crate) bytes: [u64; 3],
 }
 
-/// `[Σc̃, τ]` of a state frame.
+/// `[Σc̃, τ]` of a dense state frame.
 fn mass(frame: &[u64]) -> [u64; 2] {
     let n = frame.len() - 1;
     [frame[..n].iter().sum(), frame[n]]
@@ -229,18 +230,19 @@ impl<'a> Audit<'a> {
         self.seen.recoveries += u64::from(lost > 0);
     }
 
-    /// Every rank, as its frame enters the reduction: remembers what it
-    /// sent, so the frame can be freed once confirmed.
-    pub(crate) fn send(&mut self, frame: &[u64]) {
+    /// Every rank, as its frame of an `n`-vertex graph enters the
+    /// reduction: remembers what it sent, so the frame can be reused once
+    /// confirmed.
+    pub(crate) fn send(&mut self, frame: &SparseFrame, n: usize) {
         if self.conservation {
-            self.sent = mass(frame);
+            self.sent = frame.mass(n);
         }
     }
 
     /// Root, before folding: remembers what the fold is about to absorb.
-    pub(crate) fn absorb(&mut self, reduced: &[u64]) {
+    pub(crate) fn absorb(&mut self, reduced: &SparseFrame, n: usize) {
         if self.conservation {
-            self.absorbed = mass(reduced);
+            self.absorbed = reduced.mass(n);
         }
     }
 

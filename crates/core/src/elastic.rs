@@ -45,7 +45,8 @@
 
 use crate::chaos::{observed, Audit, ChaosOptions, ChaosReport};
 use crate::config::{ClusterShape, KadabraConfig};
-use crate::mpi::{count_into, Algorithm};
+use crate::frame::Frame;
+use crate::mpi::Algorithm;
 use crate::phases::{prepare_for_pool, Prepared};
 use crate::recovery::{plan_summary, SampleLedger};
 use crate::sampler::ThreadSampler;
@@ -151,13 +152,13 @@ pub(crate) fn bootstrap_newcomer<G: KadabraGraph>(
     comm: &Communicator,
     founding: usize,
     w: &EventWriter,
-) -> Result<(Prepared, u32, Vec<u64>), CommError> {
+) -> Result<(Prepared, u32, Frame), CommError> {
     let sp = w.begin(SpanId::Rebalance);
     let prepared = prepare_for_pool(g, cfg, founding, 1);
     let round = comm.bcast_u64(0, None)? as u32;
     let rebuilt = comm.allreduce_sum_u64(&vec![0u64; g.num_nodes() + 1])?;
     w.end(sp);
-    Ok((prepared, round, rebuilt))
+    Ok((prepared, round, Frame::from_dense(rebuilt)))
 }
 
 /// The deterministic per-round steal schedule, computed identically by
@@ -219,7 +220,7 @@ impl StealRound {
         cfg: &KadabraConfig,
         comm: &Communicator,
         round: u32,
-        frame: &mut [u64],
+        frame: &mut Frame,
         w: &EventWriter,
     ) -> Result<u64, CommError> {
         let mut stolen = 0u64;
@@ -247,7 +248,7 @@ impl StealRound {
                 let stream = STEAL_STREAM_BASE + round as usize * STEAL_ROUND_STRIDE + hi;
                 let mut sampler =
                     ThreadSampler::new(g.num_nodes(), cfg.seed, comm.members()[s], stream);
-                sampler.sample_batch(g, c, |interior| count_into(frame, interior));
+                sampler.sample_batch(g, c, |interior| frame.count_path(interior));
                 w.count(CounterId::SamplesStolen, c);
                 stolen += c;
             }

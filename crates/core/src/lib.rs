@@ -40,6 +40,7 @@ pub mod chaos;
 pub mod config;
 pub mod elastic;
 pub mod epoch_mpi;
+pub mod frame;
 pub mod mpi;
 pub mod naive;
 pub mod phases;
@@ -53,7 +54,7 @@ pub mod shared;
 mod sync;
 pub mod topk;
 
-pub use bounds::{achieved_epsilon, f_bound, g_bound, omega};
+pub use bounds::{achieved_epsilon, f_bound, g_bound, omega, StopRule};
 pub use calibration::Calibration;
 pub use chaos::{kadabra_epoch_mpi_observed, kadabra_mpi_flat_observed, ChaosOptions, ChaosReport};
 pub use config::{ClusterShape, KadabraConfig, KernelOptions};

@@ -9,9 +9,14 @@
 //! and broadcasts the termination flag — again non-blocking, again
 //! overlapped with sampling on all ranks.
 //!
-//! The state frame travels as a `u64` vector of length `n + 1`: per-vertex
-//! counts plus τ in the last slot, so one reduction moves the entire
-//! sampling state exactly as in the paper.
+//! The paper reduces the state frame as a dense `u64` vector of length
+//! `n + 1`: per-vertex counts plus τ in the last slot. Here a rank keeps its
+//! frames dense beside the list of vertices they touched, and moves only
+//! the touched entries ([`crate::frame`]): the reduction is a gather of
+//! sparse frames that the root folds into its dense global frame, and the
+//! stop test runs over the touched vertices ([`StopRule`]). Every
+//! collective sits where the paper's reduce does, so the schedule of
+//! collectives, and with it every fault-plan replay, is the paper's.
 //!
 //! `adaptive_rounds` is the only round loop in the workspace, generic over
 //! what a stream does with the samples it draws ([`SampleSink`]). Algorithm
@@ -38,11 +43,13 @@
 //! §15) the same way: at a round the plan schedules a join for, every member
 //! grows the communicator and rebalances ([`crate::elastic`]).
 
+use crate::bounds::StopRule;
 use crate::chaos::{Audit, RankOutcome};
 use crate::config::{ClusterShape, KadabraConfig};
 use crate::elastic::{bootstrap_newcomer, grow_and_rebalance, steal_schedule};
 use crate::epoch_mpi::{worker_main, Hierarchy};
-use crate::phases::{fold_and_check, prepare_collective, root_result};
+use crate::frame::{Frame, SparseFrame};
+use crate::phases::{prepare_collective, root_result};
 use crate::recovery::{own_crash_or_fatal, shrink_and_rebuild, SampleLedger};
 use crate::result::BetweennessResult;
 use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
@@ -131,17 +138,6 @@ pub(crate) fn root_outcome(outcomes: Vec<RankOutcome>) -> RankOutcome {
     root
 }
 
-/// Counts one sampled path into a state frame: its interior vertices, and
-/// τ in the last slot.
-#[inline]
-pub(crate) fn count_into(frame: &mut [u64], interior: &[NodeId]) {
-    for &v in interior {
-        frame[v as usize] += 1;
-    }
-    let n = frame.len() - 1;
-    frame[n] += 1;
-}
-
 /// What a sampling stream does with a drawn sample besides counting it
 /// into the rank's frame. Algorithm 1 confirms samples a snapshot at a
 /// time: a stream's records are, oldest first, the confirmed ones, the ones
@@ -195,7 +191,7 @@ pub struct RankState<S> {
     pub ledger: SampleLedger,
     /// S_loc: samples drawn but not yet globally confirmed (one frame,
     /// shared by the rank's streams).
-    pub s_loc: Vec<u64>,
+    pub s_loc: Frame,
 }
 
 impl<S> RankState<S> {
@@ -227,16 +223,16 @@ impl<S> RankState<S> {
         streams: Vec<Stream<S>>,
         ledger: SampleLedger,
     ) -> Self {
-        RankState { id, streams, ledger, s_loc: vec![0u64; n + 1] }
+        RankState { id, streams, ledger, s_loc: Frame::new(n) }
     }
 }
 
 /// Draws `k` samples from `stream` into the local frame and the sink, as
 /// one batch.
-fn draw<G: PathSource, S: SampleSink>(g: &G, stream: &mut Stream<S>, k: u64, s_loc: &mut [u64]) {
+fn draw<G: PathSource, S: SampleSink>(g: &G, stream: &mut Stream<S>, k: u64, s_loc: &mut Frame) {
     let Stream { sampler, sink } = stream;
     sampler.sample_batch_records(g, k, |s, t, dist, interior| {
-        count_into(s_loc, interior);
+        s_loc.count_path(interior);
         sink.record(s, t, dist, interior);
     });
 }
@@ -246,7 +242,7 @@ fn draw<G: PathSource, S: SampleSink>(g: &G, stream: &mut Stream<S>, k: u64, s_l
 fn overlap<G: PathSource, S: SampleSink>(
     g: &G,
     stream: &mut Stream<S>,
-    s_loc: &mut [u64],
+    s_loc: &mut Frame,
     mut done: impl FnMut() -> Result<bool, CommError>,
 ) -> Result<u64, CommError> {
     let mut drawn = 0u64;
@@ -356,7 +352,7 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
             let threads = shape.threads_per_rank;
             let prepared = prepare_collective(g, cfg, &world, threads, &mut sampler, &w)?;
             // S lives on the root; recovery hands every survivor a rebuilt one.
-            let s_global = if world.rank() == 0 { vec![0; n + 1] } else { Vec::new() };
+            let s_global = if world.rank() == 0 { Frame::new(n) } else { Frame::default() };
             (prepared, 0, s_global)
         };
         Ok((hierarchy, prepared, entry_round, s_global))
@@ -378,9 +374,8 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
         }
         Algorithm::Two => Elastic::OFF,
     };
-    let stop = |s_global: &mut [u64], reduced: &[u64]| {
-        fold_and_check(s_global, reduced, cfg.epsilon, prepared.omega, &prepared.calibration)
-    };
+    let rule = StopRule::new(cfg.epsilon, prepared.omega, &prepared.calibration);
+    let stop = |s: &Frame| rule.stops(s.counts(), s.touched(), s.tau());
     let rounds = entry_round..u32::MAX;
     // A rank of T > 1 threads runs T − 1 epoch workers beside thread 0
     // (Algorithm 2, lines 5-9). The plan is cloned because they read it for
@@ -428,20 +423,21 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
         return RankOutcome::default();
     };
 
-    let result = (comms.world.rank() == 0).then(|| root_result(&s_global, &prepared, w.recorder()));
+    let result =
+        (comms.world.rank() == 0).then(|| root_result(s_global.dense(), &prepared, w.recorder()));
     RankOutcome { result, seen: audit.seen, bytes: comms.bytes() }
 }
 
 /// The round loop of Algorithms 1 and 2 with shrink-and-continue recovery,
-/// on rank state the caller owns: rounds `rounds` of sample, snapshot,
-/// overlapped reduction, fold-and-`stop` on the root, overlapped `ibcast`
-/// of the flag, until the flag is set or the rounds run out. `workers` is
-/// the epoch framework of the rank's workers, if it has any: each snapshot
-/// closes one of its epochs. `s_global` is the aggregated frame S the run
-/// starts from (consulted on the root only, line 1); `stop` folds a reduced
-/// frame into it and decides. Returns the communicators the run ended on
-/// and S, or `None` when a communicator failure ended this rank's part in
-/// the run.
+/// on rank state the caller owns: rounds `rounds` of sample, sparse
+/// snapshot, overlapped gather, fold and `stop` on the root, overlapped
+/// `ibcast` of the flag, until the flag is set or the rounds run out.
+/// `workers` is the epoch framework of the rank's workers, if it has any:
+/// each snapshot closes one of its epochs. `s_global` is the aggregated
+/// frame S the run starts from (consulted on the root only, line 1); the
+/// root folds each round's gathered frames into it and `stop` decides on
+/// it. Returns the communicators the run ended on and S, or `None` when a
+/// communicator failure ended this rank's part in the run.
 #[expect(
     clippy::too_many_arguments,
     reason = "the one round loop of every driver and pool; each argument is a part it varies"
@@ -452,17 +448,17 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
     comms: Comms,
     st: &mut RankState<S>,
     workers: Option<&EpochFramework>,
-    mut s_global: Vec<u64>,
+    mut s_global: Frame,
     rounds: Range<u32>,
-    mut stop: impl FnMut(&mut [u64], &[u64]) -> bool,
+    mut stop: impl FnMut(&Frame) -> bool,
     elastic: Elastic,
     audit: &mut Audit<'_>,
     w: &EventWriter,
-) -> Option<(Comms, Vec<u64>)> {
+) -> Option<(Comms, Frame)> {
     let Comms { world: mut comm, mut hierarchy } = comms;
     let my_world = comm.world_rank();
     let RankState { streams, ledger, s_loc, .. } = st;
-    let n = s_loc.len() - 1;
+    let n = s_loc.counts().len();
     let threads = streams.len();
     // A rank of T streams and W workers draws T quotas of a world of
     // P·(T + W) sampling threads.
@@ -471,6 +467,12 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
     // Thread 0's handle on the workers' framework only commands
     // transitions: thread 0 samples into `s_loc`, so its frames stay empty.
     let mut h0 = workers.map(|fw| fw.handle(0));
+    // With workers, each snapshot swaps `s_loc` into `closing`, adds their
+    // frames of the closed epoch to it, and packs it: thread 0 samples on
+    // through the transition into the emptied `s_loc`.
+    let mut closing = workers.map(|_| Frame::new(n));
+    // The packed frame a round sends, its buffer kept from round to round.
+    let mut snapshot = SparseFrame::new();
 
     let sp_ads = w.begin(SpanId::AdaptiveSampling);
     let mut n0 = quota_at(comm.size());
@@ -493,10 +495,10 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
             _ => 0,
         };
         if joiners > 0 {
-            match grow_and_rebalance(&comm, joiners, round, ledger, &s_global, audit, w) {
+            match grow_and_rebalance(&comm, joiners, round, ledger, s_global.dense(), audit, w) {
                 Ok((grown, rebuilt)) => {
                     comm = grown;
-                    s_global = rebuilt;
+                    s_global = Frame::from_dense(rebuilt);
                     n0 = quota_at(comm.size());
                 }
                 Err(e) => break Some(("grow", e)),
@@ -522,14 +524,18 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
             }
             w.end(sp);
             // Lines 7-8: snapshot, so overlapped samples don't corrupt the
-            // communication buffer.
-            let mut snapshot = std::mem::replace(s_loc, vec![0u64; n + 1]);
+            // communication buffer: O(touched), and `s_loc` is left empty.
+            snapshot.clear();
+            match closing.as_mut() {
+                None => s_loc.drain_into(&mut snapshot),
+                Some(closing) => std::mem::swap(s_loc, closing),
+            }
             streams.iter_mut().for_each(|s| s.sink.snapshot());
             let mut overlapped = 0u64;
             // Algorithm 2, lines 14-18: command the epoch transition, overlap
             // the workers' catch-up, and add their frames of the closed
             // epoch into the snapshot.
-            if let (Some(fw), Some(h)) = (workers, h0.as_mut()) {
+            if let (Some(fw), Some(h), Some(closing)) = (workers, h0.as_mut(), closing.as_mut()) {
                 let e = h.epoch();
                 fw.force_transition(h, e);
                 let sp = w.begin(SpanId::TransitionWait);
@@ -549,42 +555,44 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
                 };
                 w.end(sp);
                 let sp = w.begin(SpanId::FrameAggregate);
-                snapshot[n] += fw.aggregate_epoch(e, &mut snapshot[..n]);
+                let tau = fw.aggregate_epoch_with(e, |v, c| closing.add(v as NodeId, c));
+                closing.add_samples(tau);
+                closing.drain_into(&mut snapshot);
                 w.end(sp);
             }
-            // Lines 10-11: non-blocking reduce, overlapped with sampling —
-            // over the world, or under the hierarchy inside the node first
-            // (Section IV-E: shared-memory RMA in the paper, semantically a
-            // node-local reduce). Under a plan test() returns false a
-            // plan-derived number of times, then resolves (or fails — also
-            // at a plan-derived poll).
-            audit.send(&snapshot);
+            // Lines 10-11: non-blocking reduction, overlapped with sampling
+            // — a gather of the sparse frames, over the world, or under the
+            // hierarchy inside the node first (Section IV-E: shared-memory
+            // RMA in the paper, semantically a node-local reduce). Under a
+            // plan test() returns false a plan-derived number of times, then
+            // resolves (or fails — also at a plan-derived poll).
+            audit.send(&snapshot, n);
             let first = hierarchy.as_ref().map_or(&comm, |h| &h.local);
             let sp = w.begin(SpanId::IreduceWait);
-            let mut req = first.ireduce_sum_u64(0, &snapshot)?;
+            let mut req = first.igatherv_u64(0, snapshot.words())?;
             overlapped += overlap(g, &mut streams[0], s_loc, || req.test())?;
             w.end(sp);
-            w.count(CounterId::BytesReduced, snapshot.len() as u64 * 8);
+            w.count(CounterId::BytesReduced, snapshot.words().len() as u64 * 8);
             // Observed completion: the snapshot is now part of a
-            // globally-consistent prefix — checkpoint it and free it (a
-            // failed round never reaches this line, so its in-flight frame is
-            // discarded everywhere, never double-counted).
+            // globally-consistent prefix — checkpoint it (a failed round
+            // never reaches this line, so its in-flight frame is discarded
+            // everywhere, never double-counted).
             ledger.confirm(&snapshot);
-            drop(snapshot);
             streams.iter_mut().for_each(|s| s.sink.confirm());
-            let mut reduced = req.into_result().flatten();
+            let mut gathered = req.into_result().flatten();
             // Section IV-F: node leaders run Ibarrier (overlapped), then a
-            // blocking Reduce — the strategy that outperformed MPI_Ireduce.
-            if let (Some(h), Some(frame)) = (&hierarchy, &reduced) {
+            // blocking collective — the strategy that outperformed
+            // MPI_Ireduce — gathering the nodes' frames.
+            if let (Some(h), Some(words)) = (&hierarchy, &gathered) {
                 let sp = w.begin(SpanId::IbarrierWait);
                 let mut bar = h.leaders.ibarrier()?;
                 overlapped += overlap(g, &mut streams[0], s_loc, || bar.test())?;
                 w.end(sp);
                 let sp = w.begin(SpanId::Reduce);
-                let across_nodes = h.leaders.reduce_sum_u64(0, frame)?;
+                let across_nodes = h.leaders.gatherv_u64(0, words)?;
                 w.end(sp);
-                w.count(CounterId::BytesReduced, frame.len() as u64 * 8);
-                reduced = across_nodes;
+                w.count(CounterId::BytesReduced, words.len() as u64 * 8);
+                gathered = across_nodes;
             }
 
             // Lines 12-14: the root folds and checks.
@@ -592,17 +600,18 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
             if comm.rank() == 0 {
                 #[expect(
                     clippy::expect_used,
-                    reason = "the root is the reduction's root (under the hierarchy its node's \
-                              leader and the leaders' root, split keys being world ranks), so it \
-                              received Some"
+                    reason = "the root is the gather's root (under the hierarchy its node's leader \
+                              and the leaders' root, split keys being world ranks), so it received \
+                              Some"
                 )]
-                let reduced = reduced.expect("root receives reduction");
-                audit.absorb(&reduced);
+                let reduced = SparseFrame::from_words(gathered.expect("root receives the gather"));
+                audit.absorb(&reduced, n);
                 let sp = w.begin(SpanId::Check);
-                d = u64::from(stop(&mut s_global, &reduced));
+                s_global.fold(&reduced);
+                d = u64::from(stop(&s_global));
                 w.end(sp);
             }
-            audit.conserve(&comm, ledger, &s_global, round)?;
+            audit.conserve(&comm, ledger, s_global.dense(), round)?;
 
             // Lines 15-17: broadcast the termination flag, overlapped.
             let sp = w.begin(SpanId::BcastStop);
@@ -641,7 +650,7 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
                         Err(e) => break Err(e),
                     };
                     comm = small;
-                    s_global = rebuilt;
+                    s_global = Frame::from_dense(rebuilt);
                     match hierarchy.as_mut().map_or(Ok(()), |h| h.resplit(&comm)) {
                         Err(CommError::RankFailed { rank }) if rank != my_world => continue,
                         done => break done,

@@ -231,32 +231,6 @@ pub(crate) fn root_result(
     }
 }
 
-/// Rank 0's per-round step shared by Algorithms 1 and 2: folds a reduced
-/// `(n + 1)`-slot state frame (per-vertex counts plus τ in the last slot)
-/// into the global frame and evaluates the stopping condition on the updated
-/// totals. Returns the termination flag `d`.
-pub(crate) fn fold_and_check(
-    s_global: &mut [u64],
-    reduced: &[u64],
-    epsilon: f64,
-    omega: u64,
-    calibration: &Calibration,
-) -> bool {
-    debug_assert_eq!(s_global.len(), reduced.len());
-    for (a, r) in s_global.iter_mut().zip(reduced) {
-        *a += r;
-    }
-    let n = s_global.len() - 1;
-    bounds::stopping_condition(
-        &s_global[..n],
-        s_global[n],
-        epsilon,
-        omega,
-        &calibration.delta_l,
-        &calibration.delta_u,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

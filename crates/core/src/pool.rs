@@ -29,6 +29,7 @@ use crate::bounds::achieved_epsilon;
 use crate::calibration::Calibration;
 use crate::chaos::Audit;
 use crate::config::KadabraConfig;
+use crate::frame::Frame;
 use crate::mpi::{adaptive_rounds, Comms, Elastic, RankState, SampleSink};
 use crate::recovery::{CheckpointError, SampleLedger};
 use crate::sampler::ADS_STREAM_OFFSET;
@@ -245,19 +246,17 @@ impl<S: SampleSink + Send> SamplerPool<S> {
         if self.slots.is_empty() || self.last_tau >= self.omega {
             return self.refresh(calibration);
         }
-        let (n, kcfg, omega) = (self.n, self.kcfg, self.omega);
+        let (kcfg, omega) = (self.kcfg, self.omega);
         let start = self.frame();
         self.run(plan, tel, |comm, st, w| {
             // The only in-round stop is the deterministic τ ≥ ω cap;
             // ε-targeted stopping happens *between* rounds (in the caller),
             // so round boundaries are query-independent.
-            let cap = |s_global: &mut [u64], reduced: &[u64]| {
-                for (a, &x) in s_global.iter_mut().zip(reduced) {
-                    *a += x;
-                }
-                s_global[n] >= omega
-            };
-            let (s_global, mut audit) = (start.clone(), Audit::off());
+            let cap = |s_global: &Frame| s_global.tau() >= omega;
+            // S lives on the root; recovery hands every survivor a rebuilt one.
+            let s_global =
+                if comm.rank() == 0 { Frame::from_dense(start.clone()) } else { Frame::default() };
+            let mut audit = Audit::off();
             let rounds = 0..epochs;
             adaptive_rounds(
                 view,
@@ -290,7 +289,7 @@ impl<S: SampleSink + Send> SamplerPool<S> {
                 stream.sink.snapshot();
                 stream.sink.discard();
             }
-            st.s_loc.iter_mut().for_each(|x| *x = 0);
+            st.s_loc.clear();
         }
     }
 
@@ -327,7 +326,7 @@ impl SamplerPool<()> {
             #[expect(clippy::expect_used, reason = "the loop guard holds len > target >= 1")]
             let victim = self.slots.pop().expect("pool has a slot to shed").into_inner();
             if victim.ledger.tau() > 0 {
-                self.slots[0].get_mut().ledger.confirm(victim.ledger.frame());
+                self.slots[0].get_mut().ledger.confirm_dense(victim.ledger.frame());
             }
             shed += 1;
         }

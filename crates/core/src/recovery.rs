@@ -11,8 +11,8 @@
 //! joined (the non-blocking-barrier property the paper relies on in Section
 //! IV-C), "my reduce completed" is a global fact: either every live rank
 //! confirms a round into its ledger, or none does. The ledger is therefore a
-//! prefix-consistent checkpoint that costs one vector add per epoch — no
-//! extra communication, no stable storage.
+//! prefix-consistent checkpoint that costs one add per entry of the epoch's
+//! sparse frame — no extra communication, no stable storage.
 //!
 //! # The protocol
 //!
@@ -44,12 +44,14 @@
 //! do.
 
 use crate::config::KadabraConfig;
+use crate::frame::SparseFrame;
 use kadabra_mpisim::{CommError, Communicator, FaultPlan};
 use kadabra_telemetry::{CounterId, EventWriter, SpanId};
 
 /// Element-wise sum of every state frame this rank has contributed to an
-/// *observed-complete* reduction: `[per-vertex counts.., τ]`, the same
-/// layout the drivers reduce. This is the rank's recovery checkpoint.
+/// *observed-complete* reduction, kept dense: `[per-vertex counts.., τ]`,
+/// the slot layout of the drivers' frames. This is the rank's recovery
+/// checkpoint.
 pub struct SampleLedger {
     frame: Vec<u64>,
 }
@@ -68,12 +70,23 @@ impl SampleLedger {
         SampleLedger { frame: Vec::new() }
     }
 
-    /// Confirms a frame whose reduction this rank observed completing.
-    /// Must be called exactly once per completed reduction, with the same
-    /// frame that was reduced — the conservation invariant the chaos suite
-    /// checks is `global state == Σ survivor ledgers`, element-wise. An
-    /// untracked ledger ignores it.
-    pub fn confirm(&mut self, frame: &[u64]) {
+    /// Confirms a frame whose reduction this rank observed completing, in
+    /// O(entries). Must be called exactly once per completed reduction,
+    /// with the same frame that was reduced — the conservation invariant
+    /// the chaos suite checks is `global state == Σ survivor ledgers`,
+    /// element-wise. An untracked ledger ignores it.
+    pub fn confirm(&mut self, frame: &SparseFrame) {
+        if self.frame.is_empty() {
+            return;
+        }
+        for (slot, x) in frame.entries() {
+            self.frame[slot] += x;
+        }
+    }
+
+    /// [`SampleLedger::confirm`] for a dense `[counts.., τ]` frame: the
+    /// streaming update's transaction and a pool's ledger surgery.
+    pub fn confirm_dense(&mut self, frame: &[u64]) {
         if self.frame.is_empty() {
             return;
         }
@@ -276,24 +289,40 @@ mod tests {
     #[test]
     fn ledger_accumulates_elementwise() {
         let mut l = SampleLedger::new(3);
-        l.confirm(&[1, 0, 2, 1]);
-        l.confirm(&[0, 5, 1, 2]);
+        l.confirm_dense(&[1, 0, 2, 1]);
+        l.confirm_dense(&[0, 5, 1, 2]);
         assert_eq!(l.frame(), &[1, 5, 3, 3]);
         assert_eq!(l.tau(), 3);
     }
 
     #[test]
+    fn sparse_confirm_adds_each_entry() {
+        let mut l = SampleLedger::new(3);
+        let mut f = SparseFrame::new();
+        f.push(2, 4);
+        f.push(0, 1);
+        f.push(2, 1);
+        f.push(3, 6);
+        l.confirm(&f);
+        l.confirm(&f);
+        assert_eq!(l.frame(), &[2, 0, 10, 12]);
+        let mut untracked = SampleLedger::untracked();
+        untracked.confirm(&f);
+        assert!(untracked.frame().is_empty());
+    }
+
+    #[test]
     fn untracked_ledger_keeps_nothing() {
         let mut l = SampleLedger::untracked();
-        l.confirm(&[1, 0, 2, 1]);
+        l.confirm_dense(&[1, 0, 2, 1]);
         assert!(l.frame().is_empty());
     }
 
     #[test]
     fn checkpoint_bytes_round_trip() {
         let mut l = SampleLedger::new(4);
-        l.confirm(&[3, 1, 4, 1, 5]);
-        l.confirm(&[9, 2, 6, 5, 3]);
+        l.confirm_dense(&[3, 1, 4, 1, 5]);
+        l.confirm_dense(&[9, 2, 6, 5, 3]);
         let bytes = l.to_bytes();
         let restored = SampleLedger::from_bytes(&bytes).unwrap();
         assert_eq!(restored.frame(), l.frame());
@@ -329,7 +358,7 @@ mod tests {
         let out = Universe::run_with_plan(3, plan, |comm| {
             let w = tel.writer(comm.rank() as u32, 0);
             let mut ledger = SampleLedger::new(2);
-            ledger.confirm(&[comm.rank() as u64 + 1, 0, 10]);
+            ledger.confirm_dense(&[comm.rank() as u64 + 1, 0, 10]);
             match comm.allreduce_sum_u64(&[0, 0, 0]) {
                 Err(CommError::RankFailed { rank }) if rank == comm.world_rank() => None,
                 Err(CommError::RankFailed { .. }) => {

@@ -120,7 +120,7 @@ where
         redrawn += 1;
     }
     ledger.retract(&scratch.retract);
-    ledger.confirm(&scratch.confirm);
+    ledger.confirm_dense(&scratch.confirm);
     redrawn
 }
 
@@ -151,7 +151,7 @@ mod tests {
         // τ = 4. Invalidate samples 1 and 3; their old interiors were
         // {v0} and {v0, v2}, their redraws land on {v1} and {}.
         let mut ledger = SampleLedger::new(3);
-        ledger.confirm(&[2, 1, 1, 4]);
+        ledger.confirm_dense(&[2, 1, 1, 4]);
         let mut bitmap = ValidityBitmap::all_valid(4);
         bitmap.invalidate(1);
         bitmap.invalidate(3);
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn all_valid_bitmap_is_a_no_op_transaction() {
         let mut ledger = SampleLedger::new(2);
-        ledger.confirm(&[5, 3, 9]);
+        ledger.confirm_dense(&[5, 3, 9]);
         let bitmap = ValidityBitmap::all_valid(9);
         let mut scratch = ResampleScratch::new(2);
         let redrawn = resample_invalidated(&bitmap, &mut ledger, &mut scratch, |_, _, _| {

@@ -2,8 +2,9 @@
 //! (Ref. \[7\] of the paper), single-threaded. This is the semantic reference
 //! implementation every parallel mode is tested against.
 
-use crate::bounds::stopping_condition;
+use crate::bounds::StopRule;
 use crate::config::KadabraConfig;
+use crate::frame::count;
 use crate::phases::{calibration_samples_for_thread, diameter_phase};
 use crate::result::BetweennessResult;
 use crate::sampler::ThreadSampler;
@@ -53,7 +54,9 @@ pub fn kadabra_sequential_traced<G: KadabraGraph>(
 
     let sp_ads = w.begin(SpanId::AdaptiveSampling);
     sampler.reseed(cfg.seed, 0, 1);
+    let rule = StopRule::new(cfg.epsilon, omega, &calibration);
     let mut counts = vec![0u64; n];
+    let mut touched = Vec::new();
     let mut tau: u64 = 0;
     let n0 = cfg.n0(1);
     let mut epoch = 0u32;
@@ -62,7 +65,7 @@ pub fn kadabra_sequential_traced<G: KadabraGraph>(
         let sp = w.begin(SpanId::SampleBatch);
         sampler.sample_batch(g, n0, |interior| {
             for &v in interior {
-                counts[v as usize] += 1;
+                count(&mut counts, &mut touched, v, 1);
             }
         });
         w.end(sp);
@@ -70,14 +73,7 @@ pub fn kadabra_sequential_traced<G: KadabraGraph>(
         w.count(CounterId::Samples, n0);
         w.count(CounterId::Epochs, 1);
         let sp = w.begin(SpanId::Check);
-        let stop = stopping_condition(
-            &counts,
-            tau,
-            cfg.epsilon,
-            omega,
-            &calibration.delta_l,
-            &calibration.delta_u,
-        );
+        let stop = rule.stops(&counts, &touched, tau);
         w.end(sp);
         if stop {
             break;

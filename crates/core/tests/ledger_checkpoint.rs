@@ -43,7 +43,7 @@ proptest! {
         let all = frames(n, total, seed);
         let mut live = SampleLedger::new(n);
         for f in &all[..cut] {
-            live.confirm(f);
+            live.confirm_dense(f);
         }
         let image = live.to_bytes();
         let mut restored = SampleLedger::from_bytes(&image).expect("valid image");
@@ -52,8 +52,8 @@ proptest! {
         // The "crash": the live ledger keeps going; so does the restored
         // one. Conservation means they stay identical word for word.
         for f in &all[cut..] {
-            live.confirm(f);
-            restored.confirm(f);
+            live.confirm_dense(f);
+            restored.confirm_dense(f);
         }
         prop_assert_eq!(restored.frame(), live.frame(), "post-restore refinement diverged");
         let expect_tau: u64 = all.iter().map(|f| f[n]).sum();
@@ -72,7 +72,7 @@ proptest! {
     ) {
         let mut l = SampleLedger::new(n);
         for f in frames(n, rounds, seed) {
-            l.confirm(&f);
+            l.confirm_dense(&f);
         }
         let good = l.to_bytes();
         let mut bad = good.clone();
@@ -99,7 +99,7 @@ proptest! {
     ) {
         let mut live = SampleLedger::new(n);
         for f in frames(n, rounds, seed) {
-            live.confirm(&f);
+            live.confirm_dense(&f);
         }
         let image = Arc::new(live.to_bytes());
         let want = live.frame().to_vec();
@@ -113,7 +113,7 @@ proptest! {
             .collect();
         // The writer refines past the checkpoint while readers restore.
         for f in frames(n, rounds, seed ^ 0xABCD) {
-            live.confirm(&f);
+            live.confirm_dense(&f);
         }
         for r in readers {
             let got = r.join().expect("reader thread");

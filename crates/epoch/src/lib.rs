@@ -79,13 +79,13 @@ impl StateFrame {
         self.tau.load(Ordering::Relaxed)
     }
 
-    /// Drains this frame into `acc` (u64 accumulation), zeroing it for reuse.
-    fn drain_into(&self, acc: &mut [u64]) -> u64 {
-        debug_assert_eq!(acc.len(), self.counts.len());
-        for (a, c) in acc.iter_mut().zip(&self.counts) {
-            let v = c.load(Ordering::Relaxed);
-            if v != 0 {
-                *a += v as u64;
+    /// Drains this frame, zeroing it for reuse: hands every nonzero count
+    /// to `sink` as `(vertex, count)` in vertex order, and returns τ.
+    fn drain(&self, sink: &mut impl FnMut(usize, u64)) -> u64 {
+        for (v, c) in self.counts.iter().enumerate() {
+            let x = c.load(Ordering::Relaxed);
+            if x != 0 {
+                sink(v, u64::from(x));
                 c.store(0, Ordering::Relaxed);
             }
         }
@@ -217,12 +217,22 @@ impl EpochFramework {
     /// called by thread 0 after [`Self::transition_done`]`(e)` returned
     /// `true`; this is asserted.
     pub fn aggregate_epoch(&self, e: u32, acc: &mut [u64]) -> u64 {
-        assert!(self.transition_done(e), "aggregating a live epoch");
         assert_eq!(acc.len(), self.n);
+        self.aggregate_epoch_with(e, |v, c| acc[v] += c)
+    }
+
+    /// [`Self::aggregate_epoch`] into a sink: drains every thread's state
+    /// frame of epoch `e`, handing each nonzero count to `sink` as
+    /// `(vertex, count)` (thread by thread, vertices ascending; a vertex
+    /// several threads sampled arrives once per thread). Returns the total
+    /// number of samples drained. The drain still scans all `n` slots of
+    /// every frame; what the caller does per entry is its own business.
+    pub fn aggregate_epoch_with(&self, e: u32, mut sink: impl FnMut(usize, u64)) -> u64 {
+        assert!(self.transition_done(e), "aggregating a live epoch");
         let parity = (e & 1) as usize;
         let mut tau = 0;
         for tf in &self.frames {
-            tau += tf[parity].drain_into(acc);
+            tau += tf[parity].drain(&mut sink);
         }
         tau
     }
@@ -300,6 +310,26 @@ mod tests {
         let tau = fw.aggregate_epoch(0, &mut acc);
         assert_eq!(tau, 2);
         assert_eq!(acc, vec![0, 1, 2, 0]);
+    }
+
+    #[test]
+    fn sink_form_hands_over_each_threads_nonzero_counts() {
+        let fw = EpochFramework::new(4, 2);
+        let (mut h0, mut h1) = (fw.handle(0), fw.handle(1));
+        h0.record_sample(&[1, 2]);
+        h1.record_sample(&[2, 3]);
+        h1.record_sample(&[2]);
+        fw.force_transition(&mut h0, 0);
+        assert!(fw.check_transition(&mut h1));
+        let mut entries = Vec::new();
+        assert_eq!(fw.aggregate_epoch_with(0, |v, c| entries.push((v, c))), 3);
+        assert_eq!(entries, [(1, 1), (2, 1), (2, 2), (3, 1)]);
+        // Drained: the frames hand over nothing more.
+        fw.force_transition(&mut h0, 1);
+        assert!(fw.check_transition(&mut h1));
+        fw.force_transition(&mut h0, 2);
+        assert!(fw.check_transition(&mut h1));
+        assert_eq!(fw.aggregate_epoch_with(2, |_, _| panic!("a drained frame kept a count")), 0);
     }
 
     #[test]
@@ -486,7 +516,7 @@ mod tests {
         // aggregator only stopped once every sample was accounted for.
         for tf in &fw.frames {
             for frame in tf.iter() {
-                total_tau += frame.drain_into(&mut total_acc);
+                total_tau += frame.drain(&mut |v, c| total_acc[v] += c);
             }
         }
 

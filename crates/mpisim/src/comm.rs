@@ -432,6 +432,63 @@ impl Communicator {
     }
 
     // ------------------------------------------------------------------
+    // Gather
+    // ------------------------------------------------------------------
+
+    /// Blocking gather of variable-length `u64` payloads to `root`
+    /// (`MPI_Gatherv`): see [`Self::igatherv_u64`].
+    pub fn gatherv_u64(&self, root: usize, data: &[u64]) -> Result<Option<Vec<u64>>, CommError> {
+        self.igatherv_u64(root, data)?.wait()
+    }
+
+    /// Non-blocking gather of variable-length `u64` payloads to `root`
+    /// (`MPI_Igatherv`). The root receives every rank's payload
+    /// concatenated in rank order; the others receive `None`. Payloads may
+    /// differ in length and may be empty. Like every collective it is
+    /// crash-checked, takes one sequence number, counts its payload bytes,
+    /// and completes only once all ranks have joined, after the plan's
+    /// injected polls for this rank and sequence number.
+    pub fn igatherv_u64(
+        &self,
+        root: usize,
+        data: &[u64],
+    ) -> Result<Request<Option<Vec<u64>>>, CommError> {
+        assert!(root < self.size(), "root out of range");
+        self.crash_checkpoint()?;
+        let seq = self.next_seq();
+        self.engine.add_bytes(data.len() as u64 * 8);
+        let (rank, size) = (self.rank, self.size());
+        self.engine.join(
+            rank,
+            seq,
+            OpKind::Gather { root },
+            |acc| {
+                let parts = acc.get_or_insert_with(|| Box::new(vec![Vec::<u64>::new(); size]));
+                acc_mut::<Vec<Vec<u64>>>(parts)[rank] = data.to_vec();
+            },
+            |_acc| {},
+        )?;
+        self.trace_join(seq);
+        let is_root = rank == root;
+        Ok(Request::new(
+            self.engine.clone(),
+            seq,
+            self.injected_delay(seq),
+            Box::new(
+                move |acc: &mut Option<Box<dyn Any + Send>>| {
+                    if is_root {
+                        Some(acc_take::<Vec<Vec<u64>>>(acc).concat())
+                    } else {
+                        None
+                    }
+                },
+            ),
+            self.crash.clone(),
+            self.tracer_clone(),
+        ))
+    }
+
+    // ------------------------------------------------------------------
     // Broadcast
     // ------------------------------------------------------------------
 

@@ -66,6 +66,7 @@ const GROW_KEY_BASE: u64 = 1 << 61;
 pub(crate) enum OpKind {
     Barrier,
     Reduce { root: usize },
+    Gather { root: usize },
     Bcast { root: usize },
     Allreduce,
     Split,

@@ -4,10 +4,11 @@
 //! has a single CPU and no interconnect, so we reproduce the *semantics* of
 //! the MPI machinery the paper uses — communicators, `MPI_Comm_split`,
 //! blocking and non-blocking collectives (`Barrier`/`Ibarrier`,
-//! `Reduce`/`Ireduce`, `Bcast`/`Ibcast`, `Allreduce`) — as an in-process
-//! runtime where every MPI *process* is an OS thread (see DESIGN.md §3 for
-//! why this substitution is sound; performance modelling lives in
-//! `kadabra-cluster`).
+//! `Reduce`/`Ireduce`, `Bcast`/`Ibcast`, `Allreduce`), plus the
+//! `Gatherv`/`Igatherv` that `kadabra-core` moves sparse frames with — as
+//! an in-process runtime where every MPI *process* is an OS thread (see
+//! DESIGN.md §3 for why this substitution is sound; performance modelling
+//! lives in `kadabra-cluster`).
 //!
 //! Semantics notes:
 //!

@@ -190,6 +190,90 @@ fn bytes_are_accounted() {
 }
 
 #[test]
+fn gatherv_concatenates_unequal_and_empty_payloads_at_the_root_in_rank_order() {
+    // Rank r sends r words of value 10r + i: rank 0 sends nothing, and
+    // rank 2 is the root. Ranks arrive in scheduler order; the root must
+    // still see rank order, and only the root receives anything.
+    let out = Universe::run(4, |comm| {
+        let r = comm.rank() as u64;
+        let mine: Vec<u64> = (0..r).map(|i| 10 * r + i).collect();
+        let blocking = comm.gatherv_u64(2, &mine).unwrap();
+        let mut req = comm.igatherv_u64(2, &mine).unwrap();
+        while !req.test().unwrap() {}
+        (blocking, req.into_result().flatten())
+    });
+    for (rank, (blocking, nonblocking)) in out.iter().enumerate() {
+        if rank == 2 {
+            let want = vec![10, 20, 21, 30, 31, 32];
+            assert_eq!(blocking.as_ref(), Some(&want));
+            assert_eq!(nonblocking.as_ref(), Some(&want));
+        } else {
+            assert!(blocking.is_none() && nonblocking.is_none(), "rank {rank} received");
+        }
+    }
+    // Every payload empty: the root receives an empty concatenation.
+    let out = Universe::run(3, |comm| comm.gatherv_u64(0, &[]).unwrap());
+    assert_eq!(out, vec![Some(Vec::new()), None, None]);
+}
+
+#[test]
+fn gatherv_bytes_are_counted_from_the_payload() {
+    let out = Universe::run(3, |comm| {
+        let mine = vec![7u64; 5 * comm.rank()];
+        comm.gatherv_u64(0, &mine).unwrap();
+        comm.bytes_transferred()
+    });
+    // (0 + 5 + 10) words of 8 bytes, whatever the root receives.
+    assert_eq!(out, vec![120; 3]);
+}
+
+#[test]
+fn igatherv_polls_like_ireduce_under_a_fault_plan() {
+    // The plan meters a request by (salt, rank, sequence number), never by
+    // its kind or payload: a gather swapped in for a reduce at the same
+    // points of a run leaves every overlap count as it was.
+    let plan = FaultPlan::ideal(33).with_collective_delay(2, 40).with_straggler(2, 3);
+    let run = |gather: bool| {
+        Universe::run_with_plan(4, plan.clone(), |comm| {
+            let mut polls = Vec::new();
+            for round in 0..6u64 {
+                let payload = vec![round; comm.rank() + round as usize];
+                let mut n = 0u64;
+                if gather {
+                    let mut req = comm.igatherv_u64(0, &payload).unwrap();
+                    while !req.test().unwrap() {
+                        n += 1;
+                    }
+                } else {
+                    let mut req = comm.ireduce_sum_u64(0, &[round]).unwrap();
+                    while !req.test().unwrap() {
+                        n += 1;
+                    }
+                }
+                polls.push(n);
+            }
+            polls
+        })
+    };
+    let reduce = run(false);
+    assert!(reduce.iter().flatten().any(|&n| n > 0), "plan injected nothing: {reduce:?}");
+    assert_eq!(run(true), reduce, "gather polls diverged from reduce: {}", plan.summary());
+}
+
+#[test]
+fn crash_at_a_gather_surfaces_rank_failed() {
+    // Rank 1 dies instead of joining its second collective, a gather: it
+    // observes its own failure, and the root fails typed on the request.
+    let plan = FaultPlan::ideal(4).with_crash_at_collective(1, 1);
+    let out = Universe::run_with_plan(3, plan, |comm| {
+        comm.gatherv_u64(0, &[1]).unwrap();
+        comm.igatherv_u64(0, &[comm.rank() as u64]).and_then(crate::Request::wait).err()
+    });
+    assert_eq!(out[1], Some(CommError::RankFailed { rank: 1 }));
+    assert_eq!(out[0], Some(CommError::RankFailed { rank: 1 }));
+}
+
+#[test]
 fn collective_kind_mismatch_poisons_with_a_typed_error() {
     // Mismatched collective kinds must surface as `CommError::Poisoned` at
     // EVERY rank — a typed result, not a panic or a deadlock — and the

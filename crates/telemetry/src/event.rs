@@ -88,13 +88,16 @@ id_enum! {
         SampleBatch = (3, "sample_batch"),
         /// In-process aggregation of an epoch's per-thread state frames.
         FrameAggregate = (4, "frame_aggregate"),
-        /// Overlapped wait on a non-blocking reduction (samples continue).
+        /// Overlapped wait on a round's non-blocking reduction — the gather
+        /// of sparse frames (samples continue).
         IreduceWait = (5, "ireduce_wait"),
-        /// Blocking reduction (the paper's Section IV-F leader reduce).
+        /// Blocking reduction (the paper's Section IV-F leader reduce; a
+        /// gather of the nodes' sparse frames).
         Reduce = (6, "reduce"),
         /// Overlapped wait inside `MPI_Ibarrier`.
         IbarrierWait = (7, "ibarrier_wait"),
-        /// Stopping-condition evaluation at the root.
+        /// The root's fold of a round's frames and its stopping-condition
+        /// evaluation.
         Check = (8, "check"),
         /// Overlapped wait on the termination-flag broadcast.
         BcastStop = (9, "bcast_stop"),
@@ -133,7 +136,8 @@ id_enum! {
         Samples = (0, "samples"),
         /// Epochs advanced / stopping-condition rounds completed.
         Epochs = (1, "epochs"),
-        /// Payload bytes contributed to reductions.
+        /// Payload bytes contributed to the rounds' reductions (8 per
+        /// sparse-frame entry).
         BytesReduced = (2, "bytes_reduced"),
         /// `test()` polls of non-blocking requests that returned `false`
         /// (each one is one overlapped unit of work).

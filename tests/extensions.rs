@@ -122,10 +122,15 @@ fn shared_directed_runs_account_their_frames_at_every_thread_count() {
         let r = kadabra_shared(&g, &cfg, threads);
         assert!(max_err(&r.scores, &exact) <= cfg.epsilon, "threads={threads}");
         // What the one-rank world's collectives move: the diameter
-        // broadcast and the calibration all-reduce, then per epoch the
-        // node-local and the leaders' reduce of one frame and the stop flag.
+        // broadcast and the calibration all-reduce of one dense frame, then
+        // per epoch the stop flag and the node-local and the leaders'
+        // gather of the same sparse frame — one 8-byte word per touched
+        // vertex plus one for τ, so between 1 and n + 1 words.
         let frame = (6 + 1) * 8;
-        assert_eq!(r.stats.comm_bytes, 8 + frame + r.stats.epochs * (2 * frame + 8));
+        let gathered = r.stats.comm_bytes - 8 - frame - 8 * r.stats.epochs;
+        assert_eq!(gathered % 16, 0, "threads={threads}: the two gathers move the same words");
+        let words = gathered / 16;
+        assert!(words >= r.stats.epochs && words <= r.stats.epochs * 7, "threads={threads}");
     }
 }
 
