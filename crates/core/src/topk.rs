@@ -203,8 +203,9 @@ mod tests {
     use crate::config::KadabraConfig;
     use crate::sequential::kadabra_sequential;
     use crate::{phases, Prepared};
+    use kadabra_graph::components::largest_component;
     use kadabra_graph::csr::graph_from_edges;
-    use kadabra_graph::generators::{grid, GridConfig};
+    use kadabra_graph::generators::{barabasi_albert, gnm, grid, BaConfig, GnmConfig, GridConfig};
 
     fn run_with_calibration(
         g: &kadabra_graph::Graph,
@@ -301,6 +302,36 @@ mod tests {
         let topk = kadabra_topk(&g, 3, &cfg);
         assert!(!topk.separated);
         assert!(topk.result.samples > 0);
+    }
+
+    /// FNV-1a (64-bit) over τ, the score bits and the confirmed vertices.
+    fn transcript(r: &AdaptiveTopKResult) -> (u64, u64, bool) {
+        let words = std::iter::once(r.result.samples)
+            .chain(r.result.scores.iter().map(|s| s.to_bits()))
+            .chain(r.confirmed.iter().map(|c| u64::from(c.vertex)));
+        let digest = words.flat_map(u64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (r.result.samples, digest, r.separated)
+    }
+
+    #[test]
+    fn adaptive_topk_transcripts_are_pinned() {
+        // One run down each exit: the top-2 separates, the top-3 reaches
+        // ω with two of three confirmed, and on a hub-free graph the ±ε
+        // rule stops at 5 000 samples, below ω = 7 495.
+        let hubs = barabasi_albert(BaConfig { n: 250, m: 2, seed: 5 });
+        let cfg = KadabraConfig { epsilon: 0.02, delta: 0.1, seed: 13, ..Default::default() };
+        let r = kadabra_topk(&hubs, 2, &cfg);
+        assert_eq!(transcript(&r), (3000, 0xdf3f_333a_bdd0_0309, true), "top-2 separates");
+        let r = kadabra_topk(&hubs, 3, &cfg);
+        assert_eq!(transcript(&r), (8000, 0xd236_f34c_51af_3ff7, false), "top-3 reaches ω");
+        assert_eq!(r.confirmed.len(), 2);
+        let (flat, _) = largest_component(&gnm(GnmConfig { n: 200, m: 520, seed: 3 }));
+        let cfg = KadabraConfig { seed: 9, ..cfg };
+        let r = kadabra_topk(&flat, 1, &cfg);
+        assert_eq!(transcript(&r), (5000, 0x1c1f_20f8_822d_2301, false), "±ε stops the top-1");
+        assert!(r.result.samples < r.result.omega);
     }
 
     #[test]
