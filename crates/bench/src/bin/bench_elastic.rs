@@ -1,6 +1,6 @@
 //! **Elasticity benchmark** backing `cargo xtask bench --smoke`: quantifies
 //! the two headline claims of the elastic scale-out work (DESIGN.md §15) on
-//! the DES virtual timeline, plus one live grow through the elastic driver.
+//! the DES virtual timeline, plus one live grow of Algorithm 1 under a plan.
 //!
 //! 1. *Rank join pays for itself*: a run that doubles its world at round 1
 //!    (paying the newcomers' bootstrap — diameter replay, calibration
@@ -10,12 +10,15 @@
 //!    stealing, quadrupling a straggler's factor must stretch the run by
 //!    more than [`MIN_NOSTEAL_GROWTH`]×; with stealing the same change must
 //!    stay under [`MAX_STEAL_GROWTH`]× (the straggler keeps only
-//!    `n0/factor`, so the factor nearly cancels).
-//! 3. *The guarantee survives a live grow*: `kadabra_mpi_flat_elastic`
-//!    admits both standbys mid-run and still lands within ε of Brandes.
+//!    `n0/factor`, so the factor nearly cancels). The steal model is the
+//!    DES's alone: the drivers have no live counterpart (DESIGN.md §15).
+//! 3. *The guarantee survives a live grow*: `kadabra_mpi_flat_observed`
+//!    with two standbys admits both mid-run and still lands within ε of
+//!    Brandes.
 //!
 //! Emits `BENCH_elastic.json` (`kadabra-bench/v1` plus `speedup`,
-//! `ranks_joined`, `samples_stolen`, and `oracle_gap` extra columns) and
+//! `ranks_joined`, `samples_stolen` (DES rows), and `oracle_gap` extra
+//! columns) and
 //! exits nonzero when any gate fails — so `cargo xtask bench --smoke` (and
 //! the CI job wrapping it) fails loudly rather than emitting a degraded
 //! artifact.
@@ -29,9 +32,7 @@ use kadabra_bench::{des_run_labelled, emit, seed, BenchArtifact};
 use kadabra_cluster::{
     simulate, simulate_perturbed, ClusterSpec, CostModel, ReduceStrategy, SimConfig,
 };
-use kadabra_core::{
-    kadabra_mpi_flat_elastic, prepare, ClusterShape, ElasticOptions, KadabraConfig,
-};
+use kadabra_core::{kadabra_mpi_flat_observed, prepare, ChaosOptions, ClusterShape, KadabraConfig};
 use kadabra_graph::components::largest_component;
 use kadabra_graph::generators::{gnm, grid, GnmConfig, GridConfig};
 use kadabra_mpisim::FaultPlan;
@@ -114,31 +115,29 @@ fn main() {
         bench.push(des_run_labelled("grid-8x8", label, 4, 2, r));
     }
 
-    // Gate 3: the real elastic driver grows mid-run and keeps ε.
+    // Gate 3: Algorithm 1 grows mid-run and keeps ε.
     let (live_g, _) = largest_component(&gnm(GnmConfig { n: 80, m: 220, seed }));
     let live_cfg = KadabraConfig { epsilon: eps, delta: 0.1, seed, ..Default::default() };
-    let opts = ElasticOptions::all(FaultPlan::ideal(seed ^ 0xE1A5).with_join(1, 2));
+    let opts = ChaosOptions::all(FaultPlan::ideal(seed ^ 0xE1A5).with_join(1, 2));
     let t0 = Instant::now();
-    let live = kadabra_mpi_flat_elastic(&live_g, &live_cfg, 2, 2, &opts);
+    let live = kadabra_mpi_flat_observed(&live_g, &live_cfg, 2, 2, &opts);
     let live_ns = t0.elapsed().as_nanos() as u64;
     live.assert_invariants();
     let exact = brandes(&live_g);
     let oracle_gap =
         live.result.scores.iter().zip(&exact).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
     println!(
-        "  live: {} ranks joined, {} samples stolen, oracle gap {oracle_gap:.4}, {:.1} ms",
+        "  live: {} ranks joined, oracle gap {oracle_gap:.4}, {:.1} ms",
         live.ranks_joined,
-        live.samples_stolen,
         live_ns as f64 / 1e6
     );
     let mut row = kadabra_bench::live_run("gnm-80", "elastic-grow", 2, 2, &live.result);
-    // The elastic driver runs with telemetry off, so the result carries no
+    // The run traces nothing, so the result carries no
     // recorded phase timings — stamp the measured end-to-end wall time.
     row.wall_ns = live_ns;
     row.samples_per_sec =
         if live_ns > 0 { live.result.samples as f64 / (live_ns as f64 / 1e9) } else { 0.0 };
     row.extras.push(("ranks_joined".to_string(), live.ranks_joined as f64));
-    row.extras.push(("samples_stolen".to_string(), live.samples_stolen as f64));
     row.extras.push(("oracle_gap".to_string(), oracle_gap));
     bench.push(row);
 

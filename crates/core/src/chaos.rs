@@ -110,8 +110,6 @@ pub struct ChaosReport {
     pub recoveries: u64,
     /// Standby ranks admitted by grows, as seen by the root.
     pub ranks_joined: u64,
-    /// Samples helpers drew on stragglers' behalf, summed over all ranks.
-    pub samples_stolen: u64,
     /// The plan's one-line reproduction handle (print this on failure).
     pub plan_summary: String,
     /// Telemetry phase breakdown of the run. Runs under a plan record on
@@ -146,8 +144,6 @@ pub(crate) struct Seen {
     pub(crate) ranks_lost: u64,
     pub(crate) recoveries: u64,
     pub(crate) ranks_joined: u64,
-    /// Samples this rank drew on stragglers' behalf.
-    pub(crate) samples_stolen: u64,
 }
 
 /// What one rank of either algorithm hands back to its entry point. The
@@ -303,15 +299,19 @@ impl<'a> Audit<'a> {
 }
 
 /// Runs **Algorithm 1** (`kadabra_mpi_flat`) under a fault plan, with
-/// probes. Bit-reproducible: identical `(g, cfg, ranks, opts)` give
-/// identical scores — including runs whose plan crashes ranks mid-flight.
+/// probes: `ranks` ranks start the run, and `standby` more park until the
+/// plan's [`kadabra_mpisim::JoinPoint`]s grow them in ([`crate::elastic`]).
+/// Bit-reproducible: identical `(g, cfg, ranks, standby, opts)` give
+/// identical scores — including runs whose plan crashes ranks mid-flight
+/// and runs that grow mid-adaptive-phase.
 pub fn kadabra_mpi_flat_observed<G: KadabraGraph + Sync>(
     g: &G,
     cfg: &KadabraConfig,
     ranks: usize,
+    standby: usize,
     opts: &ChaosOptions,
 ) -> ChaosReport {
-    observed(g, cfg, ClusterShape::flat(ranks), 0, Algorithm::One { steal: false }, opts)
+    observed(g, cfg, ClusterShape::flat(ranks), standby, Algorithm::One, opts)
 }
 
 /// Runs **Algorithm 2** (`kadabra_epoch_mpi`) under a fault plan, with
@@ -330,7 +330,7 @@ pub fn kadabra_epoch_mpi_observed<G: KadabraGraph + Sync>(
 /// Runs the rank body in a world of `shape`, with `standby` more ranks
 /// parked for the plan's joins, launched under `opts.plan` with the audit
 /// `opts` asks for.
-pub(crate) fn observed<G: KadabraGraph + Sync>(
+fn observed<G: KadabraGraph + Sync>(
     g: &G,
     cfg: &KadabraConfig,
     shape: ClusterShape,
@@ -361,7 +361,6 @@ pub(crate) fn observed<G: KadabraGraph + Sync>(
         ranks_lost: root.seen.ranks_lost,
         recoveries: root.seen.recoveries,
         ranks_joined: root.seen.ranks_joined,
-        samples_stolen: root.seen.samples_stolen,
         plan_summary: plan.summary(),
         phases: tel.summary(),
     }
@@ -382,8 +381,8 @@ mod tests {
         let g = small_graph();
         let cfg = KadabraConfig::new(0.1, 0.1);
         let opts = ChaosOptions::all(FaultPlan::from_seed(3));
-        let a = kadabra_mpi_flat_observed(&g, &cfg, 3, &opts);
-        let b = kadabra_mpi_flat_observed(&g, &cfg, 3, &opts);
+        let a = kadabra_mpi_flat_observed(&g, &cfg, 3, 0, &opts);
+        let b = kadabra_mpi_flat_observed(&g, &cfg, 3, 0, &opts);
         assert_eq!(a.result.scores, b.result.scores, "[{}]", a.plan_summary);
         assert_eq!(a.result.samples, b.result.samples);
         a.assert_invariants();
@@ -417,12 +416,14 @@ mod tests {
             &g,
             &cfg,
             3,
+            0,
             &ChaosOptions::all(FaultPlan::ideal(0).with_collective_delay(0, 3)),
         );
         let b = kadabra_mpi_flat_observed(
             &g,
             &cfg,
             3,
+            0,
             &ChaosOptions::all(FaultPlan::ideal(0).with_collective_delay(50, 90)),
         );
         assert_ne!(
@@ -441,7 +442,7 @@ mod tests {
             conservation: false,
             telemetry: false,
         };
-        let r = kadabra_mpi_flat_observed(&g, &cfg, 2, &opts);
+        let r = kadabra_mpi_flat_observed(&g, &cfg, 2, 0, &opts);
         assert_eq!(r.probe_observations, 0);
         assert_eq!(r.conservation_rounds, 0);
         assert!(r.result.samples > 0);
@@ -456,7 +457,7 @@ mod tests {
         // to replay it: phase, round, sampling seed and plan.
         let cfg = KadabraConfig { seed: 42, ..KadabraConfig::new(0.1, 0.1) };
         let plan = FaultPlan::ideal(5).with_crash_at_collective(1, 0);
-        kadabra_mpi_flat_observed(&small_graph(), &cfg, 2, &ChaosOptions::all(plan));
+        kadabra_mpi_flat_observed(&small_graph(), &cfg, 2, 0, &ChaosOptions::all(plan));
     }
 
     #[test]
@@ -467,12 +468,12 @@ mod tests {
         let g = small_graph();
         let cfg = KadabraConfig::new(0.05, 0.1);
         let opts = ChaosOptions::all(FaultPlan::ideal(11).with_crash_at_collective(2, 6));
-        let a = kadabra_mpi_flat_observed(&g, &cfg, 4, &opts);
+        let a = kadabra_mpi_flat_observed(&g, &cfg, 4, 0, &opts);
         a.assert_invariants();
         assert_eq!(a.ranks_lost, 1, "[{}]", a.plan_summary);
         assert_eq!(a.recoveries, 1, "[{}]", a.plan_summary);
         assert!(a.conservation_rounds > 0);
-        let b = kadabra_mpi_flat_observed(&g, &cfg, 4, &opts);
+        let b = kadabra_mpi_flat_observed(&g, &cfg, 4, 0, &opts);
         assert_eq!(a.result.scores, b.result.scores, "[{}]", a.plan_summary);
         assert_eq!(a.result.samples, b.result.samples);
     }

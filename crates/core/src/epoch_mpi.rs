@@ -66,7 +66,7 @@ pub fn kadabra_epoch_mpi<G: KadabraGraph + Sync>(
 }
 
 /// [`kadabra_epoch_mpi`] recording into an explicit [`Telemetry`] registry:
-/// per-`(rank, thread)` spans and counters, plus collective/p2p markers from
+/// per-`(rank, thread)` spans and counters, plus collective markers from
 /// the mpisim tracer hooks (and the full event stream in tracing mode).
 pub fn kadabra_epoch_mpi_traced<G: KadabraGraph + Sync>(
     g: &G,

@@ -58,7 +58,7 @@ pub use bounds::{achieved_epsilon, f_bound, g_bound, omega, StopRule};
 pub use calibration::Calibration;
 pub use chaos::{kadabra_epoch_mpi_observed, kadabra_mpi_flat_observed, ChaosOptions, ChaosReport};
 pub use config::{ClusterShape, KadabraConfig, KernelOptions};
-pub use elastic::{kadabra_mpi_flat_elastic, planned_admissions, ElasticOptions};
+pub use elastic::planned_admissions;
 pub use epoch_mpi::{kadabra_epoch_mpi, kadabra_epoch_mpi_traced};
 pub use mpi::{kadabra_mpi_flat, kadabra_mpi_flat_traced, RankState, SampleSink, Stream};
 pub use naive::kadabra_naive_parallel;

@@ -26,8 +26,8 @@
 //! loop to the adaptive stop after the collective set-up, for every entry
 //! point of both algorithms: the plain ones free (`Universe::run`: no plan,
 //! requests poll on real progress, the overlap is the paper's), the
-//! observed and elastic ones ([`crate::chaos`], [`crate::elastic`]) in a
-//! world launched under a [`kadabra_mpisim::FaultPlan`], which the body
+//! observed ones ([`crate::chaos`]) in a world launched under a
+//! [`kadabra_mpisim::FaultPlan`], with standbys if it grows, which the body
 //! reads back from its communicator, with the `Audit` switched on. The
 //! resident pools ([`crate::pool`]) run the loop a fixed number of rounds at
 //! a time on rank state they park in between, stopping inside a round only
@@ -46,7 +46,7 @@
 use crate::bounds::StopRule;
 use crate::chaos::{Audit, RankOutcome};
 use crate::config::{ClusterShape, KadabraConfig};
-use crate::elastic::{bootstrap_newcomer, grow_and_rebalance, steal_schedule};
+use crate::elastic::{bootstrap_newcomer, grow_and_rebalance};
 use crate::epoch_mpi::{worker_main, Hierarchy};
 use crate::frame::{Frame, SparseFrame};
 use crate::phases::{prepare_collective, root_result};
@@ -70,7 +70,7 @@ pub fn kadabra_mpi_flat<G: KadabraGraph + Sync>(
 }
 
 /// [`kadabra_mpi_flat`] recording into an explicit [`Telemetry`] registry:
-/// per-rank spans and counters, plus collective/p2p markers from the mpisim
+/// per-rank spans and counters, plus collective markers from the mpisim
 /// tracer hooks (and the full event stream in tracing mode).
 pub fn kadabra_mpi_flat_traced<G: KadabraGraph + Sync>(
     g: &G,
@@ -78,7 +78,7 @@ pub fn kadabra_mpi_flat_traced<G: KadabraGraph + Sync>(
     ranks: usize,
     tel: &Telemetry,
 ) -> BetweennessResult {
-    run_free(g, cfg, ClusterShape::flat(ranks), Algorithm::One { steal: false }, tel)
+    run_free(g, cfg, ClusterShape::flat(ranks), Algorithm::One, tel)
 }
 
 /// Runs the rank body free — no plan, the audit off — in a world of
@@ -107,13 +107,12 @@ pub(crate) fn validate<G: PathSource>(g: &G, cfg: &KadabraConfig, shape: Cluster
 }
 
 /// The outcome of the rank that holds the result, carrying the run-wide
-/// totals: the per-rank steal counts, and what every communicator moved.
+/// total of what every communicator moved.
 /// Node-local engines are shared per node, so their final leaders' figures
 /// add up; the leader and world engines are global, and every member of a
 /// shared engine reports the same cumulative figure, so the maximum across
 /// outcomes is that engine's total even when some ranks died.
 pub(crate) fn root_outcome(outcomes: Vec<RankOutcome>) -> RankOutcome {
-    let samples_stolen = outcomes.iter().map(|o| o.seen.samples_stolen).sum();
     let engine = |i: usize| outcomes.iter().map(|o| o.bytes[i]).fold(0, u64::max);
     let comm_bytes = outcomes.iter().map(|o| o.bytes[0]).sum::<u64>() + engine(1) + engine(2);
     #[expect(
@@ -125,7 +124,6 @@ pub(crate) fn root_outcome(outcomes: Vec<RankOutcome>) -> RankOutcome {
         .into_iter()
         .find(|o| o.result.is_some())
         .expect("the surviving root produces the result");
-    root.seen.samples_stolen = samples_stolen;
     if let Some(r) = root.result.as_mut() {
         r.stats.comm_bytes = comm_bytes;
         // Re-home the scores on the caller's thread. The root's rank thread
@@ -261,30 +259,14 @@ fn stream_share(quota: u64, streams: usize, t: usize) -> u64 {
 
 /// Which of the paper's algorithms a world runs; its entry point picks it.
 /// Both run this module's body. They differ in the reduction path (flat, or
-/// the Section IV-E/F hierarchy), and only Algorithm 1 worlds grow and
-/// steal (DESIGN.md §15).
+/// the Section IV-E/F hierarchy), and only Algorithm 1 worlds grow
+/// (DESIGN.md §15).
 #[derive(Clone, Copy)]
 pub(crate) enum Algorithm {
-    /// Flat world reductions; `steal` redistributes the straggler quota of
-    /// the plan's slow ranks (DESIGN.md §15.3).
-    One { steal: bool },
+    /// Flat world reductions.
+    One,
     /// The Section IV-E/F hierarchy.
     Two,
-}
-
-/// Which of its plan's membership and load schedules a world honours.
-#[derive(Clone, Copy)]
-pub(crate) struct Elastic {
-    /// First round whose scheduled joins grow the communicator; `None` for
-    /// a world launched without standbys.
-    pub(crate) grow_from: Option<u32>,
-    /// Redistribute the quota of the plan's slow ranks (DESIGN.md §15.3).
-    pub(crate) steal: bool,
-}
-
-impl Elastic {
-    /// A world of fixed membership whose ranks each draw their own quota.
-    pub(crate) const OFF: Elastic = Elastic { grow_from: None, steal: false };
 }
 
 /// The communicators a rank reduces over.
@@ -308,8 +290,8 @@ impl Comms {
 /// `shape.ranks`-rank launch-time world (collective set-up, then the
 /// adaptive loop from round 0) and for a standby of that world (parks until
 /// a grow admits it, then enters the loop at the handed-off round). The join
-/// schedule and the straggler factors are read from `comm.fault_plan()`, so
-/// a world without a plan never grows and never steals.
+/// schedule is read from `comm.fault_plan()`, so a world without a plan
+/// never grows.
 pub(crate) fn rank_main<G: KadabraGraph + Sync>(
     g: &G,
     cfg: &KadabraConfig,
@@ -343,7 +325,7 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
     // state from the world that admitted it.
     let setup = (|| -> Result<_, CommError> {
         let hierarchy = match algorithm {
-            Algorithm::One { .. } => None,
+            Algorithm::One => None,
             Algorithm::Two => Some(Hierarchy::split(&world, shape.ranks_per_node)?),
         };
         let (prepared, entry_round, s_global) = if newcomer {
@@ -368,11 +350,9 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
     // Phase 3 to the adaptive stop (lines 12-14: the root folds and
     // checks). The grow that admitted a newcomer is already behind it; only
     // later join points concern it.
-    let elastic = match algorithm {
-        Algorithm::One { steal } => {
-            Elastic { grow_from: Some(entry_round + u32::from(newcomer)), steal }
-        }
-        Algorithm::Two => Elastic::OFF,
+    let grow_from = match algorithm {
+        Algorithm::One => Some(entry_round + u32::from(newcomer)),
+        Algorithm::Two => None,
     };
     let rule = StopRule::new(cfg.epsilon, prepared.omega, &prepared.calibration);
     let stop = |s: &Frame| rule.stops(s.counts(), s.touched(), s.tau());
@@ -408,7 +388,7 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
             RankState::with_streams(n, my_world, vec![Stream { sampler, sink: () }], ledger);
         let (workers, audit) = (fw.as_ref(), &mut audit);
         let end = adaptive_rounds(
-            g, cfg, comms, &mut st, workers, s_global, rounds, stop, elastic, audit, &w,
+            g, cfg, comms, &mut st, workers, s_global, rounds, stop, grow_from, audit, &w,
         );
         if let Some(fw) = &fw {
             fw.signal_termination();
@@ -436,8 +416,10 @@ pub(crate) fn rank_main<G: KadabraGraph + Sync>(
 /// each snapshot closes one of its epochs. `s_global` is the aggregated
 /// frame S the run starts from (consulted on the root only, line 1); the
 /// root folds each round's gathered frames into it and `stop` decides on
-/// it. Returns the communicators the run ended on and S, or `None` when a
-/// communicator failure ended this rank's part in the run.
+/// it. From round `grow_from` on (never, if `None`), the plan's scheduled
+/// joins grow the communicator. Returns the communicators the run ended on
+/// and S, or `None` when a communicator failure ended this rank's part in
+/// the run.
 #[expect(
     clippy::too_many_arguments,
     reason = "the one round loop of every driver and pool; each argument is a part it varies"
@@ -451,7 +433,7 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
     mut s_global: Frame,
     rounds: Range<u32>,
     mut stop: impl FnMut(&Frame) -> bool,
-    elastic: Elastic,
+    grow_from: Option<u32>,
     audit: &mut Audit<'_>,
     w: &EventWriter,
 ) -> Option<(Comms, Frame)> {
@@ -490,7 +472,7 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
         // Joins fire at the *start* of the scheduled round, before its
         // sample batch; every member reads the same plan, so the grow is a
         // collective everyone enters.
-        let joiners = match (elastic.grow_from, comm.fault_plan()) {
+        let joiners = match (grow_from, comm.fault_plan()) {
             (Some(from), Some(plan)) if round >= from => plan.join_at_round(u64::from(round)),
             _ => 0,
         };
@@ -504,23 +486,14 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
                 Err(e) => break Some(("grow", e)),
             }
         }
-        let steal_round = match comm.fault_plan() {
-            Some(plan) if elastic.steal => steal_schedule(plan, &comm, n0),
-            _ => None,
-        };
-        let quota = steal_round.as_ref().map_or(n0, |st| st.own_quota(comm.rank(), n0));
 
         // One reduction round, all failure paths typed.
         let round_result = (|| -> Result<bool, CommError> {
             // Lines 5-6: this rank's quota of local samples, drawn as one
-            // batch per stream, then what it draws on the stragglers'
-            // behalf.
+            // batch per stream.
             let sp = w.begin(SpanId::SampleBatch);
             for (t, stream) in streams.iter_mut().enumerate() {
-                draw(g, stream, stream_share(quota, threads, t), s_loc);
-            }
-            if let Some(st) = &steal_round {
-                audit.seen.samples_stolen += st.handshake(g, cfg, &comm, round, s_loc, w)?;
+                draw(g, stream, stream_share(n0, threads, t), s_loc);
             }
             w.end(sp);
             // Lines 7-8: snapshot, so overlapped samples don't corrupt the
@@ -618,7 +591,7 @@ pub(crate) fn adaptive_rounds<G: PathSource, S: SampleSink>(
             let mut breq = comm.ibcast_u64(0, (comm.rank() == 0).then_some(d))?;
             overlapped += overlap(g, &mut streams[0], s_loc, || breq.test())?;
             w.end(sp);
-            w.count(CounterId::Samples, quota + overlapped);
+            w.count(CounterId::Samples, n0 + overlapped);
             w.count(CounterId::Epochs, 1);
             #[expect(clippy::unwrap_used, reason = "test() returned true above")]
             let stop = breq.into_result().unwrap() != 0;
@@ -686,7 +659,7 @@ mod tests {
     use kadabra_graph::Graph;
     use kadabra_mpisim::FaultPlan;
 
-    const FLAT: Algorithm = Algorithm::One { steal: false };
+    const FLAT: Algorithm = Algorithm::One;
 
     #[test]
     fn single_rank_reduces_to_sequential_structure() {

@@ -30,7 +30,7 @@ use crate::calibration::Calibration;
 use crate::chaos::Audit;
 use crate::config::KadabraConfig;
 use crate::frame::Frame;
-use crate::mpi::{adaptive_rounds, Comms, Elastic, RankState, SampleSink};
+use crate::mpi::{adaptive_rounds, Comms, RankState, SampleSink};
 use crate::recovery::{CheckpointError, SampleLedger};
 use crate::sampler::ADS_STREAM_OFFSET;
 use kadabra_graph::PathSource;
@@ -267,7 +267,8 @@ impl<S: SampleSink + Send> SamplerPool<S> {
                 s_global,
                 rounds,
                 cap,
-                Elastic::OFF,
+                // A pool grows between rounds (`resize`), never inside one.
+                None,
                 &mut audit,
                 w,
             )

@@ -110,7 +110,8 @@ pub fn kadabra_topk(
     k: usize,
     cfg: &crate::config::KadabraConfig,
 ) -> AdaptiveTopKResult {
-    use crate::bounds::{omega as omega_fn, stopping_condition};
+    use crate::bounds::StopRule;
+    use crate::frame::Frame;
     use crate::phases::{prepare, scores_from_counts};
     use crate::result::{PhaseTimings, SamplingStats};
     use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
@@ -121,27 +122,27 @@ pub fn kadabra_topk(
     assert!(n >= 2, "KADABRA requires at least two vertices");
     assert!(k >= 1 && k < n, "k must lie in 1..n");
     let prepared = prepare(g, cfg);
-    let omega = omega_fn(cfg.c, cfg.epsilon, cfg.delta, prepared.vertex_diameter);
+    let omega = prepared.omega;
+    let rule = StopRule::new(cfg.epsilon, omega, &prepared.calibration);
 
     let ads_start = Stopwatch::start();
     let mut sampler = ThreadSampler::new(n, cfg.seed, 0, ADS_STREAM_OFFSET + 7);
-    let mut counts = vec![0u64; n];
-    let mut tau = 0u64;
+    let mut frame = Frame::new(n);
     let n0 = cfg.n0(1);
     let mut stats = SamplingStats::default();
-    let mut separated = false;
     loop {
+        // One sample at a time: a batch would draw its pairs up front and
+        // consume the stream in a different order.
         for _ in 0..n0 {
-            for &v in sampler.sample(g) {
-                counts[v as usize] += 1;
-            }
+            frame.count_path(sampler.sample(g));
         }
-        tau += n0;
         stats.epochs += 1;
         let check_start = Stopwatch::start();
-        // Top-k separation check on the current consistent state.
+        let tau = frame.tau();
+        // Top-k separation check on the current consistent state, then the
+        // uniform ±ε criterion (which also covers τ ≥ ω) as the fallback.
         let interim = BetweennessResult {
-            scores: scores_from_counts(&counts, tau),
+            scores: scores_from_counts(frame.counts(), tau),
             samples: tau,
             omega,
             vertex_diameter: prepared.vertex_diameter,
@@ -149,37 +150,11 @@ pub fn kadabra_topk(
             stats: SamplingStats::default(),
         };
         let topk = confident_top_k(&interim, &prepared.calibration, k);
-        if topk.confirmed.len() == k {
-            separated = true;
-            stats.check_time += check_start.elapsed();
-            stats.samples = tau;
-            return AdaptiveTopKResult {
-                result: BetweennessResult {
-                    timings: PhaseTimings {
-                        diameter: prepared.diameter_time,
-                        calibration: prepared.calibration_time,
-                        adaptive_sampling: ads_start.elapsed(),
-                    },
-                    stats,
-                    ..interim
-                },
-                confirmed: topk.confirmed,
-                separated,
-            };
-        }
-        // Fallback: the uniform ±ε criterion (also covers τ ≥ ω).
-        let stop = stopping_condition(
-            &counts,
-            tau,
-            cfg.epsilon,
-            omega,
-            &prepared.calibration.delta_l,
-            &prepared.calibration.delta_u,
-        );
+        let separated = topk.confirmed.len() == k;
+        let stop = separated || rule.stops(frame.counts(), frame.touched(), tau);
         stats.check_time += check_start.elapsed();
         if stop {
             stats.samples = tau;
-            let topk = confident_top_k(&interim, &prepared.calibration, k);
             return AdaptiveTopKResult {
                 result: BetweennessResult {
                     timings: PhaseTimings {

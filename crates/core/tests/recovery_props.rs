@@ -63,10 +63,10 @@ proptest! {
         // all-reduce); join 2 is the first adaptive reduction.
         let plan = crash_plan(seed, victim_raw % ranks, at_collective, coord, 2);
         let opts = ChaosOptions::all(plan);
-        let a = kadabra_mpi_flat_observed(&g, &cfg, ranks, &opts);
+        let a = kadabra_mpi_flat_observed(&g, &cfg, ranks, 0, &opts);
         a.assert_invariants();
         prop_assert!(a.conservation_rounds > 0, "[{}]", a.plan_summary);
-        let b = kadabra_mpi_flat_observed(&g, &cfg, ranks, &opts);
+        let b = kadabra_mpi_flat_observed(&g, &cfg, ranks, 0, &opts);
         prop_assert_eq!(&a.result.scores, &b.result.scores, "scores diverged [{}]", a.plan_summary);
         prop_assert_eq!(a.result.samples, b.result.samples);
         prop_assert_eq!(a.ranks_lost, b.ranks_lost, "recovery path diverged [{}]", a.plan_summary);

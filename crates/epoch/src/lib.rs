@@ -127,11 +127,6 @@ impl EpochFramework {
         }
     }
 
-    /// Number of vertices each state frame covers.
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
     /// Number of participating threads.
     pub fn num_threads(&self) -> usize {
         self.num_threads
@@ -247,8 +242,9 @@ impl EpochFramework {
         self.terminate.load(Ordering::Acquire)
     }
 
-    /// Bytes of one state frame (the unit of aggregation traffic); the
-    /// cluster simulator uses this for communication-volume accounting.
+    /// Bytes of one thread's state frame: `n` `u32` counts and a `u64` τ.
+    /// The cluster simulator does not read it: it models a frame as the
+    /// `(n + 1)` `u64` words the paper reduces.
     pub fn frame_bytes(&self) -> usize {
         self.n * std::mem::size_of::<u32>() + std::mem::size_of::<u64>()
     }
@@ -263,11 +259,6 @@ pub struct SamplerHandle<'a> {
 }
 
 impl<'a> SamplerHandle<'a> {
-    /// The thread index this handle samples for.
-    pub fn thread_index(&self) -> usize {
-        self.t
-    }
-
     /// The thread's current epoch.
     pub fn epoch(&self) -> u32 {
         self.epoch
@@ -277,15 +268,6 @@ impl<'a> SamplerHandle<'a> {
     #[inline]
     pub fn record_sample(&self, interior: &[u32]) {
         let parity = (self.epoch & 1) as usize;
-        self.fw.frames[self.t][parity].record(interior);
-    }
-
-    /// Records one sample into the *next* epoch's state frame. Thread 0 uses
-    /// this while a transition/aggregation of the current epoch is still in
-    /// flight (Algorithm 2 lines 15, 21, 27).
-    #[inline]
-    pub fn record_sample_next_epoch(&self, interior: &[u32]) {
-        let parity = ((self.epoch + 1) & 1) as usize;
         self.fw.frames[self.t][parity].record(interior);
     }
 }
@@ -384,20 +366,6 @@ mod tests {
         let mut acc = vec![0u64; 2];
         assert_eq!(fw.aggregate_epoch(0, &mut acc), 1);
         assert_eq!(acc, vec![1, 0]);
-        fw.force_transition(&mut h, 1);
-        let mut acc = vec![0u64; 2];
-        assert_eq!(fw.aggregate_epoch(1, &mut acc), 1);
-        assert_eq!(acc, vec![0, 1]);
-    }
-
-    #[test]
-    fn record_sample_next_epoch_is_visible_one_epoch_later() {
-        let fw = EpochFramework::new(2, 1);
-        let mut h = fw.handle(0);
-        h.record_sample_next_epoch(&[1]);
-        fw.force_transition(&mut h, 0);
-        let mut acc = vec![0u64; 2];
-        assert_eq!(fw.aggregate_epoch(0, &mut acc), 0, "sample belongs to epoch 1");
         fw.force_transition(&mut h, 1);
         let mut acc = vec![0u64; 2];
         assert_eq!(fw.aggregate_epoch(1, &mut acc), 1);

@@ -23,8 +23,7 @@ use proptest::prelude::*;
 /// One step of a generated schedule, decoded from `(op, arg)` pairs.
 ///
 /// * `op % 8 ∈ {0..=4}` — record a sample (two interior vertices from `arg`)
-///   on the thread `arg >> 12` selects; variant 4 routes thread 0's sample
-///   through `record_sample_next_epoch`, the overlap path of Algorithm 2.
+///   on the thread `arg >> 12` selects.
 /// * `op % 8 ∈ {5, 6}` — thread 0 control step: start a transition if none
 ///   is pending, otherwise aggregate once every thread has joined.
 /// * `op % 8 = 7` — a non-zero thread polls `check_transition`.
@@ -35,7 +34,7 @@ struct Sim<'a> {
     epoch: u32,
     /// A `force_transition(epoch)` has been issued but not yet aggregated.
     pending: bool,
-    /// Ground truth: per-vertex increments issued via `record_sample*`.
+    /// Ground truth: per-vertex increments issued via `record_sample`.
     produced: Vec<u64>,
     /// Ground truth: total samples recorded.
     recorded: u64,
@@ -63,18 +62,11 @@ impl<'a> Sim<'a> {
         let threads = self.handles.len();
         let n = self.produced.len();
         match op % 8 {
-            sel @ 0..=4 => {
+            0..=4 => {
                 let t = (arg >> 12) as usize % threads;
                 let v1 = (arg as usize) % n;
                 let v2 = (arg as usize >> 6) % n;
-                let interior = [v1 as u32, v2 as u32];
-                if sel == 4 && t == 0 {
-                    // Thread 0's overlapped sampling while a transition or
-                    // aggregation is in flight (Algorithm 2 lines 15/21/27).
-                    self.handles[0].record_sample_next_epoch(&interior);
-                } else {
-                    self.handles[t].record_sample(&interior);
-                }
+                self.handles[t].record_sample(&[v1 as u32, v2 as u32]);
                 self.produced[v1] += 1;
                 self.produced[v2] += 1;
                 self.recorded += 1;
@@ -98,12 +90,11 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Drains every in-flight epoch. Three forced rounds suffice: at flush
-    /// time no thread is past `epoch + 1`, and `record_sample_next_epoch`
-    /// may have written at most one epoch beyond that, so aggregating
-    /// `epoch`, `epoch + 1`, and `epoch + 2` empties both frame parities.
+    /// Drains every in-flight epoch. Two forced rounds suffice: at flush
+    /// time no thread is past `epoch + 1`, so aggregating `epoch` and
+    /// `epoch + 1` empties both frame parities.
     fn flush(&mut self) {
-        for _ in 0..3 {
+        for _ in 0..2 {
             if !self.pending {
                 self.fw.force_transition(&mut self.handles[0], self.epoch);
             }

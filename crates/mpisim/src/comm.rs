@@ -137,8 +137,8 @@ impl Communicator {
 
     /// Attaches the telemetry writer of the thread driving this rank. Every
     /// collective then records `CollectiveStart`/`CollectiveComplete`
-    /// markers, overlapped polls tick the writer's logical clock, and p2p
-    /// receives record delivery slots. Derived communicators
+    /// markers and overlapped polls tick the writer's logical clock. Derived
+    /// communicators
     /// ([`Communicator::split`], [`Communicator::shrink`]) inherit the
     /// tracer.
     pub fn set_tracer(&self, writer: EventWriter) {
@@ -164,15 +164,6 @@ impl Communicator {
     /// Tracer handle for a [`Request`] (same thread, so cloning is safe).
     fn tracer_clone(&self) -> Option<EventWriter> {
         self.tracer.borrow().clone()
-    }
-
-    /// A p2p message from `src` was delivered out of delivery slot `slot`
-    /// (see `p2p.rs`; slot != send index only under fault-plan jitter).
-    pub(crate) fn trace_p2p(&self, src: usize, slot: u64) {
-        if let Some(w) = self.tracer.borrow().as_ref() {
-            w.mark(MarkId::P2pDeliver, ((src as u64) << 32) | (slot & 0xffff_ffff));
-            w.count(CounterId::P2pDelivered, 1);
-        }
     }
 
     /// Crash checkpoint before a collective join: a rank whose fault plan
@@ -211,15 +202,6 @@ impl Communicator {
     /// all ranks so far (a shrunk communicator carries its parent's tally).
     pub fn bytes_transferred(&self) -> u64 {
         self.engine.bytes_transferred()
-    }
-
-    /// Internal accessors for the point-to-point layer (`p2p.rs`).
-    pub(crate) fn mailbox(&self) -> &crate::p2p::Mailbox {
-        &self.engine.mailbox
-    }
-
-    pub(crate) fn engine_add_bytes(&self, bytes: u64) {
-        self.engine.add_bytes(bytes);
     }
 
     /// Plan-hash salt of the underlying engine (test hook for the salt

@@ -129,8 +129,6 @@ pub(crate) struct Engine {
     poisoned: AtomicBool,
     /// Diagnostic written by the poisoning rank before the flag is set.
     poison_msg: Mutex<String>,
-    /// Point-to-point mailbox shared by the communicator's ranks.
-    pub(crate) mailbox: Arc<crate::p2p::Mailbox>,
     /// Fault plan this communicator runs under (None = free-running).
     pub(crate) plan: Option<Arc<FaultPlan>>,
     /// Per-communicator hash salt separating the plan's delay streams of
@@ -163,19 +161,8 @@ impl Engine {
         health: Arc<WorldHealth>,
         carried_bytes: u64,
     ) -> Arc<Self> {
-        let timeout = match &plan {
-            Some(p) => DEADLOCK_TIMEOUT * p.timeout_scale(),
-            None => DEADLOCK_TIMEOUT,
-        };
         Arc::new(Engine {
             size: members.len(),
-            mailbox: crate::p2p::Mailbox::new(
-                plan.clone(),
-                salt,
-                timeout,
-                members.clone(),
-                health.clone(),
-            ),
             members,
             slots: Mutex::new(HashMap::new()),
             cv: Condvar::new(),

@@ -57,7 +57,6 @@ pub(crate) fn derive_salt(parent_salt: u64, seq: u64, color: u32) -> u64 {
 
 /// Hash-stream tags keeping the independent injection channels apart.
 const TAG_COLLECTIVE: u64 = 0x01;
-const TAG_P2P: u64 = 0x02;
 const TAG_QUOTA: u64 = 0x03;
 const TAG_OVERLAP: u64 = 0x04;
 const TAG_CRASH: u64 = 0x05;
@@ -113,11 +112,6 @@ pub struct FaultPlan {
     /// every injected collective delay observed by that rank. A straggler is
     /// simply a rank with a large factor ([`FaultPlan::with_straggler`]).
     pub rank_factors: Vec<(usize, u64)>,
-    /// Maximum displacement of a point-to-point message's delivery slot
-    /// within its `(src, dst, tag)` stream. `0` preserves MPI's
-    /// non-overtaking order; `k > 0` lets a message overtake up to `k`
-    /// logically-earlier messages (deterministically per message index).
-    pub p2p_jitter: u64,
     /// `(rank, thread)` pairs whose per-epoch sampling quota is divided by
     /// [`FaultPlan::slow_thread_factor`] — the "slow thread" knob of the
     /// epoch framework: a slow thread contributes fewer samples per epoch.
@@ -140,8 +134,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The ideal (zero-perturbation) plan: no delays, FIFO p2p, uniform
-    /// quotas. Running under it still switches the runtime into the
+    /// The ideal (zero-perturbation) plan: no delays, uniform quotas. Running under it still switches the runtime into the
     /// deterministic-schedule regime, which is what the seed-matrix
     /// determinism tests pin down.
     pub fn ideal(seed: u64) -> Self {
@@ -149,7 +142,6 @@ impl FaultPlan {
             seed,
             collective_delay_polls: (0, 0),
             rank_factors: Vec::new(),
-            p2p_jitter: 0,
             slow_threads: Vec::new(),
             slow_thread_factor: 1,
             quota_jitter_pct: 0,
@@ -169,7 +161,6 @@ impl FaultPlan {
             seed,
             collective_delay_polls: (lo, hi),
             rank_factors: Vec::new(),
-            p2p_jitter: h(3) % 4,
             slow_threads: Vec::new(),
             slow_thread_factor: 1,
             quota_jitter_pct: h(4) % 60,
@@ -236,12 +227,6 @@ impl FaultPlan {
     /// multiplied by `factor`.
     pub fn with_straggler(mut self, rank: usize, factor: u64) -> Self {
         self.rank_factors.push((rank, factor.max(1)));
-        self
-    }
-
-    /// Sets the p2p delivery-slot jitter (see [`FaultPlan::p2p_jitter`]).
-    pub fn with_p2p_jitter(mut self, jitter: u64) -> Self {
-        self.p2p_jitter = jitter;
         self
     }
 
@@ -372,19 +357,6 @@ impl FaultPlan {
         q.max(1)
     }
 
-    /// Delivery slot of message `idx` in the `(src, dst, tag)` stream of the
-    /// communicator with hash salt `salt`. Messages are delivered in slot
-    /// order (ties broken by send index), so a slot displaced by up to
-    /// [`FaultPlan::p2p_jitter`] models delayed/overtaken delivery while
-    /// remaining deterministic and starvation-free.
-    pub fn p2p_slot(&self, salt: u64, src: usize, dst: usize, tag: u64, idx: u64) -> u64 {
-        if self.p2p_jitter == 0 {
-            return idx;
-        }
-        let key = mix2(mix2(salt, TAG_P2P), mix2(mix2(src as u64, dst as u64), mix2(tag, idx)));
-        idx + self.uniform(key, 0, self.p2p_jitter)
-    }
-
     /// Upper bound on any single injected collective delay, in polls.
     pub fn max_delay_polls(&self) -> u64 {
         let max_factor = self.rank_factors.iter().map(|(_, f)| *f).max().unwrap_or(1).max(1);
@@ -406,12 +378,11 @@ impl FaultPlan {
     /// from this summary (or from `{:?}`) to replay a failure.
     pub fn summary(&self) -> String {
         format!(
-            "FaultPlan {{ seed: {}, delay: {:?}, rank_factors: {:?}, p2p_jitter: {}, \
+            "FaultPlan {{ seed: {}, delay: {:?}, rank_factors: {:?}, \
              slow_threads: {:?}/{}, quota_jitter: {}%, crashes: {:?}, joins: {:?} }}",
             self.seed,
             self.collective_delay_polls,
             self.rank_factors,
-            self.p2p_jitter,
             self.slow_threads,
             self.slow_thread_factor,
             self.quota_jitter_pct,
@@ -439,7 +410,6 @@ mod tests {
                 assert_eq!(p.collective_delay(0, rank, seq), 0);
             }
         }
-        assert_eq!(p.p2p_slot(0, 0, 1, 9, 5), 5);
         assert_eq!(p.transition_overlap(2, 3), 0);
         assert_eq!(p.timeout_scale(), 1);
     }
@@ -504,19 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn p2p_slots_shift_within_jitter_and_stay_deterministic() {
-        let p = FaultPlan::ideal(8).with_p2p_jitter(3);
-        for idx in 0..100 {
-            let s = p.p2p_slot(1, 0, 1, 7, idx);
-            assert!(s >= idx && s <= idx + 3);
-            assert_eq!(s, p.p2p_slot(1, 0, 1, 7, idx));
-        }
-        // Jitter actually reorders something over a long stream.
-        let slots: Vec<u64> = (0..100).map(|i| p.p2p_slot(1, 0, 1, 7, i)).collect();
-        assert!(slots.windows(2).any(|w| w[0] > w[1]), "no inversion in {slots:?}");
-    }
-
-    #[test]
     fn derived_salts_separate_communicators_and_colors() {
         let s1 = derive_salt(0, 4, 0);
         let s2 = derive_salt(0, 4, 1);
@@ -533,7 +490,6 @@ mod tests {
             let a = FaultPlan::from_seed(seed);
             assert_eq!(a, FaultPlan::from_seed(seed));
             assert!(a.collective_delay_polls.1 <= 28);
-            assert!(a.p2p_jitter <= 3);
             assert!(a.quota_jitter_pct <= 90);
             assert!(a.timeout_scale() >= 1);
             assert!(a.crashes.is_empty(), "plain corpus plans must stay crash-free");
@@ -557,10 +513,7 @@ mod tests {
 
     #[test]
     fn reseeded_rounds_keep_knobs_and_drop_crashes() {
-        let p = FaultPlan::from_seed(9)
-            .with_straggler(1, 6)
-            .with_crash_at_collective(2, 7)
-            .with_p2p_jitter(2);
+        let p = FaultPlan::from_seed(9).with_straggler(1, 6).with_crash_at_collective(2, 7);
         assert_eq!(p.reseeded(0), p, "round 0 is the original plan, crash included");
         let r1 = p.reseeded(1);
         assert_ne!(r1.seed, p.seed, "rounds draw from distinct hash streams");
@@ -570,7 +523,6 @@ mod tests {
             "a join must not replay after the pool grew"
         );
         assert_eq!(r1.rank_factors, p.rank_factors);
-        assert_eq!(r1.p2p_jitter, p.p2p_jitter);
         assert_eq!(r1.collective_delay_polls, p.collective_delay_polls);
         assert_eq!(r1, p.reseeded(1), "round derivation is deterministic");
         assert_ne!(p.reseeded(1).seed, p.reseeded(2).seed);

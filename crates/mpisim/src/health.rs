@@ -88,6 +88,7 @@ impl WorldHealth {
         self.state.lock().dead.insert(world_rank);
     }
 
+    #[cfg(test)]
     pub(crate) fn is_dead(&self, world_rank: usize) -> bool {
         self.state.lock().dead.contains(&world_rank)
     }

@@ -32,10 +32,6 @@
 //!   harness reads [`Communicator::bytes_transferred`] to reproduce the
 //!   communication-volume column of Table II.
 //!
-//! Besides the collectives the paper's algorithms use, the runtime provides
-//! tagged point-to-point messaging (buffered `send`, blocking `recv`,
-//! `probe`) and a rank-ordered `gather` built on it — see [`Communicator`].
-//!
 //! **Fault tolerance** (DESIGN.md §10): every communicator operation returns
 //! a `Result` whose error side is a typed [`CommError`] — never a panic. A
 //! [`FaultPlan`] can schedule deterministic rank crashes ([`CrashPoint`]);
@@ -46,9 +42,7 @@
 //! **Elasticity** (DESIGN.md §15): capacity also turns *up* —
 //! [`Universe::run_elastic`] launches standby ranks that
 //! [`Communicator::grow`] admits at a collective boundary (scheduled by the
-//! plan's [`JoinPoint`]s), and a deterministic work-stealing handshake
-//! ([`Communicator::steal_claim`] / [`Communicator::steal_grant`])
-//! redistributes sample quota away from plan-marked stragglers.
+//! plan's [`JoinPoint`]s).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_methods)]
 
@@ -57,8 +51,6 @@ mod engine;
 mod error;
 mod fault;
 mod health;
-mod p2p;
-mod steal;
 mod sync;
 mod universe;
 
@@ -66,7 +58,6 @@ pub use comm::{Communicator, ReduceOp};
 pub use engine::Request;
 pub use error::CommError;
 pub use fault::{CrashPoint, FaultPlan, JoinPoint};
-pub use steal::{STEAL_CLAIM_TAG, STEAL_GRANT_TAG};
 pub use universe::{ElasticRank, StandbyRank, Universe};
 
 #[cfg(test)]

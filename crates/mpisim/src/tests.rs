@@ -608,28 +608,6 @@ fn shrink_generations_and_split_children_use_independent_salts() {
     }
 }
 
-#[test]
-fn recv_from_a_dead_rank_fails_typed_but_buffered_sends_survive() {
-    // A message posted before the sender's death is still deliverable
-    // (buffered send, as in MPI); once the stream is drained, further recvs
-    // fail with RankFailed instead of hanging until the deadlock timeout.
-    let plan = FaultPlan::ideal(7).with_crash_at_collective(0, 0);
-    let out = Universe::run_with_plan(2, plan, |comm| {
-        if comm.rank() == 0 {
-            comm.send_u64s(1, 3, &[41, 42]);
-            let died = comm.barrier(); // crash point: dies instead of joining
-            (Vec::new(), died.err())
-        } else {
-            let payload = comm.recv_u64s(0, 3).unwrap();
-            let starved = comm.recv_u64s(0, 3);
-            (payload, starved.err())
-        }
-    });
-    assert_eq!(out[0].1, Some(CommError::RankFailed { rank: 0 }));
-    assert_eq!(out[1].0, vec![41, 42]);
-    assert_eq!(out[1].1, Some(CommError::RankFailed { rank: 0 }));
-}
-
 // ----------------------------------------------------------------------
 // Elastic grow
 // ----------------------------------------------------------------------

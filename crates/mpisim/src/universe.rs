@@ -78,8 +78,7 @@ impl Universe {
     }
 
     /// Like [`Universe::run`], but the world executes under a deterministic
-    /// [`FaultPlan`]: collectives complete with plan-injected delays, p2p
-    /// delivery follows the plan's slot permutation, every non-blocking
+    /// [`FaultPlan`]: collectives complete with plan-injected delays, every non-blocking
     /// request polls deterministically, and plan-scheduled rank crashes fire
     /// at their logical-clock coordinates — so two runs with the same
     /// `(plan, f)` produce bit-identical schedules (see the `fault` module

@@ -1,5 +1,5 @@
-//! Tracer wiring of the simulated MPI runtime: collectives, overlapped
-//! polls, and p2p deliveries all show up in the telemetry summary, and the
+//! Tracer wiring of the simulated MPI runtime: collectives and overlapped
+//! polls show up in the telemetry summary, and the
 //! recorded event stream is deterministic under a fault plan.
 
 use kadabra_mpisim::{FaultPlan, Universe};
@@ -7,7 +7,7 @@ use kadabra_telemetry::{CounterId, Event, MarkId, Telemetry};
 use std::sync::Arc;
 
 #[test]
-fn collectives_and_p2p_are_traced() {
+fn collectives_are_traced() {
     let tel = Arc::new(Telemetry::tracing());
     Universe::run(2, |comm| {
         let w = tel.writer(comm.rank() as u32, 0);
@@ -15,27 +15,19 @@ fn collectives_and_p2p_are_traced() {
         // One non-blocking barrier polled to completion...
         let mut req = comm.ibarrier().unwrap();
         while !req.test().unwrap() {}
-        // ...one blocking allreduce...
+        // ...and one blocking allreduce.
         let total = comm.allreduce_scalar_u64(kadabra_mpisim::ReduceOp::Sum, 1).unwrap();
         assert_eq!(total, 2);
-        // ...and one p2p exchange.
-        if comm.rank() == 0 {
-            comm.send_u64s(1, 3, &[7]);
-        } else {
-            assert_eq!(comm.recv_u64s(0, 3).unwrap(), vec![7]);
-        }
     });
     let s = tel.summary();
     assert_eq!(s.producers, 2);
     // Each rank joined 2 collectives (ibarrier + allreduce).
     assert_eq!(s.counter(CounterId::Collectives), 4);
-    assert_eq!(s.counter(CounterId::P2pDelivered), 1);
     let events = tel.events();
     let marks = |id: MarkId| events.iter().filter(|e| e.id == id as u8).count();
     assert_eq!(marks(MarkId::CollectiveStart), 4);
     // Every collective also resolved at every rank.
     assert_eq!(marks(MarkId::CollectiveComplete), 4);
-    assert_eq!(marks(MarkId::P2pDeliver), 1);
 }
 
 #[test]

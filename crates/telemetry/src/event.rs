@@ -144,33 +144,31 @@ id_enum! {
         OverlapPolls = (3, "overlap_polls"),
         /// Collective operations joined.
         Collectives = (4, "collectives"),
-        /// Point-to-point messages delivered.
-        P2pDelivered = (5, "p2p_delivered"),
         /// Ranks declared dead and excluded by a communicator shrink.
-        RanksLost = (6, "ranks_lost"),
+        RanksLost = (5, "ranks_lost"),
         /// Queries answered by `kadabra-server` (estimate, top-k, vertex,
         /// refine — anything that produced a reply).
-        QueriesServed = (7, "queries_served"),
+        QueriesServed = (6, "queries_served"),
         /// Queries load-shed by admission control (in-flight or queue cap).
-        QueriesShed = (8, "queries_shed"),
+        QueriesShed = (7, "queries_shed"),
         /// Edge insertions + deletions applied through the delta log.
-        EdgesApplied = (9, "edges_applied"),
+        EdgesApplied = (8, "edges_applied"),
         /// Retained samples classified as invalidated by an update batch
         /// (and therefore redrawn on the new graph).
-        SamplesInvalidated = (10, "samples_invalidated"),
+        SamplesInvalidated = (9, "samples_invalidated"),
         /// Retained samples whose shortest-path sets provably survived an
         /// update batch (kept without redrawing).
-        SamplesRetained = (11, "samples_retained"),
+        SamplesRetained = (10, "samples_retained"),
         /// Standby ranks admitted by a communicator grow.
-        RanksJoined = (12, "ranks_joined"),
-        /// Sample sub-ranges claimed from plan-marked stragglers by the
-        /// cross-rank steal protocol.
-        SamplesStolen = (13, "samples_stolen"),
+        RanksJoined = (11, "ranks_joined"),
+        /// Samples the cluster simulator's steal model moves from
+        /// stragglers to helpers (`kadabra-cluster`'s `SimConfig::steal`).
+        SamplesStolen = (12, "samples_stolen"),
     }
 }
 
 /// Number of distinct [`CounterId`]s.
-pub const N_COUNTERS: usize = 14;
+pub const N_COUNTERS: usize = 13;
 
 id_enum! {
     /// Instantaneous-marker identities (mpisim engine events).
@@ -181,9 +179,6 @@ id_enum! {
         /// A rank observed completion of a collective; `value` is the
         /// operation sequence number.
         CollectiveComplete = (1, "collective_complete"),
-        /// A point-to-point message was delivered; `value` packs
-        /// `src << 32 | delivery slot`.
-        P2pDeliver = (2, "p2p_deliver"),
     }
 }
 

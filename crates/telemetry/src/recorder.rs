@@ -315,7 +315,7 @@ mod tests {
         let s = w.begin(SpanId::Check);
         w.end(s);
         w.count_event(CounterId::Samples, 10);
-        w.mark(MarkId::P2pDeliver, 1);
+        w.mark(MarkId::CollectiveStart, 1);
         assert!(w.recorder().snapshot().is_empty());
         assert_eq!(w.recorder().dropped_events(), 0);
         assert_eq!(w.recorder().span_count(SpanId::Check), 1);

@@ -39,7 +39,7 @@ fn assert_intact(events: &[Event]) {
     for (k, e) in events.iter().enumerate() {
         let i = (k + 1) as u64;
         assert_eq!(e.kind, EventKind::Mark, "meta word torn or stale");
-        assert_eq!(e.id, MarkId::P2pDeliver as u8, "id torn or stale");
+        assert_eq!(e.id, MarkId::CollectiveStart as u8, "id torn or stale");
         assert_eq!(u64::from(e.epoch), i, "epoch field torn or stale");
         assert_eq!(e.logical, i, "logical field torn or stale");
         assert_eq!(e.value, i, "value field torn or stale");
@@ -58,7 +58,7 @@ fn concurrent_reader_never_sees_torn_events() {
                 for i in 1..=2u32 {
                     w.set_epoch(i);
                     w.tick(1);
-                    w.mark(MarkId::P2pDeliver, u64::from(i));
+                    w.mark(MarkId::CollectiveStart, u64::from(i));
                 }
             })
         };
@@ -92,7 +92,7 @@ fn overflow_drops_are_counted_and_harmless() {
                     w.set_epoch(i);
                     w.tick(1);
                     // Appends 2 and 3 overflow; the writer must not block.
-                    w.mark(MarkId::P2pDeliver, u64::from(i));
+                    w.mark(MarkId::CollectiveStart, u64::from(i));
                 }
             })
         };

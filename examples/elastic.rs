@@ -1,13 +1,12 @@
 //! Elastic scale-out, end to end: a run that grows its world mid-flight
 //! (standby ranks admitted at a round boundary, ledgers rebalanced, the
-//! (ε, δ) guarantee intact), a straggler shedding quota to work stealing,
-//! and a resident tenant resizing its sampler pool under a fresh cache
+//! (ε, δ) guarantee intact), and a resident tenant resizing its sampler pool under a fresh cache
 //! generation — converge, grow, re-query, shed back.
 //!
 //! Run: `cargo run --release --example elastic`
 
 use kadabra_mpi::baselines::brandes;
-use kadabra_mpi::core::{kadabra_mpi_flat_elastic, ElasticOptions, KadabraConfig};
+use kadabra_mpi::core::{kadabra_mpi_flat_observed, ChaosOptions, KadabraConfig};
 use kadabra_mpi::graph::components::largest_component;
 use kadabra_mpi::graph::generators::{gnm, GnmConfig};
 use kadabra_mpi::mpisim::FaultPlan;
@@ -15,19 +14,17 @@ use kadabra_mpi::server::{Server, ServerConfig, TenantConfig};
 
 fn main() {
     // ------------------------------------------------------------------
-    // 1. The elastic driver: 2 founding ranks converge while 2 standbys
-    //    wait parked; the plan admits both at round 1 and marks rank 1 as
-    //    a 4× straggler, so helpers steal most of its per-round quota.
+    // 1. Algorithm 1 under a plan: 2 founding ranks converge while 2
+    //    standbys wait parked; the plan admits both at round 1.
     // ------------------------------------------------------------------
     let (g, _) = largest_component(&gnm(GnmConfig { n: 120, m: 360, seed: 7 }));
     let cfg = KadabraConfig { epsilon: 0.05, delta: 0.1, seed: 7, ..Default::default() };
-    let opts = ElasticOptions::all(FaultPlan::ideal(7).with_join(1, 2).with_straggler(1, 4));
-    let r = kadabra_mpi_flat_elastic(&g, &cfg, 2, 2, &opts);
+    let opts = ChaosOptions::all(FaultPlan::ideal(7).with_join(1, 2));
+    let r = kadabra_mpi_flat_observed(&g, &cfg, 2, 2, &opts);
     r.assert_invariants(); // epoch-gap + sample-conservation audits pass
     println!(
-        "elastic driver: {} ranks joined mid-run, {} samples stolen from the straggler, \
-         τ = {} over {} epochs",
-        r.ranks_joined, r.samples_stolen, r.result.samples, r.result.stats.epochs
+        "grown run: {} ranks joined mid-run, τ = {} over {} epochs",
+        r.ranks_joined, r.result.samples, r.result.stats.epochs
     );
 
     // The guarantee survives the membership change: compare to exact
@@ -37,8 +34,8 @@ fn main() {
         r.result.scores.iter().zip(&exact).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
     println!("  max error vs exact Brandes: {worst:.4} (ε = {})", cfg.epsilon);
 
-    // Bit-reproducible from (plan, seed): the grow and the steals replay.
-    let again = kadabra_mpi_flat_elastic(&g, &cfg, 2, 2, &opts);
+    // Bit-reproducible from (plan, seed): the grow replays.
+    let again = kadabra_mpi_flat_observed(&g, &cfg, 2, 2, &opts);
     assert_eq!(r.result.scores, again.result.scores);
     println!("  replay is bit-identical across the grow");
 

@@ -10,10 +10,9 @@
 //! broke.
 
 use kadabra_mpi::core::{
-    kadabra_epoch_mpi, kadabra_epoch_mpi_observed, kadabra_mpi_flat, kadabra_mpi_flat_elastic,
-    kadabra_mpi_flat_observed, kadabra_naive_parallel, kadabra_sequential, kadabra_shared, omega,
-    prepare_for_pool, BetweennessResult, ChaosOptions, ClusterShape, ElasticOptions, KadabraConfig,
-    SamplerPool,
+    kadabra_epoch_mpi, kadabra_epoch_mpi_observed, kadabra_mpi_flat, kadabra_mpi_flat_observed,
+    kadabra_naive_parallel, kadabra_sequential, kadabra_shared, omega, prepare_for_pool,
+    BetweennessResult, ChaosOptions, ClusterShape, KadabraConfig, SamplerPool,
 };
 use kadabra_mpi::dynamic::{DynamicEngine, UpdateBatch};
 use kadabra_mpi::graph::components::largest_component;
@@ -69,15 +68,15 @@ fn telemetry_tracing_does_not_perturb_chaos_runs() {
     let off = ChaosOptions::all(FaultPlan::from_seed(9));
     let on = off.clone().with_telemetry();
 
-    let a = kadabra_mpi_flat_observed(&g, &cfg, 3, &off);
-    let b = kadabra_mpi_flat_observed(&g, &cfg, 3, &on);
+    let a = kadabra_mpi_flat_observed(&g, &cfg, 3, 0, &off);
+    let b = kadabra_mpi_flat_observed(&g, &cfg, 3, 0, &on);
     assert_eq!(a.result.scores, b.result.scores, "flat: telemetry perturbed scores");
     assert_eq!(a.result.samples, b.result.samples);
     assert_eq!(a.result.stats.epochs, b.result.stats.epochs);
     // The traced run's phase breakdown carries real content…
     assert!(b.phases.counter(kadabra_mpi::telemetry::CounterId::Samples) > 0);
     // …and is itself reproducible: same plan, same breakdown.
-    let c = kadabra_mpi_flat_observed(&g, &cfg, 3, &on);
+    let c = kadabra_mpi_flat_observed(&g, &cfg, 3, 0, &on);
     assert_eq!(b.phases, c.phases, "traced phase breakdown diverged between reruns");
 
     let shape = ClusterShape { ranks: 2, ranks_per_node: 2, threads_per_rank: 2 };
@@ -100,14 +99,14 @@ fn crash_recovery_runs_are_bit_identical_with_telemetry_on_and_off() {
     // (joins 0–1 are the setup broadcast and calibration all-reduce).
     let off = ChaosOptions::all(FaultPlan::ideal(21).with_crash_at_collective(1, 2));
     let on = off.clone().with_telemetry();
-    let a = kadabra_mpi_flat_observed(&g, &cfg, 3, &off);
-    let b = kadabra_mpi_flat_observed(&g, &cfg, 3, &on);
+    let a = kadabra_mpi_flat_observed(&g, &cfg, 3, 0, &off);
+    let b = kadabra_mpi_flat_observed(&g, &cfg, 3, 0, &on);
     assert!(a.recoveries >= 1, "crash never fired [{}]", a.plan_summary);
     assert_eq!(a.result.scores, b.result.scores, "flat: telemetry perturbed a crash run");
     assert_eq!(a.result.samples, b.result.samples);
     assert_eq!((a.ranks_lost, a.recoveries), (b.ranks_lost, b.recoveries));
     // The traced recovery is itself reproducible, phase breakdown included.
-    let c = kadabra_mpi_flat_observed(&g, &cfg, 3, &on);
+    let c = kadabra_mpi_flat_observed(&g, &cfg, 3, 0, &on);
     assert_eq!(b.result.scores, c.result.scores);
     assert_eq!(b.phases, c.phases, "traced crash-run phase breakdown diverged");
 
@@ -129,24 +128,24 @@ fn crash_recovery_runs_are_bit_identical_with_telemetry_on_and_off() {
 fn mid_run_join_is_bit_identical_with_telemetry_on_and_off() {
     // Elastic grows must be just as deterministic as crashes: a plan that
     // admits standby ranks mid-adaptive-phase produces bit-identical scores
-    // whether or not a full event trace is recorded, the steal/rebalance
+    // whether or not a full event trace is recorded, the rebalance
     // bookkeeping reproduces, and the traced run's phase breakdown is
     // itself stable across reruns.
     let (g, _) = largest_component(&gnm(GnmConfig { n: 50, m: 130, seed: 3 }));
     // ε tight enough that the adaptive phase runs past the join round.
     let cfg = KadabraConfig { epsilon: 0.05, delta: 0.1, seed: 9, ..Default::default() };
 
-    let off = ElasticOptions::all(FaultPlan::ideal(17).with_join(1, 2).with_straggler(1, 4));
+    let off = ChaosOptions::all(FaultPlan::ideal(17).with_join(1, 2).with_straggler(1, 4));
     let on = off.clone().with_telemetry();
-    let a = kadabra_mpi_flat_elastic(&g, &cfg, 2, 2, &off);
-    let b = kadabra_mpi_flat_elastic(&g, &cfg, 2, 2, &on);
+    let a = kadabra_mpi_flat_observed(&g, &cfg, 2, 2, &off);
+    let b = kadabra_mpi_flat_observed(&g, &cfg, 2, 2, &on);
     assert_eq!(a.ranks_joined, 2, "join never fired [{}]", a.plan_summary);
     assert_eq!(a.result.scores, b.result.scores, "telemetry perturbed a grown run");
     assert_eq!(a.result.samples, b.result.samples);
-    assert_eq!((a.ranks_joined, a.samples_stolen), (b.ranks_joined, b.samples_stolen));
+    assert_eq!(a.ranks_joined, b.ranks_joined);
     // The traced grow carries real content and reproduces exactly.
     assert!(b.phases.counter(kadabra_mpi::telemetry::CounterId::RanksJoined) > 0);
-    let c = kadabra_mpi_flat_elastic(&g, &cfg, 2, 2, &on);
+    let c = kadabra_mpi_flat_observed(&g, &cfg, 2, 2, &on);
     assert_eq!(b.result.scores, c.result.scores);
     assert_eq!(b.phases, c.phases, "traced grow phase breakdown diverged between reruns");
 }
@@ -163,8 +162,8 @@ fn flat_mpi_is_bit_identical_across_runs_over_the_seed_matrix() {
                 conservation: false,
                 telemetry: false,
             };
-            let a = kadabra_mpi_flat_observed(&g, &cfg, ranks, &opts);
-            let b = kadabra_mpi_flat_observed(&g, &cfg, ranks, &opts);
+            let a = kadabra_mpi_flat_observed(&g, &cfg, ranks, 0, &opts);
+            let b = kadabra_mpi_flat_observed(&g, &cfg, ranks, 0, &opts);
             assert_eq!(
                 a.result.scores, b.result.scores,
                 "P={ranks} seed={seed}: scores diverged [{}]",
@@ -242,10 +241,10 @@ fn golden_transcripts_hold_across_commits() {
     assert_eq!((r.samples, transcript_digest(&r)), one, "epoch observed, 1 x 1");
     let r = kadabra_mpi_flat(&g, &cfg, 1);
     assert_eq!((r.samples, transcript_digest(&r)), one, "flat, 1 rank");
-    let r = kadabra_mpi_flat_observed(&g, &cfg, 1, &ideal).result;
+    let r = kadabra_mpi_flat_observed(&g, &cfg, 1, 0, &ideal).result;
     assert_eq!((r.samples, transcript_digest(&r)), one, "flat observed, 1 rank");
-    let r = kadabra_mpi_flat_elastic(&g, &cfg, 1, 0, &ElasticOptions::all(FaultPlan::ideal(0)));
-    assert_eq!((r.result.samples, transcript_digest(&r.result)), one, "flat elastic, 1 founder");
+    let r = kadabra_mpi_flat_observed(&g, &cfg, 1, 1, &ideal).result;
+    assert_eq!((r.samples, transcript_digest(&r)), one, "flat observed, 1 founder + 1 standby");
     let r = kadabra_shared(&g, &cfg, 1);
     assert_eq!((r.samples, transcript_digest(&r)), one, "shared, 1 thread");
 
@@ -270,9 +269,9 @@ fn golden_transcripts_hold_across_commits() {
     assert_eq!((crash.ranks_lost, crash.recoveries, crash.conservation_rounds), (1, 1, 2));
 
     // Algorithm 1 under a firing crash, and growing by two ranks beside a
-    // straggler whose quota is stolen.
+    // straggler.
     let chaos = ChaosOptions::all(FaultPlan::from_seed(21).with_crash_at_collective(1, 2));
-    let crash = kadabra_mpi_flat_observed(&g, &cfg, 3, &chaos);
+    let crash = kadabra_mpi_flat_observed(&g, &cfg, 3, 0, &chaos);
     assert_eq!(
         (crash.result.samples, transcript_digest(&crash.result)),
         (1656, 0x2305_5f0d_ffeb_cfee),
@@ -280,15 +279,14 @@ fn golden_transcripts_hold_across_commits() {
     );
     assert_eq!((crash.ranks_lost, crash.recoveries, crash.conservation_rounds), (1, 1, 2));
 
-    let elastic =
-        ElasticOptions::all(FaultPlan::from_seed(17).with_join(1, 2).with_straggler(1, 4));
-    let grown = kadabra_mpi_flat_elastic(&g, &cfg, 2, 2, &elastic);
+    let elastic = ChaosOptions::all(FaultPlan::from_seed(17).with_join(1, 2).with_straggler(1, 4));
+    let grown = kadabra_mpi_flat_observed(&g, &cfg, 2, 2, &elastic);
     assert_eq!(
         (grown.result.samples, transcript_digest(&grown.result)),
         (1485, 0x4fe2_2a63_be3e_7c5a),
         "flat grow + steal"
     );
-    assert_eq!((grown.ranks_joined, grown.samples_stolen, grown.conservation_rounds), (2, 565, 2));
+    assert_eq!((grown.ranks_joined, grown.conservation_rounds), (2, 2));
 
     // The resident pools, on the same graph with small epochs (several
     // rounds stay below ω = 1874). Static: rank 2 dies in round 0, the pool

@@ -49,7 +49,7 @@ fn every_driver_agrees_with_exact<G: KadabraGraph + Sync>(
     };
     let sequential = || kadabra_sequential(g, cfg);
     seeded("sequential", sequential(), sequential());
-    let flat = || kadabra_mpi_flat_observed(g, cfg, 3, &opts).result;
+    let flat = || kadabra_mpi_flat_observed(g, cfg, 3, 0, &opts).result;
     seeded("flat MPI under a plan", flat(), flat());
     let epoch = || kadabra_epoch_mpi_observed(g, cfg, shape, &opts).result;
     seeded("epoch MPI under a plan", epoch(), epoch());
