@@ -283,8 +283,8 @@ fn golden_transcripts_hold_across_commits() {
     let grown = kadabra_mpi_flat_observed(&g, &cfg, 2, 2, &elastic);
     assert_eq!(
         (grown.result.samples, transcript_digest(&grown.result)),
-        (1485, 0x4fe2_2a63_be3e_7c5a),
-        "flat grow + steal"
+        (1485, 0x595b_2db5_63b7_6bd5),
+        "flat grow"
     );
     assert_eq!((grown.ranks_joined, grown.conservation_rounds), (2, 2));
 
