@@ -57,8 +57,10 @@ pub struct SimConfig {
     pub numa_penalty: bool,
     /// Model cross-rank work stealing: plan-marked stragglers keep only
     /// `n0 / factor` of their per-thread round quota and the deficit moves
-    /// to the fastest ranks, mirroring the drivers' deterministic steal
-    /// schedule (DESIGN.md §15). Without a plan (or without stragglers)
+    /// to the fastest ranks. The model has no live counterpart: under a
+    /// plan a live straggler is slow only in logical polls, never in wall
+    /// time, so the drivers' steal handshake could show no win and was
+    /// deleted (DESIGN.md §15.3). Without a plan (or without stragglers)
     /// this flag changes nothing.
     pub steal: bool,
 }

@@ -27,8 +27,9 @@
 //! point of both algorithms: the plain ones free (`Universe::run`: no plan,
 //! requests poll on real progress, the overlap is the paper's), the
 //! observed ones ([`crate::chaos`]) in a world launched under a
-//! [`kadabra_mpisim::FaultPlan`], with standbys if it grows, which the body
-//! reads back from its communicator, with the `Audit` switched on. The
+//! [`kadabra_mpisim::FaultPlan`] (with standbys, for a run that grows),
+//! which the body reads back from its communicator, with the `Audit`
+//! switched on. The
 //! resident pools ([`crate::pool`]) run the loop a fixed number of rounds at
 //! a time on rank state they park in between, stopping inside a round only
 //! at the sample cap.

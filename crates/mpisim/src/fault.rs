@@ -134,7 +134,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The ideal (zero-perturbation) plan: no delays, uniform quotas. Running under it still switches the runtime into the
+    /// The ideal (zero-perturbation) plan: no delays, uniform quotas.
+    /// Running under it still switches the runtime into the
     /// deterministic-schedule regime, which is what the seed-matrix
     /// determinism tests pin down.
     pub fn ideal(seed: u64) -> Self {

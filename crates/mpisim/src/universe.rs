@@ -78,12 +78,12 @@ impl Universe {
     }
 
     /// Like [`Universe::run`], but the world executes under a deterministic
-    /// [`FaultPlan`]: collectives complete with plan-injected delays, every non-blocking
-    /// request polls deterministically, and plan-scheduled rank crashes fire
-    /// at their logical-clock coordinates — so two runs with the same
-    /// `(plan, f)` produce bit-identical schedules (see the `fault` module
-    /// docs). Communicators created by `split`/`shrink` inherit the plan
-    /// with derived hash salts.
+    /// [`FaultPlan`]: collectives complete with plan-injected delays, every
+    /// non-blocking request polls deterministically, and plan-scheduled rank
+    /// crashes fire at their logical-clock coordinates — so two runs with
+    /// the same `(plan, f)` produce bit-identical schedules (see the `fault`
+    /// module docs). Communicators created by `split`/`shrink` inherit the
+    /// plan with derived hash salts.
     ///
     /// A rank whose crash fires observes [`crate::CommError::RankFailed`]
     /// with its own world rank from the failing call onward; its closure

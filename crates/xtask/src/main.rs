@@ -94,8 +94,8 @@
 //! under 25% of a from-scratch run and ε-accuracy against the Brandes
 //! oracle), and the `bench_elastic` binary (the elastic scale-out path,
 //! which self-gates a ≥ 1.2× mid-run-grow speedup over the static
-//! continuation and steal decoupling round latency from the straggler
-//! factor), writing `BENCH_smoke.json`, `BENCH_server.json`,
+//! continuation, the cluster DES's steal model decoupling round latency
+//! from the straggler factor, and a live grow within ε), writing `BENCH_smoke.json`, `BENCH_server.json`,
 //! `BENCH_dynamic.json`, and `BENCH_elastic.json` to the repo root, then
 //! validates the artifacts
 //! against the `kadabra-bench/v1` schema — including the value-range
@@ -430,8 +430,8 @@ fn cmd_bench_smoke() -> ExitCode {
     // incremental-update path (update-and-reconverge under 25% of a
     // from-scratch run, within ε of the oracle), and `bench_elastic` gates
     // the elastic scale-out path (mid-run grow ≥ 1.2× over the static
-    // continuation, steal decoupling round latency from the straggler
-    // factor), so a degraded build fails the run before validation starts.
+    // continuation, the DES's steal model decoupling round latency from the
+    // straggler factor, a live grow within ε), so a degraded build fails the run before validation starts.
     for bin in ["bench_smoke", "bench_server", "bench_dynamic", "bench_elastic"] {
         println!("xtask bench: running the {bin} benchmark (release mode)");
         if !run_ok(
