@@ -6,7 +6,10 @@
 //! adjacency list. Adjacency lists are sorted, which makes neighbourhood
 //! queries cache-friendly and lets tests assert canonical form.
 
+use crate::prefetch::prefetch_read;
 use crate::{GraphError, Result};
+use std::cmp::Reverse;
+use std::ops::Range;
 
 /// Vertex identifier. 32 bits suffice for every graph in SNAP/KONECT and keep
 /// the CSR (and the per-thread sampling state of KADABRA) compact.
@@ -73,7 +76,10 @@ pub(crate) fn check_row(v: usize, row: &[NodeId], n: usize) -> std::result::Resu
 
 /// The reverse pass of the canonical-form check, on arrays whose offsets
 /// passed [`check_offsets`] and whose every row passed [`check_row`], with
-/// `above` the rows' summed counts.
+/// `above` the rows' summed counts, run on one worker per target range
+/// `cuts[k]..cuts[k + 1]` (`cuts` runs from 0 to n; `[0, n]` is one worker
+/// on the calling thread). `cursor` is scratch of one word per row, its
+/// contents ignored.
 ///
 /// Only the arcs `v → t` with `t > v` are walked. Rows are visited in
 /// ascending `v`, so in a symmetric, strictly sorted CSR the reverse of
@@ -82,30 +88,104 @@ pub(crate) fn check_row(v: usize, row: &[NodeId], n: usize) -> std::result::Resu
 /// row's end, matches each arc above the diagonal to a distinct entry below
 /// it. If the arcs above the diagonal are exactly half of all arcs, that
 /// injective matching is a bijection onto the arcs below, so every arc has
-/// its reverse (DESIGN.md §11.7).
+/// its reverse (DESIGN.md §11.7). A cursor moves only on arcs into its own
+/// row, so the workers' matchings together are the one-worker matching, and
+/// the error is the failing arc first in ascending `v`, then descending `t`.
 fn check_reverse(
     offsets: &[u64],
     targets: &[NodeId],
     above: usize,
+    cuts: &[usize],
+    cursor: &mut [u64],
 ) -> std::result::Result<(), String> {
     if 2 * above != targets.len() {
         return Err(format!("{above} of {} arcs lie above the diagonal, not half", targets.len()));
     }
-    let n = offsets.len() - 1;
-    let mut cursor: Vec<u64> = offsets[..n].to_vec();
-    for v in 0..n {
-        // The arcs above the diagonal are the sorted row's suffix, walked
-        // from its end: each goes to a different row, so order is free.
+    let mut jobs = Vec::new();
+    let mut rest = cursor;
+    for w in cuts.windows(2) {
+        let (cursor, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+        rest = tail;
+        jobs.push(move || first_unmatched(offsets, targets, w[0]..w[1], cursor));
+    }
+    match on_workers(jobs).into_iter().flatten().min_by_key(|&(v, t)| (v, Reverse(t))) {
+        Some((v, t)) => Err(format!("edge {v}->{t} has no reverse edge")),
+        None => Ok(()),
+    }
+}
+
+/// Arcs in flight in [`first_unmatched`]: an arc's cursor and row end are
+/// prefetched when it is read, the cursor's entry halfway, and the arc is
+/// matched `AHEAD` arcs after it is read, so the three random reads of a
+/// match overlap those of the arcs around it.
+const AHEAD: usize = 32;
+
+/// The reverse pass for the arcs into `rows`: the first arc `v → t` with
+/// `t` in `rows`, in ascending `v` and then descending `t`, that finds no
+/// reverse, with `cursor` holding those rows' cursors.
+fn first_unmatched(
+    offsets: &[u64],
+    targets: &[NodeId],
+    rows: Range<usize>,
+    cursor: &mut [u64],
+) -> Option<(usize, NodeId)> {
+    let (start, n) = (rows.start, offsets.len() - 1);
+    cursor.copy_from_slice(&offsets[rows.clone()]);
+    let matches = |cursor: &mut [u64], (v, t): (usize, NodeId)| {
+        let next = &mut cursor[t as usize - start];
+        let hit = *next < offsets[t as usize + 1] && targets[*next as usize] == v as NodeId;
+        if hit {
+            *next += 1;
+        }
+        hit
+    };
+    // The matches keep the walk's order, so the first failure is the
+    // walk's first failure.
+    let mut ring = [(0, 0); AHEAD];
+    let mut read = 0;
+    for v in 0..rows.end {
+        // The arcs above the diagonal are the sorted row's suffix; those
+        // into `rows` are a run of it, walked from its end.
         let row = &targets[offsets[v] as usize..offsets[v + 1] as usize];
-        for &t in row.iter().rev().take_while(|&&t| t as usize > v) {
-            let c = cursor[t as usize];
-            if c >= offsets[t as usize + 1] || targets[c as usize] != v as NodeId {
-                return Err(format!("edge {v}->{t} has no reverse edge"));
+        let end = if rows.end < n {
+            row.partition_point(|&t| (t as usize) < rows.end)
+        } else {
+            row.len()
+        };
+        let low = start.max(v + 1);
+        for &t in row[..end].iter().rev().take_while(|&&t| t as usize >= low) {
+            prefetch_read(cursor, t as usize - start);
+            prefetch_read(offsets, t as usize + 1);
+            let arc = std::mem::replace(&mut ring[read % AHEAD], (v, t));
+            if read >= AHEAD && !matches(cursor, arc) {
+                return Some(arc);
             }
-            cursor[t as usize] = c + 1;
+            if read >= AHEAD / 2 {
+                let (_, t) = ring[(read + AHEAD / 2) % AHEAD];
+                prefetch_read(targets, cursor[t as usize - start] as usize);
+            }
+            read += 1;
         }
     }
-    Ok(())
+    (read.saturating_sub(AHEAD)..read).map(|k| ring[k % AHEAD]).find(|&arc| !matches(cursor, arc))
+}
+
+/// Runs each job on a scoped thread of its own, the first on the calling
+/// thread, and returns their results in job order.
+pub(crate) fn on_workers<T: Send>(jobs: Vec<impl FnOnce() -> T + Send>) -> Vec<T> {
+    let mut jobs = jobs.into_iter();
+    let Some(first) = jobs.next() else { return Vec::new() };
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = jobs.map(|job| s.spawn(job)).collect();
+        let mut out = vec![first()];
+        for handle in spawned {
+            match handle.join() {
+                Ok(result) => out.push(result),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        out
+    })
 }
 
 impl Graph {
@@ -131,14 +211,17 @@ impl Graph {
     /// Builds a graph from CSR arrays that came from outside the program
     /// (a cached binary file), once their offsets passed [`check_offsets`]
     /// and every row passed [`check_row`], `above` being the rows' summed
-    /// counts: runs the reverse pass and reports a failure as an error
+    /// counts: runs the reverse pass over the target ranges `cuts` delimits,
+    /// on `cursor`'s one word per row, and reports a failure as an error
     /// instead of a panic.
     pub(crate) fn from_row_checked_csr(
         offsets: Vec<u64>,
         targets: Vec<NodeId>,
         above: usize,
+        cuts: &[usize],
+        cursor: &mut [u64],
     ) -> std::result::Result<Self, String> {
-        check_reverse(&offsets, &targets, above)?;
+        check_reverse(&offsets, &targets, above, cuts, cursor)?;
         Ok(Graph { offsets, targets })
     }
 
@@ -154,7 +237,7 @@ impl Graph {
         for v in 0..n {
             above += check_row(v, self.neighbors(v as NodeId), n)?;
         }
-        check_reverse(&self.offsets, &self.targets, above)
+        check_reverse(&self.offsets, &self.targets, above, &[0, n], &mut vec![0; n])
     }
 
     /// The search-per-arc formulation the row step and reverse pass
@@ -642,9 +725,10 @@ mod tests {
             }
         }
 
-        /// `io::read_binary` and the search-per-arc check accept exactly the
-        /// same arrays: random valid graphs, and the same graphs with one
-        /// word of either array overwritten.
+        /// `io::read_binary`, the file loader at 1, 2, 3 and 5 workers and
+        /// the search-per-arc check accept exactly the same arrays: random
+        /// valid graphs, and the same graphs with one word of either array
+        /// overwritten.
         #[test]
         fn cursor_check_agrees_with_the_search_oracle(
             n in 2usize..24,
@@ -679,7 +763,8 @@ mod tests {
         /// that keeps its row strictly sorted and free of self-loops. Every
         /// row step passes; when the new value is below the diagonal too the
         /// above-diagonal count still is half the arcs, and only the reverse
-        /// pass's compare of the cursor's entry can see it.
+        /// pass's compare of the cursor's entry can see it, at every split
+        /// of the reverse pass into target ranges.
         #[test]
         fn cursor_check_agrees_with_the_search_oracle_on_a_moved_lower_entry(
             n in 2usize..24,
@@ -704,6 +789,7 @@ mod tests {
             }
             let mutated = Graph { offsets: g.offsets.clone(), targets };
             prop_assert!(rows_pass(&mutated));
+            prop_assert!(splits_agree(&mutated));
             let loaded = load(&mutated.offsets, &mutated.targets);
             let oracle = mutated.check_canonical_by_search();
             prop_assert_eq!(loaded.is_ok(), oracle.is_ok(), "{:?} vs {:?}", loaded, oracle);
@@ -713,7 +799,7 @@ mod tests {
         /// Family B: one extra entry inserted as the largest entry below the
         /// diagonal of its row. Every row step passes and every arc above
         /// the diagonal still finds its reverse; only the count of arcs
-        /// above the diagonal, no longer half, can see it.
+        /// above the diagonal, no longer half, can see it, at every split.
         #[test]
         fn cursor_check_agrees_with_the_search_oracle_on_an_extra_lower_entry(
             n in 2usize..24,
@@ -737,6 +823,7 @@ mod tests {
             }
             let mutated = Graph { offsets, targets };
             prop_assert!(rows_pass(&mutated));
+            prop_assert!(splits_agree(&mutated));
             let loaded = load(&mutated.offsets, &mutated.targets);
             let oracle = mutated.check_canonical_by_search();
             prop_assert_eq!(loaded.is_ok(), oracle.is_ok(), "{:?} vs {:?}", loaded, oracle);
@@ -752,12 +839,23 @@ mod tests {
     }
 
     /// `read_binary` on the arrays as `write_binary` serializes them, valid
-    /// or not.
+    /// or not, held to the file loader at 1, 2, 3 and 5 workers.
     fn load(offsets: &[u64], targets: &[NodeId]) -> crate::Result<Graph> {
         let g = Graph { offsets: offsets.to_vec(), targets: targets.to_vec() };
         let mut buf = Vec::new();
         crate::io::write_binary(&g, &mut buf).expect("writing to memory");
-        crate::io::read_binary(&buf[..])
+        crate::io::load_at_every_width(&buf)
+    }
+
+    /// Whether the reverse pass split at every single cut and at every pair
+    /// of cuts reports what it reports on one worker.
+    fn splits_agree(g: &Graph) -> bool {
+        let n = g.num_nodes();
+        let above = (0..n).map(|v| check_row(v, g.neighbors(v as NodeId), n).unwrap_or(0)).sum();
+        let check =
+            |cuts: &[usize]| check_reverse(&g.offsets, &g.targets, above, cuts, &mut vec![0; n]);
+        let whole = check(&[0, n]);
+        (0..=n).all(|a| (a..=n).all(|b| check(&[0, a, b, n]) == whole))
     }
 
     /// Whether every row of `g` passes the row step.
@@ -778,6 +876,22 @@ mod tests {
         assert!(load(&g.offsets, &g.targets).is_err());
         assert!(g.check_canonical().is_err());
         assert!(g.check_canonical_by_search().is_err());
+    }
+
+    /// Rows `[2, 3]`, `[]`, `[1]`, `[1]`: every row step passes, half the
+    /// arcs lie above the diagonal, and both arcs of row 0 fail. Walking
+    /// `t` downwards, one worker meets `0 → 3` first; split at row 3, the
+    /// lower range meets `0 → 2` and the upper `0 → 3`, and the error must
+    /// still be `0 → 3`.
+    #[test]
+    fn cursor_split_reports_the_first_failure_in_one_worker_order() {
+        let g = Graph { offsets: vec![0, 2, 2, 3, 4], targets: vec![2, 3, 1, 1] };
+        assert!(rows_pass(&g));
+        let want = Err("edge 0->3 has no reverse edge".to_string());
+        for cuts in [&[0, 4][..], &[0, 3, 4]] {
+            assert_eq!(check_reverse(&g.offsets, &g.targets, 2, cuts, &mut [0; 4]), want);
+        }
+        assert!(splits_agree(&g));
     }
 
     #[test]

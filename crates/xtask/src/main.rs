@@ -82,7 +82,9 @@
 //! Drivers for the three verification backends. `loom` runs on stable;
 //! `tsan` and `miri` need nightly components that may be absent in an
 //! offline container, in which case they print exactly what is missing and
-//! exit with code 2 (CI marks those jobs allowed-to-fail).
+//! exit with code 2 (CI marks those jobs allowed-to-fail). `tsan` runs the
+//! `kadabra-epoch` and `kadabra-mpisim` tests, then the `kadabra-graph`
+//! library tests filtered to the binary loader's (`io::`, `cursor`).
 //!
 //! # `cargo xtask bench --smoke`
 //!
@@ -650,23 +652,27 @@ fn cmd_tsan() -> ExitCode {
     };
     println!("xtask tsan: running concurrency tests under ThreadSanitizer ({triple})");
     let supp = root.join("ci/tsan-suppressions.txt");
-    run_stream(
-        Command::new("cargo")
-            .args([
-                "+nightly",
-                "test",
-                "-Zbuild-std",
-                "--target",
-                &triple,
-                "-p",
-                "kadabra-epoch",
-                "-p",
-                "kadabra-mpisim",
-            ])
-            .env("RUSTFLAGS", "-Zsanitizer=thread")
-            .env("TSAN_OPTIONS", format!("suppressions={}", supp.display()))
-            .current_dir(root),
-    )
+    let tsan = |args: &[&str]| {
+        run_stream(
+            Command::new("cargo")
+                .args(["+nightly", "test", "-Zbuild-std", "--target", &triple])
+                .args(args)
+                .env("RUSTFLAGS", "-Zsanitizer=thread")
+                .env("TSAN_OPTIONS", format!("suppressions={}", supp.display()))
+                .current_dir(&root),
+        )
+    };
+    // The graph crate's threads are the binary loader's row-range decode and
+    // target-range reverse pass; its tests are filtered to the loader's.
+    let runs = [
+        tsan(&["-p", "kadabra-epoch", "-p", "kadabra-mpisim"]),
+        tsan(&["-p", "kadabra-graph", "--lib", "--", "io::", "cursor"]),
+    ];
+    if runs.iter().all(|&code| code == ExitCode::SUCCESS) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 fn cmd_miri() -> ExitCode {
