@@ -6,11 +6,13 @@
 //! `BENCH_server.json` (`kadabra-bench/v1` plus `queries_per_sec`,
 //! `p50_ns`/`p99_ns`, and `read_allocs` extra columns).
 //!
-//! The binary is also the acceptance gate for ISSUE 7's service numbers:
-//! it exits nonzero when service throughput drops below 1 000 queries/s or
-//! when the cache read path allocates at all, so `cargo xtask bench
-//! --smoke` (and the CI job wrapping it) fails loudly rather than emitting
-//! a degraded artifact.
+//! The binary is also the acceptance gate for the service numbers: it
+//! exits nonzero when service throughput drops below 1 000 queries/s, when
+//! the cache read path allocates at all, or when a second or third tenant
+//! on the fixture graph requests as many heap bytes as the first less the
+//! relabeled CSR's bytes (the tenants must share one prepared graph), so
+//! `cargo xtask bench --smoke` (and the CI job wrapping it) fails loudly
+//! rather than emitting a degraded artifact.
 //!
 //! Run: `cargo run --release -p kadabra-bench --bin bench_server`
 //! (`KADABRA_RESULTS_DIR` picks the output directory; xtask points it at
@@ -19,7 +21,8 @@
 use kadabra_alloctrack::CountingAlloc;
 use kadabra_bench::{emit, seed, BenchArtifact, BenchRun};
 use kadabra_server::cache::FrontierSnapshot;
-use kadabra_server::testkit::{boot, TENANT};
+use kadabra_server::testkit::{corpus_graph, tenant_config, TENANT};
+use kadabra_server::{Server, ServerConfig};
 use std::time::Instant;
 
 #[global_allocator]
@@ -45,9 +48,27 @@ fn percentile(sorted_ns: &[u64], p: f64) -> f64 {
 
 fn main() {
     let seed = seed();
-    let server = boot(seed);
-    let client = server.client();
+    // `testkit::boot`, spelled out to keep the graph for two more tenants
+    // and to count what each `add_tenant` requests from the heap.
+    let server = Server::new(ServerConfig { deterministic: true, background_refine: false });
+    let g = corpus_graph(seed);
+    let add = |name: &str| {
+        let before = ALLOC.counts();
+        server.add_tenant(name, &g, &tenant_config(seed));
+        ALLOC.counts().since(&before).bytes
+    };
+    let t0 = Instant::now();
+    let first_bytes = add(TENANT);
+    let later_bytes = ["gnm-2", "gnm-3"].map(add);
+    let add_ns = t0.elapsed().as_nanos() as u64;
     let tenant = server.tenant(TENANT).expect("fixture tenant");
+    let csr_bytes = tenant.prepared().graph().memory_bytes() as u64;
+    println!(
+        "bench server: add_tenant requested {first_bytes} B, then {later_bytes:?} B on the same \
+         graph (relabeled CSR {csr_bytes} B)"
+    );
+
+    let client = server.client();
     let floor = tenant.floor_eps();
     client.refine(TENANT, floor, 256).expect("schedule floor is reachable");
     let n = tenant.num_vertices();
@@ -130,8 +151,32 @@ fn main() {
             ("ns_per_read".to_string(), ns_per_read),
         ],
     });
+    bench.push(BenchRun {
+        instance: "gnm-60".to_string(),
+        mode: "add-tenant".to_string(),
+        p: 1,
+        t: 1,
+        wall_ns: add_ns,
+        samples: 3,
+        epochs: 1,
+        samples_per_sec: if add_ns > 0 { 3.0 / (add_ns as f64 / 1e9) } else { 0.0 },
+        reduction_overlap: 0.0,
+        comm_bytes: 0,
+        extras: vec![
+            ("first_bytes".to_string(), first_bytes as f64),
+            ("later_bytes_max".to_string(), later_bytes.into_iter().max().unwrap_or(0) as f64),
+            ("csr_bytes".to_string(), csr_bytes as f64),
+        ],
+    });
     emit(&bench);
 
     assert!(qps >= MIN_QPS, "service throughput {qps:.0} queries/s below the {MIN_QPS} floor");
     assert_eq!(read_allocs, 0, "the cache read path allocated {read_allocs} times");
+    for later in later_bytes {
+        assert!(
+            later + csr_bytes <= first_bytes,
+            "a tenant on an already prepared graph requested {later} B, more than the first \
+             tenant's {first_bytes} B less the {csr_bytes} B relabeled CSR"
+        );
+    }
 }

@@ -157,20 +157,33 @@ impl StopRule {
 /// The accuracy a consistent `(counts, tau)` frame supports: the worst
 /// per-vertex Bernstein bound under the calibrated δ budgets. 1.0 before any
 /// sample lands.
+///
+/// f and g are evaluated only where the count is nonzero. The untouched
+/// vertices (b̃ = 0) all take their worst bounds at their smallest budgets,
+/// by [`StopRule`]'s argument: at b̃ = 0 both bounds are `ln(1/δ)/τ` times
+/// a factor that does not depend on δ (f's is exactly 0 below 3ω), so they
+/// fall as δ grows, and one f and one g at the smallest δ_L and δ_U among
+/// the untouched stand for all of them. The result equals the dense
+/// maximum over every vertex bit for bit (held by a proptest).
 pub fn achieved_epsilon(counts: &[u64], tau: u64, omega: u64, calibration: &Calibration) -> f64 {
     if tau == 0 {
         return 1.0;
     }
     let tau_f = tau as f64;
     let mut worst = 0.0f64;
+    let (mut min_dl, mut min_du) = (f64::INFINITY, f64::INFINITY);
     for (v, &c) in counts.iter().enumerate() {
-        let b = c as f64 / tau_f;
-        worst = worst.max(f_bound(b, calibration.delta_l[v], omega, tau)).max(g_bound(
-            b,
-            calibration.delta_u[v],
-            omega,
-            tau,
-        ));
+        let (dl, du) = (calibration.delta_l[v], calibration.delta_u[v]);
+        if c == 0 {
+            min_dl = min_dl.min(dl);
+            min_du = min_du.min(du);
+        } else {
+            let b = c as f64 / tau_f;
+            worst = worst.max(f_bound(b, dl, omega, tau)).max(g_bound(b, du, omega, tau));
+        }
+    }
+    if min_du.is_finite() {
+        worst = worst.max(f_bound(0.0, min_dl, omega, tau)).max(g_bound(0.0, min_du, omega, tau));
     }
     worst.min(1.0)
 }
@@ -181,8 +194,86 @@ mod tests {
     use crate::config::KadabraConfig;
     use proptest::prelude::*;
 
+    /// The dense loop [`achieved_epsilon`] replaced: both bounds at every
+    /// vertex. Kept as its oracle.
+    fn achieved_epsilon_dense(
+        counts: &[u64],
+        tau: u64,
+        omega: u64,
+        calibration: &Calibration,
+    ) -> f64 {
+        if tau == 0 {
+            return 1.0;
+        }
+        let tau_f = tau as f64;
+        let mut worst = 0.0f64;
+        for (v, &c) in counts.iter().enumerate() {
+            let b = c as f64 / tau_f;
+            worst = worst.max(f_bound(b, calibration.delta_l[v], omega, tau)).max(g_bound(
+                b,
+                calibration.delta_u[v],
+                omega,
+                tau,
+            ));
+        }
+        worst.min(1.0)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// [`achieved_epsilon`] equals the dense loop bit for bit, on
+        /// budgets from [`Calibration::from_counts`] over random
+        /// calibration and adaptive counts (each with its own share of
+        /// zeros), ω and δ — or, with `use_raw`, on budgets drawn freely,
+        /// where a small δ_L can make f bind. τ runs from 0 to 4ω, past 3ω
+        /// where f at b̃ = 0 stops being 0. `touch_hubs` touches only the
+        /// vertices calibration saw, a few times each, and `touch_none` no
+        /// vertex, so the untouched vertices' budgets decide the result.
+        #[test]
+        fn achieved_epsilon_matches_the_dense_loop(
+            calib in proptest::collection::vec((0u64..3, 0u64..400), 1..60),
+            adaptive in proptest::collection::vec((0u64..3, 0u64..3_000), 60),
+            tau0 in 1u64..2_000,
+            omega in 2u64..100_000,
+            delta in 0.001f64..0.5,
+            calibration_floor in 0.001f64..0.99,
+            eps in 0.001f64..0.5,
+            tau_frac in 0.0f64..4.0,
+            touch_hubs in any::<bool>(),
+            raw in proptest::collection::vec((0.3f64..12.0, 0.3f64..12.0), 60),
+            raw_u_scale in 0.0f64..1.0,
+            use_raw in any::<bool>(),
+            touch_none in any::<bool>(),
+        ) {
+            let n = calib.len();
+            let calib_counts: Vec<u64> =
+                calib.iter().map(|&(z, c)| if z == 0 { 0 } else { c }).collect();
+            let cfg = KadabraConfig { epsilon: eps, delta, calibration_floor, ..Default::default() };
+            let mut cal = Calibration::from_counts(&calib_counts, tau0, omega, &cfg);
+            if use_raw {
+                // Budgets 10^-0.3 down to 10^-12, δ_U's range shrunk by a
+                // drawn factor so that δ_L is sometimes far the smaller.
+                let exp = |e: f64| 10f64.powf(-e);
+                cal.delta_l = raw[..n].iter().map(|&(l, _)| exp(l)).collect();
+                cal.delta_u = raw[..n].iter().map(|&(_, u)| exp(0.3 + (u - 0.3) * raw_u_scale)).collect();
+            }
+            let tau = (omega as f64 * tau_frac) as u64;
+            let counts: Vec<u64> = adaptive[..n]
+                .iter()
+                .zip(&calib_counts)
+                .map(|(&(z, c), &k)| match (touch_hubs, z, k) {
+                    (true, _, 0) | (false, 0, _) => 0,
+                    (true, _, _) => 1 + c % 4,
+                    (false, _, _) => c,
+                })
+                .map(|c| if touch_none { 0 } else { c.min(tau) })
+                .collect();
+            prop_assert_eq!(
+                achieved_epsilon(&counts, tau, omega, &cal).to_bits(),
+                achieved_epsilon_dense(&counts, tau, omega, &cal).to_bits()
+            );
+        }
 
         /// [`StopRule::stops`] equals [`stopping_condition`], on budgets
         /// from [`Calibration::from_counts`] over random calibration and

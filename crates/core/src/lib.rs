@@ -62,7 +62,7 @@ pub use elastic::planned_admissions;
 pub use epoch_mpi::{kadabra_epoch_mpi, kadabra_epoch_mpi_traced};
 pub use mpi::{kadabra_mpi_flat, kadabra_mpi_flat_traced, RankState, SampleSink, Stream};
 pub use naive::kadabra_naive_parallel;
-pub use phases::{prepare, prepare_for_pool, Prepared};
+pub use phases::{calibrate_for_pool, prepare, prepare_for_pool, Prepared};
 pub use pool::{EngineCheckpoint, PoolStatus, RoundReport, SamplerPool};
 pub use recovery::{own_crash_or_fatal, shrink_and_rebuild, CheckpointError, SampleLedger};
 pub use result::{BetweennessResult, PhaseTimings, SamplingStats};

@@ -118,10 +118,7 @@ pub fn prepare<G: KadabraGraph>(g: &G, cfg: &KadabraConfig) -> Prepared {
 
 /// The set-up a world of `ranks` ranks × `threads` sampling threads derives
 /// collectively (`prepare_collective`), computed on one thread: the
-/// diameter is deterministic and the calibration streams are keyed by
-/// `(seed, rank, thread)`, so replaying every stream of the pool
-/// reconstructs the all-reduce total exactly. Resident pools and ranks
-/// admitted mid-run build their δ budgets this way.
+/// diameter phase, then [`calibrate_for_pool`] from its bound.
 pub fn prepare_for_pool<G: KadabraGraph>(
     g: &G,
     cfg: &KadabraConfig,
@@ -129,9 +126,28 @@ pub fn prepare_for_pool<G: KadabraGraph>(
     threads: usize,
 ) -> Prepared {
     cfg.validate();
-    assert!(ranks >= 1 && threads >= 1);
     assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
     let (vd, diameter_time) = diameter_phase(g, cfg);
+    Prepared { diameter_time, ..calibrate_for_pool(g, cfg, vd, ranks, threads) }
+}
+
+/// Calibration of a `ranks × threads` pool from a given vertex-diameter
+/// bound `vd`, on one thread: the calibration streams are keyed by
+/// `(seed, rank, thread)`, so replaying every stream of the pool
+/// reconstructs the all-reduce total exactly. Resident pools and ranks
+/// admitted mid-run build their δ budgets this way; a caller that already
+/// holds the graph's bound (a server's prepared graph) skips the diameter
+/// phase, whose reported time is then zero.
+pub fn calibrate_for_pool<G: PathSource>(
+    g: &G,
+    cfg: &KadabraConfig,
+    vd: u32,
+    ranks: usize,
+    threads: usize,
+) -> Prepared {
+    cfg.validate();
+    assert!(ranks >= 1 && threads >= 1);
+    assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
     let omega = bounds::omega(cfg.c, cfg.epsilon, cfg.delta, vd);
 
     let calib_start = Stopwatch::start();
@@ -150,7 +166,13 @@ pub fn prepare_for_pool<G: KadabraGraph>(
     let calibration = Calibration::from_counts(&counts, taken, omega, cfg);
     let calibration_time = calib_start.elapsed();
 
-    Prepared { vertex_diameter: vd, omega, calibration, diameter_time, calibration_time }
+    Prepared {
+        vertex_diameter: vd,
+        omega,
+        calibration,
+        diameter_time: Duration::ZERO,
+        calibration_time,
+    }
 }
 
 /// The set-up of Algorithms 1 and 2, run collectively over `world` by ranks

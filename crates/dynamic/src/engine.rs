@@ -52,6 +52,7 @@ use kadabra_mpisim::{CommError, Communicator, FaultPlan};
 use kadabra_telemetry::{CounterId, EventWriter, SpanId, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 use crate::invalidate::{classify_samples, vertex_diameter_bound, PathStore, SweepScratch};
 use crate::log::{DeltaLog, UpdateBatch, UpdateError};
@@ -102,14 +103,16 @@ pub struct DynamicEngine {
 
 impl DynamicEngine {
     /// A fresh incremental pool of `ranks × threads` sampler streams over
-    /// `base`. `omega`/`vd` come from the caller's diameter phase on the
-    /// base graph (the engine re-bounds them itself after every batch).
+    /// `base`, which may be shared with other engines (see
+    /// [`DeltaLog::new`]). `omega`/`vd` come from the caller's diameter
+    /// phase on the base graph (the engine re-bounds them itself after
+    /// every batch).
     #[expect(
         clippy::too_many_arguments,
         reason = "the pool's shape, the diameter bound and the base plan"
     )]
     pub fn new(
-        base: Graph,
+        base: impl Into<Arc<Graph>>,
         kcfg: KadabraConfig,
         omega: u64,
         vd: u32,
@@ -119,6 +122,7 @@ impl DynamicEngine {
         base_plan: FaultPlan,
     ) -> Self {
         assert!(max_epochs_per_round >= 1, "a round must run at least one epoch");
+        let base = base.into();
         let n = base.num_nodes();
         DynamicEngine {
             pool: SamplerPool::new(n, kcfg, omega, ranks, threads, || PathStore::new(n)),

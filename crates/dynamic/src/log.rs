@@ -13,6 +13,7 @@
 //! appends, regardless of when compaction ran.
 
 use kadabra_graph::{CsrArena, Graph, GraphView, NodeId};
+use std::sync::Arc;
 
 use crate::overlay::DynamicGraph;
 
@@ -221,18 +222,24 @@ pub struct DeltaLog {
 }
 
 impl DeltaLog {
-    /// Wraps a base CSR. The default compaction threshold folds the
+    /// Wraps a base CSR, owned or shared with other logs: the log only
+    /// reads it, and its first compaction gives it a private base (see
+    /// [`DeltaLog::compact_now`]). The default compaction threshold folds the
     /// overlay back into a CSR once the accumulated edits reach a quarter
     /// of the base edge count (at least 64 edits, so tiny graphs don't
     /// thrash the builder).
-    pub fn new(base: Graph) -> Self {
+    pub fn new(base: impl Into<Arc<Graph>>) -> Self {
+        let base = base.into();
         let threshold = (base.num_edges() / 4).max(64);
         DeltaLog::with_compaction_threshold(base, threshold)
     }
 
     /// Wraps a base CSR with an explicit compaction threshold (in
     /// accumulated edge edits).
-    pub fn with_compaction_threshold(base: Graph, compact_threshold: usize) -> Self {
+    pub fn with_compaction_threshold(
+        base: impl Into<Arc<Graph>>,
+        compact_threshold: usize,
+    ) -> Self {
         DeltaLog {
             view: DynamicGraph::new(base),
             arena: CsrArena::new(),
@@ -296,7 +303,10 @@ impl DeltaLog {
     }
 
     /// Unconditionally folds the overlay into a fresh CSR (built through
-    /// the log's recycled arena buffers). View semantics are unchanged.
+    /// the log's recycled arena buffers). View semantics are unchanged. The
+    /// new base is the log's own: a base shared with other logs stays
+    /// theirs, and only a base this log held the last reference to goes
+    /// back into the arena.
     pub fn compact_now(&mut self) {
         self.view.compact_into(&mut self.arena);
         self.edits_since_compaction = 0;

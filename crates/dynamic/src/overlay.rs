@@ -8,13 +8,16 @@
 //! lookup steering to a materialized `Vec` row) for zero cost on untouched
 //! ones, whose adjacency slices still come straight out of the base CSR.
 //!
-//! Periodic compaction (`DynamicGraph::compact_into`) folds the overlay
-//! back into a fresh CSR built through a recycled [`CsrArena`], preserving
-//! the vertex labeling — compaction is invisible to every consumer of the
-//! view (same adjacency, same ids), which the proptests in
-//! `tests/overlay_equivalence.rs` pin down.
+//! The base CSR is read-only and may be shared: tenants of one server that
+//! sit on one graph all start from the same `Arc<Graph>`. Periodic
+//! compaction (`DynamicGraph::compact_into`) folds the overlay back into a
+//! fresh, private CSR built through a recycled [`CsrArena`], preserving the
+//! vertex labeling — compaction is invisible to every consumer of the view
+//! (same adjacency, same ids), which the proptests in
+//! `tests/overlay_props.rs` pin down.
 
 use kadabra_graph::{CsrArena, Graph, GraphBuilder, GraphView, NodeId};
+use std::sync::Arc;
 
 use crate::log::UpdateBatch;
 
@@ -29,7 +32,7 @@ const UNTOUCHED: u32 = u32::MAX;
 /// before they reach the overlay (the `delta-confinement` lint pass guards
 /// the same boundary at the workspace level).
 pub struct DynamicGraph {
-    base: Graph,
+    base: Arc<Graph>,
     /// Per-vertex steering: index into `rows`, or [`UNTOUCHED`].
     row_of: Vec<u32>,
     /// Materialized sorted neighbor rows for touched vertices.
@@ -39,8 +42,9 @@ pub struct DynamicGraph {
 }
 
 impl DynamicGraph {
-    /// Wraps a base CSR with an empty overlay.
-    pub fn new(base: Graph) -> Self {
+    /// Wraps a base CSR, owned or shared, with an empty overlay.
+    pub fn new(base: impl Into<Arc<Graph>>) -> Self {
+        let base = base.into();
         let n = base.num_nodes();
         let m = base.num_edges();
         DynamicGraph { base, row_of: vec![UNTOUCHED; n], rows: Vec::new(), num_edges: m }
@@ -48,6 +52,12 @@ impl DynamicGraph {
 
     /// The underlying base CSR (compaction folds the overlay into it).
     pub fn base(&self) -> &Graph {
+        &self.base
+    }
+
+    /// The base CSR as the handle it is shared through: until the first
+    /// compaction it is the `Arc` the view was built from.
+    pub fn shared_base(&self) -> &Arc<Graph> {
         &self.base
     }
 
@@ -150,7 +160,9 @@ impl DynamicGraph {
 
     /// Folds the overlay into a fresh base CSR built through `arena`'s
     /// recycled buffers, preserving the vertex labeling, and clears the
-    /// overlay. The view's adjacency is bit-identical before and after.
+    /// overlay. The view's adjacency is bit-identical before and after. The
+    /// old base goes into the arena only if this view held its last
+    /// reference; a shared one stays with the views still reading it.
     pub(crate) fn compact_into(&mut self, arena: &mut CsrArena) {
         let n = self.base.num_nodes();
         let mut b = GraphBuilder::with_capacity(n, self.num_edges);
@@ -164,8 +176,10 @@ impl DynamicGraph {
         });
         let rebuilt = b.build_in(arena);
         debug_assert_eq!(rebuilt.num_edges(), self.num_edges);
-        let old = std::mem::replace(&mut self.base, rebuilt);
-        arena.recycle(old);
+        let old = std::mem::replace(&mut self.base, Arc::new(rebuilt));
+        if let Ok(old) = Arc::try_unwrap(old) {
+            arena.recycle(old);
+        }
         self.row_of.fill(UNTOUCHED);
         self.rows.clear();
     }
@@ -247,5 +261,25 @@ mod tests {
             assert_eq!(d.base().neighbors(v as NodeId), row.as_slice());
         }
         assert_eq!(d.num_edges(), d.base().num_edges());
+    }
+
+    #[test]
+    fn compaction_detaches_a_shared_base_and_recycles_only_a_private_one() {
+        let shared = Arc::new(graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]));
+        let (mut d, sibling) = (DynamicGraph::new(Arc::clone(&shared)), DynamicGraph::new(shared));
+        assert!(Arc::ptr_eq(d.shared_base(), sibling.shared_base()));
+        d.apply_batch(&batch(&[(0, 3)], &[]));
+        let mut arena = CsrArena::new();
+        d.compact_into(&mut arena);
+        assert!(!Arc::ptr_eq(d.shared_base(), sibling.shared_base()), "compaction detaches");
+        assert_eq!(arena.capacity_bytes(), 0, "a base still shared is not recycled");
+        assert_eq!(sibling.neighbors(0), &[1], "the sibling keeps the shared base");
+        assert_eq!(d.neighbors(0), &[1, 3]);
+        // The private base is this view's alone: the next compaction
+        // recycles it.
+        d.apply_batch(&batch(&[(0, 2)], &[]));
+        d.compact_into(&mut arena);
+        assert!(arena.capacity_bytes() > 0, "a private base is recycled");
+        assert_eq!(d.neighbors(0), &[1, 2, 3]);
     }
 }

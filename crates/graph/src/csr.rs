@@ -10,6 +10,10 @@ use crate::prefetch::prefetch_read;
 use crate::{GraphError, Result};
 use std::cmp::Reverse;
 use std::ops::Range;
+use std::panic::resume_unwind;
+// xtask: allow(direct-atomics) — a process-wide id counter, not a protocol
+// between threads: the RMW alone makes each id unique.
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Vertex identifier. 32 bits suffice for every graph in SNAP/KONECT and keep
 /// the CSR (and the per-thread sampling state of KADABRA) compact.
@@ -22,13 +26,41 @@ pub type NodeId = u32;
 /// data). After construction the graph is immutable, which is exactly the
 /// property the paper exploits to share one copy among all sampling threads
 /// of a process.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// Every constructed graph carries a [`GraphId`]: clones keep it, equality
+/// ignores it.
+#[derive(Clone)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes `targets` for vertex `v`'s neighbours.
     offsets: Vec<u64>,
     /// Concatenated, per-vertex-sorted adjacency lists.
     targets: Vec<NodeId>,
+    /// Which construction this graph (or the graph it was cloned from) is.
+    id: GraphId,
 }
+
+/// The exact identity of a [`Graph`]: a process-unique number drawn when
+/// the graph is constructed. A graph is immutable, so one id names one
+/// content, and a clone, which has that content, keeps the id. Unlike an
+/// address, an id is never reused after its graph is dropped; unlike a
+/// content hash, two different graphs never share one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GraphId(u64);
+
+impl GraphId {
+    fn fresh() -> GraphId {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        GraphId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Graph) -> bool {
+        self.offsets == other.offsets && self.targets == other.targets
+    }
+}
+
+impl Eq for Graph {}
 
 /// The offset-array half of the CSR invariants. It runs before anything
 /// slices `targets` by `offsets`, [`check_row`] included.
@@ -178,17 +210,23 @@ pub(crate) fn on_workers<T: Send>(jobs: Vec<impl FnOnce() -> T + Send>) -> Vec<T
     std::thread::scope(|s| {
         let spawned: Vec<_> = jobs.map(|job| s.spawn(job)).collect();
         let mut out = vec![first()];
-        for handle in spawned {
-            match handle.join() {
-                Ok(result) => out.push(result),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
+        out.extend(spawned.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))));
         out
     })
 }
 
 impl Graph {
+    /// Wraps CSR arrays, unchecked, under a fresh [`GraphId`]: every
+    /// constructor ends here.
+    fn from_parts(offsets: Vec<u64>, targets: Vec<NodeId>) -> Graph {
+        Graph { offsets, targets, id: GraphId::fresh() }
+    }
+
+    /// This graph's exact identity (see [`GraphId`]).
+    pub fn id(&self) -> GraphId {
+        self.id
+    }
+
     /// Builds a graph directly from canonical CSR arrays.
     ///
     /// Requirements (checked): `offsets` has length `n + 1`, starts at 0, is
@@ -203,7 +241,7 @@ impl Graph {
         if let Err(msg) = check_offsets(&offsets, targets.len()) {
             panic!("{msg}");
         }
-        let g = Graph { offsets, targets };
+        let g = Graph::from_parts(offsets, targets);
         debug_assert!(g.check_canonical().is_ok(), "non-canonical CSR input");
         g
     }
@@ -222,7 +260,7 @@ impl Graph {
         cursor: &mut [u64],
     ) -> std::result::Result<Self, String> {
         check_reverse(&offsets, &targets, above, cuts, cursor)?;
-        Ok(Graph { offsets, targets })
+        Ok(Graph::from_parts(offsets, targets))
     }
 
     /// Verifies full canonical form — every target in range, no self-loop,
@@ -402,7 +440,7 @@ impl Graph {
         if n > 0 {
             offsets[0] = 0;
         }
-        let g = Graph { offsets, targets };
+        let g = Graph::from_parts(offsets, targets);
         debug_assert!(g.check_canonical().is_ok());
         (g, Permutation { to_new, to_old })
     }
@@ -640,7 +678,7 @@ impl GraphBuilder {
             let hi = offsets[v + 1] as usize;
             targets[lo..hi].sort_unstable();
         }
-        Graph { offsets, targets }
+        Graph::from_parts(offsets, targets)
     }
 }
 
@@ -689,7 +727,7 @@ mod reference {
             }
             row.sort_unstable();
         }
-        (Graph { offsets, targets }, Permutation { to_new, to_old })
+        (Graph::from_parts(offsets, targets), Permutation { to_new, to_old })
     }
 }
 
@@ -749,7 +787,7 @@ mod tests {
             let sliceable = check_offsets(&offsets, targets.len()).is_ok();
             let loaded = load(&offsets, &targets);
             if sliceable {
-                let oracle = Graph { offsets, targets }.check_canonical_by_search();
+                let oracle = Graph::from_parts(offsets, targets).check_canonical_by_search();
                 prop_assert_eq!(loaded.is_ok(), oracle.is_ok(), "{:?} vs {:?}", loaded, oracle);
             } else {
                 prop_assert!(loaded.is_err(), "unsliceable offsets accepted");
@@ -787,7 +825,7 @@ mod tests {
             if let Some(&(at, w)) = moves.get(pick % moves.len().max(1)) {
                 targets[at] = w;
             }
-            let mutated = Graph { offsets: g.offsets.clone(), targets };
+            let mutated = Graph::from_parts(g.offsets.clone(), targets);
             prop_assert!(rows_pass(&mutated));
             prop_assert!(splits_agree(&mutated));
             let loaded = load(&mutated.offsets, &mutated.targets);
@@ -821,7 +859,7 @@ mod tests {
                 targets.insert(at, w);
                 offsets[v + 1..].iter_mut().for_each(|o| *o += 1);
             }
-            let mutated = Graph { offsets, targets };
+            let mutated = Graph::from_parts(offsets, targets);
             prop_assert!(rows_pass(&mutated));
             prop_assert!(splits_agree(&mutated));
             let loaded = load(&mutated.offsets, &mutated.targets);
@@ -841,7 +879,7 @@ mod tests {
     /// `read_binary` on the arrays as `write_binary` serializes them, valid
     /// or not, held to the file loader at 1, 2, 3 and 5 workers.
     fn load(offsets: &[u64], targets: &[NodeId]) -> crate::Result<Graph> {
-        let g = Graph { offsets: offsets.to_vec(), targets: targets.to_vec() };
+        let g = Graph::from_parts(offsets.to_vec(), targets.to_vec());
         let mut buf = Vec::new();
         crate::io::write_binary(&g, &mut buf).expect("writing to memory");
         crate::io::load_at_every_width(&buf)
@@ -871,7 +909,7 @@ mod tests {
     #[test]
     fn cursor_stops_at_the_end_of_its_row() {
         let (offsets, targets) = (vec![0, 2, 2, 4], vec![1, 2, 0, 1]);
-        let g = Graph { offsets, targets };
+        let g = Graph::from_parts(offsets, targets);
         assert!(rows_pass(&g));
         assert!(load(&g.offsets, &g.targets).is_err());
         assert!(g.check_canonical().is_err());
@@ -885,7 +923,7 @@ mod tests {
     /// still be `0 → 3`.
     #[test]
     fn cursor_split_reports_the_first_failure_in_one_worker_order() {
-        let g = Graph { offsets: vec![0, 2, 2, 3, 4], targets: vec![2, 3, 1, 1] };
+        let g = Graph::from_parts(vec![0, 2, 2, 3, 4], vec![2, 3, 1, 1]);
         assert!(rows_pass(&g));
         let want = Err("edge 0->3 has no reverse edge".to_string());
         for cuts in [&[0, 4][..], &[0, 3, 4]] {
@@ -981,6 +1019,17 @@ mod tests {
     #[should_panic(expected = "offsets must start at 0")]
     fn from_sorted_csr_rejects_bad_offsets() {
         Graph::from_sorted_csr(vec![1, 2], vec![0, 0]);
+    }
+
+    #[test]
+    fn identity_is_per_construction_and_survives_clones() {
+        let edges = [(0, 1), (1, 2)];
+        let (a, b) = (graph_from_edges(3, &edges), graph_from_edges(3, &edges));
+        assert_eq!(a, b, "equality compares content only");
+        assert_ne!(a.id(), b.id(), "two constructions are two graphs");
+        assert_eq!(a.clone().id(), a.id(), "a clone is the same graph");
+        let (relabeled, _) = a.relabel_by_degree();
+        assert_ne!(relabeled.id(), a.id());
     }
 
     #[test]

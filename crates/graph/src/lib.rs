@@ -55,7 +55,7 @@ pub mod sumsweep;
 pub mod view;
 pub mod weighted;
 
-pub use csr::{CsrArena, Graph, GraphBuilder, NodeId, Permutation};
+pub use csr::{CsrArena, Graph, GraphBuilder, GraphId, NodeId, Permutation};
 pub use scratch::TraversalScratch;
 pub use source::{KadabraGraph, PathSource};
 pub use view::GraphView;

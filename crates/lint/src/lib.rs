@@ -157,18 +157,32 @@ impl SourceFile {
         }
         "kadabra-mpi"
     }
+
+    /// The workspace-relative path of the manifest of this file's crate.
+    #[must_use]
+    pub fn manifest(&self) -> String {
+        match self.crate_name() {
+            "kadabra-mpi" => "Cargo.toml".to_string(),
+            name => format!("crates/{name}/Cargo.toml"),
+        }
+    }
 }
 
-/// The parsed workspace: every `.rs` file in lint scope.
+/// The parsed workspace: every `.rs` file in lint scope, and what each
+/// crate's manifest says it depends on.
 pub struct Workspace {
     /// Parsed files, sorted by path.
     pub files: Vec<SourceFile>,
+    /// Each manifest's path with the package names its dependency tables
+    /// list (`[dependencies]`, `[dev-dependencies]`, target-specific ones).
+    pub manifests: Vec<(String, Vec<String>)>,
 }
 
 impl Workspace {
     /// Loads and parses the workspace rooted at `root`. Scans `crates/`,
-    /// `src/`, `tests/` and `examples/`; `shims/` reproduce third-party
-    /// APIs and stay out of scope, and `fixtures/` directories hold
+    /// `src/`, `tests/` and `examples/`, and reads the manifest of each
+    /// crate a scanned file is in; `shims/` reproduce third-party APIs and
+    /// stay out of scope, and `fixtures/` directories hold
     /// deliberately-violating lint corpora exercised by their own tests.
     ///
     /// # Errors
@@ -191,14 +205,40 @@ impl Workspace {
                 .join("/");
             files.push(SourceFile::parse(&rel, &text));
         }
-        Ok(Workspace { files })
+        let mut manifests: Vec<(String, Vec<String>)> = Vec::new();
+        for rel in files.iter().map(SourceFile::manifest) {
+            if !manifests.iter().any(|(seen, _)| *seen == rel) {
+                let text = std::fs::read_to_string(root.join(&rel)).unwrap_or_default();
+                manifests.push((rel, dependency_names(&text)));
+            }
+        }
+        Ok(Workspace { files, manifests })
     }
 
     /// Builds a workspace from in-memory `(relative_path, source)` pairs —
-    /// the fixture-corpus entry point.
+    /// the fixture-corpus entry point. A path ending in `Cargo.toml` is a
+    /// manifest rather than a source file.
     #[must_use]
     pub fn from_sources(srcs: &[(&str, &str)]) -> Workspace {
-        Workspace { files: srcs.iter().map(|(rel, text)| SourceFile::parse(rel, text)).collect() }
+        let (manifests, sources): (Vec<_>, Vec<_>) =
+            srcs.iter().partition(|(rel, _)| rel.ends_with("Cargo.toml"));
+        Workspace {
+            files: sources.iter().map(|(rel, text)| SourceFile::parse(rel, text)).collect(),
+            manifests: manifests
+                .iter()
+                .map(|(rel, text)| ((*rel).to_string(), dependency_names(text)))
+                .collect(),
+        }
+    }
+
+    /// True when `file`'s crate lists `package` among its dependencies. A
+    /// crate without a manifest in the workspace depends on nothing.
+    #[must_use]
+    pub fn depends_on(&self, file: &SourceFile, package: &str) -> bool {
+        let manifest = file.manifest();
+        self.manifests
+            .iter()
+            .any(|(rel, deps)| *rel == manifest && deps.iter().any(|d| d == package))
     }
 
     /// Runs `passes` over every file and returns the report, with inline
@@ -259,6 +299,34 @@ impl Sink<'_> {
     }
 }
 
+/// The package names a manifest's dependency tables list: keys of
+/// `[dependencies]`-like tables (not `[workspace.dependencies]`, which
+/// declares versions without depending) and `[dependencies.<name>]` headers.
+fn dependency_names(manifest: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut in_table = false;
+    for line in manifest.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[') {
+            let header = header.trim_end_matches(']').trim();
+            let is_deps = |h: &str| h.ends_with("dependencies") && !h.starts_with("workspace.");
+            in_table = is_deps(header);
+            if let Some((table, name)) = header.rsplit_once('.') {
+                if is_deps(table) {
+                    names.push(name.trim_matches('"').to_string());
+                }
+            }
+            continue;
+        }
+        if in_table && !line.starts_with('#') {
+            if let Some((key, _)) = line.split_once('=') {
+                let name = key.split('.').next().unwrap_or(key);
+                names.push(name.trim().trim_matches('"').to_string());
+            }
+        }
+    }
+    names
+}
+
 fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -306,6 +374,30 @@ mod tests {
              v.iter().sum();\n",
         );
         assert!(sf.waived(4, "determinism"));
+    }
+
+    #[test]
+    fn manifests_name_what_a_crate_depends_on() {
+        let ws = Workspace::from_sources(&[
+            (
+                "Cargo.toml",
+                "[workspace.dependencies]\nkadabra-mpisim = { path = \"crates/mpisim\" }\n\
+                 [dependencies]\nkadabra-core = { workspace = true }\n",
+            ),
+            (
+                "crates/core/Cargo.toml",
+                "[dependencies]\n# a comment = no dependency\nkadabra-mpisim.workspace = true\n",
+            ),
+            ("crates/cluster/Cargo.toml", "[dev-dependencies.kadabra-mpisim]\npath = \"x\"\n"),
+            ("crates/core/src/lib.rs", ""),
+            ("crates/cluster/src/lib.rs", ""),
+            ("crates/graph/src/lib.rs", ""),
+            ("src/lib.rs", ""),
+        ]);
+        let deps = |i: usize| ws.depends_on(&ws.files[i], "kadabra-mpisim");
+        assert_eq!(ws.files.len(), 4, "manifests are not source files");
+        assert_eq!((deps(0), deps(1), deps(2), deps(3)), (true, true, false, false));
+        assert!(ws.depends_on(&ws.files[3], "kadabra-core"));
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //!    tail-expression returns are all fine; `let _ = …;`, a statement-level
 //!    drop, `.ok()`, and `.unwrap_or{,_else,_default}(…)` are flagged with
 //!    the span of the call.
+//!
+//! The inventory is a list of method names, so a call site is matched by
+//! name alone. Only crates whose manifest depends on `kadabra-mpisim` (and
+//! mpisim itself) are checked: no other crate can reach the API, and there
+//! a `join` or `wait` is `std`'s (a thread handle's `join().unwrap_or_else(…)`
+//! is not a swallowed rank failure).
 
 use super::{call_parens, chain_start, is_comm_path, range_has_ident};
 use crate::lex::TokKind;
@@ -112,7 +118,9 @@ impl Pass for CommErrorFlow {
             return;
         }
         for file in &ws.files {
-            if file.is_test_path() {
+            if file.is_test_path()
+                || !(is_comm_path(&file.rel) || ws.depends_on(file, "kadabra-mpisim"))
+            {
                 continue;
             }
             for i in 0..file.toks.len() {

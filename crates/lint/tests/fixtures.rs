@@ -19,11 +19,12 @@ use std::fs;
 use std::path::PathBuf;
 
 use kadabra_lint::report::{validate_report, Report};
-use kadabra_lint::{passes, Pass, Workspace};
+use kadabra_lint::{passes, Pass, SourceFile, Workspace};
 
 /// Pass slug → virtual workspace path for its fixtures, plus whether the
 /// fixture workspace needs the shared communicator-API file (whose `pub fn
-/// … -> Result<_, CommError>` signatures feed the call-site harvests).
+/// … -> Result<_, CommError>` signatures feed the call-site harvests) and a
+/// manifest making the fixture's crate depend on `kadabra-mpisim`.
 const CASES: &[(&str, &str, bool)] = &[
     ("seqcst", "crates/demo/src/lib.rs", false),
     ("direct-atomics", "crates/demo/src/lib.rs", false),
@@ -33,6 +34,9 @@ const CASES: &[(&str, &str, bool)] = &[
     ("hot-loop-hygiene", "crates/core/src/fixture.rs", true),
     ("delta-confinement", "crates/server/src/fixture.rs", false),
 ];
+
+/// A manifest whose crate can call the communicator API.
+const MPISIM_DEPENDENT: &str = "[dependencies]\nkadabra-mpisim = { workspace = true }\n";
 
 fn fixtures_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("fixtures")
@@ -45,10 +49,13 @@ fn run_case(pass: &str, rel: &str, needs_api: bool, which: &str) -> (Report, Str
     let text = fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
     let api_text;
+    let manifest;
     let mut sources: Vec<(&str, &str)> = vec![(rel, text.as_str())];
     if needs_api {
         api_text = fs::read_to_string(fixtures_root().join("comm_api.rs")).unwrap();
         sources.push(("crates/mpisim/src/comm.rs", api_text.as_str()));
+        manifest = SourceFile::parse(rel, "").manifest();
+        sources.push((manifest.as_str(), MPISIM_DEPENDENT));
     }
     let ws = Workspace::from_sources(&sources);
     let all = passes::all();
@@ -347,4 +354,42 @@ fn fixture_reports_satisfy_the_lint_schema() {
         validate_report(&report.to_json())
             .unwrap_or_else(|e| panic!("determinism/{which}.rs report failed schema: {e}"));
     }
+}
+
+#[test]
+fn comm_error_flow_checks_only_crates_that_depend_on_mpisim() {
+    // The real API harvest includes the collective engine's `join`, so in a
+    // crate that can reach mpisim the check, keyed on names, flags `std`'s
+    // `join().unwrap_or_else(…)` too; in a crate that cannot reach it, it
+    // flags nothing at all, bad.rs included.
+    let pass = "comm-error-flow";
+    let read = |name: &str| fs::read_to_string(fixtures_root().join(name)).unwrap();
+    let (api, bad, good) =
+        (read("comm_api.rs"), read("comm-error-flow/bad.rs"), read("comm-error-flow/good.rs"));
+    let engine = "pub struct Engine;\nimpl Engine {\n    \
+                  pub fn join(&self) -> Result<(), CommError> { Ok(()) }\n}\n";
+    let findings = |rel: &str, manifest: &str, text: &str| {
+        let ws = Workspace::from_sources(&[
+            ("crates/mpisim/src/comm.rs", api.as_str()),
+            ("crates/mpisim/src/engine.rs", engine),
+            (SourceFile::parse(rel, "").manifest().as_str(), manifest),
+            (rel, text),
+        ]);
+        let all = passes::all();
+        let refs: Vec<&dyn Pass> = all.iter().map(AsRef::as_ref).collect();
+        let report = ws.run(&refs);
+        report.active().filter(|f| f.pass == pass).map(|f| f.line).collect::<Vec<_>>()
+    };
+    let graph = "crates/graph/src/fixture.rs";
+    let no_mpisim = "[dependencies]\nkadabra-telemetry = { workspace = true }\n";
+    assert_eq!(findings(graph, no_mpisim, &good), Vec::<u32>::new());
+    assert_eq!(findings(graph, no_mpisim, &bad), Vec::<u32>::new());
+    let join_line = line_of(&good, ".join().unwrap_or_else(");
+    assert_eq!(findings("crates/core/src/fixture.rs", MPISIM_DEPENDENT, &good), [join_line]);
+}
+
+/// The 1-based line of the first occurrence of `needle` in `src`.
+fn line_of(src: &str, needle: &str) -> u32 {
+    let i = src.lines().position(|l| l.contains(needle)).unwrap();
+    u32::try_from(i).unwrap() + 1
 }

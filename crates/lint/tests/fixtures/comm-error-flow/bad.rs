@@ -11,11 +11,15 @@ pub fn swallow(comm: &Comm) -> u64 {
     n
 }
 
-/// The elastic entry points carry the same signal and must not swallow it:
-/// a failed `grow` leaves the world half-admitted, a failed `steal_grant`
-/// means the straggler died mid-round — both are recoverable crashes.
+/// The elastic and non-blocking entry points carry the same signal and
+/// must not swallow it: a failed `grow` leaves the world half-admitted, a
+/// failed `wait` means a rank died before the broadcast completed — both
+/// are recoverable crashes.
 pub fn swallow_elastic(comm: &Comm) -> u64 {
     let _ = comm.grow(2); //~ comm-error-flow
     comm.grow(1).ok(); //~ comm-error-flow
-    comm.steal_grant(3).unwrap_or(0) //~ comm-error-flow
+    match comm.ibcast_u64(0, Some(3)) {
+        Ok(flag) => flag.wait().unwrap_or(0), //~ comm-error-flow
+        Err(_) => 0,
+    }
 }

@@ -26,14 +26,20 @@ pub fn routed(comm: &Comm) -> u64 {
     }
 }
 
-/// The elastic entry points propagate like any other collective: a failed
-/// admission aborts the grow window, a failed grant falls back to the
-/// straggler's own quota.
+/// The elastic and non-blocking entry points propagate like any other
+/// collective: a failed admission aborts the grow window, a failed wait is
+/// matched into the recovery decision.
 pub fn propagate_elastic(comm: &Comm) -> Result<u64, CommError> {
     let admitted = comm.grow(2)?;
-    let stolen = match comm.steal_grant(1) {
-        Ok(quota) => quota,
+    let flag = match comm.ibcast_u64(0, None)?.wait() {
+        Ok(flag) => flag,
         Err(CommError::RankFailed) => 0,
     };
-    Ok(admitted as u64 + stolen)
+    Ok(admitted as u64 + flag)
+}
+
+/// A `std` thread handle's `join` is no collective: re-raising a worker's
+/// panic through `unwrap_or_else` swallows no rank failure.
+pub fn std_join() -> u64 {
+    std::thread::scope(|s| s.spawn(|| 1).join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
 }

@@ -27,9 +27,20 @@ impl Comm {
         Ok(extra)
     }
 
-    /// Claims a straggler's shed quota on behalf of `helper` (the work-steal
-    /// entry point; a failed grant means the straggler died mid-round).
-    pub fn steal_grant(&self, helper: usize) -> Result<u64, CommError> {
-        Ok(helper as u64)
+    /// Posts a non-blocking broadcast from `root` (the termination flag's
+    /// path; a failure to post means a rank already died).
+    pub fn ibcast_u64(&self, root: usize, value: Option<u64>) -> Result<Request, CommError> {
+        Ok(Request(value.unwrap_or(root as u64)))
+    }
+}
+
+/// A posted non-blocking collective.
+pub struct Request(u64);
+
+impl Request {
+    /// Blocks until the collective completes (a rank that died before it
+    /// did surfaces here).
+    pub fn wait(self) -> Result<u64, CommError> {
+        Ok(self.0)
     }
 }

@@ -64,27 +64,6 @@ fn acc_take<T: 'static>(acc: &mut Option<Box<dyn Any + Send>>) -> T {
     *boxed.downcast::<T>().expect("collective accumulator type")
 }
 
-/// Reduction operators for scalar reductions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceOp {
-    /// Element-wise / scalar sum.
-    Sum,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-}
-
-impl ReduceOp {
-    fn apply(self, acc: u64, x: u64) -> u64 {
-        match self {
-            ReduceOp::Sum => acc + x,
-            ReduceOp::Min => acc.min(x),
-            ReduceOp::Max => acc.max(x),
-        }
-    }
-}
-
 /// A simulated MPI communicator: a rank number plus a handle on the shared
 /// collective engine. Cloneable only via [`Communicator::split`] /
 /// [`Communicator::shrink`] (each rank must own exactly one handle per
@@ -318,44 +297,6 @@ impl Communicator {
         ))
     }
 
-    /// Blocking scalar reduction to `root`.
-    pub fn reduce_scalar_u64(
-        &self,
-        root: usize,
-        op: ReduceOp,
-        value: u64,
-    ) -> Result<Option<u64>, CommError> {
-        assert!(root < self.size(), "root out of range");
-        self.crash_checkpoint()?;
-        let seq = self.next_seq();
-        self.engine.add_bytes(8);
-        self.engine.join(
-            self.rank,
-            seq,
-            OpKind::Reduce { root },
-            |acc| match acc {
-                None => *acc = Some(Box::new((op, value))),
-                Some(boxed) => {
-                    let (stored_op, v) = acc_mut::<(ReduceOp, u64)>(boxed);
-                    assert_eq!(*stored_op, op, "reduce op mismatch across ranks");
-                    *v = op.apply(*v, value);
-                }
-            },
-            |_acc| {},
-        )?;
-        self.trace_join(seq);
-        let is_root = self.rank == root;
-        let out = self.engine.wait_complete(seq, move |acc| {
-            if is_root {
-                Some(acc_take::<(ReduceOp, u64)>(acc).1)
-            } else {
-                None
-            }
-        })?;
-        self.trace_complete(seq);
-        Ok(out)
-    }
-
     /// Blocking element-wise sum all-reduce of `u64` vectors: every rank
     /// receives the total. Used for the calibration phase, where every rank
     /// derives the per-vertex failure probabilities from the same aggregated
@@ -384,31 +325,6 @@ impl Communicator {
         )?;
         self.trace_join(seq);
         let out = self.engine.wait_complete(seq, |acc| acc_slot_ref::<Vec<u64>>(acc).clone())?;
-        self.trace_complete(seq);
-        Ok(out)
-    }
-
-    /// Blocking all-reduce (scalar): every rank receives the reduction.
-    pub fn allreduce_scalar_u64(&self, op: ReduceOp, value: u64) -> Result<u64, CommError> {
-        self.crash_checkpoint()?;
-        let seq = self.next_seq();
-        self.engine.add_bytes(8);
-        self.engine.join(
-            self.rank,
-            seq,
-            OpKind::Allreduce,
-            |acc| match acc {
-                None => *acc = Some(Box::new((op, value))),
-                Some(boxed) => {
-                    let (stored_op, v) = acc_mut::<(ReduceOp, u64)>(boxed);
-                    assert_eq!(*stored_op, op, "allreduce op mismatch across ranks");
-                    *v = op.apply(*v, value);
-                }
-            },
-            |_acc| {},
-        )?;
-        self.trace_join(seq);
-        let out = self.engine.wait_complete(seq, |acc| acc_slot_ref::<(ReduceOp, u64)>(acc).1)?;
         self.trace_complete(seq);
         Ok(out)
     }
@@ -513,12 +429,6 @@ impl Communicator {
             self.crash.clone(),
             self.tracer_clone(),
         ))
-    }
-
-    /// Broadcast of a boolean (the termination flag `d` of the paper's
-    /// algorithms), encoded over [`Self::ibcast_u64`].
-    pub fn ibcast_bool(&self, root: usize, value: Option<bool>) -> Result<Request<u64>, CommError> {
-        self.ibcast_u64(root, value.map(u64::from))
     }
 
     // ------------------------------------------------------------------

@@ -54,7 +54,7 @@ mod health;
 mod sync;
 mod universe;
 
-pub use comm::{Communicator, ReduceOp};
+pub use comm::Communicator;
 pub use engine::Request;
 pub use error::CommError;
 pub use fault::{CrashPoint, FaultPlan, JoinPoint};

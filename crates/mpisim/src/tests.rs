@@ -1,6 +1,6 @@
 //! Integration tests of the simulated MPI runtime.
 
-use crate::{CommError, Communicator, FaultPlan, ReduceOp, Universe};
+use crate::{CommError, Communicator, FaultPlan, Universe};
 
 #[test]
 fn world_size_and_ranks() {
@@ -72,24 +72,20 @@ fn ireduce_overlaps_with_computation() {
 
 #[test]
 fn scalar_reductions() {
+    // One-slot frames: the root alone receives each sum.
     let out = Universe::run(4, |comm| {
         let v = comm.rank() as u64 + 1;
-        (
-            comm.reduce_scalar_u64(0, ReduceOp::Sum, v).unwrap(),
-            comm.reduce_scalar_u64(0, ReduceOp::Min, v).unwrap(),
-            comm.reduce_scalar_u64(0, ReduceOp::Max, v).unwrap(),
-        )
+        (comm.reduce_sum_u64(0, &[v]).unwrap(), comm.reduce_sum_u64(3, &[v * v]).unwrap())
     });
-    assert_eq!(out[0], (Some(10), Some(1), Some(4)));
-    assert_eq!(out[1], (None, None, None));
+    assert_eq!(out[0], (Some(vec![10]), None));
+    assert_eq!(out[1], (None, None));
+    assert_eq!(out[3], (None, Some(vec![1 + 4 + 9 + 16])));
 }
 
 #[test]
 fn allreduce_gives_everyone_the_result() {
-    let out = Universe::run(3, |comm| {
-        comm.allreduce_scalar_u64(ReduceOp::Max, comm.rank() as u64 * 7).unwrap()
-    });
-    assert_eq!(out, vec![14, 14, 14]);
+    let out = Universe::run(3, |comm| comm.allreduce_sum_u64(&[comm.rank() as u64 * 7]).unwrap());
+    assert_eq!(out, vec![vec![21]; 3]);
 }
 
 #[test]
@@ -102,10 +98,11 @@ fn broadcast_from_nonzero_root() {
 }
 
 #[test]
-fn ibcast_bool_termination_flag() {
+fn ibcast_termination_flag() {
+    // The termination flag `d` of the paper's algorithms, as one word.
     let out = Universe::run(3, |comm| {
-        let v = if comm.rank() == 0 { Some(true) } else { None };
-        let mut req = comm.ibcast_bool(0, v).unwrap();
+        let v = if comm.rank() == 0 { Some(1) } else { None };
+        let mut req = comm.ibcast_u64(0, v).unwrap();
         let mut spins = 0u64;
         while !req.test().unwrap() {
             spins += 1;
@@ -121,8 +118,8 @@ fn multiple_sequential_collectives_keep_order() {
     let out = Universe::run(3, |comm| {
         let mut results = Vec::new();
         for round in 0..10u64 {
-            let r = comm.allreduce_scalar_u64(ReduceOp::Sum, round + comm.rank() as u64).unwrap();
-            results.push(r);
+            let r = comm.allreduce_sum_u64(&[round + comm.rank() as u64]).unwrap();
+            results.push(r[0]);
         }
         results
     });
@@ -140,14 +137,14 @@ fn split_into_node_local_and_leader_comms() {
         let node = (comm.rank() / 2) as u32;
         let local = comm.split(node, comm.rank() as i64).unwrap();
         assert_eq!(local.size(), 2);
-        let local_sum = local.allreduce_scalar_u64(ReduceOp::Sum, comm.rank() as u64).unwrap();
+        let local_sum = local.allreduce_sum_u64(&[comm.rank() as u64]).unwrap()[0];
 
         // Leader communicator: the first rank of each node gets color 0,
         // everyone else color 1 (they never use theirs).
         let is_leader = local.rank() == 0;
         let leaders = comm.split(u32::from(!is_leader), comm.rank() as i64).unwrap();
         let leader_sum = if is_leader {
-            Some(leaders.allreduce_scalar_u64(ReduceOp::Sum, local_sum).unwrap())
+            Some(leaders.allreduce_sum_u64(&[local_sum]).unwrap()[0])
         } else {
             None
         };
@@ -282,7 +279,7 @@ fn collective_kind_mismatch_poisons_with_a_typed_error() {
         if comm.rank() == 0 {
             comm.barrier().err()
         } else {
-            comm.reduce_scalar_u64(0, ReduceOp::Sum, 1).err()
+            comm.reduce_sum_u64(0, &[1]).err()
         }
     });
     for (rank, err) in out.iter().enumerate() {
@@ -369,7 +366,7 @@ fn collectives_stay_correct_under_a_fault_plan() {
     // *what* a collective computes.
     let plan = FaultPlan::ideal(1).with_collective_delay(1, 12).with_straggler(1, 5);
     let out = Universe::run_with_plan(4, plan, |comm| {
-        let sum = comm.allreduce_scalar_u64(ReduceOp::Sum, comm.rank() as u64).unwrap();
+        let sum = comm.allreduce_sum_u64(&[comm.rank() as u64]).unwrap()[0];
         let r = comm.reduce_sum_u64(0, &[1, comm.rank() as u64]).unwrap();
         let b = comm.bcast_u64(2, (comm.rank() == 2).then_some(77)).unwrap();
         (sum, r, b)
@@ -469,8 +466,8 @@ fn scheduled_crash_is_typed_and_bit_reproducible() {
         Universe::run_with_plan(3, plan.clone(), |comm| {
             let mut results = Vec::new();
             for round in 0..4u64 {
-                match comm.allreduce_scalar_u64(ReduceOp::Sum, round + comm.rank() as u64) {
-                    Ok(v) => results.push(Ok(v)),
+                match comm.allreduce_sum_u64(&[round + comm.rank() as u64]) {
+                    Ok(v) => results.push(Ok(v[0])),
                     Err(e) => {
                         results.push(Err(e));
                         break;
@@ -505,8 +502,8 @@ fn shrink_excludes_the_dead_and_survivors_continue() {
     let out = Universe::run_with_plan(4, plan, |comm| {
         let mut sums = Vec::new();
         loop {
-            match comm.allreduce_scalar_u64(ReduceOp::Sum, comm.world_rank() as u64) {
-                Ok(v) => sums.push(v),
+            match comm.allreduce_sum_u64(&[comm.world_rank() as u64]) {
+                Ok(v) => sums.push(v[0]),
                 Err(CommError::RankFailed { rank }) if rank == comm.world_rank() => {
                     return (sums, None); // this rank is the casualty
                 }
@@ -519,7 +516,7 @@ fn shrink_excludes_the_dead_and_survivors_continue() {
         assert_eq!(small.members(), &[0, 1, 3]);
         assert_eq!(small.world_rank(), comm.world_rank());
         // Survivor sum over world ranks: 0 + 1 + 3.
-        let v = small.allreduce_scalar_u64(ReduceOp::Sum, small.world_rank() as u64).unwrap();
+        let v = small.allreduce_sum_u64(&[small.world_rank() as u64]).unwrap()[0];
         let b = small.bcast_u64(0, (small.rank() == 0).then_some(99)).unwrap();
         (sums, Some((small.rank(), v, b)))
     });

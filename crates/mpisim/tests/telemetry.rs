@@ -16,8 +16,8 @@ fn collectives_are_traced() {
         let mut req = comm.ibarrier().unwrap();
         while !req.test().unwrap() {}
         // ...and one blocking allreduce.
-        let total = comm.allreduce_scalar_u64(kadabra_mpisim::ReduceOp::Sum, 1).unwrap();
-        assert_eq!(total, 2);
+        let total = comm.allreduce_sum_u64(&[1]).unwrap();
+        assert_eq!(total, [2]);
     });
     let s = tel.summary();
     assert_eq!(s.producers, 2);

@@ -13,8 +13,10 @@
 //!
 //! - **[`cache`]** — double-buffered seqlock frontier plus write-once frozen
 //!   ε stages; the read path takes no locks and performs no allocation.
-//! - **[`tenant`]** — one graph's setup phases (relabel, diameter,
-//!   calibration), its pool (deterministic fixed-length rounds, crash-fault
+//! - **[`prepared`]** — the per-graph setup (relabel, diameter) as one
+//!   [`PreparedGraph`], shared by every tenant a server builds on that
+//!   graph.
+//! - **[`tenant`]** — one tenant's calibration, its pool (deterministic fixed-length rounds, crash-fault
 //!   tolerance by shrink-and-continue, ledger checkpoint — all
 //!   `kadabra_core::pool`'s), query read paths, and refinement entry.
 //! - **[`admission`]** — per-tenant bounded in-flight/queue gate with
@@ -30,12 +32,14 @@
 
 pub mod admission;
 pub mod cache;
+pub mod prepared;
 mod server;
 mod sync;
 pub mod tenant;
 pub mod testkit;
 pub mod wire;
 
+pub use prepared::PreparedGraph;
 pub use server::{Client, QueryError, Server, ServerConfig, SERVICE_RANK};
 pub use tenant::{
     EstimateMeta, QueryScratch, RefineOutcome, ResizeOutcome, Tenant, TenantConfig, UpdateOutcome,

@@ -2,12 +2,18 @@
 //! per-thread [`Client`] handles that answer queries through the admission
 //! gate with every request recorded as a telemetry span.
 //!
+//! Tenants added on one input graph share its
+//! [`PreparedGraph`](crate::PreparedGraph): the server keeps a registry of
+//! prepared graphs by the input's identity, so relabel and diameter run
+//! once per graph, not once per tenant.
+//!
 //! Queries (`vertex`, `estimate`, `topk`) only read the estimate cache —
 //! they never block on the engine. `refine` locks the tenant's engine and
 //! advances it in deterministic rounds. An optional background worker per
 //! tenant keeps refining toward the schedule floor until it is reached, so
 //! an idle server converges to its tightest ε on its own.
 
+use crate::prepared::PreparedRegistry;
 use crate::sync::{AtomicBool, AtomicU32, Ordering};
 use crate::tenant::{
     EstimateMeta, QueryScratch, RefineOutcome, Tenant, TenantConfig, UpdateOutcome, VertexEstimate,
@@ -107,6 +113,7 @@ impl Default for ServerConfig {
 pub(crate) struct Inner {
     pub(crate) tel: Arc<Telemetry>,
     pub(crate) tenants: Mutex<Vec<Arc<Tenant>>>,
+    prepared: PreparedRegistry,
     next_client: AtomicU32,
     background: bool,
     stop: Arc<AtomicBool>,
@@ -140,6 +147,7 @@ impl Server {
             inner: Arc::new(Inner {
                 tel: Arc::new(tel),
                 tenants: Mutex::new(Vec::new()),
+                prepared: PreparedRegistry::default(),
                 next_client: AtomicU32::new(0),
                 background: cfg.background_refine,
                 stop: Arc::new(AtomicBool::new(false)),
@@ -149,11 +157,16 @@ impl Server {
     }
 
     /// Loads `g` as tenant `name` (setup phases + warmup run synchronously;
-    /// the call returns with the tenant queryable). Panics if the name is
-    /// already taken.
+    /// the call returns with the tenant queryable). A tenant on a graph —
+    /// the same `Graph` or a clone of it — that another resident tenant was
+    /// added on shares that tenant's [`PreparedGraph`](crate::PreparedGraph);
+    /// calibration, pool, cache and overlay are always the new tenant's
+    /// own. Panics if the name is already taken.
     pub fn add_tenant(&self, name: &str, g: &Graph, cfg: &TenantConfig) {
         assert!(self.inner.find(name).is_err(), "tenant {name:?} is already resident");
-        let tenant = Arc::new(Tenant::build(name, g, cfg, &self.inner.tel));
+        cfg.validate();
+        let prepared = self.inner.prepared.prepare(g);
+        let tenant = Arc::new(Tenant::on_prepared(name, prepared, cfg, &self.inner.tel));
         self.inner.tenants.lock().push(Arc::clone(&tenant));
         if self.inner.background {
             let tel = Arc::clone(&self.inner.tel);

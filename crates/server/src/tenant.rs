@@ -2,26 +2,31 @@
 //! cache, δ calibration, and admission gate.
 //!
 //! Building a tenant runs the same setup phases as the flat driver —
-//! degree-relabel (PR 5), iFUB diameter, calibration with per-rank sampler
+//! degree-relabel, iFUB diameter, calibration with per-rank sampler
 //! streams — so a tenant's estimates are comparable sample-for-sample with a
-//! `kadabra_mpi_flat` run at the same seed and rank count. Queries read the
-//! [`EstimateCache`] without touching the pool; refinement locks the pool
-//! and advances it in deterministic fixed-length rounds.
+//! `kadabra_mpi_flat` run at the same seed and rank count. The first two
+//! are the graph's alone and come in a [`PreparedGraph`], which a server
+//! shares among the tenants on one graph; calibration and everything after
+//! it are the tenant's own. Queries read the [`EstimateCache`] without
+//! touching the pool; refinement locks the pool and advances it in
+//! deterministic fixed-length rounds.
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::cache::{EstimateCache, FrontierSnapshot, StageSnapshot};
+use crate::prepared::PreparedGraph;
 use crate::sync::{AtomicU64, Ordering};
 use crate::QueryError;
 use kadabra_core::bounds::{f_bound, g_bound};
 use kadabra_core::calibration::Calibration;
-use kadabra_core::phases::{prepare_for_pool, Prepared};
+use kadabra_core::phases::{calibrate_for_pool, Prepared};
 use kadabra_core::pool::{EngineCheckpoint, PoolStatus, RoundReport, SamplerPool};
 use kadabra_core::KadabraConfig;
 use kadabra_dynamic::{DynamicEngine, UpdateBatch};
-use kadabra_graph::{Graph, NodeId, Permutation};
+use kadabra_graph::{Graph, NodeId};
 use kadabra_mpisim::FaultPlan;
 use kadabra_telemetry::{CounterId, EventWriter, SpanId, Telemetry};
 use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// How a tenant is provisioned.
 #[derive(Debug, Clone)]
@@ -202,16 +207,17 @@ pub struct RefineOutcome {
 /// population is maintained across streaming edge updates.
 enum TenantEngine {
     Static {
-        /// Degree-relabeled working graph (cache-aware layout).
-        g: Graph,
+        /// The prepared graph's degree-relabeled CSR.
+        g: Arc<Graph>,
         pool: Box<SamplerPool<()>>,
         /// Round `r` runs under `plan.reseeded(r)`: the crash schedule is
         /// armed in round 0 only.
         plan: FaultPlan,
         epochs: u32,
     },
-    /// Holds the degree-relabeled base snapshot; the live graph evolves
-    /// inside the engine's delta log.
+    /// Starts from the prepared graph's CSR as its base; the live graph
+    /// evolves inside the engine's delta log, whose first compaction gives
+    /// the tenant a private base.
     Dynamic(Box<DynamicEngine>),
 }
 
@@ -229,9 +235,18 @@ impl TenantEngine {
     fn round(&mut self, calibration: &Calibration, tel: &Telemetry) -> RoundReport {
         match self {
             TenantEngine::Static { g, pool, plan, epochs } => {
+                let g: &Graph = g;
                 pool.round(g, plan.reseeded(pool.status().round), *epochs, calibration, tel)
             }
             TenantEngine::Dynamic(e) => e.refine(calibration, tel),
+        }
+    }
+
+    /// The base CSR the engine samples.
+    fn base(&self) -> &Arc<Graph> {
+        match self {
+            TenantEngine::Static { g, .. } => g,
+            TenantEngine::Dynamic(e) => e.view().shared_base(),
         }
     }
 }
@@ -241,8 +256,9 @@ pub struct Tenant {
     name: String,
     /// Vertex count of the resident graph, which the engine holds.
     n: usize,
-    perm: Permutation,
-    vd: u32,
+    /// Relabeled CSR, permutation and diameter bound, possibly shared with
+    /// other tenants on the same graph.
+    prepared: Arc<PreparedGraph>,
     /// Provisioned pool size — what an elastic refine sheds back to.
     base_ranks: usize,
     /// Sample cap in force; mirrors the dynamic engine's ratcheting ω so
@@ -257,13 +273,24 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    /// Provisions a tenant: relabel, diameter, calibration (mirroring the
-    /// flat driver's per-rank streams at `pool_ranks`), engine, and
-    /// `warmup_rounds` synchronous rounds so the cache starts warm.
+    /// Provisions a tenant on its own: prepares `g` (relabel, diameter) and
+    /// goes on as [`Tenant::on_prepared`].
     pub fn build(name: &str, g: &Graph, cfg: &TenantConfig, tel: &Telemetry) -> Tenant {
         cfg.validate();
-        assert!(g.num_nodes() >= 2, "KADABRA requires at least two vertices");
-        let (rg, perm) = g.relabel_by_degree();
+        Tenant::on_prepared(name, Arc::new(PreparedGraph::new(g)), cfg, tel)
+    }
+
+    /// Provisions a tenant on a prepared graph: calibration (mirroring the
+    /// flat driver's per-rank streams at `pool_ranks`), engine, and
+    /// `warmup_rounds` synchronous rounds so the cache starts warm.
+    pub fn on_prepared(
+        name: &str,
+        prepared: Arc<PreparedGraph>,
+        cfg: &TenantConfig,
+        tel: &Telemetry,
+    ) -> Tenant {
+        cfg.validate();
+        let rg = prepared.graph();
         let n = rg.num_nodes();
         #[expect(clippy::unwrap_used, reason = "validate() rejects empty schedules")]
         let floor = *cfg.schedule.last().unwrap();
@@ -274,21 +301,21 @@ impl Tenant {
             n0_base: cfg.n0_base,
             ..Default::default()
         };
-        // Diameter and calibration, sequentially replaying each pool rank's
-        // stream so the δ budgets match what `kadabra_mpi_flat` at the same
-        // (seed, ranks) would derive.
-        let Prepared { vertex_diameter: vd, omega, calibration, .. } =
-            prepare_for_pool(&rg, &kcfg, cfg.pool_ranks, 1);
+        // Calibration, sequentially replaying each pool rank's stream so the
+        // δ budgets match what `kadabra_mpi_flat` at the same (seed, ranks)
+        // would derive.
+        let Prepared { omega, calibration, .. } =
+            calibrate_for_pool(rg.as_ref(), &kcfg, prepared.vertex_diameter(), cfg.pool_ranks, 1);
 
         let engine = if cfg.dynamic {
             // One sampling stream per rank: the dynamic pool's adaptive
             // streams then coincide with a static pool's, so a dynamic
             // tenant that never receives an update samples identically.
             TenantEngine::Dynamic(Box::new(DynamicEngine::new(
-                rg,
+                Arc::clone(rg),
                 kcfg,
                 omega,
-                vd,
+                prepared.vertex_diameter(),
                 cfg.pool_ranks,
                 1,
                 cfg.max_epochs_per_round,
@@ -296,7 +323,7 @@ impl Tenant {
             )))
         } else {
             TenantEngine::Static {
-                g: rg,
+                g: Arc::clone(rg),
                 pool: Box::new(SamplerPool::new(n, kcfg, omega, cfg.pool_ranks, 1, || ())),
                 plan: cfg.plan.clone(),
                 epochs: cfg.max_epochs_per_round,
@@ -305,8 +332,7 @@ impl Tenant {
         let tenant = Tenant {
             name: name.to_string(),
             n,
-            perm,
-            vd,
+            prepared,
             base_ranks: cfg.pool_ranks,
             omega: AtomicU64::new(omega),
             floor,
@@ -324,6 +350,17 @@ impl Tenant {
             tenant.refine(0.0, cfg.warmup_rounds, tel, &w);
         }
         tenant
+    }
+
+    /// The prepared graph the tenant was built on.
+    pub fn prepared(&self) -> &Arc<PreparedGraph> {
+        &self.prepared
+    }
+
+    /// The base CSR the tenant's engine samples: the prepared graph's until
+    /// a dynamic tenant's first compaction, a private one after it.
+    pub fn base_graph(&self) -> Arc<Graph> {
+        Arc::clone(self.engine.lock().base())
     }
 
     /// The tenant's name.
@@ -359,7 +396,7 @@ impl Tenant {
 
     /// Vertex-diameter upper bound used to derive ω.
     pub fn vertex_diameter(&self) -> u32 {
-        self.vd
+        self.prepared.vertex_diameter()
     }
 
     /// Failure probability δ of the tenant's guarantees.
@@ -541,7 +578,8 @@ impl Tenant {
                     if (u as usize) >= n || (v as usize) >= n {
                         return Err(QueryError::BadVertex);
                     }
-                    Ok((self.perm.to_new(u), self.perm.to_new(v)))
+                    let perm = self.prepared.perm();
+                    Ok((perm.to_new(u), perm.to_new(v)))
                 })
                 .collect()
         };
@@ -588,7 +626,7 @@ impl Tenant {
         if (v as usize) >= self.n {
             return Err(QueryError::BadVertex);
         }
-        let j = self.perm.to_new(v);
+        let j = self.prepared.perm().to_new(v);
         let read =
             self.cache.read_vertex(j as usize).ok_or(QueryError::NotReady { achieved: 1.0 })?;
         let b = read.count as f64 / read.tau.max(1) as f64;
@@ -626,8 +664,9 @@ impl Tenant {
             out.resize(n, 0.0);
         }
         let tau = scratch.stage.tau.max(1) as f64;
+        let perm = self.prepared.perm();
         for (j, &c) in scratch.stage.counts.iter().enumerate() {
-            out[self.perm.to_old(j as NodeId) as usize] = c as f64 / tau;
+            out[perm.to_old(j as NodeId) as usize] = c as f64 / tau;
         }
         Ok(EstimateMeta {
             eps: self.cache.stage_eps(stage),
@@ -650,7 +689,7 @@ impl Tenant {
         }
         let n = self.n;
         let counts = &scratch.frontier.counts;
-        let perm = &self.perm;
+        let perm = self.prepared.perm();
         for (i, slot) in scratch.idx.iter_mut().enumerate() {
             *slot = i as u32;
         }
