@@ -25,9 +25,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-// xtask: allow(direct-atomics) — a #[global_allocator] must be a const-
-// constructible static usable before main; loom atomics cannot back one, so
-// this crate opts out of the sync.rs indirection (see module docs).
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A [`System`]-delegating allocator that counts every heap operation.

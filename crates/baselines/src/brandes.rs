@@ -30,8 +30,6 @@ pub fn brandes_parallel(g: &Graph, num_threads: usize) -> Vec<f64> {
     if n == 0 {
         return Vec::new();
     }
-    // xtask: allow(direct-atomics) — plain work-stealing counter in a baseline
-    // crate; carries no protocol state worth model-checking under loom.
     let next_source = std::sync::atomic::AtomicU32::new(0);
     let mut partials: Vec<Vec<f64>> = Vec::new();
     let scope_result = crossbeam::scope(|scope| {
@@ -42,7 +40,6 @@ pub fn brandes_parallel(g: &Graph, num_threads: usize) -> Vec<f64> {
                     let mut bc = vec![0.0f64; n];
                     let mut delta = vec![0.0f64; n];
                     loop {
-                        // xtask: allow(direct-atomics) — see counter above.
                         let s = next_source.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         if s as usize >= n {
                             break;

@@ -32,7 +32,12 @@
 //! (`Graph::relabel_by_degree`) and map the scores back through the
 //! `Permutation`, as a resident server tenant does (DESIGN.md §11.1).
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::disallowed_methods,
+    clippy::disallowed_types
+)]
 
 pub mod bounds;
 pub mod calibration;
@@ -51,7 +56,6 @@ pub mod revalidate;
 pub mod sampler;
 pub mod sequential;
 pub mod shared;
-mod sync;
 pub mod topk;
 
 pub use bounds::{achieved_epsilon, f_bound, g_bound, omega, StopRule};

@@ -14,10 +14,10 @@ use crate::config::KadabraConfig;
 use crate::phases::{prepare, scores_from_counts, Prepared};
 use crate::result::{BetweennessResult, PhaseTimings, SamplingStats};
 use crate::sampler::{ThreadSampler, ADS_STREAM_OFFSET};
-use crate::sync::{AtomicBool, Ordering};
 use kadabra_graph::Graph;
 use kadabra_telemetry::Stopwatch;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 /// Runs the naive fork-join parallelization with `threads` sampling threads.

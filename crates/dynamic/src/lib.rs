@@ -20,7 +20,7 @@
 //!   pure function of `(graph, update sequence, config, seed)` and stays
 //!   within the (ε, δ) guarantee on the mutated graph.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 
 pub mod engine;
 pub mod invalidate;

@@ -3,8 +3,8 @@
 //! fresh CSR through recycled [`CsrArena`] buffers.
 //!
 //! Every mutation of a tenant graph flows through [`DeltaLog::append`] —
-//! the single write path the `delta-confinement` lint pass enforces
-//! workspace-wide. `append` validates the batch against the *current* view
+//! the single write path, since the overlay's mutators are private to this
+//! crate. `append` validates the batch against the *current* view
 //! (every delete present, every insert absent, no duplicate within the
 //! batch), applies it to the overlay, and assigns it the next batch
 //! sequence number. The maintained estimate is a pure function of

@@ -29,8 +29,8 @@ const UNTOUCHED: u32 = u32::MAX;
 ///
 /// Mutation is crate-private on purpose: the only sanctioned write path is
 /// the [`crate::log::DeltaLog`], which validates and sequences batches
-/// before they reach the overlay (the `delta-confinement` lint pass guards
-/// the same boundary at the workspace level).
+/// before they reach the overlay, and the compiler rejects a call to a
+/// mutator from any other crate.
 pub struct DynamicGraph {
     base: Arc<Graph>,
     /// Per-vertex steering: index into `rows`, or [`UNTOUCHED`].

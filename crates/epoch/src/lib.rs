@@ -37,7 +37,7 @@
 //! into `e+2` after the aggregation of `e` completed — the paper's
 //! "no thread accesses state frames of epoch e−2" guarantee.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 
 use crossbeam::utils::CachePadded;
 pub mod probe;

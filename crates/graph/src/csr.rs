@@ -11,8 +11,6 @@ use crate::{GraphError, Result};
 use std::cmp::Reverse;
 use std::ops::Range;
 use std::panic::resume_unwind;
-// xtask: allow(direct-atomics) — a process-wide id counter, not a protocol
-// between threads: the RMW alone makes each id unique.
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Vertex identifier. 32 bits suffice for every graph in SNAP/KONECT and keep

@@ -5,7 +5,7 @@
 use crate::csr::{Graph, GraphBuilder, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// G(n, m) parameters.
 #[derive(Debug, Clone, Copy)]
@@ -25,7 +25,7 @@ pub fn gnm(cfg: GnmConfig) -> Graph {
     let max_m = cfg.n.saturating_mul(cfg.n.saturating_sub(1)) / 2;
     let m = cfg.m.min(max_m);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut chosen: HashSet<u64> = HashSet::with_capacity(m * 2);
+    let mut chosen: BTreeSet<u64> = BTreeSet::new();
     let mut builder = GraphBuilder::with_capacity(cfg.n, m);
     if cfg.n >= 2 {
         // Dense fallback: if m is more than half of all pairs, enumerate and

@@ -37,7 +37,12 @@
 //!   [`digraph`] and [`weighted`] graphs run Algorithms 1 and 2 unchanged
 //!   (the paper's footnote 1).
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::disallowed_methods,
+    clippy::disallowed_types
+)]
 
 pub mod bfs;
 pub mod bibfs;

@@ -3,8 +3,7 @@
 //! The parser recognizes exactly the structure the semantic passes need:
 //! functions (name, visibility, return-type tokens, body range), modules
 //! (with `#[cfg(test)]` awareness), `impl`/`trait` blocks (recursed for
-//! their methods), struct fields (name + type tokens, for the atomic and
-//! hash-container inventories), and `type` aliases. Everything else is
+//! their methods) and structs (for their test ranges). Everything else is
 //! skipped with balanced-delimiter jumps, so an unrecognized construct can
 //! never desynchronize the parse — passes degrade gracefully instead of
 //! erroring.
@@ -32,33 +31,11 @@ pub struct FnInfo {
     pub is_test: bool,
 }
 
-/// A parsed struct field (`name: Type`).
-#[derive(Debug, Clone)]
-pub struct FieldInfo {
-    /// Field name.
-    pub name: String,
-    /// Token range (exclusive end) of the field's type.
-    pub ty: (usize, usize),
-}
-
-/// A `type Name = …;` alias.
-#[derive(Debug, Clone)]
-pub struct AliasInfo {
-    /// Alias name.
-    pub name: String,
-    /// Token range (exclusive end) of the aliased type.
-    pub ty: (usize, usize),
-}
-
 /// Item-level parse of one file.
 #[derive(Debug, Default)]
 pub struct Ast {
     /// All functions, including methods in `impl`/`trait` blocks.
     pub fns: Vec<FnInfo>,
-    /// All named struct fields.
-    pub fields: Vec<FieldInfo>,
-    /// All type aliases.
-    pub aliases: Vec<AliasInfo>,
     /// Token ranges (exclusive end) covered by test-only items.
     pub test_ranges: Vec<(usize, usize)>,
 }
@@ -200,9 +177,7 @@ impl Parser<'_> {
                     item_start,
                 );
             } else if t.is_ident("struct") {
-                i = self.parse_struct(i, hi, in_test || is_test_item, is_test_item, item_start);
-            } else if t.is_ident("type") {
-                i = self.parse_alias(i, hi);
+                i = self.parse_struct(i, hi, is_test_item, item_start);
             } else {
                 // use / static / const / enum / macro_rules! / stray tokens:
                 // advance one balanced token.
@@ -314,84 +289,16 @@ impl Parser<'_> {
         hi
     }
 
-    /// `struct Name<…> { field: Type, … }` (tuple/unit structs are skipped).
-    fn parse_struct(
-        &mut self,
-        kw: usize,
-        hi: usize,
-        _in_test: bool,
-        mark_test: bool,
-        item_start: usize,
-    ) -> usize {
-        let mut i = kw + 1;
-        while i < hi {
-            let t = &self.toks[i];
-            if t.is_punct(";") {
-                return i + 1;
-            }
-            if t.kind == TokKind::Open(Delim::Brace) {
-                let close = self.pair[i];
-                if close == usize::MAX {
-                    return i + 1;
-                }
-                if mark_test {
-                    self.out.test_ranges.push((item_start, close + 1));
-                }
-                self.parse_fields(i + 1, close);
-                return close + 1;
-            }
-            i = self.skip(i);
+    /// `struct Name<…> { … }`, `struct Name(…);` or `struct Name;`: skipped
+    /// whole, its range marked when the struct is test-only.
+    fn parse_struct(&mut self, kw: usize, hi: usize, mark_test: bool, item_start: usize) -> usize {
+        let at =
+            self.seek(kw + 1, hi, |t| t.is_punct(";") || t.kind == TokKind::Open(Delim::Brace));
+        let end = if at < hi { self.skip(at) } else { hi };
+        if mark_test {
+            self.out.test_ranges.push((item_start, end));
         }
-        hi
-    }
-
-    /// Named fields inside a struct body: `[pub] name: Type,`.
-    fn parse_fields(&mut self, mut i: usize, hi: usize) {
-        while i < hi {
-            // Skip attributes and visibility.
-            while i < hi && self.toks[i].is_punct("#") {
-                let j = i + 1;
-                if j < hi && self.toks[j].kind == TokKind::Open(Delim::Bracket) {
-                    i = self.skip(j);
-                } else {
-                    i += 1;
-                }
-            }
-            if i < hi && self.toks[i].is_ident("pub") {
-                i += 1;
-                if i < hi && self.toks[i].kind == TokKind::Open(Delim::Paren) {
-                    i = self.skip(i);
-                }
-            }
-            if i + 1 < hi && self.toks[i].kind == TokKind::Ident && self.toks[i + 1].is_punct(":") {
-                let name = self.toks[i].text.clone();
-                let ty_lo = i + 2;
-                // Type runs to the field-separating comma at this level.
-                let ty_hi = self.seek(ty_lo, hi, |t| t.is_punct(","));
-                self.out.fields.push(FieldInfo { name, ty: (ty_lo, ty_hi) });
-                i = (ty_hi + 1).min(hi);
-            } else {
-                i = self.skip(i);
-            }
-        }
-    }
-
-    /// `type Name<…> = Type;`
-    fn parse_alias(&mut self, kw: usize, hi: usize) -> usize {
-        let name = self
-            .toks
-            .get(kw + 1)
-            .filter(|t| t.kind == TokKind::Ident)
-            .map_or_else(String::new, |t| t.text.clone());
-        let eq = self.seek(kw + 1, hi, |t| t.is_punct("=") || t.is_punct(";"));
-        if eq >= hi || self.toks[eq].is_punct(";") {
-            return (eq + 1).min(hi);
-        }
-        let semi = self.seek(eq + 1, hi, |t| t.is_punct(";"));
-        if !name.is_empty() {
-            self.out.aliases.push(AliasInfo { name, ty: (eq + 1, semi) });
-        }
-        (semi + 1).min(hi)
+        end
     }
 }
 
@@ -449,22 +356,6 @@ mod tests {
         let b = toks.iter().position(|t| t.is_ident("b")).expect("b");
         assert!(ast.in_test(a));
         assert!(!ast.in_test(b), "cfg(not(test)) must not be a test range");
-    }
-
-    #[test]
-    fn struct_fields_and_aliases() {
-        let (toks, ast) = parse_src(
-            "type QueueMap = HashMap<(usize, u64), Stream>;\n\
-             struct S { pub slots: Mutex<HashMap<u64, Op>>, n: usize }\n",
-        );
-        assert_eq!(ast.aliases.len(), 1);
-        assert_eq!(ast.aliases[0].name, "QueueMap");
-        let (lo, hi) = ast.aliases[0].ty;
-        assert!((lo..hi).any(|i| toks[i].is_ident("HashMap")));
-        assert_eq!(ast.fields.len(), 2);
-        assert_eq!(ast.fields[0].name, "slots");
-        let (flo, fhi) = ast.fields[0].ty;
-        assert!((flo..fhi).any(|i| toks[i].is_ident("HashMap")));
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! The workspace carries load-bearing invariants the compiler cannot see:
 //! every `Result<_, CommError>` must reach the recovery loop (DESIGN.md
 //! §10), the epoch protocol's `Release` stores must pair with `Acquire`
-//! loads (§7), runs must be bit-reproducible from `(plan, seed)` (§8), and
-//! `sample_batch` must stay allocation- and collective-free (§11). This
+//! loads (§7), vertex counts must not be truncated on their way to a
+//! `NodeId` (§8), and `sample_batch` must stay allocation- and
+//! collective-free (§11). This
 //! crate parses the whole workspace into token streams + item ASTs
 //! ([`lex`], [`ast`]) and runs structured passes ([`passes`]) over them,
 //! with span-accurate diagnostics, inline waivers, and a machine-readable
-//! `kadabra-lint/v2` JSON report ([`report`]). The token rules stock clippy
+//! `kadabra-lint/v2` JSON report ([`report`]). The rules stock clippy
 //! expresses (no unwrap in library code, no wall-clock reads in `core`,
-//! `graph`, `mpisim` and `cluster`, no panics in `mpisim`) are clippy's,
-//! configured at the crate roots and in `clippy.toml`.
+//! `graph`, `mpisim` and `cluster`, no panics in `mpisim`, no hash tables
+//! in the reproducible crates) are clippy's, configured at the crate roots
+//! and in `clippy.toml`.
 //!
 //! Entry points: [`Workspace::load`] (scan a checkout), or
 //! [`Workspace::from_sources`] (virtual files, used by the fixture corpus),

@@ -1,272 +1,51 @@
-//! **determinism**: bit-reproducibility from `(plan, seed)`.
+//! **determinism**: no truncating length casts in the reproducible crates.
 //!
 //! DESIGN.md §8: every run must be reproducible from the plan and the seed.
-//! `HashMap`/`HashSet` iteration order is randomized per process
-//! (`RandomState`), so any code path whose *output* depends on iteration
-//! order — looping over a map, collecting its keys, folding floats drawn
-//! from it — silently breaks reproducibility while passing every
-//! single-process test. This pass runs a small taint analysis over the
-//! reproducible crates (`core`, `epoch`, `mpisim`, `graph`):
+//! Vertex counts flow into `NodeId` arithmetic, so a `.len() as u32` /
+//! `as NodeId` cast in `core`, `epoch`, `mpisim`, `graph` or `dynamic`
+//! truncates silently at 2^32 and corrupts sampling rather than erroring.
+//! Clippy's `cast_possible_truncation` is the nearest lint, but it fires on
+//! every narrowing cast, not on the lengths alone.
 //!
-//! 1. *Taint sources*: `let` bindings whose statement mentions a hash-table
-//!    type, struct fields with hash-table types, and type aliases resolving
-//!    to them (aliases propagate: a field of type `SplitGroups` where
-//!    `type SplitGroups = HashMap<…>` is tainted too).
-//! 2. *Sinks*: iterating a tainted name (`for … in map`, `.iter()`,
-//!    `.keys()`, `.values()`, `.drain(…)`, `.retain(…)`, …). Membership
-//!    (`.contains`, `.insert`, `.get`) is order-free and never flagged.
-//! 3. *Float accumulation*: when the flagged iteration chain continues into
-//!    `.sum::<f32|f64>()` or `.fold(0.0, …)`, the message names the
-//!    order-sensitive float reduction — the worst variant, because the
-//!    result differs in the low bits instead of failing loudly.
-//!
-//! It also bans truncating `.len() as u32` / `as NodeId` casts in the same
-//! crates: vertex counts flow into `NodeId` arithmetic, and a silent
-//! truncation at 2^32 corrupts sampling rather than erroring.
+//! The rule's other half, no hash-ordered containers in those crates, is
+//! clippy's `disallowed_types`, denied at their roots (DESIGN.md §12.4).
 
-use super::{call_parens, is_reproducible_crate, method_call, range_has_ident};
-use crate::lex::{Delim, TokKind};
-use crate::{Pass, Sink, SourceFile, Workspace};
+use super::{is_reproducible_crate, method_call};
+use crate::{Pass, Sink, Workspace};
 
 /// See module docs.
 pub struct Determinism;
-
-/// Iteration methods whose order is the hash-table's internal order.
-const ITER_METHODS: [&str; 9] = [
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-    "extend_from_hash", // defensive: never matches std, documents intent
-];
-
-/// Collects workspace-wide hash-typed type names: the std tables plus every
-/// alias in scope that resolves to one (transitively, two rounds).
-fn hash_type_names(ws: &Workspace) -> Vec<String> {
-    let mut names = vec!["HashMap".to_string(), "HashSet".to_string()];
-    for _ in 0..2 {
-        for file in &ws.files {
-            if !is_reproducible_crate(&file.rel) {
-                continue;
-            }
-            for a in &file.ast.aliases {
-                let mentions = names.iter().any(|n| range_has_ident(file, a.ty.0, a.ty.1, n));
-                if mentions && !names.contains(&a.name) {
-                    names.push(a.name.clone());
-                }
-            }
-        }
-    }
-    names
-}
-
-/// Per-file tainted identifiers: `let` bindings whose statement mentions a
-/// hash type, plus struct fields of hash type anywhere in the same crate.
-fn tainted_names(ws: &Workspace, file: &SourceFile, hash_types: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    // Struct fields, crate-wide (methods in other files access `self.field`).
-    for other in &ws.files {
-        if other.crate_name() != file.crate_name() || !is_reproducible_crate(&other.rel) {
-            continue;
-        }
-        for f in &other.ast.fields {
-            let mentions = hash_types.iter().any(|h| range_has_ident(other, f.ty.0, f.ty.1, h));
-            if mentions && !out.contains(&f.name) {
-                out.push(f.name.clone());
-            }
-        }
-    }
-    // `let` bindings in this file.
-    let toks = &file.toks;
-    for i in 0..toks.len() {
-        if !file.is_ident(i, "let") {
-            continue;
-        }
-        let mut j = i + 1;
-        while file.is_ident(j, "mut") {
-            j += 1;
-        }
-        let Some(name_tok) = toks.get(j) else { continue };
-        if name_tok.kind != TokKind::Ident {
-            continue;
-        }
-        // Scan the statement (to `;`, skipping nested groups) for hash types.
-        let mut k = j + 1;
-        let mut tainted = false;
-        while let Some(t) = toks.get(k) {
-            match t.kind {
-                TokKind::Punct if t.text == ";" => break,
-                TokKind::Open(_) if file.pair[k] != usize::MAX => {
-                    if (k + 1..file.pair[k]).any(|m| hash_types.iter().any(|h| file.is_ident(m, h)))
-                    {
-                        tainted = true;
-                    }
-                    k = file.pair[k];
-                }
-                TokKind::Ident if hash_types.contains(&t.text) => tainted = true,
-                _ => {}
-            }
-            k += 1;
-        }
-        if tainted && !out.contains(&name_tok.text) {
-            out.push(name_tok.text.clone());
-        }
-    }
-    out
-}
-
-/// If the method chain continuing after `close` reaches an order-sensitive
-/// float reduction, returns its description.
-fn float_reduction_after(file: &SourceFile, mut close: usize) -> Option<&'static str> {
-    for _ in 0..8 {
-        if !file.is_punct(close + 1, ".") {
-            return None;
-        }
-        let name = close + 2;
-        if file.is_ident(name, "sum") {
-            // `.sum::<f32>()` / `.sum::<f64>()`
-            let generic = file.is_punct(name + 1, "::");
-            let fty = file.is_ident(name + 3, "f32") || file.is_ident(name + 3, "f64");
-            if generic && fty {
-                return Some("`.sum::<float>()`");
-            }
-        }
-        if file.is_ident(name, "fold") {
-            if let Some((open, _)) = call_parens(file, name) {
-                if file.toks.get(open + 1).is_some_and(|t| t.kind == TokKind::Float) {
-                    return Some("`.fold(0.0, …)`");
-                }
-            }
-        }
-        // Step over this adaptor's argument list (or bail on a non-call).
-        let Some((_, c)) = call_parens(file, name) else {
-            // `.sum::<T>()` has the turbofish between name and parens.
-            let mut k = name + 1;
-            if file.is_punct(k, "::") && file.is_punct(k + 1, "<") {
-                while k < file.toks.len() && !file.is_punct(k, ">") {
-                    k += 1;
-                }
-                if let Some((_, c2)) = (file.toks.get(k + 1))
-                    .filter(|t| t.kind == TokKind::Open(Delim::Paren))
-                    .map(|_| (k + 1, file.pair[k + 1]))
-                {
-                    if c2 != usize::MAX {
-                        close = c2;
-                        continue;
-                    }
-                }
-            }
-            return None;
-        };
-        close = c;
-    }
-    None
-}
-
-/// Walks back from a tainted identifier over `&` / `mut` to see whether it
-/// is the iterated expression of a `for … in` header.
-fn is_for_in_target(file: &SourceFile, i: usize) -> bool {
-    let mut j = i;
-    while j > 0
-        && (file.is_punct(j - 1, "&") || file.is_punct(j - 1, "&&") || file.is_ident(j - 1, "mut"))
-    {
-        j -= 1;
-    }
-    j > 0 && file.is_ident(j - 1, "in")
-}
 
 impl Pass for Determinism {
     fn name(&self) -> &'static str {
         "determinism"
     }
     fn hint(&self) -> &'static str {
-        "runs must be bit-reproducible from (plan, seed) (DESIGN.md §8): iterate sorted \
-         Vec/BTreeMap views instead of HashMap order, and keep vertex counts in u64 until a \
-         checked NodeId conversion"
+        "runs must be bit-reproducible from (plan, seed) (DESIGN.md §8): keep vertex counts in \
+         u64 until a checked NodeId conversion"
     }
     fn run(&self, ws: &Workspace, sink: &mut Sink<'_>) {
-        let hash_types = hash_type_names(ws);
         for file in &ws.files {
             if !is_reproducible_crate(&file.rel) || file.is_test_path() {
                 continue;
             }
-            let tainted = tainted_names(ws, file, &hash_types);
             for i in 0..file.toks.len() {
-                if file.in_test(i) {
+                if !file.is_ident(i, "len") || file.in_test(i) {
                     continue;
                 }
-                let t = &file.toks[i];
-                if t.kind != TokKind::Ident {
-                    continue;
-                }
-                // Truncating length casts: `.len() as u32` / `as NodeId`.
-                if t.text == "len" {
-                    if let Some((_, close)) = method_call(file, i) {
-                        if file.is_ident(close + 1, "as")
-                            && (file.is_ident(close + 2, "u32")
-                                || file.is_ident(close + 2, "u16")
-                                || file.is_ident(close + 2, "NodeId"))
-                        {
-                            sink.emit(
-                                file,
-                                close + 2,
-                                format!(
-                                    "truncating `.len() as {}` — use a checked conversion so \
-                                     graphs past the index width fail loudly",
-                                    file.toks[close + 2].text
-                                ),
-                            );
-                        }
-                    }
-                    continue;
-                }
-                if !tainted.contains(&t.text) {
-                    continue;
-                }
-                // `for … in map {` — direct iteration of the table.
-                if is_for_in_target(file, i) {
-                    let next_brace = file.is_punct(i + 1, "{")
-                        || file
-                            .toks
-                            .get(i + 1)
-                            .is_some_and(|n| n.kind == TokKind::Open(Delim::Brace));
-                    let next_dot = file.is_punct(i + 1, ".");
-                    if next_brace || !next_dot {
-                        sink.emit(
-                            file,
-                            i,
-                            format!("`for … in {}` iterates hash-table order", t.text),
-                        );
-                        continue;
-                    }
-                }
-                // `map.iter()`-family sinks.
-                if file.is_punct(i + 1, ".") {
-                    let m = i + 2;
-                    let is_iter = file
-                        .toks
-                        .get(m)
-                        .is_some_and(|mt| ITER_METHODS.iter().any(|n| mt.is_ident(n)));
-                    if is_iter {
-                        if let Some((_, close)) = call_parens(file, m) {
-                            let msg = match float_reduction_after(file, close) {
-                                Some(red) => format!(
-                                    "order-sensitive float accumulation: {red} over the \
-                                     hash-order iteration of `{}`",
-                                    t.text
-                                ),
-                                None => format!(
-                                    "`.{}()` on `{}` yields hash-table order",
-                                    file.toks[m].text, t.text
-                                ),
-                            };
-                            sink.emit(file, m, msg);
-                        }
-                    }
+                let Some((_, close)) = method_call(file, i) else { continue };
+                let target = close + 2;
+                let narrow = ["u32", "u16", "NodeId"].iter().any(|t| file.is_ident(target, t));
+                if file.is_ident(close + 1, "as") && narrow {
+                    sink.emit(
+                        file,
+                        target,
+                        format!(
+                            "truncating `.len() as {}` — use a checked conversion so graphs \
+                             past the index width fail loudly",
+                            file.toks[target].text
+                        ),
+                    );
                 }
             }
         }

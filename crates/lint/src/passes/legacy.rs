@@ -2,12 +2,15 @@
 //!
 //! Clippy has no lint for one enum variant (`SeqCst`), and its
 //! `disallowed-types` flags every use of a crate's own `sync.rs` re-exports,
-//! so both rules stay token matches here. Matches are over real tokens with
-//! `(line, col)` spans, test code is recognized semantically (`#[test]`
-//! functions and `#[cfg(test)]` items of any shape), and string/comment
-//! content can never produce a false match because it is never tokenized
-//! as code. The token rules clippy does express (no unwrap in library code,
-//! no wall-clock reads, no panics in `mpisim`) are configured at the crate
+//! so both rules stay token matches here. `direct-atomics` applies only to
+//! the crates whose manifest depends on `loom`: elsewhere no `sync.rs`
+//! exists and no model checker could see an atomic anyway. Matches are over
+//! real tokens with `(line, col)` spans, test code is recognized
+//! semantically (`#[test]` functions and `#[cfg(test)]` items of any
+//! shape), and string/comment content can never produce a false match
+//! because it is never tokenized as code. The rules clippy does express (no
+//! unwrap in library code, no wall-clock reads, no panics in `mpisim`, no
+//! hash tables in the reproducible crates) are configured at the crate
 //! roots and in `clippy.toml` (DESIGN.md §12.4).
 
 use crate::{Pass, Sink, Workspace};
@@ -37,8 +40,8 @@ impl Pass for SeqcstBan {
     }
 }
 
-/// Atomic types must come from a crate's `sync.rs` indirection module so the
-/// loom feature can swap in the model checker.
+/// Atomic types of a loom-modelled crate must come from its `sync.rs`
+/// indirection module so the loom feature can swap in the model checker.
 pub struct DirectAtomics;
 
 impl Pass for DirectAtomics {
@@ -51,7 +54,8 @@ impl Pass for DirectAtomics {
     }
     fn run(&self, ws: &Workspace, sink: &mut Sink<'_>) {
         for file in &ws.files {
-            if file.is_test_path() || file.rel.ends_with("sync.rs") {
+            if file.is_test_path() || file.rel.ends_with("sync.rs") || !ws.depends_on(file, "loom")
+            {
                 continue;
             }
             for i in 0..file.toks.len() {

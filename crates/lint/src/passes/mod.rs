@@ -7,14 +7,12 @@
 
 mod atomics;
 mod comm_flow;
-mod delta;
 mod determinism;
 mod hot_loop;
 mod legacy;
 
 pub use atomics::AtomicProtocol;
 pub use comm_flow::CommErrorFlow;
-pub use delta::DeltaConfinement;
 pub use determinism::Determinism;
 pub use hot_loop::HotLoopHygiene;
 pub use legacy::{DirectAtomics, SeqcstBan};
@@ -33,7 +31,6 @@ pub fn all() -> Vec<Box<dyn Pass>> {
         Box::new(AtomicProtocol),
         Box::new(Determinism),
         Box::new(HotLoopHygiene),
-        Box::new(DeltaConfinement),
     ]
 }
 
@@ -59,15 +56,15 @@ pub fn is_server_path(rel: &str) -> bool {
 }
 
 /// True for files under `crates/dynamic/src`, where the streaming-update
-/// apply/invalidate kernels live (DESIGN.md §14) — hot-loop scope, and the
-/// only subtree allowed to call the overlay's mutators.
+/// apply/invalidate kernels live (DESIGN.md §14) — hot-loop scope.
 #[must_use]
 pub fn is_dynamic_path(rel: &str) -> bool {
     rel.starts_with("crates/dynamic/src")
 }
 
 /// True for the crates whose algorithms must be bit-reproducible from
-/// `(plan, seed)` — the determinism pass scope.
+/// `(plan, seed)` — the determinism pass scope, and the crates whose roots
+/// deny `clippy::disallowed_types`.
 #[must_use]
 pub fn is_reproducible_crate(rel: &str) -> bool {
     [

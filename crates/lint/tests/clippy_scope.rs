@@ -1,6 +1,7 @@
 //! The library-hygiene clippy rules (no unwrap/expect, no panics in
 //! `mpisim`, no wall-clock reads in `core`, `graph`, `mpisim` and
-//! `cluster`) are scoped by `#![deny(...)]` at each library root
+//! `cluster`, no hash tables in `core`, `epoch`, `mpisim`, `graph` and
+//! `dynamic`) are scoped by `#![deny(...)]` at each library root
 //! (DESIGN.md §12.4): the `clippy.toml` files only configure them. A
 //! library crate whose root forgets the attribute would go unlinted without
 //! any check failing, so this test reads every root and holds it to exactly
@@ -16,6 +17,11 @@ const EVERYWHERE: &[&str] = &["clippy::unwrap_used", "clippy::expect_used"];
 /// reads `crates/clippy.toml` names): the drivers and kernel time through
 /// telemetry, and the simulators run on logical time.
 const NO_WALL_CLOCK: &[&str] = &["core", "graph", "mpisim", "cluster"];
+
+/// Crates whose roots also deny `clippy::disallowed_types` (the hash tables
+/// `crates/clippy.toml` names): their output must replay bit for bit from
+/// `(plan, seed)`, and a hash table iterates in a per-process order.
+const NO_HASH_TABLES: &[&str] = &["core", "epoch", "mpisim", "graph", "dynamic"];
 
 /// Crates whose roots also deny `clippy::panic`: communicator paths return
 /// typed `CommError`s.
@@ -67,6 +73,9 @@ fn expected(krate: &str) -> Vec<String> {
     if NO_WALL_CLOCK.contains(&krate) {
         lints.push("clippy::disallowed_methods".to_string());
     }
+    if NO_HASH_TABLES.contains(&krate) {
+        lints.push("clippy::disallowed_types".to_string());
+    }
     lints.sort();
     lints
 }
@@ -91,7 +100,7 @@ fn every_library_root_denies_exactly_its_clippy_rules() {
             (krate, src)
         })
         .collect();
-    for scoped in NO_WALL_CLOCK.iter().chain(NO_PANIC) {
+    for scoped in NO_WALL_CLOCK.iter().chain(NO_HASH_TABLES).chain(NO_PANIC) {
         assert!(
             roots.iter().any(|(krate, _)| krate == scoped),
             "crate `{scoped}` is named in a scope but has no library root"
@@ -104,11 +113,13 @@ fn every_library_root_denies_exactly_its_clippy_rules() {
 #[test]
 fn a_root_missing_one_rule_is_reported() {
     let full = "//! Docs.\n\n#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, \
-                clippy::disallowed_methods)]\n";
+                clippy::disallowed_methods, clippy::disallowed_types)]\n";
     let roots = |src: &str| vec![("mpisim".to_string(), src.to_string())];
     assert!(mismatches(&roots(full)).is_empty());
     let without_panic = full.replace(" clippy::panic,", "");
     assert_eq!(mismatches(&roots(&without_panic)).len(), 1);
+    let without_hash_ban = full.replace(", clippy::disallowed_types", "");
+    assert_eq!(mismatches(&roots(&without_hash_ban)).len(), 1);
     // A rule denied outside its scope is a mismatch too.
     let telemetry = vec![("telemetry".to_string(), full.to_string())];
     assert_eq!(mismatches(&telemetry).len(), 1);

@@ -21,22 +21,35 @@ use std::path::PathBuf;
 use kadabra_lint::report::{validate_report, Report};
 use kadabra_lint::{passes, Pass, SourceFile, Workspace};
 
-/// Pass slug → virtual workspace path for its fixtures, plus whether the
-/// fixture workspace needs the shared communicator-API file (whose `pub fn
-/// … -> Result<_, CommError>` signatures feed the call-site harvests) and a
-/// manifest making the fixture's crate depend on `kadabra-mpisim`.
-const CASES: &[(&str, &str, bool)] = &[
-    ("seqcst", "crates/demo/src/lib.rs", false),
-    ("direct-atomics", "crates/demo/src/lib.rs", false),
-    ("comm-error-flow", "crates/core/src/fixture.rs", true),
-    ("atomic-protocol", "crates/demo/src/lib.rs", false),
-    ("determinism", "crates/core/src/fixture.rs", false),
-    ("hot-loop-hygiene", "crates/core/src/fixture.rs", true),
-    ("delta-confinement", "crates/server/src/fixture.rs", false),
+/// What a fixture workspace holds beside the fixture itself.
+#[derive(Clone, Copy)]
+enum Deps {
+    /// Nothing: the fixture's crate has no manifest.
+    None,
+    /// The shared communicator-API file (whose `pub fn … -> Result<_,
+    /// CommError>` signatures feed the call-site harvests) and a manifest
+    /// making the fixture's crate depend on `kadabra-mpisim`.
+    Mpisim,
+    /// A manifest making the fixture's crate depend on `loom`.
+    Loom,
+}
+
+/// Pass slug → virtual workspace path for its fixtures, and what the
+/// fixture workspace needs beside them.
+const CASES: &[(&str, &str, Deps)] = &[
+    ("seqcst", "crates/demo/src/lib.rs", Deps::None),
+    ("direct-atomics", "crates/demo/src/lib.rs", Deps::Loom),
+    ("comm-error-flow", "crates/core/src/fixture.rs", Deps::Mpisim),
+    ("atomic-protocol", "crates/demo/src/lib.rs", Deps::None),
+    ("determinism", "crates/core/src/fixture.rs", Deps::None),
+    ("hot-loop-hygiene", "crates/core/src/fixture.rs", Deps::Mpisim),
 ];
 
 /// A manifest whose crate can call the communicator API.
 const MPISIM_DEPENDENT: &str = "[dependencies]\nkadabra-mpisim = { workspace = true }\n";
+
+/// A manifest whose crate routes its atomics through the model checker.
+const LOOM_DEPENDENT: &str = "[dependencies]\nloom = { workspace = true, optional = true }\n";
 
 fn fixtures_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("fixtures")
@@ -44,18 +57,21 @@ fn fixtures_root() -> PathBuf {
 
 /// Runs the full registry over one fixture and returns the report plus the
 /// fixture's source text (for marker extraction).
-fn run_case(pass: &str, rel: &str, needs_api: bool, which: &str) -> (Report, String) {
+fn run_case(pass: &str, rel: &str, deps: Deps, which: &str) -> (Report, String) {
     let path = fixtures_root().join(pass).join(format!("{which}.rs"));
     let text = fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
     let api_text;
-    let manifest;
+    let manifest = SourceFile::parse(rel, "").manifest();
     let mut sources: Vec<(&str, &str)> = vec![(rel, text.as_str())];
-    if needs_api {
-        api_text = fs::read_to_string(fixtures_root().join("comm_api.rs")).unwrap();
-        sources.push(("crates/mpisim/src/comm.rs", api_text.as_str()));
-        manifest = SourceFile::parse(rel, "").manifest();
-        sources.push((manifest.as_str(), MPISIM_DEPENDENT));
+    match deps {
+        Deps::None => {}
+        Deps::Mpisim => {
+            api_text = fs::read_to_string(fixtures_root().join("comm_api.rs")).unwrap();
+            sources.push(("crates/mpisim/src/comm.rs", api_text.as_str()));
+            sources.push((manifest.as_str(), MPISIM_DEPENDENT));
+        }
+        Deps::Loom => sources.push((manifest.as_str(), LOOM_DEPENDENT)),
     }
     let ws = Workspace::from_sources(&sources);
     let all = passes::all();
@@ -75,8 +91,8 @@ fn marker_lines(src: &str, pass: &str) -> Vec<u32> {
 
 #[test]
 fn bad_fixtures_fire_on_exactly_the_marked_lines() {
-    for &(pass, rel, needs_api) in CASES {
-        let (report, src) = run_case(pass, rel, needs_api, "bad");
+    for &(pass, rel, deps) in CASES {
+        let (report, src) = run_case(pass, rel, deps, "bad");
         let expected = marker_lines(&src, pass);
         assert!(!expected.is_empty(), "{pass}: bad.rs carries no //~ markers");
         let mut got: Vec<u32> =
@@ -89,8 +105,8 @@ fn bad_fixtures_fire_on_exactly_the_marked_lines() {
 
 #[test]
 fn bad_fixture_excerpts_match_the_flagged_source_line() {
-    for &(pass, rel, needs_api) in CASES {
-        let (report, src) = run_case(pass, rel, needs_api, "bad");
+    for &(pass, rel, deps) in CASES {
+        let (report, src) = run_case(pass, rel, deps, "bad");
         for f in report.active().filter(|f| f.pass == pass && f.file == rel) {
             let line = src
                 .lines()
@@ -116,7 +132,7 @@ fn server_read_path_fixtures_fire_on_exactly_the_marked_lines() {
     // stay clean.
     let pass = "hot-loop-hygiene";
     let rel = "crates/server/src/cache.rs";
-    let (report, src) = run_case(pass, rel, true, "server_bad");
+    let (report, src) = run_case(pass, rel, Deps::Mpisim, "server_bad");
     let expected = marker_lines(&src, pass);
     assert!(!expected.is_empty(), "server_bad.rs carries no //~ markers");
     let mut got: Vec<u32> =
@@ -132,7 +148,7 @@ fn server_read_path_fixtures_fire_on_exactly_the_marked_lines() {
         );
     }
 
-    let (clean, _) = run_case(pass, rel, true, "server_good");
+    let (clean, _) = run_case(pass, rel, Deps::Mpisim, "server_good");
     let hits: Vec<_> = clean.findings.iter().filter(|f| f.pass == pass).collect();
     assert!(
         hits.is_empty(),
@@ -150,7 +166,7 @@ fn record_closure_fixtures_fire_on_exactly_the_marked_lines() {
     // `records_good.rs` (flat interior pool, push-only) must stay clean.
     let pass = "hot-loop-hygiene";
     let rel = "crates/core/src/fixture.rs";
-    let (report, src) = run_case(pass, rel, true, "records_bad");
+    let (report, src) = run_case(pass, rel, Deps::Mpisim, "records_bad");
     let expected = marker_lines(&src, pass);
     assert!(!expected.is_empty(), "records_bad.rs carries no //~ markers");
     let mut got: Vec<u32> =
@@ -166,7 +182,7 @@ fn record_closure_fixtures_fire_on_exactly_the_marked_lines() {
         );
     }
 
-    let (clean, _) = run_case(pass, rel, true, "records_good");
+    let (clean, _) = run_case(pass, rel, Deps::Mpisim, "records_good");
     let hits: Vec<_> = clean.findings.iter().filter(|f| f.pass == pass).collect();
     assert!(
         hits.is_empty(),
@@ -184,7 +200,7 @@ fn sample_source_hook_fixtures_fire_on_exactly_the_marked_lines() {
     // clear + extend the caller's scratch) must stay clean.
     let pass = "hot-loop-hygiene";
     let rel = "crates/graph/src/fixture.rs";
-    let (report, src) = run_case(pass, rel, true, "hook_bad");
+    let (report, src) = run_case(pass, rel, Deps::Mpisim, "hook_bad");
     let expected = marker_lines(&src, pass);
     assert!(!expected.is_empty(), "hook_bad.rs carries no //~ markers");
     let mut got: Vec<u32> =
@@ -200,7 +216,7 @@ fn sample_source_hook_fixtures_fire_on_exactly_the_marked_lines() {
         );
     }
 
-    let (clean, _) = run_case(pass, rel, true, "hook_good");
+    let (clean, _) = run_case(pass, rel, Deps::Mpisim, "hook_good");
     let hits: Vec<_> = clean.findings.iter().filter(|f| f.pass == pass).collect();
     assert!(
         hits.is_empty(),
@@ -217,7 +233,7 @@ fn walk_back_fixtures_fire_on_exactly_the_marked_lines() {
     // (caller scratch, cleared, pushed and sorted in place) must stay clean.
     let pass = "hot-loop-hygiene";
     let rel = "crates/graph/src/bibfs.rs";
-    let (report, src) = run_case(pass, rel, true, "walk_bad");
+    let (report, src) = run_case(pass, rel, Deps::Mpisim, "walk_bad");
     let expected = marker_lines(&src, pass);
     assert!(!expected.is_empty(), "walk_bad.rs carries no //~ markers");
     let mut got: Vec<u32> =
@@ -233,7 +249,7 @@ fn walk_back_fixtures_fire_on_exactly_the_marked_lines() {
         );
     }
 
-    let (clean, _) = run_case(pass, rel, true, "walk_good");
+    let (clean, _) = run_case(pass, rel, Deps::Mpisim, "walk_good");
     let hits: Vec<_> = clean.findings.iter().filter(|f| f.pass == pass).collect();
     assert!(
         hits.is_empty(),
@@ -250,7 +266,7 @@ fn meet_test_fixtures_fire_on_exactly_the_marked_lines() {
     // `meet_good.rs` (borrowed frontiers, caller's cut buffer) must stay clean.
     let pass = "hot-loop-hygiene";
     let rel = "crates/graph/src/bibfs.rs";
-    let (report, src) = run_case(pass, rel, true, "meet_bad");
+    let (report, src) = run_case(pass, rel, Deps::Mpisim, "meet_bad");
     let expected = marker_lines(&src, pass);
     assert!(!expected.is_empty(), "meet_bad.rs carries no //~ markers");
     let mut got: Vec<u32> =
@@ -266,7 +282,7 @@ fn meet_test_fixtures_fire_on_exactly_the_marked_lines() {
         );
     }
 
-    let (clean, _) = run_case(pass, rel, true, "meet_good");
+    let (clean, _) = run_case(pass, rel, Deps::Mpisim, "meet_good");
     let hits: Vec<_> = clean.findings.iter().filter(|f| f.pass == pass).collect();
     assert!(
         hits.is_empty(),
@@ -283,7 +299,7 @@ fn dynamic_kernel_fixtures_fire_on_exactly_the_marked_lines() {
     // `dynamic_good.rs` (recycled scratch, in-place edits) must stay clean.
     let pass = "hot-loop-hygiene";
     let rel = "crates/dynamic/src/invalidate.rs";
-    let (report, src) = run_case(pass, rel, true, "dynamic_bad");
+    let (report, src) = run_case(pass, rel, Deps::Mpisim, "dynamic_bad");
     let expected = marker_lines(&src, pass);
     assert!(!expected.is_empty(), "dynamic_bad.rs carries no //~ markers");
     let mut got: Vec<u32> =
@@ -299,7 +315,7 @@ fn dynamic_kernel_fixtures_fire_on_exactly_the_marked_lines() {
         );
     }
 
-    let (clean, _) = run_case(pass, rel, true, "dynamic_good");
+    let (clean, _) = run_case(pass, rel, Deps::Mpisim, "dynamic_good");
     let hits: Vec<_> = clean.findings.iter().filter(|f| f.pass == pass).collect();
     assert!(
         hits.is_empty(),
@@ -310,7 +326,7 @@ fn dynamic_kernel_fixtures_fire_on_exactly_the_marked_lines() {
 
 #[test]
 fn seqcst_column_points_at_the_ordering_token() {
-    let (report, src) = run_case("seqcst", "crates/demo/src/lib.rs", false, "bad");
+    let (report, src) = run_case("seqcst", "crates/demo/src/lib.rs", Deps::None, "bad");
     let f = report.active().find(|f| f.pass == "seqcst").expect("seqcst fired");
     let line = src.lines().nth(usize::try_from(f.line).unwrap() - 1).unwrap();
     let want = u32::try_from(line.find("SeqCst").unwrap()).unwrap() + 1;
@@ -319,8 +335,8 @@ fn seqcst_column_points_at_the_ordering_token() {
 
 #[test]
 fn good_fixtures_stay_completely_clean() {
-    for &(pass, rel, needs_api) in CASES {
-        let (report, _) = run_case(pass, rel, needs_api, "good");
+    for &(pass, rel, deps) in CASES {
+        let (report, _) = run_case(pass, rel, deps, "good");
         let hits: Vec<_> = report.findings.iter().filter(|f| f.pass == pass).collect();
         assert!(
             hits.is_empty(),
@@ -332,8 +348,8 @@ fn good_fixtures_stay_completely_clean() {
 
 #[test]
 fn waived_fixtures_record_but_suppress_every_finding() {
-    for &(pass, rel, needs_api) in CASES {
-        let (report, _) = run_case(pass, rel, needs_api, "waived");
+    for &(pass, rel, deps) in CASES {
+        let (report, _) = run_case(pass, rel, deps, "waived");
         let total = report.findings.iter().filter(|f| f.pass == pass && f.file == rel).count();
         let waived =
             report.findings.iter().filter(|f| f.pass == pass && f.file == rel && f.waived).count();
@@ -350,7 +366,7 @@ fn waived_fixtures_record_but_suppress_every_finding() {
 #[test]
 fn fixture_reports_satisfy_the_lint_schema() {
     for which in ["bad", "good", "waived"] {
-        let (report, _) = run_case("determinism", "crates/core/src/fixture.rs", false, which);
+        let (report, _) = run_case("determinism", "crates/core/src/fixture.rs", Deps::None, which);
         validate_report(&report.to_json())
             .unwrap_or_else(|e| panic!("determinism/{which}.rs report failed schema: {e}"));
     }
@@ -386,6 +402,21 @@ fn comm_error_flow_checks_only_crates_that_depend_on_mpisim() {
     assert_eq!(findings(graph, no_mpisim, &bad), Vec::<u32>::new());
     let join_line = line_of(&good, ".join().unwrap_or_else(");
     assert_eq!(findings("crates/core/src/fixture.rs", MPISIM_DEPENDENT, &good), [join_line]);
+}
+
+#[test]
+fn direct_atomics_checks_only_crates_that_depend_on_loom() {
+    // No model checker sees an atomic of a crate that cannot build with
+    // loom, so there is no `sync.rs` for such a crate to route through.
+    let bad = fs::read_to_string(fixtures_root().join("direct-atomics/bad.rs")).unwrap();
+    let rel = "crates/graph/src/fixture.rs";
+    let findings = |manifest: &str| {
+        let ws = Workspace::from_sources(&[("crates/graph/Cargo.toml", manifest), (rel, &bad)]);
+        let report = ws.run(&[&passes::DirectAtomics]);
+        report.active().count()
+    };
+    assert_eq!(findings("[dependencies]\nkadabra-telemetry = { workspace = true }\n"), 0);
+    assert_eq!(findings(LOOM_DEPENDENT), marker_lines(&bad, "direct-atomics").len());
 }
 
 /// The 1-based line of the first occurrence of `needle` in `src`.

@@ -1,29 +1,9 @@
-//! determinism: hash-order iteration, float accumulation, truncating casts.
-use std::collections::{HashMap, HashSet};
+//! determinism: truncating length casts.
 
-/// Alias taint propagates through the type alias.
-pub type Registry = HashMap<u32, f64>;
-
-/// Field taint is crate-wide.
-pub struct Holder {
-    /// Tainted member set.
-    pub members: HashSet<u32>,
-}
-
-/// Exercises every sink shape.
-pub fn sinks(holder: &Holder) -> f64 {
-    let reg: Registry = Registry::new();
-    let mut total = 0.0;
-    for (_k, v) in reg { //~ determinism
-        total += v;
-    }
-    let scores: HashMap<u32, f64> = HashMap::new();
-    let sum: f64 = scores.values().sum::<f64>(); //~ determinism
-    let keyed: Registry = Registry::new();
-    let folded = keyed.keys().fold(0.0, |a, &k| a + f64::from(k)); //~ determinism
-    for id in holder.members.iter() { //~ determinism
-        total += f64::from(*id);
-    }
-    let count = keyed.len() as u32; //~ determinism
-    total + sum + folded + f64::from(count)
+/// Narrows a length three ways.
+pub fn counts(ids: &[u32], names: &[String]) -> u64 {
+    let n = ids.len() as u32; //~ determinism
+    let m = names.len() as u16; //~ determinism
+    let v = ids.len() as NodeId; //~ determinism
+    u64::from(n) + u64::from(m) + u64::from(v)
 }

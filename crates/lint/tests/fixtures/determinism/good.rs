@@ -1,30 +1,17 @@
-//! determinism: order-free access, sorted containers, and wide casts stay clean.
-use std::collections::{BTreeMap, HashSet};
+//! determinism: wide and checked casts stay clean.
 
-/// Sorted map iterates in key order; sets used only for membership.
-pub fn sorted(map: &BTreeMap<u32, f64>, ids: &[u32]) -> f64 {
-    let mut seen: HashSet<u32> = HashSet::new();
-    let mut total = 0.0;
-    for (_k, v) in map {
-        total += v;
-    }
-    for &x in ids {
-        if seen.contains(&x) {
-            continue;
-        }
-        seen.insert(x);
-    }
+/// Keeps lengths wide, or converts them with a check.
+pub fn counts(ids: &[u32]) -> Option<u64> {
     let n = ids.len() as u64;
-    total + n as f64
+    let v = NodeId::try_from(ids.len()).ok()?;
+    Some(n + u64::from(v))
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     #[test]
-    fn test_code_may_iterate_hashes() {
-        let m: HashMap<u32, u32> = HashMap::new();
-        for (_k, _v) in m {}
+    fn test_code_may_narrow() {
+        let v = [1, 2, 3];
+        assert_eq!(v.len() as u32, 3);
     }
 }

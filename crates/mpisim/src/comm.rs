@@ -13,7 +13,7 @@ use crate::health::RankCrashState;
 use kadabra_telemetry::{CounterId, EventWriter, MarkId};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ pub struct Communicator {
 }
 
 /// color -> (engine, member parent ranks in communicator order).
-type SplitGroups = HashMap<u32, (Arc<Engine>, Vec<usize>)>;
+type SplitGroups = BTreeMap<u32, (Arc<Engine>, Vec<usize>)>;
 
 /// Accumulator for `Split` collectives: submissions, then per-color results.
 struct SplitAcc {
@@ -468,19 +468,15 @@ impl Communicator {
             |acc| {
                 // Last arrival: build one engine per color.
                 let sp = acc_slot_mut::<SplitAcc>(acc);
-                let mut by_color: HashMap<u32, Vec<(i64, usize)>> = HashMap::new();
+                let mut by_color: BTreeMap<u32, Vec<(i64, usize)>> = BTreeMap::new();
                 for &(rank, c, k) in &sp.submissions {
                     by_color.entry(c).or_default().push((k, rank));
                 }
-                let mut groups = HashMap::new();
-                // Per-color engines must be built in a deterministic order:
-                // construction touches the shared health ledger, and hash
-                // order would make that sequence differ run to run.
-                // xtask: allow(determinism) — hash order is drained into a
-                // Vec here and sorted by color on the next line.
-                let mut colors: Vec<(u32, Vec<(i64, usize)>)> = by_color.into_iter().collect();
-                colors.sort_unstable_by_key(|&(c, _)| c);
-                for (c, mut members) in colors {
+                let mut groups = BTreeMap::new();
+                // Per-color engines are built in color order: construction
+                // touches the shared health ledger, so the order is part of
+                // the replay.
+                for (c, mut members) in by_color {
                     members.sort_unstable();
                     let ranks: Vec<usize> = members.into_iter().map(|(_, r)| r).collect();
                     let world: Vec<usize> = ranks.iter().map(|&r| parent_members[r]).collect();

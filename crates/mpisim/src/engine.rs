@@ -23,11 +23,11 @@
 use crate::error::CommError;
 use crate::fault::FaultPlan;
 use crate::health::{RankCrashState, WorldHealth};
-use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use kadabra_telemetry::{CounterId, EventWriter, MarkId};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -121,7 +121,7 @@ pub(crate) struct Engine {
     /// engine's members are `0..size`; `split`/`shrink` children carry the
     /// mapping through, so failures are always reported in world ranks.
     pub(crate) members: Vec<usize>,
-    slots: Mutex<HashMap<u64, OpSlot>>,
+    slots: Mutex<BTreeMap<u64, OpSlot>>,
     cv: Condvar,
     bytes: AtomicU64,
     /// Set when any rank detects protocol misuse; wakes and fails all
@@ -164,7 +164,7 @@ impl Engine {
         Arc::new(Engine {
             size: members.len(),
             members,
-            slots: Mutex::new(HashMap::new()),
+            slots: Mutex::new(BTreeMap::new()),
             cv: Condvar::new(),
             bytes: AtomicU64::new(carried_bytes),
             poisoned: AtomicBool::new(false),
@@ -556,8 +556,6 @@ impl Engine {
                         let mut world: Vec<usize> =
                             joiners.iter().map(|&r| self.members[r]).collect();
                         let admitted = self.health.take_standbys(extra);
-                        // xtask: allow(determinism) — a Vec drained from a
-                        // BTreeSet: smallest world ranks first, no hash order.
                         world.extend(admitted.iter().copied());
                         let salt = crate::fault::derive_salt(self.salt, key, 1);
                         let child = Engine::for_members(
@@ -567,7 +565,6 @@ impl Engine {
                             self.health.clone(),
                             self.bytes_transferred(),
                         );
-                        // xtask: allow(determinism) — same sorted Vec as above.
                         for (i, &wr) in admitted.iter().enumerate() {
                             self.health.deliver_admission(wr, child.clone(), joiners.len() + i);
                         }

@@ -421,7 +421,7 @@ mod tests {
         let a = p.collective_delay(0, 1, 5);
         assert_eq!(a, p.collective_delay(0, 1, 5), "same inputs, same delay");
         // Across many (rank, seq) pairs the stream must not be constant.
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for rank in 0..4 {
             for seq in 0..16 {
                 distinct.insert(p.collective_delay(0, rank, seq));

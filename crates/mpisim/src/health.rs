@@ -46,9 +46,9 @@
 use crate::engine::Engine;
 use crate::error::CommError;
 use crate::fault::CrashPoint;
-use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -73,7 +73,7 @@ struct HealthState {
     /// Admitted-but-unconfirmed world ranks (between grow and ticket pickup).
     joining: BTreeSet<usize>,
     /// Admission tickets: world rank → (child engine, rank within it).
-    admitted: HashMap<usize, (Arc<Engine>, usize)>,
+    admitted: BTreeMap<usize, (Arc<Engine>, usize)>,
     /// Latched once the run ends; never-admitted standbys are released.
     gate_closed: bool,
 }

@@ -44,14 +44,19 @@
 //! [`Communicator::grow`] admits at a collective boundary (scheduled by the
 //! plan's [`JoinPoint`]s).
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_methods)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods,
+    clippy::disallowed_types
+)]
 
 mod comm;
 mod engine;
 mod error;
 mod fault;
 mod health;
-mod sync;
 mod universe;
 
 pub use comm::Communicator;

@@ -20,20 +20,24 @@
 //!   ordering); `SeqCst` would paper over a missing argument rather than
 //!   supply one, and the loom scenarios in `crates/epoch/tests/loom.rs`
 //!   verify the weaker orderings are actually sufficient.
-//! * **direct-atomics** — atomic types must be imported from a crate's
-//!   `sync.rs` indirection module (which swaps in the loom model checker
-//!   under `--features loom`), never from `std::sync::atomic` directly.
-//!   Files named `sync.rs` and test code are exempt.
+//! * **direct-atomics** — in the crates that model-check their atomics
+//!   (those whose manifest depends on `loom`: `epoch`, `telemetry` and
+//!   `server`), atomic types must be imported from the crate's `sync.rs`
+//!   indirection module (which swaps in the loom model checker under
+//!   `--features loom`), never from `std::sync::atomic` directly. Files
+//!   named `sync.rs` and test code are exempt.
 //!
 //! Clippy has no lint for either: it cannot name one enum variant, and its
 //! `disallowed-types` would flag every use of a `sync.rs` re-export too.
-//! The token rules clippy does express are clippy's (DESIGN.md §12.4):
+//! The rules clippy does express are clippy's (DESIGN.md §12.4):
 //! `unwrap_used`/`expect_used` in every library crate, `panic` in
-//! `kadabra-mpisim`, and `disallowed-methods` on `Instant::now`/
-//! `SystemTime::now` in `core`, `graph`, `mpisim` and `cluster`, each
-//! denied at the crate root and configured in `crates/clippy.toml`.
+//! `kadabra-mpisim`, `disallowed-methods` on `Instant::now`/
+//! `SystemTime::now` in `core`, `graph`, `mpisim` and `cluster`, and
+//! `disallowed-types` on `HashMap`/`HashSet` in `core`, `epoch`, `mpisim`,
+//! `graph` and `dynamic`, each denied at the crate root and configured in
+//! `crates/clippy.toml`.
 //!
-//! Five semantic passes sit on top (see `crates/lint/src/passes/` for the
+//! Four semantic passes sit on top (see `crates/lint/src/passes/` for the
 //! full rationale of each):
 //!
 //! * **comm-error-flow** — call sites of the communicator API (harvested
@@ -45,17 +49,15 @@
 //!   per `(crate, field)`: Release stores with no Acquire consumer,
 //!   Acquire loads with no Release publisher, and Relaxed operations on
 //!   fields that participate in a Release/Acquire protocol are flagged.
-//! * **determinism** — name-based taint from hash-ordered containers
-//!   (`HashMap`/`HashSet`, through type aliases and struct fields) to
-//!   order-sensitive sinks: `for … in`, iteration adaptors, and float
-//!   accumulation over hash order; plus `len() as u32`-style truncating
-//!   casts in the reproducible crates.
+//! * **determinism** — no `len() as u32`-style truncating casts in the
+//!   reproducible crates.
 //! * **hot-loop-hygiene** — no allocation, locking, cloning, formatting,
 //!   or collectives inside per-sample code: `sample_batch` consume
 //!   closures and the named hot functions of `crates/core`/`crates/graph`.
-//! * **delta-confinement** — tenant graphs mutate only through the
-//!   `DeltaLog` API: no direct overlay mutator calls outside
-//!   `crates/dynamic`.
+//!
+//! DESIGN.md §12.7 records, for each pass, the mutant planted in the real
+//! tree and which other check, if any, rejected it: a pass stays only while
+//! its mutant gets past the compiler, clippy, tier-1 and loom.
 //!
 //! Any rule can be waived for one line with a trailing or preceding comment
 //! `// xtask: allow(<rule>) — <why this occurrence is sound>`. Waivers are
