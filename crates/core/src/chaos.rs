@@ -461,6 +461,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "unrecoverable communicator failure during set-up, round 0 [seed 42")]
+    fn a_peer_lost_at_the_calibration_all_reduce_is_fatal() {
+        // Rank 1 dies instead of joining collective 1, Algorithm 1's
+        // calibration all-reduce right after the diameter broadcast. The
+        // survivor's all-reduce fails, and that error must reach
+        // `own_crash_or_fatal`: a swallowed one leaves no counts to fit.
+        let cfg = KadabraConfig { seed: 42, ..KadabraConfig::new(0.1, 0.1) };
+        let plan = FaultPlan::ideal(5).with_crash_at_collective(1, 1);
+        kadabra_mpi_flat_observed(&small_graph(), &cfg, 2, 0, &ChaosOptions::all(plan));
+    }
+
+    #[test]
     fn flat_observed_crash_recovery_keeps_every_invariant() {
         // One rank crashed mid-adaptive-phase: the run must shrink, keep
         // the epoch-gap and conservation invariants clean over the

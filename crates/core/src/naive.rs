@@ -48,8 +48,6 @@ pub fn kadabra_naive_parallel(g: &Graph, cfg: &KadabraConfig, threads: usize) ->
             s.spawn(move |_| {
                 let mut sampler = ThreadSampler::new(n, cfg.seed, 0, ADS_STREAM_OFFSET + t);
                 loop {
-                    // xtask: allow(comm-error-flow) — std::sync::Barrier
-                    // rendezvous (name-collides with the comm `wait`).
                     barrier.wait(); // round start
                     if terminate.load(Ordering::Acquire) {
                         break;
@@ -62,8 +60,6 @@ pub fn kadabra_naive_parallel(g: &Graph, cfg: &KadabraConfig, threads: usize) ->
                             }
                         });
                     }
-                    // xtask: allow(comm-error-flow) — std::sync::Barrier
-                    // rendezvous (name-collides with the comm `wait`).
                     barrier.wait(); // round end
                 }
             });
@@ -75,8 +71,6 @@ pub fn kadabra_naive_parallel(g: &Graph, cfg: &KadabraConfig, threads: usize) ->
             if stop {
                 terminate.store(true, Ordering::Release);
             }
-            // xtask: allow(comm-error-flow) — std::sync::Barrier rendezvous
-            // (name-collides with the comm `wait`).
             barrier.wait(); // round start
             if stop {
                 break;
@@ -90,8 +84,6 @@ pub fn kadabra_naive_parallel(g: &Graph, cfg: &KadabraConfig, threads: usize) ->
                 });
             }
             let wait_start = Stopwatch::start();
-            // xtask: allow(comm-error-flow) — std::sync::Barrier rendezvous
-            // (name-collides with the comm `wait`).
             barrier.wait(); // round end: blocking, no overlap — the point
             stats.barrier_wait += wait_start.elapsed();
 

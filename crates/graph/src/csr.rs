@@ -6,7 +6,7 @@
 //! adjacency list. Adjacency lists are sorted, which makes neighbourhood
 //! queries cache-friendly and lets tests assert canonical form.
 
-use crate::prefetch::prefetch_read;
+use crate::hint::{prefetch_read, resize_huge};
 use crate::{GraphError, Result};
 use std::cmp::Reverse;
 use std::ops::Range;
@@ -368,7 +368,7 @@ impl Graph {
     #[inline]
     pub fn prefetch_neighbors(&self, v: NodeId) {
         let lo = self.offsets[v as usize] as usize;
-        crate::prefetch::prefetch_read(&self.targets, lo);
+        prefetch_read(&self.targets, lo);
     }
 
     /// Relabels vertices in descending degree order (ties broken by original
@@ -414,13 +414,11 @@ impl Graph {
             to_new[old as usize] = new as NodeId;
         }
 
-        let mut offsets = arena.take_offsets();
-        offsets.resize(n + 1, 0);
+        let mut offsets = arena.take_offsets(n + 1);
         for new in 0..n {
             offsets[new + 1] = offsets[new] + self.degree(to_old[new]) as u64;
         }
-        let mut targets = arena.take_targets();
-        targets.resize(self.targets.len(), 0);
+        let mut targets = arena.take_targets(self.targets.len());
         // Vertex `u` goes into the row of each of its neighbours, `u`
         // ascending; the rows are symmetric, so every row ends up complete
         // and sorted. offsets[w] is row w's write cursor, as in
@@ -545,15 +543,20 @@ impl CsrArena {
             + self.targets.capacity() * std::mem::size_of::<NodeId>()
     }
 
-    fn take_offsets(&mut self) -> Vec<u64> {
+    /// The offset buffer as `len` zeros, advised for huge pages before the
+    /// zeros are written (DESIGN.md §11.8).
+    fn take_offsets(&mut self, len: usize) -> Vec<u64> {
         let mut v = std::mem::take(&mut self.offsets);
         v.clear();
+        resize_huge(&mut v, len, 0);
         v
     }
 
-    fn take_targets(&mut self) -> Vec<NodeId> {
+    /// The target buffer as `len` zeros, advised like the offsets.
+    fn take_targets(&mut self, len: usize) -> Vec<NodeId> {
         let mut v = std::mem::take(&mut self.targets);
         v.clear();
+        resize_huge(&mut v, len, 0);
         v
     }
 }
@@ -640,8 +643,7 @@ impl GraphBuilder {
 
         // Counting sort into CSR; every undirected edge contributes two arcs.
         let n = self.n;
-        let mut offsets = arena.take_offsets();
-        offsets.resize(n + 1, 0);
+        let mut offsets = arena.take_offsets(n + 1);
         for &(u, v) in &self.edges {
             offsets[u as usize + 1] += 1;
             offsets[v as usize + 1] += 1;
@@ -649,8 +651,7 @@ impl GraphBuilder {
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
-        let mut targets = arena.take_targets();
-        targets.resize(offsets[n] as usize, 0);
+        let mut targets = arena.take_targets(offsets[n] as usize);
         // Scatter, using offsets[u] as row u's write cursor; each write
         // advances the cursor, so afterwards offsets[u] holds row u's end
         // (= row u+1's start).
@@ -709,13 +710,11 @@ mod reference {
             to_new[old as usize] = new as NodeId;
         }
 
-        let mut offsets = arena.take_offsets();
-        offsets.resize(n + 1, 0);
+        let mut offsets = arena.take_offsets(n + 1);
         for new in 0..n {
             offsets[new + 1] = offsets[new] + g.degree(to_old[new]) as u64;
         }
-        let mut targets = arena.take_targets();
-        targets.resize(g.targets.len(), 0);
+        let mut targets = arena.take_targets(g.targets.len());
         for new in 0..n {
             let lo = offsets[new] as usize;
             let hi = offsets[new + 1] as usize;

@@ -64,7 +64,7 @@ impl GraphView for Rows {
 
     #[inline]
     fn prefetch_neighbors(&self, v: NodeId) {
-        crate::prefetch::prefetch_read(&self.targets, self.offsets[v as usize] as usize);
+        crate::hint::prefetch_read(&self.targets, self.offsets[v as usize] as usize);
     }
 }
 

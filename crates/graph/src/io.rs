@@ -17,6 +17,7 @@
 //!   row range, the matching by target range.
 
 use crate::csr::{check_offsets, check_row, on_workers, Graph, GraphBuilder, NodeId};
+use crate::hint::advise_huge_pages;
 use crate::{GraphError, Result};
 use bytes::{Buf, BufMut};
 use std::fs::File;
@@ -165,12 +166,14 @@ fn read_header<R: Read>(reader: &mut R) -> Result<(usize, usize)> {
 
 /// Reads the `n + 1` offsets through a fixed staging block and checks them
 /// against the target count `m2`. `n` comes from the header, so the
-/// reservation is fallible rather than trusted.
+/// reservation is fallible rather than trusted; it is advised for huge pages
+/// before the first offset lands.
 fn read_offsets<R: Read>(reader: &mut R, n: usize, m2: usize) -> Result<Vec<u64>> {
     let mut offsets = Vec::new();
     offsets.try_reserve_exact(n + 1).map_err(|_| {
         GraphError::Corrupt(format!("cannot hold an offset array of {} entries", n + 1))
     })?;
+    advise_huge_pages(offsets.spare_capacity_mut());
     let mut block = [0u8; BLOCK_BYTES];
     while offsets.len() < n + 1 {
         let words = (n + 1 - offsets.len()).min(BLOCK_BYTES / 8);
@@ -183,13 +186,15 @@ fn read_offsets<R: Read>(reader: &mut R, n: usize, m2: usize) -> Result<Vec<u64>
 }
 
 /// A zeroed target array of `len` entries. `len` comes from the header, so
-/// it is reserved fallibly first; the zeroed pages are then committed only
-/// as decoding writes them.
+/// it is reserved fallibly first; the zeroed pages are then advised for huge
+/// pages and committed only as decoding writes them.
 fn zeroed_targets(len: usize) -> Result<Vec<NodeId>> {
     Vec::<NodeId>::new()
         .try_reserve_exact(len)
         .map_err(|_| GraphError::Corrupt(format!("cannot hold a target array of {len} entries")))?;
-    Ok(vec![0; len])
+    let mut targets = vec![0; len];
+    advise_huge_pages(&mut targets);
+    Ok(targets)
 }
 
 /// Decodes the targets of `rows` from `reader`, positioned at the first of
@@ -308,6 +313,7 @@ pub(crate) fn read_binary_file(path: &Path, workers: Option<usize>) -> Result<Gr
     let several = cuts.len() > 2;
     let mut targets = zeroed_targets(m2)?;
     let mut cursor = vec![0u64; n];
+    advise_huge_pages(&mut cursor);
     let (mut rest, mut cursor_rest) = (&mut targets[..], &mut cursor[..]);
     let mut jobs = Vec::new();
     for w in cuts.windows(2) {

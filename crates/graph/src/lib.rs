@@ -29,8 +29,9 @@
 //! * [`scratch`] — reusable per-thread traversal buffers. Each KADABRA sample
 //!   is a BFS, so avoiding per-sample allocation is critical (Section IV of
 //!   the paper takes a sample in <10ms on billion-edge graphs).
-//! * [`prefetch`] — best-effort software prefetch hints used by the sampling
-//!   hot path (see DESIGN.md §11).
+//! * [`hint`] — best-effort memory hints: software prefetch for the sampling
+//!   hot path and transparent huge pages for the large arrays (see DESIGN.md
+//!   §11).
 //! * [`source`] — the sample-source hook: [`PathSource`] ("draw a uniform
 //!   shortest path") and [`KadabraGraph`] (plus a vertex-diameter bound),
 //!   the only two things the drivers of `kadabra-core` ask of a graph, so
@@ -51,8 +52,8 @@ pub mod csr;
 pub mod diameter;
 pub mod digraph;
 pub mod generators;
+pub mod hint;
 pub mod io;
-pub mod prefetch;
 pub mod scratch;
 pub mod source;
 pub mod stats;

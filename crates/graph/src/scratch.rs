@@ -24,7 +24,7 @@
 //! potential cache misses per probe into one.
 
 use crate::csr::NodeId;
-use crate::prefetch::prefetch_read;
+use crate::hint::{prefetch_read, resize_huge};
 
 /// Sentinel distance meaning "not reached in the current round".
 pub const UNREACHED: u32 = u32::MAX;
@@ -101,12 +101,13 @@ pub struct StampedState<S: Stamp> {
 pub type StampedBfsState = StampedState<u32>;
 
 impl<S: Stamp> StampedState<S> {
-    /// Creates state sized for an `n`-vertex graph.
+    /// Creates state sized for an `n`-vertex graph, its slots advised for
+    /// huge pages before they are first written (DESIGN.md §11.8): a sample
+    /// probes them at random.
     pub fn new(n: usize) -> Self {
-        StampedState {
-            slots: vec![Slot { stamp: S::CLEAR, dist: UNREACHED, sigma: 0 }; n],
-            round: S::CLEAR,
-        }
+        let mut slots = Vec::new();
+        resize_huge(&mut slots, n, Slot { stamp: S::CLEAR, dist: UNREACHED, sigma: 0 });
+        StampedState { slots, round: S::CLEAR }
     }
 
     /// Starts a fresh traversal and hands out its two tags, one per

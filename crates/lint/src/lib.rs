@@ -1,9 +1,8 @@
 //! `kadabra-lint`: AST-based semantic lint framework.
 //!
 //! The workspace carries load-bearing invariants the compiler cannot see:
-//! every `Result<_, CommError>` must reach the recovery loop (DESIGN.md
-//! §10), the epoch protocol's `Release` stores must pair with `Acquire`
-//! loads (§7), vertex counts must not be truncated on their way to a
+//! the epoch protocol's `Release` stores must pair with `Acquire` loads
+//! (DESIGN.md §7), vertex counts must not be truncated on their way to a
 //! `NodeId` (§8), and `sample_batch` must stay allocation- and
 //! collective-free (§11). This
 //! crate parses the whole workspace into token streams + item ASTs

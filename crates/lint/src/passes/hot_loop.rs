@@ -47,13 +47,37 @@
 //! and `std::mem::take` stay legal.
 
 use super::{
-    comm_flow::harvest_comm_api, is_core_library_path, is_dynamic_path, is_server_path, method_call,
+    is_comm_path, is_core_library_path, is_dynamic_path, is_server_path, method_call,
+    range_has_ident,
 };
 use crate::lex::TokKind;
 use crate::{Pass, Sink, SourceFile, Workspace};
 
 /// See module docs.
 pub struct HotLoopHygiene;
+
+/// Harvests the names of public mpisim functions returning
+/// `Result<_, CommError>`: the collectives banned inside the sampling loop,
+/// taken from the AST so the list tracks the real API.
+fn harvest_comm_api(ws: &Workspace) -> Vec<String> {
+    let mut names = Vec::new();
+    for file in &ws.files {
+        if !is_comm_path(&file.rel) {
+            continue;
+        }
+        for f in &file.ast.fns {
+            if !f.is_pub || f.is_test || f.name.is_empty() {
+                continue;
+            }
+            let Some((lo, hi)) = f.ret else { continue };
+            if range_has_ident(file, lo, hi, "CommError") && !names.contains(&f.name) {
+                names.push(f.name.clone());
+            }
+        }
+    }
+    names.sort();
+    names
+}
 
 /// Method names whose closure argument is a per-sample consume callback.
 const BATCH_CALLS: [&str; 2] = ["sample_batch", "sample_batch_records"];

@@ -6,13 +6,11 @@
 //! suppressed configurations.
 
 mod atomics;
-mod comm_flow;
 mod determinism;
 mod hot_loop;
 mod legacy;
 
 pub use atomics::AtomicProtocol;
-pub use comm_flow::CommErrorFlow;
 pub use determinism::Determinism;
 pub use hot_loop::HotLoopHygiene;
 pub use legacy::{DirectAtomics, SeqcstBan};
@@ -27,7 +25,6 @@ pub fn all() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(SeqcstBan),
         Box::new(DirectAtomics),
-        Box::new(CommErrorFlow),
         Box::new(AtomicProtocol),
         Box::new(Determinism),
         Box::new(HotLoopHygiene),
@@ -124,30 +121,6 @@ pub fn receiver_field(file: &SourceFile, i: usize) -> Option<String> {
     match file.toks.get(j)?.kind {
         TokKind::Ident => Some(file.toks[j].text.clone()),
         _ => None,
-    }
-}
-
-/// Walks backwards from a method-call name at `i` to the first token of its
-/// receiver chain (`self.comm.barrier` → index of `self`).
-#[must_use]
-pub fn chain_start(file: &SourceFile, i: usize) -> usize {
-    let mut j = i;
-    loop {
-        let Some(prev) = j.checked_sub(1) else { return j };
-        let t = &file.toks[prev];
-        let extend = match t.kind {
-            TokKind::Ident => true,
-            TokKind::Punct => t.text == "." || t.text == "::" || t.text == "?",
-            TokKind::Close(Delim::Paren | Delim::Bracket) => true,
-            _ => false,
-        };
-        if !extend {
-            return j;
-        }
-        j = match t.kind {
-            TokKind::Close(_) if file.pair[prev] != usize::MAX => file.pair[prev],
-            _ => prev,
-        };
     }
 }
 

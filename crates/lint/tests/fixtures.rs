@@ -26,9 +26,8 @@ use kadabra_lint::{passes, Pass, SourceFile, Workspace};
 enum Deps {
     /// Nothing: the fixture's crate has no manifest.
     None,
-    /// The shared communicator-API file (whose `pub fn … -> Result<_,
-    /// CommError>` signatures feed the call-site harvests) and a manifest
-    /// making the fixture's crate depend on `kadabra-mpisim`.
+    /// The shared communicator-API file, whose `pub fn … -> Result<_,
+    /// CommError>` signatures feed the hot-loop pass's collective harvest.
     Mpisim,
     /// A manifest making the fixture's crate depend on `loom`.
     Loom,
@@ -39,14 +38,10 @@ enum Deps {
 const CASES: &[(&str, &str, Deps)] = &[
     ("seqcst", "crates/demo/src/lib.rs", Deps::None),
     ("direct-atomics", "crates/demo/src/lib.rs", Deps::Loom),
-    ("comm-error-flow", "crates/core/src/fixture.rs", Deps::Mpisim),
     ("atomic-protocol", "crates/demo/src/lib.rs", Deps::None),
     ("determinism", "crates/core/src/fixture.rs", Deps::None),
     ("hot-loop-hygiene", "crates/core/src/fixture.rs", Deps::Mpisim),
 ];
-
-/// A manifest whose crate can call the communicator API.
-const MPISIM_DEPENDENT: &str = "[dependencies]\nkadabra-mpisim = { workspace = true }\n";
 
 /// A manifest whose crate routes its atomics through the model checker.
 const LOOM_DEPENDENT: &str = "[dependencies]\nloom = { workspace = true, optional = true }\n";
@@ -69,7 +64,6 @@ fn run_case(pass: &str, rel: &str, deps: Deps, which: &str) -> (Report, String) 
         Deps::Mpisim => {
             api_text = fs::read_to_string(fixtures_root().join("comm_api.rs")).unwrap();
             sources.push(("crates/mpisim/src/comm.rs", api_text.as_str()));
-            sources.push((manifest.as_str(), MPISIM_DEPENDENT));
         }
         Deps::Loom => sources.push((manifest.as_str(), LOOM_DEPENDENT)),
     }
@@ -373,38 +367,6 @@ fn fixture_reports_satisfy_the_lint_schema() {
 }
 
 #[test]
-fn comm_error_flow_checks_only_crates_that_depend_on_mpisim() {
-    // The real API harvest includes the collective engine's `join`, so in a
-    // crate that can reach mpisim the check, keyed on names, flags `std`'s
-    // `join().unwrap_or_else(…)` too; in a crate that cannot reach it, it
-    // flags nothing at all, bad.rs included.
-    let pass = "comm-error-flow";
-    let read = |name: &str| fs::read_to_string(fixtures_root().join(name)).unwrap();
-    let (api, bad, good) =
-        (read("comm_api.rs"), read("comm-error-flow/bad.rs"), read("comm-error-flow/good.rs"));
-    let engine = "pub struct Engine;\nimpl Engine {\n    \
-                  pub fn join(&self) -> Result<(), CommError> { Ok(()) }\n}\n";
-    let findings = |rel: &str, manifest: &str, text: &str| {
-        let ws = Workspace::from_sources(&[
-            ("crates/mpisim/src/comm.rs", api.as_str()),
-            ("crates/mpisim/src/engine.rs", engine),
-            (SourceFile::parse(rel, "").manifest().as_str(), manifest),
-            (rel, text),
-        ]);
-        let all = passes::all();
-        let refs: Vec<&dyn Pass> = all.iter().map(AsRef::as_ref).collect();
-        let report = ws.run(&refs);
-        report.active().filter(|f| f.pass == pass).map(|f| f.line).collect::<Vec<_>>()
-    };
-    let graph = "crates/graph/src/fixture.rs";
-    let no_mpisim = "[dependencies]\nkadabra-telemetry = { workspace = true }\n";
-    assert_eq!(findings(graph, no_mpisim, &good), Vec::<u32>::new());
-    assert_eq!(findings(graph, no_mpisim, &bad), Vec::<u32>::new());
-    let join_line = line_of(&good, ".join().unwrap_or_else(");
-    assert_eq!(findings("crates/core/src/fixture.rs", MPISIM_DEPENDENT, &good), [join_line]);
-}
-
-#[test]
 fn direct_atomics_checks_only_crates_that_depend_on_loom() {
     // No model checker sees an atomic of a crate that cannot build with
     // loom, so there is no `sync.rs` for such a crate to route through.
@@ -417,10 +379,4 @@ fn direct_atomics_checks_only_crates_that_depend_on_loom() {
     };
     assert_eq!(findings("[dependencies]\nkadabra-telemetry = { workspace = true }\n"), 0);
     assert_eq!(findings(LOOM_DEPENDENT), marker_lines(&bad, "direct-atomics").len());
-}
-
-/// The 1-based line of the first occurrence of `needle` in `src`.
-fn line_of(src: &str, needle: &str) -> u32 {
-    let i = src.lines().position(|l| l.contains(needle)).unwrap();
-    u32::try_from(i).unwrap() + 1
 }

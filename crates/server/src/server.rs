@@ -223,9 +223,8 @@ impl Server {
     pub fn drain_background(&self) {
         let workers = std::mem::take(&mut *self.inner.workers.lock());
         for h in workers {
-            // xtask: allow(comm-error-flow) — std thread join, not a
-            // communicator: a panicked worker already tore down its own
-            // refinement loop; draining must not propagate its panic.
+            // A panicked worker already tore down its own refinement loop;
+            // draining must not propagate its panic.
             let _ = h.join();
         }
     }

@@ -38,9 +38,7 @@ impl SocketServer {
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept.take() {
-            // xtask: allow(comm-error-flow) — std thread join, not a
-            // communicator: shutdown must complete even if the accept loop
-            // panicked.
+            // Shutdown must complete even if the accept loop panicked.
             let _ = h.join();
         }
     }

@@ -37,14 +37,9 @@
 //! `graph` and `dynamic`, each denied at the crate root and configured in
 //! `crates/clippy.toml`.
 //!
-//! Four semantic passes sit on top (see `crates/lint/src/passes/` for the
+//! Three semantic passes sit on top (see `crates/lint/src/passes/` for the
 //! full rationale of each):
 //!
-//! * **comm-error-flow** — call sites of the communicator API (harvested
-//!   from `pub fn … -> Result<_, CommError>` signatures in
-//!   `crates/mpisim/src`) must not swallow the error: `.ok()`,
-//!   `.unwrap_or*(…)`, `let _ =`, and bare-statement drops are flagged;
-//!   `?`, `match`, and named bindings pass.
 //! * **atomic-protocol** — a workspace-wide inventory of atomic operations
 //!   per `(crate, field)`: Release stores with no Acquire consumer,
 //!   Acquire loads with no Release publisher, and Relaxed operations on
@@ -52,8 +47,10 @@
 //! * **determinism** — no `len() as u32`-style truncating casts in the
 //!   reproducible crates.
 //! * **hot-loop-hygiene** — no allocation, locking, cloning, formatting,
-//!   or collectives inside per-sample code: `sample_batch` consume
-//!   closures and the named hot functions of `crates/core`/`crates/graph`.
+//!   or collectives (harvested from the `pub fn … -> Result<_, CommError>`
+//!   signatures in `crates/mpisim/src`) inside per-sample code:
+//!   `sample_batch` consume closures and the named hot functions of
+//!   `crates/core`/`crates/graph`.
 //!
 //! DESIGN.md §12.7 records, for each pass, the mutant planted in the real
 //! tree and which other check, if any, rejected it: a pass stays only while
