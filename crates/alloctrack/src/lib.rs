@@ -2,17 +2,17 @@
 //!
 //! The sampling hot path is contractually allocation-free in steady state
 //! (DESIGN.md §11): after warm-up, `ThreadSampler::sample_batch` must not
-//! touch the heap. Prose contracts rot, so two consumers pin it:
-//!
-//! * `crates/core/tests/sample_batch_alloc.rs` registers [`CountingAlloc`]
-//!   as the test binary's `#[global_allocator]` and asserts the post-warm-up
-//!   allocation delta is exactly zero;
-//! * `crates/bench/src/bin/bench_kernel.rs` reports `allocs_per_sample` in
-//!   `BENCH_kernel.json`, and `cargo xtask bench --kernel --check` fails if
-//!   it ever becomes nonzero.
+//! touch the heap. Prose contracts rot, so
+//! `crates/core/tests/sample_batch_alloc.rs` registers [`CountingAlloc`] as
+//! the test binary's `#[global_allocator]` and asserts the post-warm-up
+//! allocation delta is exactly zero, in debug under tier-1 and in release in
+//! CI. The other one-test counting binaries (the server's read path and
+//! `add_tenant`, the dynamic engine's classification, the one-shot drivers'
+//! copies, Algorithm 2's frames, the loader) pin their contracts the same
+//! way, and the benchmark package reads allocations per sample from it.
 //!
 //! Counters are plain `Relaxed` monotone counters — they order nothing, and
-//! cross-thread exactness is not needed (both consumers measure on a single
+//! cross-thread exactness is not needed (every consumer measures on a single
 //! thread; other threads can only inflate the reading, never hide an
 //! allocation).
 //!

@@ -4,8 +4,8 @@
 //! into `results/*.txt` by `results/run_all.sh`) **and** writes a
 //! machine-readable artifact next to them with the same numbers, in the
 //! `kadabra-bench/v1` schema ([`kadabra_telemetry::bench`]). Plotting
-//! scripts and `cargo xtask bench --smoke` consume the JSON; the text stays
-//! the artifact of record for eyeballing.
+//! scripts consume the JSON; the text stays the artifact of record for
+//! eyeballing.
 
 use kadabra_cluster::{ReduceStrategy, SimConfig, SimReport};
 use kadabra_core::BetweennessResult;
@@ -135,6 +135,25 @@ mod tests {
         let mut a = BenchArtifact::new("unit", 1.0, 0.03, 42);
         a.push(run);
         validate_json(&a.to_json()).expect("artifact must validate");
+    }
+
+    #[test]
+    fn live_rows_of_every_driver_kind_validate() {
+        use kadabra_core::{
+            kadabra_epoch_mpi, kadabra_mpi_flat, kadabra_sequential, KadabraConfig,
+        };
+        use kadabra_graph::components::largest_component;
+        use kadabra_graph::generators::{gnm, GnmConfig};
+
+        let (g, _) = largest_component(&gnm(GnmConfig { n: 80, m: 220, seed: 42 }));
+        let cfg = KadabraConfig { epsilon: 0.08, delta: 0.1, seed: 42, ..Default::default() };
+        let shape = ClusterShape { ranks: 2, ranks_per_node: 2, threads_per_rank: 2 };
+        let mut a = BenchArtifact::new("unit", 1.0, cfg.epsilon, cfg.seed);
+        a.push(live_run("gnm-80", "seq", 1, 1, &kadabra_sequential(&g, &cfg)));
+        a.push(live_run("gnm-80", "mpi", 2, 1, &kadabra_mpi_flat(&g, &cfg, 2)));
+        a.push(live_run("gnm-80", "epoch-mpi", 2, 2, &kadabra_epoch_mpi(&g, &cfg, shape)));
+        assert!(a.runs.iter().all(|r| r.samples > 0));
+        validate_json(&a.to_json()).expect("live rows must validate");
     }
 
     #[test]

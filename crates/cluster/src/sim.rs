@@ -1593,6 +1593,17 @@ mod tests {
         assert_eq!(r.ads_ns, static_run.ads_ns);
         assert_eq!(r.ranks_joined, 0);
         assert_eq!(r.rebalance_ns, 0);
+        // At ε 0.035 the adaptive phase runs well past the join round, so
+        // the doubled world has rounds left to pay back the bootstrap: the
+        // grown run must finish at least 1.2× sooner (it read 1.41×).
+        let cfg = KadabraConfig { epsilon: 0.035, delta: 0.1, seed: 42, ..Default::default() };
+        let prepared = kadabra_core::prepare(&g, &cfg);
+        let static_run = simulate(&g, &cfg, &prepared, &sim, &spec, &cost);
+        let plan = FaultPlan::ideal(42).with_join(1, 2);
+        let grown = simulate_perturbed(&g, &cfg, &prepared, &sim, &spec, &cost, Some(&plan));
+        assert_eq!(grown.ranks_joined, 2);
+        let speedup = static_run.ads_ns as f64 / grown.ads_ns as f64;
+        assert!(speedup >= 1.2, "growing at round 1 sped the run up only {speedup:.2}x");
     }
 
     #[test]

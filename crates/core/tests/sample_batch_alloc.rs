@@ -10,9 +10,10 @@
 //! that buffers left to grow on demand keep doubling for several batches.
 //!
 //! The gate holds in debug builds too — capacity reuse is not an optimizer
-//! artifact — so it runs under plain `cargo test`, unconditionally. The
-//! release-mode `cargo xtask bench --kernel --check` CI job re-checks the
-//! same property independently.
+//! artifact — so it runs under plain `cargo test`, unconditionally. CI runs
+//! it once more in release (`cargo test --release -p kadabra-core --test
+//! sample_batch_alloc`), so an allocation only the optimized build makes
+//! fails as well.
 
 use kadabra_alloctrack::CountingAlloc;
 use kadabra_core::ThreadSampler;
@@ -45,7 +46,7 @@ fn batches_allocate_nothing<G: PathSource>(
 
 #[test]
 fn sample_batch_is_allocation_free_after_warmup() {
-    // The `bench_kernel` perf instance (~11k vertices).
+    // R-MAT scale 14, edge factor 8: ~11k vertices in its largest component.
     let (g, _) = largest_component(&rmat(RmatConfig::graph500(14, 8, 1)));
     let (g, _) = g.relabel_by_degree();
     let batch: u64 = 2_048;

@@ -174,8 +174,8 @@ impl DynamicEngine {
 
     /// Total traversal edges scanned across the engine's lifetime: every
     /// live sampler stream, every redraw, and every classification /
-    /// diameter sweep. The deterministic work measure `bench_dynamic`
-    /// gates on.
+    /// diameter sweep. The deterministic work measure
+    /// `tests/dynamic_conformance.rs` holds an update's cost to.
     pub fn work_edges(&self) -> u64 {
         let mut total = self.sweep_edges;
         self.pool.for_each_rank(|st| {

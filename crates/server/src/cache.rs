@@ -58,7 +58,7 @@
 //! the `hot-loop-hygiene` lint pass, which scans the bodies of
 //! [`EstimateCache::read_frontier_into`], [`EstimateCache::read_vertex`]
 //! and [`EstimateCache::read_stage_into`], and empirically by the
-//! `bench_server` zero-allocation gate.
+//! counting-allocator test `tests/read_vertex_alloc.rs`.
 
 use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 

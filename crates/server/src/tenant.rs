@@ -99,7 +99,8 @@ impl TenantConfig {
 
 /// Reusable per-client query buffers: queries fill these in place, so the
 /// steady-state read path performs no allocation (enforced by the
-/// hot-loop-hygiene lint on the cache and measured by `bench_server`).
+/// hot-loop-hygiene lint on the cache and counted by
+/// `tests/read_vertex_alloc.rs`).
 pub struct QueryScratch {
     /// Frontier snapshot target.
     pub frontier: FrontierSnapshot,

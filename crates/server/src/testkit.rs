@@ -1,5 +1,4 @@
-//! Deterministic service fixtures for the test harness and the bench
-//! binary.
+//! Deterministic service fixtures for the test harness.
 //!
 //! Everything here is seed-addressed: the same seed produces the same
 //! graph, the same tenant provisioning, and (with background refinement
@@ -26,7 +25,8 @@ pub fn corpus_graph(seed: u64) -> Graph {
 
 /// Fixture tenant provisioning at `seed`: 3 pool ranks, a schedule down to
 /// ε = 0.08, fault-free delivery. Shared by the conformance suite, the
-/// chaos suite (which swaps in a crashing plan), and `bench_server`.
+/// chaos suite (which swaps in a crashing plan), and the shared-graph and
+/// `add_tenant` byte tests.
 pub fn tenant_config(seed: u64) -> TenantConfig {
     TenantConfig {
         pool_ranks: 3,

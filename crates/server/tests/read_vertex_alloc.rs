@@ -2,7 +2,8 @@
 //!
 //! `EstimateCache::read_vertex` is contractually lock- and allocation-free:
 //! a point read copies one count and four scalars out of the active seqlock
-//! slot. This test registers a counting global allocator for the whole test
+//! slot. `read_frontier_into` is too, into a snapshot sized for the cache.
+//! This test registers a counting global allocator for the whole test
 //! binary and pins reads after the first publication to exactly zero heap
 //! requests, over every vertex and across a republication.
 //!
@@ -10,7 +11,7 @@
 //! test and nothing else runs beside it.
 
 use kadabra_alloctrack::CountingAlloc;
-use kadabra_server::cache::EstimateCache;
+use kadabra_server::cache::{EstimateCache, FrontierSnapshot};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -26,6 +27,8 @@ fn read_vertex_is_allocation_free_after_warmup() {
     let first = cache.read_vertex(1).expect("published");
     assert_eq!((first.count, first.tau, first.round), (7, 5_000, 1));
 
+    let mut snap = FrontierSnapshot::new(n);
+
     let mut total = 0u64;
     let before = ALLOC.counts();
     for round in 0..3 {
@@ -33,12 +36,15 @@ fn read_vertex_is_allocation_free_after_warmup() {
             let read = cache.read_vertex(v).expect("published");
             total += read.count;
         }
+        assert!(cache.read_frontier_into(&mut snap), "published");
+        assert_eq!(snap.round, round + 1, "the frontier read a stale slot");
         // Republishing hands reads the other seqlock slot.
         cache.publish_frontier(&counts, 5_000 + round, 0.08, round + 2);
     }
     let heap = ALLOC.counts().since(&before);
     // The republications fall inside the measured region too: publishing
     // stores into preallocated atomics and allocates nothing either.
-    assert_eq!(heap.allocs, 0, "{} reads allocated: {heap:?}", 3 * n);
+    assert_eq!(heap.allocs, 0, "{} reads and 3 frontier reads allocated: {heap:?}", 3 * n);
     assert_eq!(total, 3 * counts.iter().sum::<u64>());
+    assert_eq!(snap.counts, counts);
 }

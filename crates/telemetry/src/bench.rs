@@ -1,9 +1,8 @@
 //! Machine-readable benchmark artifacts: `BENCH_<name>.json`.
 //!
-//! One stable schema (`kadabra-bench/v1`) shared by the `kadabra --bench`
-//! CLI path, every `exp_*` benchmark binary, and `cargo xtask bench --smoke`
-//! (which validates what it produced with [`validate_json`], so schema
-//! drift fails CI, not a plotting script three weeks later).
+//! One stable schema (`kadabra-bench/v1`) shared by every `exp_*` binary of
+//! `kadabra-bench`; [`validate_json`] checks an artifact against it, and the
+//! unit tests below hold the writer to the validator.
 
 use crate::json::{escape, num, Json};
 use crate::summary::Summary;

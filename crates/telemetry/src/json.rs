@@ -1,9 +1,9 @@
 //! A minimal JSON reader/writer — just enough for this crate's artifacts.
 //!
-//! The container has no serde; the `BENCH_*.json` schema validator
-//! (`cargo xtask bench --smoke`) and the Chrome-trace tests need to *read*
-//! the JSON this workspace *writes*, so one hand-rolled value type serves as
-//! the single source of truth for both directions.
+//! The container has no serde; the `BENCH_*.json` schema validator and the
+//! Chrome-trace tests need to *read* the JSON this workspace *writes*, so
+//! one hand-rolled value type serves as the single source of truth for both
+//! directions.
 
 use std::fmt::Write as _;
 

@@ -25,7 +25,7 @@
 //! * [`summary::Summary`] — the phase-breakdown table (Fig. 2b / Table II
 //!   shapes) and the `reduction_overlap` figure;
 //! * [`bench::BenchArtifact`] — `BENCH_<name>.json` artifacts with a stable,
-//!   validated schema (`cargo xtask bench --smoke`).
+//!   validated schema ([`bench::validate_json`]).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]

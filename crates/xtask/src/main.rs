@@ -85,35 +85,6 @@
 //! `kadabra-epoch` and `kadabra-mpisim` tests, then the `kadabra-graph`
 //! library tests filtered to the binary loader's (`io::`, `cursor`).
 //!
-//! # `cargo xtask bench --smoke`
-//!
-//! Runs the `bench_smoke` binary (a tiny instance through the sequential,
-//! flat-MPI and epoch-MPI drivers), the `bench_server` binary (the
-//! resident service's query path, which self-gates ≥ 1k queries/s and an
-//! allocation-free cache read path), and the `bench_dynamic` binary (the
-//! streaming-update path, which self-gates update-and-reconverge work
-//! under 25% of a from-scratch run and ε-accuracy against the Brandes
-//! oracle), and the `bench_elastic` binary (the elastic scale-out path,
-//! which self-gates a ≥ 1.2× mid-run-grow speedup over the static
-//! continuation, the cluster DES's steal model decoupling round latency
-//! from the straggler factor, and a live grow within ε), writing `BENCH_smoke.json`, `BENCH_server.json`,
-//! `BENCH_dynamic.json`, and `BENCH_elastic.json` to the repo root, then
-//! validates the artifacts
-//! against the `kadabra-bench/v1` schema — including the value-range
-//! checks (nonzero samples/sec, reduction-overlap fraction in [0, 1]). A
-//! required CI job, so schema drift fails the PR that causes it, not a
-//! plotting script later.
-//!
-//! # `cargo xtask bench --kernel [--check]`
-//!
-//! The sampling-kernel perf-regression gate (DESIGN.md §11). Without
-//! `--check`, runs the `bench_kernel` binary and records `BENCH_kernel.json`
-//! at the repo root — the committed baseline. With `--check`, measures into
-//! `target/bench-kernel/` instead and fails when the fresh `kernel` row
-//! (relabeled production layout) falls more than 15% below the committed
-//! baseline's `samples_per_sec` (`KADABRA_KERNEL_TOLERANCE` overrides the
-//! fraction) or reports a nonzero `allocs_per_sample`.
-//!
 //! # `cargo xtask chaos`
 //!
 //! Runs the chaos conformance suite (DESIGN.md §8) in release mode: the
@@ -138,7 +109,6 @@ fn main() -> ExitCode {
         Some("tsan") => cmd_tsan(),
         Some("miri") => cmd_miri(),
         Some("chaos") => cmd_chaos(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo xtask <command>\n\n\
@@ -149,9 +119,7 @@ fn main() -> ExitCode {
                  loom   model-check the epoch protocol + telemetry recorder + server cache (stable)\n  \
                  tsan   run concurrency tests under ThreadSanitizer (nightly + rust-src)\n  \
                  miri   run epoch tests under Miri (nightly + miri component)\n  \
-                 chaos  run the chaos conformance suite [--plans N] [--crashes N] [--grows N] (stable)\n  \
-                 bench  --smoke: emit and schema-validate BENCH_smoke.json + BENCH_server.json (stable)\n         \
-                 --kernel [--check]: sampling-kernel perf baseline / regression gate"
+                 chaos  run the chaos conformance suite [--plans N] [--crashes N] [--grows N] (stable)"
             );
             ExitCode::from(2)
         }
@@ -393,238 +361,6 @@ fn cmd_loom() -> ExitCode {
             .args(["test", "-p", "kadabra-server", "--features", "loom", "--test", "loom"])
             .current_dir(root),
     )
-}
-
-/// `cargo xtask bench --smoke`: emits and schema-validates `BENCH_smoke.json`
-/// in the repo root. The run itself lives in the `bench_smoke` binary of
-/// `kadabra-bench`; this wrapper owns the pass/fail decision.
-fn cmd_bench(args: &[String]) -> ExitCode {
-    match args.first().map(String::as_str) {
-        Some("--smoke") if args.len() == 1 => cmd_bench_smoke(),
-        Some("--kernel") => {
-            let check = match &args[1..] {
-                [] => false,
-                [flag] if flag == "--check" => true,
-                _ => {
-                    eprintln!("xtask bench: usage: cargo xtask bench --kernel [--check]");
-                    return ExitCode::from(2);
-                }
-            };
-            cmd_bench_kernel(check)
-        }
-        _ => {
-            eprintln!(
-                "xtask bench: supported modes:\n  \
-                 cargo xtask bench --smoke             emit and validate BENCH_smoke.json\n  \
-                 cargo xtask bench --kernel            re-record the BENCH_kernel.json baseline\n  \
-                 cargo xtask bench --kernel --check    gate against the committed baseline"
-            );
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn cmd_bench_smoke() -> ExitCode {
-    let root = workspace_root();
-    // `bench_server` additionally self-gates its acceptance numbers (≥ 1k
-    // queries/s, zero cache-read allocations), `bench_dynamic` gates the
-    // incremental-update path (update-and-reconverge under 25% of a
-    // from-scratch run, within ε of the oracle), and `bench_elastic` gates
-    // the elastic scale-out path (mid-run grow ≥ 1.2× over the static
-    // continuation, the DES's steal model decoupling round latency from the
-    // straggler factor, a live grow within ε), so a degraded build fails the run before validation starts.
-    for bin in ["bench_smoke", "bench_server", "bench_dynamic", "bench_elastic"] {
-        println!("xtask bench: running the {bin} benchmark (release mode)");
-        if !run_ok(
-            Command::new("cargo")
-                .args(["run", "--release", "-p", "kadabra-bench", "--bin", bin])
-                .env("KADABRA_RESULTS_DIR", &root)
-                .current_dir(&root),
-        ) {
-            return ExitCode::FAILURE;
-        }
-    }
-    for artifact in
-        ["BENCH_smoke.json", "BENCH_server.json", "BENCH_dynamic.json", "BENCH_elastic.json"]
-    {
-        let path = root.join(artifact);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("xtask bench: cannot read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match kadabra_telemetry::validate_json(&text) {
-            Ok(name) => {
-                println!(
-                    "xtask bench: {} is schema-valid ({}, artifact `{name}`)",
-                    path.display(),
-                    kadabra_telemetry::BENCH_SCHEMA
-                );
-            }
-            Err(e) => {
-                eprintln!("xtask bench: {} violates the schema: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// Throughput the `--check` gate tolerates losing relative to the committed
-/// baseline before failing, as a fraction. `KADABRA_KERNEL_TOLERANCE`
-/// overrides it (e.g. `0.30` on a noisy shared runner).
-const KERNEL_TOLERANCE_DEFAULT: f64 = 0.15;
-
-/// One parsed row of a `BENCH_kernel.json` artifact.
-struct KernelRow {
-    samples_per_sec: f64,
-    allocs_per_sample: f64,
-}
-
-/// Extracts the gated `kernel` row (the relabeled production layout) from a
-/// serialized artifact.
-fn kernel_row(text: &str, what: &str) -> Result<KernelRow, String> {
-    kadabra_telemetry::validate_json(text).map_err(|e| format!("{what}: schema violation: {e}"))?;
-    let doc = kadabra_telemetry::json::Json::parse(text)
-        .map_err(|e| format!("{what}: invalid JSON: {e}"))?;
-    let runs = doc
-        .get("runs")
-        .and_then(kadabra_telemetry::json::Json::as_array)
-        .ok_or_else(|| format!("{what}: no runs array"))?;
-    for run in runs {
-        if run.get("mode").and_then(kadabra_telemetry::json::Json::as_str) == Some("kernel") {
-            let field = |key: &str| {
-                run.get(key)
-                    .and_then(kadabra_telemetry::json::Json::as_f64)
-                    .ok_or_else(|| format!("{what}: kernel row lacks numeric `{key}`"))
-            };
-            return Ok(KernelRow {
-                samples_per_sec: field("samples_per_sec")?,
-                allocs_per_sample: field("allocs_per_sample")?,
-            });
-        }
-    }
-    Err(format!("{what}: no run with mode \"kernel\""))
-}
-
-/// `cargo xtask bench --kernel [--check]`.
-///
-/// Record mode runs the `bench_kernel` binary with the repo root as results
-/// directory, refreshing the committed `BENCH_kernel.json` baseline. Check
-/// mode leaves the committed baseline untouched: it runs a fresh measurement
-/// into `target/bench-kernel/` and fails if the fresh `kernel` row's
-/// throughput drops more than the tolerance below the baseline, or if the
-/// hot path allocated.
-fn cmd_bench_kernel(check: bool) -> ExitCode {
-    let root = workspace_root();
-    let baseline_path = root.join("BENCH_kernel.json");
-    let results_dir = if check { root.join("target").join("bench-kernel") } else { root.clone() };
-
-    println!(
-        "xtask bench: running the sampling-kernel benchmark (release mode, {})",
-        if check { "check against committed baseline" } else { "recording baseline" }
-    );
-    if !run_ok(
-        Command::new("cargo")
-            .args(["run", "--release", "-p", "kadabra-bench", "--bin", "bench_kernel"])
-            .env("KADABRA_RESULTS_DIR", &results_dir)
-            .current_dir(&root),
-    ) {
-        return ExitCode::FAILURE;
-    }
-
-    let fresh_path = results_dir.join("BENCH_kernel.json");
-    let fresh = match std::fs::read_to_string(&fresh_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask bench: cannot read {}: {e}", fresh_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let fresh_row = match kernel_row(&fresh, "fresh artifact") {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xtask bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if !check {
-        println!(
-            "xtask bench: recorded {} ({:.0} samples/s, {} allocs/sample)",
-            baseline_path.display(),
-            fresh_row.samples_per_sec,
-            fresh_row.allocs_per_sample
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if fresh_row.allocs_per_sample > 0.0 {
-        eprintln!(
-            "xtask bench: FAIL: sampling hot path allocated ({} allocs/sample); \
-             sample_batch must be allocation-free after warm-up (DESIGN.md §11)",
-            fresh_row.allocs_per_sample
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "xtask bench: cannot read committed baseline {}: {e}\n  \
-                 record one with `cargo xtask bench --kernel` and commit it",
-                baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline_row = match kernel_row(&baseline, "committed baseline") {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xtask bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let tolerance = match std::env::var("KADABRA_KERNEL_TOLERANCE") {
-        Ok(s) => match s.parse::<f64>() {
-            Ok(v) if (0.0..1.0).contains(&v) => v,
-            _ => {
-                eprintln!(
-                    "xtask bench: ignoring invalid KADABRA_KERNEL_TOLERANCE={s:?}; \
-                     using {KERNEL_TOLERANCE_DEFAULT}"
-                );
-                KERNEL_TOLERANCE_DEFAULT
-            }
-        },
-        Err(_) => KERNEL_TOLERANCE_DEFAULT,
-    };
-    let floor = baseline_row.samples_per_sec * (1.0 - tolerance);
-    let ratio = fresh_row.samples_per_sec / baseline_row.samples_per_sec;
-    if fresh_row.samples_per_sec < floor {
-        eprintln!(
-            "xtask bench: FAIL: kernel throughput regressed: {:.0} samples/s vs baseline \
-             {:.0} ({:.1}% of baseline; floor is {:.1}% => {:.0} samples/s)\n  \
-             if the slowdown is intended, re-record with `cargo xtask bench --kernel` \
-             and commit BENCH_kernel.json with a justification",
-            fresh_row.samples_per_sec,
-            baseline_row.samples_per_sec,
-            ratio * 100.0,
-            (1.0 - tolerance) * 100.0,
-            floor
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "xtask bench: kernel OK: {:.0} samples/s ({:.1}% of baseline {:.0}), 0 allocs/sample",
-        fresh_row.samples_per_sec,
-        ratio * 100.0,
-        baseline_row.samples_per_sec
-    );
-    ExitCode::SUCCESS
 }
 
 fn cmd_tsan() -> ExitCode {
