@@ -53,6 +53,10 @@ pub fn kadabra_naive_parallel(g: &Graph, cfg: &KadabraConfig, threads: usize) ->
                         break;
                     }
                     {
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "one lock per batch of n0 samples: the baseline's own cost"
+                        )]
                         let mut counts = worker_counts[t].lock();
                         sampler.sample_batch(g, n0, |interior| {
                             for &v in interior {
@@ -76,6 +80,10 @@ pub fn kadabra_naive_parallel(g: &Graph, cfg: &KadabraConfig, threads: usize) ->
                 break;
             }
             {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "one lock per batch of n0 samples: the baseline's own cost"
+                )]
                 let mut counts = worker_counts[0].lock();
                 sampler.sample_batch(g, n0, |interior| {
                     for &v in interior {
@@ -89,6 +97,10 @@ pub fn kadabra_naive_parallel(g: &Graph, cfg: &KadabraConfig, threads: usize) ->
 
             let agg_start = Stopwatch::start();
             for wc in &worker_counts {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the aggregation locks each worker once per epoch"
+                )]
                 let mut counts = wc.lock();
                 for (a, c) in acc.iter_mut().zip(counts.iter_mut()) {
                     *a += *c;

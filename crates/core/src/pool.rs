@@ -179,6 +179,7 @@ impl<S: SampleSink + Send> SamplerPool<S> {
     /// Calls `f` on every parked rank state, in communicator order.
     pub fn for_each_rank(&self, mut f: impl FnMut(&RankState<S>)) {
         for slot in &self.slots {
+            #[expect(clippy::disallowed_methods, reason = "a caller's walk over the parked ranks")]
             f(&slot.lock());
         }
     }
@@ -220,6 +221,10 @@ impl<S: SampleSink + Send> SamplerPool<S> {
     ) -> Vec<R> {
         let slots = &self.slots;
         let outcomes = Universe::run_with_plan(slots.len(), plan, |comm| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "each rank locks its parked state once per launch, uncontended"
+            )]
             let mut st = slots[comm.rank()].lock();
             let w = tel.writer(st.id as u32, 0);
             comm.set_tracer(w.clone());

@@ -74,10 +74,7 @@ impl BetweennessResult {
     /// The `k` vertices with the highest approximate betweenness, sorted by
     /// descending score (ties by ascending vertex id).
     pub fn top_k(&self, k: usize) -> Vec<(u32, f64)> {
-        // xtask: allow(determinism) — scores has one entry per vertex and
-        // the CSR layout already caps vertex counts at u32 (GraphBuilder
-        // rejects larger inputs), so the cast cannot truncate.
-        let mut idx: Vec<u32> = (0..self.scores.len() as u32).collect();
+        let mut idx: Vec<u32> = (0..kadabra_graph::to_u32(self.scores.len())).collect();
         idx.sort_by(|&a, &b| {
             self.scores[b as usize].total_cmp(&self.scores[a as usize]).then(a.cmp(&b))
         });

@@ -34,9 +34,11 @@
 //! an uncapped pass only where connectivity can flip — see
 //! [`crate::engine::DynamicEngine`]).
 
+#![deny(clippy::disallowed_methods)]
+
 use kadabra_core::{SampleSink, ValidityBitmap};
 use kadabra_graph::scratch::UNREACHED;
-use kadabra_graph::{GraphView, NodeId};
+use kadabra_graph::{to_u32, GraphView, NodeId};
 
 /// One retained sample: the drawn pair, its shortest-path distance at draw
 /// time (`u32::MAX` for a disconnected pair), and the interior span in the
@@ -107,15 +109,7 @@ impl PathStore {
         let start = self.pool.len();
         assert!(start + interior.len() <= u32::MAX as usize, "interior pool overflow");
         self.pool.extend_from_slice(interior);
-        self.recs.push(PathRec {
-            s,
-            t,
-            dist,
-            start: start as u32,
-            // xtask: allow(determinism) — the assert above bounds the whole
-            // pool (hence every span length) to u32.
-            len: interior.len() as u32,
-        });
+        self.recs.push(PathRec { s, t, dist, start: start as u32, len: to_u32(interior.len()) });
     }
 
     /// Interior vertices of record `i`.
@@ -153,9 +147,7 @@ impl PathStore {
         self.spare.clear();
         self.spare.reserve(self.pool.len());
         for r in self.recs.iter_mut() {
-            // xtask: allow(determinism) — the spare rewrites a pool already
-            // asserted to fit u32, and compaction only shrinks it.
-            let start = self.spare.len() as u32;
+            let start = to_u32(self.spare.len());
             self.spare.extend_from_slice(&self.pool[r.start as usize..(r.start + r.len) as usize]);
             r.start = start;
         }

@@ -16,7 +16,7 @@
 //! (same adjacency, same ids), which the proptests in
 //! `tests/overlay_props.rs` pin down.
 
-use kadabra_graph::{CsrArena, Graph, GraphBuilder, GraphView, NodeId};
+use kadabra_graph::{to_u32, CsrArena, Graph, GraphBuilder, GraphView, NodeId};
 use std::sync::Arc;
 
 use crate::log::UpdateBatch;
@@ -94,9 +94,8 @@ impl DynamicGraph {
         let base_row = self.base.neighbors(v);
         let mut row = Vec::with_capacity(base_row.len() + extra);
         row.extend_from_slice(base_row);
-        // xtask: allow(determinism) — at most one row per vertex and
-        // `NodeId` is u32, so the row index always fits (UNTOUCHED is MAX).
-        self.row_of[v as usize] = self.rows.len() as u32;
+        // At most one row per vertex, so the index stays below UNTOUCHED.
+        self.row_of[v as usize] = to_u32(self.rows.len());
         self.rows.push(row);
     }
 
@@ -120,7 +119,7 @@ impl DynamicGraph {
 
     /// In-place edit kernel over pre-materialized, pre-reserved rows: sorted
     /// removes then sorted inserts, both endpoints per edge. Performs no
-    /// heap allocation (hot-loop-hygiene scoped — see `kadabra-lint`).
+    /// heap allocation: `apply_batch` reserved every row it grows.
     fn apply_edits(&mut self, batch: &UpdateBatch) {
         for &(u, v) in batch.deletes() {
             self.remove_directed(u, v);

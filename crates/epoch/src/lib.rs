@@ -137,10 +137,9 @@ impl EpochFramework {
     /// the type system, because handles only borrow the shared framework).
     pub fn handle(&self, t: usize) -> SamplerHandle<'_> {
         assert!(t < self.num_threads, "thread index out of range");
-        // xtask: allow(atomic-protocol) — own-thread read: slot `t` is only
-        // ever stored by thread `t` itself, so program order already orders
-        // this load (the cross-thread paths are loom-checked in
-        // `epoch_publication_two_threads`).
+        // Own-thread read: slot `t` is only ever stored by thread `t` itself,
+        // so program order already orders this load (the cross-thread paths
+        // are loom-checked in `epoch_publication_two_threads`).
         SamplerHandle { fw: self, t, epoch: self.thread_epochs[t].load(Ordering::Relaxed) }
     }
 
@@ -152,8 +151,8 @@ impl EpochFramework {
     pub fn force_transition(&self, handle: &mut SamplerHandle<'_>, e: u32) {
         assert_eq!(handle.t, 0, "force_transition must be called by thread 0");
         assert!(
-            // xtask: allow(atomic-protocol) — own-thread read: only thread 0
-            // stores slot 0, and this function asserts it runs on thread 0.
+            // Own-thread read: only thread 0 stores slot 0, and this function
+            // asserts it runs on thread 0.
             handle.epoch == e && self.thread_epochs[0].load(Ordering::Relaxed) == e,
             "force_transition from a stale epoch"
         );
@@ -169,10 +168,7 @@ impl EpochFramework {
     /// returns `true` once every thread has reached an epoch `> e`.
     /// O(T) per call, non-blocking.
     pub fn transition_done(&self, e: u32) -> bool {
-        // Indexed so the receiver field is `thread_epochs` in the source
-        // (the lint's per-field ordering inventory pairs this Acquire with
-        // the Release stores above), not an opaque closure binding.
-        (0..self.num_threads).all(|t| self.thread_epochs[t].load(Ordering::Acquire) > e)
+        self.thread_epochs.iter().all(|epoch| epoch.load(Ordering::Acquire) > e)
     }
 
     /// Observability hook: the epoch thread `t` has published (`Acquire`, so

@@ -111,19 +111,15 @@ impl CrossEpochProbe {
     /// returns the observed gap (max − min of current rounds).
     pub fn complete_round(&self, rank: usize, round: u32) -> u32 {
         debug_assert!(
-            // xtask: allow(atomic-protocol) — own-rank read in a debug
-            // assertion: `begin_round(rank, …)` stored this slot on the same
-            // thread, so program order suffices.
+            // Own-rank read in a debug assertion: `begin_round(rank, …)`
+            // stored this slot on the same thread, so program order suffices.
             self.current[rank].load(Ordering::Relaxed) > round,
             "rank {rank} completed round {round} it never began"
         );
         let mut lo = u32::MAX;
         let mut hi = 0u32;
-        // Indexed so the receiver field is `current` in the source: the
-        // lint's ordering inventory pairs this Acquire with the Release
-        // stores in `begin_round`/`retire`.
-        for i in 0..self.current.len() {
-            let c = self.current[i].load(Ordering::Acquire);
+        for slot in self.current.iter() {
+            let c = slot.load(Ordering::Acquire);
             if c == RETIRED {
                 continue;
             }

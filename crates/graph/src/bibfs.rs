@@ -526,10 +526,7 @@ fn select_and_backtrack<V: GraphView, R: Rng + ?Sized>(
     let probes = probes + backtrack(state, far, near.rows, chosen, far.depth, path, cut, rng);
     let distance = near.depth + 1 + far.depth;
     debug_assert_eq!(
-        // xtask: allow(determinism) — a shortest path visits each vertex at
-        // most once, so its length fits the u32 the CSR layout guarantees
-        // for vertex counts.
-        path.len() as u32 + 1,
+        crate::to_u32(path.len()) + 1,
         distance,
         "interior vertex count must be distance - 1"
     );

@@ -44,9 +44,7 @@ pub fn connected_components(g: &Graph) -> Components {
         if label[start as usize] != UNSET {
             continue;
         }
-        // xtask: allow(determinism) — one label per component and at most
-        // one component per vertex; vertex counts are u32 by CSR layout.
-        let comp = sizes.len() as u32;
+        let comp = crate::to_u32(sizes.len());
         let mut size = 0usize;
         label[start as usize] = comp;
         queue.clear();
@@ -81,9 +79,7 @@ pub fn largest_component(g: &Graph) -> (Graph, Vec<NodeId>) {
     let mut new_of_old: Vec<u32> = vec![u32::MAX; g.num_nodes()];
     for v in 0..g.num_nodes() as NodeId {
         if comps.label[v as usize] == target {
-            // xtask: allow(determinism) — old_of_new holds at most one
-            // entry per vertex; vertex counts are u32 by CSR layout.
-            new_of_old[v as usize] = old_of_new.len() as u32;
+            new_of_old[v as usize] = crate::to_u32(old_of_new.len());
             old_of_new.push(v);
         }
     }

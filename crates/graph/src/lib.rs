@@ -69,6 +69,20 @@ pub use view::GraphView;
 /// Convenience result alias used by fallible graph routines (IO, parsing).
 pub type Result<T> = std::result::Result<T, GraphError>;
 
+/// `len` as a `u32`, for a length indexed by vertex or bounded by the
+/// vertex count: a path's interior, a component count, a row index. The CSR
+/// layout keeps vertex counts within `u32` ([`GraphBuilder`] rejects larger
+/// inputs with [`GraphError::TooManyVertices`]), so such a length always
+/// fits; one that does not panics here instead of truncating silently.
+#[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "vertex-indexed lengths fit the u32 the CSR layout guarantees"
+)]
+pub fn to_u32(len: usize) -> u32 {
+    u32::try_from(len).expect("a vertex-indexed length exceeds u32")
+}
+
 /// Errors produced by graph construction and IO.
 #[derive(Debug)]
 pub enum GraphError {

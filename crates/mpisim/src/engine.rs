@@ -23,11 +23,12 @@
 use crate::error::CommError;
 use crate::fault::FaultPlan;
 use crate::health::{RankCrashState, WorldHealth};
+use crate::lock;
 use kadabra_telemetry::{CounterId, EventWriter, MarkId};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -114,6 +115,17 @@ struct GrowAcc {
     child: Option<(Arc<Engine>, Vec<usize>, usize)>,
 }
 
+/// The op slots and the poison latch, under one lock: a waiter reads the
+/// latch in the critical section it sleeps from, so a poisoning cannot slip
+/// in between its check and its wait.
+struct Slots {
+    ops: BTreeMap<u64, OpSlot>,
+    /// The diagnostic of the rank that detected protocol misuse, once one
+    /// did; every later join and wait fails with it instead of running into
+    /// the deadlock timeout.
+    poison: Option<String>,
+}
+
 /// Engine state shared by all ranks of one communicator.
 pub(crate) struct Engine {
     pub size: usize,
@@ -121,14 +133,9 @@ pub(crate) struct Engine {
     /// engine's members are `0..size`; `split`/`shrink` children carry the
     /// mapping through, so failures are always reported in world ranks.
     pub(crate) members: Vec<usize>,
-    slots: Mutex<BTreeMap<u64, OpSlot>>,
+    slots: Mutex<Slots>,
     cv: Condvar,
     bytes: AtomicU64,
-    /// Set when any rank detects protocol misuse; wakes and fails all
-    /// waiters instead of letting them run into the deadlock timeout.
-    poisoned: AtomicBool,
-    /// Diagnostic written by the poisoning rank before the flag is set.
-    poison_msg: Mutex<String>,
     /// Fault plan this communicator runs under (None = free-running).
     pub(crate) plan: Option<Arc<FaultPlan>>,
     /// Per-communicator hash salt separating the plan's delay streams of
@@ -164,11 +171,9 @@ impl Engine {
         Arc::new(Engine {
             size: members.len(),
             members,
-            slots: Mutex::new(BTreeMap::new()),
+            slots: Mutex::new(Slots { ops: BTreeMap::new(), poison: None }),
             cv: Condvar::new(),
             bytes: AtomicU64::new(carried_bytes),
-            poisoned: AtomicBool::new(false),
-            poison_msg: Mutex::new(String::new()),
             plan,
             salt,
             health,
@@ -194,30 +199,23 @@ impl Engine {
         }
     }
 
-    /// Marks the communicator broken, wakes all waiters, and returns the
-    /// typed error for the detecting rank.
-    ///
-    /// Release pairs with the Acquire loads in `check_poison`/waiters: a
-    /// rank that observes the flag also observes the diagnostic written
-    /// first. No stronger ordering is needed — there is no multi-flag
-    /// consensus here, just one one-way latch.
-    fn poison(&self, msg: String) -> CommError {
-        *self.poison_msg.lock() = msg.clone();
-        self.poisoned.store(true, Ordering::Release);
+    /// Marks the communicator broken under the slots lock the caller
+    /// holds, wakes all waiters, and returns the typed error for the
+    /// detecting rank.
+    fn poison(&self, slots: &mut Slots, msg: String) -> CommError {
+        slots.poison = Some(msg.clone());
         self.cv.notify_all();
         CommError::Poisoned { detail: msg, replay: self.replay() }
     }
 
-    fn poisoned_error(&self) -> CommError {
-        let detail = self.poison_msg.lock().clone();
-        CommError::Poisoned { detail, replay: self.replay() }
-    }
-
-    fn check_poison(&self) -> Result<(), CommError> {
-        if self.poisoned.load(Ordering::Acquire) {
-            Err(self.poisoned_error())
-        } else {
-            Ok(())
+    /// Fails with the poisoning rank's diagnostic once the communicator is
+    /// poisoned.
+    fn fail_if_poisoned(&self, slots: &Slots) -> Result<(), CommError> {
+        match &slots.poison {
+            Some(detail) => {
+                Err(CommError::Poisoned { detail: detail.clone(), replay: self.replay() })
+            }
+            None => Ok(()),
         }
     }
 
@@ -242,16 +240,15 @@ impl Engine {
         deposit: impl FnOnce(&mut Option<Box<dyn Any + Send>>),
         finalize: impl FnOnce(&mut Option<Box<dyn Any + Send>>),
     ) -> Result<(), CommError> {
-        self.check_poison()?;
-        let mut slots = self.slots.lock();
-        let slot = slots.entry(seq).or_insert_with(|| OpSlot::new(kind, self.size));
+        let mut slots = lock(&self.slots);
+        self.fail_if_poisoned(&slots)?;
+        let slot = slots.ops.entry(seq).or_insert_with(|| OpSlot::new(kind, self.size));
         if slot.kind != kind {
             let msg = format!(
                 "collective mismatch at seq {seq}: one rank called {:?}, another {kind:?}",
                 slot.kind
             );
-            drop(slots);
-            return Err(self.poison(msg));
+            return Err(self.poison(&mut slots, msg));
         }
         deposit(&mut slot.acc);
         assert!(!slot.joined[rank], "rank {rank} joined op seq {seq} twice");
@@ -272,8 +269,8 @@ impl Engine {
                   the last retirement"
     )]
     pub fn is_complete(&self, seq: u64) -> bool {
-        let slots = self.slots.lock();
-        slots.get(&seq).expect("is_complete on unknown op").arrived == self.size
+        let slots = lock(&self.slots);
+        slots.ops.get(&seq).expect("is_complete on unknown op").arrived == self.size
     }
 
     /// Completion collection; must only be called once [`Self::is_complete`]
@@ -285,18 +282,18 @@ impl Engine {
         seq: u64,
         collect: impl FnOnce(&mut Option<Box<dyn Any + Send>>) -> T,
     ) -> T {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         #[expect(
             clippy::expect_used,
             reason = "`seq` comes from a Request this engine issued, and this rank has not retired \
                       it yet"
         )]
-        let slot = slots.get_mut(&seq).expect("try_complete on unknown op");
+        let slot = slots.ops.get_mut(&seq).expect("try_complete on unknown op");
         assert!(slot.arrived == self.size, "try_complete before completion");
         let out = collect(&mut slot.acc);
         slot.retired += 1;
         if slot.retired == self.size {
-            slots.remove(&seq);
+            slots.ops.remove(&seq);
         }
         out
     }
@@ -313,27 +310,25 @@ impl Engine {
         seq: u64,
         collect: impl FnOnce(&mut Option<Box<dyn Any + Send>>) -> T,
     ) -> Result<T, CommError> {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         let budget = self.deadlock_timeout();
         let mut waited = Duration::ZERO;
         let mut stuck_checks = 0u32;
         let mut slice = WAIT_SLICE;
         loop {
-            if self.poisoned.load(Ordering::Acquire) {
-                return Err(self.poisoned_error());
-            }
+            self.fail_if_poisoned(&slots)?;
             let (kind, arrived, stuck) = {
                 #[expect(
                     clippy::expect_used,
                     reason = "`seq` comes from a Request this engine issued, and this rank has not \
                               retired it yet"
                 )]
-                let slot = slots.get_mut(&seq).expect("wait_complete on unknown op");
+                let slot = slots.ops.get_mut(&seq).expect("wait_complete on unknown op");
                 if slot.arrived == self.size {
                     let out = collect(&mut slot.acc);
                     slot.retired += 1;
                     if slot.retired == self.size {
-                        slots.remove(&seq);
+                        slots.ops.remove(&seq);
                     }
                     return Ok(out);
                 }
@@ -385,8 +380,8 @@ impl Engine {
         generation: u64,
     ) -> Result<(Arc<Engine>, usize), CommError> {
         let key = SHRINK_KEY_BASE | generation;
-        let mut slots = self.slots.lock();
-        let slot = slots.entry(key).or_insert_with(|| OpSlot::new(OpKind::Shrink, self.size));
+        let mut slots = lock(&self.slots);
+        let slot = slots.ops.entry(key).or_insert_with(|| OpSlot::new(OpKind::Shrink, self.size));
         assert!(slot.kind == OpKind::Shrink, "reserved shrink key collided with an op");
         assert!(!slot.joined[rank], "rank {rank} joined shrink generation {generation} twice");
         slot.joined[rank] = true;
@@ -395,16 +390,14 @@ impl Engine {
         let budget = self.deadlock_timeout();
         let mut waited = Duration::ZERO;
         loop {
-            if self.poisoned.load(Ordering::Acquire) {
-                return Err(self.poisoned_error());
-            }
+            self.fail_if_poisoned(&slots)?;
             {
                 #[expect(
                     clippy::expect_used,
                     reason = "the slot is freed only after the last survivor retires, and this \
                               rank has not retired yet"
                 )]
-                let slot = slots.get_mut(&key).expect("shrink generation slot present");
+                let slot = slots.ops.get_mut(&key).expect("shrink generation slot present");
                 let done =
                     slot.acc.is_some() || self.health.shrink_complete(&self.members, &slot.joined);
                 if done {
@@ -449,7 +442,7 @@ impl Engine {
                         .expect("own rank among shrink survivors");
                     slot.retired += 1;
                     if slot.retired == survivors.len() {
-                        slots.remove(&key);
+                        slots.ops.remove(&key);
                     }
                     return Ok((child, new_rank));
                 }
@@ -488,8 +481,8 @@ impl Engine {
         extra: usize,
     ) -> Result<(Arc<Engine>, usize, usize), CommError> {
         let key = GROW_KEY_BASE | generation;
-        let mut slots = self.slots.lock();
-        let slot = slots.entry(key).or_insert_with(|| {
+        let mut slots = lock(&self.slots);
+        let slot = slots.ops.entry(key).or_insert_with(|| {
             let mut s = OpSlot::new(OpKind::Grow, self.size);
             s.acc = Some(Box::new(GrowAcc { extra, child: None }));
             s
@@ -513,8 +506,7 @@ impl Engine {
                      {generation}, first joiner requested {}",
                     acc.extra
                 );
-                drop(slots);
-                return Err(self.poison(msg));
+                return Err(self.poison(&mut slots, msg));
             }
         }
         slot.joined[rank] = true;
@@ -523,16 +515,14 @@ impl Engine {
         let budget = self.deadlock_timeout();
         let mut waited = Duration::ZERO;
         loop {
-            if self.poisoned.load(Ordering::Acquire) {
-                return Err(self.poisoned_error());
-            }
+            self.fail_if_poisoned(&slots)?;
             {
                 #[expect(
                     clippy::expect_used,
                     reason = "the slot is freed only after the last joiner retires, and this rank \
                               has not retired yet"
                 )]
-                let slot = slots.get_mut(&key).expect("grow generation slot present");
+                let slot = slots.ops.get_mut(&key).expect("grow generation slot present");
                 #[expect(
                     clippy::expect_used,
                     reason = "the slot holds a GrowAcc from its creation; the reserved key space \
@@ -584,7 +574,7 @@ impl Engine {
                         .expect("own rank among grow joiners");
                     slot.retired += 1;
                     if slot.retired == joiners.len() {
-                        slots.remove(&key);
+                        slots.ops.remove(&key);
                     }
                     return Ok((child, new_rank, admitted));
                 }

@@ -46,6 +46,7 @@
 use crate::engine::Engine;
 use crate::error::CommError;
 use crate::fault::CrashPoint;
+use crate::lock;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,24 +86,24 @@ impl WorldHealth {
 
     /// Declares `world_rank` dead (idempotent, never reversed).
     pub(crate) fn mark_dead(&self, world_rank: usize) {
-        self.state.lock().dead.insert(world_rank);
+        lock(&self.state).dead.insert(world_rank);
     }
 
     #[cfg(test)]
     pub(crate) fn is_dead(&self, world_rank: usize) -> bool {
-        self.state.lock().dead.contains(&world_rank)
+        lock(&self.state).dead.contains(&world_rank)
     }
 
     /// Marks `world_rank` as having abandoned pre-shrink operations.
     pub(crate) fn begin_recovery(&self, world_rank: usize) {
-        self.state.lock().recovering.insert(world_rank);
+        lock(&self.state).recovering.insert(world_rank);
     }
 
     /// Clears the recovering flag of every shrink survivor (they have all
     /// joined the shrink generation, so no waiter can still be blocked on an
     /// operation they abandoned).
     pub(crate) fn end_recovery(&self, survivors: &[usize]) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         for r in survivors {
             st.recovering.remove(r);
         }
@@ -112,7 +113,7 @@ impl WorldHealth {
     /// `joined`, indexed like `members`) and never will — i.e. is dead or
     /// recovering. `None` means every absent member may still arrive.
     pub(crate) fn first_stuck_member(&self, members: &[usize], joined: &[bool]) -> Option<usize> {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         members
             .iter()
             .zip(joined)
@@ -125,7 +126,7 @@ impl WorldHealth {
     /// a shrink generation, which excuses only the genuinely dead — a
     /// recovering member is en route to this very shrink and must join it).
     pub(crate) fn shrink_complete(&self, members: &[usize], joined: &[bool]) -> bool {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         members.iter().zip(joined).all(|(wr, &j)| j || st.dead.contains(wr))
     }
 
@@ -137,14 +138,14 @@ impl WorldHealth {
     /// by the universe at launch, before any rank thread runs, so the
     /// standby pool is fixed before the first grow could consult it.
     pub(crate) fn register_standby(&self, world_rank: usize) {
-        self.state.lock().standby.insert(world_rank);
+        lock(&self.state).standby.insert(world_rank);
     }
 
     /// Takes up to `k` standbys for admission — always the smallest
     /// registered world ranks, so the admitted set is deterministic. The
     /// taken ranks move to the *joining* state until they confirm.
     pub(crate) fn take_standbys(&self, k: usize) -> Vec<usize> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let picked: Vec<usize> = st.standby.iter().take(k).copied().collect();
         for &wr in &picked {
             st.standby.remove(&wr);
@@ -157,7 +158,7 @@ impl WorldHealth {
     /// engine and the rank's position within it. Wakes the standby's
     /// [`WorldHealth::wait_admission`].
     pub(crate) fn deliver_admission(&self, world_rank: usize, engine: Arc<Engine>, rank: usize) {
-        self.state.lock().admitted.insert(world_rank, (engine, rank));
+        lock(&self.state).admitted.insert(world_rank, (engine, rank));
         self.join_cv.notify_all();
     }
 
@@ -165,7 +166,7 @@ impl WorldHealth {
     /// without a ticket is released with an error. Called by the universe
     /// once all founding ranks have returned — no further grow can happen.
     pub(crate) fn close_join_gate(&self) {
-        self.state.lock().gate_closed = true;
+        lock(&self.state).gate_closed = true;
         self.join_cv.notify_all();
     }
 
@@ -174,7 +175,7 @@ impl WorldHealth {
     /// (`None`). Undelivered tickets win over a closed gate: a standby
     /// admitted by the run's last grow still gets its communicator.
     pub(crate) fn wait_admission(&self, world_rank: usize) -> Option<(Arc<Engine>, usize)> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         loop {
             if let Some(ticket) = st.admitted.remove(&world_rank) {
                 st.joining.remove(&world_rank); // confirm: the handshake is done

@@ -65,5 +65,19 @@ pub use error::CommError;
 pub use fault::{CrashPoint, FaultPlan, JoinPoint};
 pub use universe::{ElasticRank, StandbyRank, Universe};
 
+use parking_lot::{Mutex, MutexGuard};
+
+/// Takes `m`'s lock: the one lock call of the runtime. The crate root
+/// denies the lock ban of `crates/clippy.toml` with the wall-clock ban
+/// (DESIGN.md §12.4); the runtime locks per collective call, never per
+/// sample, so its locks are waived here, once.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the runtime locks per collective call, never per sample"
+)]
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+}
+
 #[cfg(test)]
 mod tests;

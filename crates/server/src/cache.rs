@@ -54,11 +54,13 @@
 //! contents. `tests/loom.rs` model-checks this argument, including a
 //! negative control with the re-check deleted.
 //!
-//! The read path is allocation- and lock-free — enforced structurally by
-//! the `hot-loop-hygiene` lint pass, which scans the bodies of
-//! [`EstimateCache::read_frontier_into`], [`EstimateCache::read_vertex`]
-//! and [`EstimateCache::read_stage_into`], and empirically by the
-//! counting-allocator test `tests/read_vertex_alloc.rs`.
+//! The read path is allocation- and lock-free: this module denies the lock
+//! ban of `crates/clippy.toml` (the attribute below), and the
+//! counting-allocator test `tests/read_vertex_alloc.rs` counts the heap
+//! requests of [`EstimateCache::read_vertex`] and
+//! [`EstimateCache::read_frontier_into`].
+
+#![deny(clippy::disallowed_methods)]
 
 use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 

@@ -98,8 +98,7 @@ impl TenantConfig {
 }
 
 /// Reusable per-client query buffers: queries fill these in place, so the
-/// steady-state read path performs no allocation (enforced by the
-/// hot-loop-hygiene lint on the cache and counted by
+/// steady-state read path performs no allocation (counted by
 /// `tests/read_vertex_alloc.rs`).
 pub struct QueryScratch {
     /// Frontier snapshot target.

@@ -4,7 +4,8 @@
 //! * **Wall clock** — nanoseconds since the run origin, read from
 //!   [`std::time::Instant`]. This crate is the single place in the
 //!   workspace allowed to read the wall clock on algorithm paths
-//!   (`cargo xtask lint` bans raw `Instant::now()` in `crates/core`);
+//!   (clippy's `disallowed_methods` bans raw `Instant::now()` in `core`,
+//!   `graph`, `mpisim` and `cluster`, DESIGN.md §12.4);
 //!   everything else threads a [`Stopwatch`] or a span through here.
 //! * **Logical clock** — ticks the producer advances deterministically
 //!   (overlapped polls of a non-blocking request, rounds, DES virtual

@@ -96,8 +96,7 @@ impl ThreadRecorder {
     /// Single-writer append; wait-free (drops when full).
     fn append(&self, kind: EventKind, id: u8, wall: u64, logical: u64, value: u64) {
         // Relaxed: only this thread writes the cursor; the Release store
-        // below is the publication point.
-        // xtask: allow(atomic-protocol) — single-writer cursor read-back on
+        // below is the publication point. Single-writer cursor read-back on
         // the writing thread; loom-checked in the telemetry recorder suite.
         let i = self.published.load(Ordering::Relaxed);
         if i >= self.slots.len() {

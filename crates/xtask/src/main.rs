@@ -1,72 +1,11 @@
 //! Workspace automation, invoked as `cargo xtask <command>` (see
 //! `.cargo/config.toml` for the alias).
 //!
-//! # `cargo xtask lint`
-//!
-//! Workspace static analysis over `crates/` and the root `src/`, `tests/`,
-//! `examples/` trees, enforcing rules that clippy cannot express. The
-//! engine is the `kadabra-lint` AST framework (DESIGN.md §12): a
-//! hand-rolled lexer and item-level parser drive a registry of passes, each
-//! reporting precise `(line, col)` spans. `--json PATH` writes the
-//! machine-readable `kadabra-lint/v2` report (schema-validated before the
-//! command exits, and written even when findings fail the run so CI can
-//! upload it as an artifact).
-//!
-//! The token-level rules:
-//!
-//! * **seqcst** — `Ordering::SeqCst` is banned everywhere. Every atomic in
-//!   this workspace has an explicit pairing argument (Release publish /
-//!   Acquire consume, or Relaxed where a lock or collective provides the
-//!   ordering); `SeqCst` would paper over a missing argument rather than
-//!   supply one, and the loom scenarios in `crates/epoch/tests/loom.rs`
-//!   verify the weaker orderings are actually sufficient.
-//! * **direct-atomics** — in the crates that model-check their atomics
-//!   (those whose manifest depends on `loom`: `epoch`, `telemetry` and
-//!   `server`), atomic types must be imported from the crate's `sync.rs`
-//!   indirection module (which swaps in the loom model checker under
-//!   `--features loom`), never from `std::sync::atomic` directly. Files
-//!   named `sync.rs` and test code are exempt.
-//!
-//! Clippy has no lint for either: it cannot name one enum variant, and its
-//! `disallowed-types` would flag every use of a `sync.rs` re-export too.
-//! The rules clippy does express are clippy's (DESIGN.md §12.4):
-//! `unwrap_used`/`expect_used` in every library crate, `panic` in
-//! `kadabra-mpisim`, `disallowed-methods` on `Instant::now`/
-//! `SystemTime::now` in `core`, `graph`, `mpisim` and `cluster`, and
-//! `disallowed-types` on `HashMap`/`HashSet` in `core`, `epoch`, `mpisim`,
-//! `graph` and `dynamic`, each denied at the crate root and configured in
-//! `crates/clippy.toml`.
-//!
-//! Three semantic passes sit on top (see `crates/lint/src/passes/` for the
-//! full rationale of each):
-//!
-//! * **atomic-protocol** — a workspace-wide inventory of atomic operations
-//!   per `(crate, field)`: Release stores with no Acquire consumer,
-//!   Acquire loads with no Release publisher, and Relaxed operations on
-//!   fields that participate in a Release/Acquire protocol are flagged.
-//! * **determinism** — no `len() as u32`-style truncating casts in the
-//!   reproducible crates.
-//! * **hot-loop-hygiene** — no allocation, locking, cloning, formatting,
-//!   or collectives (harvested from the `pub fn … -> Result<_, CommError>`
-//!   signatures in `crates/mpisim/src`) inside per-sample code:
-//!   `sample_batch` consume closures and the named hot functions of
-//!   `crates/core`/`crates/graph`.
-//!
-//! DESIGN.md §12.7 records, for each pass, the mutant planted in the real
-//! tree and which other check, if any, rejected it: a pass stays only while
-//! its mutant gets past the compiler, clippy, tier-1 and loom.
-//!
-//! Any rule can be waived for one line with a trailing or preceding comment
-//! `// xtask: allow(<rule>) — <why this occurrence is sound>`. Waivers are
-//! part of the diff and hence of code review.
-//!
-//! The engine lexes rather than greps: comments, string literals, and
-//! `#[cfg(test)]` modules are stripped or marked before matching, so prose
-//! *about* `SeqCst` never trips a rule. `shims/` is deliberately out of
-//! scope — those crates reproduce third-party APIs (including their
-//! `SeqCst` surface) and are not governed by this workspace's concurrency
-//! discipline; `fixtures` directories are skipped too, since they exist to
-//! violate the rules on purpose.
+//! The workspace's source rules are not a subcommand: clippy enforces what
+//! it can express (DESIGN.md §12.4), and this crate's tier-1 test
+//! `tests/source_rules.rs` holds every library root to its clippy rules and
+//! scans the sources for the three it cannot (no `SeqCst`, atomics through
+//! `sync.rs` in the loom-modelled crates, no `.len() as u32` casts).
 //!
 //! # `cargo xtask deny`
 //!
@@ -103,7 +42,6 @@ use std::process::{Command, ExitCode};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => cmd_lint(&args[1..]),
         Some("deny") => cmd_deny(),
         Some("loom") => cmd_loom(),
         Some("tsan") => cmd_tsan(),
@@ -113,8 +51,6 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo xtask <command>\n\n\
                  commands:\n  \
-                 lint   AST-based semantic lint passes (stable)\n         \
-                 [--json PATH] write + validate the kadabra-lint/v2 report\n  \
                  deny   supply-chain gate via cargo-deny, config in deny.toml (skips if absent)\n  \
                  loom   model-check the epoch protocol + telemetry recorder + server cache (stable)\n  \
                  tsan   run concurrency tests under ThreadSanitizer (nightly + rust-src)\n  \
@@ -124,91 +60,6 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// lint
-// ---------------------------------------------------------------------------
-
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut json_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("xtask lint: --json needs a path argument");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("xtask lint: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    cmd_lint_ast(json_path)
-}
-
-/// The AST lint engine (`kadabra-lint`): parses the workspace, runs every
-/// registered pass, applies inline waivers, and fails on any active
-/// finding. `--json PATH` also writes (and schema-validates) the
-/// `kadabra-lint/v2` report for CI to upload.
-fn cmd_lint_ast(json_path: Option<PathBuf>) -> ExitCode {
-    let root = workspace_root();
-    let ws = match kadabra_lint::Workspace::load(&root) {
-        Ok(ws) => ws,
-        Err(e) => {
-            eprintln!("xtask lint: failed to read the workspace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let passes = kadabra_lint::passes::all();
-    let pass_refs: Vec<&dyn kadabra_lint::Pass> = passes.iter().map(AsRef::as_ref).collect();
-    let report = ws.run(&pass_refs);
-
-    for f in report.active() {
-        println!(
-            "{}:{}:{}: [{}] {}\n    `{}`\n    hint: {}",
-            f.file, f.line, f.col, f.pass, f.message, f.excerpt, f.hint
-        );
-    }
-
-    if let Some(path) = &json_path {
-        let json = report.to_json();
-        if let Err(e) = kadabra_lint::report::validate_report(&json) {
-            eprintln!("xtask lint: generated report failed schema validation: {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("xtask lint: failed to write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "xtask lint: wrote {} (schema {})",
-            path.display(),
-            kadabra_lint::report::LINT_SCHEMA
-        );
-    }
-
-    let (total, active, waived) = report.counts();
-    if active == 0 {
-        println!(
-            "xtask lint: {} files clean across {} passes ({} waived)",
-            report.files_scanned,
-            report.passes.len(),
-            waived
-        );
-        return ExitCode::SUCCESS;
-    }
-    println!(
-        "\nxtask lint: {active} active finding(s) ({total} total, {waived} waived) in {} \
-         file(s); waive a line with `// xtask: allow(<pass>) — <reason>` if \
-         the occurrence is deliberate",
-        report.files_scanned
-    );
-    ExitCode::FAILURE
 }
 
 fn workspace_root() -> PathBuf {
@@ -441,8 +292,8 @@ fn missing_toolchain(cmd: &str, what: &str, fix: &str) -> ExitCode {
     eprintln!(
         "xtask {cmd}: skipped — this environment lacks {what}.\n\
          To run it locally:  {fix}\n\
-         (CI runs this job as allowed-to-fail on nightly; the stable gates are \
-         `cargo xtask lint` and `cargo xtask loom`.)"
+         (CI runs this job as allowed-to-fail on nightly; the stable gate is \
+         `cargo xtask loom`.)"
     );
     ExitCode::from(2)
 }

@@ -35,7 +35,7 @@
 //!   Stale-value reads — the observable effect of missing release/acquire
 //!   edges — are explored.
 //! * `SeqCst` is treated as `AcqRel` (no total order across locations). The
-//!   workspace bans `SeqCst` anyway (`cargo xtask lint`).
+//!   workspace bans `SeqCst` anyway (`crates/xtask/tests/source_rules.rs`).
 //! * Consecutive stale reads of one location by one thread are capped
 //!   ([`model::Builder::max_staleness`]) so polling loops terminate; an
 //!   execution is also capped at `max_ops` operations, and the whole search
